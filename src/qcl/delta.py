@@ -11,9 +11,16 @@ over delta with the integrality side conditions cancels exactly; the
 cancellation is certified by an explicit bijection delta <-> alpha *
 delta^{-1} between the two enumerated index sets, plus an exact rational
 sum.  For alpha = 0 the sum is a smoothed quaternion-norm count whose
-Q^{-4}-normalization converges to the dual-lattice main term b(Q), computed
-from a one-dimensional Bessel transform of the radial profile over the
-trace-form dual of the order.
+Q^{-4}-normalization converges to the dual-lattice main term b(Q), a sum
+over the trace-form dual of the order of the 4D radial Fourier transform of
+r -> phi2(r^2).  That transform has a closed form: phi2 is expanded exactly
+in powers of (1 - t), and each power is integrated against the Bessel
+kernel by Sonine's first finite integral
+
+    int_0^1 r^{nu+1} (1 - r^2)^mu J_nu(a r) dr = 2^mu mu! a^{-mu-1} J_{nu+mu+1}(a)
+
+(Watson, A Treatise on the Theory of Bessel Functions, 12.11), so each
+value is a few Bessel-function evaluations and no quadrature.
 
 Conventions (fixed throughout): additive character e(-t) on the reals,
 pairing (x, y) -> trd(x y) with Gram matrix 2 diag(1,-1,-1,-1), self-dual
@@ -65,6 +72,14 @@ class DeltaTestFn:
         if t < 0 or t > 1:
             return Fraction(0)
         return _poly_eval(self.phi2_coeffs, t)
+
+    def phi2_about_one(self):
+        """Exact coefficients d_mu of phi2(t) = sum_mu d_mu (1 - t)^mu."""
+        n = len(self.phi2_coeffs)
+        return tuple(
+            (-1) ** mu * sum(Fraction(c) * math.comb(k, mu)
+                             for k, c in enumerate(self.phi2_coeffs))
+            for mu in range(n))
 
     def radial_moment(self):
         """integral of t * phi2(t) over [0,1], exact."""
@@ -128,7 +143,8 @@ def _lattice_hnf_key(basis):
             den = den * v.denominator // math.gcd(den, v.denominator)
     rows = [[int(v * den) for v in row] for row in basis]
     h, _, rank = row_hnf(rows)
-    assert rank == 4
+    if rank != 4:
+        raise VerificationError(f"lattice basis has rank {rank}, not 4")
     return den, tuple(tuple(r) for r in h[:4])
 
 
@@ -158,7 +174,8 @@ def dual_norm_histogram_direct(max_nsq):
         nsq = sum(v * v for v in xi)
         if nsq <= max_nsq:
             key = 4 * nsq
-            assert key.denominator == 1
+            if key.denominator != 1:
+                raise VerificationError(f"dual norm 4*{nsq} is not integral")
             hist[int(key)] = hist.get(int(key), 0) + 1
     return hist
 
@@ -195,35 +212,28 @@ def dual_norm_histogram(max_nsq):
 # ---------------------------------------------------------------------------
 # radial Fourier profile
 
-_GHAT_CACHE = {}
-
-
 def ghat(s, profile=DEFAULT_PROFILE):
-    """4D radial Fourier transform of g(r) = phi2(r^2) at radius s >= 0."""
-    key = (round(float(s), 12), profile.phi2_coeffs)
-    if key in _GHAT_CACHE:
-        return _GHAT_CACHE[key]
-    coeffs = profile.phi2_coeffs
+    """4D radial Fourier transform of g(r) = phi2(r^2) at radius s >= 0.
+
+    For s > 0 it is (2 pi / s) int_0^1 r^2 g(r) J_1(2 pi s r) dr.  With
+    phi2(t) = sum_mu d_mu (1 - t)^mu and a = 2 pi s, Sonine's integral at
+    nu = 1 turns it into (2 pi / s) sum_mu d_mu 2^mu mu! a^{-mu-1} J_{mu+2}(a).
+    """
     if s == 0:
-        val = float(2 * mpmath.pi ** 2
-                    * mpmath.mpf(profile.radial_moment().numerator)
-                    / profile.radial_moment().denominator / 2)
         # integral of phi2(r^2) r^3 dr = (1/2) integral t phi2(t) dt
-    else:
-        def g(r):
-            t = r * r
-            acc = mpmath.mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            return acc
-
-        def f(r):
-            return r * r * g(r) * mpmath.besselj(1, 2 * mpmath.pi * s * r)
-
-        pts = mpmath.linspace(0, 1, max(8, int(4 * float(s)) + 8))
-        val = float(2 * mpmath.pi / s * mpmath.quad(f, pts))
-    _GHAT_CACHE[key] = val
-    return val
+        return float(2 * mpmath.pi ** 2
+                     * mpmath.mpf(profile.radial_moment().numerator)
+                     / profile.radial_moment().denominator / 2)
+    # guard digits against cancellation between the terms of the sum
+    with mpmath.workdps(mpmath.mp.dps + 10):
+        a = 2 * mpmath.pi * s
+        total = mpmath.mpf(0)
+        for mu, d in enumerate(profile.phi2_about_one()):
+            if d:
+                w = d * 2 ** mu * math.factorial(mu)
+                total += (mpmath.mpf(w.numerator) / w.denominator
+                          * mpmath.besselj(mu + 2, a) / a ** (mu + 1))
+        return float(2 * mpmath.pi / s * total)
 
 
 def f2phi_at_zero(profile=DEFAULT_PROFILE):
@@ -317,7 +327,8 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
     for key, (d, delta) in side1.items():
         prod = alpha * delta.conjugate()
         mu = HurwitzQuat(*(c // d for c in prod.c))
-        assert mu.nrd() == na // d
+        if mu.nrd() != na // d:
+            raise VerificationError("bijection image has the wrong norm")
         if mu.c not in side2:
             raise VerificationError("bijection image escapes second side")
         if mu.c in seen:
@@ -325,10 +336,10 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
         seen.add(mu.c)
     if len(seen) != len(side2):
         raise VerificationError("bijection is not surjective")
-    s1 = sum(profile.phi1(Fraction(na, d * Q2)) * profile.phi2(Fraction(d, Q2))
-             for _, (d, _) in side1.items())
-    s2 = sum(profile.phi1(Fraction(d, Q2)) * profile.phi2(Fraction(na, d * Q2))
-             for _, (d, _) in side2.items())
+    s1 = sum((profile.phi1(Fraction(na, d * Q2)) * profile.phi2(Fraction(d, Q2))
+              for d, _ in side1.values()), Fraction(0))
+    s2 = sum((profile.phi1(Fraction(d, Q2)) * profile.phi2(Fraction(na, d * Q2))
+              for d, _ in side2.values()), Fraction(0))
     diff = s1 - s2
     if diff != 0:
         raise VerificationError("two-sided sum fails to cancel exactly")

@@ -289,7 +289,8 @@ def eta_congruence_checks(eta, K, seed=0):
     gens = [list(hq_to_basis_coords(eta * b)) for b in HQ_BASIS]
     gens += [[K if i == j else 0 for i in range(4)] for j in range(4)]
     h, _, rank = row_hnf(gens)
-    assert rank == 4
+    if rank != 4:
+        raise VerificationError(f"eta*order + K*order has rank {rank}, not 4")
     short = _first_short_vector(h[:4], limit)
     if short is None:
         raise VerificationError("no short coset representative found")
@@ -320,16 +321,56 @@ def _two_square_histograms(smax):
     return he, ho
 
 
-def norm_count(m, _hist_cache={}):
-    """#{x in the order : nrd(x) = m}, via doubled-coordinate pairing."""
+def _norm_counts(n):
+    """[r(0), ..., r(n)] with r(m) = #{x in the order : nrd(x) = m}.
+
+    In doubled coordinates x has four entries of one parity with square sum
+    4 nrd(x), so r(m) pairs an even-even (or odd-odd) front with a back of
+    the same kind; one pass over pairs of histogram keys fills every m.
+    """
+    smax = 4 * n
+    table = [0] * (n + 1)
+    for hist in _two_square_histograms(smax):
+        keys = sorted(hist)
+        for i, s1 in enumerate(keys):
+            if 2 * s1 > smax:
+                break
+            c1 = hist[s1]
+            table[s1 // 2] += c1 * c1
+            for j in range(i + 1, len(keys)):
+                s2 = keys[j]
+                if s1 + s2 > smax:
+                    break
+                table[(s1 + s2) // 4] += 2 * c1 * hist[s2]
+    return table
+
+
+# r(0), ..., r(len - 1), for callers that walk the norms upward from 1
+_norm_table = [1]
+# two-square histograms of the largest norm counted alone
+_lone_hists = {"smax": -1}
+
+
+def norm_count(m):
+    """#{x in the order : nrd(x) = m}, via doubled-coordinate pairing.
+
+    Asked for the norm just past its end, as the zero-shift and Poisson sums
+    are, the per-process table of r(m) grows to twice its size.  Any other
+    norm it lacks is counted alone from the histograms of the largest such
+    norm, which rep_number then reuses for every m / d^2.
+    """
+    global _norm_table
     if m < 1:
         raise PreconditionError("m must be positive")
+    if m == len(_norm_table):
+        _norm_table = _norm_counts(max(m, 2 * (m - 1)))
+    if m < len(_norm_table):
+        return _norm_table[m]
     smax = 4 * m
-    if _hist_cache.get("smax", -1) < smax:
-        _hist_cache.clear()
-        _hist_cache["smax"] = smax
-        _hist_cache["he"], _hist_cache["ho"] = _two_square_histograms(smax)
-    he, ho = _hist_cache["he"], _hist_cache["ho"]
+    if _lone_hists["smax"] < smax:
+        _lone_hists["smax"] = smax
+        _lone_hists["he"], _lone_hists["ho"] = _two_square_histograms(smax)
+    he, ho = _lone_hists["he"], _lone_hists["ho"]
     total = 0
     for s, c in he.items():
         total += c * he.get(smax - s, 0)
@@ -359,7 +400,9 @@ def rep_number(m):
         return total
 
     prim = primitive_count(m)
-    assert prim % 24 == 0
+    if prim % 24:
+        raise VerificationError(
+            f"{prim} primitive elements of norm {m} is not a multiple of 24")
     r_enum = prim // 24
     v2 = 0
     mm = m

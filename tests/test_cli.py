@@ -86,6 +86,16 @@ class TestSubcommands:
         doc = json.loads(out.stdout)
         assert doc["result"]["cancelled"] is True
 
+    def test_delta_check_empty_support_difference_is_rational(self, tmp_path):
+        # no admissible modulus survives: the exact zero keeps the rational
+        # encoding that every other shift prints
+        out = run_cli(["delta-check", "--q", "8", "--alpha", "3,4,4,2"],
+                      tmp_path)
+        res = json.loads(out.stdout)["result"]
+        assert res["terms"] == ["0", "0"]
+        assert res["difference"] == {"num": "0", "den": "1"}
+        assert res["cancelled"] is True
+
     def test_csv_output(self, tmp_path):
         csv_path = tmp_path / "out.csv"
         run_cli(["--csv", str(csv_path), "repnum", "--m", "3"], tmp_path)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qcl.algebra import HurwitzQuat
@@ -13,6 +14,21 @@ from qcl.delta import (
 )
 
 ZERO = HurwitzQuat(0, 0, 0, 0)
+
+
+def ghat_quadrature(s, profile):
+    """Reference for ghat at s > 0: the defining Bessel integral
+    (2 pi / s) int_0^1 r^2 phi2(r^2) J_1(2 pi s r) dr by mpmath quadrature,
+    split so that each piece spans about a quarter of an oscillation."""
+    def f(r):
+        t = r * r
+        acc = mpmath.mpf(0)
+        for c in reversed(profile.phi2_coeffs):
+            acc = acc * t + c
+        return r * r * acc * mpmath.besselj(1, 2 * mpmath.pi * s * r)
+
+    pts = mpmath.linspace(0, 1, max(8, int(4 * float(s)) + 8))
+    return float(2 * mpmath.pi / s * mpmath.quad(f, pts))
 
 
 def random_shift(rng, Q):
@@ -70,6 +86,21 @@ class TestRadialTransform:
 
     def test_decay(self):
         assert abs(ghat(12)) < abs(ghat(0)) / 100
+
+    @pytest.mark.parametrize("profile", [
+        DEFAULT_PROFILE, DeltaTestFn(phi2_coeffs=(0, 1, -2, 1))])
+    def test_closed_form_matches_quadrature(self, profile):
+        for s in (1e-3, 0.3, 1, 2.5, 7.1, 13.3, 28.28):
+            ref = ghat_quadrature(s, profile)
+            assert abs(ghat(s, profile) - ref) <= 1e-15 + 1e-12 * abs(ref), s
+
+    def test_expansion_about_one(self):
+        # t(1-t)^3 = (1-t)^3 - (1-t)^4
+        assert DEFAULT_PROFILE.phi2_about_one() == (0, 0, 0, 1, -1)
+        p = DeltaTestFn(phi2_coeffs=(0, 1, -2, 1))
+        for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            assert p.phi2(t) == sum(d * (1 - t) ** mu for mu, d in
+                                    enumerate(p.phi2_about_one()))
 
     def test_b_term_precondition(self):
         with pytest.raises(PreconditionError):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcl import lattices
 from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
 from qcl.errors import PreconditionError, VerificationError
 from qcl.lattices import (
@@ -206,6 +207,35 @@ class TestPrepgeom:
     def test_even_k_rejected(self):
         with pytest.raises(PreconditionError):
             eta_congruence_checks(ETA3, 2)
+
+
+def sigma_odd(m):
+    return sum(d for d in range(1, m + 1, 2) if m % d == 0)
+
+
+class TestNormCount:
+    def test_jacobi_formula_to_1024(self):
+        for m in range(1, 1025):
+            assert norm_count(m) == 24 * sigma_odd(m), m
+
+    def test_call_order_does_not_matter(self, monkeypatch):
+        monkeypatch.setattr(lattices, "_norm_table", [1])
+        monkeypatch.setattr(lattices, "_lone_hists", {"smax": -1})
+        got = {m: norm_count(m) for m in (1000, 3, 2000, 7)}
+        assert got == {m: 24 * sigma_odd(m) for m in got}
+
+    def test_walk_and_lone_norms_interleaved(self, monkeypatch):
+        # a walk grows the table; norms off the walk are counted alone
+        monkeypatch.setattr(lattices, "_norm_table", [1])
+        monkeypatch.setattr(lattices, "_lone_hists", {"smax": -1})
+        for m in (*range(1, 10), 3000, *range(10, 40), 5, 750, 6000, 40):
+            assert norm_count(m) == 24 * sigma_odd(m), m
+        assert len(lattices._norm_table) == 65
+        assert lattices._lone_hists["smax"] == 4 * 6000
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(PreconditionError):
+            norm_count(0)
 
 
 class TestRepNumbers:
