@@ -2,17 +2,63 @@
 declared rings, the local division-order presentation at odd primes, and
 exact values of prime-power exponential sums.
 
+The flat 4-tuple helpers below (2x2 product, determinant, trace, adjugate
+and the Hamilton product) are the one definition of that arithmetic; the
+exponential sums, the geometry checks and HurwitzQuat all use them.
+
 All values are immutable after construction; every operation is a pure
 function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
 from .errors import PreconditionError, VerificationError
+
+# ---------------------------------------------------------------------------
+# Flat 4-tuples: 2x2 matrices (a, b, c, d) = [[a, b], [c, d]] and quaternions
+# (w, x, y, z) = w + x i + y j + z k.  Exact for any number type; those that
+# take q reduce mod q only when it is given, and none converts to Fraction.
+# ---------------------------------------------------------------------------
+
+
+def reduce_mod(x, q):
+    """x mod q, or x unchanged when q is None."""
+    return x if q is None else x % q
+
+
+def mat_mul_flat(x, y, q=None):
+    """Flat entries of the 2x2 product x * y."""
+    out = (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+           x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+    return out if q is None else tuple(v % q for v in out)
+
+
+def det_flat(m, q=None):
+    return reduce_mod(m[0] * m[3] - m[1] * m[2], q)
+
+
+def trace_flat(m, q=None):
+    return reduce_mod(m[0] + m[3], q)
+
+
+def adj_flat(m):
+    """Adjugate: adj(m) * m = det(m) * identity."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def quat_mul_flat(x, y):
+    """Hamilton product of two quaternion coordinate 4-tuples."""
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
 
 # ---------------------------------------------------------------------------
 # Integral quaternions (doubled coordinates)
@@ -69,13 +115,9 @@ class HurwitzQuat:
         if isinstance(other, int):
             a = self.c
             return HurwitzQuat(a[0] * other, a[1] * other, a[2] * other, a[3] * other)
-        a, b = self.c, other.c
         # Hamilton product of the doubled vectors is 4x the true product,
         # so halving it gives the doubled coordinates of the product.
-        p0 = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-        p1 = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-        p2 = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
-        p3 = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
+        p0, p1, p2, p3 = quat_mul_flat(self.c, other.c)
         if (p0 | p1 | p2 | p3) & 1:
             raise VerificationError("product left the order (odd doubled sum)")
         return HurwitzQuat(p0 // 2, p1 // 2, p2 // 2, p3 // 2)
@@ -94,9 +136,8 @@ class HurwitzQuat:
 
     def nrd(self):
         a = self.c
-        s = a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
-        assert s % 4 == 0
-        return s // 4
+        # equal parities make the sum of squares a multiple of 4
+        return (a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]) // 4
 
     def sup_norm(self):
         """max |coordinate| in true (non-doubled) units, as a Fraction."""
@@ -156,12 +197,8 @@ def hq_from_basis_coords(v):
 def hq_to_basis_coords(x):
     """Coefficients of x in the Z-basis (1, i, j, (1+i+j+k)/2)."""
     c0, c1, c2, c3 = x.c
-    d = c3
-    a, r0 = divmod(c0 - d, 2)
-    b, r1 = divmod(c1 - d, 2)
-    c, r2 = divmod(c2 - d, 2)
-    assert r0 == r1 == r2 == 0
-    return (a, b, c, d)
+    # equal parities make each difference even
+    return ((c0 - c3) // 2, (c1 - c3) // 2, (c2 - c3) // 2, c3)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +498,8 @@ def _split_generators(p, N):
         f = (a * a + b * b + 1) % m
         a = (a - f * pow(2 * a, -1, m)) % m
     m = p ** N
-    assert (a * a + b * b + 1) % m == 0
+    if (a * a + b * b + 1) % m:
+        raise VerificationError(f"Hensel lift failed mod {p}^{N}")
     ring = RingZMod(m)
     mi = Mat2(((a, b), (b, -a)), ring)
     mj = Mat2(((0, 1), (-1, 0)), ring)
@@ -680,6 +718,13 @@ class CycloSum:
         return CycloSum(p, k, out, self.scale + other.scale)
 
     __rmul__ = __mul__
+
+    def conjugate(self):
+        """Complex conjugate: each root of unity goes to its inverse."""
+        pk = self.p ** self.k
+        return CycloSum(self.p, self.k,
+                        {(-r) % pk: c for r, c in self.counts.items()},
+                        self.scale)
 
     def scale_down(self, j):
         """Multiply the value by p^(-j)."""

@@ -14,9 +14,8 @@ import time
 import traceback
 from fractions import Fraction
 
+from . import DEFAULT_SEED
 from .errors import PreconditionError
-
-DEFAULT_SEED = 20260823
 
 
 def _run_checks(suite, checks):
@@ -217,8 +216,9 @@ def suite_lattices(seed=DEFAULT_SEED):
 
 
 def suite_geometry(seed=DEFAULT_SEED):
+    from .algebra import mat_mul_flat, trace_flat
     from .geometry import (geometry_audit, hessian_matrix, hessian_rank,
-                           lw_kernel, mat_mul, mat_rank, mat_trd)
+                           lw_kernel, mat_rank)
 
     def audit(q, rational):
         def run():
@@ -270,7 +270,7 @@ def suite_geometry(seed=DEFAULT_SEED):
                 continue
             J = hessian_matrix(w)
             y = tuple(rng.randrange(-4, 5) for _ in range(4))
-            form = mat_trd(mat_mul(y, mat_mul(y, w)))
+            form = trace_flat(mat_mul_flat(y, mat_mul_flat(y, w)))
             quad = sum(J[i][j] * y[i] * y[j]
                        for i in range(4) for j in range(4))
             if quad != 2 * form:

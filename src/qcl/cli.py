@@ -19,11 +19,11 @@ from fractions import Fraction
 
 import click
 
+from . import DEFAULT_SEED
 from .errors import (BudgetError, PreconditionError, QclError,
                      VerificationError)
 
 SCHEMA = "v1"
-DEFAULT_SEED = 20260823
 _EXIT_CODES = [(PreconditionError, 2), (BudgetError, 3),
                (VerificationError, 4), (QclError, 2)]
 
@@ -164,7 +164,8 @@ def _parse_signs(text):
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Also write the flattened result as CSV.")
 @click.option("--threads", default=1, type=int,
-              help="Worker budget; results are thread-count invariant.")
+              help="Reserved: accepted, validated, ignored; results are "
+                   "thread-count invariant.")
 @click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
 @click.option("--budget", default=None, type=int,
               help="Element-operation cap forwarded to the engines.")

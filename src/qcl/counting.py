@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .algebra import HurwitzQuat
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, VerificationError
 
 # Packed key layout: four signed 16-bit lanes in one 64-bit word.  The three
 # low lanes carry a +2^15 bias; the top lane is stored as a signed multiple
@@ -125,7 +125,10 @@ def dist_convolve(a, b):
     uc = np.zeros(len(uk), dtype=np.int64)
     np.add.at(uc, inv, allc)
     out = SparseDist(uk, uc, a.bound + b.bound)
-    assert out.mass == a.mass * b.mass
+    # int64 count products wrap silently; the exact masses expose it
+    if out.mass != a.mass * b.mass:
+        raise VerificationError(
+            f"convolution mass {out.mass} != {a.mass} * {b.mass}")
     return out
 
 
@@ -163,9 +166,7 @@ def box_size(X):
 
 def _square_doubled_coords(g, sign):
     """Doubled coordinates of sign * g^2 (integers of equal parity)."""
-    s = g * g
-    assert len({c % 2 for c in s.c}) == 1
-    return tuple(sign * c for c in s.c)
+    return tuple(sign * c for c in (g * g).c)
 
 
 def slot_square_values(sign, X, traceless=False):

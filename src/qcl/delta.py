@@ -25,7 +25,9 @@ value is a few Bessel-function evaluations and no quadrature.
 Conventions (fixed throughout): additive character e(-t) on the reals,
 pairing (x, y) -> trd(x y) with Gram matrix 2 diag(1,-1,-1,-1), self-dual
 measure 4 * Lebesgue, so the order has covolume 2 and the dual sum carries a
-factor 1/2.
+factor 1/2.  The Gram matrix is inverted by the field Gauss-Jordan
+`qcl.linalg.field_rref`, and the dual-lattice norm histogram reads r(n) from
+`qcl.lattices.norm_count`.
 """
 
 import itertools
@@ -38,6 +40,7 @@ import mpmath
 from .algebra import HurwitzQuat
 from .errors import BudgetError, PreconditionError, VerificationError
 from .lattices import norm_count
+from .linalg import field_rref, row_hnf
 
 
 def _poly_eval(coeffs, t):
@@ -108,20 +111,12 @@ def trace_pairing(x, y):
 
 
 def _mat_inv4(a):
-    """Exact inverse of a 4x4 Fraction matrix by Gauss-Jordan."""
-    n = 4
-    m = [list(a[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        f = m[col][col]
-        m[col] = [v / f for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                g = m[i][col]
-                m[i] = [m[i][j] - g * m[col][j] for j in range(2 * n)]
-    return [row[n:] for row in m]
+    """Exact inverse of a 4x4 rational matrix; raises if it is singular."""
+    rows, pivots = field_rref([list(a[i]) + [int(i == j) for j in range(4)]
+                               for i in range(4)])
+    if pivots != [0, 1, 2, 3]:
+        raise VerificationError("matrix is singular")
+    return [row[4:] for row in rows]
 
 
 def dual_basis(basis=ORDER_BASIS):
@@ -136,7 +131,6 @@ def dual_basis(basis=ORDER_BASIS):
 
 def _lattice_hnf_key(basis):
     """Canonical integer HNF of a rational-basis lattice, for comparison."""
-    from .linalg import row_hnf
     den = 1
     for row in basis:
         for v in row:
@@ -184,28 +178,14 @@ def dual_norm_histogram(max_nsq):
     """Counts of Euclidean norm-squared values over the dual lattice,
     keyed by 4*|xi|^2 (an integer), up to |xi|^2 <= max_nsq.
 
-    Twice the dual lattice is the even-coordinate-sum sublattice of Z^4
-    (checked against the direct enumeration in the tests), so the histogram
-    is a parity-split two-square convolution.
+    The dual lattice is (1 + i) O / 2 (checked against the direct
+    enumeration in the tests), and nrd((1 + i) x) = 2 nrd(x), so the key
+    4 |xi|^2 = 2 nrd(x) takes the value 2n exactly r(n) = norm_count(n)
+    times.  Keys are inserted in increasing order.
     """
-    nmax = int(math.floor(4 * max_nsq))
-    cmax = math.isqrt(nmax)
-    r2_even = [0] * (nmax + 1)
-    r2_odd = [0] * (nmax + 1)
-    for a in range(-cmax, cmax + 1):
-        for b in range(-cmax, cmax + 1):
-            s = a * a + b * b
-            if s <= nmax:
-                if (a + b) % 2 == 0:
-                    r2_even[s] += 1
-                else:
-                    r2_odd[s] += 1
-    hist = {}
-    for n in range(nmax + 1):
-        total = sum(r2_even[s] * r2_even[n - s]
-                    + r2_odd[s] * r2_odd[n - s] for s in range(n + 1))
-        if total:
-            hist[n] = total
+    hist = {0: 1}
+    for n in range(1, int(math.floor(4 * max_nsq)) // 2 + 1):
+        hist[2 * n] = norm_count(n)
     return hist
 
 

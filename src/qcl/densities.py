@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .algebra import (HQ_BASIS, HurwitzQuat, NonsplitLocalElem,
                       hq_from_basis_coords, hq_to_basis_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
@@ -307,7 +308,7 @@ def density_tail_bracket(q, n):
     return (1.0 / q) * local_zeta(q, 2) * local_zeta(q, 1.5) * local_zeta(q, 1)
 
 
-def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=20260823,
+def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=DEFAULT_SEED,
                         shards=16):
     """Monte Carlo estimate of the real density of P(Y) = 0 with Y in the
     unit sup-norm box: 2^{4n} * Pr[ all four entries of P(Y) within eps ]

@@ -18,7 +18,9 @@ Main objects, all exact:
   bound checks for i0_local.
 * `prime_case_report`: exact point-count identities at prime level.
 
-Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints.
+Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
+product, determinant, trace and adjugate are the flat helpers of
+`qcl.algebra`, and the Hessian J is `qcl.geometry.hessian_matrix`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CycloSum
+from .algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
 from .errors import BudgetError, PreconditionError, VerificationError
+from .geometry import hessian_matrix
 from .padic import pval, punit
 
 _MAT_ENUM_CACHE = {}
@@ -54,24 +57,6 @@ def mat_square_flat(y, q):
     apd = (a + d) % q
     return np.stack([(a * a + bc) % q, b * apd % q, c * apd % q,
                      (d * d + bc) % q], axis=1)
-
-
-def adj_flat(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def mat_mul_flat(x, y):
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
-def det_flat(m):
-    return m[0] * m[3] - m[1] * m[2]
-
-
-def trace_flat(m):
-    return m[0] + m[3]
 
 
 def left_mul_matrix(a):
@@ -135,10 +120,7 @@ def hessian_pair(zmat):
     Returns (J, R, cert) with exact integer certificates.
     """
     z00, z01, z10, z11 = zmat
-    J = [[2 * z00, z10, z01, 0],
-         [z10, 0, z00 + z11, z10],
-         [z01, z00 + z11, 0, z01],
-         [0, z10, z01, 2 * z11]]
+    J = hessian_matrix(zmat)
     R = [[0, 0, 1, -z11],
          [1, 1, 0, z01],
          [1, -1, 0, z10],
@@ -556,9 +538,7 @@ def _bound_sq(gprime, eta, vdel, veta, wm, p, n):
 
 def cyclo_abs_sq(v):
     """|v|^2 of a CycloSum, as an exact Fraction when rational else a float."""
-    pk = v.p ** v.k
-    conj = CycloSum(v.p, v.k, {(-r) % pk: c for r, c in v.counts.items()}, v.scale)
-    sq = (v * conj).canonical()
+    sq = (v * v.conjugate()).canonical()
     if sq.is_rational():
         return sq.to_fraction()
     return sq.magnitude()

@@ -11,112 +11,58 @@ unit coefficients the block Hessian has rank at least 2n.
 
 Matrices are flat 4-tuples (a, b, c, d) = [[a, b], [c, d]]; quaternions are
 true-coordinate 4-tuples.  field=None means exact rationals, field=q an odd
-prime means arithmetic mod q.
+prime means arithmetic mod q.  The 2x2 and quaternion arithmetic comes from
+the flat helpers in `qcl.algebra`; ranks and kernels come from the field
+Gauss-Jordan `qcl.linalg.field_rref`.
 """
 
 import itertools
 import random
-from fractions import Fraction
 
+from .algebra import (det_flat, mat_mul_flat, quat_mul_flat, reduce_mod,
+                      trace_flat)
 from .errors import PreconditionError, VerificationError
-
-
-def _norm(x, q):
-    return x % q if q is not None else Fraction(x)
+from .linalg import field_rref
 
 
 def mat_rank(rows, q=None):
     """Rank by Gaussian elimination, exact over F_q or Q."""
-    a = [[_norm(x, q) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    col = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, q) if q is not None else 1 / a[rank][col]
-        a[rank] = [(v * inv) % q if q is not None else v * inv
-                   for v in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(a[i][j] - f * a[rank][j]) % q if q is not None
-                        else a[i][j] - f * a[rank][j] for j in range(n)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(field_rref(rows, q)[1])
 
 
 def _kernel_basis(rows, q=None):
     """Basis of the right kernel of the given matrix."""
-    a = [[_norm(x, q) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], -1, q) if q is not None else 1 / a[r][col]
-        a[r] = [(v * inv) % q if q is not None else v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [(a[i][j] - f * a[r][j]) % q if q is not None
-                        else a[i][j] - f * a[r][j] for j in range(n)]
-        pivots.append(col)
-        r += 1
+    a, pivots = field_rref(rows, q)
+    n = len(a[0]) if a else 0
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [_norm(0, q)] * n
-        v[fc] = _norm(1, q)
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = (-a[i][fc]) % q if q is not None else -a[i][fc]
+            v[pc] = reduce_mod(-a[i][fc], q)
         basis.append(tuple(v))
     return basis
 
 
-def mat_mul(x, y, q=None):
-    a, b, c, d = x
-    e, f, g, h = y
-    out = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    return tuple(_norm(v, q) for v in out)
+# the flat unit matrices e_0, ..., e_3
+_UNITS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
-def mat_trd(x, q=None):
-    return _norm(x[0] + x[3], q)
-
-
-def mat_det(x, q=None):
-    return _norm(x[0] * x[3] - x[1] * x[2], q)
-
-
-def _is_zero_mat(w, q):
-    return all(_norm(v, q) == 0 for v in w)
+def _anticommutator(w, a, q=None):
+    """Flat entries of W A + A W."""
+    return tuple(reduce_mod(u + v, q) for u, v in
+                 zip(mat_mul_flat(w, a), mat_mul_flat(a, w)))
 
 
 def anticommutator_map(w, q=None):
     """4x4 matrix of A -> WA + AW on flat matrix coordinates."""
-    cols = []
-    for j in range(4):
-        e = [0] * 4
-        e[j] = 1
-        col = tuple(_norm(u + v, q) for u, v in
-                    zip(mat_mul(w, e, q), mat_mul(e, w, q)))
-        cols.append(col)
+    cols = [_anticommutator(w, e, q) for e in _UNITS]
     return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
 def lw_dim_formula(w, q=None):
-    t0 = mat_trd(w, q) == 0
-    d0 = mat_det(w, q) == 0
+    t0 = trace_flat(w, q) == 0
+    d0 = det_flat(w, q) == 0
     return max(2 * int(t0), int(d0))
 
 
@@ -126,15 +72,13 @@ def lw_kernel(w, q=None):
     Returns {"dim", "basis"}; raises if W = 0 or the dimension disagrees
     with the closed formula.
     """
-    if _is_zero_mat(w, q):
+    if not any(reduce_mod(v, q) for v in w):
         raise PreconditionError("W must be nonzero")
     if q is not None and (q < 3 or q % 2 == 0):
         raise PreconditionError("field must be an odd prime or None")
     basis = _kernel_basis(anticommutator_map(w, q), q)
     for a in basis:
-        lhs = tuple(_norm(u + v, q) for u, v in
-                    zip(mat_mul(w, a, q), mat_mul(a, w, q)))
-        if any(lhs):
+        if any(_anticommutator(w, a, q)):
             raise VerificationError("kernel basis fails the defining relation")
     dim = len(basis)
     if dim != lw_dim_formula(w, q):
@@ -155,9 +99,9 @@ def kernel_contains_invertible(w, q=None, tries=200, seed=0):
         combos = ([rng.randrange(-5, 6) for _ in basis]
                   for _ in range(tries))
     for coeffs in combos:
-        a = tuple(_norm(sum(c * b[i] for c, b in zip(coeffs, basis)), q)
+        a = tuple(reduce_mod(sum(c * b[i] for c, b in zip(coeffs, basis)), q)
                   for i in range(4))
-        if mat_det(a, q) != 0:
+        if det_flat(a, q) != 0:
             return a
     return None
 
@@ -170,65 +114,47 @@ def kernel_intersection_dim(w1, w2, q=None):
 
 def proportional(w1, w2, q=None):
     """True if w2 is a scalar multiple of w1 over the field."""
-    rows = [[_norm(v, q) for v in w1], [_norm(v, q) for v in w2]]
-    return mat_rank(rows, q) <= 1
-
-
-QUAT_SIGNS = (1, -1, -1, -1)
-
-
-def _quat_mul(x, y):
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+    return mat_rank([w1, w2], q) <= 1
 
 
 def hessian_matrix(w, kind="matrix", q=None):
     """Hessian J of the quadratic form y -> trace(W y^2), so that the form
-    equals (1/2) y^T J y; works for matrix or quaternion W."""
+    equals (1/2) y^T J y; works for matrix or quaternion W.
+
+    J is read off by polarization: J[a][b] = f(e_a + e_b) - f(e_a) - f(e_b).
+    """
     if kind == "matrix":
         def form(y):
-            return mat_trd(mat_mul(y, mat_mul(y, w, q), q), q)
+            return trace_flat(mat_mul_flat(y, mat_mul_flat(y, w, q), q), q)
     elif kind == "quat":
         def form(y):
-            yy = _quat_mul(y, y)
-            return _norm(2 * sum(s * a * b for s, a, b in
-                                 zip(QUAT_SIGNS, yy, w)), q)
+            # the reduced trace of a quaternion is twice its real part
+            return reduce_mod(2 * quat_mul_flat(quat_mul_flat(y, y), w)[0], q)
     else:
         raise PreconditionError("kind must be matrix or quat")
 
-    def unit(i):
-        e = [0] * 4
-        e[i] = 1
-        return tuple(e)
-
-    J = [[0] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            s = tuple(x + y for x, y in zip(unit(a), unit(b)))
-            J[a][b] = _norm(form(s) - form(unit(a)) - form(unit(b)), q)
-    return J
+    diag = [form(e) for e in _UNITS]
+    return [[reduce_mod(form(tuple(x + y for x, y in zip(_UNITS[a], _UNITS[b])))
+                        - diag[a] - diag[b], q)
+             for b in range(4)] for a in range(4)]
 
 
 def hessian_rank(w, n=1, upsilon=None, kind="matrix", q=None):
     """Rank of the block Hessian of y -> trace(W * sum_i u_i y_i^2).
 
-    Asserts rank >= 2n for nonzero W; over the rationals with trace(W) = 0
-    asserts each block has rank exactly 2.
+    Raises VerificationError unless the rank is >= 2n for nonzero W and,
+    over the rationals with trace(W) = 0, each block has rank exactly 2.
     """
-    if all(_norm(v, q) == 0 for v in w):
+    if not any(reduce_mod(v, q) for v in w):
         raise PreconditionError("W must be nonzero")
     upsilon = tuple(upsilon) if upsilon is not None else (1,) * n
     if len(upsilon) != n or any(u not in (1, -1) for u in upsilon):
         raise PreconditionError("need n unit signs")
-    traceless = (mat_trd(w, q) == 0 if kind == "matrix"
-                 else _norm(w[0], q) == 0)
+    traceless = (trace_flat(w, q) == 0 if kind == "matrix"
+                 else reduce_mod(w[0], q) == 0)
     total = 0
     for u in upsilon:
-        wu = tuple(_norm(u * v, q) for v in w)
+        wu = tuple(reduce_mod(u * v, q) for v in w)
         r = mat_rank(hessian_matrix(wu, kind, q), q)
         if r < 2:
             raise VerificationError("slot Hessian rank below 2")
@@ -250,17 +176,16 @@ def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
     for w in nonzero:
         rep = lw_kernel(w, q)
         dims[rep["dim"]] = dims.get(rep["dim"], 0) + 1
-        if mat_trd(w, q) == 0:
+        if trace_flat(w, q) == 0:
             # kernel sits inside the traceless hyperplane
             for a in rep["basis"]:
-                if mat_trd(a, q) != 0:
+                if trace_flat(a, q) != 0:
                     raise VerificationError("kernel escapes traceless plane")
             if kernel_contains_invertible(w, q) is not None:
                 traceless_invertible += 1
         # symmetry on a deterministic companion
         for a in rep["basis"]:
-            if any(tuple(_norm(u + v, q) for u, v in
-                         zip(mat_mul(a, w, q), mat_mul(w, a, q)))):
+            if any(_anticommutator(a, w, q)):
                 raise VerificationError("anticommutator symmetry fails")
         hessian_rank(w, 1, None, "matrix", q)
     # pairwise intersections among non-proportional W
@@ -281,9 +206,9 @@ def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
             continue
         lw_kernel(w)
         hessian_rank(w, 1)
-        if w[0] + w[3] == 0:
-            assert hessian_rank(w, 2, (1, -1)) == 4
-    ntl = sum(1 for w in nonzero if mat_trd(w, q) == 0)
+        if w[0] + w[3] == 0 and hessian_rank(w, 2, (1, -1)) != 4:
+            raise VerificationError(f"traceless {w}: two-slot rank != 4")
+    ntl = sum(1 for w in nonzero if trace_flat(w, q) == 0)
     if traceless_invertible != ntl:
         raise VerificationError("some traceless kernel lacks a unit")
     return {"q": q, "dim_histogram": dims, "pairs_checked": pairs,

@@ -118,7 +118,7 @@ def gauss_sum_law_report(params, budget=10 ** 7):
     # magnitude law: |G| <= p^{min(va - vt, 0)/2}, equality when the linear
     # term is dominated (odd p)
     bound_exp = min(va - vt, 0)  # |G|^2 <= p^{bound_exp}
-    gg = (g * _conj(g)).canonical()
+    gg = (g * g.conjugate()).canonical()
     if p != 2 and xi_small:
         ok = gg.is_rational() and gg.to_fraction() == Fraction(p) ** bound_exp
         report["laws"]["magnitude_equality"] = ok
@@ -160,12 +160,6 @@ def gauss_sum_law_report(params, budget=10 ** 7):
         if not ok:
             raise VerificationError(f"complete-square law failed: {params}")
     return report
-
-
-def _conj(g):
-    """Complex conjugate of a CycloSum."""
-    pk = g.p ** g.k
-    return CycloSum(g.p, g.k, {(-r) % pk: c for r, c in g.counts.items()}, g.scale)
 
 
 def _quarter_square_phase(params):

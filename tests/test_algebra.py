@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qcl.algebra import (
     HQ_I, HQ_J, HQ_K, HQ_OMEGA, HQ_ONE,
     CycloSum, HurwitzQuat, Mat2, NonsplitLocalElem, RingZMod, ZZ, QQ,
-    hq_from_basis_coords, hq_to_basis_coords,
+    adj_flat, det_flat, hq_from_basis_coords, hq_to_basis_coords,
+    mat_mul_flat, quat_mul_flat, trace_flat,
     nonsplit_sqrt_u, nonsplit_uniformizer, smallest_nonresidue, split_embed,
 )
 from qcl.errors import PreconditionError, VerificationError
@@ -20,6 +21,41 @@ def hq_elems(max_coord=30):
     return st.builds(
         hq_from_basis_coords,
         st.tuples(*(st.integers(-max_coord, max_coord) for _ in range(4))))
+
+
+# -- flat 4-tuple helpers ----------------------------------------------------
+
+flat4 = st.tuples(*(st.integers(-50, 50) for _ in range(4)))
+
+
+class TestFlatHelpers:
+    @given(flat4, flat4, flat4)
+    def test_matrix_ring_laws(self, x, y, z):
+        xy = mat_mul_flat(x, y)
+        assert mat_mul_flat(xy, z) == mat_mul_flat(x, mat_mul_flat(y, z))
+        assert det_flat(xy) == det_flat(x) * det_flat(y)
+        d = det_flat(x)
+        assert mat_mul_flat(adj_flat(x), x) == (d, 0, 0, d)
+        assert trace_flat(xy) == trace_flat(mat_mul_flat(y, x))
+
+    @given(flat4, flat4, st.sampled_from([3, 5, 9, 25]))
+    def test_reduction_mod_q(self, x, y, q):
+        assert mat_mul_flat(x, y, q) == tuple(
+            v % q for v in mat_mul_flat(x, y))
+        assert det_flat(x, q) == det_flat(x) % q
+        assert trace_flat(x, q) == trace_flat(x) % q
+
+    def test_exact_types_are_kept(self):
+        assert type(det_flat((1, 2, 3, 4))) is int
+        half = Fraction(1, 2)
+        assert mat_mul_flat((half, 0, 0, 1), (half, 0, 0, 1)) == (
+            Fraction(1, 4), 0, 0, 1)
+
+    @given(flat4, flat4)
+    def test_hamilton_product_is_hurwitz_product(self, x, y):
+        got = HurwitzQuat.from_true(*x) * HurwitzQuat.from_true(*y)
+        assert got == HurwitzQuat.from_true(*quat_mul_flat(x, y))
+        assert quat_mul_flat((0, 1, 0, 0), (0, 0, 1, 0)) == (0, 0, 0, 1)
 
 
 # -- quaternions -------------------------------------------------------------
@@ -278,6 +314,18 @@ class TestCycloSum:
         if c.counts:
             pk = c.p ** c.k
             assert max(c.counts) < pk - pk // c.p or c.k == 0
+
+    @given(cyclo_values())
+    def test_conjugate(self, a):
+        from qcl.expsums import cyclo_abs_sq
+        assert a.conjugate().conjugate() == a
+        assert cmath.isclose(a.conjugate().complex_value(),
+                             a.complex_value().conjugate(), abs_tol=1e-9)
+        sq = (a * a.conjugate()).canonical()
+        expected = sq.to_fraction() if sq.is_rational() else sq.magnitude()
+        assert cyclo_abs_sq(a) == expected
+        assert math.isclose(float(cyclo_abs_sq(a)),
+                            abs(a.complex_value()) ** 2, abs_tol=1e-9)
 
     @given(cyclo_values())
     def test_zero_test_matches_floats(self, a):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from qcl.counting import (
@@ -7,7 +8,7 @@ from qcl.counting import (
     dist_pair_zero, growth_report, hurwitz_box, pack_key, slot_square_dist,
     slot_square_values, traceless_count, unpack_key,
 )
-from qcl.errors import BudgetError, PreconditionError
+from qcl.errors import BudgetError, PreconditionError, VerificationError
 
 
 class TestPackedKeys:
@@ -59,6 +60,15 @@ class TestSparseDist:
                 k = tuple(x + y for x, y in zip(va, vb))
                 direct[k] = direct.get(k, 0) + ca * cb
         assert c.value_multiset() == direct
+
+    def test_convolve_count_overflow_raises(self):
+        # int64 products wrap: the true mass (2^40 + 3)^2 ~ 1.2e24 would
+        # come back as about 6.6e12
+        keys = np.array([pack_key((0, 0, 0, 0)), pack_key((1, 0, 0, 0))],
+                        dtype=np.int64)
+        big = SparseDist(keys, np.array([2 ** 40, 3], dtype=np.int64), 1)
+        with pytest.raises(VerificationError):
+            dist_convolve(big, big)
 
     def test_pair_zero_matches_convolve(self):
         a = slot_square_dist(1, 1)

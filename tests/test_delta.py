@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from qcl.algebra import HurwitzQuat
-from qcl.errors import PreconditionError
+from qcl.errors import PreconditionError, VerificationError
 from qcl.delta import (
     DEFAULT_PROFILE, DeltaTestFn, b_term, delta_sum, dual_basis,
     dual_double_audit, dual_norm_histogram, dual_norm_histogram_direct,
@@ -72,7 +72,14 @@ class TestDualLattice:
         assert dual_double_audit()
 
     def test_histogram_matches_direct_enumeration(self):
-        assert dual_norm_histogram(5) == dual_norm_histogram_direct(5)
+        for max_nsq in (5, 12):
+            assert (dual_norm_histogram(max_nsq)
+                    == dual_norm_histogram_direct(max_nsq))
+
+    def test_singular_gram_rejected(self):
+        from qcl.delta import ORDER_BASIS
+        with pytest.raises(VerificationError):
+            dual_basis(ORDER_BASIS[:3] + ORDER_BASIS[:1])
 
     def test_minimal_vectors(self):
         h = dual_norm_histogram(1)

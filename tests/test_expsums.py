@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qcl.algebra import CycloSum
+from qcl.algebra import CycloSum, det_flat
 from qcl.errors import PreconditionError, VerificationError
 from qcl.expsums import (
-    adj_flat, cyclo_abs_sq, det_flat, hessian_pair, i0_brute, i0_local,
-    local_integral_audit, mat_mul_flat, matrix_cyclic_generator,
+    cyclo_abs_sq, hessian_pair, i0_brute, i0_local,
+    local_integral_audit, matrix_cyclic_generator,
     nonabelian_gauss_integral, phase_integral_z, prime_case_report,
     quadratic_magnitude_expected_sq, s2_brute, s2_closed, s3_brute, s3_closed,
     split_primitive_part, w_class_sum_report, w_measure, witness_report,

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from qcl.algebra import det_flat, mat_mul_flat, trace_flat
 from qcl.errors import PreconditionError, VerificationError
 from qcl.geometry import (
     anticommutator_map, geometry_audit, hessian_matrix, hessian_rank,
     kernel_contains_invertible, kernel_intersection_dim, lw_dim_formula,
-    lw_kernel, mat_det, mat_mul, mat_rank, mat_trd, proportional,
+    lw_kernel, mat_rank, proportional,
 )
 
 
@@ -59,7 +60,7 @@ class TestLwKernel:
             for a in lw_kernel(w)["basis"]:
                 if any(a):
                     back = tuple(u + v for u, v in
-                                 zip(mat_mul(a, w), mat_mul(w, a)))
+                                 zip(mat_mul_flat(a, w), mat_mul_flat(w, a)))
                     assert not any(back)
                     found += 1
 
@@ -72,11 +73,11 @@ class TestInvertibleAndIntersections:
     def test_traceless_kernel_has_unit(self):
         for w in [(-1, 0, 0, 1), (0, 1, 1, 0), (2, 3, 5, -2)]:
             a = kernel_contains_invertible(w)
-            assert a is not None and mat_det(a) != 0
+            assert a is not None and det_flat(a) != 0
 
     def test_traceless_kernel_inside_traceless(self):
         for a in lw_kernel((2, 3, 5, -2))["basis"]:
-            assert mat_trd(a) == 0
+            assert trace_flat(a) == 0
 
     def test_pairwise_intersection_bound_f5(self):
         rng = random.Random(2)
@@ -122,7 +123,7 @@ class TestHessianRank:
         rng = random.Random(0)
         for _ in range(10):
             y = tuple(rng.randrange(-4, 5) for _ in range(4))
-            form = mat_trd(mat_mul(y, mat_mul(y, w)))
+            form = trace_flat(mat_mul_flat(y, mat_mul_flat(y, w)))
             quad = sum(J[i][j] * y[i] * y[j]
                        for i in range(4) for j in range(4))
             assert quad == 2 * form

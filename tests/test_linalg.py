@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix
+from sympy import GF, Matrix
+from sympy.polys.matrices import DomainMatrix
 
 from qcl.errors import BudgetError, PreconditionError
 from qcl.linalg import (
-    congruence_lattice, determinantal_divisors, hnf_coset_reps,
+    congruence_lattice, determinantal_divisors, field_rref, hnf_coset_reps,
     hnf_determinant, kernel_count_mod, reduce_mod_hnf, row_hnf, zkernel,
 )
 
@@ -149,3 +150,25 @@ class TestDeterminantalDivisors:
             if all(sum(a[i][j] * v[j] for j in range(4)) % mod == 0
                    for i in range(4)))
         assert count == brute
+
+
+class TestFieldRref:
+    @given(small_matrices())
+    @settings(max_examples=80)
+    def test_rationals_match_sympy(self, a):
+        rows, pivots = field_rref(a)
+        ref, ref_pivots = Matrix(a).rref()
+        assert tuple(pivots) == ref_pivots
+        assert rows == [[Fraction(int(v.p), int(v.q)) for v in ref.row(i)]
+                        for i in range(len(a))]
+
+    @given(small_matrices(), st.sampled_from([3, 5, 7]))
+    @settings(max_examples=80)
+    def test_prime_field_matches_sympy(self, a, q):
+        rows, pivots = field_rref(a, q)
+        dm = DomainMatrix([[GF(q)(v) for v in row] for row in a],
+                          (len(a), len(a[0])), GF(q))
+        ref, ref_pivots = dm.rref()
+        assert tuple(pivots) == tuple(ref_pivots)
+        assert rows == [[int(v) % q for v in r]
+                        for r in ref.to_Matrix().tolist()]
