@@ -3,8 +3,9 @@
 
 Counts solutions over integral quaternions with sup-norm at most X for a
 ladder of heights and prints the empirical log2 growth slopes, both for the
-full equation (expected slope approaching 4n - 4 in the indefinite range)
-and for the traceless restriction (expected slope approaching 3n - 2).
+full equation (expected slope approaching 4n - 8 for n >= 9: the count is
+c X^{4n-8} + O(X^{3n+eps})) and for the traceless restriction (expected
+slope approaching 3n - 2).
 Includes the nine-slot sanity point at height 1.
 
     python3 scripts/growth_experiment.py

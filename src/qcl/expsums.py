@@ -12,8 +12,9 @@ Main objects, all exact:
   where P(Y) = sum of slotwise squares (with optional unit coefficients).
 * `phase_integral_z`: the unconstrained companion with the constraint
   replaced by a phase tr(Z adj(delta) P(Y)).
-* `w_measure` and friends: the volume of auxiliary matrices Z for which a
-  target lies on the scalar line through Z times the cyclic image generator.
+* `w_measure` / `w_class_sum_report`: the volume of auxiliary matrices Z for
+  which a target lies on the scalar line through Z times the cyclic image
+  generator, read from one exact count table per (generator, modulus).
 * `witness_report` / `local_integral_audit`: support, witness and magnitude
   bound checks for i0_local.
 * `prime_case_report`: exact point-count identities at prime level.
@@ -73,14 +74,32 @@ def right_mul_matrix(b):
                      [0, b00, 0, b10], [0, b01, 0, b11]], dtype=np.int64)
 
 
-def trace_pair_coeffs(m):
-    """Coefficient vector c with tr(M Y) = c . flat(Y)."""
-    return np.array([m[0], m[2], m[1], m[3]], dtype=np.int64)
+def _trace_pair(rows, m, q):
+    """tr(M Y) mod q for an (N,4) array of flat Y, elementwise in int64."""
+    c = [t % q for t in (m[0], m[2], m[1], m[3])]
+    return (rows[:, 0] * c[0] + rows[:, 1] * c[1] + rows[:, 2] * c[2]
+            + rows[:, 3] * c[3]) % q
+
+
+def _grid_trace_pair(m, q, qc):
+    """tr(M Y) mod qc for Y over the grid `all_mats(q)`, in its order: an
+    outer sum of one term per entry. Each term is below qc, so int32 holds
+    the sum exactly."""
+    a = np.arange(q, dtype=np.int32)
+    c0, c1, c2, c3 = (t % qc * a % qc for t in (m[0], m[2], m[1], m[3]))
+    return (c0[:, None, None, None] + c1[:, None, None] + c2[:, None]
+            + c3).ravel() % qc
 
 
 def _pack(rows, q):
-    """Pack an (N,4) array of residues mod q into scalar keys."""
-    return ((rows[:, 0] * q + rows[:, 1]) * q + rows[:, 2]) * q + rows[:, 3]
+    """Pack residues mod q along the last axis (length 4) into scalar keys;
+    the packed order is the lexicographic order of the 4-tuples."""
+    return ((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q + rows[..., 3]
+
+
+def _unpack(keys, q):
+    """Inverse of `_pack`: an (N,) array of keys to an (N,4) array."""
+    return np.stack([keys // q ** (3 - t) % q for t in range(4)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +122,7 @@ def nonabelian_gauss_integral(zmat, p, k, budget=10 ** 7):
     y = all_mats(q)
     s = mat_square_flat(y, q)
     # tr(S zmat) with S = Y^2
-    z = [t % q for t in zmat]
-    r = (s[:, 0] * z[0] + s[:, 1] * z[2] + s[:, 2] * z[1] + s[:, 3] * z[3]) % q
-    counts = np.bincount(r, minlength=q)
+    counts = np.bincount(_trace_pair(s, zmat, q), minlength=q)
     return CycloSum(p, k, {int(i): int(c) for i, c in enumerate(counts) if c},
                     scale=4 * k)
 
@@ -183,9 +200,10 @@ _SLOT_CACHE = {}
 
 
 def _slot_static(delta, p, vd, level, coeff):
-    """Gamma-independent slot data: the matrix grid and the packed keys of
-    the divisibility condition. Cached; the grid and keys dominate the cost
-    of repeated evaluations at the same modulus."""
+    """Gamma-independent slot data: the packed keys of the divisibility
+    condition over the grid `all_mats(p^level)`, factored once as (distinct
+    keys, inverse index). Cached; the keys dominate the cost of repeated
+    evaluations at the same modulus."""
     qc = p ** vd
     key = (tuple(delta), p, vd, level, coeff % qc)
     if key not in _SLOT_CACHE:
@@ -197,21 +215,23 @@ def _slot_static(delta, p, vd, level, coeff):
         lmat = left_mul_matrix(adj) % qc
         s = mat_square_flat(y, q) % qc
         s = s * (coeff % qc) % qc
-        _SLOT_CACHE[key] = (y, _pack((s @ lmat.T) % qc, qc))
+        uniq, inv = np.unique(_pack((s @ lmat.T) % qc, qc), return_inverse=True)
+        _SLOT_CACHE[key] = (uniq, inv)
     return _SLOT_CACHE[key]
 
 
 def _slot_tables(delta, gammas, p, vd, level, coeffs):
-    """Per-slot packed condition keys and phase residues, for Y mod p^level."""
+    """Per slot (distinct condition keys, inverse index, phase residues), for
+    Y mod p^level."""
     qc = p ** vd
     inv_u = pow(punit(det_flat(delta), p, p ** (vd + 1)), -1, qc) if vd else 1
     out = []
     for i, g in enumerate(gammas):
         if coeffs[i] % p == 0:
             raise PreconditionError("slot coefficients must be units")
-        y, keys = _slot_static(delta, p, vd, level, coeffs[i])
-        phase = (y @ trace_pair_coeffs(g) % qc) * inv_u % qc
-        out.append((keys, phase))
+        uniq, inv = _slot_static(delta, p, vd, level, coeffs[i])
+        phase = _grid_trace_pair([inv_u * t for t in g], p ** level, qc)
+        out.append((uniq, inv, phase))
     return out, qc
 
 
@@ -244,48 +264,36 @@ def i0_local(delta, gammas, p, level=None, coeffs=None, budget=10 ** 7):
         raise BudgetError("enumeration exceeds budget")
     tables, qc = _slot_tables(delta, gammas, p, vd, level, coeffs)
     if n == 1:
-        keys, phase = tables[0]
-        mask = keys == 0
-        counts = np.bincount(phase[mask], minlength=qc)
+        # Y = 0 has key 0, the least key, so inverse index 0 is the condition
+        _, inv, phase = tables[0]
+        counts = np.bincount(phase[inv == 0], minlength=qc)
     else:
-        (k1, ph1), (k2, ph2) = tables
-        counts = _join_two_slots(k1, ph1, k2, ph2, qc)
+        counts = _join_two_slots(tables[0], tables[1], qc)
     total = {int(r): int(c) for r, c in enumerate(counts) if c}
     return CycloSum(p, vd, total, scale=4 * n * level)
 
 
-def _join_two_slots(k1, ph1, k2, ph2, qc):
-    """counts[r] = #{(i,j) : k1[i] + k2[j] = 0 mod qc-packing, ph1+ph2 = r}.
+def _join_two_slots(slot1, slot2, qc):
+    """counts[r] = #{(i,j) : key1[i] + key2[j] = 0, ph1[i] + ph2[j] = r mod qc},
+    with keys added componentwise mod qc; exact int64 counts.
 
-    Key arithmetic: packed keys add componentwise only when we match k2
-    against the packed negation of k1, so build the histograms over packed
-    keys and join H1[k] with H2[neg(k)].
+    Each slot is (distinct packed keys, inverse index, phase residues).
+    Packed keys do not add componentwise, so each distinct key of slot 1 is
+    matched with its packed negation in slot 2; the per-key phase histograms
+    of matched keys are multiplied and folded over (r1 + r2) mod qc. Every
+    count is at most q^8 <= 10^14 (`all_mats` caps q^4), far below 2^63.
     """
-    u1, inv1 = np.unique(k1, return_inverse=True)
-    u2, inv2 = np.unique(k2, return_inverse=True)
-    h1 = np.zeros((len(u1), qc), dtype=np.float64)
-    np.add.at(h1, (inv1, ph1), 1.0)
-    h2 = np.zeros((len(u2), qc), dtype=np.float64)
-    np.add.at(h2, (inv2, ph2), 1.0)
-    # negate packed keys of u1 componentwise
-    neg = _pack(np.stack([(-_unpack_col(u1, qc, t)) % qc for t in range(4)],
-                         axis=1), qc)
-    pos = np.searchsorted(u2, neg)
-    pos_clip = np.clip(pos, 0, len(u2) - 1)
-    match = u2[pos_clip] == neg
-    h2m = np.where(match[:, None], h2[pos_clip], 0.0)
-    d = h1.T @ h2m  # (qc, qc): d[r1, r2] = paired count
+    (u1, inv1, ph1), (u2, inv2, ph2) = slot1, slot2
+    h1 = np.bincount(inv1 * qc + ph1, minlength=len(u1) * qc).reshape(-1, qc)
+    h2 = np.bincount(inv2 * qc + ph2, minlength=len(u2) * qc).reshape(-1, qc)
+    neg = _pack(-_unpack(u1, qc) % qc, qc)
+    pos = np.minimum(np.searchsorted(u2, neg), len(u2) - 1)
+    match = u2[pos] == neg
+    d = h1[match].T @ h2[pos[match]]  # d[r1, r2] = paired count
+    r = np.arange(qc)
     counts = np.zeros(qc, dtype=np.int64)
-    for r in range(qc):
-        # sum of d over anti-diagonals r1 + r2 = r mod qc
-        idx = (r - np.arange(qc)) % qc
-        val = d[np.arange(qc), idx].sum()
-        counts[r] = int(round(val))
+    np.add.at(counts, (r[:, None] + r[None, :]) % qc, d)
     return counts
-
-
-def _unpack_col(keys, q, t):
-    return (keys // q ** (3 - t)) % q
 
 
 def i0_brute(delta, gammas, p, coeffs=None):
@@ -339,9 +347,7 @@ def phase_integral_z(zmat, delta, gammas, p, coeffs=None, budget=10 ** 7):
     acc = CycloSum.from_int(1, p)
     for i, g in enumerate(gammas):
         s = mat_square_flat(y, q) * (coeffs[i] % q) % q
-        r = (s[:, 0] * zadj[0] + s[:, 1] * zadj[2]
-             + s[:, 2] * zadj[1] + s[:, 3] * zadj[3]
-             + y @ trace_pair_coeffs(g)) % q * inv_u % q
+        r = (_trace_pair(s, zadj, q) + _grid_trace_pair(g, q, q)) % q * inv_u % q
         counts = np.bincount(r, minlength=q)
         slot = CycloSum(p, vd, {int(t): int(c) for t, c in enumerate(counts) if c},
                         scale=4 * vd)
@@ -363,7 +369,7 @@ def matrix_cyclic_generator(eta, p):
     det = det_flat(eta)
     v = pval(det, p)
     m = p ** v
-    key = (tuple(t % m for t in eta), p)
+    key = (tuple(t % m for t in eta), m)
     if key in _GEN_CACHE:
         return _GEN_CACHE[key]
     if m == 1:
@@ -373,65 +379,83 @@ def matrix_cyclic_generator(eta, p):
         raise PreconditionError("eta must be primitive")
     # flat(adj(eta) Y eta) = L R flat(Y); L and R commute
     cmat = (left_mul_matrix(adj_flat(eta)) @ right_mul_matrix(eta)) % m
-    ys = all_mats(m)
-    img = np.unique((ys @ cmat.T) % m, axis=0)
-    if len(img) != m:
-        raise VerificationError(
-            f"cyclic image has {len(img)} elements, expected {m}")
-    img_set = {tuple(int(t) for t in row) for row in img}
-    gen = None
-    for row in img_set:
-        orbit = {tuple(lam * t % m for t in row) for lam in range(m)}
-        if orbit == img_set:
-            gen = row
-            break
-    if gen is None:
-        raise VerificationError("no cyclic generator found")
-    _GEN_CACHE[key] = (gen, m)
+    _GEN_CACHE[key] = (_cyclic_generator(cmat, m, p), m)
     return _GEN_CACHE[key]
 
 
-_WMEASURE_CACHE = {}
+def _cyclic_generator(cmat, m, p):
+    """A generator of the Z/m-span of the four columns of the 4x4 matrix
+    `cmat`, m = p^v. The span is cyclic of order m exactly when some column
+    g has an entry that is a unit mod p and every column is a multiple of g;
+    raises VerificationError otherwise. Any two generators differ by a unit
+    factor, so every measure built on the generator is independent of the
+    choice."""
+    cols = [tuple(int(x) % m for x in cmat[:, j]) for j in range(4)]
+    gen = next((c for c in cols if any(x % p for x in c)), None)
+    if gen is None:
+        raise VerificationError(f"image has no element of order {m}")
+    i = next(i for i, x in enumerate(gen) if x % p)
+    inv = pow(gen[i], -1, m)
+    for c in cols:
+        lam = c[i] * inv % m
+        if any((x - lam * g) % m for x, g in zip(c, gen)):
+            raise VerificationError(f"image is not cyclic of order {m}")
+    return gen
 
 
-def _w_measure_from_target(target, gen, m, p):
-    """Volume of {Z mod m : target lies in (Z/m) * Z gen + m O}. Cached:
-    the same few class keys recur across every gamma at a fixed modulus."""
-    if m == 1:
-        return Fraction(1)
-    key = (tuple(int(t) % m for t in target), tuple(gen), m, p)
-    if key in _WMEASURE_CACHE:
-        return _WMEASURE_CACHE[key]
-    if len(_WMEASURE_CACHE) > 4096:
-        _WMEASURE_CACHE.clear()
-    rn = right_mul_matrix(gen) % m
-    zs = all_mats(m)
-    w = (zs @ rn.T) % m
-    t = np.array(target, dtype=np.int64) % m
-    ok = np.zeros(len(zs), dtype=bool)
-    for lam in range(m):
-        ok |= ((lam * w - t) % m == 0).all(axis=1)
-    out = Fraction(int(ok.sum()), m ** 4)
-    _WMEASURE_CACHE[key] = out
-    return out
+def _right_image_histogram(b, m):
+    """hist[pack(w)] = #{Z mod m : Z b = w}, over all packed w mod m."""
+    w = all_mats(m) @ (right_mul_matrix(b) % m).T % m
+    return np.bincount(_pack(w, m), minlength=m ** 4)
+
+
+_TABLE_CACHE = {}
+
+
+def _measure_table(gen, m):
+    """table[pack(t)] = #{Z mod m : t in (Z/m) * Z gen} for every t mod m.
+
+    One pass: histogram the packed w = Z gen over all Z, then add the count
+    of each distinct w to the distinct elements lam * w, 0 <= lam < ord(w),
+    of its span. Exact int64 counts (each at most m^4). Cached per
+    (gen, m): the same table serves every target at a fixed modulus."""
+    key = (tuple(gen), m)
+    if key not in _TABLE_CACHE:
+        if len(_TABLE_CACHE) >= 4:
+            _TABLE_CACHE.clear()
+        hist = _right_image_histogram(gen, m)
+        ws = np.flatnonzero(hist)
+        rows = _unpack(ws, m)
+        order = m // np.gcd.reduce(rows, axis=1, initial=m)
+        lam = np.arange(m)
+        span = _pack(lam[None, :, None] * rows[:, None, :] % m, m)
+        live = lam[None, :] < order[:, None]
+        table = np.zeros(m ** 4, dtype=np.int64)
+        np.add.at(table, span[live],
+                  np.broadcast_to(hist[ws][:, None], span.shape)[live])
+        table.setflags(write=False)
+        _TABLE_CACHE[key] = table
+    return _TABLE_CACHE[key]
+
+
+def _measure(target, gen, m):
+    """Volume of {Z mod m : target lies in (Z/m) * Z gen + m O}, for a
+    target tuple of residues mod m."""
+    key = _pack(np.array(target, dtype=np.int64), m)
+    return Fraction(int(_measure_table(gen, m)[key]), m ** 4)
+
+
+def _class_key(t, m, p):
+    """Canonical key of the witness class of a target tuple mod m: its
+    lexicographically least unit multiple."""
+    return min(tuple(lam * x % m for x in t)
+               for lam in range(1, max(m, 2)) if lam % p)
 
 
 def w_measure(m0, eta, p):
     """The measure factor for a witness matrix m0 against primitive eta."""
     gen, m = matrix_cyclic_generator(eta, p)
-    target = tuple(t % m for t in mat_mul_flat(m0, eta))
-    return _w_measure_from_target(target, gen, m, p)
-
-
-def m0_class_key(m0, eta, p):
-    """Canonical key of the witness class: m0 * eta mod m up to unit scaling."""
-    det = det_flat(eta)
-    m = p ** pval(det, p)
-    if m == 1:
-        return (0, 0, 0, 0)
-    t = tuple(x % m for x in mat_mul_flat(m0, eta))
-    return min(tuple(lam * x % m for x in t)
-               for lam in range(1, m) if lam % p != 0)
+    return _measure([t % m for t in mat_mul_flat(m0, eta)], gen, m)
 
 
 def w_class_sum_report(eta, p):
@@ -439,18 +463,9 @@ def w_class_sum_report(eta, p):
     bound is v_p(det eta) + 1. Returns (classes, total, bound)."""
     gen, m = matrix_cyclic_generator(eta, p)
     v = pval(det_flat(eta), p)
-    if m == 1:
-        return 1, Fraction(1), 1
-    rn = right_mul_matrix(eta) % m
-    targets = np.unique((all_mats(m) @ rn.T) % m, axis=0)
-    classes = set()
-    for row in targets:
-        t = tuple(int(x) for x in row)
-        classes.add(min(tuple(lam * x % m for x in t)
-                        for lam in range(1, m) if lam % p != 0))
-    total = Fraction(0)
-    for t in sorted(classes):
-        total += _w_measure_from_target(t, gen, m, p)
+    targets = _unpack(np.flatnonzero(_right_image_histogram(eta, m)), m)
+    classes = {_class_key(t, m, p) for t in targets.tolist()}
+    total = sum((_measure(t, gen, m) for t in classes), Fraction(0))
     return len(classes), total, v + 1
 
 
@@ -469,8 +484,8 @@ def split_primitive_part(delta, p):
 
 def witness_report(delta, gammas, p):
     """Search for witnesses (M0, mu) with gamma'_j eta = mu_j M0 eta mod m,
-    mu primitive. Returns dict with 'witnesses' (class key -> measure) and
-    'bound_sq' (min over witnesses of the squared magnitude bound), or
+    mu primitive. Returns dict with 'witnesses' (class key -> (measure, mu))
+    and 'bound_sq' (min over witnesses of the squared magnitude bound), or
     witnesses = {} when none exist.
     """
     n = len(gammas)
@@ -503,15 +518,12 @@ def witness_report(delta, gammas, p):
                 break
             mu.append(lam if j != i else 1)
         if ok:
-            key = (min(tuple(lam * x % m for x in t)
-                       for lam in range(1, max(m, 2)) if lam % p != 0)
-                   if m > 1 else (0, 0, 0, 0))
-            candidates.setdefault(key, mu)
+            candidates.setdefault(_class_key(t, m, p), mu)
 
     witnesses = {}
     bound_sq = None
     for key, mu in candidates.items():
-        wm = _w_measure_from_target(key, gen, m, p)
+        wm = _measure(key, gen, m)
         witnesses[key] = (wm, tuple(mu))
         bsq = _bound_sq(gprime, eta, vdel, veta, wm, p, n)
         if bound_sq is None or bsq < bound_sq:
@@ -643,8 +655,7 @@ def _slot_prime_tables(q, n, delta, gammas):
     for g in gammas:
         s = mat_square_flat(y, q)
         keys = _pack((s @ lmat.T) % q, q)
-        tr = y @ trace_pair_coeffs(g) % q
-        out.append((keys, tr))
+        out.append((keys, _grid_trace_pair(g, q, q)))
     return out
 
 
@@ -656,8 +667,7 @@ def s2_brute(q, n, delta=None):
     k1, k2 = tables[0][0], tables[1][0]
     h1 = np.bincount(k1, minlength=q ** 4)
     h2 = np.bincount(k2, minlength=q ** 4)
-    neg = _pack(np.stack([(-_unpack_col(np.arange(q ** 4), q, t)) % q
-                          for t in range(4)], axis=1), q)
+    neg = _pack(-_unpack(np.arange(q ** 4), q) % q, q)
     return int((h1.astype(np.int64) * h2[neg]).sum())
 
 
@@ -670,8 +680,7 @@ def s3_brute(q, n, gammas, delta=None):
     (k1, t1), (k2, t2) = tables
     c1 = np.bincount(k1 * q + t1, minlength=q ** 5).reshape(q ** 4, q)
     c2 = np.bincount(k2 * q + t2, minlength=q ** 5).reshape(q ** 4, q)
-    neg = _pack(np.stack([(-_unpack_col(np.arange(q ** 4), q, t)) % q
-                          for t in range(4)], axis=1), q)
+    neg = _pack(-_unpack(np.arange(q ** 4), q) % q, q)
     negt = (-np.arange(q)) % q
     return int((c1.astype(np.int64) * c2[neg][:, negt]).sum())
 

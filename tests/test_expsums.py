@@ -2,17 +2,19 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qcl.algebra import CycloSum, det_flat
+from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
 from qcl.errors import PreconditionError, VerificationError
 from qcl.expsums import (
-    cyclo_abs_sq, hessian_pair, i0_brute, i0_local,
-    local_integral_audit, matrix_cyclic_generator,
+    _class_key, _cyclic_generator, _join_two_slots, _measure_table, _pack,
+    all_mats, cyclo_abs_sq, hessian_pair, i0_brute, i0_local,
+    left_mul_matrix, local_integral_audit, matrix_cyclic_generator,
     nonabelian_gauss_integral, phase_integral_z, prime_case_report,
-    quadratic_magnitude_expected_sq, s2_brute, s2_closed, s3_brute, s3_closed,
-    split_primitive_part, w_class_sum_report, w_measure, witness_report,
-    x2_count,
+    quadratic_magnitude_expected_sq, right_mul_matrix, s2_brute, s2_closed,
+    s3_brute, s3_closed, split_primitive_part, w_class_sum_report, w_measure,
+    witness_report, x2_count,
 )
 from qcl.padic import pval
 
@@ -113,7 +115,98 @@ class TestI0Local:
         assert (acc.scale_down(4) - direct).is_zero()
 
 
+def w_histogram(gen, m):
+    """Distinct w = Z gen over all Z mod m, with how many Z give each."""
+    w = (all_mats(m) @ (right_mul_matrix(gen) % m).T) % m
+    return np.unique(w, axis=0, return_counts=True)
+
+
+def measure_oracle(target, hist, m):
+    """#{Z mod m : target in (Z/m) * Z gen}, one target at a time: try every
+    scalar lam on every distinct w of `hist` = w_histogram(gen, m)."""
+    rows, counts = hist
+    t = np.array(target, dtype=np.int64) % m
+    ok = np.zeros(len(rows), dtype=bool)
+    for lam in range(m):
+        ok |= ((lam * rows - t) % m == 0).all(axis=1)
+    return int(counts[ok].sum())
+
+
+# (p, eta) with m = p^v_p(det eta) in {3, 5, 9}
+SMALL_ETAS = [(3, (3, 0, 0, 1)), (3, (1, 1, -2, 1)), (5, (5, 0, 0, 1)),
+              (5, (1, 1, -4, 1)), (3, (9, 0, 0, 1)), (3, (3, 1, 0, 3))]
+
+
 class TestWitnessMeasure:
+    @pytest.mark.parametrize("p,eta", SMALL_ETAS)
+    def test_table_matches_oracle_on_every_target(self, p, eta):
+        gen, m = matrix_cyclic_generator(eta, p)
+        table = _measure_table(gen, m)
+        assert table.dtype == np.int64 and len(table) == m ** 4
+        hist = w_histogram(gen, m)
+        for key, t in enumerate(itertools.product(range(m), repeat=4)):
+            assert table[key] == measure_oracle(t, hist, m)
+
+    @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5)])
+    def test_table_matches_oracle_m25(self, delta):
+        p = 5
+        _, eta = split_primitive_part(delta, p)
+        gen, m = matrix_cyclic_generator(eta, p)
+        assert m == 25
+        table = _measure_table(gen, m)
+        hist = w_histogram(gen, m)
+        rng = random.Random(25)
+        targets = [mat_mul_flat(tuple(rng.randrange(m) for _ in range(4)), eta)
+                   for _ in range(15)]
+        targets += [tuple(rng.randrange(m) for _ in range(4)) for _ in range(15)]
+        for t in targets:
+            key = _pack(np.array(t) % m, m)
+            assert table[key] == measure_oracle(t, hist, m)
+        assert w_measure((1, 0, 0, 1), eta, p) == Fraction(
+            measure_oracle(eta, hist, m), m ** 4)
+
+    @pytest.mark.parametrize("p,eta", SMALL_ETAS + [(5, (25, 0, 0, 1))])
+    def test_generator_orbit_is_the_image(self, p, eta):
+        gen, m = matrix_cyclic_generator(eta, p)
+        image = {tuple(x % m for x in mat_mul_flat(mat_mul_flat(adj_flat(eta), y), eta))
+                 for y in map(tuple, all_mats(m).tolist())}
+        assert {tuple(lam * x % m for x in gen) for lam in range(m)} == image
+        assert len(image) == m
+
+    @pytest.mark.parametrize("p,eta", SMALL_ETAS)
+    def test_measure_invariant_under_unit_scaling(self, p, eta):
+        gen, m = matrix_cyclic_generator(eta, p)
+        table = _measure_table(gen, m)
+        for u in range(2, m):
+            if u % p:
+                scaled = tuple(u * x % m for x in gen)
+                assert np.array_equal(_measure_table(scaled, m), table)
+
+    def test_non_cyclic_image_raises(self):
+        # rank 2: the span of E00 and E11 is not cyclic
+        cmat = np.diag([1, 0, 0, 1]).astype(np.int64)
+        with pytest.raises(VerificationError):
+            _cyclic_generator(cmat, 3, 3)
+        # no unit entry: the span has no element of order m
+        with pytest.raises(VerificationError):
+            _cyclic_generator(3 * left_mul_matrix((1, 2, 0, 1)), 9, 3)
+
+    def test_generator_cache_keeps_moduli_apart(self):
+        # diag(3, 1) and diag(9, 1) agree mod their own moduli
+        assert matrix_cyclic_generator((3, 0, 0, 1), 3)[1] == 3
+        assert matrix_cyclic_generator((9, 0, 0, 1), 3)[1] == 9
+
+    @pytest.mark.parametrize("m,p", [(1, 3), (3, 3), (9, 3), (25, 5)])
+    def test_class_key_is_a_unit_multiple_shared_by_the_class(self, m, p):
+        rng = random.Random(m)
+        units = [u for u in range(1, max(m, 2)) if u % p]
+        for _ in range(20):
+            t = tuple(rng.randrange(m) for _ in range(4))
+            key = _class_key(t, m, p)
+            assert key in {tuple(u * x % m for x in t) for u in units}
+            for u in units:
+                assert _class_key(tuple(u * x % m for x in t), m, p) == key
+
     def test_cyclic_generator_diag(self):
         gen, m = matrix_cyclic_generator((3, 0, 0, 1), 3)
         assert m == 3
@@ -142,6 +235,41 @@ class TestWitnessMeasure:
     def test_primitive_part(self):
         v, eta = split_primitive_part((9, 0, 0, 3), 3)
         assert v == 1 and eta == (3, 0, 0, 1)
+
+
+def dict_join(k1, ph1, k2, ph2, q):
+    """Plain join: pairs whose 4-tuple keys sum to 0 mod q, by phase sum."""
+    counts = [0] * q
+    for a, pa in zip(k1, ph1):
+        for b, pb in zip(k2, ph2):
+            if all((x + y) % q == 0 for x, y in zip(a, b)):
+                counts[(pa + pb) % q] += 1
+    return counts
+
+
+class TestJoinTwoSlots:
+    @pytest.mark.parametrize("q,size", [(2, 30), (3, 60), (5, 80), (9, 120)])
+    def test_matches_dict_join(self, q, size):
+        rng = random.Random(q * size)
+        slots, raw = [], []
+        for _ in range(2):
+            # few distinct keys, so that many pairs match
+            pool = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(4)]
+            pool += [tuple(-x % q for x in k) for k in pool]
+            keys = [rng.choice(pool) for _ in range(size)]
+            ph = np.array([rng.randrange(q) for _ in range(size)], dtype=np.int64)
+            uniq, inv = np.unique(_pack(np.array(keys), q), return_inverse=True)
+            slots.append((uniq, inv, ph))
+            raw.append((keys, ph.tolist()))
+        counts = _join_two_slots(slots[0], slots[1], q)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == dict_join(*raw[0], *raw[1], q)
+
+    def test_no_matching_key(self):
+        one = (np.array([1]), np.zeros(3, dtype=np.int64),
+               np.array([0, 1, 2], dtype=np.int64))
+        counts = _join_two_slots(one, one, 3)
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
 
 
 class TestLocalIntegralAudit:
