@@ -15,7 +15,7 @@ import traceback
 from fractions import Fraction
 
 from . import DEFAULT_SEED
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 
 
 def _run_checks(suite, checks):
@@ -130,7 +130,7 @@ def suite_densities(seed=DEFAULT_SEED):
         cases = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (3, 2, 1)]
         for p, m, n in cases:
             if split_density(p, m, n) != split_density_exhaustive(p, m, n):
-                raise PreconditionError(f"engines differ at {(p, m, n)}")
+                raise VerificationError(f"engines differ at {(p, m, n)}")
         return {"checked": len(cases)}
 
     def split_bracket():
@@ -138,15 +138,15 @@ def suite_densities(seed=DEFAULT_SEED):
         ds = [split_density(3, m, 5) for m in (1, 2)]
         for d in ds:
             if abs(float(d) - 1.0) > bound:
-                raise PreconditionError(f"density {d} outside bracket")
+                raise VerificationError(f"density {d} outside bracket")
         return {"densities": ds, "bound_approx": bound}
 
     def nonsplit_ladder():
         ds = [nonsplit_density_two(m, 5) for m in (1, 2, 3)]
         if not all(d > 0 for d in ds):
-            raise PreconditionError("nonsplit density not positive")
+            raise VerificationError("nonsplit density not positive")
         if not abs(ds[2] - ds[1]) < abs(ds[1] - ds[0]):
-            raise PreconditionError("nonsplit densities not stabilizing")
+            raise VerificationError("nonsplit densities not stabilizing")
         return {"densities": ds}
 
     return _run_checks("densities", [

@@ -2,13 +2,16 @@
 
 Every invocation is reduced to a request envelope (subcommand, canonical
 parameter map, seed, budget).  The envelope's canonical serialization is
-hashed to a 32-hex-digit cache key; results are stored as the exact output
-bytes, so repeated invocations are byte-identical.  Output is a single JSON
-object with schema tag "v1": exact integers are decimal strings, exact
-rationals are {"num", "den"} pairs, and floating-point values appear only
-in fields named *_approx or *_stderr.  Timings and progress go to standard
-error.  Exit codes: 0 success, 2 precondition violation, 3 budget
-exhaustion, 4 verification failure.
+hashed to a 32-hex-digit request hash, printed with the result.  The cache
+entry is named by a hash of the request, the package version and a digest
+of the package's source files, so a cache filled by other code misses;
+results are stored as the exact output bytes, so repeated invocations are
+byte-identical.  Output is a single JSON object with schema tag "v1":
+exact integers are decimal strings, exact rationals are {"num", "den"}
+pairs, and floating-point values appear only in fields named *_approx or
+*_stderr.  Timings and progress go to standard error.  Exit codes: 0
+success, 2 precondition violation, 3 budget exhaustion, 4 verification
+failure.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import click
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, __version__
 from .errors import (BudgetError, PreconditionError, QclError,
                      VerificationError)
 
@@ -86,6 +89,25 @@ def _cache_dir(cfg):
     return os.path.join(os.path.expanduser("~"), ".cache", "qcl")
 
 
+def _code_digest():
+    """SHA-256 over the names and bytes of the package's .py files."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                h.update(name.encode() + b"\0"
+                         + hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
+def _cache_file(cfg, request):
+    """Entry path: request, package version and source digest together."""
+    build = f"{request}\0{__version__}\0{_code_digest()}"
+    name = hashlib.sha256(build.encode()).hexdigest()[:32]
+    return os.path.join(_cache_dir(cfg), name + ".json")
+
+
 def _flatten(tree, prefix=""):
     rows = []
     if isinstance(tree, dict):
@@ -104,9 +126,10 @@ def _emit(ctx, subcommand, params, compute):
     request = _canonical_request(subcommand, params, opts["seed"],
                                  opts["budget"])
     key = hashlib.sha256(request.encode()).hexdigest()[:32]
-    cache_file = os.path.join(_cache_dir(opts["config"]), key + ".json")
+    cache_file = (None if opts["no_cache"]
+                  else _cache_file(opts["config"], request))
     payload_bytes = None
-    if not opts["no_cache"] and os.path.exists(cache_file):
+    if cache_file and os.path.exists(cache_file):
         with open(cache_file, "rb") as fh:
             payload_bytes = fh.read()
         print(f"cache hit {key}", file=sys.stderr)
@@ -122,9 +145,8 @@ def _emit(ctx, subcommand, params, compute):
                    "request_hash": key, "result": _jsonable(result)}
         payload_bytes = (json.dumps(payload, sort_keys=True,
                                     separators=(",", ":")) + "\n").encode()
-        # The key hashes only the request, so a cached failure would be
-        # served even after the fault behind it is fixed.
-        if not opts["no_cache"] and not _failed_audit(subcommand, payload):
+        # A failed verdict is recomputed on every run, never replayed.
+        if cache_file and not _failed_audit(subcommand, payload):
             os.makedirs(os.path.dirname(cache_file), exist_ok=True)
             tmp = cache_file + f".tmp{os.getpid()}"
             with open(tmp, "wb") as fh:

@@ -4,12 +4,16 @@ ramified quaternion order (nonsplit places), and over the reals.
 
 Finite-place densities are exact rationals computed by convolving the
 per-slot distribution of Y^2 over the relevant finite quotient group and
-reading off the mass at zero. The archimedean density is a seeded,
-shard-deterministic Monte Carlo estimate.
+reading off the mass at zero. One coset-split kernel serves every quotient:
+a gather and a matmul per head coset in the support (`group_convolve`). It
+counts in int64 while the product of the two masses is below 2^63, on Python
+ints otherwise, and checks that every result carries that product. The
+archimedean density is a seeded, shard-deterministic Monte Carlo estimate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -21,11 +25,14 @@ from .algebra import (HQ_BASIS, HurwitzQuat, NonsplitLocalElem,
                       hq_from_basis_coords, hq_to_basis_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .expsums import all_mats, mat_square_flat
-from .linalg import reduce_mod_hnf, row_hnf
+from .linalg import row_hnf
 
 # ---------------------------------------------------------------------------
 # Exact convolution over a finite abelian group in mixed-radix coordinates
 # ---------------------------------------------------------------------------
+
+#: a Python-int multiply-add costs ~32 int64 ones (81x81 matmul: 42/1.3 ms)
+_OBJECT_COST = 32
 
 
 class QuotientGroup:
@@ -33,78 +40,114 @@ class QuotientGroup:
 
     Elements are represented by the mixed-radix box over the diagonal;
     addition reduces back into the box, which handles non-diagonal bases
-    (componentwise addition would be wrong there).
+    (componentwise addition would be wrong there). As the basis is
+    upper-triangular, the elements with zero `head` digits form a subgroup
+    K of order V = `tail`; index = u * V + v over its U = `cosets` cosets u,
+    and the head is the shortest prefix with U >= V.
     """
 
     def __init__(self, hnf):
         self.h = [list(r) for r in hnf]
         self.k = len(self.h)
         self.radii = [self.h[i][i] for i in range(self.k)]
-        self.order = 1
-        for r in self.radii:
-            self.order *= r
-        w = [1] * self.k
-        for i in range(self.k - 2, -1, -1):
-            w[i] = w[i + 1] * self.radii[i + 1]
-        self.weights = np.array(w, dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)
-        digs = []
-        for i in range(self.k):
-            digs.append(idx // w[i] % self.radii[i])
-        self.digits = np.stack(digs, axis=1)  # (G, k) box representatives
-        self._neg = None
+        self.order = math.prod(self.radii)
+        self.weights = np.array([math.prod(self.radii[i + 1:])
+                                 for i in range(self.k)], dtype=np.int64)
+        idx = np.arange(self.order, dtype=np.int64)[:, None]
+        self.digits = idx // self.weights % self.radii  # (G, k) box reps
+        self.head = next(i for i in range(self.k + 1)
+                         if math.prod(self.radii[:i]) ** 2 >= self.order)
+        self.cosets = math.prod(self.radii[:self.head])
+        self.tail = self.order // self.cosets
 
     @classmethod
     def diagonal(cls, radii):
-        k = len(radii)
-        return cls([[radii[i] if i == j else 0 for j in range(k)]
-                    for i in range(k)])
+        return cls(np.diag(radii).tolist())
 
     def reduce(self, rows):
         """Vectorized canonical reduction of integer rows into the box."""
-        v = np.array(rows, dtype=np.int64, copy=True)
-        if v.ndim == 1:
-            v = v[None, :]
+        v = np.array(rows, dtype=np.int64, ndmin=2)
         for i in range(self.k):
-            q = v[:, i] // self.h[i][i]
-            hi = np.array(self.h[i][i:], dtype=np.int64)
-            v[:, i:] -= q[:, None] * hi[None, :]
+            v[:, i:] -= np.outer(v[:, i] // self.h[i][i], self.h[i][i:])
         return v
 
     def pack(self, rows):
         return self.reduce(rows) @ self.weights
 
-    def neg_perm(self):
-        if self._neg is None:
-            self._neg = self.pack(-self.digits)
-        return self._neg
+    @functools.cached_property
+    def coset_tables(self):
+        """diff[h, t] = t - h inside K (V x V), and for head cosets s, u the
+        coset target[s, u] of s + u with the element carry[s, u] of K that
+        the head sum carries into the tail (U x U; 0 if diagonal)."""
+        U, V, h = self.cosets, self.tail, self.head
+        tails = self.digits[:V, h:]
+        rows = np.zeros((V, V, self.k), dtype=np.int64)
+        rows[:, :, h:] = tails[None, :, :] - tails[:, None, :]
+        diff = self.pack(rows.reshape(-1, self.k)).reshape(V, V)
+        heads = self.digits[::V, :h]
+        rows = np.zeros((U, U, self.k), dtype=np.int64)
+        rows[:, :, :h] = heads[:, None, :] + heads[None, :, :]
+        packed = self.pack(rows.reshape(-1, self.k)).reshape(U, U)
+        return diff, packed // V, packed % V
+
+
+def _convolve_cosets(a, b, grp, heads):
+    """The kernel: for each head s of `a`, one gather and one matmul give
+    a's coset s times every coset of `b`. Row u of `shifted` is b's coset u
+    translated by the carry of s + u, and A[s][diff] is the V x V matrix of
+    translates of a's coset s inside K. Entries stay in a.dtype."""
+    diff, target, carry = grp.coset_tables
+    A = a.reshape(grp.cosets, grp.tail)
+    B = b.reshape(grp.cosets, grp.tail)
+    C = np.zeros_like(B)
+    rows = np.arange(grp.cosets)[:, None]
+    for s in heads:
+        shifted = B[rows, diff[carry[s]]]
+        C[target[s]] += shifted @ A[s][diff]
+    return C.reshape(-1)
 
 
 def group_convolve(a, b, grp, budget=4 * 10 ** 9):
-    """Exact convolution of two int64 mass arrays over the quotient group."""
-    support = np.nonzero(a)[0]
-    if len(support) * grp.order > budget:
+    """Exact convolution of two nonnegative count arrays over the group:
+    in int64 while mass(a) * mass(b) < 2^63, which bounds every partial
+    sum, else on Python ints. The work, |heads of a| * U * V^2 multiply-adds
+    (times `_OBJECT_COST` for Python ints), must fit `budget`, and the
+    result must carry mass(a) * mass(b)."""
+    if (a < 0).any() or (b < 0).any():
+        raise PreconditionError("count arrays must be nonnegative")
+    heads = np.nonzero(a.reshape(grp.cosets, grp.tail).any(axis=1))[0]
+    work = len(heads) * grp.order * grp.tail
+    if work > budget:
         raise BudgetError("convolution exceeds budget")
-    c = np.zeros(grp.order, dtype=np.int64)
-    for s in support:
-        c[grp.pack(grp.digits + grp.digits[s])] += a[s] * b
+    # summed in Python ints: an int64 sum could wrap
+    mass = int(a.sum(dtype=object)) * int(b.sum(dtype=object))
+    dtype = np.int64 if mass < 2 ** 63 else object
+    if dtype is object and work * _OBJECT_COST > budget:
+        raise BudgetError("exact (object) convolution exceeds budget")
+    c = _convolve_cosets(a.astype(dtype, copy=False),
+                         b.astype(dtype, copy=False), grp, heads)
+    if int(c.sum(dtype=object)) != mass:
+        raise VerificationError("convolution did not conserve mass")
     return c
+
+
+def _pair_at_zero(left, right, grp):
+    """Mass at the identity of left * right: sum_x left[x] * right[-x]."""
+    neg = grp.pack(-grp.digits)
+    return int(np.dot(left.astype(object), right[neg].astype(object)))
 
 
 def convolve_power_at_zero(dist, n, grp):
     """Mass at the identity of the n-fold convolution of `dist`, exactly.
 
-    Balanced binary splitting; the final pairing is done in arbitrary
-    precision to dodge int64 overflow.
+    Balanced binary splitting: dist^(n//2) is built once, and the last
+    product is read at the identity only, as one pairing.
     """
     if n == 1:
         return int(dist[0])
-    half = n // 2
-    left = _convolve_power(dist, half, grp)
-    right = _convolve_power(dist, n - half, grp)
-    neg = grp.neg_perm()
-    return sum(int(left[i]) * int(right[neg[i]])
-               for i in np.nonzero(left)[0])
+    half = _convolve_power(dist, n // 2, grp)
+    return _pair_at_zero(
+        half, group_convolve(dist, half, grp) if n % 2 else half, grp)
 
 
 def _convolve_power(dist, n, grp):
@@ -112,9 +155,27 @@ def _convolve_power(dist, n, grp):
         return dist
     half = _convolve_power(dist, n // 2, grp)
     out = group_convolve(half, half, grp)
-    if n % 2:
-        out = group_convolve(dist, out, grp)
-    return out
+    return group_convolve(dist, out, grp) if n % 2 else out
+
+
+def _count_at_zero(dists, grp):
+    """Mass at the identity of the convolution of the slots' distributions."""
+    if all(d is dists[0] for d in dists):
+        return convolve_power_at_zero(dists[0], len(dists), grp)
+    acc = dists[0]
+    for d in dists[1:-1]:
+        acc = group_convolve(d, acc, grp)
+    return _pair_at_zero(acc, dists[-1], grp)
+
+
+def _slot_coeffs(p, n, coeffs):
+    """One coefficient per slot (all 1 by default), each a unit mod p."""
+    coeffs = list(coeffs or [1] * n)
+    if n < 1 or len(coeffs) != n:
+        raise PreconditionError("need one coefficient per slot, n >= 1")
+    if any(c % p == 0 for c in coeffs):
+        raise PreconditionError(f"coefficients must be units mod {p}")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +198,14 @@ def split_square_distribution(p, m, coeff=1):
 def split_density(p, m, n, coeffs=None):
     """d_m = p^{4m} * #{Y in M_2(Z/p^m)^n : sum c_i Y_i^2 = 0} / p^{4mn},
     as an exact Fraction."""
-    if m < 1 or n < 1:
-        raise PreconditionError("level and slot count must be positive")
-    coeffs = coeffs or [1] * n
-    if any(c % p == 0 for c in coeffs):
-        raise PreconditionError("coefficients must be units")
+    if m < 1:
+        raise PreconditionError("level must be positive")
+    coeffs = _slot_coeffs(p, n, coeffs)
     q = p ** m
-    grp = QuotientGroup.diagonal([q] * 4)
-    dists = {}
-    if len(set(coeffs)) == 1:
-        count = convolve_power_at_zero(
-            split_square_distribution(p, m, coeffs[0]), n, grp)
-    else:
-        acc = None
-        for c in coeffs:
-            d = dists.setdefault(c % q, split_square_distribution(p, m, c))
-            acc = d if acc is None else group_convolve(acc, d, grp)
-        count = int(acc[0])
+    dist = {c: split_square_distribution(p, m, c)
+            for c in {cc % q for cc in coeffs}}
+    count = _count_at_zero([dist[c % q] for c in coeffs],
+                           QuotientGroup.diagonal([q] * 4))
     return Fraction(count, q ** (4 * (n - 1)))
 
 
@@ -200,33 +252,17 @@ def nonsplit_density_two(m, n, coeffs=None):
     sum c_i Y_i^2 = 0 in the quotient, normalized by 2^{4m} / size^n."""
     if m < 1:
         raise PreconditionError("level must be positive")
-    coeffs = coeffs or [1] * n
-    if any(c % 2 == 0 for c in coeffs):
-        raise PreconditionError("coefficients must be odd")
-    h = _hurwitz_level_lattice(m)
-    grp = QuotientGroup(h)
+    coeffs = _slot_coeffs(2, n, coeffs)
+    grp = QuotientGroup(_hurwitz_level_lattice(m))
     size = grp.order
     if size ** 2 > 10 ** 9:
         raise BudgetError("quotient too large")
     # distribution of c * Y^2 over the quotient, one slot
-    dist_by_coeff = {}
-    for c in set(cc % 4 ** m for cc in coeffs):
-        mass = np.zeros(size, dtype=np.int64)
-        for rep in grp.digits:
-            y = hq_from_basis_coords(rep)
-            sq = y * y * int(c)
-            idx = int(grp.pack(list(hq_to_basis_coords(sq)))[0])
-            mass[idx] += 1
-        dist_by_coeff[c] = mass
-    if len(dist_by_coeff) == 1:
-        count = convolve_power_at_zero(next(iter(dist_by_coeff.values())),
-                                       n, grp)
-    else:
-        acc = None
-        for c in coeffs:
-            d = dist_by_coeff[c % 4 ** m]
-            acc = d if acc is None else group_convolve(acc, d, grp)
-        count = int(acc[0])
+    ys = [hq_from_basis_coords(rep) for rep in grp.digits]
+    dist = {c: np.bincount(grp.pack([hq_to_basis_coords(y * y * c)
+                                     for y in ys]), minlength=size)
+            for c in {cc % 4 ** m for cc in coeffs}}
+    count = _count_at_zero([dist[c % 4 ** m] for c in coeffs], grp)
     return Fraction(2 ** (4 * m) * count, size ** n)
 
 
@@ -237,56 +273,17 @@ def nonsplit_density_odd(p, m, n, coeffs=None):
         raise PreconditionError("use nonsplit_density_two at 2")
     if m < 1:
         raise PreconditionError("level must be positive")
-    coeffs = coeffs or [1] * n
-    if any(c % p == 0 for c in coeffs):
-        raise PreconditionError("coefficients must be units")
-    radii = [p ** m, p ** m, p ** (m - 1), p ** (m - 1)]
-    grp = QuotientGroup.diagonal(radii)
+    coeffs = _slot_coeffs(p, n, coeffs)
+    grp = QuotientGroup.diagonal([p ** m, p ** m, p ** (m - 1), p ** (m - 1)])
     size = grp.order
     if size ** 2 > 10 ** 9:
         raise BudgetError("quotient too large")
-    dist_by_coeff = {}
-    for c in set(cc % p ** m for cc in coeffs):
-        mass = np.zeros(size, dtype=np.int64)
-        for z in itertools.product(*(range(r) for r in radii)):
-            x = NonsplitLocalElem(z, p, m)
-            sq = x * x * int(c)
-            red = (sq.z[0] % radii[0], sq.z[1] % radii[1],
-                   sq.z[2] % radii[2], sq.z[3] % radii[3])
-            idx = 0
-            for t in range(4):
-                idx = idx * radii[t] + red[t]
-            mass[idx] += 1
-        dist_by_coeff[c] = mass
-    if len(dist_by_coeff) == 1:
-        count = convolve_power_at_zero(next(iter(dist_by_coeff.values())),
-                                       n, grp)
-    else:
-        acc = None
-        for c in coeffs:
-            d = dist_by_coeff[c % p ** m]
-            acc = d if acc is None else group_convolve(acc, d, grp)
-        count = int(acc[0])
+    xs = [NonsplitLocalElem(z, p, m) for z in grp.digits]
+    dist = {c: np.bincount(grp.pack([(x * x * c).z for x in xs]),
+                           minlength=size)
+            for c in {cc % p ** m for cc in coeffs}}
+    count = _count_at_zero([dist[c % p ** m] for c in coeffs], grp)
     return Fraction(p ** (4 * m) * count, size ** n)
-
-
-def nonsplit_density_two_exhaustive(m, n, budget=10 ** 7):
-    """Brute-force oracle for nonsplit_density_two (tiny cases)."""
-    h = _hurwitz_level_lattice(m)
-    radii = [h[i][i] for i in range(4)]
-    size = radii[0] * radii[1] * radii[2] * radii[3]
-    if size ** n > budget:
-        raise BudgetError("exhaustive enumeration too large")
-    reps = [hq_from_basis_coords(v)
-            for v in itertools.product(*(range(r) for r in radii))]
-    count = 0
-    for ys in itertools.product(reps, repeat=n):
-        s = HurwitzQuat(0, 0, 0, 0)
-        for y in ys:
-            s = s + y * y
-        if all(t == 0 for t in reduce_mod_hnf(list(hq_to_basis_coords(s)), h)):
-            count += 1
-    return Fraction(2 ** (4 * m) * count, size ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcl import DEFAULT_SEED
 from qcl.cli import _canonical_request, _flatten, _jsonable, _load_config
 from qcl.errors import VerificationError
 
@@ -179,6 +181,58 @@ class TestDeterminismAndCache:
         nocache = run_cli(["--no-cache"] + args, tmp_path, cache=cache)
         assert cold.stdout == warm.stdout == nocache.stdout
         assert len(list(cache.glob("*.json"))) == 1
+
+    def test_entry_from_other_code_is_a_miss(self, tmp_path, monkeypatch,
+                                             capsysbinary):
+        import click
+        from qcl import cli
+
+        monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))
+        ctx = click.Context(cli.main, obj={
+            "no_cache": False, "csv": None, "threads": 1,
+            "seed": 0, "budget": None, "config": {}})
+
+        def run(density):
+            with pytest.raises(SystemExit) as exc:
+                cli._emit(ctx, "density", {"n": 24},
+                          lambda: {"density": density})
+            assert exc.value.code == 0
+            out, err = capsysbinary.readouterr()
+            return json.loads(out), err.decode()
+
+        digest = cli._code_digest
+        monkeypatch.setattr(cli, "_code_digest", lambda: "an older build")
+        stale, _ = run(Fraction(1, 3))
+        monkeypatch.setattr(cli, "_code_digest", digest)
+        fresh, err = run(Fraction(1))
+        assert "cache hit" not in err
+        assert fresh["result"]["density"] == {"num": "1", "den": "1"}
+        # the printed hash names the request alone
+        assert fresh["request_hash"] == stale["request_hash"]
+        # the current code's entry now serves the request, not the stale one
+        warm, err = run(Fraction(2))
+        assert "cache hit" in err
+        assert warm == fresh
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+    def test_warm_run_at_same_code_hits(self, tmp_path):
+        cache = tmp_path / "cache"
+        args = ["density", "--place", "split", "--p", "3", "--m", "1",
+                "--n", "24"]
+        cold = run_cli(args, tmp_path, cache=cache)
+        assert "cache hit" not in cold.stderr.decode()
+        warm = run_cli(args, tmp_path, cache=cache)
+        assert "cache hit" in warm.stderr.decode()
+        assert warm.stdout == cold.stdout
+        doc = json.loads(cold.stdout)
+        assert doc["result"]["density"] == {
+            "num": "26588814361405230188827",
+            "den": "26588814358957503287787"}
+        request = _canonical_request(
+            "density", {"place": "split", "p": 3, "m": 1, "n": 24,
+                        "engine": "conv"}, DEFAULT_SEED, None)
+        assert doc["request_hash"] == \
+            hashlib.sha256(request.encode()).hexdigest()[:32]
 
     def test_threads_invariant_audit(self, tmp_path):
         one = run_cli(["--no-cache", "--threads", "1", "audit", "counting"],

@@ -1,16 +1,84 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcl import densities
+from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
 from qcl.densities import (
-    QuotientGroup, archimedean_density, convolve_power_at_zero,
-    density_tail_bracket, group_convolve, local_zeta, nonsplit_density_odd,
-    nonsplit_density_two, nonsplit_density_two_exhaustive, singular_series,
+    QuotientGroup, _hurwitz_level_lattice, archimedean_density,
+    convolve_power_at_zero, density_tail_bracket, group_convolve, local_zeta,
+    nonsplit_density_odd, nonsplit_density_two, singular_series,
     split_density, split_density_exhaustive, split_square_distribution,
 )
-from qcl.errors import PreconditionError
+from qcl.errors import BudgetError, PreconditionError, VerificationError
+from qcl.linalg import reduce_mod_hnf
+
+
+def group_convolve_oracle(a, b, grp):
+    """Reference convolution: one canonical reduction of digits + digits[s]
+    for every support element s of `a`, accumulated in Python ints."""
+    c = np.zeros(grp.order, dtype=object)
+    bo = b.astype(object)
+    for s in np.nonzero(a)[0]:
+        c[grp.pack(grp.digits + grp.digits[s])] += int(a[s]) * bo
+    return c
+
+
+def nonsplit_density_two_exhaustive(m, n, budget=10 ** 7):
+    """Brute-force oracle for nonsplit_density_two (tiny cases)."""
+    h = _hurwitz_level_lattice(m)
+    radii = [h[i][i] for i in range(4)]
+    size = radii[0] * radii[1] * radii[2] * radii[3]
+    if size ** n > budget:
+        raise BudgetError("exhaustive enumeration too large")
+    reps = [hq_from_basis_coords(v)
+            for v in itertools.product(*(range(r) for r in radii))]
+    count = 0
+    for ys in itertools.product(reps, repeat=n):
+        s = HurwitzQuat(0, 0, 0, 0)
+        for y in ys:
+            s = s + y * y
+        if not any(reduce_mod_hnf(list(hq_to_basis_coords(s)), h)):
+            count += 1
+    return Fraction(2 ** (4 * m) * count, size ** n)
+
+
+@st.composite
+def quotient_groups(draw):
+    """Diagonal and mixed-radix boxes, random upper-triangular 4x4 HNFs
+    (entries above a pivot reduced modulo it) and the Hurwitz level
+    lattices for m = 1, 2, 3."""
+    kind = draw(st.sampled_from(["diagonal", "hnf", "hurwitz"]))
+    if kind == "hurwitz":
+        return QuotientGroup(_hurwitz_level_lattice(
+            draw(st.integers(1, 3))))
+    if kind == "diagonal":
+        return QuotientGroup.diagonal(draw(
+            st.lists(st.integers(1, 7), min_size=1, max_size=4)))
+    radii = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
+    return QuotientGroup([[radii[i] if i == j else
+                           draw(st.integers(0, radii[j] - 1)) if j > i else 0
+                           for j in range(4)] for i in range(4)])
+
+
+@st.composite
+def group_and_masses(draw):
+    grp = draw(quotient_groups())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a share of zeros leaves whole head cosets empty
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    # scale 2**40 pushes the mass product past 2**63: the object path
+    scale = draw(st.sampled_from([1, 2 ** 40]))
+
+    def masses():
+        vals = rng.integers(0, 4, grp.order) * (rng.random(grp.order) >= zeros)
+        return vals if scale == 1 else vals.astype(object) * scale
+
+    return grp, masses(), masses()
 
 
 class TestGroupConvolve:
@@ -57,6 +125,87 @@ class TestGroupConvolve:
         assert (c == expect).all()
 
 
+class TestCosetKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(group_and_masses())
+    def test_matches_oracle_and_conserves_mass(self, case):
+        grp, a, b = case
+        c = group_convolve(a, b, grp)
+        mass = int(a.sum()) * int(b.sum())
+        assert c.dtype == (np.int64 if mass < 2 ** 63 else object)
+        assert list(c) == list(group_convolve_oracle(a, b, grp))
+        assert int(c.sum()) == mass
+
+    def test_head_is_shortest_prefix_covering_the_tail(self):
+        grp = QuotientGroup.diagonal([9] * 4)
+        assert (grp.head, grp.cosets, grp.tail) == (2, 81, 81)
+        grp = QuotientGroup(_hurwitz_level_lattice(1))
+        assert (grp.head, grp.cosets, grp.tail) == (3, 2, 2)
+
+    def test_lost_mass_is_a_verification_failure(self, monkeypatch):
+        kernel = densities._convolve_cosets
+
+        def leaky(a, b, grp, heads):
+            c = kernel(a, b, grp, heads)
+            c[np.nonzero(c)[0][0]] -= 1
+            return c
+
+        monkeypatch.setattr(densities, "_convolve_cosets", leaky)
+        grp = QuotientGroup.diagonal([3, 3])
+        a = np.arange(9, dtype=np.int64)
+        with pytest.raises(VerificationError):
+            group_convolve(a, a, grp)
+        with pytest.raises(VerificationError):
+            split_density(3, 1, 5)
+
+    def test_budget_refuses_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("kernel ran past the budget guard")
+
+        monkeypatch.setattr(densities, "_convolve_cosets", no_work)
+        grp = QuotientGroup.diagonal([9] * 4)
+        a = np.ones(grp.order, dtype=np.int64)
+        # 81 heads * 81 cosets * 81^2 = 4.3e7 multiply-adds
+        with pytest.raises(BudgetError):
+            group_convolve(a, a, grp, budget=10 ** 7)
+        assert "coset_tables" not in vars(grp)
+
+    def test_object_path_has_its_own_budget(self, monkeypatch):
+        grp = QuotientGroup.diagonal([3] * 4)
+        big = np.full(grp.order, 2 ** 40, dtype=object)
+        cost = 9 * 81 * 9 * densities._OBJECT_COST
+        assert group_convolve(big, big, grp, budget=cost).dtype == object
+        monkeypatch.setattr(densities, "_convolve_cosets", None)
+        with pytest.raises(BudgetError):
+            group_convolve(big, big, grp, budget=cost - 1)
+
+    def test_negative_counts_rejected(self):
+        grp = QuotientGroup.diagonal([2])
+        with pytest.raises(PreconditionError):
+            group_convolve(np.array([1, -1]), np.array([1, 1]), grp)
+
+    @pytest.mark.parametrize("n,convolutions", [(5, 2), (24, 4)])
+    def test_balanced_power_built_once(self, monkeypatch, n, convolutions):
+        calls = []
+
+        def counted(a, b, grp, budget=4 * 10 ** 9):
+            calls.append(1)
+            return group_convolve(a, b, grp, budget)
+
+        monkeypatch.setattr(densities, "group_convolve", counted)
+        grp = QuotientGroup.diagonal([4])
+        d = np.array([1, 2, 0, 1], dtype=np.int64)
+        full = Counter({0: 1})
+        for _ in range(n):
+            nxt = Counter()
+            for x, u in full.items():
+                for y in range(4):
+                    nxt[(x + y) % 4] += u * int(d[y])
+            full = nxt
+        assert convolve_power_at_zero(d, n, grp) == full[0]
+        assert len(calls) == convolutions
+
+
 class TestSplitDensity:
     def test_nilpotent_count_pinned(self):
         # n = 1, m = 1: the density equals #{Y in M_2(F_p) : Y^2 = 0} = p^2
@@ -83,6 +232,30 @@ class TestSplitDensity:
     def test_unit_coeff_precondition(self):
         with pytest.raises(PreconditionError):
             split_density(3, 1, 2, coeffs=[3, 1])
+
+    def test_one_coefficient_per_slot(self):
+        with pytest.raises(PreconditionError):
+            split_density(3, 1, 3, coeffs=[1, 2])
+
+    def test_exact_past_int64(self):
+        # 24 slots at q = 3: the count is about 3^{4*23}, far past 2^63.
+        # Reference: the Y^2 distribution over M_2(Z/3) convolved 24 times
+        # in Python ints.
+        q = 3
+        dist = Counter()
+        for a, b, c, d in itertools.product(range(q), repeat=4):
+            dist[((a * a + b * c) % q, b * (a + d) % q, c * (a + d) % q,
+                  (d * d + b * c) % q)] += 1
+        acc = Counter({(0, 0, 0, 0): 1})
+        for _ in range(24):
+            nxt = Counter()
+            for x, u in acc.items():
+                for y, v in dist.items():
+                    nxt[tuple((xi + yi) % q for xi, yi in zip(x, y))] += u * v
+            acc = nxt
+        expect = Fraction(acc[(0, 0, 0, 0)], q ** (4 * 23))
+        assert split_density(3, 1, 24) == expect
+        assert abs(float(expect) - 1) < 1e-9
 
 
 class TestNonsplitDensity:
@@ -111,6 +284,22 @@ class TestNonsplitDensity:
     def test_odd_place_positive(self):
         d = nonsplit_density_odd(3, 2, 5)
         assert d > 0
+
+
+class TestDensitiesAudit:
+    def test_failed_bounds_are_verification_failures(self, monkeypatch):
+        from qcl.audits import suite_densities
+
+        monkeypatch.setattr(densities, "split_density_exhaustive",
+                            lambda p, m, n: Fraction(-1))
+        monkeypatch.setattr(densities, "density_tail_bracket",
+                            lambda q, n: 0.0)
+        monkeypatch.setattr(densities, "nonsplit_density_two",
+                            lambda m, n: Fraction(0))
+        out = suite_densities()
+        assert out["passed"] is False
+        assert [c["error"].split(":")[0] for c in out["checks"]] == \
+            ["VerificationError"] * 3
 
 
 class TestArchimedean:
