@@ -537,7 +537,8 @@ class CycloSum:
     (the remaining powers of the root of unity form a Q-basis), drops
     the conductor when the support allows it, and strips common p-factors
     against the scale. Equality and zero tests are exact on canonical
-    forms; magnitude() is float, for inequality checks only.
+    forms; real_sign() certifies the sign of the real part, and
+    magnitude() is an approximate float.
     """
 
     __slots__ = ("p", "k", "counts", "scale")
@@ -746,6 +747,35 @@ class CycloSum:
 
     def magnitude(self):
         return abs(self.complex_value())
+
+    def real_sign(self):
+        """Certified sign (-1, 0 or 1) of the real part.
+
+        A rational real part is compared exactly.  An irrational one is
+        nonzero; its twice-scaled sum sum_r c_r cos(2 pi r / p^k) is
+        evaluated as sum_r c_r t_r with integers t_r = round(2^prec cos),
+        each within 1 of 2^prec cos (mpmath at prec + 10 bits), so the sum
+        lies within sum_r |c_r| of 2^prec times the true one.  The precision
+        starts at 64 bits and doubles until that bound decides the sign.
+        """
+        re2 = (self + self.conjugate()).canonical()
+        if re2.k == 0:
+            c = re2.counts.get(0, 0)
+            return (c > 0) - (c < 0)
+        import mpmath  # only irrational comparisons need it
+
+        pk = self.p ** re2.k
+        slack = sum(abs(c) for c in re2.counts.values())
+        prec, max_prec = 64, 2 ** 14
+        while prec <= max_prec:
+            with mpmath.workprec(prec + 10):
+                total = sum(c * int(mpmath.nint(mpmath.ldexp(
+                    mpmath.cospi(mpmath.mpf(2 * r) / pk), prec)))
+                    for r, c in re2.counts.items())
+            if abs(total) > slack:
+                return 1 if total > 0 else -1
+            prec *= 2
+        raise VerificationError(f"sign not resolved at {max_prec} bits")
 
 
 def cyclo_canonicalize(v):

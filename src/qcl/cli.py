@@ -2,18 +2,20 @@
 
 Every invocation is reduced to a request envelope (subcommand, canonical
 parameter map, seed, budget).  The envelope's canonical serialization is
-hashed to a 32-hex-digit request hash, printed with the result.  The cache
-entry is named by a hash of the request, the package version and a digest
-of the package's source files, so a cache filled by other code misses;
-results are stored as the exact output bytes, so repeated invocations are
-byte-identical.  Output is a single JSON object with schema tag "v1":
-exact integers are decimal strings, exact rationals are {"num", "den"}
-pairs, and floating-point values appear only in fields named *_approx or
-*_stderr.  Timings and progress go to standard error.  Exit codes: 0
-success, 2 precondition violation, 3 budget exhaustion, 4 verification
-failure.
+hashed to a 32-hex-digit request hash, printed with the result.  A cache
+entry is named `<request hash>-<build hash>.json`, where the build hash
+covers the package version and a digest of the package's source files, so
+a cache filled by other code misses, and writing an entry deletes the
+request's entries from other builds.  Results are stored as the exact
+output bytes, so repeated invocations are byte-identical.  Output is a
+single JSON object with schema tag "v1": exact integers are decimal
+strings, exact rationals are {"num", "den"} pairs, and floating-point
+values appear only in fields named *_approx or *_stderr.  Timings and
+progress go to standard error.  Exit codes: 0 success, 2 precondition
+violation, 3 budget exhaustion, 4 verification failure.
 """
 
+import glob
 import hashlib
 import json
 import os
@@ -101,11 +103,23 @@ def _code_digest():
     return h.hexdigest()
 
 
-def _cache_file(cfg, request):
-    """Entry path: request, package version and source digest together."""
-    build = f"{request}\0{__version__}\0{_code_digest()}"
-    name = hashlib.sha256(build.encode()).hexdigest()[:32]
-    return os.path.join(_cache_dir(cfg), name + ".json")
+def _cache_file(cfg, key):
+    """Entry path `<request hash>-<build hash>.json`: the build hash covers
+    the package version and the source digest."""
+    build = f"{__version__}\0{_code_digest()}"
+    name = f"{key}-{hashlib.sha256(build.encode()).hexdigest()[:32]}.json"
+    return os.path.join(_cache_dir(cfg), name)
+
+
+def _evict_other_builds(cache_file, key):
+    """Delete the request's entries written by other code."""
+    folder = os.path.dirname(cache_file)
+    for stale in glob.glob(os.path.join(glob.escape(folder), f"{key}-*.json")):
+        if stale != cache_file:
+            try:
+                os.remove(stale)
+            except FileNotFoundError:
+                pass
 
 
 def _flatten(tree, prefix=""):
@@ -127,7 +141,7 @@ def _emit(ctx, subcommand, params, compute):
                                  opts["budget"])
     key = hashlib.sha256(request.encode()).hexdigest()[:32]
     cache_file = (None if opts["no_cache"]
-                  else _cache_file(opts["config"], request))
+                  else _cache_file(opts["config"], key))
     payload_bytes = None
     if cache_file and os.path.exists(cache_file):
         with open(cache_file, "rb") as fh:
@@ -152,6 +166,7 @@ def _emit(ctx, subcommand, params, compute):
             with open(tmp, "wb") as fh:
                 fh.write(payload_bytes)
             os.replace(tmp, cache_file)
+            _evict_other_builds(cache_file, key)
     sys.stdout.buffer.write(payload_bytes)
     sys.stdout.buffer.flush()
     if opts["csv"]:

@@ -10,7 +10,16 @@ a nonzero integral quaternion alpha the two-sided sum
 over delta with the integrality side conditions cancels exactly; the
 cancellation is certified by an explicit bijection delta <-> alpha *
 delta^{-1} between the two enumerated index sets, plus an exact rational
-sum.  For alpha = 0 the sum is a smoothed quaternion-norm count whose
+sum.  At each divisor norm d, side 1 is the set of norm-d points of the left
+ideal L_d = {delta : delta conj(alpha) in d O} = O beta.  The HNF of L_d
+comes from `qcl.linalg.congruence_lattice`, beta is the right-Euclidean gcd
+of its rows, and the points are x beta for x in the cofactor shell of norm
+d / nrd(beta), which is the 24 units unless alpha is imprimitive.  beta lying
+in L_d and every HNF row being a left multiple of beta certify L_d = O beta,
+and every emitted delta is rechecked.  Side 2 is the conjugate of side 1
+for conj(alpha).
+
+For alpha = 0 the sum is a smoothed quaternion-norm count whose
 Q^{-4}-normalization converges to the dual-lattice main term b(Q), a sum
 over the trace-form dual of the order of the 4D radial Fourier transform of
 r -> phi2(r^2).  That transform has a closed form: phi2 is expanded exactly
@@ -35,12 +44,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .algebra import HurwitzQuat
+from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords,
+                      hq_to_basis_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .lattices import norm_count
-from .linalg import field_rref, row_hnf
+from .linalg import congruence_lattice, field_rref, row_hnf
 
 
 def _poly_eval(coeffs, t):
@@ -199,6 +207,8 @@ def ghat(s, profile=DEFAULT_PROFILE):
     phi2(t) = sum_mu d_mu (1 - t)^mu and a = 2 pi s, Sonine's integral at
     nu = 1 turns it into (2 pi / s) sum_mu d_mu 2^mu mu! a^{-mu-1} J_{mu+2}(a).
     """
+    import mpmath  # only the zero shift needs it; importing it costs ~14 ms
+
     if s == 0:
         # integral of phi2(r^2) r^3 dr = (1/2) integral t phi2(t) dt
         return float(2 * mpmath.pi ** 2
@@ -239,7 +249,8 @@ def b_term(Q, profile=DEFAULT_PROFILE, cutoff=60.0):
 # delta sum
 
 def _norm_shell(d):
-    """All order elements of reduced norm d, in doubled coordinates."""
+    """All order elements of reduced norm d, in doubled coordinates.
+    Called with the cofactor norm d / nrd(beta) only (see `_index_set`)."""
     target = 4 * d
     cmax = int(math.isqrt(target))
     pairs_even, pairs_odd = {}, {}
@@ -271,6 +282,82 @@ def _in_scaled_order(x, d):
     return len({(c // d) % 2 for c in x.c}) == 1
 
 
+def _nearest_hurwitz(p, n):
+    """Order element nearest to the rational quaternion with doubled
+    coordinates p / n: the closer of the nearest integral point and the
+    nearest point with half-odd coordinates."""
+    whole = [2 * ((c + n) // (2 * n)) for c in p]
+    half = [2 * (c // (2 * n)) + 1 for c in p]
+    return HurwitzQuat(*min(whole, half, key=lambda q: sum(
+        (n * a - c) ** 2 for a, c in zip(q, p))))
+
+
+def _right_gcd(a, b):
+    """A generator of the left ideal O a + O b, by right-Euclidean division
+    a = q b + r with q the order element nearest to a b^-1 = a conj(b) /
+    nrd b (Conway & Smith, On Quaternions and Octonions, ch. 5)."""
+    while not b.is_zero():
+        nb = b.nrd()
+        r = a - _nearest_hurwitz((a * b.conjugate()).c, nb) * b
+        if r.nrd() >= nb:
+            raise VerificationError("Euclidean remainder did not shrink")
+        a, b = b, r
+    return a
+
+
+def _ideal_generator(rows):
+    """A generator of the left ideal whose Z-basis is `rows`."""
+    beta = rows[0]
+    for r in rows[1:]:
+        beta = _right_gcd(r, beta)
+    return beta
+
+
+def _index_set(alpha, d):
+    """The certified set {delta : nrd delta = d, alpha conj(delta) in d O}.
+
+    It is the set of norm-d points of L_d = {delta : delta conj(alpha) in
+    d O}, a left ideal, so L_d = O beta and the points are x beta with
+    nrd x = d / nrd beta: the 24 unit multiples of beta when alpha is
+    primitive.  beta lies in L_d and every HNF row of L_d is a left multiple
+    of beta, which proves L_d = O beta; every emitted delta is rechecked.
+    """
+    abar = alpha.conjugate()
+    images = [hq_to_basis_coords(b * abar) for b in HQ_BASIS]
+    rows = [hq_from_basis_coords(r) for r in congruence_lattice(
+        [[img[k] for img in images] for k in range(4)], d)]
+    beta = _ideal_generator(rows)
+    nb = beta.nrd()
+    if (beta.is_zero() or not _in_scaled_order(alpha * beta.conjugate(), d)
+            or not all(_in_scaled_order(r * beta.conjugate(), nb)
+                       for r in rows)):
+        raise VerificationError(f"{beta} does not generate L_{d}")
+    if d % nb:
+        return []
+    out = [x * beta for x in _norm_shell(d // nb)]
+    for delta in out:
+        if (delta.nrd() != d
+                or not _in_scaled_order(alpha * delta.conjugate(), d)):
+            raise VerificationError(f"{delta} is not in the index set at {d}")
+    return out
+
+
+def index_sets(alpha, d):
+    """Both index sets at modulus norm d: side 1 is {delta : alpha
+    conj(delta) in d O}, side 2 is {delta : conj(delta) alpha in d O}, the
+    conjugate of side 1 for conj(alpha)."""
+    return (_index_set(alpha, d),
+            [x.conjugate() for x in _index_set(alpha.conjugate(), d)])
+
+
+def support_divisors(na, Q):
+    """Norms d with nrd(delta) = d <= Q^2 and na / d <= Q^2 that divide
+    na = nrd(alpha), as alpha * delta^{-1} must be integral."""
+    Q2 = Q * Q
+    return [d for d in range(1, min(na, Q2) + 1)
+            if na % d == 0 and na <= d * Q2]
+
+
 def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
     """Two-sided smoothed sum at shift alpha and modulus height Q.
 
@@ -290,18 +377,18 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
         return {"difference": diff, "b_term": b_term(Q, profile),
                 "normalized": diff / Q ** 4, "terms": None}
     na = alpha.nrd()
-    # support: nrd(delta) <= Q^2 and nrd(alpha)/nrd(delta) <= Q^2, and
-    # nrd(delta) must divide nrd(alpha) for alpha * delta^{-1} to be integral
-    divisors = [d for d in range(1, min(na, Q2) + 1)
-                if na % d == 0 and na <= d * Q2]
     side1 = {}
     side2 = {}
-    for d in divisors:
-        for delta in _norm_shell(d):
-            if _in_scaled_order(alpha * delta.conjugate(), d):
-                side1[delta.c] = (d, delta)
-            if _in_scaled_order(delta.conjugate() * alpha, d):
-                side2[delta.c] = (d, delta)
+    s1 = s2 = Fraction(0)
+    for d in support_divisors(na, Q):
+        right, left = index_sets(alpha, d)
+        side1.update((delta.c, (d, delta)) for delta in right)
+        side2.update((delta.c, (d, delta)) for delta in left)
+        # every term at one d has the same value
+        s1 += (len(right) * profile.phi1(Fraction(na, d * Q2))
+               * profile.phi2(Fraction(d, Q2)))
+        s2 += (len(left) * profile.phi1(Fraction(d, Q2))
+               * profile.phi2(Fraction(na, d * Q2)))
     # bijection certificate: delta -> alpha * delta^{-1}
     seen = set()
     for key, (d, delta) in side1.items():
@@ -316,10 +403,6 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
         seen.add(mu.c)
     if len(seen) != len(side2):
         raise VerificationError("bijection is not surjective")
-    s1 = sum((profile.phi1(Fraction(na, d * Q2)) * profile.phi2(Fraction(d, Q2))
-              for d, _ in side1.values()), Fraction(0))
-    s2 = sum((profile.phi1(Fraction(d, Q2)) * profile.phi2(Fraction(na, d * Q2))
-              for d, _ in side2.values()), Fraction(0))
     diff = s1 - s2
     if diff != 0:
         raise VerificationError("two-sided sum fails to cancel exactly")

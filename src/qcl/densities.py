@@ -6,8 +6,9 @@ Finite-place densities are exact rationals computed by convolving the
 per-slot distribution of Y^2 over the relevant finite quotient group and
 reading off the mass at zero. One coset-split kernel serves every quotient:
 a gather and a matmul per head coset in the support (`group_convolve`). It
-counts in int64 while the product of the two masses is below 2^63, on Python
-ints otherwise, and checks that every result carries that product. The
+counts in int64 while min(max a * mass b, mass a * max b), a bound on every
+output entry, is below 2^63, on Python ints otherwise, and checks that every
+result carries the product of the two masses in Python ints. The
 archimedean density is a seeded, shard-deterministic Monte Carlo estimate.
 """
 
@@ -109,10 +110,11 @@ def _convolve_cosets(a, b, grp, heads):
 
 def group_convolve(a, b, grp, budget=4 * 10 ** 9):
     """Exact convolution of two nonnegative count arrays over the group:
-    in int64 while mass(a) * mass(b) < 2^63, which bounds every partial
-    sum, else on Python ints. The work, |heads of a| * U * V^2 multiply-adds
-    (times `_OBJECT_COST` for Python ints), must fit `budget`, and the
-    result must carry mass(a) * mass(b)."""
+    in int64 while min(max a * mass b, mass a * max b) < 2^63, else on
+    Python ints. That product bounds every output entry, and as the counts
+    are nonnegative no partial sum exceeds its entry. The work, |heads of
+    a| * U * V^2 multiply-adds (times `_OBJECT_COST` for Python ints), must
+    fit `budget`, and the result must carry mass(a) * mass(b)."""
     if (a < 0).any() or (b < 0).any():
         raise PreconditionError("count arrays must be nonnegative")
     heads = np.nonzero(a.reshape(grp.cosets, grp.tail).any(axis=1))[0]
@@ -120,13 +122,14 @@ def group_convolve(a, b, grp, budget=4 * 10 ** 9):
     if work > budget:
         raise BudgetError("convolution exceeds budget")
     # summed in Python ints: an int64 sum could wrap
-    mass = int(a.sum(dtype=object)) * int(b.sum(dtype=object))
-    dtype = np.int64 if mass < 2 ** 63 else object
+    mass_a, mass_b = int(a.sum(dtype=object)), int(b.sum(dtype=object))
+    peak = min(int(a.max()) * mass_b, mass_a * int(b.max()))
+    dtype = np.int64 if peak < 2 ** 63 else object
     if dtype is object and work * _OBJECT_COST > budget:
         raise BudgetError("exact (object) convolution exceeds budget")
     c = _convolve_cosets(a.astype(dtype, copy=False),
                          b.astype(dtype, copy=False), grp, heads)
-    if int(c.sum(dtype=object)) != mass:
+    if int(c.sum(dtype=object)) != mass_a * mass_b:
         raise VerificationError("convolution did not conserve mass")
     return c
 

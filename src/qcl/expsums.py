@@ -556,6 +556,14 @@ def cyclo_abs_sq(v):
     return sq.magnitude()
 
 
+def abs_sq_within(sq, bound_sq):
+    """Certified sq <= bound_sq for a real CycloSum sq and a rational bound
+    whose denominator is a power of p: the sign of D = sq - bound_sq is
+    exact when D is rational and certified by `CycloSum.real_sign` when it
+    is irrational (then D != 0)."""
+    return (sq - CycloSum.from_fraction(bound_sq, sq.p)).real_sign() <= 0
+
+
 def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
                          check_class_sum=True):
     """Audit the support, witness, and magnitude-bound laws of i0_local.
@@ -565,8 +573,8 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
     samples) and verify:
       * out-of-support gammas give exactly zero;
       * a nonzero value implies a witness exists;
-      * |I0|^2 <= best witness bound squared (1e-9 relative slack when the
-        squared magnitude is irrational);
+      * |I0|^2 <= best witness bound squared, decided exactly
+        (`abs_sq_within`);
       * the class-sum bound for the measure factors.
     Raises VerificationError on any failure; returns a summary dict.
     """
@@ -605,13 +613,9 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
                     if not rep["witnesses"]:
                         raise VerificationError(
                             f"witness law failed: delta={delta} gammas={gammas}")
-                    isq = cyclo_abs_sq(val)
                     bsq = rep["bound_sq"]
-                    if isinstance(isq, Fraction):
-                        ok = isq <= bsq
-                    else:
-                        ok = isq <= float(bsq) * (1 + 1e-9)
-                    if not ok:
+                    if not abs_sq_within(val * val.conjugate(), bsq):
+                        isq = cyclo_abs_sq(val)
                         raise VerificationError(
                             f"magnitude bound failed: delta={delta} "
                             f"gammas={gammas} |I0|^2={isq} bound^2={bsq}")

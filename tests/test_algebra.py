@@ -328,8 +328,73 @@ class TestCycloSum:
                             abs(a.complex_value()) ** 2, abs_tol=1e-9)
 
     @given(cyclo_values())
+    def test_real_sign_matches_floats(self, a):
+        re = a.complex_value().real
+        if abs(re) > 1e-9:
+            assert a.real_sign() == (1 if re > 0 else -1)
+        elif (a + a.conjugate()).is_zero():
+            assert a.real_sign() == 0
+
+    @given(cyclo_values())
     def test_zero_test_matches_floats(self, a):
         if a.is_zero():
             assert abs(a.complex_value()) < 1e-9
         else:
             assert abs(a.complex_value()) > 1e-9
+
+
+# p^k levels past the small ones above: odd primes, conductor up to 343
+LEVELS = {3: (2, 3, 4), 5: (2, 3), 7: (2, 3)}
+
+
+@st.composite
+def cyclo_pairs(draw):
+    """Two values of one prime at levels p^k in {9, 27, 81, 25, 125, 49,
+    343}; the second may sit at another level of the same prime."""
+    p = draw(st.sampled_from(sorted(LEVELS)))
+
+    def value():
+        k = draw(st.sampled_from(LEVELS[p]))
+        pk = p ** k
+        counts = {}
+        for _ in range(draw(st.integers(0, 8))):
+            r = draw(st.integers(0, pk - 1))
+            counts[r] = counts.get(r, 0) + draw(st.integers(-50, 50))
+        return CycloSum(p, k, counts, draw(st.integers(0, 3)))
+
+    return value(), value()
+
+
+def _form(v):
+    return (v.p, v.k, v.scale, v.counts)
+
+
+class TestCycloSumCanonicalProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(cyclo_pairs())
+    def test_idempotent(self, pair):
+        for v in pair:
+            c = v.canonical()
+            assert _form(c.canonical()) == _form(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclo_pairs())
+    def test_preserves_value(self, pair):
+        for v in pair:
+            tol = sum(abs(c) for c in v.counts.values()) * 1e-12
+            assert abs(v.canonical().complex_value()
+                       - v.complex_value()) <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclo_pairs())
+    def test_product_of_canonical_forms(self, pair):
+        x, y = pair
+        assert (_form((x * y).canonical())
+                == _form((x.canonical() * y.canonical()).canonical()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclo_pairs())
+    def test_commutes_with_conjugate(self, pair):
+        for v in pair:
+            assert (_form(v.conjugate().canonical())
+                    == _form(v.canonical().conjugate().canonical()))

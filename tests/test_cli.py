@@ -213,7 +213,10 @@ class TestDeterminismAndCache:
         warm, err = run(Fraction(2))
         assert "cache hit" in err
         assert warm == fresh
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+        # writing the current code's entry evicted the older build's one
+        entries = list((tmp_path / "cache").glob("*.json"))
+        assert len(entries) == 1
+        assert entries[0].name.startswith(fresh["request_hash"] + "-")
 
     def test_warm_run_at_same_code_hits(self, tmp_path):
         cache = tmp_path / "cache"

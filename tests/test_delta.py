@@ -7,10 +7,12 @@ import pytest
 
 from qcl.algebra import HurwitzQuat
 from qcl.errors import PreconditionError, VerificationError
+from qcl import delta as delta_mod
 from qcl.delta import (
-    DEFAULT_PROFILE, DeltaTestFn, b_term, delta_sum, dual_basis,
-    dual_double_audit, dual_norm_histogram, dual_norm_histogram_direct,
-    f2phi_at_zero, ghat, poisson_check, trace_pairing,
+    DEFAULT_PROFILE, DeltaTestFn, _in_scaled_order, _norm_shell, b_term,
+    delta_sum, dual_basis, dual_double_audit, dual_norm_histogram,
+    dual_norm_histogram_direct, f2phi_at_zero, ghat, index_sets,
+    poisson_check, support_divisors, trace_pairing,
 )
 
 ZERO = HurwitzQuat(0, 0, 0, 0)
@@ -29,6 +31,39 @@ def ghat_quadrature(s, profile):
 
     pts = mpmath.linspace(0, 1, max(8, int(4 * float(s)) + 8))
     return float(2 * mpmath.pi / s * mpmath.quad(f, pts))
+
+
+def scanned_index_sets(alpha, d):
+    """Reference for both index sets at norm d: scan every element of the
+    norm-d shell and keep those with alpha conj(delta), resp. conj(delta)
+    alpha, in d O."""
+    shell = _norm_shell(d)
+    return ({x.c for x in shell if _in_scaled_order(alpha * x.conjugate(), d)},
+            {x.c for x in shell if _in_scaled_order(x.conjugate() * alpha, d)})
+
+
+def assert_index_sets_match(alpha, divisors):
+    for d in divisors:
+        right, left = index_sets(alpha, d)
+        want_right, want_left = scanned_index_sets(alpha, d)
+        assert len(right) == len(want_right) and len(left) == len(want_left)
+        assert {x.c for x in right} == want_right, (alpha, d)
+        assert {x.c for x in left} == want_left, (alpha, d)
+
+
+def audit_shifts(seed):
+    """The nonzero shifts of `qcl audit delta`, drawn as the suite does."""
+    rng = random.Random(seed)
+    for Q in (8, 16, 32):
+        for _ in range(20):
+            while True:
+                par = rng.randrange(2)
+                c = [2 * rng.randrange(-Q // 2, Q // 2 + 1) + par
+                     for _ in range(4)]
+                alpha = HurwitzQuat(*c)
+                if not alpha.is_zero():
+                    break
+            yield alpha, Q
 
 
 def random_shift(rng, Q):
@@ -162,3 +197,83 @@ class TestDeltaSumNonzeroShift:
         alpha = HurwitzQuat.from_true(2 ** 9, 0, 0, 0)
         rep = delta_sum(alpha, 8)
         assert rep["difference"] == 0 and rep["terms"] == (0, 0)
+
+
+class TestIndexSets:
+    def test_audit_shifts_match_shell_scan(self):
+        from qcl import DEFAULT_SEED
+        for alpha, Q in audit_shifts(DEFAULT_SEED):
+            assert_index_sets_match(alpha, support_divisors(alpha.nrd(), Q))
+
+    @pytest.mark.parametrize("content", [2, 3, 6, 12])
+    def test_imprimitive_shifts_match_shell_scan(self, content):
+        for prim in (HurwitzQuat(1, 3, -1, 5),
+                     HurwitzQuat.from_true(2, 1, 0, 1)):
+            alpha = prim * content
+            assert alpha.content() == content
+            na = alpha.nrd()
+            assert_index_sets_match(
+                alpha, [d for d in range(1, min(na, 600) + 1) if na % d == 0])
+
+    def test_imprimitive_shift_uses_cofactor_shell(self, monkeypatch):
+        # alpha = 6 (1 + i): at d = 12 the generator has norm 2, and the
+        # cofactor shell of norm 6 holds 24 * sigma_odd(6) = 96 points
+        shells = []
+        monkeypatch.setattr(delta_mod, "_norm_shell",
+                            lambda n: shells.append(n) or _norm_shell(n))
+        alpha = HurwitzQuat.from_true(6, 6, 0, 0)
+        right, left = index_sets(alpha, 12)
+        assert shells == [6, 6]
+        assert len(right) == len(left) == 96
+        assert_index_sets_match(alpha, [12])
+
+    def test_unit_and_prime_norm_shifts(self):
+        unit = HurwitzQuat(1, 1, -1, 1)
+        assert unit.nrd() == 1
+        assert_index_sets_match(unit, [1])
+        prime = HurwitzQuat.from_true(6, 1, 0, 0)
+        assert prime.nrd() == 37
+        assert_index_sets_match(prime, [1, 37])
+        assert [len(s) for s in index_sets(prime, 37)] == [24, 24]
+
+    def test_wrong_generator_is_rejected(self, monkeypatch):
+        alpha = HurwitzQuat.from_true(6, 1, 0, 0)
+        # a left multiple of the true generator: inside L_d, too small
+        monkeypatch.setattr(delta_mod, "_ideal_generator",
+                            lambda rows: rows[0] * 3)
+        with pytest.raises(VerificationError):
+            index_sets(alpha, 37)
+        # a unit: generates the whole order, not L_d
+        monkeypatch.setattr(delta_mod, "_ideal_generator",
+                            lambda rows: HurwitzQuat(2, 0, 0, 0))
+        with pytest.raises(VerificationError):
+            index_sets(alpha, 37)
+        with pytest.raises(VerificationError):
+            delta_sum(alpha, 8)
+
+    def test_terms_match_scanned_sets(self):
+        # reference sums and term counts over the scanned index sets
+        alpha, Q = HurwitzQuat(3, 1, -5, 7), 16
+        na, Q2, p = alpha.nrd(), Q * Q, DEFAULT_PROFILE
+        s1 = s2 = Fraction(0)
+        n1 = n2 = 0
+        for d in support_divisors(na, Q):
+            right, left = scanned_index_sets(alpha, d)
+            n1, n2 = n1 + len(right), n2 + len(left)
+            big, small = Fraction(na, d * Q2), Fraction(d, Q2)
+            s1 += len(right) * p.phi1(big) * p.phi2(small)
+            s2 += len(left) * p.phi1(small) * p.phi2(big)
+        assert s1 == s2
+        rep = delta_sum(alpha, Q)
+        assert rep["difference"] == 0 and rep["terms"] == (n1, n2)
+
+    def test_nonzero_shift_skips_mpmath(self):
+        import subprocess
+        import sys
+        code = ("import sys; from qcl.algebra import HurwitzQuat; "
+                "from qcl.delta import delta_sum; "
+                "delta_sum(HurwitzQuat(3, 1, -5, 7), 16); "
+                "print('mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -132,7 +132,8 @@ class TestCosetKernel:
         grp, a, b = case
         c = group_convolve(a, b, grp)
         mass = int(a.sum()) * int(b.sum())
-        assert c.dtype == (np.int64 if mass < 2 ** 63 else object)
+        peak = min(int(a.max()) * int(b.sum()), int(a.sum()) * int(b.max()))
+        assert c.dtype == (np.int64 if peak < 2 ** 63 else object)
         assert list(c) == list(group_convolve_oracle(a, b, grp))
         assert int(c.sum()) == mass
 
@@ -178,6 +179,28 @@ class TestCosetKernel:
         monkeypatch.setattr(densities, "_convolve_cosets", None)
         with pytest.raises(BudgetError):
             group_convolve(big, big, grp, budget=cost - 1)
+
+    def test_entry_bound_keeps_int64(self, monkeypatch):
+        # the mass product of the last convolution passes 2^63, but the
+        # bound on its largest entry does not
+        kernel = densities._convolve_cosets
+        dtypes = []
+
+        masses = []
+
+        def recorded(a, b, grp, heads):
+            dtypes.append(a.dtype)
+            masses.append(int(a.sum(dtype=object)) * int(b.sum(dtype=object)))
+            return kernel(a, b, grp, heads)
+
+        monkeypatch.setattr(densities, "_convolve_cosets", recorded)
+        fast = split_density(3, 2, 9)
+        assert masses[-1] >= 2 ** 63
+        assert dtypes and all(dt == np.int64 for dt in dtypes)
+        monkeypatch.setattr(
+            densities, "_convolve_cosets", lambda a, b, grp, heads: kernel(
+                a.astype(object), b.astype(object), grp, heads))
+        assert split_density(3, 2, 9) == fast
 
     def test_negative_counts_rejected(self):
         grp = QuotientGroup.diagonal([2])

@@ -8,7 +8,7 @@ import pytest
 from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
 from qcl.errors import PreconditionError, VerificationError
 from qcl.expsums import (
-    _class_key, _cyclic_generator, _join_two_slots, _measure_table, _pack,
+    _class_key, _cyclic_generator, abs_sq_within, _join_two_slots, _measure_table, _pack,
     all_mats, cyclo_abs_sq, hessian_pair, i0_brute, i0_local,
     left_mul_matrix, local_integral_audit, matrix_cyclic_generator,
     nonabelian_gauss_integral, phase_integral_z, prime_case_report,
@@ -281,6 +281,17 @@ class TestLocalIntegralAudit:
     def test_small_audit_p3_n1_level2(self):
         report = local_integral_audit(3, 1, vds=(2,), max_gammas=40, seed=2)
         assert report["nonzero"] > 0
+
+    def test_magnitude_bound_is_certified(self):
+        # 2 + (2 - 2 cos(2 pi / 7^7)) = 2 + |1 - zeta|^2 exceeds 2 by about
+        # 5.8e-11, inside the old 1e-9 relative float slack
+        pk = 7 ** 7
+        sq = CycloSum(7, 7, {0: 4, 1: -1, pk - 1: -1})
+        assert sq.magnitude() <= float(Fraction(2)) * (1 + 1e-9)
+        assert not abs_sq_within(sq, Fraction(2))
+        assert abs_sq_within(sq, Fraction(2) + Fraction(1, 7 ** 11))
+        assert abs_sq_within(CycloSum.from_int(2, 7), Fraction(2))
+        assert not abs_sq_within(CycloSum.from_int(2, 7), Fraction(13, 7))
 
     def test_support_law_directly(self):
         # delta = p * I: gamma not divisible by p forces exact vanishing
