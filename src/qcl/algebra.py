@@ -1,6 +1,6 @@
-"""Exact arithmetic cores: integral quaternions, 2x2 matrix models over
-declared rings, the local division-order presentation at odd primes, and
-exact values of prime-power exponential sums.
+"""Exact arithmetic cores: integral quaternions in the Hurwitz order, the
+local division-order presentation at odd primes, and exact values of
+prime-power exponential sums.
 
 The flat 4-tuple helpers below (2x2 product, determinant, trace, adjugate
 and the Hamilton product) are the one definition of that arithmetic; the
@@ -128,9 +128,6 @@ class HurwitzQuat:
         a = self.c
         return HurwitzQuat(a[0], -a[1], -a[2], -a[3])
 
-    # `dagger` is the standard involution; for quaternions that is conjugation
-    dagger = conjugate
-
     def trd(self):
         return self.c[0]
 
@@ -199,164 +196,6 @@ def hq_to_basis_coords(x):
     c0, c1, c2, c3 = x.c
     # equal parities make each difference even
     return ((c0 - c3) // 2, (c1 - c3) // 2, (c2 - c3) // 2, c3)
-
-
-# ---------------------------------------------------------------------------
-# Rings and 2x2 matrices over them
-# ---------------------------------------------------------------------------
-
-
-class RingZ:
-    """The rational integers."""
-
-    def normalize(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise PreconditionError("non-integer over the integer ring")
-            return int(x)
-        return int(x)
-
-    def __eq__(self, other):
-        return isinstance(other, RingZ)
-
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
-
-
-class RingZMod:
-    """Integers mod m (m a prime power in all uses here)."""
-
-    def __init__(self, m):
-        if m <= 1:
-            raise PreconditionError("modulus must exceed 1")
-        self.m = int(m)
-
-    def normalize(self, x):
-        return int(x) % self.m
-
-    def __eq__(self, other):
-        return isinstance(other, RingZMod) and self.m == other.m
-
-    def __hash__(self):
-        return hash(("ZMod", self.m))
-
-    def __repr__(self):
-        return f"Z/{self.m}"
-
-
-class RingQ:
-    """Rationals (used with denominators a power of a single prime)."""
-
-    def normalize(self, x):
-        return Fraction(x)
-
-    def __eq__(self, other):
-        return isinstance(other, RingQ)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
-
-ZZ = RingZ()
-QQ = RingQ()
-
-
-class Mat2:
-    """2x2 matrix with a carried ring tag.
-
-    trd = trace, nrd = determinant, dagger = adjugate (the standard
-    involution of the matrix model).
-    """
-
-    __slots__ = ("e", "ring")
-
-    def __init__(self, entries, ring=ZZ):
-        n = ring.normalize
-        (a, b), (c, d) = entries
-        object.__setattr__(self, "e", ((n(a), n(b)), (n(c), n(d))))
-        object.__setattr__(self, "ring", ring)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Mat2 is immutable")
-
-    @classmethod
-    def identity(cls, ring=ZZ):
-        return cls(((1, 0), (0, 1)), ring)
-
-    @classmethod
-    def zero(cls, ring=ZZ):
-        return cls(((0, 0), (0, 0)), ring)
-
-    def __repr__(self):
-        return f"Mat2({self.e}, {self.ring})"
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and self.ring == other.ring and self.e == other.e
-
-    def __hash__(self):
-        return hash((self.e, self.ring))
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise PreconditionError(f"ring mismatch: {self.ring} vs {other.ring}")
-
-    def __add__(self, other):
-        self._check(other)
-        (a, b), (c, d) = self.e
-        (e, f), (g, h) = other.e
-        return Mat2(((a + e, b + f), (c + g, d + h)), self.ring)
-
-    def __sub__(self, other):
-        self._check(other)
-        (a, b), (c, d) = self.e
-        (e, f), (g, h) = other.e
-        return Mat2(((a - e, b - f), (c - g, d - h)), self.ring)
-
-    def __neg__(self):
-        (a, b), (c, d) = self.e
-        return Mat2(((-a, -b), (-c, -d)), self.ring)
-
-    def __mul__(self, other):
-        if isinstance(other, Mat2):
-            self._check(other)
-            (a, b), (c, d) = self.e
-            (e, f), (g, h) = other.e
-            return Mat2(((a * e + b * g, a * f + b * h),
-                         (c * e + d * g, c * f + d * h)), self.ring)
-        (a, b), (c, d) = self.e
-        return Mat2(((a * other, b * other), (c * other, d * other)), self.ring)
-
-    __rmul__ = __mul__
-
-    def trd(self):
-        return self.ring.normalize(self.e[0][0] + self.e[1][1])
-
-    def nrd(self):
-        (a, b), (c, d) = self.e
-        return self.ring.normalize(a * d - b * c)
-
-    def dagger(self):
-        (a, b), (c, d) = self.e
-        return Mat2(((d, -b), (-c, a)), self.ring)
-
-    def to_ring(self, ring):
-        return Mat2(self.e, ring)
-
-    def entries_flat(self):
-        return (self.e[0][0], self.e[0][1], self.e[1][0], self.e[1][1])
-
-
-def reduced_invariants(x):
-    """(trd, nrd, dagger) for any of the element models."""
-    if isinstance(x, (HurwitzQuat, Mat2, NonsplitLocalElem)):
-        return (x.trd(), x.nrd(), x.dagger())
-    raise PreconditionError(f"unsupported element type {type(x)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +287,6 @@ class NonsplitLocalElem:
         z = self.z
         return NonsplitLocalElem((z[0], -z[1], -z[2], -z[3]), self.p, self.N, self.u)
 
-    dagger = conjugate
-
     def trd(self):
         return (2 * self.z[0]) % (self.p ** self.N)
 
@@ -457,72 +294,6 @@ class NonsplitLocalElem:
         z1, z2, z3, z4 = self.z
         p, u = self.p, self.u
         return (z1 * z1 - u * z2 * z2 - p * z3 * z3 + p * u * z4 * z4) % (p ** self.N)
-
-
-def nonsplit_uniformizer(p, N, u=None):
-    """The element P with P^2 = p."""
-    return NonsplitLocalElem((0, 0, 1, 0), p, N, u)
-
-
-def nonsplit_sqrt_u(p, N, u=None):
-    return NonsplitLocalElem((0, 1, 0, 0), p, N, u)
-
-
-# ---------------------------------------------------------------------------
-# Splitting the quaternions at an odd prime
-# ---------------------------------------------------------------------------
-
-_SPLIT_CACHE = {}
-
-
-def _split_generators(p, N):
-    """Matrices for i and j over Z/p^N: i -> [[a,b],[b,-a]], j -> [[0,1],[-1,0]]
-    with a^2 + b^2 + 1 = 0 mod p^N, lifted from a mod-p solution."""
-    key = (p, N)
-    if key in _SPLIT_CACHE:
-        return _SPLIT_CACHE[key]
-    sol = None
-    for a in range(1, p):  # insist a is a unit so the lift has a usable derivative
-        for b in range(p):
-            if (a * a + b * b + 1) % p == 0:
-                sol = (a, b)
-                break
-        if sol:
-            break
-    if sol is None:
-        raise PreconditionError(f"no splitting datum mod {p}")
-    a, b = sol
-    m = p
-    while m < p ** N:
-        m = min(m * m, p ** N)
-        f = (a * a + b * b + 1) % m
-        a = (a - f * pow(2 * a, -1, m)) % m
-    m = p ** N
-    if (a * a + b * b + 1) % m:
-        raise VerificationError(f"Hensel lift failed mod {p}^{N}")
-    ring = RingZMod(m)
-    mi = Mat2(((a, b), (b, -a)), ring)
-    mj = Mat2(((0, 1), (-1, 0)), ring)
-    _SPLIT_CACHE[key] = (mi, mj, ring)
-    return _SPLIT_CACHE[key]
-
-
-def split_embed(x, p, N):
-    """Ring embedding of an integral quaternion into M_2(Z/p^N), p odd.
-
-    Preserves trd and nrd; the particular embedding is one choice among
-    conjugate ones, so tests compare invariants rather than raw entries.
-    """
-    if p == 2:
-        raise PreconditionError("the quaternions do not split at 2")
-    mi, mj, ring = _split_generators(p, N)
-    m = p ** N
-    inv2 = pow(2, -1, m)
-    mk = mi * mj
-    one = Mat2.identity(ring)
-    c0, c1, c2, c3 = x.c
-    acc = one * (c0 * inv2) + mi * (c1 * inv2) + mj * (c2 * inv2) + mk * (c3 * inv2)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +308,8 @@ class CycloSum:
     (the remaining powers of the root of unity form a Q-basis), drops
     the conductor when the support allows it, and strips common p-factors
     against the scale. Equality and zero tests are exact on canonical
-    forms; real_sign() certifies the sign of the real part, and
+    forms; real_sign() certifies the sign of the real part, at_most()
+    compares a real value with a rational bound through it, and
     magnitude() is an approximate float.
     """
 
@@ -778,5 +550,9 @@ class CycloSum:
         raise VerificationError(f"sign not resolved at {max_prec} bits")
 
 
-def cyclo_canonicalize(v):
-    return v.canonical()
+    def at_most(self, bound):
+        """Certified self <= bound for a real value and a rational bound
+        whose denominator is a power of p: the sign of self - bound is
+        exact when the difference is rational and certified by
+        `real_sign` when it is irrational (then it is nonzero)."""
+        return (self - CycloSum.from_fraction(bound, self.p)).real_sign() <= 0

@@ -205,7 +205,8 @@ def _parse_signs(text):
                    "thread-count invariant.")
 @click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
 @click.option("--budget", default=None, type=int,
-              help="Element-operation cap forwarded to the engines.")
+              help="Recorded in the request, so it changes the request "
+                   "hash; no engine reads it.")
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="Key=value config file.")
 @click.pass_context

@@ -39,14 +39,13 @@ factor 1/2.  The Gram matrix is inverted by the field Gauss-Jordan
 `qcl.lattices.norm_count`.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords,
                       hq_to_basis_coords)
-from .errors import BudgetError, PreconditionError, VerificationError
+from .errors import PreconditionError, VerificationError
 from .lattices import norm_count
 from .linalg import congruence_lattice, field_rref, row_hnf
 
@@ -156,30 +155,6 @@ def dual_double_audit():
     if _lattice_hnf_key(dd) != _lattice_hnf_key(ORDER_BASIS):
         raise VerificationError("double dual differs from the order")
     return True
-
-
-def dual_norm_histogram_direct(max_nsq):
-    """Counts of Euclidean norm-squared values over the dual lattice,
-    keyed by 4*|xi|^2 (an integer), by direct coefficient enumeration.
-    Exact but slow; kept as an oracle for the convolution route."""
-    D = dual_basis()
-    Dinv = _mat_inv4(D)
-    colnorm = [math.sqrt(sum(float(Dinv[i][j]) ** 2 for i in range(4)))
-               for j in range(4)]
-    r = math.sqrt(max_nsq)
-    bounds = [int(math.floor(r * c)) + 1 for c in colnorm]
-    if math.prod(2 * b + 1 for b in bounds) > 10 ** 7:
-        raise BudgetError("dual enumeration box too large")
-    hist = {}
-    for k in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        xi = [sum(k[j] * D[j][i] for j in range(4)) for i in range(4)]
-        nsq = sum(v * v for v in xi)
-        if nsq <= max_nsq:
-            key = 4 * nsq
-            if key.denominator != 1:
-                raise VerificationError(f"dual norm 4*{nsq} is not integral")
-            hist[int(key)] = hist.get(int(key), 0) + 1
-    return hist
 
 
 def dual_norm_histogram(max_nsq):

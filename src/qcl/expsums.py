@@ -10,8 +10,6 @@ Main objects, all exact:
   I0(delta, gamma) = avg over Y in O^n of
   [delta^{-1} P(Y) integral] * e(trd(gamma . Y) / det(delta)),
   where P(Y) = sum of slotwise squares (with optional unit coefficients).
-* `phase_integral_z`: the unconstrained companion with the constraint
-  replaced by a phase tr(Z adj(delta) P(Y)).
 * `w_measure` / `w_class_sum_report`: the volume of auxiliary matrices Z for
   which a target lies on the scalar line through Z times the cyclic image
   generator, read from one exact count table per (generator, modulus).
@@ -296,65 +294,6 @@ def _join_two_slots(slot1, slot2, qc):
     return counts
 
 
-def i0_brute(delta, gammas, p, coeffs=None):
-    """Independent slow reference for i0_local (tiny inputs only)."""
-    n = len(gammas)
-    det = det_flat(delta)
-    vd = pval(det, p)
-    if vd == 0:
-        return CycloSum.from_int(1, p)
-    q = p ** vd
-    if q ** (4 * n) > 10 ** 7:
-        raise BudgetError("brute reference too large")
-    if coeffs is None:
-        coeffs = [1] * n
-    adj = adj_flat(delta)
-    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
-    counts = {}
-    for ys in itertools.product(range(q), repeat=4 * n):
-        s = (0, 0, 0, 0)
-        ph = 0
-        for i in range(n):
-            yi = ys[4 * i:4 * i + 4]
-            sq = mat_mul_flat(yi, yi)
-            s = tuple((s[t] + coeffs[i] * sq[t]) % q for t in range(4))
-            g = gammas[i]
-            ph += g[0] * yi[0] + g[2] * yi[1] + g[1] * yi[2] + g[3] * yi[3]
-        cond = mat_mul_flat(adj, s)
-        if all(t % q == 0 for t in cond):
-            r = ph * inv_u % q
-            counts[r] = counts.get(r, 0) + 1
-    return CycloSum(p, vd, counts, scale=4 * n * vd)
-
-
-def phase_integral_z(zmat, delta, gammas, p, coeffs=None, budget=10 ** 7):
-    """The unconstrained companion integral: average over Y in O^n of
-    e(tr(Z adj(delta) P(Y)) + trd(gamma . Y)) / det(delta)). Factors over
-    slots, so it is a product of single-slot sums."""
-    det = det_flat(delta)
-    vd = pval(det, p)
-    if vd == 0:
-        return CycloSum.from_int(1, p)
-    q = p ** vd
-    if q ** 4 > budget:
-        raise BudgetError("enumeration exceeds budget")
-    n = len(gammas)
-    if coeffs is None:
-        coeffs = [1] * n
-    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
-    zadj = mat_mul_flat(zmat, adj_flat(delta))
-    y = all_mats(q)
-    acc = CycloSum.from_int(1, p)
-    for i, g in enumerate(gammas):
-        s = mat_square_flat(y, q) * (coeffs[i] % q) % q
-        r = (_trace_pair(s, zadj, q) + _grid_trace_pair(g, q, q)) % q * inv_u % q
-        counts = np.bincount(r, minlength=q)
-        slot = CycloSum(p, vd, {int(t): int(c) for t, c in enumerate(counts) if c},
-                        scale=4 * vd)
-        acc = acc * slot
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Cyclic image generator and the auxiliary measure
 # ---------------------------------------------------------------------------
@@ -556,14 +495,6 @@ def cyclo_abs_sq(v):
     return sq.magnitude()
 
 
-def abs_sq_within(sq, bound_sq):
-    """Certified sq <= bound_sq for a real CycloSum sq and a rational bound
-    whose denominator is a power of p: the sign of D = sq - bound_sq is
-    exact when D is rational and certified by `CycloSum.real_sign` when it
-    is irrational (then D != 0)."""
-    return (sq - CycloSum.from_fraction(bound_sq, sq.p)).real_sign() <= 0
-
-
 def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
                          check_class_sum=True):
     """Audit the support, witness, and magnitude-bound laws of i0_local.
@@ -574,7 +505,7 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
       * out-of-support gammas give exactly zero;
       * a nonzero value implies a witness exists;
       * |I0|^2 <= best witness bound squared, decided exactly
-        (`abs_sq_within`);
+        (`CycloSum.at_most`);
       * the class-sum bound for the measure factors.
     Raises VerificationError on any failure; returns a summary dict.
     """
@@ -614,7 +545,7 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
                         raise VerificationError(
                             f"witness law failed: delta={delta} gammas={gammas}")
                     bsq = rep["bound_sq"]
-                    if not abs_sq_within(val * val.conjugate(), bsq):
+                    if not (val * val.conjugate()).at_most(bsq):
                         isq = cyclo_abs_sq(val)
                         raise VerificationError(
                             f"magnitude bound failed: delta={delta} "

@@ -14,10 +14,9 @@ scripts/calibrate_lattice_constants.py and are frozen here; they are not
 derived bounds.
 """
 
-import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import HQ_BASIS, HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords

@@ -173,22 +173,6 @@ def reduce_mod_hnf(v, h):
     return v
 
 
-def hnf_coset_reps(h, budget=10 ** 7):
-    """All coset representatives of Z^n modulo the HNF-basis lattice.
-
-    Yields the mixed-radix box over the diagonal, each entry reduced to its
-    canonical representative.
-    """
-    from .errors import BudgetError
-    n = len(h)
-    total = hnf_determinant(h)
-    if total > budget:
-        raise BudgetError(f"{total} cosets exceed budget {budget}")
-    ranges = [range(h[i][i]) for i in range(n)]
-    for tup in itertools.product(*ranges):
-        yield list(tup)
-
-
 def determinantal_divisors(a):
     """d_k = gcd of all k x k minors, k = 1..min(m,n). Zero means all minors
     vanish. Intended for small matrices (used on 4 x 4)."""

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qcl.algebra import (
     HQ_I, HQ_J, HQ_K, HQ_OMEGA, HQ_ONE,
-    CycloSum, HurwitzQuat, Mat2, NonsplitLocalElem, RingZMod, ZZ, QQ,
+    CycloSum, HurwitzQuat, NonsplitLocalElem,
     adj_flat, det_flat, hq_from_basis_coords, hq_to_basis_coords,
-    mat_mul_flat, quat_mul_flat, trace_flat,
-    nonsplit_sqrt_u, nonsplit_uniformizer, smallest_nonresidue, split_embed,
+    mat_mul_flat, quat_mul_flat, trace_flat, smallest_nonresidue,
 )
 from qcl.errors import PreconditionError, VerificationError
 
@@ -127,50 +126,19 @@ class TestHurwitzQuat:
             assert (a * b).sup_norm() <= 4 * a.sup_norm() * b.sup_norm()
 
 
-# -- 2x2 matrices ------------------------------------------------------------
-
-class TestMat2:
-    def test_cayley_hamilton(self):
-        m = Mat2(((3, -1), (4, 2)), ZZ)
-        lhs = m * m - m * m.trd() + Mat2.identity(ZZ) * m.nrd()
-        assert lhs == Mat2.zero(ZZ)
-
-    def test_dagger_involution(self):
-        m = Mat2(((3, -1), (4, 2)), ZZ)
-        assert m.dagger().dagger() == m
-        assert m + m.dagger() == Mat2.identity(ZZ) * m.trd()
-        assert m * m.dagger() == Mat2.identity(ZZ) * m.nrd()
-
-    def test_ring_mismatch_rejected(self):
-        a = Mat2(((1, 0), (0, 1)), ZZ)
-        b = Mat2(((1, 0), (0, 1)), RingZMod(9))
-        with pytest.raises(PreconditionError):
-            a + b
-
-    def test_modular_normalization(self):
-        r = RingZMod(7)
-        m = Mat2(((8, -1), (14, 3)), r)
-        assert m.entries_flat() == (1, 6, 0, 3)
-
-    def test_fraction_entries(self):
-        m = Mat2(((Fraction(1, 2), 1), (0, Fraction(1, 2))), QQ)
-        assert m.nrd() == Fraction(1, 4)
-        assert m.trd() == 1
-
-
 # -- local division order ----------------------------------------------------
 
 class TestNonsplitLocalElem:
     def test_uniformizer_squares_to_p(self):
         for p, N in [(3, 3), (5, 2), (7, 2)]:
-            P = nonsplit_uniformizer(p, N)
+            P = NonsplitLocalElem((0, 0, 1, 0), p, N)
             assert (P * P).z == (p % p ** N, 0, 0, 0)
 
     def test_twist_relation(self):
         # P * sqrt(u) = -sqrt(u) * P at precision 3^3
         p, N = 3, 3
-        P = nonsplit_uniformizer(p, N)
-        s = nonsplit_sqrt_u(p, N)
+        P = NonsplitLocalElem((0, 0, 1, 0), p, N)
+        s = NonsplitLocalElem((0, 1, 0, 0), p, N)
         assert P * s == -(s * P)
         assert s * s == NonsplitLocalElem((smallest_nonresidue(p), 0, 0, 0), p, N)
 
@@ -198,41 +166,6 @@ class TestNonsplitLocalElem:
     def test_even_prime_rejected(self):
         with pytest.raises(PreconditionError):
             NonsplitLocalElem((1, 0, 0, 0), 2, 3)
-
-
-# -- splitting map -----------------------------------------------------------
-
-class TestSplitEmbed:
-    @pytest.mark.parametrize("p,N", [(3, 2), (5, 3), (7, 1), (13, 2)])
-    def test_generator_relations(self, p, N):
-        m = p ** N
-        mi = split_embed(HQ_I, p, N)
-        mj = split_embed(HQ_J, p, N)
-        mk = split_embed(HQ_K, p, N)
-        minus_one = Mat2.identity(RingZMod(m)) * (m - 1)
-        assert mi * mi == minus_one
-        assert mj * mj == minus_one
-        assert mi * mj == mk
-        assert mj * mi == -mk
-
-    @pytest.mark.parametrize("p,N", [(3, 3), (5, 2)])
-    def test_ring_homomorphism_preserving_invariants(self, p, N):
-        m = p ** N
-        import random
-        rng = random.Random(3)
-        for _ in range(40):
-            a = hq_from_basis_coords([rng.randrange(-20, 20) for _ in range(4)])
-            b = hq_from_basis_coords([rng.randrange(-20, 20) for _ in range(4)])
-            fa, fb = split_embed(a, p, N), split_embed(b, p, N)
-            assert split_embed(a * b, p, N) == fa * fb
-            assert split_embed(a + b, p, N) == fa + fb
-            assert fa.trd() == a.trd() * pow(2, -1, m) * 2 % m
-            assert fa.nrd() == a.nrd() % m
-            assert split_embed(a.conjugate(), p, N) == fa.dagger()
-
-    def test_p_two_rejected(self):
-        with pytest.raises(PreconditionError):
-            split_embed(HQ_I, 2, 3)
 
 
 # -- exact root-of-unity sums ------------------------------------------------
@@ -334,6 +267,17 @@ class TestCycloSum:
             assert a.real_sign() == (1 if re > 0 else -1)
         elif (a + a.conjugate()).is_zero():
             assert a.real_sign() == 0
+
+    def test_at_most_is_certified(self):
+        # 2 + (2 - 2 cos(2 pi / 7^7)) = 2 + |1 - zeta|^2 exceeds 2 by about
+        # 5.8e-11, inside the old 1e-9 relative float slack
+        pk = 7 ** 7
+        sq = CycloSum(7, 7, {0: 4, 1: -1, pk - 1: -1})
+        assert sq.magnitude() <= float(Fraction(2)) * (1 + 1e-9)
+        assert not sq.at_most(Fraction(2))
+        assert sq.at_most(Fraction(2) + Fraction(1, 7 ** 11))
+        assert CycloSum.from_int(2, 7).at_most(Fraction(2))
+        assert not CycloSum.from_int(2, 7).at_most(Fraction(13, 7))
 
     @given(cyclo_values())
     def test_zero_test_matches_floats(self, a):

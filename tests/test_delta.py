@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,16 +7,40 @@ import mpmath
 import pytest
 
 from qcl.algebra import HurwitzQuat
-from qcl.errors import PreconditionError, VerificationError
+from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl import delta as delta_mod
 from qcl.delta import (
-    DEFAULT_PROFILE, DeltaTestFn, _in_scaled_order, _norm_shell, b_term,
-    delta_sum, dual_basis, dual_double_audit, dual_norm_histogram,
-    dual_norm_histogram_direct, f2phi_at_zero, ghat, index_sets,
-    poisson_check, support_divisors, trace_pairing,
+    DEFAULT_PROFILE, DeltaTestFn, _in_scaled_order, _mat_inv4, _norm_shell,
+    b_term, delta_sum, dual_basis, dual_double_audit, dual_norm_histogram,
+    f2phi_at_zero, ghat, index_sets, poisson_check, support_divisors,
+    trace_pairing,
 )
 
 ZERO = HurwitzQuat(0, 0, 0, 0)
+
+
+def dual_norm_histogram_direct(max_nsq):
+    """Counts of Euclidean norm-squared values over the dual lattice,
+    keyed by 4*|xi|^2 (an integer), by direct coefficient enumeration.
+    Exact but slow; kept as an oracle for the convolution route."""
+    D = dual_basis()
+    Dinv = _mat_inv4(D)
+    colnorm = [math.sqrt(sum(float(Dinv[i][j]) ** 2 for i in range(4)))
+               for j in range(4)]
+    r = math.sqrt(max_nsq)
+    bounds = [int(math.floor(r * c)) + 1 for c in colnorm]
+    if math.prod(2 * b + 1 for b in bounds) > 10 ** 7:
+        raise BudgetError("dual enumeration box too large")
+    hist = {}
+    for k in itertools.product(*[range(-b, b + 1) for b in bounds]):
+        xi = [sum(k[j] * D[j][i] for j in range(4)) for i in range(4)]
+        nsq = sum(v * v for v in xi)
+        if nsq <= max_nsq:
+            key = 4 * nsq
+            if key.denominator != 1:
+                raise VerificationError(f"dual norm 4*{nsq} is not integral")
+            hist[int(key)] = hist.get(int(key), 0) + 1
+    return hist
 
 
 def ghat_quadrature(s, profile):

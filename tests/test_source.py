@@ -15,3 +15,82 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+ROOT_MODULES = ("cli", "audits", "errors", "__init__")
+SCRIPTS = SRC.parents[1] / "scripts"
+
+# Top-level names that no command, audit suite or script reaches: the
+# paper's one-slot Gauss integral and small helpers that tests call directly.
+UNREACHED = frozenset({
+    "algebra.HQ_K", "expsums._trace_pair", "expsums.nonabelian_gauss_integral",
+    "expsums.hessian_pair", "expsums.quadratic_magnitude_expected_sq",
+    "expsums.w_measure", "lattices.sup_norm_of_coords",
+})
+
+
+def _top_level_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [(a.asname or a.name).split(".")[0] for a in stmt.names]
+    return []
+
+
+def _referenced_names(node):
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def test_every_definition_is_reached():
+    """Every top-level definition in src/qcl is reached by name from the CLI,
+    the audit suites, the error types or the scripts, except UNREACHED.
+
+    Matching by bare name over-approximates what is reachable, so live code
+    never fails this rule; a definition that only tests use does."""
+    defs = {}       # "module.name" -> statements that bind it
+    by_name = {}    # bare name -> {"module.name", ...}
+    plain = []      # module-level statements that bind nothing
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            names = _top_level_names(stmt)
+            if not names:
+                plain.append(stmt)
+            for name in names:
+                key = f"{path.stem}.{name}"
+                defs.setdefault(key, []).append(stmt)
+                by_name.setdefault(name, set()).add(key)
+
+    todo = [k for k in defs if k.split(".")[0] in ROOT_MODULES]
+    for path in sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qcl"):
+                todo.extend(k for a in node.names for k in by_name.get(a.name, ()))
+    for stmt in plain:
+        todo.extend(k for n in _referenced_names(stmt) for k in by_name.get(n, ()))
+
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        for stmt in defs[key]:
+            for n in _referenced_names(stmt):
+                todo.extend(by_name.get(n, ()))
+
+    unreached = {k for k, stmts in defs.items() if k not in reached
+                 and not all(isinstance(s, (ast.Import, ast.ImportFrom))
+                             for s in stmts)}
+    assert unreached == UNREACHED
