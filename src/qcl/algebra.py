@@ -76,9 +76,8 @@ class HurwitzQuat:
     __slots__ = ("c",)
 
     def __init__(self, c0, c1, c2, c3):
-        c = (int(c0), int(c1), int(c2), int(c3))
-        par = c[0] & 1
-        if any((ci & 1) != par for ci in c):
+        c0, c1, c2, c3 = c = (int(c0), int(c1), int(c2), int(c3))
+        if ((c0 ^ c1) | (c0 ^ c2) | (c0 ^ c3)) & 1:
             raise PreconditionError(f"doubled coordinates {c} have mixed parity")
         object.__setattr__(self, "c", c)
 
@@ -301,6 +300,52 @@ class NonsplitLocalElem:
 # ---------------------------------------------------------------------------
 
 
+def _cyclic_product(a, sa, b, sb, n):
+    """{r: c} with c != 0 for (sum a[r] x^(r sa)) (sum b[r] x^(r sb)) taken
+    mod x^n - 1, where every r * sa and r * sb lies in [0, n).
+
+    Kronecker substitution: each operand is evaluated at x = 2^w as one
+    signed Python int, packed by shifting, and one big-integer product
+    replaces the |a| |b| coefficient products.  Every coefficient of the
+    product, before and after the fold mod x^n - 1, is at most
+    B = min(max|a| sum|b|, sum|a| max|b|) in absolute value (so is every
+    input coefficient), and w is chosen with 2^(w-1) >= B + 2.  Adding
+    2^(w-1) to each of the n folded coefficients then gives digits in
+    [2, 2^w - 2], so that sum is the residue of product + offset mod
+    2^(n w) - 1 (the value of x^n - 1), and its base-2^w digits minus
+    2^(w-1) are the coefficients.  Exact at any coefficient size.
+    """
+    absa = [abs(c) for c in a.values()]
+    absb = [abs(c) for c in b.values()]
+    bound = min(max(absa) * sum(absb), sum(absa) * max(absb))
+    width = ((bound + 1).bit_length() + 8) // 8  # bytes per digit
+    bits = 8 * width
+
+    def evaluate(d, s):
+        pos = neg = 0
+        for r, c in d.items():
+            if c > 0:
+                pos |= c << (r * s * bits)
+            else:
+                neg |= -c << (r * s * bits)
+        return pos - neg
+
+    prod = evaluate(a, sa) * evaluate(b, sb)
+    span = n * bits
+    modulus = (1 << span) - 1
+    half = 1 << (bits - 1)
+    offset = modulus // ((1 << bits) - 1) * half  # half in every digit
+    # prod = high 2^span + low, and 2^span = 1 mod the modulus
+    folded = ((prod & modulus) + (prod >> span) + offset) % modulus
+    raw = folded.to_bytes(n * width, "little")
+    out = {}
+    for r in range(n):
+        c = int.from_bytes(raw[r * width:(r + 1) * width], "little") - half
+        if c:
+            out[r] = c
+    return out
+
+
 class CycloSum:
     """Exact value p^(-scale) * sum_r counts[r] * e^(2 pi i r / p^k).
 
@@ -310,7 +355,9 @@ class CycloSum:
     against the scale. Equality and zero tests are exact on canonical
     forms; real_sign() certifies the sign of the real part, at_most()
     compares a real value with a rational bound through it, and
-    magnitude() is an approximate float.
+    magnitude() is an approximate float.  The product of two values is one
+    big-integer product by Kronecker substitution (_cyclic_product), exact
+    at any coefficient size.
     """
 
     __slots__ = ("p", "k", "counts", "scale")
@@ -480,15 +527,12 @@ class CycloSum:
             raise PreconditionError("mixed-prime values are not combinable")
         p = self.p
         k = max(self.k, other.k)
-        pk = p ** k
-        sa = p ** (k - self.k)
-        sb = p ** (k - other.k)
-        out = {}
-        for r1, c1 in self.counts.items():
-            for r2, c2 in other.counts.items():
-                r = (r1 * sa + r2 * sb) % pk
-                out[r] = out.get(r, 0) + c1 * c2
-        return CycloSum(p, k, out, self.scale + other.scale)
+        scale = self.scale + other.scale
+        if not self.counts or not other.counts:
+            return CycloSum(p, k, {}, scale)
+        out = _cyclic_product(self.counts, p ** (k - self.k),
+                              other.counts, p ** (k - other.k), p ** k)
+        return CycloSum(p, k, out, scale)
 
     __rmul__ = __mul__
 

@@ -96,7 +96,7 @@ def suite_prime_case(seed=DEFAULT_SEED):
         for q in (3, 5):
             for n in (1, 2):
                 if s2_brute(q, n) != s2_closed(q, n):
-                    raise PreconditionError(f"closed count fails q={q} n={n}")
+                    raise VerificationError(f"closed count fails q={q} n={n}")
                 checked += 1
         return {"checked": checked}
 
@@ -175,7 +175,7 @@ def suite_lattices(seed=DEFAULT_SEED):
                 for j in range(4):
                     vec = [inst["m"] if t == j else 0 for t in range(4)]
                     if any(reduce_mod_hnf(vec, lat.hnf)):
-                        raise PreconditionError("scaled order escapes lattice")
+                        raise VerificationError("scaled order escapes lattice")
                 inner += 1
         return {"instances": len(corpus), "inner_checked": inner}
 
@@ -185,10 +185,10 @@ def suite_lattices(seed=DEFAULT_SEED):
             mins = successive_minima(lat, max(4, 2 * inst["m"]))
             prod, lo, hi = minkowski_bracket(lat, mins)
             if not lo <= prod <= hi:
-                raise PreconditionError(f"bracket fails: {inst}")
+                raise VerificationError(f"bracket fails: {inst}")
             if inst["H"] == 1:
                 if mins[1] ** 2 < Fraction(inst["K"], 12):
-                    raise PreconditionError(f"second minimum fails: {inst}")
+                    raise VerificationError(f"second minimum fails: {inst}")
                 h1 += 1
         return {"instances": len(corpus), "h1_instances": h1}
 
@@ -204,7 +204,7 @@ def suite_lattices(seed=DEFAULT_SEED):
         for inst in corpus:
             rep = eta_congruence_checks(inst["eta"], inst["K"], seed=seed)
             if rep["theta_count"] != inst["K"] ** 2:
-                raise PreconditionError(f"theta count fails: {inst}")
+                raise VerificationError(f"theta count fails: {inst}")
         return {"instances": len(corpus)}
 
     return _run_checks("lattices", [
@@ -241,7 +241,7 @@ def suite_geometry(seed=DEFAULT_SEED):
                 # both kernels are 2-dimensional; intersection dim is
                 # 4 - rank of the stacked bases
                 if 4 - mat_rank(maps[w1] + maps[w2], q) > 1:
-                    raise PreconditionError(
+                    raise VerificationError(
                         f"kernels of {w1}, {w2} meet in dim > 1")
                 total += 1
         return {"pairs": total}
@@ -257,7 +257,7 @@ def suite_geometry(seed=DEFAULT_SEED):
                     continue
                 for ups in ((1, 1), (1, -1)):
                     if hessian_rank(w, 2, ups, "matrix", q) < 4:
-                        raise PreconditionError(f"block rank fails: {w}")
+                        raise VerificationError(f"block rank fails: {w}")
                 checked += 1
         return {"checked": checked}
 
@@ -274,7 +274,7 @@ def suite_geometry(seed=DEFAULT_SEED):
             quad = sum(J[i][j] * y[i] * y[j]
                        for i in range(4) for j in range(4))
             if quad != 2 * form:
-                raise PreconditionError(f"form identity fails at {w}")
+                raise VerificationError(f"form identity fails at {w}")
             done += 1
         return {"checked": done}
 
@@ -305,7 +305,7 @@ def suite_delta(seed=DEFAULT_SEED):
                         break
                 rep = delta_sum(alpha, Q)
                 if rep["difference"] != 0:
-                    raise PreconditionError(f"nonzero residual at {alpha}")
+                    raise VerificationError(f"nonzero residual at {alpha}")
                 zeros += 1
         return {"zeros": zeros}
 
@@ -322,12 +322,12 @@ def suite_delta(seed=DEFAULT_SEED):
                 limit = f2phi_at_zero() / 2
             gaps.append(abs(bt - limit))
         if not (rels[0] > rels[1] > rels[2]):
-            raise PreconditionError(f"ratio ladder not improving: {rels}")
+            raise VerificationError(f"ratio ladder not improving: {rels}")
         if rels[2] > 0.01:
-            raise PreconditionError(f"final ratio too large: {rels[2]}")
+            raise VerificationError(f"final ratio too large: {rels[2]}")
         # main-term gap shrinks faster than the square of the height step
         if not (gaps[1] < gaps[0] / 4 and gaps[2] < gaps[1]):
-            raise PreconditionError(f"main-term gap decays too slowly: {gaps}")
+            raise VerificationError(f"main-term gap decays too slowly: {gaps}")
         return {"rel_ladder_approx": rels, "gap_ladder_approx": gaps}
 
     def poisson():
@@ -335,7 +335,7 @@ def suite_delta(seed=DEFAULT_SEED):
         for sc in (Fraction(1, 8), Fraction(1, 2), 1, Fraction(3, 2), 8):
             _, _, rel = poisson_check(sc)
             if rel > 1e-10:
-                raise PreconditionError(f"poisson fails at scale {sc}")
+                raise VerificationError(f"poisson fails at scale {sc}")
         return {"scales": 5}
 
     return _run_checks("delta", [
@@ -354,7 +354,7 @@ def suite_counting(seed=DEFAULT_SEED):
             for ups in itertools.product((1, -1), repeat=n):
                 for X in (1, 2):
                     if brute_count(n, ups, X) != conv_count(n, ups, X):
-                        raise PreconditionError(
+                        raise VerificationError(
                             f"engines differ at n={n} ups={ups} X={X}")
                     checked += 1
             return {"checked": checked}
@@ -367,7 +367,7 @@ def suite_counting(seed=DEFAULT_SEED):
                 for X in (1, 2):
                     count, quadric = traceless_count(n, ups, X)
                     if count != quadric:
-                        raise PreconditionError(
+                        raise VerificationError(
                             f"bridge fails at n={n} ups={ups} X={X}")
                     checked += 1
         return {"checked": checked}

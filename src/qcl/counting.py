@@ -27,6 +27,7 @@ _BIAS3 = _LANE_BIAS | (_LANE_BIAS << 16) | (_LANE_BIAS << 32)
 _LANE_MASK = (1 << 16) - 1
 
 _OUTER_CHUNK = 20_000_000  # max elements per outer-sum block
+_BRUTE_BLOCK = 1 << 16  # max tuple sums per brute_count block
 
 
 def pack_key(v):
@@ -197,32 +198,46 @@ def _check_signature(n, upsilon):
 
 
 def brute_count(n, upsilon, X):
-    """Exact solution count by direct nested enumeration.
+    """Exact solution count by direct enumeration.
 
-    Enumerates the first n-1 slots with nested loops and resolves the last
-    slot against a tabulated histogram of its possible values.
+    Enumerates every tuple (g_1, ..., g_{n-1}) of the first n-1 slots and
+    resolves the last slot against a histogram of that slot's values.  Each
+    distinct sign's slot is squared once.  Tuple sums are formed as int64
+    arrays in blocks of slot-0 rows, each sum as a positional code in base
+    2R+1 with balanced digits, where R bounds every coordinate of a partial
+    sum and of a last-slot value; such a code is additive and one-to-one, so
+    a code lookup in the last slot's sorted codes is a vector lookup.
+
+    Exactness: a doubled coordinate of g^2 is at most 3(2X)^2/2 <= 24 in
+    absolute value, so a partial coordinate is at most 2 * 24 = 48 and a
+    code at most 48 * (97^4 - 1) / 96 < 2^26; a total is at most
+    box_size(X)**n <= 10**9.  int64 overflows nowhere.
+
+    Independent of conv_count: it shares no code with SparseDist, pack_key
+    or dist_convolve, only the slot values of slot_square_values.
     """
     if not 1 <= n <= 3 or X > 2:
         raise PreconditionError("brute engine is limited to n <= 3, X <= 2")
     upsilon = _check_signature(n, upsilon)
     if box_size(X) ** n > 10 ** 9:
         raise BudgetError("enumeration box too large")
-    slots = [slot_square_values(u, X) for u in upsilon]
-    if n == 1:
-        return sum(1 for v in slots[0] if v == (0, 0, 0, 0))
-    last = {}
-    for v in slots[-1]:
-        last[v] = last.get(v, 0) + 1
+    squares = {u: np.array(slot_square_values(u, X), dtype=np.int64)
+               for u in set(upsilon)}
+    slots = [squares[u] for u in upsilon]
+    reach = max(n - 1, 1) * int(np.abs(slots[0]).max())
+    weights = (2 * reach + 1) ** np.arange(4, dtype=np.int64)
+    # the last slot solves the tuple when its value is minus the partial sum
+    codes, counts = np.unique(-slots[-1] @ weights, return_counts=True)
+    heads = slots[0] @ weights if n > 1 else np.zeros(1, dtype=np.int64)
+    tails = [s @ weights for s in slots[1:-1]]
+    rows = max(1, _BRUTE_BLOCK // math.prod(len(t) for t in tails))
     total = 0
-    if n == 2:
-        for v in slots[0]:
-            total += last.get((-v[0], -v[1], -v[2], -v[3]), 0)
-    else:
-        for v1 in slots[0]:
-            for v2 in slots[1]:
-                key = (-v1[0] - v2[0], -v1[1] - v2[1],
-                       -v1[2] - v2[2], -v1[3] - v2[3])
-                total += last.get(key, 0)
+    for start in range(0, len(heads), rows):
+        keys = heads[start:start + rows]
+        for t in tails:
+            keys = (keys[:, None] + t[None, :]).ravel()
+        idx = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+        total += int(counts[idx[codes[idx] == keys]].sum())
     return total
 
 

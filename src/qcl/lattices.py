@@ -149,26 +149,35 @@ def _coords_doubled(x):
 
 def _enum_ball(hnf, rd, budget=_ENUM_BUDGET):
     """Yield (doubled_norm, coords) over nonzero lattice points with doubled
-    sup-norm <= rd, by interval propagation down the triangular basis."""
+    sup-norm <= rd, by interval propagation down the triangular basis.
+
+    Depth i fixes order-basis coordinate i of (a, b, c, d), whose doubled
+    coordinates are 2a+d, 2b+d, 2c+d and d.  Each coordinate is bounded by
+    the exact interval in which the fixed ones can still be extended: from
+    |2x+d|, |2y+d|, |d| <= rd, each of a, b, c lies within rd of 0 and of
+    every fixed one, and d lies in [-rd, rd] and in every [-rd-2x, rd-2x].
+    So every leaf lies in the ball, and only nodes on a feasible path count
+    against the budget.  A pruned subtree yields nothing, so the depth-first
+    order of the points is that of the unpruned walk.
+    """
     h = [list(r) for r in hnf]
     nodes = 0
-    # loose per-coordinate bounds in order-basis coordinates: every doubled
-    # coordinate is one of d or 2t+d, so |t| <= rd for all four coordinates
-    stack = [((), [0, 0, 0, 0])]
+    # (depth, point so far, min and max of 0 and the fixed a, b, c)
+    stack = [(0, [0, 0, 0, 0], 0, 0)]
     while stack:
-        prefix, acc = stack.pop()
-        i = len(prefix)
+        i, acc, low, high = stack.pop()
         if i == 4:
-            if all(v == 0 for v in acc):
-                continue
-            dd = _coords_doubled(acc)
-            nd = max(abs(t) for t in dd)
-            if nd <= rd:
-                yield nd, tuple(acc)
+            if any(acc):
+                yield max(abs(t) for t in _coords_doubled(acc)), tuple(acc)
             continue
-        # coordinate i of the point is acc[i] + t_i * h[i][i]
-        lo = math.ceil((-rd - acc[i]) / h[i][i])
-        hi = math.floor((rd - acc[i]) / h[i][i])
+        if i < 3:
+            vlo, vhi = high - rd, low + rd
+        else:
+            vlo, vhi = -rd - 2 * low, rd - 2 * high
+        # coordinate i of the point is acc[i] + t * h[i][i]
+        step = h[i][i]
+        lo = -((acc[i] - vlo) // step)
+        hi = (vhi - acc[i]) // step
         for t in range(lo, hi + 1):
             nodes += 1
             if nodes > budget:
@@ -176,7 +185,8 @@ def _enum_ball(hnf, rd, budget=_ENUM_BUDGET):
             nxt = list(acc)
             for j in range(i, 4):
                 nxt[j] += t * h[i][j]
-            stack.append((prefix + (t,), nxt))
+            v = nxt[i]
+            stack.append((i + 1, nxt, min(low, v), max(high, v)))
 
 
 def sup_norm_of_coords(x):

@@ -342,3 +342,63 @@ class TestCycloSumCanonicalProperties:
         for v in pair:
             assert (_form(v.conjugate().canonical())
                     == _form(v.canonical().conjugate().canonical()))
+
+
+def _schoolbook_product(x, y):
+    """The earlier CycloSum product: one dict update per pair of terms."""
+    p = x.p
+    k = max(x.k, y.k)
+    pk = p ** k
+    sa = p ** (k - x.k)
+    sb = p ** (k - y.k)
+    out = {}
+    for r1, c1 in x.counts.items():
+        for r2, c2 in y.counts.items():
+            r = (r1 * sa + r2 * sb) % pk
+            out[r] = out.get(r, 0) + c1 * c2
+    return CycloSum(p, k, out, x.scale + y.scale)
+
+
+@st.composite
+def product_operands(draw):
+    """Two values of one prime p in {2, 3, 5, 7} at levels 0..4, with
+    negative coefficients, coefficients past 2^64, empty supports and
+    nonzero scales; some supports fill every exponent of a small level."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    size = draw(st.sampled_from([2, 2 ** 20, 2 ** 64, 2 ** 200]))
+
+    def value():
+        k = draw(st.integers(0, 4))
+        pk = p ** k
+        coeff = st.integers(-size, size)
+        if pk <= 27 and draw(st.booleans()):
+            counts = {r: draw(coeff) for r in range(pk)}
+        else:
+            counts = draw(st.dictionaries(st.integers(0, pk - 1), coeff,
+                                          max_size=12))
+        return CycloSum(p, k, counts, draw(st.integers(0, 3)))
+
+    return value(), value()
+
+
+class TestCycloSumProduct:
+    @settings(max_examples=400, deadline=None)
+    @given(product_operands())
+    def test_matches_schoolbook(self, pair):
+        x, y = pair
+        assert _form(x * y) == _form(_schoolbook_product(x, y))
+        assert _form(y * x) == _form(_schoolbook_product(y, x))
+
+    def test_extreme_digits(self):
+        # every folded coefficient at the bound B = max|a| sum|b|
+        for c in (1, 255, 2 ** 64 - 1, -(2 ** 64)):
+            x = CycloSum(3, 2, {r: c for r in range(9)})
+            y = CycloSum(3, 1, {0: c, 1: c, 2: c}, 1)
+            for a, b in ((x, x), (x, y), (y, x), (x, -x)):
+                assert _form(a * b) == _form(_schoolbook_product(a, b))
+
+    def test_empty_operand(self):
+        z = CycloSum(5, 0, {}, 2)
+        v = CycloSum(5, 3, {7: 3}, 1)
+        assert _form(z * v) == (5, 3, 3, {})
+        assert _form(v * z) == (5, 3, 3, {})

@@ -252,3 +252,32 @@ class TestDeterminismAndCache:
         da, db = json.loads(a.stdout), json.loads(b.stdout)
         assert da["request_hash"] != db["request_hash"]
         assert da["result"]["passed"] and db["result"]["passed"]
+
+
+# Runs one command in this interpreter and reports whether numpy was loaded.
+_NUMPY_PROBE = """
+import sys
+from qcl.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestImportPaths:
+    @pytest.mark.parametrize("args", [
+        ["gauss", "--p", "7", "--va", "1", "--vt", "3", "--xi", "0",
+         "--ua", "3", "--ut", "5", "--uxi", "2"],
+        ["lattice", "--k", "3", "--m", "3", "--eta", "1,1,1,0", "--minima"],
+        ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
+    ], ids=["gauss", "lattice-minima", "delta-check-shift"])
+    def test_exact_paths_leave_numpy_unloaded(self, args, tmp_path):
+        env = dict(os.environ, QCL_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                               "--no-cache"] + args,
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr.decode().splitlines()[-1] == "False"

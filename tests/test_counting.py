@@ -85,7 +85,35 @@ class TestSparseDist:
                 assert ms == conj
 
 
+def _nested_loop_brute_count(n, upsilon, X):
+    """The earlier brute engine: Python loops over tuples and dict lookups."""
+    slots = [slot_square_values(u, X) for u in upsilon]
+    if n == 1:
+        return sum(1 for v in slots[0] if v == (0, 0, 0, 0))
+    last = {}
+    for v in slots[-1]:
+        last[v] = last.get(v, 0) + 1
+    total = 0
+    if n == 2:
+        for v in slots[0]:
+            total += last.get((-v[0], -v[1], -v[2], -v[3]), 0)
+    else:
+        for v1 in slots[0]:
+            for v2 in slots[1]:
+                key = (-v1[0] - v2[0], -v1[1] - v2[1],
+                       -v1[2] - v2[2], -v1[3] - v2[3])
+                total += last.get(key, 0)
+    return total
+
+
 class TestBruteCount:
+    @pytest.mark.parametrize("X", [1, 2])
+    @pytest.mark.parametrize("signs", [s for n in (1, 2, 3) for s in
+                                       itertools.product((1, -1), repeat=n)])
+    def test_matches_nested_loops(self, signs, X):
+        assert (brute_count(len(signs), signs, X)
+                == _nested_loop_brute_count(len(signs), signs, X))
+
     def test_single_slot_anisotropy(self):
         assert brute_count(1, [1], 1) == 1
         assert brute_count(1, [-1], 2) == 1
@@ -175,3 +203,19 @@ class TestGrowthReport:
     def test_heights_must_increase(self):
         with pytest.raises(PreconditionError):
             growth_report(2, (1, -1), [2, 1])
+
+
+class TestAuditVerdict:
+    def test_engine_mismatch_is_verification_error(self, monkeypatch):
+        from qcl import audits, counting
+
+        real = counting.brute_count
+        monkeypatch.setattr(counting, "brute_count",
+                            lambda n, ups, X: real(n, ups, X) + 1)
+        out = audits.suite_counting()
+        assert out["passed"] is False
+        failed = [c for c in out["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["conv-vs-brute-n2",
+                                               "conv-vs-brute-n3"]
+        for c in failed:
+            assert c["error"].startswith("VerificationError: engines differ")

@@ -5,7 +5,7 @@ import pytest
 
 from qcl import lattices
 from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
-from qcl.errors import PreconditionError, VerificationError
+from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.lattices import (
     Lattice4, instance_corpus, lattice_basis, lattice_point_count,
     left_mul_coords, minkowski_bracket, norm_count, eta_congruence_checks,
@@ -107,6 +107,46 @@ class TestMinima:
         lat = Lattice4(h, 81, 1, 1, 3, ETA3, ONE)
         with pytest.raises(PreconditionError):
             successive_minima(lat, 1)
+
+
+def _unpruned_enum_ball(hnf, rd):
+    """The earlier walk: each coordinate bounded only by |t| <= rd, and the
+    leaves outside the ball filtered afterwards."""
+    h = [list(r) for r in hnf]
+    stack = [((), [0, 0, 0, 0])]
+    while stack:
+        prefix, acc = stack.pop()
+        i = len(prefix)
+        if i == 4:
+            if all(v == 0 for v in acc):
+                continue
+            a, b, c, d = acc
+            nd = max(abs(2 * a + d), abs(2 * b + d), abs(2 * c + d), abs(d))
+            if nd <= rd:
+                yield nd, tuple(acc)
+            continue
+        lo = math.ceil((-rd - acc[i]) / h[i][i])
+        hi = math.floor((rd - acc[i]) / h[i][i])
+        for t in range(lo, hi + 1):
+            nxt = list(acc)
+            for j in range(i, 4):
+                nxt[j] += t * h[i][j]
+            stack.append((prefix + (t,), nxt))
+
+
+class TestEnumBall:
+    def test_same_sequence_as_unpruned_walk(self):
+        hnfs = [lattice_basis(i["H"], i["K"], i["m"], i["eta"], i["m0"]).hnf
+                for i in instance_corpus(25, 20260823)]
+        hnfs.append(od_lattice().hnf)
+        for hnf in hnfs:
+            for rd in (1, 2, 3, 5, 8, 13):
+                assert (list(lattices._enum_ball(hnf, rd))
+                        == list(_unpruned_enum_ball(hnf, rd)))
+
+    def test_budget_still_binds(self):
+        with pytest.raises(BudgetError):
+            list(lattices._enum_ball(od_lattice().hnf, 8, budget=50))
 
 
 class TestPointCount:
