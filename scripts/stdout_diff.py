@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Compare the CLI's stdout bytes and exit codes between two source trees.
+
+Each non-blank line of REQUESTS (lines starting with '#' are skipped) is one
+request, split like a shell command line and run as
+
+    python -m qcl.cli --no-cache <request>
+
+once with PYTHONPATH=BASE_SRC and once with PYTHONPATH=HEAD_SRC, each run
+with PYTHONHASHSEED=0 and a fresh, empty QCL_CACHE_DIR. Every request whose
+stdout bytes or exit code differ is printed; the exit status is 1 if any
+differ, else 0. Run from anywhere:
+
+    python3 scripts/stdout_diff.py ../base/src src requests.txt
+"""
+
+import argparse
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+
+
+def run(src, request):
+    """(exit code, stdout bytes) of one cold, uncached request."""
+    with tempfile.TemporaryDirectory(prefix="qcl-diff-") as cache:
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   PYTHONHASHSEED="0", QCL_CACHE_DIR=cache)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcl.cli", "--no-cache", *request],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    return proc.returncode, proc.stdout
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base_src", help="source tree holding the qcl package")
+    ap.add_argument("head_src", help="source tree to compare against it")
+    ap.add_argument("requests", help="file with one request per line")
+    args = ap.parse_args(argv)
+    with open(args.requests) as fh:
+        lines = [ln.strip() for ln in fh]
+    requests = [ln for ln in lines if ln and not ln.startswith("#")]
+    differ = 0
+    for line in requests:
+        request = shlex.split(line)
+        (rc_a, out_a), (rc_b, out_b) = (run(args.base_src, request),
+                                        run(args.head_src, request))
+        if rc_a != rc_b or out_a != out_b:
+            differ += 1
+            what = [] if out_a == out_b else ["stdout"]
+            if rc_a != rc_b:
+                what.append(f"exit {rc_a} -> {rc_b}")
+            print(f"DIFFERS ({', '.join(what)}): {line}")
+    print(f"{len(requests)} requests, {differ} differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ engine and once as a plain integer quadric in 3n variables; the two agree
 because a traceless quaternion squares to a rational scalar.
 """
 
+import functools
 import itertools
 import math
 
@@ -165,21 +166,32 @@ def box_size(X):
     return (2 * X + 1) ** 4 + (2 * X) ** 4
 
 
-def _square_doubled_coords(g, sign):
-    """Doubled coordinates of sign * g^2 (integers of equal parity)."""
-    return tuple(sign * c for c in (g * g).c)
+def _square_doubled_coords(g):
+    """Doubled coordinates of g^2 (integers of equal parity)."""
+    return (g * g).c
 
 
-def slot_square_values(sign, X, traceless=False):
-    """Doubled-coordinate 4-tuples of sign * g^2 over the height-X box."""
-    if sign not in (1, -1):
-        raise PreconditionError("signs must be +-1")
+@functools.lru_cache(maxsize=8)
+def _box_squares(X, traceless):
+    """Doubled-coordinate 4-tuples of g^2 over the height-X box, squared
+    once per (X, traceless) and kept as a tuple, which no caller can alter."""
     if traceless:
         src = (HurwitzQuat(0, 2 * x, 2 * y, 2 * z)
                for x, y, z in itertools.product(range(-X, X + 1), repeat=3))
     else:
         src = hurwitz_box(X)
-    return [_square_doubled_coords(g, sign) for g in src]
+    return tuple(_square_doubled_coords(g) for g in src)
+
+
+def slot_square_values(sign, X, traceless=False):
+    """Doubled-coordinate 4-tuples of sign * g^2 over the height-X box, as a
+    tuple; a sign only negates the memoised squares."""
+    if sign not in (1, -1):
+        raise PreconditionError("signs must be +-1")
+    squares = _box_squares(X, traceless)
+    if sign == 1:
+        return squares
+    return tuple((-a, -b, -c, -d) for a, b, c, d in squares)
 
 
 def slot_square_dist(sign, X, traceless=False):

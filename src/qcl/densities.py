@@ -25,7 +25,7 @@ from . import DEFAULT_SEED
 from .algebra import (HQ_BASIS, HurwitzQuat, NonsplitLocalElem,
                       hq_from_basis_coords, hq_to_basis_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
-from .expsums import all_mats, mat_square_flat
+from .expsums import grid_square_keys
 from .linalg import row_hnf
 
 # ---------------------------------------------------------------------------
@@ -187,15 +187,12 @@ def _slot_coeffs(p, n, coeffs):
 
 
 def split_square_distribution(p, m, coeff=1):
-    """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array."""
+    """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array
+    (the lexicographic packing of `QuotientGroup.diagonal`). The grid kernel
+    of `qcl.expsums` refuses p^{4m} > 10^7 with BudgetError."""
     q = p ** m
-    if q ** 4 > 10 ** 7:
-        raise BudgetError("slot enumeration exceeds budget")
-    y = all_mats(q)
-    s = mat_square_flat(y, q) * (coeff % q) % q
-    grp = QuotientGroup.diagonal([q] * 4)
-    keys = grp.pack(s)
-    return np.bincount(keys, minlength=q ** 4).astype(np.int64)
+    keys = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q, q)
+    return np.bincount(keys, minlength=q ** 4)
 
 
 def split_density(p, m, n, coeffs=None):

@@ -2,24 +2,26 @@
 
 Main objects, all exact:
 
-* `nonabelian_gauss_integral`: the average of e(tr(Y^2 Z)) over 2x2 integral
-  matrices Y, with Z having prime-power denominator.
-* `hessian_pair`: the symmetric matrix of the phase tr(Y^2 Z) and an explicit
-  congruence transformation that diagonalizes it, with exact certificates.
 * `i0_local`: the constrained oscillatory integral over n matrix slots
   I0(delta, gamma) = avg over Y in O^n of
   [delta^{-1} P(Y) integral] * e(trd(gamma . Y) / det(delta)),
   where P(Y) = sum of slotwise squares (with optional unit coefficients).
-* `w_measure` / `w_class_sum_report`: the volume of auxiliary matrices Z for
-  which a target lies on the scalar line through Z times the cyclic image
+* `w_class_sum_report`: the volume of auxiliary matrices Z for which a
+  target lies on the scalar line through Z times the cyclic image
   generator, read from one exact count table per (generator, modulus).
 * `witness_report` / `local_integral_audit`: support, witness and magnitude
   bound checks for i0_local.
 * `prime_case_report`: exact point-count identities at prime level.
 
+Every sum over all 2x2 matrices Y mod q runs on one grid kernel: the packed
+key of L @ flat(Y^2) mod qc (`grid_square_keys`) or of R @ flat(Y) mod qc
+(`grid_linear_keys`) for every Y, as numpy outer sums over the four
+entries. Nothing forms the (q^4, 4) grid itself. The kernel refuses grids
+with q^4 > 10^7 (`BudgetError`), the cap behind the int64 bound of the
+two-slot join.
+
 Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
-product, determinant, trace and adjugate are the flat helpers of
-`qcl.algebra`, and the Hessian J is `qcl.geometry.hessian_matrix`.
+product, determinant and adjugate are the flat helpers of `qcl.algebra`.
 """
 
 from __future__ import annotations
@@ -30,32 +32,67 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
+from .algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
 from .errors import BudgetError, PreconditionError, VerificationError
-from .geometry import hessian_matrix
 from .padic import pval, punit
 
-_MAT_ENUM_CACHE = {}
+#: cap on the grid size q^4; `_join_two_slots` rests its int64 bound on it
+_GRID_CAP = 10 ** 7
 
 
-def all_mats(q):
-    """(q^4, 4) int64 array enumerating flat 2x2 matrices mod q."""
-    if q not in _MAT_ENUM_CACHE:
-        if q ** 4 > 10 ** 7:
-            raise BudgetError(f"matrix enumeration {q}^4 exceeds budget")
-        idx = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T
-        idx.setflags(write=False)
-        _MAT_ENUM_CACHE[q] = idx
-    return _MAT_ENUM_CACHE[q]
+def _check_grid(q):
+    """Refuse a grid of more than `_GRID_CAP` matrices mod q (BudgetError)."""
+    if q ** 4 > _GRID_CAP:
+        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
 
 
-def mat_square_flat(y, q):
-    """Flat entries of Y^2 mod q for an (N,4) array of flat Y."""
-    a, b, c, d = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-    bc = b * c % q
-    apd = (a + d) % q
-    return np.stack([(a * a + bc) % q, b * apd % q, c * apd % q,
-                     (d * d + bc) % q], axis=1)
+def _grid_linear(row, q, qc):
+    """row . flat(Y) mod qc for every Y mod q, as a (q, q, q, q) array
+    indexed by the entries of Y: an outer sum of one term per entry,
+    broadcast over shapes (q,1,1,1) ... (q,). Each term is below qc, so
+    int32 holds the sum exactly."""
+    _check_grid(q)
+    e = np.arange(q, dtype=np.int32)
+    t0, t1, t2, t3 = (int(t) % qc * e % qc for t in row)
+    return (t0[:, None, None, None] + t1[:, None, None] + t2[:, None]
+            + t3) % qc
+
+
+def grid_linear_keys(rows, q, qc):
+    """Packed key of (rows @ flat(Y)) mod qc for every Y mod q, one entry per
+    row of `rows`, in grid order: lexicographic in flat(Y), as `_pack`
+    orders keys. Callers keep qc <= q, so a key is below q^4 <= `_GRID_CAP`
+    and int32 holds it exactly."""
+    keys = 0
+    for row in rows:
+        keys = keys * qc + _grid_linear(row, q, qc)
+    return keys.ravel()
+
+
+def grid_square_keys(lmat, q, qc):
+    """Packed key of (lmat @ flat(Y^2)) mod qc for every Y mod q, in the
+    grid order of `grid_linear_keys`, for a 4x4 integer matrix `lmat`.
+
+    With Y = (a, b, c, d), Y^2 = (a^2 + bc, b(a + d), c(a + d), d^2 + bc),
+    so row (l0, l1, l2, l3) gives the quadratic form
+    (l0 a^2 + l1 ab) + l2 ac + (l0 + l3) bc + l1 bd + (l2 cd + l3 d^2):
+    an outer sum of five tables over pairs of entries, each reduced mod qc.
+    No (q^4, 4) array, matmul or sort is formed."""
+    _check_grid(q)
+    e = np.arange(q, dtype=np.int32)
+    sq = e * e % qc
+    pr = np.multiply.outer(e, e) % qc  # pr[x, y] = x y mod qc
+    keys = 0
+    for row in lmat:
+        l0, l1, l2, l3 = (int(t) % qc for t in row)
+        ab = (l0 * sq[:, None] + l1 * pr) % qc
+        ac, bc, bd = (l * pr % qc for l in (l2, l0 + l3, l1))
+        cd = (l2 * pr + l3 * sq) % qc
+        comp = (ab[:, :, None, None] + ac[:, None, :, None] + bc[:, :, None]
+                + bd[:, None, :])
+        comp += cd
+        keys = keys * qc + comp % qc
+    return keys.ravel()
 
 
 def left_mul_matrix(a):
@@ -72,21 +109,9 @@ def right_mul_matrix(b):
                      [0, b00, 0, b10], [0, b01, 0, b11]], dtype=np.int64)
 
 
-def _trace_pair(rows, m, q):
-    """tr(M Y) mod q for an (N,4) array of flat Y, elementwise in int64."""
-    c = [t % q for t in (m[0], m[2], m[1], m[3])]
-    return (rows[:, 0] * c[0] + rows[:, 1] * c[1] + rows[:, 2] * c[2]
-            + rows[:, 3] * c[3]) % q
-
-
 def _grid_trace_pair(m, q, qc):
-    """tr(M Y) mod qc for Y over the grid `all_mats(q)`, in its order: an
-    outer sum of one term per entry. Each term is below qc, so int32 holds
-    the sum exactly."""
-    a = np.arange(q, dtype=np.int32)
-    c0, c1, c2, c3 = (t % qc * a % qc for t in (m[0], m[2], m[1], m[3]))
-    return (c0[:, None, None, None] + c1[:, None, None] + c2[:, None]
-            + c3).ravel() % qc
+    """tr(M Y) mod qc for Y over the grid of matrices mod q, in grid order."""
+    return _grid_linear((m[0], m[2], m[1], m[3]), q, qc).ravel()
 
 
 def _pack(rows, q):
@@ -101,95 +126,6 @@ def _unpack(keys, q):
 
 
 # ---------------------------------------------------------------------------
-# One-variable matrix phase integral and its Hessian
-# ---------------------------------------------------------------------------
-
-
-def nonabelian_gauss_integral(zmat, p, k, budget=10 ** 7):
-    """Exact value of p^{-4k} sum_{Y mod p^k} e(tr(Y^2 zmat) / p^k).
-
-    `zmat` is a flat integer matrix; the actual argument has denominator p^k.
-    """
-    if k < 0:
-        raise PreconditionError("level must be non-negative")
-    if k == 0:
-        return CycloSum.from_int(1, p)
-    q = p ** k
-    if q ** 4 > budget:
-        raise BudgetError("level too large")
-    y = all_mats(q)
-    s = mat_square_flat(y, q)
-    # tr(S zmat) with S = Y^2
-    counts = np.bincount(_trace_pair(s, zmat, q), minlength=q)
-    return CycloSum(p, k, {int(i): int(c) for i, c in enumerate(counts) if c},
-                    scale=4 * k)
-
-
-def hessian_pair(zmat):
-    """The symmetric matrix J of the quadratic form tr(Y^2 Z) (so that
-    tr(Y^2 Z) = (1/2) y^T J y with y = (y00, y01, y10, y11)) and a
-    companion transform R with
-
-        R^T J R = 2 tr(Z) diag(1, -1, 1, det Z),   det R = 2 tr(Z).
-
-    Returns (J, R, cert) with exact integer certificates.
-    """
-    z00, z01, z10, z11 = zmat
-    J = hessian_matrix(zmat)
-    R = [[0, 0, 1, -z11],
-         [1, 1, 0, z01],
-         [1, -1, 0, z10],
-         [0, 0, -1, -z00]]
-    r = z00 + z11
-    det_z = det_flat(zmat)
-    target = [[2 * r, 0, 0, 0], [0, -2 * r, 0, 0],
-              [0, 0, 2 * r, 0], [0, 0, 0, 2 * r * det_z]]
-    jr = [[sum(J[i][t] * R[t][j] for t in range(4)) for j in range(4)]
-          for i in range(4)]
-    rjr = [[sum(R[t][i] * jr[t][j] for t in range(4)) for j in range(4)]
-           for i in range(4)]
-    if rjr != target:
-        raise VerificationError("congruence transform certificate failed")
-    from .linalg import _minor
-    det_r = _minor(R, (0, 1, 2, 3), (0, 1, 2, 3))
-    if det_r != 2 * r:
-        raise VerificationError("transform determinant certificate failed")
-    # the form itself: check tr(Y^2 Z) = (1/2) y^T J y on a basis of pairs
-    for y in itertools.product((0, 1, 2), repeat=4):
-        s = mat_mul_flat(y, y)
-        lhs = 2 * (s[0] * z00 + s[1] * z10 + s[2] * z01 + s[3] * z11)
-        rhs = sum(y[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
-        if lhs != rhs:
-            raise VerificationError("hessian certificate failed")
-    return J, R, {"det_r": det_r, "trace": r, "det_z": det_z}
-
-
-def quadratic_magnitude_expected_sq(zmat, p, k):
-    """Predicted |integral|^2 for `nonabelian_gauss_integral` when p is odd
-    and |tr Z| >= 1 (Z = zmat / p^k):
-
-        |I| = |tr Z|^{-1/2} max(|tr Z * det Z|, ||Z||^2)^{-1/2}.
-
-    Returns a Fraction, or None when the hypothesis fails.
-    """
-    if p == 2:
-        return None
-    tr = trace_flat(zmat)
-    vtr = pval(tr, p, cap=10 * k + 1)
-    if vtr > k:  # |tr Z| < 1
-        return None
-    det = det_flat(zmat)
-    vdet = pval(det, p, cap=10 * k + 1)
-    vmin = min(pval(t, p, cap=10 * k + 1) for t in zmat)
-    # p-adic sizes as exponents of p
-    e_tr = k - vtr
-    e_det = 2 * k - vdet
-    e_norm = k - vmin
-    e = -e_tr - max(e_tr + e_det, 2 * e_norm)
-    return Fraction(p) ** e
-
-
-# ---------------------------------------------------------------------------
 # The constrained local integral I0
 # ---------------------------------------------------------------------------
 
@@ -199,22 +135,23 @@ _SLOT_CACHE = {}
 
 def _slot_static(delta, p, vd, level, coeff):
     """Gamma-independent slot data: the packed keys of the divisibility
-    condition over the grid `all_mats(p^level)`, factored once as (distinct
-    keys, inverse index). Cached; the keys dominate the cost of repeated
-    evaluations at the same modulus."""
+    condition coeff * adj(delta) Y^2 = 0 mod p^vd over the grid of Y mod
+    p^level (`grid_square_keys`), factored once as (distinct keys, inverse
+    index) as `np.unique(keys, return_inverse=True)` would: a histogram of
+    the qc^4 <= q^4 possible keys marks the distinct ones, and its running
+    count ranks them, with no sort and no array larger than the grid.
+    Cached; the keys dominate the cost of repeated evaluations at the same
+    modulus."""
     qc = p ** vd
     key = (tuple(delta), p, vd, level, coeff % qc)
     if key not in _SLOT_CACHE:
         if len(_SLOT_CACHE) > 12:
             _SLOT_CACHE.clear()
-        q = p ** level
-        y = all_mats(q)
-        adj = adj_flat(delta)
-        lmat = left_mul_matrix(adj) % qc
-        s = mat_square_flat(y, q) % qc
-        s = s * (coeff % qc) % qc
-        uniq, inv = np.unique(_pack((s @ lmat.T) % qc, qc), return_inverse=True)
-        _SLOT_CACHE[key] = (uniq, inv)
+        lmat = left_mul_matrix(adj_flat(delta)) % qc * (coeff % qc)
+        keys = grid_square_keys(lmat, p ** level, qc)
+        present = np.bincount(keys, minlength=qc ** 4) > 0
+        rank = np.cumsum(present) - 1
+        _SLOT_CACHE[key] = (np.flatnonzero(present), rank[keys])
     return _SLOT_CACHE[key]
 
 
@@ -279,7 +216,8 @@ def _join_two_slots(slot1, slot2, qc):
     Packed keys do not add componentwise, so each distinct key of slot 1 is
     matched with its packed negation in slot 2; the per-key phase histograms
     of matched keys are multiplied and folded over (r1 + r2) mod qc. Every
-    count is at most q^8 <= 10^14 (`all_mats` caps q^4), far below 2^63.
+    count is at most q^8 <= 10^14 (the grid kernel caps q^4 at
+    `_GRID_CAP`), far below 2^63.
     """
     (u1, inv1, ph1), (u2, inv2, ph2) = slot1, slot2
     h1 = np.bincount(inv1 * qc + ph1, minlength=len(u1) * qc).reshape(-1, qc)
@@ -344,8 +282,8 @@ def _cyclic_generator(cmat, m, p):
 
 def _right_image_histogram(b, m):
     """hist[pack(w)] = #{Z mod m : Z b = w}, over all packed w mod m."""
-    w = all_mats(m) @ (right_mul_matrix(b) % m).T % m
-    return np.bincount(_pack(w, m), minlength=m ** 4)
+    keys = grid_linear_keys(right_mul_matrix(b), m, m)
+    return np.bincount(keys, minlength=m ** 4)
 
 
 _TABLE_CACHE = {}
@@ -389,12 +327,6 @@ def _class_key(t, m, p):
     lexicographically least unit multiple."""
     return min(tuple(lam * x % m for x in t)
                for lam in range(1, max(m, 2)) if lam % p)
-
-
-def w_measure(m0, eta, p):
-    """The measure factor for a witness matrix m0 against primitive eta."""
-    gen, m = matrix_cyclic_generator(eta, p)
-    return _measure([t % m for t in mat_mul_flat(m0, eta)], gen, m)
 
 
 def w_class_sum_report(eta, p):
@@ -583,15 +515,8 @@ def s2_closed(q, n):
 
 
 def _slot_prime_tables(q, n, delta, gammas):
-    y = all_mats(q)
-    adj = adj_flat(delta)
-    lmat = left_mul_matrix(adj) % q
-    out = []
-    for g in gammas:
-        s = mat_square_flat(y, q)
-        keys = _pack((s @ lmat.T) % q, q)
-        out.append((keys, _grid_trace_pair(g, q, q)))
-    return out
+    keys = grid_square_keys(left_mul_matrix(adj_flat(delta)), q, q)
+    return [(keys, _grid_trace_pair(g, q, q)) for g in gammas]
 
 
 def s2_brute(q, n, delta=None):

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,13 @@ class TestExitCodes:
 
     def test_budget_is_three(self, tmp_path):
         proc = run_cli(["count", "--n", "9", "--x", "8"], tmp_path,
+                       check=False)
+        assert proc.returncode == 3
+
+    def test_grid_cap_is_three(self, tmp_path):
+        # Y mod 343 would be a grid of 7^12 matrices
+        proc = run_cli(["--no-cache", "expsum", "--p", "7", "--delta",
+                        "343,0,0,1", "--gamma", "0,0,0,0"], tmp_path,
                        check=False)
         assert proc.returncode == 3
 
@@ -281,3 +290,45 @@ class TestImportPaths:
                               capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stderr.decode().splitlines()[-1] == "False"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# appended to a copied lattices.py: every enumerated count comes out one high
+_PERTURB = """
+
+_rep_number = rep_number
+
+
+def rep_number(m):
+    a, b = _rep_number(m)
+    return a + 1, b
+"""
+
+
+class TestStdoutDiff:
+    REQUESTS = ["repnum --m 5", "count --n 2 --x 1"]
+
+    def diff(self, tmp_path, perturb=False):
+        head = tmp_path / "head"
+        shutil.copytree(ROOT / "src" / "qcl", head / "qcl",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if perturb:
+            with open(head / "qcl" / "lattices.py", "a") as fh:
+                fh.write(_PERTURB)
+        requests = tmp_path / "requests.txt"
+        requests.write_text("\n".join(self.REQUESTS) + "\n")
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
+             str(ROOT / "src"), str(head), str(requests)],
+            capture_output=True, text=True)
+
+    def test_identical_copy_passes(self, tmp_path):
+        proc = self.diff(tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+
+    def test_perturbed_output_fails(self, tmp_path):
+        proc = self.diff(tmp_path, perturb=True)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["DIFFERS (stdout): repnum --m 5"]

@@ -3,6 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qcl import counting
+from qcl.algebra import HurwitzQuat
+from qcl.audits import suite_counting
 from qcl.counting import (
     SparseDist, box_size, brute_count, conv_count, dist_convolve,
     dist_pair_zero, growth_report, hurwitz_box, pack_key, slot_square_dist,
@@ -104,6 +107,39 @@ def _nested_loop_brute_count(n, upsilon, X):
                        -v1[2] - v2[2], -v1[3] - v2[3])
                 total += last.get(key, 0)
     return total
+
+
+def _unmemoised_squares(sign, X, traceless):
+    if traceless:
+        src = [HurwitzQuat(0, 2 * x, 2 * y, 2 * z)
+               for x, y, z in itertools.product(range(-X, X + 1), repeat=3)]
+    else:
+        src = hurwitz_box(X)
+    return [tuple(sign * c for c in (g * g).c) for g in src]
+
+
+class TestBoxSquares:
+    @pytest.mark.parametrize("traceless", [False, True])
+    @pytest.mark.parametrize("X", [1, 2])
+    def test_both_signs_match_unmemoised_squares(self, X, traceless):
+        for sign in (1, -1):
+            values = slot_square_values(sign, X, traceless)
+            assert isinstance(values, tuple)
+            assert list(values) == _unmemoised_squares(sign, X, traceless)
+
+    def test_suite_squares_each_box_once(self, monkeypatch):
+        calls = []
+        square = counting._square_doubled_coords
+        monkeypatch.setattr(counting, "_square_doubled_coords",
+                            lambda g: calls.append(g) or square(g))
+        counting._box_squares.cache_clear()
+        try:
+            assert suite_counting()["passed"]
+        finally:
+            counting._box_squares.cache_clear()
+        # one box per (X, traceless): X in (1, 2), full and traceless
+        boxes = box_size(1) + box_size(2) + 3 ** 3 + 5 ** 3
+        assert 0 < len(calls) <= boxes
 
 
 class TestBruteCount:

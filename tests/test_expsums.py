@@ -1,23 +1,56 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
+from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
+from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
+    _GEN_CACHE, _SLOT_CACHE, _TABLE_CACHE,
     _class_key, _cyclic_generator, _grid_trace_pair, _join_two_slots,
-    _measure_table, _pack, _trace_pair,
-    all_mats, cyclo_abs_sq, hessian_pair, i0_local,
-    left_mul_matrix, local_integral_audit, mat_square_flat,
-    matrix_cyclic_generator, nonabelian_gauss_integral, prime_case_report,
-    quadratic_magnitude_expected_sq, right_mul_matrix, s2_brute, s2_closed,
-    s3_brute, s3_closed, split_primitive_part, w_class_sum_report, w_measure,
+    _measure, _measure_table, _pack, _right_image_histogram, _slot_static,
+    cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
+    left_mul_matrix, local_integral_audit,
+    matrix_cyclic_generator, prime_case_report,
+    right_mul_matrix, s2_brute, s2_closed,
+    s3_brute, s3_closed, split_primitive_part, w_class_sum_report,
     witness_report, x2_count,
 )
+from qcl.geometry import hessian_matrix
+from qcl.linalg import _minor
 from qcl.padic import pval, punit
+
+
+# The (q^4, 4) grid path that the broadcast kernel replaced, kept as its
+# oracle: enumerate every flat Y mod q, square it, apply L by matmul.
+
+
+def all_mats(q):
+    """(q^4, 4) int64 array enumerating flat 2x2 matrices mod q."""
+    if q ** 4 > 10 ** 7:
+        raise BudgetError(f"matrix enumeration {q}^4 exceeds budget")
+    return np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T
+
+
+def mat_square_flat(y, q):
+    """Flat entries of Y^2 mod q for an (N,4) array of flat Y."""
+    a, b, c, d = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+    bc = b * c % q
+    apd = (a + d) % q
+    return np.stack([(a * a + bc) % q, b * apd % q, c * apd % q,
+                     (d * d + bc) % q], axis=1)
+
+
+def _trace_pair(rows, m, q):
+    """tr(M Y) mod q for an (N,4) array of flat Y, elementwise in int64."""
+    c = [t % q for t in (m[0], m[2], m[1], m[3])]
+    return (rows[:, 0] * c[0] + rows[:, 1] * c[1] + rows[:, 2] * c[2]
+            + rows[:, 3] * c[3]) % q
 
 
 def i0_brute(delta, gammas, p, coeffs=None):
@@ -79,6 +112,51 @@ def phase_integral_z(zmat, delta, gammas, p, coeffs=None, budget=10 ** 7):
     return acc
 
 
+def nonabelian_gauss_integral(zmat, p, k, budget=10 ** 7):
+    """Exact value of p^{-4k} sum_{Y mod p^k} e(tr(Y^2 zmat) / p^k).
+
+    `zmat` is a flat integer matrix; the actual argument has denominator p^k.
+    """
+    if k < 0:
+        raise PreconditionError("level must be non-negative")
+    if k == 0:
+        return CycloSum.from_int(1, p)
+    q = p ** k
+    if q ** 4 > budget:
+        raise BudgetError("level too large")
+    y = all_mats(q)
+    s = mat_square_flat(y, q)
+    # tr(S zmat) with S = Y^2
+    counts = np.bincount(_trace_pair(s, zmat, q), minlength=q)
+    return CycloSum(p, k, {int(i): int(c) for i, c in enumerate(counts) if c},
+                    scale=4 * k)
+
+
+def quadratic_magnitude_expected_sq(zmat, p, k):
+    """Predicted |integral|^2 for `nonabelian_gauss_integral` when p is odd
+    and |tr Z| >= 1 (Z = zmat / p^k):
+
+        |I| = |tr Z|^{-1/2} max(|tr Z * det Z|, ||Z||^2)^{-1/2}.
+
+    Returns a Fraction, or None when the hypothesis fails.
+    """
+    if p == 2:
+        return None
+    tr = trace_flat(zmat)
+    vtr = pval(tr, p, cap=10 * k + 1)
+    if vtr > k:  # |tr Z| < 1
+        return None
+    det = det_flat(zmat)
+    vdet = pval(det, p, cap=10 * k + 1)
+    vmin = min(pval(t, p, cap=10 * k + 1) for t in zmat)
+    # p-adic sizes as exponents of p
+    e_tr = k - vtr
+    e_det = 2 * k - vdet
+    e_norm = k - vmin
+    e = -e_tr - max(e_tr + e_det, 2 * e_norm)
+    return Fraction(p) ** e
+
+
 class TestGaussIntegral:
     def test_trivial_level(self):
         assert nonabelian_gauss_integral((1, 0, 0, 1), 3, 0) == 1
@@ -109,6 +187,44 @@ class TestGaussIntegral:
         # unit trace and unit det at level 1: |I|^2 = q^{-1} * q^{-2}
         v = nonabelian_gauss_integral((1, 0, 0, 0), 3, 1)
         assert cyclo_abs_sq(v) == Fraction(1, 27)
+
+
+def hessian_pair(zmat):
+    """The symmetric matrix J of the quadratic form tr(Y^2 Z) (so that
+    tr(Y^2 Z) = (1/2) y^T J y with y = (y00, y01, y10, y11)) and a
+    companion transform R with
+
+        R^T J R = 2 tr(Z) diag(1, -1, 1, det Z),   det R = 2 tr(Z).
+
+    Returns (J, R, cert) with exact integer certificates.
+    """
+    z00, z01, z10, z11 = zmat
+    J = hessian_matrix(zmat)
+    R = [[0, 0, 1, -z11],
+         [1, 1, 0, z01],
+         [1, -1, 0, z10],
+         [0, 0, -1, -z00]]
+    r = z00 + z11
+    det_z = det_flat(zmat)
+    target = [[2 * r, 0, 0, 0], [0, -2 * r, 0, 0],
+              [0, 0, 2 * r, 0], [0, 0, 0, 2 * r * det_z]]
+    jr = [[sum(J[i][t] * R[t][j] for t in range(4)) for j in range(4)]
+          for i in range(4)]
+    rjr = [[sum(R[t][i] * jr[t][j] for t in range(4)) for j in range(4)]
+           for i in range(4)]
+    if rjr != target:
+        raise VerificationError("congruence transform certificate failed")
+    det_r = _minor(R, (0, 1, 2, 3), (0, 1, 2, 3))
+    if det_r != 2 * r:
+        raise VerificationError("transform determinant certificate failed")
+    # the form itself: check tr(Y^2 Z) = (1/2) y^T J y on a basis of pairs
+    for y in itertools.product((0, 1, 2), repeat=4):
+        s = mat_mul_flat(y, y)
+        lhs = 2 * (s[0] * z00 + s[1] * z10 + s[2] * z01 + s[3] * z11)
+        rhs = sum(y[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
+        if lhs != rhs:
+            raise VerificationError("hessian certificate failed")
+    return J, R, {"det_r": det_r, "trace": r, "det_z": det_z}
 
 
 class TestHessianPair:
@@ -173,6 +289,12 @@ class TestI0Local:
         for z in itertools.product(range(p), repeat=4):
             acc = acc + phase_integral_z(z, delta, g, p)
         assert (acc.scale_down(4) - direct).is_zero()
+
+
+def w_measure(m0, eta, p):
+    """The measure factor for a witness matrix m0 against primitive eta."""
+    gen, m = matrix_cyclic_generator(eta, p)
+    return _measure([t % m for t in mat_mul_flat(m0, eta)], gen, m)
 
 
 def w_histogram(gen, m):
@@ -389,3 +511,109 @@ class TestPrimeCase:
         rep = prime_case_report(3, 2, num_gamma=40, seed=1)
         assert rep["checked"] == 40
         assert "u!=0,v off line" in rep["case_histogram"]
+
+
+# Grids of the kernel oracle: (p, level), Y mod q = p^level in {3, 5, 7, 9, 25}
+GRIDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+@st.composite
+def grid_moduli(draw):
+    """(p, vd, level) with qc = p^vd <= q = p^level."""
+    p, level = draw(st.sampled_from(GRIDS))
+    return p, draw(st.integers(1, level)), level
+
+
+def unit_mod(p):
+    return st.integers(1, 10 ** 6).filter(lambda c: c % p)
+
+
+def slot_static_oracle(delta, p, vd, level, coeff):
+    q, qc = p ** level, p ** vd
+    s = mat_square_flat(all_mats(q), q) % qc * (coeff % qc) % qc
+    lmat = left_mul_matrix(adj_flat(delta)) % qc
+    return np.unique(_pack(s @ lmat.T % qc, qc), return_inverse=True)
+
+
+class TestGridKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(grid_moduli(), st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                   min_size=16, max_size=16))
+    def test_square_keys_match_grid_matmul(self, moduli, entries):
+        p, vd, level = moduli
+        q, qc = p ** level, p ** vd
+        lmat = np.array(entries, dtype=np.int64).reshape(4, 4)
+        s = mat_square_flat(all_mats(q), q)
+        want = _pack(s @ (lmat % qc).T % qc, qc)
+        assert np.array_equal(grid_square_keys(lmat, q, qc), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
+           st.data())
+    def test_slot_static_matches_unique(self, moduli, delta, data):
+        p, vd, level = moduli
+        coeff = data.draw(unit_mod(p))
+        _SLOT_CACHE.clear()
+        uniq, inv = _slot_static(delta, p, vd, level, coeff)
+        want_uniq, want_inv = slot_static_oracle(delta, p, vd, level, coeff)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inv, want_inv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([p ** level for p, level in GRIDS]),
+           st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+    def test_right_image_histogram_matches_grid_matmul(self, m, b):
+        w = all_mats(m) @ (right_mul_matrix(b) % m).T % m
+        want = np.bincount(_pack(w, m), minlength=m ** 4)
+        assert np.array_equal(_right_image_histogram(b, m), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(GRIDS), st.data())
+    def test_split_square_distribution_matches_grid(self, grid, data):
+        p, m = grid
+        q = p ** m
+        coeff = data.draw(unit_mod(p))
+        s = mat_square_flat(all_mats(q), q) * (coeff % q) % q
+        want = np.bincount(_pack(s, q), minlength=q ** 4)
+        assert np.array_equal(split_square_distribution(p, m, coeff), want)
+
+    def test_trace_pair_is_the_one_row_key(self):
+        rng = random.Random(9)
+        for q, qc in [(9, 3), (25, 5), (7, 7)]:
+            g = tuple(rng.randrange(-50, 50) for _ in range(4))
+            assert np.array_equal(_grid_trace_pair(g, q, qc),
+                                  _trace_pair(all_mats(q), g, qc))
+
+    @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
+                                       (5, 0, 0, 5)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_witness_moduli_stay_small(self, delta, n):
+        # the (q^4, 4) grid path peaked near 50 MB here
+        gammas = [(5, 10, 0, 5)] * n
+        for cache in (_SLOT_CACHE, _TABLE_CACHE, _GEN_CACHE):
+            cache.clear()
+        tracemalloc.start()
+        try:
+            i0_local(delta, gammas, 5)
+            witness_report(delta, gammas, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 10 ** 6
+
+    @pytest.mark.parametrize("call", [
+        lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)], 7),
+        lambda: split_square_distribution(7, 3),
+        lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57, 57),
+        lambda: grid_linear_keys(np.eye(4, dtype=np.int64), 57, 57),
+    ])
+    def test_grid_cap_refuses_before_allocating(self, call):
+        # q^4 = 7^12 and 57^4 both exceed the 10^7 cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
