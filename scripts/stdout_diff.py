@@ -12,6 +12,13 @@ stdout bytes or exit code differ is printed; the exit status is 1 if any
 differ, else 0. Run from anywhere:
 
     python3 scripts/stdout_diff.py ../base/src src requests.txt
+
+With --seeds A-B every request runs once at each global `--seed` from A to
+B inclusive, so all eight audit suites at seeds 0..8 are one command:
+
+    printf 'audit %s\n' gauss-laws prime-case local-integrals densities \
+        lattices geometry delta counting > suites.txt
+    python3 scripts/stdout_diff.py --seeds 0-8 ../base/src src suites.txt
 """
 
 import argparse
@@ -33,15 +40,33 @@ def run(src, request):
     return proc.returncode, proc.stdout
 
 
+def seed_range(text):
+    """'A-B' (or a single 'A') as the inclusive range of seeds."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last or first) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed range: {text!r}")
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
+    return seeds
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base_src", help="source tree holding the qcl package")
     ap.add_argument("head_src", help="source tree to compare against it")
     ap.add_argument("requests", help="file with one request per line")
+    ap.add_argument("--seeds", type=seed_range, metavar="A-B",
+                    help="run every request at each --seed from A to B")
     args = ap.parse_args(argv)
     with open(args.requests) as fh:
         lines = [ln.strip() for ln in fh]
-    requests = [ln for ln in lines if ln and not ln.startswith("#")]
+    seeds = [[]] if args.seeds is None else [["--seed", str(s)]
+                                             for s in args.seeds]
+    requests = [shlex.join(seed + shlex.split(ln))
+                for ln in lines if ln and not ln.startswith("#")
+                for seed in seeds]
     differ = 0
     for line in requests:
         request = shlex.split(line)

@@ -377,6 +377,18 @@ class CycloSum:
         object.__setattr__(self, "counts", {r: c for r, c in cc.items() if c})
         object.__setattr__(self, "scale", int(scale))
 
+    @classmethod
+    def _reduced(cls, p, k, counts, scale):
+        """Trusted constructor: `counts` is a dict the caller no longer
+        uses, with int exponents already in [0, p^k), nonzero int counts and
+        int scale >= 0, so nothing is re-reduced or copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "scale", scale)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("CycloSum is immutable")
 
@@ -440,11 +452,11 @@ class CycloSum:
             break
         scale = self.scale
         if not counts:
-            return CycloSum(p, 0, {}, 0)
+            return CycloSum._reduced(p, 0, {}, 0)
         while scale > 0 and all(c % p == 0 for c in counts.values()):
             counts = {r: c // p for r, c in counts.items()}
             scale -= 1
-        return CycloSum(p, k, counts, scale)
+        return CycloSum._reduced(p, k, counts, scale)
 
     def is_zero(self):
         return not self.canonical().counts
@@ -532,20 +544,23 @@ class CycloSum:
             return CycloSum(p, k, {}, scale)
         out = _cyclic_product(self.counts, p ** (k - self.k),
                               other.counts, p ** (k - other.k), p ** k)
-        return CycloSum(p, k, out, scale)
+        return CycloSum._reduced(p, k, out, scale)
 
     __rmul__ = __mul__
 
     def conjugate(self):
         """Complex conjugate: each root of unity goes to its inverse."""
         pk = self.p ** self.k
-        return CycloSum(self.p, self.k,
-                        {(-r) % pk: c for r, c in self.counts.items()},
-                        self.scale)
+        return CycloSum._reduced(self.p, self.k,
+                                 {(-r) % pk: c for r, c in self.counts.items()},
+                                 self.scale)
 
     def scale_down(self, j):
         """Multiply the value by p^(-j)."""
-        return CycloSum(self.p, self.k, self.counts, self.scale + j)
+        scale = self.scale + int(j)
+        if scale < 0:
+            raise PreconditionError("negative scale; multiply counts instead")
+        return CycloSum._reduced(self.p, self.k, dict(self.counts), scale)
 
     def scale_up(self, j):
         """Multiply the value by p^(+j)."""

@@ -514,35 +514,39 @@ def s2_closed(q, n):
     return q ** (3 * n - 2) * (q ** n - 1) + q ** (2 * n) * x2_count(q, [0] * n)
 
 
-def _slot_prime_tables(q, n, delta, gammas):
-    keys = grid_square_keys(left_mul_matrix(adj_flat(delta)), q, q)
-    return [(keys, _grid_trace_pair(g, q, q)) for g in gammas]
+def _square_keys(q, delta):
+    """Packed key of adj(delta) Y^2 mod q for every Y mod q; the same for
+    every slot and every gamma."""
+    return grid_square_keys(left_mul_matrix(adj_flat(delta)), q, q)
+
+
+def _negated_keys(q):
+    """Key of -v for the packed key of each v in F_q^4."""
+    return _pack(-_unpack(np.arange(q ** 4), q) % q, q)
 
 
 def s2_brute(q, n, delta=None):
-    delta = delta or (q, 0, 0, 1)
-    tables = _slot_prime_tables(q, n, delta, [(0, 0, 0, 0)] * n)
+    keys = _square_keys(q, delta or (q, 0, 0, 1))
     if n == 1:
-        return int((tables[0][0] == 0).sum())
-    k1, k2 = tables[0][0], tables[1][0]
-    h1 = np.bincount(k1, minlength=q ** 4)
-    h2 = np.bincount(k2, minlength=q ** 4)
-    neg = _pack(-_unpack(np.arange(q ** 4), q) % q, q)
-    return int((h1.astype(np.int64) * h2[neg]).sum())
+        return int((keys == 0).sum())
+    h = np.bincount(keys, minlength=q ** 4).astype(np.int64)
+    return int((h * h[_negated_keys(q)]).sum())
 
 
-def s3_brute(q, n, gammas, delta=None):
-    delta = delta or (q, 0, 0, 1)
-    tables = _slot_prime_tables(q, n, delta, gammas)
-    if n == 1:
-        keys, tr = tables[0]
-        return int(((keys == 0) & (tr == 0)).sum())
-    (k1, t1), (k2, t2) = tables
-    c1 = np.bincount(k1 * q + t1, minlength=q ** 5).reshape(q ** 4, q)
-    c2 = np.bincount(k2 * q + t2, minlength=q ** 5).reshape(q ** 4, q)
-    neg = _pack(-_unpack(np.arange(q ** 4), q) % q, q)
-    negt = (-np.arange(q)) % q
-    return int((c1.astype(np.int64) * c2[neg][:, negt]).sum())
+def s3_brute(q, n, gamma_list, delta=None):
+    """Brute-force S3 for each gamma tuple of the list, from one key grid."""
+    keys = _square_keys(q, delta or (q, 0, 0, 1))
+    neg, negt = _negated_keys(q), (-np.arange(q)) % q
+    out = []
+    for gammas in gamma_list:
+        traces = [_grid_trace_pair(g, q, q) for g in gammas]
+        if n == 1:
+            out.append(int(((keys == 0) & (traces[0] == 0)).sum()))
+            continue
+        c1, c2 = (np.bincount(keys * q + t, minlength=q ** 5).reshape(q ** 4, q)
+                  for t in traces)
+        out.append(int((c1.astype(np.int64) * c2[neg][:, negt]).sum()))
+    return out
 
 
 def s3_closed(q, n, gammas):
@@ -650,9 +654,10 @@ def prime_case_report(q, n, num_gamma=500, seed=0, check_brute_s3=True):
         else:
             g = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(n))
         gammas_seen.append(g)
-    for g in gammas_seen:
+    s3bs = (s3_brute(q, n, gammas_seen, delta) if check_brute_s3
+            else [None] * len(gammas_seen))
+    for g, s3b in zip(gammas_seen, s3bs):
         gl = [list(x) for x in g]
-        s3b = s3_brute(q, n, g) if check_brute_s3 else None
         s3c = s3_closed(q, n, g)
         if check_brute_s3 and s3b != s3c:
             raise VerificationError(f"closed S3 mismatch at gamma={g}")

@@ -9,207 +9,269 @@ quadratic form Y -> trace(W * Y^2) (matrix or quaternion Y) has rank exactly
 2 when trace(W) = 0 (W nonzero) and rank 3 or 4 otherwise; over n slots with
 unit coefficients the block Hessian has rank at least 2n.
 
-Matrices are flat 4-tuples (a, b, c, d) = [[a, b], [c, d]]; quaternions are
-true-coordinate 4-tuples.  field=None means exact rationals, field=q an odd
-prime means arithmetic mod q.  The 2x2 and quaternion arithmetic comes from
-the flat helpers in `qcl.algebra`; ranks and kernels come from the field
-Gauss-Jordan `qcl.linalg.field_rref`.
+Every function takes a stack: flat 4-vectors (a, b, c, d) = [[a, b], [c, d]]
+(or quaternion coordinates) on the last axis of an integer array.  q=None
+means the rationals, q an odd prime means F_q.  Over F_q kernels are read
+from a membership table over all q^4 matrices; ranks are one batched
+elimination mod q, or over Q mod a prime certified by the Hadamard bound.
 """
 
-import itertools
+import functools
+import math
 import random
 
-from .algebra import (det_flat, mat_mul_flat, quat_mul_flat, reduce_mod,
-                      trace_flat)
-from .errors import PreconditionError, VerificationError
-from .linalg import field_rref
+import numpy as np
 
+from .algebra import mat_mul_flat, quat_mul_flat, trace_flat
+from .errors import BudgetError, PreconditionError, VerificationError
 
-def mat_rank(rows, q=None):
-    """Rank by Gaussian elimination, exact over F_q or Q."""
-    return len(field_rref(rows, q)[1])
-
-
-def _kernel_basis(rows, q=None):
-    """Basis of the right kernel of the given matrix."""
-    a, pivots = field_rref(rows, q)
-    n = len(a[0]) if a else 0
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = reduce_mod(-a[i][fc], q)
-        basis.append(tuple(v))
-    return basis
-
+# Ranks over Q are taken mod this prime (see mat_rank).
+P = 2 ** 31 - 1
 
 # the flat unit matrices e_0, ..., e_3
 _UNITS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
+# The form y -> trace(W y^2) for one flat W.
+_FORMS = {
+    "matrix": lambda w, y: trace_flat(mat_mul_flat(y, mat_mul_flat(y, w))),
+    # the reduced trace of a quaternion is twice its real part
+    "quat": lambda w, y: 2 * quat_mul_flat(quat_mul_flat(y, y), w)[0],
+}
 
-def _anticommutator(w, a, q=None):
-    """Flat entries of W A + A W."""
-    return tuple(reduce_mod(u + v, q) for u, v in
-                 zip(mat_mul_flat(w, a), mat_mul_flat(a, w)))
+
+@functools.cache
+def _tensor(kind):
+    """(4, 16) int64 T with flat(map(W)) = W @ T, for a map linear in W,
+    read off its one-W definition at W = e_0, ..., e_3.  kind "anti" is
+    A -> WA + AW; "matrix" and "quat" are the Hessian J of f(y) =
+    trace(W y^2) by polarization, J[a][b] = f(e_a + e_b) - f(e_a) - f(e_b),
+    so that f = (1/2) y^T J y."""
+    def entry(w, i, j):
+        ei, ej = _UNITS[i], _UNITS[j]
+        if kind == "anti":
+            return mat_mul_flat(w, ej)[i] + mat_mul_flat(ej, w)[i]
+        f = _FORMS[kind]
+        return (f(w, tuple(x + y for x, y in zip(ei, ej)))
+                - f(w, ei) - f(w, ej))
+    t = np.array([[entry(w, i, j) for i in range(4) for j in range(4)]
+                  for w in _UNITS], dtype=np.int64)
+    t.flags.writeable = False
+    return t
 
 
-def anticommutator_map(w, q=None):
-    """4x4 matrix of A -> WA + AW on flat matrix coordinates."""
-    cols = [_anticommutator(w, e, q) for e in _UNITS]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
+def _ints(a):
+    """a as an int64 array; non-integer input (floats, Fractions) raises,
+    where a cast would truncate it."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        raise PreconditionError("entries must be int64 integers")
+    return a.astype(np.int64)
+
+
+def _stack(w):
+    w = _ints(w)
+    if w.shape[-1:] != (4,):
+        raise PreconditionError("W must be flat 4-vectors on the last axis")
+    return w
+
+
+def _apply(kind, w):
+    w = _stack(w)
+    return (w @ _tensor(kind)).reshape(w.shape[:-1] + (4, 4))
+
+
+def _trace(w):
+    return w[..., 0] + w[..., 3]
+
+
+def _det(w):
+    return w[..., 0] * w[..., 3] - w[..., 1] * w[..., 2]
+
+
+def anticommutator_map(w):
+    """4x4 matrix of A -> WA + AW on flat matrix coordinates, per W."""
+    return _apply("anti", w)
+
+
+def hessian_matrix(w, kind="matrix"):
+    """Hessian J of the quadratic form y -> trace(W y^2), per W, so that
+    the form equals (1/2) y^T J y; W is a matrix or a quaternion."""
+    if kind not in _FORMS:
+        raise PreconditionError("kind must be matrix or quat")
+    return _apply(kind, w)
 
 
 def lw_dim_formula(w, q=None):
-    t0 = trace_flat(w, q) == 0
-    d0 = det_flat(w, q) == 0
-    return max(2 * int(t0), int(d0))
-
-
-def lw_kernel(w, q=None):
-    """Kernel of A -> WA + AW with its dimension law checked.
-
-    Returns {"dim", "basis"}; raises if W = 0 or the dimension disagrees
-    with the closed formula.
-    """
-    if not any(reduce_mod(v, q) for v in w):
-        raise PreconditionError("W must be nonzero")
-    if q is not None and (q < 3 or q % 2 == 0):
-        raise PreconditionError("field must be an odd prime or None")
-    basis = _kernel_basis(anticommutator_map(w, q), q)
-    for a in basis:
-        if any(_anticommutator(w, a, q)):
-            raise VerificationError("kernel basis fails the defining relation")
-    dim = len(basis)
-    if dim != lw_dim_formula(w, q):
-        raise VerificationError(
-            f"kernel dim {dim} != formula {lw_dim_formula(w, q)}")
-    return {"dim": dim, "basis": basis}
-
-
-def kernel_contains_invertible(w, q=None, tries=200, seed=0):
-    """Find an invertible element of the anticommutator kernel of W."""
-    basis = lw_kernel(w, q)["basis"]
-    if not basis:
-        return None
+    """max(2 [trace W = 0], [det W = 0]), per W."""
+    w = _stack(w)
+    t, d = _trace(w), _det(w)
     if q is not None:
-        combos = itertools.product(range(q), repeat=len(basis))
-    else:
-        rng = random.Random(seed)
-        combos = ([rng.randrange(-5, 6) for _ in basis]
-                  for _ in range(tries))
-    for coeffs in combos:
-        a = tuple(reduce_mod(sum(c * b[i] for c, b in zip(coeffs, basis)), q)
-                  for i in range(4))
-        if det_flat(a, q) != 0:
-            return a
-    return None
+        t, d = t % q, d % q
+    return np.maximum(2 * (t == 0), d == 0)
 
 
-def kernel_intersection_dim(w1, w2, q=None):
-    """dim of the common anticommutator kernel of two matrices."""
-    rows = anticommutator_map(w1, q) + anticommutator_map(w2, q)
-    return 4 - mat_rank(rows, q)
+def mat_rank(a, q=None):
+    """Rank of a matrix, or of each matrix of a stack (..., m, n), exact over
+    F_q (q prime) or, for integer matrices, over Q.
 
-
-def proportional(w1, w2, q=None):
-    """True if w2 is a scalar multiple of w1 over the field."""
-    return mat_rank([w1, w2], q) <= 1
-
-
-def hessian_matrix(w, kind="matrix", q=None):
-    """Hessian J of the quadratic form y -> trace(W y^2), so that the form
-    equals (1/2) y^T J y; works for matrix or quaternion W.
-
-    J is read off by polarization: J[a][b] = f(e_a + e_b) - f(e_a) - f(e_b).
+    Over Q the rank is taken mod P.  A nonzero minor is at most the product
+    of the norms of its rows, hence at most the product H of the norms of
+    all nonzero rows (each at least 1).  When H < P no nonzero minor is
+    divisible by P, so the rank mod P is the rank over Q.  H^2 < P^2 is
+    checked exactly in integers; VerificationError if it fails.
     """
-    if kind == "matrix":
-        def form(y):
-            return trace_flat(mat_mul_flat(y, mat_mul_flat(y, w, q), q), q)
-    elif kind == "quat":
-        def form(y):
-            # the reduced trace of a quaternion is twice its real part
-            return reduce_mod(2 * quat_mul_flat(quat_mul_flat(y, y), w)[0], q)
-    else:
-        raise PreconditionError("kind must be matrix or quat")
-
-    diag = [form(e) for e in _UNITS]
-    return [[reduce_mod(form(tuple(x + y for x, y in zip(_UNITS[a], _UNITS[b])))
-                        - diag[a] - diag[b], q)
-             for b in range(4)] for a in range(4)]
+    a = _ints(a)
+    p = P if q is None else q
+    if a.ndim < 2 or not 2 <= p <= P:
+        raise PreconditionError("need matrices and a prime field below 2^31")
+    if q is None:
+        sq = (a.astype(object) ** 2).sum(axis=-1).reshape(-1, a.shape[-2])
+        if any(math.prod(s for s in rows if s) >= P * P
+               for rows in sq.tolist()):
+            raise VerificationError(f"Hadamard bound reaches P = {P}: the "
+                                    "rank mod P is not certified")
+    *batch, m, n = a.shape
+    a = (a % p).reshape(-1, m, n)
+    used = np.zeros((len(a), m), dtype=bool)
+    every = np.arange(len(a))
+    for c in range(n):
+        # forward elimination below a pivot in column c, fraction-free:
+        # row <- pivot * row - row[c] * pivot_row keeps the row space mod p
+        # without an inverse, and each product of residues is below 2^62
+        live = (a[:, :, c] != 0) & ~used
+        piv = live.argmax(axis=1)
+        has = live[every, piv]
+        top = a[every, piv]
+        elim = (top[:, c, None, None] * a
+                - a[:, :, c, None] * top[:, None, :]) % p
+        used[every, piv] |= has
+        a = np.where((has[:, None] & ~used)[:, :, None], elim, a)
+    return used.sum(axis=-1).reshape(batch)
 
 
 def hessian_rank(w, n=1, upsilon=None, kind="matrix", q=None):
-    """Rank of the block Hessian of y -> trace(W * sum_i u_i y_i^2).
+    """Rank of the block Hessian of y -> trace(W * sum_i u_i y_i^2), per W.
 
-    Raises VerificationError unless the rank is >= 2n for nonzero W and,
-    over the rationals with trace(W) = 0, each block has rank exactly 2.
+    The block Hessian is diag(u_1 J_W, ..., u_n J_W), and a unit u_i keeps
+    the rank of J_W, so the rank is n * rank(J_W).  Raises
+    VerificationError unless each slot has rank >= 2 (so the block has rank
+    >= 2n) and, over the rationals with trace(W) = 0, exactly 2.
     """
-    if not any(reduce_mod(v, q) for v in w):
+    w = _stack(w) if q is None else _stack(w) % q
+    if not w.any(axis=-1).all():
         raise PreconditionError("W must be nonzero")
     upsilon = tuple(upsilon) if upsilon is not None else (1,) * n
     if len(upsilon) != n or any(u not in (1, -1) for u in upsilon):
         raise PreconditionError("need n unit signs")
-    traceless = (trace_flat(w, q) == 0 if kind == "matrix"
-                 else reduce_mod(w[0], q) == 0)
-    total = 0
-    for u in upsilon:
-        wu = tuple(reduce_mod(u * v, q) for v in w)
-        r = mat_rank(hessian_matrix(wu, kind, q), q)
-        if r < 2:
-            raise VerificationError("slot Hessian rank below 2")
-        if q is None and traceless and r != 2:
+    slot = mat_rank(hessian_matrix(w, kind), q)
+    if (slot < 2).any():
+        raise VerificationError("slot Hessian rank below 2")
+    if q is None:
+        traceless = (_trace(w) if kind == "matrix" else w[..., 0]) == 0
+        if (traceless & (slot != 2)).any():
             raise VerificationError("traceless slot rank must be exactly 2")
-        total += r
-    if total < 2 * n:
-        raise VerificationError("block Hessian rank below 2n")
-    return total
+    return n * slot
+
+
+def field_matrices(q):
+    """Every flat matrix mod q as a (q^4, 4) array in lexicographic order;
+    row 0 is the zero matrix."""
+    return np.indices((q,) * 4, dtype=np.int64).reshape(4, -1).T
+
+
+def kernel_table(w, q):
+    """Membership table K[i, j] = [W_i A_j + A_j W_i = 0 mod q] over the
+    matrices A_j of field_matrices(q), for a (k, 4) stack of nonzero W,
+    with the dimension law checked: row i has q^lw_dim_formula(W_i) members.
+
+    An entry of L_W A is a sum of four products of residues, at most
+    4 (q - 1)^2 < 2^15 for q <= 91, so the int16 image is exact; the budget
+    of 10^7 cells keeps q <= 56.
+    """
+    if q < 3 or q % 2 == 0:
+        raise PreconditionError("field must be an odd prime")
+    w = _stack(w).reshape(-1, 4) % q
+    if not w.any(axis=1).all():
+        raise PreconditionError("W must be nonzero")
+    if len(w) * q ** 4 > 10 ** 7:
+        raise BudgetError(f"kernel table of {len(w)} x {q}^4 cells")
+    maps = (anticommutator_map(w) % q).astype(np.int16)
+    cols = field_matrices(q).T.astype(np.int16)
+    table = np.ones((len(w), q ** 4), dtype=bool)
+    for i in range(4):
+        table &= (maps[:, i, :] @ cols) % q == 0
+    if (table.sum(axis=1) != q ** lw_dim_formula(w, q)).any():
+        raise VerificationError("kernel size disagrees with q^formula")
+    return table
+
+
+def _line_ids(w, q):
+    """Projective point of each nonzero W mod q: W scaled so its first
+    nonzero entry is 1, packed.  W are proportional iff their ids agree."""
+    lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
+    return (w * inv[lead][:, None] % q) @ q ** np.arange(3, -1, -1)
+
+
+def traceless_pair_count(q):
+    """Check that the kernels of every two non-proportional traceless
+    nonzero W mod q meet in dimension <= 1, from one int32 product K K^T
+    (entries at most q^4); returns the number of pairs.  A meet of
+    dimension > 1 needs two 2-dimensional kernels, i.e. two traceless W, so
+    these pairs are exhaustive."""
+    w = field_matrices(q)[1:]
+    w = w[_trace(w) % q == 0]
+    table = kernel_table(w, q).astype(np.int32)
+    ids = _line_ids(w, q)
+    pairs = np.triu(ids[:, None] != ids[None, :], k=1)
+    bad = np.argwhere(pairs & (table @ table.T > q))
+    if len(bad):
+        i, j = bad[0]
+        raise VerificationError(
+            f"kernels of {tuple(w[i])}, {tuple(w[j])} meet in dim > 1")
+    return int(pairs.sum())
 
 
 def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
     """Exhaustive field checks plus seeded rational checks; raises on any
     violation, returns summary statistics."""
-    nonzero = [w for w in itertools.product(range(q), repeat=4)
-               if any(w)]
-    dims = {}
-    traceless_invertible = 0
-    for w in nonzero:
-        rep = lw_kernel(w, q)
-        dims[rep["dim"]] = dims.get(rep["dim"], 0) + 1
-        if trace_flat(w, q) == 0:
-            # kernel sits inside the traceless hyperplane
-            for a in rep["basis"]:
-                if trace_flat(a, q) != 0:
-                    raise VerificationError("kernel escapes traceless plane")
-            if kernel_contains_invertible(w, q) is not None:
-                traceless_invertible += 1
-        # symmetry on a deterministic companion
-        for a in rep["basis"]:
-            if any(_anticommutator(a, w, q)):
-                raise VerificationError("anticommutator symmetry fails")
-        hessian_rank(w, 1, None, "matrix", q)
+    mats = field_matrices(q)
+    w = mats[1:]
+    table = kernel_table(w, q)
+    traceless = _trace(w) % q == 0
+    if table[traceless][:, _trace(mats) % q != 0].any():
+        raise VerificationError("kernel escapes traceless plane")
+    # A in L(W) iff W in L(A), on the nonzero A
+    if (table[:, 1:] != table[:, 1:].T).any():
+        raise VerificationError("anticommutator symmetry fails")
+    with_unit = int((table[traceless] & (_det(mats) % q != 0)).any(1).sum())
+    if with_unit != traceless.sum():
+        raise VerificationError("some traceless kernel lacks a unit")
+    hessian_rank(w, 1, None, "matrix", q)
     # pairwise intersections among non-proportional W
     rng = random.Random(seed)
-    pairs = 0
-    while pairs < pair_samples:
-        w1 = rng.choice(nonzero)
-        w2 = rng.choice(nonzero)
-        if proportional(w1, w2, q):
-            continue
-        if kernel_intersection_dim(w1, w2, q) > 1:
-            raise VerificationError(f"kernels of {w1}, {w2} meet in dim > 1")
-        pairs += 1
+    ids = _line_ids(w, q).tolist()
+    index = range(len(w))
+    pairs = []
+    while len(pairs) < pair_samples:
+        i, j = rng.choice(index), rng.choice(index)
+        if ids[i] != ids[j]:
+            pairs.append((i, j))
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    bad = np.flatnonzero((table[i] & table[j]).sum(axis=1) > q)
+    if len(bad):
+        k = bad[0]
+        raise VerificationError(
+            f"kernels of {tuple(w[i[k]])}, {tuple(w[j[k]])} meet in dim > 1")
     # rational spot checks
-    for _ in range(rational_samples):
-        w = tuple(rng.randrange(-9, 10) for _ in range(4))
-        if not any(w):
-            continue
-        lw_kernel(w)
-        hessian_rank(w, 1)
-        if w[0] + w[3] == 0 and hessian_rank(w, 2, (1, -1)) != 4:
-            raise VerificationError(f"traceless {w}: two-slot rank != 4")
-    ntl = sum(1 for w in nonzero if trace_flat(w, q) == 0)
-    if traceless_invertible != ntl:
-        raise VerificationError("some traceless kernel lacks a unit")
-    return {"q": q, "dim_histogram": dims, "pairs_checked": pairs,
-            "traceless_with_unit": traceless_invertible}
+    draws = [tuple(rng.randrange(-9, 10) for _ in range(4))
+             for _ in range(rational_samples)]
+    r = np.array([d for d in draws if any(d)], dtype=np.int64).reshape(-1, 4)
+    if (4 - mat_rank(anticommutator_map(r)) != lw_dim_formula(r)).any():
+        raise VerificationError("kernel dim disagrees with formula over Q")
+    hessian_rank(r, 1)
+    if (hessian_rank(r[_trace(r) == 0], 2, (1, -1)) != 4).any():
+        raise VerificationError("traceless W: two-slot rank != 4")
+    dims, counts = np.unique(lw_dim_formula(w, q), return_counts=True)
+    return {"q": q, "dim_histogram": dict(zip(dims.tolist(), counts.tolist())),
+            "pairs_checked": len(pairs), "traceless_with_unit": with_unit}

@@ -193,6 +193,20 @@ def sup_norm_of_coords(x):
     return Fraction(max(abs(t) for t in _coords_doubled(x)), 2)
 
 
+def _reduce_against(echelon, x):
+    """x with each echelon row's pivot column cleared, by integer steps
+    v <- row[c] v - v[c] row: zero iff x lies in the rational span.
+
+    Each row is zero at the pivot columns of the rows before it, so one
+    pass in order leaves every pivot column of v at zero."""
+    v = list(x)
+    for c, row in echelon:
+        if v[c]:
+            a, b = row[c], v[c]
+            v = [a * vi - b * ri for vi, ri in zip(v, row)]
+    return v
+
+
 def successive_minima(lat, bound, budget=_ENUM_BUDGET):
     """Exact successive minima of the lattice under the quaternion sup-norm.
 
@@ -205,12 +219,11 @@ def successive_minima(lat, bound, budget=_ENUM_BUDGET):
     # points already seen dominate every remaining minimum
     while rd <= rdmax:
         minima = []
-        chosen = []
+        echelon = []  # (pivot column, row) of the chosen points, reduced
         for nd, x in sorted(_enum_ball(hnf, rd, budget)):
-            cand = chosen + [list(x)]
-            _, _, rank = row_hnf(cand)
-            if rank == len(cand):
-                chosen = cand
+            v = _reduce_against(echelon, x)
+            if any(v):
+                echelon.append((next(i for i, c in enumerate(v) if c), v))
                 minima.append(Fraction(nd, 2))
                 if len(minima) == 4:
                     return tuple(minima)

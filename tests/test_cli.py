@@ -309,7 +309,7 @@ def rep_number(m):
 class TestStdoutDiff:
     REQUESTS = ["repnum --m 5", "count --n 2 --x 1"]
 
-    def diff(self, tmp_path, perturb=False):
+    def diff(self, tmp_path, perturb=False, extra=()):
         head = tmp_path / "head"
         shutil.copytree(ROOT / "src" / "qcl", head / "qcl",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -320,7 +320,7 @@ class TestStdoutDiff:
         requests.write_text("\n".join(self.REQUESTS) + "\n")
         return subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
-             str(ROOT / "src"), str(head), str(requests)],
+             *extra, str(ROOT / "src"), str(head), str(requests)],
             capture_output=True, text=True)
 
     def test_identical_copy_passes(self, tmp_path):
@@ -332,3 +332,11 @@ class TestStdoutDiff:
         proc = self.diff(tmp_path, perturb=True)
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert proc.stdout.splitlines() == ["DIFFERS (stdout): repnum --m 5"]
+
+    def test_seed_sweep_runs_every_request_at_each_seed(self, tmp_path):
+        proc = self.diff(tmp_path, perturb=True, extra=["--seeds", "3-4"])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            "DIFFERS (stdout): --seed 3 repnum --m 5",
+            "DIFFERS (stdout): --seed 4 repnum --m 5"]
+        assert "4 requests, 2 differ" in proc.stderr

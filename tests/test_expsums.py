@@ -487,7 +487,7 @@ class TestPrimeCase:
         rng = random.Random(q * 10 + n)
         for _ in range(30):
             g = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(n))
-            assert s3_brute(q, n, g) == s3_closed(q, n, g)
+            assert s3_brute(q, n, [g]) == [s3_closed(q, n, g)]
 
     def test_s3_all_cases_n2_q3(self):
         # exhaustive over a structured family covering every case
@@ -499,8 +499,7 @@ class TestPrimeCase:
         for _ in range(60):
             fams.append(tuple(tuple(rng.randrange(q) for _ in range(4))
                               for _ in range(2)))
-        for g in fams:
-            assert s3_brute(q, n, g) == s3_closed(q, n, g)
+        assert s3_brute(q, n, fams) == [s3_closed(q, n, g) for g in fams]
 
     def test_report_q3_n1(self):
         rep = prime_case_report(3, 1, num_gamma=60, seed=0)

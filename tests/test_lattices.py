@@ -6,6 +6,7 @@ import pytest
 from qcl import lattices
 from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
 from qcl.errors import BudgetError, PreconditionError, VerificationError
+from qcl.linalg import row_hnf
 from qcl.lattices import (
     Lattice4, instance_corpus, lattice_basis, lattice_point_count,
     left_mul_coords, minkowski_bracket, norm_count, eta_congruence_checks,
@@ -107,6 +108,36 @@ class TestMinima:
         lat = Lattice4(h, 81, 1, 1, 3, ETA3, ONE)
         with pytest.raises(PreconditionError):
             successive_minima(lat, 1)
+
+
+def _minima_by_row_hnf(lat, bound):
+    """The earlier rank test: row_hnf of the chosen points plus each
+    candidate, once per candidate."""
+    rdmax = int(math.ceil(2 * bound))
+    rd = 1
+    while rd <= rdmax:
+        minima, chosen = [], []
+        for nd, x in sorted(lattices._enum_ball(lat.hnf, rd)):
+            cand = chosen + [list(x)]
+            if row_hnf(cand)[2] == len(cand):
+                chosen = cand
+                minima.append(Fraction(nd, 2))
+                if len(minima) == 4:
+                    return tuple(minima)
+        if rd == rdmax:
+            break
+        rd = min(2 * rd, rdmax)
+    return None
+
+
+class TestMinimaOracle:
+    def test_same_minima_as_row_hnf_rank(self):
+        for inst in instance_corpus(12, 20260823):
+            lat = lattice_basis(inst["H"], inst["K"], inst["m"],
+                                inst["eta"], inst["m0"])
+            bound = max(4, 2 * inst["m"])
+            assert successive_minima(lat, bound) == _minima_by_row_hnf(
+                lat, bound)
 
 
 def _unpruned_enum_ball(hnf, rd):
