@@ -19,6 +19,12 @@ B inclusive, so all eight audit suites at seeds 0..8 are one command:
     printf 'audit %s\n' gauss-laws prime-case local-integrals densities \
         lattices geometry delta counting > suites.txt
     python3 scripts/stdout_diff.py --seeds 0-8 ../base/src src suites.txt
+
+With --head-python PATH the HEAD_SRC runs use that interpreter instead of
+the one running this script, so one tree can be compared under two:
+
+    python3 scripts/stdout_diff.py --head-python /usr/bin/python3.12 \
+        src src requests.txt
 """
 
 import argparse
@@ -29,13 +35,13 @@ import sys
 import tempfile
 
 
-def run(src, request):
+def run(python, src, request):
     """(exit code, stdout bytes) of one cold, uncached request."""
     with tempfile.TemporaryDirectory(prefix="qcl-diff-") as cache:
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                    PYTHONHASHSEED="0", QCL_CACHE_DIR=cache)
         proc = subprocess.run(
-            [sys.executable, "-m", "qcl.cli", "--no-cache", *request],
+            [python, "-m", "qcl.cli", "--no-cache", *request],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
     return proc.returncode, proc.stdout
 
@@ -59,6 +65,9 @@ def main(argv=None):
     ap.add_argument("requests", help="file with one request per line")
     ap.add_argument("--seeds", type=seed_range, metavar="A-B",
                     help="run every request at each --seed from A to B")
+    ap.add_argument("--head-python", default=sys.executable, metavar="PATH",
+                    help="interpreter for the HEAD_SRC runs (default: this "
+                         "one)")
     args = ap.parse_args(argv)
     with open(args.requests) as fh:
         lines = [ln.strip() for ln in fh]
@@ -70,8 +79,9 @@ def main(argv=None):
     differ = 0
     for line in requests:
         request = shlex.split(line)
-        (rc_a, out_a), (rc_b, out_b) = (run(args.base_src, request),
-                                        run(args.head_src, request))
+        (rc_a, out_a), (rc_b, out_b) = (
+            run(sys.executable, args.base_src, request),
+            run(args.head_python, args.head_src, request))
         if rc_a != rc_b or out_a != out_b:
             differ += 1
             what = [] if out_a == out_b else ["stdout"]

@@ -352,15 +352,16 @@ class CycloSum:
     Canonical form restricts support to exponents r < p^k - p^(k-1)
     (the remaining powers of the root of unity form a Q-basis), drops
     the conductor when the support allows it, and strips common p-factors
-    against the scale. Equality and zero tests are exact on canonical
-    forms; real_sign() certifies the sign of the real part, at_most()
+    against the scale. A value built by canonical() is marked as such, so
+    canonicalizing it again returns it as it is. Equality and zero tests are
+    exact on canonical forms; real_sign() certifies the sign of the real part, at_most()
     compares a real value with a rational bound through it, and
     magnitude() is an approximate float.  The product of two values is one
     big-integer product by Kronecker substitution (_cyclic_product), exact
     at any coefficient size.
     """
 
-    __slots__ = ("p", "k", "counts", "scale")
+    __slots__ = ("p", "k", "counts", "scale", "_canonical")
 
     def __init__(self, p, k, counts, scale=0):
         if scale < 0:
@@ -376,17 +377,20 @@ class CycloSum:
                 cc[r] = cc.get(r, 0) + c
         object.__setattr__(self, "counts", {r: c for r, c in cc.items() if c})
         object.__setattr__(self, "scale", int(scale))
+        object.__setattr__(self, "_canonical", False)
 
     @classmethod
-    def _reduced(cls, p, k, counts, scale):
+    def _reduced(cls, p, k, counts, scale, canonical=False):
         """Trusted constructor: `counts` is a dict the caller no longer
         uses, with int exponents already in [0, p^k), nonzero int counts and
-        int scale >= 0, so nothing is re-reduced or copied."""
+        int scale >= 0, so nothing is re-reduced or copied. `canonical`
+        says that the value is already in canonical form."""
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_canonical", canonical)
         return self
 
     def __setattr__(self, *a):
@@ -420,6 +424,8 @@ class CycloSum:
     # -- canonicalization ---------------------------------------------------
 
     def canonical(self):
+        if self._canonical:
+            return self
         p = self.p
         k = self.k
         counts = dict(self.counts)
@@ -452,11 +458,11 @@ class CycloSum:
             break
         scale = self.scale
         if not counts:
-            return CycloSum._reduced(p, 0, {}, 0)
+            return CycloSum._reduced(p, 0, {}, 0, canonical=True)
         while scale > 0 and all(c % p == 0 for c in counts.values()):
             counts = {r: c // p for r, c in counts.items()}
             scale -= 1
-        return CycloSum._reduced(p, k, counts, scale)
+        return CycloSum._reduced(p, k, counts, scale, canonical=True)
 
     def is_zero(self):
         return not self.canonical().counts

@@ -15,14 +15,13 @@ progress go to standard error.  Exit codes: 0 success, 2 precondition
 violation, 3 budget exhaustion, 4 verification failure.
 """
 
+import argparse
 import glob
 import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
-
-import click
 
 from . import DEFAULT_SEED, __version__
 from .errors import (BudgetError, PreconditionError, QclError,
@@ -135,8 +134,9 @@ def _flatten(tree, prefix=""):
     return rows
 
 
-def _emit(ctx, subcommand, params, compute):
-    opts = ctx.obj
+def _emit(opts, subcommand, params, compute):
+    """Print the request's result, from the cache or from `compute()`, and
+    exit with its code. `opts` holds the global options (see `main`)."""
     request = _canonical_request(subcommand, params, opts["seed"],
                                  opts["budget"])
     key = hashlib.sha256(request.encode()).hexdigest()[:32]
@@ -196,41 +196,107 @@ def _parse_signs(text):
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
-@click.group()
-@click.option("--no-cache", is_flag=True, help="Bypass the result cache.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Also write the flattened result as CSV.")
-@click.option("--threads", default=1, type=int,
-              help="Reserved: accepted, validated, ignored; results are "
-                   "thread-count invariant.")
-@click.option("--seed", default=DEFAULT_SEED, type=int, show_default=True)
-@click.option("--budget", default=None, type=int,
-              help="Recorded in the request, so it changes the request "
-                   "hash; no engine reads it.")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="Key=value config file.")
-@click.pass_context
-def main(ctx, no_cache, csv_path, threads, seed, budget, config_path):
-    """Exact-arithmetic toolkit for quaternionic counting problems."""
-    if threads < 1:
-        raise click.UsageError("--threads must be positive")
-    cfg = _load_config(config_path)
-    if budget is None and "budget" in cfg:
-        budget = int(cfg["budget"])
-    ctx.obj = {"no_cache": no_cache, "csv": csv_path, "threads": threads,
-               "seed": seed, "budget": budget, "config": cfg}
+def _opt(*flags, **kwargs):
+    """One argument of a parser: `add_argument`'s flags and keywords."""
+    return flags, kwargs
 
 
-@main.command()
-@click.option("--n", required=True, type=int)
-@click.option("--upsilon", default=None,
-              help="Sign pattern, e.g. +-; defaults to all +.")
-@click.option("--x", "--X", "height", required=True, type=int)
-@click.option("--engine", type=click.Choice(["conv", "brute", "both"]),
-              default="conv", show_default=True)
-@click.option("--traceless", is_flag=True)
-@click.pass_context
-def count(ctx, n, upsilon, height, engine, traceless):
+def _existing_path(path):
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+# Options given before the subcommand.
+_GROUP_OPTIONS = (
+    _opt("--no-cache", action="store_true", help="Bypass the result cache."),
+    _opt("--csv", dest="csv_path", metavar="PATH",
+         help="Also write the flattened result as CSV."),
+    _opt("--threads", default=1, type=int,
+         help="Reserved: accepted, validated, ignored; results are "
+              "thread-count invariant."),
+    _opt("--seed", default=DEFAULT_SEED, type=int),
+    _opt("--budget", type=int,
+         help="Recorded in the request, so it changes the request hash; no "
+              "engine reads it."),
+    _opt("--config", dest="config_path", type=_existing_path, metavar="PATH",
+         help="Key=value config file."),
+)
+
+_COMMANDS = {}  # name -> (function(opts, **values), options)
+
+
+def _command(name, *options):
+    def register(fn):
+        _COMMANDS[name] = (fn, options)
+        return fn
+    return register
+
+
+def _add_options(parser, options):
+    for flags, kwargs in options:
+        if "default" in kwargs:
+            kwargs = dict(kwargs, help=" ".join(
+                filter(None, [kwargs.get("help"), "(default: %(default)s)"])))
+        parser.add_argument(*flags, **kwargs)
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+
+
+def _parser(prog):
+    """The global options, then one subparser per command. Help is `--help`
+    alone (no `-h`), no option may be abbreviated, and a usage error exits
+    2."""
+    parser = argparse.ArgumentParser(
+        prog=prog, add_help=False, allow_abbrev=False,
+        description="Exact-arithmetic toolkit for quaternionic counting "
+                    "problems.")
+    _add_options(parser, _GROUP_OPTIONS)
+    subs = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                 title="commands", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        _add_options(subs.add_parser(
+            name, help=fn.__doc__, description=fn.__doc__, add_help=False,
+            allow_abbrev=False), options)
+    return parser
+
+
+def _value_flags(options):
+    return {flag for flags, kwargs in options
+            if kwargs.get("action") != "store_true"
+            for flag in flags if flag.startswith("-")}
+
+
+def _bind_values(argv):
+    """Join each option that takes a value to the token after it, as in
+    `--alpha=-4,3,-4,2`, so the next token is the value whatever it looks
+    like. Alone, argparse would read `-4,3,-4,2` or the sign pattern `-+`
+    as an unknown option."""
+    takes, command = _value_flags(_GROUP_OPTIONS), None
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            rest = list(tokens)
+            out.extend([tok, *rest] if rest else [])  # a trailing -- is a no-op
+        elif tok in takes:
+            value = next(tokens, None)
+            out.append(tok if value is None else f"{tok}={value}")
+        else:
+            if command is None and tok in _COMMANDS:
+                command = tok
+                takes = _value_flags(_COMMANDS[tok][1])
+            out.append(tok)
+    return out
+
+
+@_command("count",
+          _opt("--n", required=True, type=int),
+          _opt("--upsilon", help="Sign pattern, e.g. +-; defaults to all +."),
+          _opt("--x", "--X", dest="height", required=True, type=int),
+          _opt("--engine", choices=["conv", "brute", "both"],
+               default="conv"),
+          _opt("--traceless", action="store_true"))
+def count(opts, n, upsilon, height, engine, traceless):
     """Count solutions of the signed sum-of-squares equation in a box."""
     ups = "+" * n if upsilon is None else upsilon
     params = {"n": n, "upsilon": ups, "X": height, "engine": engine,
@@ -256,19 +322,17 @@ def count(ctx, n, upsilon, height, engine, traceless):
             out["equal"] = out["conv_count"] == out["brute_count"]
         return out
 
-    _emit(ctx, "count", params, compute)
+    _emit(opts, "count", params, compute)
 
 
-@main.command()
-@click.option("--place", type=click.Choice(["split", "nonsplit"]),
-              default="split", show_default=True)
-@click.option("--p", required=True, type=int)
-@click.option("--m", required=True, type=int, help="Level exponent.")
-@click.option("--n", required=True, type=int, help="Number of slots.")
-@click.option("--engine", type=click.Choice(["conv", "exhaustive", "both"]),
-              default="conv", show_default=True)
-@click.pass_context
-def density(ctx, place, p, m, n, engine):
+@_command("density",
+          _opt("--place", choices=["split", "nonsplit"], default="split"),
+          _opt("--p", required=True, type=int),
+          _opt("--m", required=True, type=int, help="Level exponent."),
+          _opt("--n", required=True, type=int, help="Number of slots."),
+          _opt("--engine", choices=["conv", "exhaustive", "both"],
+               default="conv"))
+def density(opts, place, p, m, n, engine):
     """Local solution density of the sum-of-squares equation."""
     params = {"place": place, "p": p, "m": m, "n": n, "engine": engine}
 
@@ -288,21 +352,20 @@ def density(ctx, place, p, m, n, engine):
             out["equal"] = out["density"] == out["density_exhaustive"]
         return out
 
-    _emit(ctx, "density", params, compute)
+    _emit(opts, "density", params, compute)
 
 
-@main.command()
-@click.option("--p", required=True, type=int)
-@click.option("--va", required=True, type=int)
-@click.option("--vt", required=True, type=int)
-@click.option("--xi", "vxi", required=True, type=int,
-              help="Valuation of the linear coefficient.")
-@click.option("--ua", default=1, type=int)
-@click.option("--ut", default=1, type=int)
-@click.option("--uxi", default=1, type=int)
-@click.option("--xi-zero", is_flag=True)
-@click.pass_context
-def gauss(ctx, p, va, vt, vxi, ua, ut, uxi, xi_zero):
+@_command("gauss",
+          _opt("--p", required=True, type=int),
+          _opt("--va", required=True, type=int),
+          _opt("--vt", required=True, type=int),
+          _opt("--xi", dest="vxi", required=True, type=int,
+               help="Valuation of the linear coefficient."),
+          _opt("--ua", default=1, type=int),
+          _opt("--ut", default=1, type=int),
+          _opt("--uxi", default=1, type=int),
+          _opt("--xi-zero", action="store_true"))
+def gauss(opts, p, va, vt, vxi, ua, ut, uxi, xi_zero):
     """Normalized quadratic character sum with its structural laws."""
     params = {"p": p, "va": va, "vt": vt, "vxi": vxi, "ua": ua, "ut": ut,
               "uxi": uxi, "xi_zero": xi_zero}
@@ -314,7 +377,7 @@ def gauss(ctx, p, va, vt, vxi, ua, ut, uxi, xi_zero):
         return {"p": p, "value": _cyclo_out(rep["value"]),
                 "laws": rep["laws"]}
 
-    _emit(ctx, "gauss", params, compute)
+    _emit(opts, "gauss", params, compute)
 
 
 def _cyclo_out(val):
@@ -325,14 +388,13 @@ def _cyclo_out(val):
             "counts": {str(r): n for r, n in sorted(c.counts.items())}}
 
 
-@main.command()
-@click.option("--p", required=True, type=int)
-@click.option("--delta", required=True,
-              help="Flat 2x2 matrix entries a,b,c,d.")
-@click.option("--gamma", "gammas", multiple=True, required=True,
-              help="Flat 2x2 matrix entries; repeat once per slot.")
-@click.pass_context
-def expsum(ctx, p, delta, gammas):
+@_command("expsum",
+          _opt("--p", required=True, type=int),
+          _opt("--delta", required=True,
+               help="Flat 2x2 matrix entries a,b,c,d."),
+          _opt("--gamma", dest="gammas", action="append", required=True,
+               help="Flat 2x2 matrix entries; repeat once per slot."))
+def expsum(opts, p, delta, gammas):
     """Local oscillatory integral attached to a modulus and shift tuple."""
     params = {"p": p, "delta": delta, "gammas": list(gammas)}
 
@@ -345,19 +407,19 @@ def expsum(ctx, p, delta, gammas):
         return {"p": p, "value": _cyclo_out(val), "is_zero": val.is_zero(),
                 "supported": rep["supported"]}
 
-    _emit(ctx, "expsum", params, compute)
+    _emit(opts, "expsum", params, compute)
 
 
-@main.command()
-@click.option("--h", "--H", "hh", default=1, type=int, show_default=True)
-@click.option("--k", "--K", "kk", required=True, type=int)
-@click.option("--m", required=True, type=int)
-@click.option("--eta", required=True,
-              help="Integral-basis coordinates of the norm element.")
-@click.option("--m0", default="1,0,0,0", show_default=True)
-@click.option("--minima", is_flag=True, help="Also report successive minima.")
-@click.pass_context
-def lattice(ctx, hh, kk, m, eta, m0, minima):
+@_command("lattice",
+          _opt("--h", "--H", dest="hh", default=1, type=int),
+          _opt("--k", "--K", dest="kk", required=True, type=int),
+          _opt("--m", required=True, type=int),
+          _opt("--eta", required=True,
+               help="Integral-basis coordinates of the norm element."),
+          _opt("--m0", default="1,0,0,0"),
+          _opt("--minima", action="store_true",
+               help="Also report successive minima."))
+def lattice(opts, hh, kk, m, eta, m0, minima):
     """Congruence lattice basis, index, and optional successive minima."""
     params = {"H": hh, "K": kk, "m": m, "eta": eta, "m0": m0,
               "minima": minima}
@@ -377,14 +439,13 @@ def lattice(ctx, hh, kk, m, eta, m0, minima):
             out["minkowski"] = {"product": prod, "lower": lo, "upper": hi}
         return out
 
-    _emit(ctx, "lattice", params, compute)
+    _emit(opts, "lattice", params, compute)
 
 
-@main.command()
-@click.option("--m", default=None, type=int)
-@click.option("--max", "max_m", default=None, type=int)
-@click.pass_context
-def repnum(ctx, m, max_m):
+@_command("repnum",
+          _opt("--m", type=int),
+          _opt("--max", dest="max_m", type=int))
+def repnum(opts, m, max_m):
     """Primitive representation numbers (enumerated and closed form)."""
     params = {"m": m, "max": max_m}
 
@@ -403,19 +464,18 @@ def repnum(ctx, m, max_m):
                 "all_equal": all(r["enumerated"] == r["formula"]
                                  for r in rows)}
 
-    _emit(ctx, "repnum", params, compute)
+    _emit(opts, "repnum", params, compute)
 
 
-@main.command()
-@click.option("--n", required=True, type=int)
-@click.option("--m", default=1, type=int, show_default=True,
-              help="Level exponent for the local factors.")
-@click.option("--primes", default="3,5,7", show_default=True)
-@click.option("--skip-two", is_flag=True)
-@click.option("--arch", is_flag=True,
-              help="Include the Monte Carlo archimedean factor.")
-@click.pass_context
-def singular(ctx, n, m, primes, skip_two, arch):
+@_command("singular",
+          _opt("--n", required=True, type=int),
+          _opt("--m", default=1, type=int,
+               help="Level exponent for the local factors."),
+          _opt("--primes", default="3,5,7"),
+          _opt("--skip-two", action="store_true"),
+          _opt("--arch", action="store_true",
+               help="Include the Monte Carlo archimedean factor."))
+def singular(opts, n, m, primes, skip_two, arch):
     """Partial singular series: product of local densities."""
     params = {"n": n, "m": m, "primes": primes, "skip_two": skip_two,
               "arch": arch}
@@ -427,20 +487,19 @@ def singular(ctx, n, m, primes, skip_two, arch):
         out = {"n": n, "m": m, "value": value,
                "per_prime": {str(p): d for p, d in sorted(per.items())}}
         if arch:
-            est, err = archimedean_density(n, seed=ctx.obj["seed"])
+            est, err = archimedean_density(n, seed=opts["seed"])
             out["archimedean_approx"] = est
             out["archimedean_stderr"] = err
         return out
 
-    _emit(ctx, "singular", params, compute)
+    _emit(opts, "singular", params, compute)
 
 
-@main.command(name="delta-check")
-@click.option("--alpha", default="0,0,0,0", show_default=True,
-              help="Integral-basis coordinates of the shift.")
-@click.option("--q", "--Q", "height", required=True, type=int)
-@click.pass_context
-def delta_check(ctx, alpha, height):
+@_command("delta-check",
+          _opt("--alpha", default="0,0,0,0",
+               help="Integral-basis coordinates of the shift."),
+          _opt("--q", "--Q", dest="height", required=True, type=int))
+def delta_check(opts, alpha, height):
     """Two-sided delta-symbol sum: exact cancellation or main-term ratio."""
     params = {"alpha": alpha, "Q": height}
 
@@ -460,21 +519,38 @@ def delta_check(ctx, alpha, height):
             out["cancelled"] = rep["difference"] == 0
         return out
 
-    _emit(ctx, "delta-check", params, compute)
+    _emit(opts, "delta-check", params, compute)
 
 
-@main.command()
-@click.argument("suite")
-@click.pass_context
-def audit(ctx, suite):
+@_command("audit", _opt("suite"))
+def audit(opts, suite):
     """Run a named verification suite; exits 4 on any failed check."""
     params = {"suite": suite}
 
     def compute():
         from .audits import run_suite
-        return run_suite(suite, seed=ctx.obj["seed"])
+        return run_suite(suite, seed=opts["seed"])
 
-    _emit(ctx, "audit", params, compute)
+    _emit(opts, "audit", params, compute)
+
+
+def main(args=None, prog_name="qcl"):
+    """Run one request from `args` (default: sys.argv[1:]) and exit with its
+    code."""
+    parser = _parser(prog_name)
+    ns = vars(parser.parse_args(
+        _bind_values(sys.argv[1:] if args is None else args)))
+    if ns["threads"] < 1:
+        parser.error("--threads must be positive")
+    cfg = _load_config(ns.pop("config_path"))
+    budget = ns.pop("budget")
+    if budget is None and "budget" in cfg:
+        budget = int(cfg["budget"])
+    opts = {"no_cache": ns.pop("no_cache"), "csv": ns.pop("csv_path"),
+            "threads": ns.pop("threads"), "seed": ns.pop("seed"),
+            "budget": budget, "config": cfg}
+    fn, _ = _COMMANDS[ns.pop("command")]
+    fn(opts, **ns)
 
 
 if __name__ == "__main__":

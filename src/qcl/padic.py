@@ -105,8 +105,8 @@ def gauss_sum_law_report(params, budget=10 ** 7):
     only the inequality form of the magnitude law is asserted).
     """
     p, va, vt, vxi = params.p, params.va, params.vt, params.vxi
-    g = gauss_sum(params, budget=budget)
-    report = {"value": g.canonical(), "laws": {}}
+    g = gauss_sum(params, budget=budget).canonical()
+    report = {"value": g, "laws": {}}
     xi_small = params.xi_zero or vxi >= min(va, vt)
 
     # magnitude law: |G| <= p^{min(va - vt, 0)/2}, equality when the linear

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -129,35 +130,31 @@ class TestExitCodes:
         assert proc.returncode == 3
 
     def test_verification_is_four(self, tmp_path, monkeypatch, capsys):
-        import click
         from qcl import cli
 
-        ctx = click.Context(cli.main, obj={
-            "no_cache": True, "csv": None, "threads": 1,
-            "seed": 0, "budget": None, "config": {}})
+        opts = {"no_cache": True, "csv": None, "threads": 1,
+                "seed": 0, "budget": None, "config": {}}
 
         def bad():
             raise VerificationError("broken identity")
 
         with pytest.raises(SystemExit) as exc:
-            cli._emit(ctx, "count", {"n": 1}, bad)
+            cli._emit(opts, "count", {"n": 1}, bad)
         assert exc.value.code == 4
 
     @staticmethod
     def _crashing_audit(cache, monkeypatch):
-        import click
         from qcl import audits, cli
 
         monkeypatch.setenv("QCL_CACHE_DIR", str(cache))
-        ctx = click.Context(cli.main, obj={
-            "no_cache": False, "csv": None, "threads": 1,
-            "seed": 0, "budget": None, "config": {}})
+        opts = {"no_cache": False, "csv": None, "threads": 1,
+                "seed": 0, "budget": None, "config": {}}
 
         def crash():
             raise TypeError("unsupported seed type")
 
         with pytest.raises(SystemExit) as exc:
-            cli._emit(ctx, "audit", {"suite": "crash"},
+            cli._emit(opts, "audit", {"suite": "crash"},
                       lambda: audits._run_checks("crash", [("boom", crash)]))
         return exc.value.code
 
@@ -178,6 +175,97 @@ class TestExitCodes:
         assert not cache.exists() or not any(cache.iterdir())
 
 
+def _request_hash(subcommand, params, seed=DEFAULT_SEED):
+    request = _canonical_request(subcommand, params, seed, None)
+    return hashlib.sha256(request.encode()).hexdigest()[:32]
+
+
+# Every subcommand and option of the command line (None: the global ones).
+SURFACE = {
+    None: ["--no-cache", "--csv", "--threads", "--seed", "--budget",
+           "--config", "--help"],
+    "count": ["--n", "--upsilon", "--x", "--X", "--engine", "--traceless"],
+    "density": ["--place", "--p", "--m", "--n", "--engine"],
+    "gauss": ["--p", "--va", "--vt", "--xi", "--ua", "--ut", "--uxi",
+              "--xi-zero"],
+    "expsum": ["--p", "--delta", "--gamma"],
+    "lattice": ["--h", "--H", "--k", "--K", "--m", "--eta", "--m0",
+                "--minima"],
+    "repnum": ["--m", "--max"],
+    "singular": ["--n", "--m", "--primes", "--skip-two", "--arch"],
+    "delta-check": ["--alpha", "--q", "--Q"],
+    "audit": ["suite"],
+}
+
+
+def _run_main(args, capsysbinary):
+    """(exit code, stdout bytes) of one in-process run of the CLI."""
+    from qcl import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    return exc.value.code, capsysbinary.readouterr().out
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("args, subcommand, params", [
+        (["delta-check", "--q", "8", "--alpha", "-4,3,-4,2"], "delta-check",
+         {"alpha": "-4,3,-4,2", "Q": 8}),
+        (["lattice", "--k", "19", "--m", "19", "--eta", "-2,-3,-5,0"],
+         "lattice", {"H": 1, "K": 19, "m": 19, "eta": "-2,-3,-5,0",
+                     "m0": "1,0,0,0", "minima": False}),
+        (["expsum", "--p", "3", "--delta", "9,0,0,1", "--gamma", "-3,0,0,3"],
+         "expsum", {"p": 3, "delta": "9,0,0,1", "gammas": ["-3,0,0,3"]}),
+        (["expsum", "--p", "3", "--delta", "9,0,0,1", "--gamma", "-3,0,0,3",
+          "--gamma", "0,-3,3,0"],
+         "expsum", {"p": 3, "delta": "9,0,0,1",
+                    "gammas": ["-3,0,0,3", "0,-3,3,0"]}),
+        (["count", "--n", "2", "--upsilon", "-+", "--X", "1"], "count",
+         {"n": 2, "upsilon": "-+", "X": 1, "engine": "conv",
+          "traceless": False}),
+        (["delta-check", "--Q", "8", "--alpha", "1,0,0,0"], "delta-check",
+         {"alpha": "1,0,0,0", "Q": 8}),
+        (["lattice", "--H", "2", "--K", "3", "--m", "3", "--eta", "1,1,1,0"],
+         "lattice", {"H": 2, "K": 3, "m": 3, "eta": "1,1,1,0",
+                     "m0": "1,0,0,0", "minima": False}),
+    ], ids=["negative-alpha", "negative-eta", "negative-gamma", "two-gammas",
+            "sign-pattern-and-X", "Q", "H-and-K"])
+    def test_values_land_in_the_request(self, args, subcommand, params,
+                                        tmp_path, monkeypatch, capsysbinary):
+        # a value is the token after its option, even one starting with '-'
+        monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))
+        code, out = _run_main(args, capsysbinary)
+        assert code == 0
+        assert json.loads(out)["request_hash"] == \
+            _request_hash(subcommand, params)
+
+    @pytest.mark.parametrize("args", [
+        ["--threads", "0", "repnum", "--m", "3"],
+        ["--config", "{missing}", "repnum", "--m", "3"],
+        ["count", "--n", "2", "--eng", "conv", "--x", "1"],
+        ["--no-c", "repnum", "--m", "3"],
+    ], ids=["threads-zero", "missing-config", "abbreviated-option",
+            "abbreviated-global-option"])
+    def test_usage_error_is_two_with_empty_stdout(self, args, tmp_path,
+                                                  monkeypatch, capsysbinary):
+        monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))
+        args = [a.format(missing=tmp_path / "absent.cfg") for a in args]
+        assert _run_main(args, capsysbinary) == (2, b"")
+
+    @pytest.mark.parametrize("command", list(SURFACE),
+                             ids=[c or "qcl" for c in SURFACE])
+    def test_help_lists_the_surface(self, command, capsysbinary):
+        code, out = _run_main([command, "--help"] if command else ["--help"],
+                              capsysbinary)
+        assert code == 0
+        text = out.decode()
+        names = SURFACE[command] + ([c for c in SURFACE if c]
+                                    if command is None else [])
+        for name in names:
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])",
+                             text), name
+
+
 class TestDeterminismAndCache:
     def test_cache_roundtrip_identical_bytes(self, tmp_path):
         cache = tmp_path / "cache"
@@ -193,17 +281,15 @@ class TestDeterminismAndCache:
 
     def test_entry_from_other_code_is_a_miss(self, tmp_path, monkeypatch,
                                              capsysbinary):
-        import click
         from qcl import cli
 
         monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))
-        ctx = click.Context(cli.main, obj={
-            "no_cache": False, "csv": None, "threads": 1,
-            "seed": 0, "budget": None, "config": {}})
+        opts = {"no_cache": False, "csv": None, "threads": 1,
+                "seed": 0, "budget": None, "config": {}}
 
         def run(density):
             with pytest.raises(SystemExit) as exc:
-                cli._emit(ctx, "density", {"n": 24},
+                cli._emit(opts, "density", {"n": 24},
                           lambda: {"density": density})
             assert exc.value.code == 0
             out, err = capsysbinary.readouterr()
@@ -263,17 +349,29 @@ class TestDeterminismAndCache:
         assert da["result"]["passed"] and db["result"]["passed"]
 
 
-# Runs one command in this interpreter and reports whether numpy was loaded.
-_NUMPY_PROBE = """
-import sys
+# Runs one command in this interpreter; its last stderr line lists the
+# numpy, mpmath and qcl modules it loaded.
+_MODULES_PROBE = """
+import json, sys
 from qcl.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit as exc:
     if exc.code:
         raise
-print("numpy" in sys.modules, file=sys.stderr)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("numpy", "mpmath", "qcl"))),
+      file=sys.stderr)
 """
+
+
+def _probe_modules(args, cache):
+    env = dict(os.environ, QCL_CACHE_DIR=str(cache))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE] + args,
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stderr.decode().splitlines()
+    return lines[:-1], json.loads(lines[-1])
 
 
 class TestImportPaths:
@@ -284,12 +382,16 @@ class TestImportPaths:
         ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
     ], ids=["gauss", "lattice-minima", "delta-check-shift"])
     def test_exact_paths_leave_numpy_unloaded(self, args, tmp_path):
-        env = dict(os.environ, QCL_CACHE_DIR=str(tmp_path / "cache"))
-        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
-                               "--no-cache"] + args,
-                              capture_output=True, env=env)
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stderr.decode().splitlines()[-1] == "False"
+        _, modules = _probe_modules(["--no-cache"] + args, tmp_path / "cache")
+        assert "numpy" not in modules
+
+    def test_cache_hit_loads_only_the_cli(self, tmp_path):
+        # a later eager import in the CLI would put these back on every hit
+        args = ["gauss", "--p", "7", "--va", "1", "--vt", "3", "--xi", "0"]
+        _probe_modules(args, tmp_path / "cache")
+        log, modules = _probe_modules(args, tmp_path / "cache")
+        assert log and log[0].startswith("cache hit")
+        assert modules == ["qcl", "qcl.cli", "qcl.errors"]
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -304,6 +406,27 @@ def rep_number(m):
     a, b = _rep_number(m)
     return a + 1, b
 """
+
+
+def _other_pythons():
+    """CPython >= 3.10 installs beside this one, as a version manager lays
+    them out (<prefix>/../<version>/bin/python3), this interpreter left
+    out."""
+    here = Path(sys.base_prefix).resolve()
+    found = []
+    for exe in sorted(Path(sys.base_prefix).parent.glob("*/bin/python3")):
+        if exe.parents[1].resolve() == here:
+            continue
+        try:
+            proc = subprocess.run(
+                [str(exe), "-c", "import sys; print(sys.implementation.name"
+                 " == 'cpython' and sys.version_info >= (3, 10))"],
+                capture_output=True, text=True, timeout=60)
+        except OSError:
+            continue
+        if proc.stdout.strip() == "True":
+            found.append(exe)
+    return found
 
 
 class TestStdoutDiff:
@@ -340,3 +463,24 @@ class TestStdoutDiff:
             "DIFFERS (stdout): --seed 3 repnum --m 5",
             "DIFFERS (stdout): --seed 4 repnum --m 5"]
         assert "4 requests, 2 differ" in proc.stderr
+
+    # gauss, lattice, repnum and a nonzero-shift delta-check need neither
+    # numpy nor mpmath, so they run on a bare interpreter
+    def test_numpy_free_commands_match_on_other_interpreters(self, tmp_path):
+        pythons = _other_pythons()
+        if not pythons:
+            pytest.skip("no other CPython >= 3.10 install found")
+        requests = tmp_path / "requests.txt"
+        requests.write_text(
+            "gauss --p 7 --va 1 --vt 3 --xi 0 --ua 3 --ut 5 --uxi 2\n"
+            "lattice --k 19 --m 19 --eta -2,-3,-5,0 --minima\n"
+            "delta-check --q 16 --alpha 3,-1,2,5\n"
+            "repnum --max 30\n")
+        for python in pythons:
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
+                 "--head-python", str(python), str(ROOT / "src"),
+                 str(ROOT / "src"), str(requests)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, (python, proc.stdout + proc.stderr)
+            assert "4 requests, 0 differ" in proc.stderr, python
