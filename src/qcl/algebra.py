@@ -177,7 +177,6 @@ class HurwitzQuat:
 HQ_ONE = HurwitzQuat(2, 0, 0, 0)
 HQ_I = HurwitzQuat(0, 2, 0, 0)
 HQ_J = HurwitzQuat(0, 0, 2, 0)
-HQ_K = HurwitzQuat(0, 0, 0, 2)
 HQ_OMEGA = HurwitzQuat(1, 1, 1, 1)  # (1+i+j+k)/2
 
 #: basis of the order as a Z-module: 1, i, j, (1+i+j+k)/2

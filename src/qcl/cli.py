@@ -542,10 +542,13 @@ def main(args=None, prog_name="qcl"):
         _bind_values(sys.argv[1:] if args is None else args)))
     if ns["threads"] < 1:
         parser.error("--threads must be positive")
-    cfg = _load_config(ns.pop("config_path"))
     budget = ns.pop("budget")
-    if budget is None and "budget" in cfg:
-        budget = int(cfg["budget"])
+    try:
+        cfg = _load_config(ns.pop("config_path"))
+        if budget is None and "budget" in cfg:
+            budget = int(cfg["budget"])
+    except (OSError, ValueError) as exc:  # unreadable file, budget not an int
+        parser.error(f"config: {exc}")
     opts = {"no_cache": ns.pop("no_cache"), "csv": ns.pop("csv_path"),
             "threads": ns.pop("threads"), "seed": ns.pop("seed"),
             "budget": budget, "config": cfg}

@@ -32,12 +32,21 @@ _BRUTE_BLOCK = 1 << 16  # max tuple sums per brute_count block
 
 
 def pack_key(v):
-    """Pack a 4-tuple of small integers into one 64-bit key."""
-    for t in v:
-        if not -_LANE_BIAS < t < _LANE_BIAS:
-            raise PreconditionError("coordinate out of 16-bit lane range")
-    return ((v[3] << 48) + ((v[2] + _LANE_BIAS) << 32)
-            + ((v[1] + _LANE_BIAS) << 16) + (v[0] + _LANE_BIAS))
+    """Pack 4-vectors of small integers into 64-bit keys: an (N, 4) int64
+    array gives N keys, a 4-tuple one.
+
+    Every coordinate must satisfy |t| < 2^15.  Shifted by 2^15 - 1, such a
+    coordinate lies in [0, 2^16 - 2]; every other int64, shifted (with
+    wrap-around) and read as uint64, is larger, so one comparison checks
+    the whole array."""
+    try:
+        v = np.asarray(v, dtype=np.int64)
+    except OverflowError:  # a Python int past int64
+        raise PreconditionError("coordinate out of int64 range") from None
+    if ((v + (_LANE_BIAS - 1)).view(np.uint64) > 2 * _LANE_BIAS - 2).any():
+        raise PreconditionError("coordinate out of 16-bit lane range")
+    return ((v[..., 3] << 48) + ((v[..., 2] + _LANE_BIAS) << 32)
+            + ((v[..., 1] + _LANE_BIAS) << 16) + (v[..., 0] + _LANE_BIAS))
 
 
 def unpack_key(k):
@@ -77,8 +86,8 @@ class SparseDist:
 
     @classmethod
     def from_values(cls, values, bound):
-        """Build from an iterable of 4-tuples (with multiplicity)."""
-        keys = np.fromiter((pack_key(v) for v in values), dtype=np.int64)
+        """Build from a sequence of 4-tuples (with multiplicity)."""
+        keys = pack_key(np.array(values, dtype=np.int64).reshape(-1, 4))
         uk, uc = np.unique(keys, return_counts=True)
         return cls(uk, uc.astype(np.int64), bound)
 
@@ -87,14 +96,10 @@ class SparseDist:
         return cls(np.array([pack_key((0, 0, 0, 0))], dtype=np.int64),
                    np.array([1], dtype=np.int64), 0)
 
-    @property
-    def entries(self):
-        return {unpack_key(k): int(c)
-                for k, c in zip(self.keys, self.counts)}
-
     def multiplicity(self, v):
-        i = int(np.searchsorted(self.keys, pack_key(v)))
-        if i < len(self.keys) and int(self.keys[i]) == pack_key(v):
+        key = int(pack_key(v))
+        i = int(np.searchsorted(self.keys, key))
+        if i < len(self.keys) and int(self.keys[i]) == key:
             return int(self.counts[i])
         return 0
 
@@ -253,39 +258,32 @@ def brute_count(n, upsilon, X):
     return total
 
 
-def _build_dist(dists, order):
+def _build_dist(dists):
+    """Convolution of the slots' distributions, as a balanced binary tree."""
     if len(dists) == 1:
         return dists[0]
-    if order == "sequential":
-        acc = dists[0]
-        for d in dists[1:]:
-            acc = dist_convolve(acc, d)
-        return acc
     h = len(dists) // 2
-    return dist_convolve(_build_dist(dists[:h], order),
-                         _build_dist(dists[h:], order))
+    return dist_convolve(_build_dist(dists[:h]), _build_dist(dists[h:]))
 
 
-def conv_count(n, upsilon, X, order="balanced", traceless=False):
+def conv_count(n, upsilon, X, traceless=False):
     """Exact solution count by sparse-histogram convolution.
 
-    Builds the per-slot distribution of sign * g^2, convolves the slots
-    (balanced binary tree by default), and reads the multiplicity of zero
+    Builds the per-slot distribution of sign * g^2, convolves each half of
+    the slots as a balanced binary tree, and reads the multiplicity of zero
     via a final meet-in-the-middle pairing.
     """
     if n == 0:
         return 1
     upsilon = _check_signature(n, upsilon)
-    if order not in ("balanced", "sequential"):
-        raise PreconditionError("unknown convolution order")
     if (2 * n * (2 * X) ** 2 + 1) ** 4 > 5 * 10 ** 9:
         raise BudgetError("value support exceeds memory budget")
     dists = [slot_square_dist(u, X, traceless) for u in upsilon]
     if n == 1:
         return dists[0].multiplicity((0, 0, 0, 0))
     h = (n + 1) // 2
-    left = _build_dist(dists[:h], order)
-    right = _build_dist(dists[h:], order)
+    left = _build_dist(dists[:h])
+    right = _build_dist(dists[h:])
     return dist_pair_zero(left, right)
 
 

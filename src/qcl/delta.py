@@ -175,6 +175,9 @@ def dual_norm_histogram(max_nsq):
 # ---------------------------------------------------------------------------
 # radial Fourier profile
 
+#: `b_term` drops the dual-lattice terms with argument 2Q|xi| past this
+_B_TERM_CUTOFF = 60.0
+
 def ghat(s, profile=DEFAULT_PROFILE):
     """4D radial Fourier transform of g(r) = phi2(r^2) at radius s >= 0.
 
@@ -206,12 +209,12 @@ def f2phi_at_zero(profile=DEFAULT_PROFILE):
     return 4 * ghat(0, profile)
 
 
-def b_term(Q, profile=DEFAULT_PROFILE, cutoff=60.0):
+def b_term(Q, profile=DEFAULT_PROFILE):
     """Dual-lattice main term (1/2) * sum_xi F2Phi(0, Q*xi), truncated where
-    the radial profile is negligible (argument 2Q|xi| > cutoff)."""
+    the radial profile is negligible (argument 2Q|xi| > `_B_TERM_CUTOFF`)."""
     if Q < 4:
         raise PreconditionError("Q must be >= 4")
-    max_nsq = (cutoff / (2 * Q)) ** 2
+    max_nsq = (_B_TERM_CUTOFF / (2 * Q)) ** 2
     hist = dual_norm_histogram(max_nsq)
     total = 0.0
     for key, cnt in sorted(hist.items()):

@@ -34,6 +34,10 @@ from .linalg import row_hnf
 
 #: a Python-int multiply-add costs ~32 int64 ones (81x81 matmul: 42/1.3 ms)
 _OBJECT_COST = 32
+#: cap on the multiply-adds of one `group_convolve`
+_CONVOLVE_BUDGET = 4 * 10 ** 9
+#: cap on the tuples `split_density_exhaustive` enumerates
+_EXHAUSTIVE_CAP = 10 ** 7
 
 
 class QuotientGroup:
@@ -108,24 +112,24 @@ def _convolve_cosets(a, b, grp, heads):
     return C.reshape(-1)
 
 
-def group_convolve(a, b, grp, budget=4 * 10 ** 9):
+def group_convolve(a, b, grp):
     """Exact convolution of two nonnegative count arrays over the group:
     in int64 while min(max a * mass b, mass a * max b) < 2^63, else on
     Python ints. That product bounds every output entry, and as the counts
     are nonnegative no partial sum exceeds its entry. The work, |heads of
     a| * U * V^2 multiply-adds (times `_OBJECT_COST` for Python ints), must
-    fit `budget`, and the result must carry mass(a) * mass(b)."""
+    fit `_CONVOLVE_BUDGET`, and the result must carry mass(a) * mass(b)."""
     if (a < 0).any() or (b < 0).any():
         raise PreconditionError("count arrays must be nonnegative")
     heads = np.nonzero(a.reshape(grp.cosets, grp.tail).any(axis=1))[0]
     work = len(heads) * grp.order * grp.tail
-    if work > budget:
+    if work > _CONVOLVE_BUDGET:
         raise BudgetError("convolution exceeds budget")
     # summed in Python ints: an int64 sum could wrap
     mass_a, mass_b = int(a.sum(dtype=object)), int(b.sum(dtype=object))
     peak = min(int(a.max()) * mass_b, mass_a * int(b.max()))
     dtype = np.int64 if peak < 2 ** 63 else object
-    if dtype is object and work * _OBJECT_COST > budget:
+    if dtype is object and work * _OBJECT_COST > _CONVOLVE_BUDGET:
         raise BudgetError("exact (object) convolution exceeds budget")
     c = _convolve_cosets(a.astype(dtype, copy=False),
                          b.astype(dtype, copy=False), grp, heads)
@@ -209,11 +213,11 @@ def split_density(p, m, n, coeffs=None):
     return Fraction(count, q ** (4 * (n - 1)))
 
 
-def split_density_exhaustive(p, m, n, coeffs=None, budget=10 ** 7):
+def split_density_exhaustive(p, m, n, coeffs=None):
     """Independent brute-force oracle for split_density (tiny cases)."""
     coeffs = coeffs or [1] * n
     q = p ** m
-    if q ** (4 * n) > budget:
+    if q ** (4 * n) > _EXHAUSTIVE_CAP:
         raise BudgetError("exhaustive enumeration too large")
     count = 0
     for ys in itertools.product(range(q), repeat=4 * n):

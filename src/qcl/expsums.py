@@ -26,6 +26,7 @@ product, determinant and adjugate are the flat helpers of `qcl.algebra`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -130,9 +131,7 @@ def _unpack(keys, q):
 # ---------------------------------------------------------------------------
 
 
-_SLOT_CACHE = {}
-
-
+@functools.lru_cache(maxsize=12)
 def _slot_static(delta, p, vd, level, coeff):
     """Gamma-independent slot data: the packed keys of the divisibility
     condition coeff * adj(delta) Y^2 = 0 mod p^vd over the grid of Y mod
@@ -140,19 +139,17 @@ def _slot_static(delta, p, vd, level, coeff):
     index) as `np.unique(keys, return_inverse=True)` would: a histogram of
     the qc^4 <= q^4 possible keys marks the distinct ones, and its running
     count ranks them, with no sort and no array larger than the grid.
-    Cached; the keys dominate the cost of repeated evaluations at the same
-    modulus."""
+    Cached per (delta tuple, p, vd, level, coeff); the keys dominate the
+    cost of repeated evaluations at the same modulus."""
     qc = p ** vd
-    key = (tuple(delta), p, vd, level, coeff % qc)
-    if key not in _SLOT_CACHE:
-        if len(_SLOT_CACHE) > 12:
-            _SLOT_CACHE.clear()
-        lmat = left_mul_matrix(adj_flat(delta)) % qc * (coeff % qc)
-        keys = grid_square_keys(lmat, p ** level, qc)
-        present = np.bincount(keys, minlength=qc ** 4) > 0
-        rank = np.cumsum(present) - 1
-        _SLOT_CACHE[key] = (np.flatnonzero(present), rank[keys])
-    return _SLOT_CACHE[key]
+    lmat = left_mul_matrix(adj_flat(delta)) % qc * (coeff % qc)
+    keys = grid_square_keys(lmat, p ** level, qc)
+    present = np.bincount(keys, minlength=qc ** 4) > 0
+    rank = np.cumsum(present) - 1
+    uniq, inv = np.flatnonzero(present), rank[keys]
+    uniq.setflags(write=False)  # every caller shares the cached arrays
+    inv.setflags(write=False)
+    return uniq, inv
 
 
 def _slot_tables(delta, gammas, p, vd, level, coeffs):
@@ -164,13 +161,13 @@ def _slot_tables(delta, gammas, p, vd, level, coeffs):
     for i, g in enumerate(gammas):
         if coeffs[i] % p == 0:
             raise PreconditionError("slot coefficients must be units")
-        uniq, inv = _slot_static(delta, p, vd, level, coeffs[i])
+        uniq, inv = _slot_static(tuple(delta), p, vd, level, coeffs[i] % qc)
         phase = _grid_trace_pair([inv_u * t for t in g], p ** level, qc)
         out.append((uniq, inv, phase))
     return out, qc
 
 
-def i0_local(delta, gammas, p, level=None, coeffs=None, budget=10 ** 7):
+def i0_local(delta, gammas, p, level=None, coeffs=None):
     """Exact I0(delta, gamma) as a CycloSum.
 
     delta: flat 2x2 integer matrix with nonzero determinant;
@@ -178,7 +175,8 @@ def i0_local(delta, gammas, p, level=None, coeffs=None, budget=10 ** 7):
     the slotwise squares in P(Y).
 
     The averaging level defaults to v_p(det delta), which suffices: both the
-    divisibility condition and the phase only depend on Y mod p^{v}.
+    divisibility condition and the phase only depend on Y mod p^{v}. The
+    grid kernel refuses p^{4 level} > `_GRID_CAP` (BudgetError).
     """
     n = len(gammas)
     det = det_flat(delta)
@@ -195,8 +193,6 @@ def i0_local(delta, gammas, p, level=None, coeffs=None, budget=10 ** 7):
         return CycloSum.from_int(1, p)
     if n not in (1, 2):
         raise BudgetError("slot count limited to 1 or 2 here")
-    if p ** (4 * level) > budget:
-        raise BudgetError("enumeration exceeds budget")
     tables, qc = _slot_tables(delta, gammas, p, vd, level, coeffs)
     if n == 1:
         # Y = 0 has key 0, the least key, so inverse index 0 is the condition
@@ -236,28 +232,25 @@ def _join_two_slots(slot1, slot2, qc):
 # Cyclic image generator and the auxiliary measure
 # ---------------------------------------------------------------------------
 
-_GEN_CACHE = {}
-
-
 def matrix_cyclic_generator(eta, p):
     """Generator of the image of Y -> adj(eta) Y eta in M_2(Z/m), m = p^v
     with v = v_p(det eta), for primitive eta. The image is cyclic of order m;
-    returns (gen_flat, m). Cached."""
-    det = det_flat(eta)
-    v = pval(det, p)
-    m = p ** v
-    key = (tuple(t % m for t in eta), m)
-    if key in _GEN_CACHE:
-        return _GEN_CACHE[key]
+    returns (gen_flat, m). Cached per (eta mod m, m, p)."""
+    m = p ** pval(det_flat(eta), p)
+    return _image_generator(tuple(t % m for t in eta), m, p), m
+
+
+@functools.lru_cache(maxsize=None)
+def _image_generator(eta, m, p):
+    """`matrix_cyclic_generator` for eta reduced mod m; the image only
+    depends on eta mod m."""
     if m == 1:
-        _GEN_CACHE[key] = ((0, 0, 0, 0), 1)
-        return _GEN_CACHE[key]
+        return (0, 0, 0, 0)
     if min(pval(t, p, cap=1) for t in eta) > 0:
         raise PreconditionError("eta must be primitive")
     # flat(adj(eta) Y eta) = L R flat(Y); L and R commute
     cmat = (left_mul_matrix(adj_flat(eta)) @ right_mul_matrix(eta)) % m
-    _GEN_CACHE[key] = (_cyclic_generator(cmat, m, p), m)
-    return _GEN_CACHE[key]
+    return _cyclic_generator(cmat, m, p)
 
 
 def _cyclic_generator(cmat, m, p):
@@ -286,33 +279,26 @@ def _right_image_histogram(b, m):
     return np.bincount(keys, minlength=m ** 4)
 
 
-_TABLE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=3)
 def _measure_table(gen, m):
     """table[pack(t)] = #{Z mod m : t in (Z/m) * Z gen} for every t mod m.
 
     One pass: histogram the packed w = Z gen over all Z, then add the count
     of each distinct w to the distinct elements lam * w, 0 <= lam < ord(w),
     of its span. Exact int64 counts (each at most m^4). Cached per
-    (gen, m): the same table serves every target at a fixed modulus."""
-    key = (tuple(gen), m)
-    if key not in _TABLE_CACHE:
-        if len(_TABLE_CACHE) >= 4:
-            _TABLE_CACHE.clear()
-        hist = _right_image_histogram(gen, m)
-        ws = np.flatnonzero(hist)
-        rows = _unpack(ws, m)
-        order = m // np.gcd.reduce(rows, axis=1, initial=m)
-        lam = np.arange(m)
-        span = _pack(lam[None, :, None] * rows[:, None, :] % m, m)
-        live = lam[None, :] < order[:, None]
-        table = np.zeros(m ** 4, dtype=np.int64)
-        np.add.at(table, span[live],
-                  np.broadcast_to(hist[ws][:, None], span.shape)[live])
-        table.setflags(write=False)
-        _TABLE_CACHE[key] = table
-    return _TABLE_CACHE[key]
+    (gen tuple, m): the same table serves every target at a fixed modulus."""
+    hist = _right_image_histogram(gen, m)
+    ws = np.flatnonzero(hist)
+    rows = _unpack(ws, m)
+    order = m // np.gcd.reduce(rows, axis=1, initial=m)
+    lam = np.arange(m)
+    span = _pack(lam[None, :, None] * rows[:, None, :] % m, m)
+    live = lam[None, :] < order[:, None]
+    table = np.zeros(m ** 4, dtype=np.int64)
+    np.add.at(table, span[live],
+              np.broadcast_to(hist[ws][:, None], span.shape)[live])
+    table.setflags(write=False)
+    return table
 
 
 def _measure(target, gen, m):
@@ -427,8 +413,7 @@ def cyclo_abs_sq(v):
     return sq.magnitude()
 
 
-def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
-                         check_class_sum=True):
+def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
     """Audit the support, witness, and magnitude-bound laws of i0_local.
 
     For each test delta with v_p(det) in `vds`, iterate over gamma tuples
@@ -446,11 +431,10 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0,
     for vd in vds:
         for delta in _audit_deltas(p, vd):
             vdel, eta = split_primitive_part(delta, p)
-            if check_class_sum:
-                ncls, total, bound = w_class_sum_report(eta, p)
-                if total > bound:
-                    raise VerificationError(
-                        f"class sum {total} exceeds {bound} for eta={eta}")
+            ncls, total, bound = w_class_sum_report(eta, p)
+            if total > bound:
+                raise VerificationError(
+                    f"class sum {total} exceeds {bound} for eta={eta}")
             level = p ** vd
             space = level ** (4 * n)
             if space <= 10 ** 4:
@@ -630,7 +614,7 @@ def _is_scalar_line(mats, q):
     return True
 
 
-def prime_case_report(q, n, num_gamma=500, seed=0, check_brute_s3=True):
+def prime_case_report(q, n, num_gamma=500, seed=0):
     """Exact prime-level identities. Raises VerificationError on failure."""
     rng = random.Random(seed)
     delta = (q, 0, 0, 1)
@@ -654,12 +638,11 @@ def prime_case_report(q, n, num_gamma=500, seed=0, check_brute_s3=True):
         else:
             g = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(n))
         gammas_seen.append(g)
-    s3bs = (s3_brute(q, n, gammas_seen, delta) if check_brute_s3
-            else [None] * len(gammas_seen))
+    s3bs = s3_brute(q, n, gammas_seen, delta)
     for g, s3b in zip(gammas_seen, s3bs):
         gl = [list(x) for x in g]
         s3c = s3_closed(q, n, g)
-        if check_brute_s3 and s3b != s3c:
+        if s3b != s3c:
             raise VerificationError(f"closed S3 mismatch at gamma={g}")
         val = i0_local(delta, gl, q)
         # q^{4n} (1 - 1/q) I0 = S3 - S2/q, exactly

@@ -22,14 +22,14 @@ from fractions import Fraction
 from .algebra import HQ_BASIS, HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import (
-    congruence_lattice, hnf_determinant, kernel_count_mod, reduce_mod_hnf,
-    row_hnf,
+    congruence_lattice, hnf_determinant, reduce_mod_hnf, row_hnf,
 )
 
 # frozen after calibration (see scripts/calibrate_lattice_constants.py)
 C_GLOBAL = 256  # point count vs structural right side
 C_SHORT = 8     # short-vector searches, in units of sqrt(K) / sqrt(Km)
 
+#: cap on the nodes of one sup-ball walk (`_enum_ball`)
 _ENUM_BUDGET = 4 * 10 ** 6
 
 
@@ -147,7 +147,7 @@ def _coords_doubled(x):
     return (2 * a + d, 2 * b + d, 2 * c + d, d)
 
 
-def _enum_ball(hnf, rd, budget=_ENUM_BUDGET):
+def _enum_ball(hnf, rd):
     """Yield (doubled_norm, coords) over nonzero lattice points with doubled
     sup-norm <= rd, by interval propagation down the triangular basis.
 
@@ -157,8 +157,8 @@ def _enum_ball(hnf, rd, budget=_ENUM_BUDGET):
     |2x+d|, |2y+d|, |d| <= rd, each of a, b, c lies within rd of 0 and of
     every fixed one, and d lies in [-rd, rd] and in every [-rd-2x, rd-2x].
     So every leaf lies in the ball, and only nodes on a feasible path count
-    against the budget.  A pruned subtree yields nothing, so the depth-first
-    order of the points is that of the unpruned walk.
+    against `_ENUM_BUDGET`.  A pruned subtree yields nothing, so the
+    depth-first order of the points is that of the unpruned walk.
     """
     h = [list(r) for r in hnf]
     nodes = 0
@@ -180,17 +180,13 @@ def _enum_ball(hnf, rd, budget=_ENUM_BUDGET):
         hi = (vhi - acc[i]) // step
         for t in range(lo, hi + 1):
             nodes += 1
-            if nodes > budget:
+            if nodes > _ENUM_BUDGET:
                 raise BudgetError("lattice enumeration budget exceeded")
             nxt = list(acc)
             for j in range(i, 4):
                 nxt[j] += t * h[i][j]
             v = nxt[i]
             stack.append((i + 1, nxt, min(low, v), max(high, v)))
-
-
-def sup_norm_of_coords(x):
-    return Fraction(max(abs(t) for t in _coords_doubled(x)), 2)
 
 
 def _reduce_against(echelon, x):
@@ -207,7 +203,7 @@ def _reduce_against(echelon, x):
     return v
 
 
-def successive_minima(lat, bound, budget=_ENUM_BUDGET):
+def successive_minima(lat, bound):
     """Exact successive minima of the lattice under the quaternion sup-norm.
 
     bound must dominate the fourth minimum; enumeration failure raises.
@@ -220,7 +216,7 @@ def successive_minima(lat, bound, budget=_ENUM_BUDGET):
     while rd <= rdmax:
         minima = []
         echelon = []  # (pivot column, row) of the chosen points, reduced
-        for nd, x in sorted(_enum_ball(hnf, rd, budget)):
+        for nd, x in sorted(_enum_ball(hnf, rd)):
             v = _reduce_against(echelon, x)
             if any(v):
                 echelon.append((next(i for i, c in enumerate(v) if c), v))
@@ -239,14 +235,14 @@ def minkowski_bracket(lat, minima):
     return prod, Fraction(lat.index, 24), Fraction(lat.index, 1)
 
 
-def lattice_point_count(lat, R, budget=_ENUM_BUDGET):
+def lattice_point_count(lat, R):
     """Exact #{M in lattice : sup-norm <= R} with the structural bound check.
 
     The right side is 1 + R/H + (R/H)^2/sqrt(K') + (R/H)^3/sqrt(K'm')
     + (R/H)^4/(K'm'); the count must not exceed C_GLOBAL times it.
     """
     rd = int(math.floor(2 * R))
-    count = 1 + sum(1 for _ in _enum_ball(lat.hnf, rd, budget))
+    count = 1 + sum(1 for _ in _enum_ball(lat.hnf, rd))
     x = R / lat.H
     kp, mp = lat.kprime, lat.mprime
     rhs = (1 + x + x ** 2 / math.sqrt(kp) + x ** 3 / math.sqrt(kp * mp)
@@ -257,14 +253,14 @@ def lattice_point_count(lat, R, budget=_ENUM_BUDGET):
     return {"count": count, "rhs": rhs, "ratio": count / rhs}
 
 
-def _first_short_vector(hnf, limit_dbl, budget=_ENUM_BUDGET):
+def _first_short_vector(hnf, limit_dbl):
     """Shortest nonzero vector found by radius-doubling search up to the
     doubled-norm limit; returns (doubled_norm, coords) or None."""
     rd = 1
     while rd < limit_dbl:
         rd = min(2 * rd, limit_dbl)
         best = None
-        for nd, x in _enum_ball(hnf, rd, budget):
+        for nd, x in _enum_ball(hnf, rd):
             if best is None or nd < best[0]:
                 best = (nd, x)
         if best is not None:
@@ -280,7 +276,8 @@ def eta_congruence_checks(eta, K, seed=0):
     Verifies the exact solution count K^2, the norm divisibility K | nrd(A)
     on samples from the solution set, and exhibits short vectors: a nonzero
     annihilator theta and a short representative of eta*order + K*order,
-    both below C_SHORT * sqrt(K).
+    both below C_SHORT * sqrt(K). The annihilator lattice contains K*order,
+    so it has K^4 / index solutions mod K.
     """
     if K % 2 == 0 or K < 1:
         raise PreconditionError("K must be odd and positive")
@@ -288,8 +285,8 @@ def eta_congruence_checks(eta, K, seed=0):
         raise PreconditionError("K must divide nrd(eta)")
     if not eta.is_primitive():
         raise PreconditionError("eta must be primitive")
-    lmat = left_mul_coords(eta)
-    theta_count = kernel_count_mod(lmat, K)
+    ann = congruence_lattice(left_mul_coords(eta), K)
+    theta_count = K ** 4 // hnf_determinant(ann)
     if theta_count != K * K:
         raise VerificationError(
             f"annihilator count {theta_count} != {K * K}")
@@ -304,7 +301,7 @@ def eta_congruence_checks(eta, K, seed=0):
         if A.nrd() % K != 0:
             raise VerificationError("norm divisibility fails on sample")
     limit = max(1, int(math.floor(2 * C_SHORT * math.sqrt(K))))
-    th = _first_short_vector(congruence_lattice(lmat, K), limit)
+    th = _first_short_vector(ann, limit)
     if th is None:
         raise VerificationError("no short annihilator found")
     # short element of eta*order + K*order

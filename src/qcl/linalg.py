@@ -1,6 +1,5 @@
 """Small exact linear algebra: Hermite normal form with transform,
-integer kernels, congruence-condition lattices, determinantal divisors,
-coset enumeration for full-rank sublattices of Z^n, and the one field
+integer kernels, congruence-condition lattices, and the one field
 Gauss-Jordan elimination (over F_q or Q) behind ranks, kernels and inverses.
 
 Everything is deterministic (fixed pivoting order) so downstream results are
@@ -10,8 +9,6 @@ return fresh lists and never mutate their arguments.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -171,60 +168,3 @@ def reduce_mod_hnf(v, h):
             for j in range(i, n):
                 v[j] -= q * h[i][j]
     return v
-
-
-def determinantal_divisors(a):
-    """d_k = gcd of all k x k minors, k = 1..min(m,n). Zero means all minors
-    vanish. Intended for small matrices (used on 4 x 4)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    out = []
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(n), k):
-                g = math.gcd(g, _minor(a, rows, cols))
-            if g == 1:
-                break
-        out.append(g)
-        if g == 0:
-            # all larger minors vanish too
-            out.extend([0] * (min(m, n) - k))
-            break
-    return out
-
-
-def _minor(a, rows, cols):
-    k = len(rows)
-    if k == 1:
-        return a[rows[0]][cols[0]]
-    if k == 2:
-        (i, j), (p, q) = rows, cols
-        return a[i][p] * a[j][q] - a[i][q] * a[j][p]
-    # cofactor expansion along the first listed row
-    s = 0
-    for t in range(k):
-        sub = _minor(a, rows[1:], cols[:t] + cols[t + 1:])
-        term = a[rows[0]][cols[t]] * sub
-        s += term if t % 2 == 0 else -term
-    return s
-
-
-def kernel_count_mod(a, mod):
-    """#{x mod `mod` : a @ x = 0 (mod mod)} for a square integer matrix,
-    computed exactly from determinantal divisors:
-    product over k of gcd(d_k/d_{k-1}, mod) with the usual d_0 = 1 and
-    elementary-divisor convention (zero divisor -> full factor mod)."""
-    n = len(a)
-    dd = determinantal_divisors(a)
-    count = 1
-    prev = 1
-    for k in range(n):
-        dk = dd[k]
-        if dk == 0:
-            elem = 0
-        else:
-            elem = dk // prev
-            prev = dk
-        count *= mod if elem == 0 else math.gcd(elem, mod)
-    return count

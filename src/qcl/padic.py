@@ -16,6 +16,9 @@ from fractions import Fraction
 from .algebra import CycloSum
 from .errors import BudgetError, PreconditionError, VerificationError
 
+#: cap on the summands p^vt of one `gauss_sum`
+_GAUSS_SUM_CAP = 10 ** 7
+
 
 def pval(x, p, cap=None):
     """p-adic valuation of a nonzero integer; `cap` if x == 0 (cap required
@@ -74,7 +77,7 @@ class GaussSumParams:
                 raise PreconditionError("unit parts must be coprime to p")
 
 
-def gauss_sum(params, budget=10 ** 7):
+def gauss_sum(params):
     """Exact value of the normalized quadratic sum as a CycloSum.
 
     Averaging y over Z/p^vt suffices: the phase (a y^2 + xi y)/t only
@@ -83,8 +86,8 @@ def gauss_sum(params, budget=10 ** 7):
     p, va, vt, vxi = params.p, params.va, params.vt, params.vxi
     M = vt
     pm = p ** M
-    if pm > budget:
-        raise BudgetError(f"{pm} summands exceed budget {budget}")
+    if pm > _GAUSS_SUM_CAP:
+        raise BudgetError(f"{pm} summands exceed budget {_GAUSS_SUM_CAP}")
     if M == 0:
         return CycloSum.from_int(1, p)
     inv_ut = pow(params.ut, -1, pm)
@@ -97,7 +100,7 @@ def gauss_sum(params, budget=10 ** 7):
     return CycloSum(p, M, counts, scale=M)
 
 
-def gauss_sum_law_report(params, budget=10 ** 7):
+def gauss_sum_law_report(params):
     """Evaluate the sum and check every applicable structural law exactly.
 
     Returns a dict with the value, the laws that applied, and booleans.
@@ -105,7 +108,7 @@ def gauss_sum_law_report(params, budget=10 ** 7):
     only the inequality form of the magnitude law is asserted).
     """
     p, va, vt, vxi = params.p, params.va, params.vt, params.vxi
-    g = gauss_sum(params, budget=budget).canonical()
+    g = gauss_sum(params).canonical()
     report = {"value": g, "laws": {}}
     xi_small = params.xi_zero or vxi >= min(va, vt)
 
@@ -146,7 +149,7 @@ def gauss_sum_law_report(params, budget=10 ** 7):
     twopad = 1 if p == 2 else 0
     if (not params.xi_zero) and vxi >= va + twopad:
         g0 = gauss_sum(GaussSumParams(p, va, vt, vxi, params.ua, params.ut,
-                                      params.uxi, xi_zero=True), budget=budget)
+                                      params.uxi, xi_zero=True))
         phase = _quarter_square_phase(params)
         ok = g == (phase * g0)
         report["laws"]["complete_square"] = ok

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcl.algebra import (
-    HQ_I, HQ_J, HQ_K, HQ_OMEGA, HQ_ONE,
+    HQ_I, HQ_J, HQ_OMEGA, HQ_ONE,
     CycloSum, HurwitzQuat, NonsplitLocalElem,
     adj_flat, det_flat, hq_from_basis_coords, hq_to_basis_coords,
     mat_mul_flat, quat_mul_flat, trace_flat, smallest_nonresidue,
 )
 from qcl.errors import PreconditionError, VerificationError
+
+HQ_K = HurwitzQuat(0, 0, 0, 2)  # k, in doubled coordinates
 
 
 # -- strategies --------------------------------------------------------------

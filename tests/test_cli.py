@@ -244,12 +244,18 @@ class TestArgumentParsing:
         ["--config", "{missing}", "repnum", "--m", "3"],
         ["count", "--n", "2", "--eng", "conv", "--x", "1"],
         ["--no-c", "repnum", "--m", "3"],
+        ["--config", "{directory}", "repnum", "--m", "3"],
+        ["--config", "{lots}", "repnum", "--m", "3"],
     ], ids=["threads-zero", "missing-config", "abbreviated-option",
-            "abbreviated-global-option"])
+            "abbreviated-global-option", "config-is-a-directory",
+            "config-budget-not-an-integer"])
     def test_usage_error_is_two_with_empty_stdout(self, args, tmp_path,
                                                   monkeypatch, capsysbinary):
         monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))
-        args = [a.format(missing=tmp_path / "absent.cfg") for a in args]
+        lots = tmp_path / "lots.cfg"
+        lots.write_text("budget = lots\n")
+        args = [a.format(missing=tmp_path / "absent.cfg", directory=tmp_path,
+                         lots=lots) for a in args]
         assert _run_main(args, capsysbinary) == (2, b"")
 
     @pytest.mark.parametrize("command", list(SURFACE),

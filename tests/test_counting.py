@@ -27,8 +27,25 @@ class TestPackedKeys:
         assert pack_key(a) + pack_key(b) - bias == pack_key(s)
 
     def test_out_of_range(self):
+        for v in [(1 << 15, 0, 0, 0), (0, 0, 0, -(1 << 15)),
+                  (0, -(1 << 63), 0, 0), (0, 0, (1 << 63) - 1, 0),
+                  (1 << 70, 0, 0, 0)]:
+            with pytest.raises(PreconditionError):
+                pack_key(v)
         with pytest.raises(PreconditionError):
-            pack_key((1 << 15, 0, 0, 0))
+            pack_key(np.array([[1, 2, 3, 4], [0, 1 << 15, 0, 0]]))
+
+    def test_array_packing_equals_scalar_packing(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(-(1 << 15) + 1, 1 << 15, size=(500, 4))
+        rows[:4] = [(32767, -32767, 32767, -32767), (0, 0, 0, 0),
+                    (-32767, 32767, -32767, 32767), (1, -1, 0, 7)]
+        keys = pack_key(rows)
+        assert keys.dtype == np.int64 and keys.shape == (500,)
+        assert keys.tolist() == [int(pack_key(tuple(map(int, r))))
+                                 for r in rows]
+        assert [unpack_key(k) for k in keys] == [tuple(r) for r in
+                                                 rows.tolist()]
 
 
 class TestSparseDist:
@@ -39,7 +56,7 @@ class TestSparseDist:
     def test_mass_equals_box(self):
         d = slot_square_dist(1, 1)
         assert d.mass == 97
-        assert sum(d.entries.values()) == 97
+        assert sum(d.value_multiset().values()) == 97
 
     def test_squares_are_integral(self):
         # every key unpacks to integer true coordinates by construction;
@@ -184,9 +201,12 @@ class TestConvCount:
         assert conv_count(2, (1, -1), 2) >= conv_count(2, (1, -1), 1)
 
     def test_order_independence(self):
+        # the balanced tree against a left fold over the slots
         signs = (1, 1, -1, -1, 1)
-        assert (conv_count(5, signs, 1, order="balanced")
-                == conv_count(5, signs, 1, order="sequential"))
+        acc = SparseDist.delta()
+        for u in signs:
+            acc = dist_convolve(acc, slot_square_dist(u, 1))
+        assert conv_count(5, signs, 1) == acc.multiplicity((0, 0, 0, 0))
 
     def test_budget(self):
         with pytest.raises(BudgetError):

@@ -164,21 +164,24 @@ class TestCosetKernel:
             raise AssertionError("kernel ran past the budget guard")
 
         monkeypatch.setattr(densities, "_convolve_cosets", no_work)
+        monkeypatch.setattr(densities, "_CONVOLVE_BUDGET", 10 ** 7)
         grp = QuotientGroup.diagonal([9] * 4)
         a = np.ones(grp.order, dtype=np.int64)
         # 81 heads * 81 cosets * 81^2 = 4.3e7 multiply-adds
         with pytest.raises(BudgetError):
-            group_convolve(a, a, grp, budget=10 ** 7)
+            group_convolve(a, a, grp)
         assert "coset_tables" not in vars(grp)
 
     def test_object_path_has_its_own_budget(self, monkeypatch):
         grp = QuotientGroup.diagonal([3] * 4)
         big = np.full(grp.order, 2 ** 40, dtype=object)
         cost = 9 * 81 * 9 * densities._OBJECT_COST
-        assert group_convolve(big, big, grp, budget=cost).dtype == object
+        monkeypatch.setattr(densities, "_CONVOLVE_BUDGET", cost)
+        assert group_convolve(big, big, grp).dtype == object
         monkeypatch.setattr(densities, "_convolve_cosets", None)
+        monkeypatch.setattr(densities, "_CONVOLVE_BUDGET", cost - 1)
         with pytest.raises(BudgetError):
-            group_convolve(big, big, grp, budget=cost - 1)
+            group_convolve(big, big, grp)
 
     def test_entry_bound_keeps_int64(self, monkeypatch):
         # the mass product of the last convolution passes 2^63, but the
@@ -211,9 +214,9 @@ class TestCosetKernel:
     def test_balanced_power_built_once(self, monkeypatch, n, convolutions):
         calls = []
 
-        def counted(a, b, grp, budget=4 * 10 ** 9):
+        def counted(a, b, grp):
             calls.append(1)
-            return group_convolve(a, b, grp, budget)
+            return group_convolve(a, b, grp)
 
         monkeypatch.setattr(densities, "group_convolve", counted)
         grp = QuotientGroup.diagonal([4])

@@ -6,14 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
+from qcl import expsums
 from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
-    _GEN_CACHE, _SLOT_CACHE, _TABLE_CACHE,
-    _class_key, _cyclic_generator, _grid_trace_pair, _join_two_slots,
-    _measure, _measure_table, _pack, _right_image_histogram, _slot_static,
+    _class_key, _cyclic_generator, _grid_trace_pair, _image_generator,
+    _join_two_slots, _measure, _measure_table, _pack, _right_image_histogram,
+    _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
     left_mul_matrix, local_integral_audit,
     matrix_cyclic_generator, prime_case_report,
@@ -22,7 +24,6 @@ from qcl.expsums import (
     witness_report, x2_count,
 )
 from qcl.geometry import hessian_matrix
-from qcl.linalg import _minor
 from qcl.padic import pval, punit
 
 
@@ -214,7 +215,7 @@ def hessian_pair(zmat):
            for i in range(4)]
     if rjr != target:
         raise VerificationError("congruence transform certificate failed")
-    det_r = _minor(R, (0, 1, 2, 3), (0, 1, 2, 3))
+    det_r = int(Matrix(R).det())
     if det_r != 2 * r:
         raise VerificationError("transform determinant certificate failed")
     # the form itself: check tr(Y^2 Z) = (1/2) y^T J y on a basis of pairs
@@ -552,7 +553,7 @@ class TestGridKernel:
     def test_slot_static_matches_unique(self, moduli, delta, data):
         p, vd, level = moduli
         coeff = data.draw(unit_mod(p))
-        _SLOT_CACHE.clear()
+        _slot_static.cache_clear()
         uniq, inv = _slot_static(delta, p, vd, level, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, level, coeff)
         assert np.array_equal(uniq, want_uniq)
@@ -583,14 +584,35 @@ class TestGridKernel:
             assert np.array_equal(_grid_trace_pair(g, q, qc),
                                   _trace_pair(all_mats(q), g, qc))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slot_keys_built_once_per_delta(self, n, monkeypatch):
+        # the gamma-independent keys of one (delta, p) serve every gamma
+        kernel = expsums.grid_square_keys
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(expsums, "grid_square_keys", counted)
+        _slot_static.cache_clear()
+        delta = (9, 0, 0, 1)
+        first = i0_local(delta, [(1, 2, 0, 1)] * n, 3)
+        second = i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+        assert len(calls) == 1
+        assert _slot_static.cache_info().hits == 2 * n - 1
+        _slot_static.cache_clear()
+        assert first == i0_local(delta, [(1, 2, 0, 1)] * n, 3)
+        assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
                                        (5, 0, 0, 5)])
     @pytest.mark.parametrize("n", [1, 2])
     def test_witness_moduli_stay_small(self, delta, n):
         # the (q^4, 4) grid path peaked near 50 MB here
         gammas = [(5, 10, 0, 5)] * n
-        for cache in (_SLOT_CACHE, _TABLE_CACHE, _GEN_CACHE):
-            cache.clear()
+        for cached in (_slot_static, _measure_table, _image_generator):
+            cached.cache_clear()
         tracemalloc.start()
         try:
             i0_local(delta, gammas, 5)

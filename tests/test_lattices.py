@@ -10,7 +10,7 @@ from qcl.linalg import row_hnf
 from qcl.lattices import (
     Lattice4, instance_corpus, lattice_basis, lattice_point_count,
     left_mul_coords, minkowski_bracket, norm_count, eta_congruence_checks,
-    rep_number, right_mul_coords, successive_minima, sup_norm_of_coords,
+    rep_number, right_mul_coords, successive_minima,
 )
 
 ETA3 = HurwitzQuat.from_true(1, 1, 1, 0)  # norm 3
@@ -140,6 +140,14 @@ class TestMinimaOracle:
                 lat, bound)
 
 
+def sup_norm_of_coords(x):
+    """Sup-norm, in real quaternion coordinates, of the element with
+    order-basis coordinates x = (a, b, c, d), i.e. a + bi + cj + d omega."""
+    a, b, c, d = x
+    return Fraction(max(abs(2 * a + d), abs(2 * b + d), abs(2 * c + d),
+                        abs(d)), 2)
+
+
 def _unpruned_enum_ball(hnf, rd):
     """The earlier walk: each coordinate bounded only by |t| <= rd, and the
     leaves outside the ball filtered afterwards."""
@@ -151,8 +159,7 @@ def _unpruned_enum_ball(hnf, rd):
         if i == 4:
             if all(v == 0 for v in acc):
                 continue
-            a, b, c, d = acc
-            nd = max(abs(2 * a + d), abs(2 * b + d), abs(2 * c + d), abs(d))
+            nd = int(2 * sup_norm_of_coords(acc))
             if nd <= rd:
                 yield nd, tuple(acc)
             continue
@@ -175,9 +182,10 @@ class TestEnumBall:
                 assert (list(lattices._enum_ball(hnf, rd))
                         == list(_unpruned_enum_ball(hnf, rd)))
 
-    def test_budget_still_binds(self):
+    def test_budget_still_binds(self, monkeypatch):
+        monkeypatch.setattr(lattices, "_ENUM_BUDGET", 50)
         with pytest.raises(BudgetError):
-            list(lattices._enum_ball(od_lattice().hnf, 8, budget=50))
+            list(lattices._enum_ball(od_lattice().hnf, 8))
 
 
 class TestPointCount:

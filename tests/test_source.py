@@ -20,10 +20,6 @@ def test_no_assert_statements():
 ROOT_MODULES = ("cli", "audits", "errors", "__init__")
 SCRIPTS = SRC.parents[1] / "scripts"
 
-# Top-level names that no command, audit suite or script reaches: small
-# definitions that tests call directly.
-UNREACHED = frozenset({"algebra.HQ_K", "lattices.sup_norm_of_coords"})
-
 
 def _top_level_names(stmt):
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -51,7 +47,7 @@ def _referenced_names(node):
 
 def test_every_definition_is_reached():
     """Every top-level definition in src/qcl is reached by name from the CLI,
-    the audit suites, the error types or the scripts, except UNREACHED.
+    the audit suites, the error types or the scripts.
 
     Matching by bare name over-approximates what is reachable, so live code
     never fails this rule; a definition that only tests use does."""
@@ -89,4 +85,48 @@ def test_every_definition_is_reached():
     unreached = {k for k, stmts in defs.items() if k not in reached
                  and not all(isinstance(s, (ast.Import, ast.ImportFrom))
                              for s in stmts)}
-    assert unreached == UNREACHED
+    assert unreached == set()
+
+
+def _defaulted_params(fn):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults):]
+    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+              if d is not None]
+    return {a.arg for a in named}
+
+
+def _knob_guards(tree):
+    """(line, function, parameters) of each BudgetError guard, an `if`
+    whose body raises BudgetError, whose test reads a parameter of its
+    function that has a default value."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        knobs = _defaulted_params(fn)
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.If) and any(
+                    isinstance(s, ast.Raise) and s.exc is not None
+                    and "BudgetError" in _referenced_names(s.exc)
+                    for s in node.body)):
+                continue
+            read = knobs & {n.id for n in ast.walk(node.test)
+                            if isinstance(n, ast.Name)}
+            if read:
+                out.append((node.lineno, fn.name, sorted(read)))
+    return out
+
+
+def test_caps_are_not_per_call_knobs():
+    """A budget cap is a module constant read at call time: no BudgetError
+    guard in src/qcl reads a parameter that has a default value."""
+    knob = ast.parse("def f(q, budget=10):\n"
+                     "    if q > budget:\n"
+                     "        raise BudgetError('over')\n")
+    assert _knob_guards(knob) == [(2, "f", ["budget"])]
+    found = [(path.name, *guard)
+             for path in sorted(SRC.glob("*.py"))
+             for guard in _knob_guards(ast.parse(path.read_text(), str(path)))]
+    assert found == []
