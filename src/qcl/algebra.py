@@ -196,6 +196,18 @@ def hq_to_basis_coords(x):
     return ((c0 - c3) // 2, (c1 - c3) // 2, (c2 - c3) // 2, c3)
 
 
+def left_mul_coords(g):
+    """4x4 integer matrix of x -> g*x on order-basis coordinates."""
+    cols = [hq_to_basis_coords(g * b) for b in HQ_BASIS]
+    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
+def right_mul_coords(g):
+    """4x4 integer matrix of x -> x*g on order-basis coordinates."""
+    cols = [hq_to_basis_coords(b * g) for b in HQ_BASIS]
+    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
 # ---------------------------------------------------------------------------
 # Local division order at an odd prime
 # ---------------------------------------------------------------------------
@@ -559,21 +571,6 @@ class CycloSum:
         return CycloSum._reduced(self.p, self.k,
                                  {(-r) % pk: c for r, c in self.counts.items()},
                                  self.scale)
-
-    def scale_down(self, j):
-        """Multiply the value by p^(-j)."""
-        scale = self.scale + int(j)
-        if scale < 0:
-            raise PreconditionError("negative scale; multiply counts instead")
-        return CycloSum._reduced(self.p, self.k, dict(self.counts), scale)
-
-    def scale_up(self, j):
-        """Multiply the value by p^(+j)."""
-        if j <= self.scale:
-            return CycloSum(self.p, self.k, self.counts, self.scale - j)
-        mult = self.p ** (j - self.scale)
-        return CycloSum(self.p, self.k,
-                        {r: c * mult for r, c in self.counts.items()}, 0)
 
     def complex_value(self):
         tau = 2.0 * math.pi / (self.p ** self.k)

@@ -450,16 +450,14 @@ def repnum(opts, m, max_m):
     params = {"m": m, "max": max_m}
 
     def compute():
-        from .lattices import rep_number
+        from .lattices import rep_number, rep_numbers
         if (m is None) == (max_m is None):
             raise PreconditionError("give exactly one of --m / --max")
         if m is not None:
             a, b = rep_number(m)
             return {"m": m, "enumerated": a, "formula": b, "equal": a == b}
-        rows = []
-        for mm in range(1, max_m + 1):
-            a, b = rep_number(mm)
-            rows.append({"m": mm, "enumerated": a, "formula": b})
+        rows = [{"m": mm, "enumerated": a, "formula": b}
+                for mm, (a, b) in enumerate(rep_numbers(max_m), 1)]
         return {"max": max_m, "values": rows,
                 "all_equal": all(r["enumerated"] == r["formula"]
                                  for r in rows)}

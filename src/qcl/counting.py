@@ -86,8 +86,8 @@ class SparseDist:
 
     @classmethod
     def from_values(cls, values, bound):
-        """Build from a sequence of 4-tuples (with multiplicity)."""
-        keys = pack_key(np.array(values, dtype=np.int64).reshape(-1, 4))
+        """Build from an (N, 4) integer array, one row per occurrence."""
+        keys = pack_key(values)
         uk, uc = np.unique(keys, return_counts=True)
         return cls(uk, uc.astype(np.int64), bound)
 
@@ -178,31 +178,39 @@ def _square_doubled_coords(g):
 
 @functools.lru_cache(maxsize=8)
 def _box_squares(X, traceless):
-    """Doubled-coordinate 4-tuples of g^2 over the height-X box, squared
-    once per (X, traceless) and kept as a tuple, which no caller can alter."""
+    """Doubled coordinates of g^2 over the height-X box, one row per g, as
+    an int64 array squared once per (X, traceless) and read-only, since
+    every caller shares it."""
     if traceless:
         src = (HurwitzQuat(0, 2 * x, 2 * y, 2 * z)
                for x, y, z in itertools.product(range(-X, X + 1), repeat=3))
     else:
         src = hurwitz_box(X)
-    return tuple(_square_doubled_coords(g) for g in src)
+    squares = np.array([_square_doubled_coords(g) for g in src],
+                       dtype=np.int64)
+    squares.flags.writeable = False
+    return squares
 
 
 def slot_square_values(sign, X, traceless=False):
-    """Doubled-coordinate 4-tuples of sign * g^2 over the height-X box, as a
-    tuple; a sign only negates the memoised squares."""
+    """Doubled coordinates of sign * g^2 over the height-X box, as an (N, 4)
+    int64 array; a sign only negates the memoised squares."""
     if sign not in (1, -1):
         raise PreconditionError("signs must be +-1")
     squares = _box_squares(X, traceless)
-    if sign == 1:
-        return squares
-    return tuple((-a, -b, -c, -d) for a, b, c, d in squares)
+    return squares if sign == 1 else -squares
 
 
+@functools.lru_cache(maxsize=16)
 def slot_square_dist(sign, X, traceless=False):
-    bound = 2 * (2 * X) ** 2
-    return SparseDist.from_values(slot_square_values(sign, X, traceless),
-                                  bound)
+    """SparseDist of sign * g^2 over the height-X box, built once per
+    (sign, X, traceless); its arrays are read-only, since every caller
+    shares it."""
+    dist = SparseDist.from_values(slot_square_values(sign, X, traceless),
+                                  2 * (2 * X) ** 2)
+    dist.keys.flags.writeable = False
+    dist.counts.flags.writeable = False
+    return dist
 
 
 def _check_signature(n, upsilon):
@@ -238,8 +246,7 @@ def brute_count(n, upsilon, X):
     upsilon = _check_signature(n, upsilon)
     if box_size(X) ** n > 10 ** 9:
         raise BudgetError("enumeration box too large")
-    squares = {u: np.array(slot_square_values(u, X), dtype=np.int64)
-               for u in set(upsilon)}
+    squares = {u: slot_square_values(u, X) for u in set(upsilon)}
     slots = [squares[u] for u in upsilon]
     reach = max(n - 1, 1) * int(np.abs(slots[0]).max())
     weights = (2 * reach + 1) ** np.arange(4, dtype=np.int64)

@@ -35,18 +35,17 @@ Conventions (fixed throughout): additive character e(-t) on the reals,
 pairing (x, y) -> trd(x y) with Gram matrix 2 diag(1,-1,-1,-1), self-dual
 measure 4 * Lebesgue, so the order has covolume 2 and the dual sum carries a
 factor 1/2.  The Gram matrix is inverted by the field Gauss-Jordan
-`qcl.linalg.field_rref`, and the dual-lattice norm histogram reads r(n) from
-`qcl.lattices.norm_count`.
+`qcl.linalg.field_rref`, and the zero-shift sum and the dual-lattice norm
+histogram read r(n) from one table, `qcl.lattices.norm_counts`.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords,
-                      hq_to_basis_coords)
+from .algebra import HurwitzQuat, hq_from_basis_coords, right_mul_coords
 from .errors import PreconditionError, VerificationError
-from .lattices import norm_count
+from .lattices import norm_counts
 from .linalg import congruence_lattice, field_rref, row_hnf
 
 
@@ -163,13 +162,11 @@ def dual_norm_histogram(max_nsq):
 
     The dual lattice is (1 + i) O / 2 (checked against the direct
     enumeration in the tests), and nrd((1 + i) x) = 2 nrd(x), so the key
-    4 |xi|^2 = 2 nrd(x) takes the value 2n exactly r(n) = norm_count(n)
-    times.  Keys are inserted in increasing order.
+    4 |xi|^2 = 2 nrd(x) takes the value 2n exactly r(n) times, read from
+    one table of r.  Keys are inserted in increasing order.
     """
-    hist = {0: 1}
-    for n in range(1, int(math.floor(4 * max_nsq)) // 2 + 1):
-        hist[2 * n] = norm_count(n)
-    return hist
+    counts = norm_counts(int(math.floor(4 * max_nsq)) // 2)
+    return {2 * n: c for n, c in enumerate(counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +297,8 @@ def _index_set(alpha, d):
     primitive.  beta lies in L_d and every HNF row of L_d is a left multiple
     of beta, which proves L_d = O beta; every emitted delta is rechecked.
     """
-    abar = alpha.conjugate()
-    images = [hq_to_basis_coords(b * abar) for b in HQ_BASIS]
     rows = [hq_from_basis_coords(r) for r in congruence_lattice(
-        [[img[k] for img in images] for k in range(4)], d)]
+        right_mul_coords(alpha.conjugate()), d)]
     beta = _ideal_generator(rows)
     nb = beta.nrd()
     if (beta.is_zero() or not _in_scaled_order(alpha * beta.conjugate(), d)
@@ -347,11 +342,13 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
         raise PreconditionError("Q must be >= 4")
     Q2 = Q * Q
     if alpha.is_zero():
+        # phi2(n / Q^2) = sum_k c_k n^k / Q^(2k), so the sum over n is
+        # sum_k c_k S_k / Q^(2k) with integer moments S_k = sum_n r(n) n^k
+        counts = norm_counts(Q2)
         diff = Fraction(0)
-        for n in range(1, Q2 + 1):
-            c = norm_count(n)
-            if c:
-                diff += c * profile.phi2(Fraction(n, Q2))
+        for k, c in enumerate(profile.phi2_coeffs):
+            moment = sum(counts[n] * n ** k for n in range(1, Q2 + 1))
+            diff += Fraction(c * moment, Q2 ** k)
         return {"difference": diff, "b_term": b_term(Q, profile),
                 "normalized": diff / Q ** 4, "terms": None}
     na = alpha.nrd()
@@ -405,10 +402,8 @@ def poisson_check(scale):
     sc = float(scale)
     lhs = 1.0
     nmax = int(math.ceil(45 / math.pi * sc * sc)) + 1
-    for n in range(1, nmax + 1):
-        c = norm_count(n)
-        if c:
-            lhs += c * math.exp(-math.pi * n / (sc * sc))
+    for n, c in enumerate(norm_counts(nmax)[1:], 1):
+        lhs += c * math.exp(-math.pi * n / (sc * sc))
     max_nsq = 45 / (4 * math.pi * sc * sc) + 1
     hist = dual_norm_histogram(max_nsq)
     rhs = 0.0

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_SEED
-from .algebra import (HQ_BASIS, HurwitzQuat, NonsplitLocalElem,
-                      hq_from_basis_coords, hq_to_basis_coords)
+from .algebra import (HurwitzQuat, NonsplitLocalElem, hq_from_basis_coords,
+                      hq_to_basis_coords, left_mul_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .expsums import grid_square_keys
 from .linalg import row_hnf
@@ -244,8 +244,7 @@ def _hurwitz_level_lattice(m):
     pw = HurwitzQuat.from_true(1, 0, 0, 0)
     for _ in range(2 * m - 1):
         pw = pw * w
-    gens = [hq_to_basis_coords(pw * b) for b in HQ_BASIS]
-    h, _, rank = row_hnf([list(g) for g in gens])
+    h, _, rank = row_hnf([list(col) for col in zip(*left_mul_coords(pw))])
     if rank != 4:
         raise VerificationError("level lattice is degenerate")
     return [h[i] for i in range(4)]

@@ -15,11 +15,14 @@ derived bounds.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HQ_BASIS, HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
+from .algebra import (HQ_BASIS, HurwitzQuat, _cyclic_product,
+                      hq_from_basis_coords, hq_to_basis_coords,
+                      left_mul_coords, right_mul_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import (
     congruence_lattice, hnf_determinant, reduce_mod_hnf, row_hnf,
@@ -31,18 +34,6 @@ C_SHORT = 8     # short-vector searches, in units of sqrt(K) / sqrt(Km)
 
 #: cap on the nodes of one sup-ball walk (`_enum_ball`)
 _ENUM_BUDGET = 4 * 10 ** 6
-
-
-def left_mul_coords(g):
-    """4x4 integer matrix of x -> g*x on order-basis coordinates."""
-    cols = [hq_to_basis_coords(g * b) for b in HQ_BASIS]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-def right_mul_coords(g):
-    """4x4 integer matrix of x -> x*g on order-basis coordinates."""
-    cols = [hq_to_basis_coords(b * g) for b in HQ_BASIS]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -88,14 +79,9 @@ def lattice_basis(H, K, m, eta, m0):
         raise PreconditionError("eta must be primitive")
     L = math.lcm(H, K, m)
     # column j of t1: coords of (b_j - conj(b_j)) * eta
-    t1 = [[0] * 4 for _ in range(4)]
-    t2 = [[0] * 4 for _ in range(4)]
-    for j, b in enumerate(HQ_BASIS):
-        v1 = hq_to_basis_coords((b - b.conjugate()) * eta)
-        v2 = hq_to_basis_coords(b * eta)
-        for i in range(4):
-            t1[i][j] = v1[i]
-            t2[i][j] = v2[i]
+    t1 = [list(row) for row in zip(*(
+        hq_to_basis_coords((b - b.conjugate()) * eta) for b in HQ_BASIS))]
+    t2 = right_mul_coords(eta)
     c = hq_to_basis_coords(m0 * eta)
     rows = []
     sh = L // H
@@ -285,7 +271,8 @@ def eta_congruence_checks(eta, K, seed=0):
         raise PreconditionError("K must divide nrd(eta)")
     if not eta.is_primitive():
         raise PreconditionError("eta must be primitive")
-    ann = congruence_lattice(left_mul_coords(eta), K)
+    lmat = left_mul_coords(eta)
+    ann = congruence_lattice(lmat, K)
     theta_count = K ** 4 // hnf_determinant(ann)
     if theta_count != K * K:
         raise VerificationError(
@@ -305,7 +292,7 @@ def eta_congruence_checks(eta, K, seed=0):
     if th is None:
         raise VerificationError("no short annihilator found")
     # short element of eta*order + K*order
-    gens = [list(hq_to_basis_coords(eta * b)) for b in HQ_BASIS]
+    gens = [list(col) for col in zip(*lmat)]
     gens += [[K if i == j else 0 for i in range(4)] for j in range(4)]
     h, _, rank = row_hnf(gens)
     if rank != 4:
@@ -324,145 +311,134 @@ def eta_congruence_checks(eta, K, seed=0):
     }
 
 
-def _two_square_histograms(smax):
-    """Histograms of c0^2 + c1^2 over even-even and odd-odd pairs."""
-    he, ho = {}, {}
-    cmax = int(math.isqrt(smax))
-    for c0 in range(-cmax, cmax + 1):
-        for c1 in range(-cmax, cmax + 1):
-            s = c0 * c0 + c1 * c1
-            if s > smax:
-                continue
-            if c0 % 2 == 0 and c1 % 2 == 0:
-                he[s] = he.get(s, 0) + 1
-            elif c0 % 2 and c1 % 2:
-                ho[s] = ho.get(s, 0) + 1
-    return he, ho
-
-
-def _norm_counts(n):
-    """[r(0), ..., r(n)] with r(m) = #{x in the order : nrd(x) = m}.
-
-    In doubled coordinates x has four entries of one parity with square sum
-    4 nrd(x), so r(m) pairs an even-even (or odd-odd) front with a back of
-    the same kind; one pass over pairs of histogram keys fills every m.
-    """
-    smax = 4 * n
-    table = [0] * (n + 1)
-    for hist in _two_square_histograms(smax):
-        keys = sorted(hist)
-        for i, s1 in enumerate(keys):
-            if 2 * s1 > smax:
+def _pair_counts(values, size):
+    """[#{(v0, v1) in values^2 : v0 + v1 = t} for t < size], values sorted."""
+    counts = [0] * size
+    for v0 in values:
+        for v1 in values:
+            if v0 + v1 >= size:
                 break
-            c1 = hist[s1]
-            table[s1 // 2] += c1 * c1
-            for j in range(i + 1, len(keys)):
-                s2 = keys[j]
-                if s1 + s2 > smax:
-                    break
-                table[(s1 + s2) // 4] += 2 * c1 * hist[s2]
+            counts[v0 + v1] += 1
+    return counts
+
+
+def _two_square_counts(n):
+    """The two-square counts behind r(0), ..., r(n), as two dense lists.
+
+    In doubled coordinates an element of norm m has four entries of one
+    parity with square sum 4m.  Even entries 2x pair two fronts (x0, x1) and
+    (x2, x3) with square sums adding to m, counted by
+    even[t] = #{(x0, x1) : x0^2 + x1^2 = t}, t <= n.  Odd entries c have
+    c^2 = 8T + 1 with T triangular, so m is odd and two fronts with square
+    sums 8u + 2 and 8u' + 2 have u + u' = (m - 1) / 2, counted by
+    odd[u] = #{(c0, c1) both odd : c0^2 + c1^2 = 8u + 2}, u <= (n - 1) / 2.
+    Hence r(m) = (even * even)[m] + [m odd] (odd * odd)[(m - 1) / 2].
+    """
+    root = math.isqrt(n)
+    squares = sorted(x * x for x in range(-root, root + 1))
+    half = (n + 1) // 2
+    # the odd c >= 1 with (c^2 - 1) / 8 < half; -c gives each T again
+    tops = range(1, math.isqrt(8 * half) + 1, 2)
+    triangular = sorted(2 * [(c * c - 1) // 8 for c in tops])
+    return _pair_counts(squares, n + 1), _pair_counts(triangular, half)
+
+
+def _square(counts):
+    """Coefficients of (sum_t counts[t] x^t)^2, by one Kronecker product;
+    its degree is below 2 len(counts) - 1, so nothing folds."""
+    size = 2 * len(counts) - 1
+    terms = {t: c for t, c in enumerate(counts) if c}
+    product = _cyclic_product(terms, 1, terms, 1, size) if terms else {}
+    return [product.get(t, 0) for t in range(size)]
+
+
+def norm_counts(n):
+    """[r(0), ..., r(n)] with r(m) = #{x in the order : nrd(x) = m}."""
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    even, odd = _two_square_counts(n)
+    table = _square(even)[:n + 1]
+    for u, c in enumerate(_square(odd)[:len(odd)]):
+        table[2 * u + 1] += c
     return table
 
 
-# r(0), ..., r(len - 1), for callers that walk the norms upward from 1
-_norm_table = [1]
-# two-square histograms of the largest norm counted alone
-_lone_hists = {"smax": -1}
-
-
 def norm_count(m):
-    """#{x in the order : nrd(x) = m}, via doubled-coordinate pairing.
-
-    Asked for the norm just past its end, as the zero-shift and Poisson sums
-    are, the per-process table of r(m) grows to twice its size.  Any other
-    norm it lacks is counted alone from the histograms of the largest such
-    norm, which rep_number then reuses for every m / d^2.
-    """
-    global _norm_table
+    """#{x in the order : nrd(x) = m}, counted alone: one dot product of
+    each two-square count list with its reverse."""
     if m < 1:
         raise PreconditionError("m must be positive")
-    if m == len(_norm_table):
-        _norm_table = _norm_counts(max(m, 2 * (m - 1)))
-    if m < len(_norm_table):
-        return _norm_table[m]
-    smax = 4 * m
-    if _lone_hists["smax"] < smax:
-        _lone_hists["smax"] = smax
-        _lone_hists["he"], _lone_hists["ho"] = _two_square_histograms(smax)
-    he, ho = _lone_hists["he"], _lone_hists["ho"]
-    total = 0
-    for s, c in he.items():
-        total += c * he.get(smax - s, 0)
-    for s, c in ho.items():
-        total += c * ho.get(smax - s, 0)
+    even, odd = _two_square_counts(m)
+    total = sum(map(operator.mul, even, reversed(even)))
+    if m % 2:
+        total += sum(map(operator.mul, odd, reversed(odd)))
     return total
 
 
-def rep_number(m):
-    """Primitive norm-m elements up to units: enumeration vs closed formula.
+def _factor(n):
+    """[(p, v)] with p^v exactly dividing n >= 1, p ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            v = 0
+            while n % p == 0:
+                v += 1
+                n //= p
+            out.append((p, v))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
-    Returns (r_enumerated, r_formula) and raises if they disagree.
+
+def _rep_check(m, r):
+    """(r_enumerated, r_formula) for m, given r(k) for the k = m / d^2.
+
+    The primitive count is the Moebius sum over the square divisors
+    d^2 | m of mu(d) r(m / d^2); up to the 24 units it must equal the
+    closed formula, 0 if 4 | m and else the product of p^v + p^(v-1) over
+    the odd prime powers p^v exactly dividing m.
     """
-    if not 1 <= m <= 10 ** 6:
-        raise PreconditionError("m out of range")
-
-    def primitive_count(mm, memo={}):
-        if mm in memo:
-            return memo[mm]
-        total = norm_count(mm)
-        d = 2
-        while d * d <= mm:
-            if mm % (d * d) == 0:
-                total -= primitive_count(mm // (d * d))
-            d += 1
-        memo[mm] = total
-        return total
-
-    prim = primitive_count(m)
+    factors = _factor(m)
+    square_divisors = [(1, 1)]  # (d, mu(d)), d squarefree with d^2 | m
+    for p, v in factors:
+        if v >= 2:
+            square_divisors += [(d * p, -mu) for d, mu in square_divisors]
+    prim = sum(mu * r(m // (d * d)) for d, mu in square_divisors)
     if prim % 24:
         raise VerificationError(
             f"{prim} primitive elements of norm {m} is not a multiple of 24")
     r_enum = prim // 24
-    v2 = 0
-    mm = m
-    while mm % 2 == 0:
-        v2 += 1
-        mm //= 2
-    if v2 >= 2:
+    if m % 4 == 0:
         r_formula = 0
     else:
-        r_formula = 1
-        p = 3
-        while p * p <= mm:
-            if mm % p == 0:
-                v = 0
-                while mm % p == 0:
-                    v += 1
-                    mm //= p
-                r_formula *= p ** v + p ** (v - 1)
-            p += 2
-        if mm > 1:
-            r_formula *= mm + 1
+        r_formula = math.prod(p ** v + p ** (v - 1)
+                              for p, v in factors if p > 2)
     if r_enum != r_formula:
         raise VerificationError(
             f"rep number mismatch at {m}: {r_enum} vs {r_formula}")
     return r_enum, r_formula
 
 
-def _odd_prime_factors(n):
-    out = []
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        out.append(n)
-    return out
+def rep_number(m):
+    """Primitive norm-m elements up to units: enumeration vs closed formula.
+
+    Returns (r_enumerated, r_formula) and raises if they disagree.  Each
+    r(m / d^2) is counted alone; together they cost at most
+    sum_d m / d^2 < 1.65 m, against m for r(m) itself.
+    """
+    if not 1 <= m <= 10 ** 6:
+        raise PreconditionError("m out of range")
+    return _rep_check(m, norm_count)
+
+
+def rep_numbers(top):
+    """[rep_number(m) for m = 1, ..., top], reading one table of r."""
+    if top > 10 ** 6:
+        raise PreconditionError("m out of range")
+    table = norm_counts(max(top, 0))
+    return [_rep_check(m, table.__getitem__) for m in range(1, top + 1)]
 
 
 def instance_corpus(count, seed, max_nrd=10 ** 4, max_m=120):
@@ -477,7 +453,7 @@ def instance_corpus(count, seed, max_nrd=10 ** 4, max_m=120):
         nrd = eta.nrd()
         if nrd > max_nrd:
             continue
-        odd = [p for p in _odd_prime_factors(nrd) if p <= max_m]
+        odd = [p for p, _ in _factor(nrd) if 2 < p <= max_m]
         if not odd:
             continue
         K = rng.choice(odd)

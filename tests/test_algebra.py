@@ -201,9 +201,6 @@ class TestCycloSum:
         assert v.to_fraction() == -1
 
     def test_scale_arithmetic(self):
-        v = CycloSum(3, 1, {1: 9})
-        assert v.scale_down(2) == CycloSum(3, 1, {1: 1})
-        assert v.scale_down(2).scale_up(2) == v
         assert CycloSum(3, 0, {0: 1}, 2).to_fraction() == Fraction(1, 9)
 
     def test_mixed_prime_rejected(self):

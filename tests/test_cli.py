@@ -386,7 +386,8 @@ class TestImportPaths:
          "--ua", "3", "--ut", "5", "--uxi", "2"],
         ["lattice", "--k", "3", "--m", "3", "--eta", "1,1,1,0", "--minima"],
         ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
-    ], ids=["gauss", "lattice-minima", "delta-check-shift"])
+        ["repnum", "--m", "3000"],
+    ], ids=["gauss", "lattice-minima", "delta-check-shift", "repnum"])
     def test_exact_paths_leave_numpy_unloaded(self, args, tmp_path):
         _, modules = _probe_modules(["--no-cache"] + args, tmp_path / "cache")
         assert "numpy" not in modules

@@ -64,7 +64,7 @@ class TestSparseDist:
         vals = slot_square_values(-1, 1)
         d = slot_square_dist(-1, 1)
         direct = {}
-        for v in vals:
+        for v in map(tuple, vals.tolist()):
             direct[v] = direct.get(v, 0) + 1
         assert d.value_multiset() == direct
 
@@ -107,7 +107,8 @@ class TestSparseDist:
 
 def _nested_loop_brute_count(n, upsilon, X):
     """The earlier brute engine: Python loops over tuples and dict lookups."""
-    slots = [slot_square_values(u, X) for u in upsilon]
+    slots = [list(map(tuple, slot_square_values(u, X).tolist()))
+             for u in upsilon]
     if n == 1:
         return sum(1 for v in slots[0] if v == (0, 0, 0, 0))
     last = {}
@@ -141,8 +142,14 @@ class TestBoxSquares:
     def test_both_signs_match_unmemoised_squares(self, X, traceless):
         for sign in (1, -1):
             values = slot_square_values(sign, X, traceless)
-            assert isinstance(values, tuple)
-            assert list(values) == _unmemoised_squares(sign, X, traceless)
+            assert values.dtype == np.int64 and values.shape[1] == 4
+            assert (list(map(tuple, values.tolist()))
+                    == _unmemoised_squares(sign, X, traceless))
+            dist = slot_square_dist(sign, X, traceless)
+            assert dist is slot_square_dist(sign, X, traceless)
+            assert not (dist.keys.flags.writeable
+                        or dist.counts.flags.writeable)
+        assert not slot_square_values(1, X, traceless).flags.writeable
 
     def test_suite_squares_each_box_once(self, monkeypatch):
         calls = []

@@ -203,6 +203,17 @@ class TestDeltaSumZeroShift:
         with pytest.raises(PreconditionError):
             delta_sum(ZERO, 3)
 
+    def test_sum_builds_the_two_square_counts_once(self, monkeypatch):
+        # one build to Q^2 for the sum, one to its own end for b_term's
+        # dual histogram; no table is kept to be grown as the walk goes
+        from qcl import lattices
+        calls = []
+        build = lattices._two_square_counts
+        monkeypatch.setattr(lattices, "_two_square_counts",
+                            lambda n: calls.append(n) or build(n))
+        delta_sum(ZERO, 16)
+        assert sorted(calls) == [7, 256]
+
 
 class TestDeltaSumNonzeroShift:
     def test_exact_cancellation_samples(self):

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from qcl import lattices
-from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
+from qcl.algebra import (HurwitzQuat, hq_from_basis_coords,
+                         hq_to_basis_coords, left_mul_coords,
+                         right_mul_coords)
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.linalg import row_hnf
 from qcl.lattices import (
     Lattice4, instance_corpus, lattice_basis, lattice_point_count,
-    left_mul_coords, minkowski_bracket, norm_count, eta_congruence_checks,
-    rep_number, right_mul_coords, successive_minima,
+    minkowski_bracket, norm_count, norm_counts, eta_congruence_checks,
+    rep_number, rep_numbers, successive_minima,
 )
 
 ETA3 = HurwitzQuat.from_true(1, 1, 1, 0)  # norm 3
@@ -297,24 +299,33 @@ class TestNormCount:
         for m in range(1, 1025):
             assert norm_count(m) == 24 * sigma_odd(m), m
 
-    def test_call_order_does_not_matter(self, monkeypatch):
-        monkeypatch.setattr(lattices, "_norm_table", [1])
-        monkeypatch.setattr(lattices, "_lone_hists", {"smax": -1})
-        got = {m: norm_count(m) for m in (1000, 3, 2000, 7)}
-        assert got == {m: 24 * sigma_odd(m) for m in got}
+    def test_call_order_does_not_matter(self):
+        # nothing is kept between calls: each count is the same whichever
+        # table or single norm was asked for before it
+        for m in (1000, 3, 2000, 7):
+            table = norm_counts(m)
+            assert table[m] == norm_count(m) == 24 * sigma_odd(m), m
+        table = norm_counts(2000)
+        for m in (1999, 7, 1000, 3, 2000):
+            assert table[m] == norm_count(m) == 24 * sigma_odd(m), m
 
-    def test_walk_and_lone_norms_interleaved(self, monkeypatch):
-        # a walk grows the table; norms off the walk are counted alone
-        monkeypatch.setattr(lattices, "_norm_table", [1])
-        monkeypatch.setattr(lattices, "_lone_hists", {"smax": -1})
-        for m in (*range(1, 10), 3000, *range(10, 40), 5, 750, 6000, 40):
+    def test_walk_and_lone_norms_interleaved(self):
+        # a table and single norms asked in any order, some far past the
+        # table, including an odd norm and one with many square divisors
+        table = norm_counts(64)
+        assert table == [1] + [24 * sigma_odd(m) for m in range(1, 65)]
+        for m in (*range(1, 10), 3000, 5, 10 ** 5 + 1, 750,
+                  2 ** 4 * 3 ** 4 * 5 ** 2, 40):
             assert norm_count(m) == 24 * sigma_odd(m), m
-        assert len(lattices._norm_table) == 65
-        assert lattices._lone_hists["smax"] == 4 * 6000
+            if m <= 64:
+                assert table[m] == norm_count(m)
+        assert norm_counts(0) == [1]
 
     def test_nonpositive_rejected(self):
         with pytest.raises(PreconditionError):
             norm_count(0)
+        with pytest.raises(PreconditionError):
+            norm_counts(-1)
 
 
 class TestRepNumbers:
@@ -332,6 +343,19 @@ class TestRepNumbers:
         for m in range(1, 201):
             a, b = rep_number(m)
             assert a == b
+        assert rep_numbers(200) == [rep_number(m) for m in range(1, 201)]
+        assert rep_numbers(0) == []
+
+    def test_max_range_builds_one_table(self, monkeypatch, capsysbinary):
+        from qcl import cli
+        calls = []
+        build = lattices._two_square_counts
+        monkeypatch.setattr(lattices, "_two_square_counts",
+                            lambda n: calls.append(n) or build(n))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--no-cache", "repnum", "--max", "300"])
+        assert exc.value.code == 0 and calls == [300]
+        assert b'"all_equal":true' in capsysbinary.readouterr().out
 
     def test_total_norm_count_identity(self):
         # sum over square divisors of the primitive counts rebuilds the
