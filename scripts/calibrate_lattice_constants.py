@@ -49,7 +49,7 @@ def main():
             ratio = mins[1] ** 2 / Fraction(inst["K"])
             if worst_l2 is None or ratio < worst_l2:
                 worst_l2 = ratio
-        rep = lattice_point_count(lat, 2 * math.sqrt(inst["K"]))
+        rep = lattice_point_count(lat, 4 * inst["K"])
         worst_ratio = max(worst_ratio, Fraction(rep["count"]) / rep["rhs"])
         eta_congruence_checks(inst["eta"], inst["K"], seed=SEED)
 

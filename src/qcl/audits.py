@@ -7,7 +7,6 @@ bytes are a pure function of the request and seed.
 """
 
 import itertools
-import math
 import random
 import sys
 import time
@@ -195,7 +194,7 @@ def suite_lattices(seed=DEFAULT_SEED):
     def point_counts():
         worst = Fraction(0)
         for inst, lat in zip(corpus, lats):
-            rep = lattice_point_count(lat, 2 * math.sqrt(inst["K"]))
+            rep = lattice_point_count(lat, 4 * inst["K"])
             worst = max(worst, Fraction(rep["count"]) / rep["rhs"])
         return {"instances": len(corpus),
                 "worst_ratio_approx": float(worst)}

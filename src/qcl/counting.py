@@ -25,7 +25,6 @@ from .errors import BudgetError, PreconditionError, VerificationError
 # of 2^48 so the packed word stays inside int64.
 _LANE_BIAS = 1 << 15
 _BIAS3 = _LANE_BIAS | (_LANE_BIAS << 16) | (_LANE_BIAS << 32)
-_LANE_MASK = (1 << 16) - 1
 
 _OUTER_CHUNK = 20_000_000  # max elements per outer-sum block
 _BRUTE_BLOCK = 1 << 16  # max tuple sums per brute_count block
@@ -47,16 +46,6 @@ def pack_key(v):
         raise PreconditionError("coordinate out of 16-bit lane range")
     return ((v[..., 3] << 48) + ((v[..., 2] + _LANE_BIAS) << 32)
             + ((v[..., 1] + _LANE_BIAS) << 16) + (v[..., 0] + _LANE_BIAS))
-
-
-def unpack_key(k):
-    k = int(k)
-    v0 = (k & _LANE_MASK) - _LANE_BIAS
-    v1 = ((k >> 16) & _LANE_MASK) - _LANE_BIAS
-    v2 = ((k >> 32) & _LANE_MASK) - _LANE_BIAS
-    v3 = (k - (v0 + _LANE_BIAS) - ((v1 + _LANE_BIAS) << 16)
-          - ((v2 + _LANE_BIAS) << 32)) >> 48
-    return (v0, v1, v2, v3)
 
 
 def _neg_key(keys):
@@ -91,20 +80,12 @@ class SparseDist:
         uk, uc = np.unique(keys, return_counts=True)
         return cls(uk, uc.astype(np.int64), bound)
 
-    @classmethod
-    def delta(cls):
-        return cls(np.array([pack_key((0, 0, 0, 0))], dtype=np.int64),
-                   np.array([1], dtype=np.int64), 0)
-
     def multiplicity(self, v):
         key = int(pack_key(v))
         i = int(np.searchsorted(self.keys, key))
         if i < len(self.keys) and int(self.keys[i]) == key:
             return int(self.counts[i])
         return 0
-
-    def value_multiset(self):
-        return {unpack_key(k): int(c) for k, c in zip(self.keys, self.counts)}
 
 
 def dist_convolve(a, b):

@@ -189,29 +189,39 @@ def _reduce_against(echelon, x):
     return v
 
 
+def _points_by_norm(hnf, rdmax):
+    """Yield (doubled_norm, coords) once for each nonzero lattice point of
+    doubled sup-norm <= rdmax, in nondecreasing norm and, within one norm,
+    in walk order.
+
+    The walk order of two points does not depend on the radius: at any
+    depth they are ordered by their first differing coefficient.  So the
+    radius doubles from 1, and each ball yields only the points past the
+    previous radius, sorted on the norm alone."""
+    inner = 0
+    while inner < rdmax:
+        outer = min(max(2 * inner, 1), rdmax)
+        shell = [p for p in _enum_ball(hnf, outer) if p[0] > inner]
+        shell.sort(key=operator.itemgetter(0))
+        yield from shell
+        inner = outer
+
+
 def successive_minima(lat, bound):
     """Exact successive minima of the lattice under the quaternion sup-norm.
 
-    bound must dominate the fourth minimum; enumeration failure raises.
+    bound, an int or a Fraction, must dominate the fourth minimum; the
+    points of norm up to bound pass the greedy rank test in norm order.
     """
-    hnf = lat.hnf if isinstance(lat, Lattice4) else lat
-    rdmax = int(math.ceil(2 * bound))
-    rd = 1
-    # radius-increasing search: once rank 4 is reached at radius rd the
-    # points already seen dominate every remaining minimum
-    while rd <= rdmax:
-        minima = []
-        echelon = []  # (pivot column, row) of the chosen points, reduced
-        for nd, x in sorted(_enum_ball(hnf, rd)):
-            v = _reduce_against(echelon, x)
-            if any(v):
-                echelon.append((next(i for i, c in enumerate(v) if c), v))
-                minima.append(Fraction(nd, 2))
-                if len(minima) == 4:
-                    return tuple(minima)
-        if rd == rdmax:
-            break
-        rd = min(2 * rd, rdmax)
+    minima = []
+    echelon = []  # (pivot column, row) of the chosen points, reduced
+    for nd, x in _points_by_norm(lat.hnf, math.ceil(2 * Fraction(bound))):
+        v = _reduce_against(echelon, x)
+        if any(v):
+            echelon.append((next(i for i, c in enumerate(v) if c), v))
+            minima.append(Fraction(nd, 2))
+            if len(minima) == 4:
+                return tuple(minima)
     raise PreconditionError("bound too small: rank 4 not reached")
 
 
@@ -221,39 +231,53 @@ def minkowski_bracket(lat, minima):
     return prod, Fraction(lat.index, 24), Fraction(lat.index, 1)
 
 
-def lattice_point_count(lat, R):
-    """Exact #{M in lattice : sup-norm <= R} with the structural bound check.
+def _exceeds(q, terms):
+    """Whether q > sum(c * sqrt(t)) over the (c, t) in terms, all
+    nonnegative rationals, decided exactly.
+
+    Each sqrt(t) = sqrt(num * den) / den is bracketed by isqrt at 2^-b, and
+    b doubles until the brackets decide.  When every root is exact the two
+    ends agree at once; otherwise the sum is irrational, as its coefficients
+    are positive, so it is not q and the brackets close on one side of it.
+    """
+    b = 32
+    while True:
+        lo = hi = 0
+        for c, t in terms:
+            n = t.numerator * t.denominator << 2 * b
+            r = math.isqrt(n)
+            lo += c * Fraction(r, t.denominator << b)
+            hi += c * Fraction(r + (r * r != n), t.denominator << b)
+        if q > hi:
+            return True
+        if q <= lo:
+            return False
+        b *= 2
+
+
+def lattice_point_count(lat, R2):
+    """Exact #{M in lattice : sup-norm <= R} with the structural bound
+    check, for the exact squared radius R2 = R^2 (an int or a Fraction).
 
     The right side is 1 + R/H + (R/H)^2/sqrt(K') + (R/H)^3/sqrt(K'm')
-    + (R/H)^4/(K'm'); the count must not exceed C_GLOBAL times it.
+    + (R/H)^4/(K'm'); the count must not exceed C_GLOBAL times it.  That
+    verdict is exact, with s = (R/H)^2 each term a rational times the root
+    of a rational; the returned rhs and ratio are floats.
     """
-    rd = int(math.floor(2 * R))
+    R2 = Fraction(R2)
+    rd = math.isqrt(math.floor(4 * R2))
     count = 1 + sum(1 for _ in _enum_ball(lat.hnf, rd))
-    x = R / lat.H
     kp, mp = lat.kprime, lat.mprime
+    s = R2 / lat.H ** 2
+    terms = [(1, 1), (1, s), (s, Fraction(1, kp)), (s, s / (kp * mp)),
+             (s * s / (kp * mp), 1)]
+    x = math.sqrt(R2) / lat.H
     rhs = (1 + x + x ** 2 / math.sqrt(kp) + x ** 3 / math.sqrt(kp * mp)
            + x ** 4 / (kp * mp))
-    if count > C_GLOBAL * rhs:
+    if _exceeds(Fraction(count) / C_GLOBAL, terms):
         raise VerificationError(
             f"point count {count} exceeds {C_GLOBAL} * {rhs}")
     return {"count": count, "rhs": rhs, "ratio": count / rhs}
-
-
-def _first_short_vector(hnf, limit_dbl):
-    """Shortest nonzero vector found by radius-doubling search up to the
-    doubled-norm limit; returns (doubled_norm, coords) or None."""
-    rd = 1
-    while rd < limit_dbl:
-        rd = min(2 * rd, limit_dbl)
-        best = None
-        for nd, x in _enum_ball(hnf, rd):
-            if best is None or nd < best[0]:
-                best = (nd, x)
-        if best is not None:
-            return best
-        if rd == limit_dbl:
-            break
-    return None
 
 
 def eta_congruence_checks(eta, K, seed=0):
@@ -287,8 +311,9 @@ def eta_congruence_checks(eta, K, seed=0):
         A = hq_from_basis_coords(x)
         if A.nrd() % K != 0:
             raise VerificationError("norm divisibility fails on sample")
-    limit = max(1, int(math.floor(2 * C_SHORT * math.sqrt(K))))
-    th = _first_short_vector(ann, limit)
+    # doubled radius 2 * C_SHORT * sqrt(K), rounded down
+    limit = math.isqrt(4 * C_SHORT ** 2 * K)
+    th = next(_points_by_norm(ann, limit), None)
     if th is None:
         raise VerificationError("no short annihilator found")
     # short element of eta*order + K*order
@@ -297,7 +322,7 @@ def eta_congruence_checks(eta, K, seed=0):
     h, _, rank = row_hnf(gens)
     if rank != 4:
         raise VerificationError(f"eta*order + K*order has rank {rank}, not 4")
-    short = _first_short_vector(h[:4], limit)
+    short = next(_points_by_norm(h[:4], limit), None)
     if short is None:
         raise VerificationError("no short coset representative found")
     return {
@@ -311,14 +336,15 @@ def eta_congruence_checks(eta, K, seed=0):
     }
 
 
-def _pair_counts(values, size):
-    """[#{(v0, v1) in values^2 : v0 + v1 = t} for t < size], values sorted."""
+def _pair_counts(weights, size):
+    """[sum of w0 * w1 over (v0, w0), (v1, w1) in weights with v0 + v1 = t,
+    for t < size], weights mapping ascending values to multiplicities."""
     counts = [0] * size
-    for v0 in values:
-        for v1 in values:
+    for v0, w0 in weights.items():
+        for v1, w1 in weights.items():
             if v0 + v1 >= size:
                 break
-            counts[v0 + v1] += 1
+            counts[v0 + v1] += w0 * w1
     return counts
 
 
@@ -334,13 +360,18 @@ def _two_square_counts(n):
     odd[u] = #{(c0, c1) both odd : c0^2 + c1^2 = 8u + 2}, u <= (n - 1) / 2.
     Hence r(m) = (even * even)[m] + [m odd] (odd * odd)[(m - 1) / 2].
     """
-    root = math.isqrt(n)
-    squares = sorted(x * x for x in range(-root, root + 1))
     half = (n + 1) // 2
-    # the odd c >= 1 with (c^2 - 1) / 8 < half; -c gives each T again
+    # the odd c >= 1 with (c^2 - 1) / 8 < half, each T once more from -c
     tops = range(1, math.isqrt(8 * half) + 1, 2)
-    triangular = sorted(2 * [(c * c - 1) // 8 for c in tops])
-    return _pair_counts(squares, n + 1), _pair_counts(triangular, half)
+    return (_even_counts(n),
+            _pair_counts({(c * c - 1) // 8: 2 for c in tops}, half))
+
+
+def _even_counts(n):
+    """The even list of `_two_square_counts(n)` alone; x and -x give the
+    same square."""
+    return _pair_counts({x * x: 2 - (x == 0)
+                         for x in range(math.isqrt(n) + 1)}, n + 1)
 
 
 def _square(counts):
@@ -365,14 +396,13 @@ def norm_counts(n):
 
 def norm_count(m):
     """#{x in the order : nrd(x) = m}, counted alone: one dot product of
-    each two-square count list with its reverse."""
+    each two-square count list with its reverse.  The odd list counts only
+    at odd m, so it is built only there."""
     if m < 1:
         raise PreconditionError("m must be positive")
-    even, odd = _two_square_counts(m)
-    total = sum(map(operator.mul, even, reversed(even)))
-    if m % 2:
-        total += sum(map(operator.mul, odd, reversed(odd)))
-    return total
+    even, odd = _two_square_counts(m) if m % 2 else (_even_counts(m), [])
+    return (sum(map(operator.mul, even, reversed(even)))
+            + sum(map(operator.mul, odd, reversed(odd))))
 
 
 def _factor(n):

@@ -1,14 +1,17 @@
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcl import lattices
+from qcl import DEFAULT_SEED, lattices
 from qcl.algebra import (HurwitzQuat, hq_from_basis_coords,
                          hq_to_basis_coords, left_mul_coords,
                          right_mul_coords)
 from qcl.errors import BudgetError, PreconditionError, VerificationError
-from qcl.linalg import row_hnf
+from qcl.linalg import congruence_lattice, row_hnf
 from qcl.lattices import (
     Lattice4, instance_corpus, lattice_basis, lattice_point_count,
     minkowski_bracket, norm_count, norm_counts, eta_congruence_checks,
@@ -132,6 +135,34 @@ def _minima_by_row_hnf(lat, bound):
     return None
 
 
+def _first_short_vector(hnf, limit_dbl):
+    """The earlier short-vector search: a fresh walk at each doubled radius
+    2, 4, ... up to limit_dbl, keeping the first point of least norm."""
+    rd = 1
+    while rd < limit_dbl:
+        rd = min(2 * rd, limit_dbl)
+        best = None
+        for nd, x in lattices._enum_ball(hnf, rd):
+            if best is None or nd < best[0]:
+                best = (nd, x)
+        if best is not None:
+            return best
+        if rd == limit_dbl:
+            break
+    return None
+
+
+def _short_vectors_by_restarted_walks(eta, K):
+    """(theta, short_rep) of eta_congruence_checks, each found by
+    `_first_short_vector` on the same lattice and float radius as before."""
+    lmat = left_mul_coords(eta)
+    limit = max(1, int(math.floor(2 * lattices.C_SHORT * math.sqrt(K))))
+    gens = [list(col) for col in zip(*lmat)]
+    gens += [[K if i == j else 0 for i in range(4)] for j in range(4)]
+    return (_first_short_vector(congruence_lattice(lmat, K), limit),
+            _first_short_vector(row_hnf(gens)[0][:4], limit))
+
+
 class TestMinimaOracle:
     def test_same_minima_as_row_hnf_rank(self):
         for inst in instance_corpus(12, 20260823):
@@ -140,6 +171,25 @@ class TestMinimaOracle:
             bound = max(4, 2 * inst["m"])
             assert successive_minima(lat, bound) == _minima_by_row_hnf(
                 lat, bound)
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+    def test_one_search_matches_restarted_walks(self, seed):
+        # the lattice audit's corpus and bounds: the minima against the row
+        # HNF rank test, theta and the short representative against the
+        # earlier restarted walks
+        for inst in instance_corpus(100, seed):
+            lat = lattice_basis(inst["H"], inst["K"], inst["m"],
+                                inst["eta"], inst["m0"])
+            bound = max(4, 2 * inst["m"])
+            assert successive_minima(lat, bound) == _minima_by_row_hnf(
+                lat, bound)
+            rep = eta_congruence_checks(inst["eta"], inst["K"], seed=seed)
+            th, short = _short_vectors_by_restarted_walks(inst["eta"],
+                                                          inst["K"])
+            assert (rep["theta_norm"], rep["theta"]) == (
+                Fraction(th[0], 2), th[1])
+            assert (rep["short_rep_norm"], rep["short_rep"]) == (
+                Fraction(short[0], 2), short[1])
 
 
 def sup_norm_of_coords(x):
@@ -190,22 +240,72 @@ class TestEnumBall:
             list(lattices._enum_ball(od_lattice().hnf, 8))
 
 
+@st.composite
+def triangular_bases(draw):
+    """Upper-triangular integer bases with small positive pivots."""
+    return tuple(tuple(0 if j < i else draw(st.integers(1, 3)) if j == i
+                       else draw(st.integers(-3, 3)) for j in range(4))
+                 for i in range(4))
+
+
+class TestPointsByNorm:
+    @given(triangular_bases(), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_each_point_once_in_norm_order(self, hnf, rdmax):
+        points = list(lattices._points_by_norm(hnf, rdmax))
+        norms = [nd for nd, _ in points]
+        assert norms == sorted(norms)
+        assert len(set(points)) == len(points)
+        walk = list(lattices._enum_ball(hnf, rdmax))
+        assert Counter(points) == Counter(walk)
+        # ties keep the order of one walk at the full radius
+        assert points == sorted(walk, key=operator.itemgetter(0))
+
+
 class TestPointCount:
     def test_below_first_minimum(self):
         lat = od_lattice()
-        assert lattice_point_count(lat, 0.25)["count"] == 1
+        assert lattice_point_count(lat, Fraction(1, 16))["count"] == 1
 
     def test_order_ball(self):
         # 97 elements of the order have sup-norm <= 1
         lat = od_lattice()
         assert lattice_point_count(lat, 1)["count"] == 97
+        # just below R = 1 only the 16 units of sup-norm 1/2 remain
+        assert lattice_point_count(lat, Fraction(3, 4))["count"] == 17
+        assert lattice_point_count(lat, Fraction(24, 25))["count"] == 17
 
     def test_bound_holds_on_sample_instances(self):
         for inst in instance_corpus(10, 7):
             lat = lattice_basis(inst["H"], inst["K"], inst["m"],
                                 inst["eta"], inst["m0"])
-            rep = lattice_point_count(lat, 2 * inst["K"] ** 0.5)
+            rep = lattice_point_count(lat, 4 * inst["K"])
             assert rep["count"] >= 1
+
+    def test_rational_rhs_at_equality_passes(self, monkeypatch):
+        # K' = m' = 9 at R = H = 1: rhs = 1 + 1 + 1/3 + 1/9 + 1/81 = 199/81,
+        # which no float holds; the check is strict, so count == C * rhs
+        # passes and any smaller C fails
+        lat = Lattice4(od_lattice().hnf, 1, 1, 9, 9, ETA3, ONE)
+        monkeypatch.setattr(lattices, "C_GLOBAL", Fraction(97 * 81, 199))
+        assert lattice_point_count(lat, 1)["count"] == 97
+        monkeypatch.setattr(lattices, "C_GLOBAL",
+                            Fraction(97 * 81, 199) - Fraction(1, 10 ** 30))
+        with pytest.raises(VerificationError):
+            lattice_point_count(lat, 1)
+
+    def test_irrational_rhs_decided_past_float_precision(self, monkeypatch):
+        # K' = 3, m' = 1 at R = H = 1: rhs = 7/3 + 2/sqrt(3).  C on either
+        # side of 97 / rhs by about 10^-48 decides both ways.
+        lat = Lattice4(od_lattice().hnf, 1, 1, 3, 1, ETA3, ONE)
+        root = math.isqrt(3 * 10 ** 100)  # sqrt(3) in [root, root + 1] / 10^50
+        rhs_lo = Fraction(7, 3) + Fraction(2 * 10 ** 50, root + 1)
+        rhs_hi = Fraction(7, 3) + Fraction(2 * 10 ** 50, root)
+        monkeypatch.setattr(lattices, "C_GLOBAL", 97 / rhs_lo)
+        assert lattice_point_count(lat, 1)["count"] == 97
+        monkeypatch.setattr(lattices, "C_GLOBAL", 97 / rhs_hi)
+        with pytest.raises(VerificationError):
+            lattice_point_count(lat, 1)
 
 
 class TestLambdaTwo:
@@ -320,6 +420,14 @@ class TestNormCount:
             if m <= 64:
                 assert table[m] == norm_count(m)
         assert norm_counts(0) == [1]
+
+    def test_odd_list_only_for_odd_norms(self, monkeypatch):
+        calls = []
+        build = lattices._two_square_counts
+        monkeypatch.setattr(lattices, "_two_square_counts",
+                            lambda n: calls.append(n) or build(n))
+        assert norm_count(1000) == 24 * sigma_odd(1000) and calls == []
+        assert norm_count(999) == 24 * sigma_odd(999) and calls == [999]
 
     def test_nonpositive_rejected(self):
         with pytest.raises(PreconditionError):

@@ -1,6 +1,7 @@
 """Source-level rules for the qcl package."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcl"
@@ -130,3 +131,27 @@ def test_caps_are_not_per_call_knobs():
              for path in sorted(SRC.glob("*.py"))
              for guard in _knob_guards(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+def test_traced_names_resolve():
+    """Every function that perfbench/qcl_traced.py wraps still exists under
+    its name, so a rename in src/qcl cannot drop a layer from the trace.
+
+    The launcher is loaded by path, without calling its install()."""
+    path = SRC.parents[1] / "perfbench" / "qcl_traced.py"
+    spec = importlib.util.spec_from_file_location("qcl_traced", path)
+    launcher = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launcher)
+    for mod in launcher.MODULES:
+        importlib.import_module(f"qcl.{mod}")
+    missing = []
+    for mod, names in launcher.TRACED.items():
+        for name in names:
+            obj = importlib.import_module(f"qcl.{mod}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{mod}.{name}")
+    assert missing == []
+    assert set(launcher.WORK) <= {f"{mod}.{name}" for mod, names
+                                  in launcher.TRACED.items() for name in names}
