@@ -123,7 +123,8 @@ def suite_local_integrals(seed=DEFAULT_SEED):
 
 def suite_densities(seed=DEFAULT_SEED):
     from .densities import (density_tail_bracket, nonsplit_density_two,
-                            split_density, split_density_exhaustive)
+                            outside_tail_bracket, split_density,
+                            split_density_exhaustive)
 
     def conv_vs_exhaustive():
         cases = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (3, 2, 1)]
@@ -136,7 +137,7 @@ def suite_densities(seed=DEFAULT_SEED):
         bound = density_tail_bracket(3, 5)
         ds = [split_density(3, m, 5) for m in (1, 2)]
         for d in ds:
-            if abs(float(d) - 1.0) > bound:
+            if outside_tail_bracket(d, 3, 5):
                 raise VerificationError(f"density {d} outside bracket")
         return {"densities": ds, "bound_approx": bound}
 
@@ -192,12 +193,9 @@ def suite_lattices(seed=DEFAULT_SEED):
         return {"instances": len(corpus), "h1_instances": h1}
 
     def point_counts():
-        worst = Fraction(0)
-        for inst, lat in zip(corpus, lats):
-            rep = lattice_point_count(lat, 4 * inst["K"])
-            worst = max(worst, Fraction(rep["count"]) / rep["rhs"])
-        return {"instances": len(corpus),
-                "worst_ratio_approx": float(worst)}
+        worst = max(lattice_point_count(lat, 4 * inst["K"])["ratio"]
+                    for inst, lat in zip(corpus, lats))
+        return {"instances": len(corpus), "worst_ratio_approx": worst}
 
     def eta_checks():
         for inst in corpus:

@@ -308,6 +308,18 @@ def density_tail_bracket(q, n):
     return (1.0 / q) * local_zeta(q, 2) * local_zeta(q, 1.5) * local_zeta(q, 1)
 
 
+def outside_tail_bracket(d, q, n):
+    """|d - 1| > density_tail_bracket(q, n), decided exactly for a rational
+    d. The bracket is A r / (r - 1) with A = (1/q) zeta_q(2) zeta_q(1)
+    rational and r = q^{3/2}, so with e = |d - 1| it is exceeded exactly
+    when r (e - A) > e, i.e. when e > A and q^3 (e - A)^2 > e^2."""
+    if n != 5:
+        raise PreconditionError("tail bracket is calibrated for 5 slots")
+    a = Fraction(q * q, (q * q - 1) * (q - 1))
+    e = abs(Fraction(d) - 1)
+    return e > a and q ** 3 * (e - a) ** 2 > e * e
+
+
 def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=DEFAULT_SEED,
                         shards=16):
     """Monte Carlo estimate of the real density of P(Y) = 0 with Y in the

@@ -8,9 +8,11 @@ Main objects, all exact:
   where P(Y) = sum of slotwise squares (with optional unit coefficients).
 * `w_class_sum_report`: the volume of auxiliary matrices Z for which a
   target lies on the scalar line through Z times the cyclic image
-  generator, read from one exact count table per (generator, modulus).
+  generator, read from one exact count table per (generator, modulus),
+  summed over the witness classes, each named by its `padic.line_key`.
 * `witness_report` / `local_integral_audit`: support, witness and magnitude
-  bound checks for i0_local.
+  bound checks for i0_local; at most one nonzero witness class exists, so
+  the search tests one candidate slot with `padic.line_multiple`.
 * `prime_case_report`: exact point-count identities at prime level.
 
 Every sum over all 2x2 matrices Y mod q runs on one grid kernel: the packed
@@ -35,7 +37,7 @@ import numpy as np
 
 from .algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
 from .errors import BudgetError, PreconditionError, VerificationError
-from .padic import pval, punit
+from .padic import line_key, line_multiple, pivot, pval, punit
 
 #: cap on the grid size q^4; `_join_two_slots` rests its int64 bound on it
 _GRID_CAP = 10 ** 7
@@ -132,18 +134,18 @@ def _unpack(keys, q):
 
 
 @functools.lru_cache(maxsize=12)
-def _slot_static(delta, p, vd, level, coeff):
+def _slot_static(delta, p, vd, coeff):
     """Gamma-independent slot data: the packed keys of the divisibility
     condition coeff * adj(delta) Y^2 = 0 mod p^vd over the grid of Y mod
-    p^level (`grid_square_keys`), factored once as (distinct keys, inverse
+    p^vd (`grid_square_keys`), factored once as (distinct keys, inverse
     index) as `np.unique(keys, return_inverse=True)` would: a histogram of
     the qc^4 <= q^4 possible keys marks the distinct ones, and its running
     count ranks them, with no sort and no array larger than the grid.
-    Cached per (delta tuple, p, vd, level, coeff); the keys dominate the
+    Cached per (delta tuple, p, vd, coeff); the keys dominate the
     cost of repeated evaluations at the same modulus."""
     qc = p ** vd
     lmat = left_mul_matrix(adj_flat(delta)) % qc * (coeff % qc)
-    keys = grid_square_keys(lmat, p ** level, qc)
+    keys = grid_square_keys(lmat, qc, qc)
     present = np.bincount(keys, minlength=qc ** 4) > 0
     rank = np.cumsum(present) - 1
     uniq, inv = np.flatnonzero(present), rank[keys]
@@ -152,31 +154,31 @@ def _slot_static(delta, p, vd, level, coeff):
     return uniq, inv
 
 
-def _slot_tables(delta, gammas, p, vd, level, coeffs):
+def _slot_tables(delta, gammas, p, vd, coeffs):
     """Per slot (distinct condition keys, inverse index, phase residues), for
-    Y mod p^level."""
+    Y mod p^vd."""
     qc = p ** vd
     inv_u = pow(punit(det_flat(delta), p, p ** (vd + 1)), -1, qc) if vd else 1
     out = []
     for i, g in enumerate(gammas):
         if coeffs[i] % p == 0:
             raise PreconditionError("slot coefficients must be units")
-        uniq, inv = _slot_static(tuple(delta), p, vd, level, coeffs[i] % qc)
-        phase = _grid_trace_pair([inv_u * t for t in g], p ** level, qc)
+        uniq, inv = _slot_static(tuple(delta), p, vd, coeffs[i] % qc)
+        phase = _grid_trace_pair([inv_u * t for t in g], qc, qc)
         out.append((uniq, inv, phase))
     return out, qc
 
 
-def i0_local(delta, gammas, p, level=None, coeffs=None):
+def i0_local(delta, gammas, p, coeffs=None):
     """Exact I0(delta, gamma) as a CycloSum.
 
     delta: flat 2x2 integer matrix with nonzero determinant;
     gammas: list of n flat matrices; coeffs: optional unit coefficients of
     the slotwise squares in P(Y).
 
-    The averaging level defaults to v_p(det delta), which suffices: both the
-    divisibility condition and the phase only depend on Y mod p^{v}. The
-    grid kernel refuses p^{4 level} > `_GRID_CAP` (BudgetError).
+    The average runs over Y mod p^v, v = v_p(det delta), which suffices:
+    both the divisibility condition and the phase only depend on Y mod p^v.
+    The grid kernel refuses p^{4 v} > `_GRID_CAP` (BudgetError).
     """
     n = len(gammas)
     det = det_flat(delta)
@@ -185,15 +187,11 @@ def i0_local(delta, gammas, p, level=None, coeffs=None):
     vd = pval(det, p)
     if coeffs is None:
         coeffs = [1] * n
-    if level is None:
-        level = vd
-    if level < vd:
-        raise PreconditionError("averaging level below the conductor")
     if vd == 0:
         return CycloSum.from_int(1, p)
     if n not in (1, 2):
         raise BudgetError("slot count limited to 1 or 2 here")
-    tables, qc = _slot_tables(delta, gammas, p, vd, level, coeffs)
+    tables, qc = _slot_tables(delta, gammas, p, vd, coeffs)
     if n == 1:
         # Y = 0 has key 0, the least key, so inverse index 0 is the condition
         _, inv, phase = tables[0]
@@ -201,7 +199,7 @@ def i0_local(delta, gammas, p, level=None, coeffs=None):
     else:
         counts = _join_two_slots(tables[0], tables[1], qc)
     total = {int(r): int(c) for r, c in enumerate(counts) if c}
-    return CycloSum(p, vd, total, scale=4 * n * level)
+    return CycloSum(p, vd, total, scale=4 * n * vd)
 
 
 def _join_two_slots(slot1, slot2, qc):
@@ -260,16 +258,13 @@ def _cyclic_generator(cmat, m, p):
     raises VerificationError otherwise. Any two generators differ by a unit
     factor, so every measure built on the generator is independent of the
     choice."""
+    k = pval(m, p)
     cols = [tuple(int(x) % m for x in cmat[:, j]) for j in range(4)]
-    gen = next((c for c in cols if any(x % p for x in c)), None)
+    gen = next((c for c in cols if pivot(c, p, k)[1] == 0), None)
     if gen is None:
         raise VerificationError(f"image has no element of order {m}")
-    i = next(i for i, x in enumerate(gen) if x % p)
-    inv = pow(gen[i], -1, m)
-    for c in cols:
-        lam = c[i] * inv % m
-        if any((x - lam * g) % m for x, g in zip(c, gen)):
-            raise VerificationError(f"image is not cyclic of order {m}")
+    if any(line_multiple(c, gen, p, k) is None for c in cols):
+        raise VerificationError(f"image is not cyclic of order {m}")
     return gen
 
 
@@ -308,20 +303,14 @@ def _measure(target, gen, m):
     return Fraction(int(_measure_table(gen, m)[key]), m ** 4)
 
 
-def _class_key(t, m, p):
-    """Canonical key of the witness class of a target tuple mod m: its
-    lexicographically least unit multiple."""
-    return min(tuple(lam * x % m for x in t)
-               for lam in range(1, max(m, 2)) if lam % p)
-
-
 def w_class_sum_report(eta, p):
-    """Sum of the measure factor over all witness classes; the structural
-    bound is v_p(det eta) + 1. Returns (classes, total, bound)."""
+    """Sum of the measure factor over all witness classes, the targets
+    Z eta mod m up to unit multiples, each named by its `line_key`; the
+    structural bound is v_p(det eta) + 1. Returns (classes, total, bound)."""
     gen, m = matrix_cyclic_generator(eta, p)
     v = pval(det_flat(eta), p)
     targets = _unpack(np.flatnonzero(_right_image_histogram(eta, m)), m)
-    classes = {_class_key(t, m, p) for t in targets.tolist()}
+    classes = {line_key(t, p, v) for t in targets.tolist()}
     total = sum((_measure(t, gen, m) for t in classes), Fraction(0))
     return len(classes), total, v + 1
 
@@ -344,7 +333,13 @@ def witness_report(delta, gammas, p):
     mu primitive. Returns dict with 'witnesses' (class key -> (measure, mu))
     and 'bound_sq' (min over witnesses of the squared magnitude bound), or
     witnesses = {} when none exist.
-    """
+
+    A nonzero class is the unit class of a slot t = gamma'_i eta that
+    spans every slot; two such slots span one cyclic group, so they differ
+    by a unit. A spanning slot has the least valuation, and every slot of
+    that valuation is a unit multiple of it: the first slot of least
+    valuation is the one candidate (0 mod m, the zero witness, when every
+    slot is)."""
     n = len(gammas)
     vdel, eta = split_primitive_part(delta, p)
     veta = pval(det_flat(eta), p)
@@ -356,35 +351,16 @@ def witness_report(delta, gammas, p):
     ge = [tuple(t % m for t in mat_mul_flat(g, eta)) for g in gprime]
     gen, _ = matrix_cyclic_generator(eta, p)
 
-    candidates = {}
-    # zero witness: valid when every slot is divisible by m
-    if all(all(t == 0 for t in v) for v in ge):
-        candidates[(0, 0, 0, 0)] = [1] + [0] * (n - 1)
-    for i in range(n):
-        t = ge[i]
-        if m > 1 and all(x == 0 for x in t):
-            continue
-        mu = []
-        ok = True
-        for j in range(n):
-            lam = next((lam for lam in range(m)
-                        if all((ge[j][x] - lam * t[x]) % m == 0 for x in range(4))),
-                       None)
-            if lam is None:
-                ok = False
-                break
-            mu.append(lam if j != i else 1)
-        if ok:
-            candidates.setdefault(_class_key(t, m, p), mu)
-
-    witnesses = {}
-    bound_sq = None
-    for key, mu in candidates.items():
+    vals = [pivot(t, p, veta)[1] for t in ge]
+    i = vals.index(min(vals))
+    mu = [line_multiple(t, ge[i], p, veta) for t in ge]
+    witnesses, bound_sq = {}, None
+    if None not in mu:
+        mu[i] = 1  # slot i is 1 * itself, or the zero witness has mu = e_i
+        key = line_key(ge[i], p, veta)
         wm = _measure(key, gen, m)
         witnesses[key] = (wm, tuple(mu))
-        bsq = _bound_sq(gprime, eta, vdel, veta, wm, p, n)
-        if bound_sq is None or bsq < bound_sq:
-            bound_sq = bsq
+        bound_sq = _bound_sq(gprime, eta, vdel, veta, wm, p, n)
     return {"supported": True, "witnesses": witnesses, "bound_sq": bound_sq,
             "gprime": gprime, "eta": eta, "vdel": vdel, "veta": veta}
 
@@ -544,21 +520,17 @@ def s3_closed(q, n, gammas):
     u = [g[1] % q for g in gammas]
     t = [g[2] % q for g in gammas]
     v = [g[3] % q for g in gammas]
-    u_nonzero = any(u)
-    v_nonzero = any(v)
-    uv_nonzero = u_nonzero or v_nonzero
     x20 = x2_count(q, [0] * n)
     total = 0
-    if uv_nonzero:
+    if any(u) or any(v):
         total += q ** (2 * n - 1) * x20 + q ** (3 * n - 3) * (q ** n - q)
-    if u_nonzero:
-        v_in_line = _in_line(v, u, q)
-        if v_in_line is None:
+    if any(u):
+        if line_multiple(v, u, q, 1) is None:
             total += q ** (3 * n - 3) * (q - 1)
         else:
             cnt = _count_quadric_al(q, n, s, v, t, u)
             total += q ** (2 * n - 2) * (cnt - x20)
-    elif v_nonzero:
+    elif any(v):
         sv = [(s[i] - v[i]) % q for i in range(n)]
         tv = sum(t[i] * v[i] for i in range(n)) % q
         with_l = sum(1 for a in itertools.product(range(q), repeat=n)
@@ -578,14 +550,6 @@ def s3_closed(q, n, gammas):
     return total
 
 
-def _in_line(v, u, q):
-    """kappa with v = kappa * u mod q, or None."""
-    for kappa in range(q):
-        if all((v[i] - kappa * u[i]) % q == 0 for i in range(len(u))):
-            return kappa
-    return None
-
-
 def _count_quadric_al(q, n, s, v, t, u):
     """#{(a, lambda): sum a_i^2 = sum (s_i - v_i) a_i lambda + t_i u_i lambda^2}."""
     cnt = 0
@@ -597,21 +561,6 @@ def _count_quadric_al(q, n, s, v, t, u):
             if (lhs - rhs) % q == 0:
                 cnt += 1
     return cnt
-
-
-def _is_scalar_line(mats, q):
-    """True when the tuple of matrices lies on a line c_i * M."""
-    nz = [m for m in mats if any(x % q for x in m)]
-    if not nz:
-        return True
-    base = nz[0]
-    for m in nz[1:]:
-        # m and base proportional mod q?
-        found = any(all((m[x] - lam * base[x]) % q == 0 for x in range(4))
-                    for lam in range(1, q))
-        if not found:
-            return False
-    return True
 
 
 def prime_case_report(q, n, num_gamma=500, seed=0):
@@ -650,9 +599,7 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
         rhs = CycloSum.from_fraction(Fraction(s3c) - Fraction(s2b, q), q)
         if not (lhs - rhs).is_zero():
             raise VerificationError(f"prime-level identity failed at gamma={g}")
-        # indicator identities relating the (u, v) casework to invariants
-        _check_indicator_identities(q, g, delta)
-        case = _case_label(q, g)
+        case = _case_label(q, g, delta)
         report["case_histogram"][case] = report["case_histogram"].get(case, 0) + 1
         report["checked"] += 1
 
@@ -673,35 +620,23 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
     return report
 
 
-def _case_label(q, g):
-    u = [x[1] % q for x in g]
-    v = [x[3] % q for x in g]
-    if not any(u) and not any(v):
-        return "u=v=0"
-    if not any(u):
-        return "u=0,v!=0"
-    return "u!=0,v in line" if _in_line(v, u, q) is not None else "u!=0,v off line"
-
-
 def _forced_case_gammas(q, n):
     """One gamma per structural case of the closed formula."""
-    zero = tuple(0 for _ in range(4))
-    mk = lambda s, u, t, v: (s, u, t, v)
+    zero = (0, 0, 0, 0)
     out = [
-        tuple([mk(1, 0, 1, 0)] + [zero] * (n - 1)),            # u=v=0
-        tuple([mk(0, 0, 1, 1)] + [zero] * (n - 1)),            # u=0, v!=0
-        tuple([mk(1, 1, 1, 1)] + [zero] * (n - 1)),            # u!=0, v in line
+        tuple([(1, 0, 1, 0)] + [zero] * (n - 1)),               # u=v=0
+        tuple([(0, 0, 1, 1)] + [zero] * (n - 1)),               # u=0, v!=0
+        tuple([(1, 1, 1, 1)] + [zero] * (n - 1)),               # u!=0, v in line
         tuple([zero] * n),                                      # all zero
     ]
     if n >= 2:
-        out.append((mk(0, 1, 0, 0), mk(0, 0, 0, 1)))           # v not in F_q u
-    else:
-        pass
+        out.append(((0, 1, 0, 0), (0, 0, 0, 1)))               # v not in F_q u
     return out
 
 
-def _check_indicator_identities(q, g, delta):
-    """The (u,v) case indicators agree with their invariant reformulations."""
+def _case_label(q, g, delta):
+    """The (u, v) case of the closed S3 formula at gamma = g, after checking
+    that its indicators agree with their invariant reformulations."""
     u = [x[1] % q for x in g]
     v = [x[3] % q for x in g]
     gd = [mat_mul_flat(tuple(x), delta) for x in g]
@@ -712,11 +647,15 @@ def _check_indicator_identities(q, g, delta):
         raise VerificationError("indicator identity (u=v=0) failed")
     if ((not any(u)) and any(v)) != (dgd_zero and not gd_zero):
         raise VerificationError("indicator identity (u=0, v!=0) failed")
-    if any(u):
-        in_line = _in_line(v, u, q) is not None
-        scalar_line = _is_scalar_line([tuple(t % q for t in m) for m in gd], q)
-        if (in_line != (scalar_line and not dgd_zero)):
-            raise VerificationError("indicator identity (u!=0 cases) failed")
+    if not any(u):
+        return "u=0,v!=0" if any(v) else "u=v=0"
+    # gd lies on one line c_i * M: each is a multiple of the first nonzero one
+    base = next((m for m in gd if any(t % q for t in m)), gd[0])
+    in_line = line_multiple(v, u, q, 1) is not None
+    scalar_line = all(line_multiple(m, base, q, 1) is not None for m in gd)
+    if in_line != (scalar_line and not dgd_zero):
+        raise VerificationError("indicator identity (u!=0 cases) failed")
+    return "u!=0,v in line" if in_line else "u!=0,v off line"
 
 
 def _random_unit_pair(q, rng):

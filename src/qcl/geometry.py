@@ -207,7 +207,9 @@ def kernel_table(w, q):
 
 def _line_ids(w, q):
     """Projective point of each nonzero W mod q: W scaled so its first
-    nonzero entry is 1, packed.  W are proportional iff their ids agree."""
+    nonzero entry is 1, packed.  W are proportional iff their ids agree.
+    This is `padic.line_key` at k = 1 (the pivot is the first nonzero
+    entry) applied to a whole stack at once."""
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
     inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)])
     return (w * inv[lead][:, None] % q) @ q ** np.arange(3, -1, -1)

@@ -27,6 +27,7 @@ from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import (
     congruence_lattice, hnf_determinant, reduce_mod_hnf, row_hnf,
 )
+from .padic import line_multiple
 
 # frozen after calibration (see scripts/calibrate_lattice_constants.py)
 C_GLOBAL = 256  # point count vs structural right side
@@ -106,7 +107,10 @@ def lattice_basis(H, K, m, eta, m0):
 
 
 def _audit_membership(lat):
-    """Recheck both congruences on every basis vector and m*order in Λ."""
+    """Recheck both congruences on every basis vector and m*order in Λ. The
+    line congruence M eta = lam * m0 eta mod m is tested mod each prime
+    power p^e || m: by the CRT a lam mod m exists iff one mod each does."""
+    line = hq_to_basis_coords(lat.m0 * lat.eta)
     for row in lat.hnf:
         if any(x % lat.H for x in row):
             raise VerificationError("basis vector escapes H*order")
@@ -115,10 +119,8 @@ def _audit_membership(lat):
         if any(x % lat.K for x in hq_to_basis_coords(w)):
             raise VerificationError("skew congruence fails on basis")
         target = hq_to_basis_coords(M * lat.eta)
-        line = hq_to_basis_coords(lat.m0 * lat.eta)
-        if not any(
-                all((target[i] - lam * line[i]) % lat.m == 0 for i in range(4))
-                for lam in range(lat.m)):
+        if any(line_multiple(target, line, p, e) is None
+               for p, e in _factor(lat.m)):
             raise VerificationError("line congruence fails on basis")
     if lat.m % lat.H == 0:
         for j in range(4):

@@ -1,6 +1,9 @@
 """Local (p-adic) building blocks.
 
 * p-adic valuation and unit part of an integer
+* line tests mod p^k on one pivot (first entry of least valuation): the
+  key of a unit class (`line_key`) and the multiplier onto a line
+  (`line_multiple`)
 * exact one-variable quadratic exponential sums over Z_p and their laws,
   each law decided exactly on CycloSum values
 
@@ -43,6 +46,42 @@ def punit(x, p, modulus):
     while x % p == 0:
         x //= p
     return x % modulus
+
+
+def pivot(t, p, k):
+    """(i, v): the first entry t[i] of least valuation mod p^k and that
+    valuation, capped at k (v == k exactly when t = 0 mod p^k)."""
+    m = p ** k
+    vals = [pval(x % m, p, cap=k) for x in t]
+    v = min(vals)
+    return vals.index(v), v
+
+
+def line_key(t, p, k):
+    """t mod p^k divided by the unit part of its pivot entry: every unit
+    multiple of t has the same pivot, so it gets the same key. Any lift of
+    the unit part serves, as two lifts differ by a factor 1 mod p^(k - v),
+    which fixes every entry of valuation >= v mod p^k."""
+    m = p ** k
+    i, v = pivot(t, p, k)
+    inv = pow(punit(t[i], p, m), -1, m) if v < k else 0
+    return tuple(x * inv % m for x in t)
+
+
+def line_multiple(t, g, p, k):
+    """The least lam in [0, p^k) with t = lam * g mod p^k, or None.
+
+    With g's pivot entry p^v u (u a unit), t = lam * g forces that entry
+    of t to be p^v s with lam = s / u mod p^(k - v); that residue fixes
+    lam * g mod p^k, so its least lift is the only candidate (and if p^v
+    does not divide the entry of t, the candidate misses it)."""
+    m = p ** k
+    i, v = pivot(g, p, k)
+    lam = 0
+    if v < k:
+        r = p ** (k - v)
+        lam = t[i] % m // p ** v * pow(punit(g[i], p, m), -1, r) % r
+    return lam if all((x - lam * y) % m == 0 for x, y in zip(t, g)) else None
 
 
 # ---------------------------------------------------------------------------

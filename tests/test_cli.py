@@ -380,17 +380,40 @@ def _probe_modules(args, cache):
     return lines[:-1], json.loads(lines[-1])
 
 
+# Runs one command with numpy and mpmath unimportable: a None entry in
+# sys.modules makes every import of the module raise ImportError.
+_BLOCKED_RUN = """
+import sys
+sys.modules["numpy"] = sys.modules["mpmath"] = None
+from qcl.cli import main
+main(sys.argv[1:])
+"""
+
+# the commands that need neither numpy nor mpmath
+EXACT_PATHS = pytest.mark.parametrize("args", [
+    ["gauss", "--p", "7", "--va", "1", "--vt", "3", "--xi", "0",
+     "--ua", "3", "--ut", "5", "--uxi", "2"],
+    ["lattice", "--k", "3", "--m", "3", "--eta", "1,1,1,0", "--minima"],
+    ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
+    ["repnum", "--m", "3000"],
+], ids=["gauss", "lattice-minima", "delta-check-shift", "repnum"])
+
+
 class TestImportPaths:
-    @pytest.mark.parametrize("args", [
-        ["gauss", "--p", "7", "--va", "1", "--vt", "3", "--xi", "0",
-         "--ua", "3", "--ut", "5", "--uxi", "2"],
-        ["lattice", "--k", "3", "--m", "3", "--eta", "1,1,1,0", "--minima"],
-        ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
-        ["repnum", "--m", "3000"],
-    ], ids=["gauss", "lattice-minima", "delta-check-shift", "repnum"])
+    @EXACT_PATHS
     def test_exact_paths_leave_numpy_unloaded(self, args, tmp_path):
         _, modules = _probe_modules(["--no-cache"] + args, tmp_path / "cache")
         assert "numpy" not in modules
+
+    @EXACT_PATHS
+    def test_exact_paths_run_without_numpy_or_mpmath(self, args, tmp_path):
+        # the bare-interpreter run of these commands, on this interpreter
+        env = dict(os.environ, QCL_CACHE_DIR=str(tmp_path / "cache"))
+        runs = [subprocess.run([sys.executable, *head, "--no-cache", *args],
+                               capture_output=True, env=env)
+                for head in (["-c", _BLOCKED_RUN], ["-m", "qcl.cli"])]
+        assert runs[0].returncode == 0, runs[0].stderr.decode()
+        assert runs[0].stdout == runs[1].stdout != b""
 
     def test_cache_hit_loads_only_the_cli(self, tmp_path):
         # a later eager import in the CLI would put these back on every hit

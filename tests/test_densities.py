@@ -11,7 +11,8 @@ from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
 from qcl.densities import (
     QuotientGroup, _hurwitz_level_lattice, archimedean_density,
     convolve_power_at_zero, density_tail_bracket, group_convolve, local_zeta,
-    nonsplit_density_odd, nonsplit_density_two, singular_series,
+    nonsplit_density_odd, nonsplit_density_two, outside_tail_bracket,
+    singular_series,
     split_density, split_density_exhaustive, split_square_distribution,
 )
 from qcl.errors import BudgetError, PreconditionError, VerificationError
@@ -318,8 +319,8 @@ class TestDensitiesAudit:
 
         monkeypatch.setattr(densities, "split_density_exhaustive",
                             lambda p, m, n: Fraction(-1))
-        monkeypatch.setattr(densities, "density_tail_bracket",
-                            lambda q, n: 0.0)
+        monkeypatch.setattr(densities, "outside_tail_bracket",
+                            lambda d, q, n: True)
         monkeypatch.setattr(densities, "nonsplit_density_two",
                             lambda m, n: Fraction(0))
         out = suite_densities()
@@ -352,6 +353,24 @@ class TestZetaAndSeries:
     def test_bracket_value(self):
         b = density_tail_bracket(3, 5)
         assert abs(b - (1 / 3) * 1.125 * local_zeta(3, 1.5) * 1.5) < 1e-12
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_exact_bracket_decided_past_float_precision(self, q):
+        # e = bound * (1 +- 10^-k) at 60 digits; floats tie from k = 17 on
+        import mpmath
+        with mpmath.workdps(60):
+            r = mpmath.mpf(q) ** mpmath.mpf(1.5)
+            bound = mpmath.mpf(q * q) / ((q * q - 1) * (q - 1)) * r / (r - 1)
+            assert abs(bound - density_tail_bracket(q, 5)) < 1e-12
+            for k in (3, 17, 30, 45):
+                for side in (1, -1):
+                    man, exp = (bound * (1 + side * mpmath.mpf(10) ** -k)).man_exp
+                    e = Fraction(man) * Fraction(2) ** exp
+                    for d in (1 + e, 1 - e):
+                        assert outside_tail_bracket(d, q, 5) == (side == 1)
+        assert not outside_tail_bracket(Fraction(1), q, 5)
+        with pytest.raises(PreconditionError):
+            outside_tail_bracket(Fraction(1), q, 4)
 
     def test_series_smoke(self):
         val, per = singular_series(5, [3], 1)

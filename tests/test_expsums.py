@@ -13,7 +13,7 @@ from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
-    _class_key, _cyclic_generator, _grid_trace_pair, _image_generator,
+    _cyclic_generator, _grid_trace_pair, _image_generator,
     _join_two_slots, _measure, _measure_table, _pack, _right_image_histogram,
     _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
@@ -24,7 +24,7 @@ from qcl.expsums import (
     witness_report, x2_count,
 )
 from qcl.geometry import hessian_matrix
-from qcl.padic import pval, punit
+from qcl.padic import line_key, pval, punit
 
 
 # The (q^4, 4) grid path that the broadcast kernel replaced, kept as its
@@ -54,20 +54,22 @@ def _trace_pair(rows, m, q):
             + rows[:, 3] * c[3]) % q
 
 
-def i0_brute(delta, gammas, p, coeffs=None):
-    """Independent slow reference for i0_local (tiny inputs only)."""
+def i0_brute(delta, gammas, p, coeffs=None, level=None):
+    """Independent slow reference for i0_local (tiny inputs only), averaged
+    over Y mod p^level, by default p^vd with vd = v_p(det delta)."""
     n = len(gammas)
     det = det_flat(delta)
     vd = pval(det, p)
     if vd == 0:
         return CycloSum.from_int(1, p)
-    q = p ** vd
+    level = vd if level is None else level
+    q, qc = p ** level, p ** vd
     if q ** (4 * n) > 10 ** 7:
         raise BudgetError("brute reference too large")
     if coeffs is None:
         coeffs = [1] * n
     adj = adj_flat(delta)
-    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, qc)
     counts = {}
     for ys in itertools.product(range(q), repeat=4 * n):
         s = (0, 0, 0, 0)
@@ -75,14 +77,14 @@ def i0_brute(delta, gammas, p, coeffs=None):
         for i in range(n):
             yi = ys[4 * i:4 * i + 4]
             sq = mat_mul_flat(yi, yi)
-            s = tuple((s[t] + coeffs[i] * sq[t]) % q for t in range(4))
+            s = tuple((s[t] + coeffs[i] * sq[t]) % qc for t in range(4))
             g = gammas[i]
             ph += g[0] * yi[0] + g[2] * yi[1] + g[1] * yi[2] + g[3] * yi[3]
         cond = mat_mul_flat(adj, s)
-        if all(t % q == 0 for t in cond):
-            r = ph * inv_u % q
+        if all(t % qc == 0 for t in cond):
+            r = ph * inv_u % qc
             counts[r] = counts.get(r, 0) + 1
-    return CycloSum(p, vd, counts, scale=4 * n * vd)
+    return CycloSum(p, vd, counts, scale=4 * n * level)
 
 
 def phase_integral_z(zmat, delta, gammas, p, coeffs=None, budget=10 ** 7):
@@ -263,12 +265,13 @@ class TestI0Local:
     def test_higher_level_is_redundant(self):
         # averaging over p^{vd+1} gives the same exact value
         p = 3
-        delta = (p, 1, 0, p)
+        delta = (p, 1, 0, 1)
+        assert pval(det_flat(delta), p) == 1
         rng = random.Random(5)
         for _ in range(4):
             gammas = [tuple(rng.randrange(p ** 2) for _ in range(4))]
             a = i0_local(delta, gammas, p)
-            b = i0_local(delta, gammas, p, level=pval(det_flat(delta), p) + 1)
+            b = i0_brute(delta, gammas, p, level=2)
             assert (a - b).is_zero()
 
     def test_unit_coefficients(self):
@@ -381,14 +384,15 @@ class TestWitnessMeasure:
 
     @pytest.mark.parametrize("m,p", [(1, 3), (3, 3), (9, 3), (25, 5)])
     def test_class_key_is_a_unit_multiple_shared_by_the_class(self, m, p):
+        k = pval(m, p)
         rng = random.Random(m)
         units = [u for u in range(1, max(m, 2)) if u % p]
         for _ in range(20):
             t = tuple(rng.randrange(m) for _ in range(4))
-            key = _class_key(t, m, p)
+            key = line_key(t, p, k)
             assert key in {tuple(u * x % m for x in t) for u in units}
             for u in units:
-                assert _class_key(tuple(u * x % m for x in t), m, p) == key
+                assert line_key(tuple(u * x % m for x in t), p, k) == key
 
     def test_cyclic_generator_diag(self):
         gen, m = matrix_cyclic_generator((3, 0, 0, 1), 3)
@@ -453,6 +457,72 @@ class TestJoinTwoSlots:
                np.array([0, 1, 2], dtype=np.int64))
         counts = _join_two_slots(one, one, 3)
         assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
+
+
+def class_key(t, m, p):
+    """The least unit multiple of a target tuple mod m: the witness class
+    key before `line_key`."""
+    return min(tuple(lam * x % m for x in t)
+               for lam in range(1, max(m, 2)) if lam % p)
+
+
+def witness_oracle(delta, gammas, p):
+    """The candidate loop that `witness_report` replaced: every slot
+    t = gamma'_i eta (nonzero unless m = 1) that all slots are multiples of,
+    found by trying every lambda in range(m), plus the zero witness when
+    every slot is 0 mod m; the first mu found per class. Returns
+    ({class_key: (measure, mu)}, bound_sq), or None when unsupported."""
+    n = len(gammas)
+    vdel, eta = split_primitive_part(delta, p)
+    veta = pval(det_flat(eta), p)
+    m = p ** veta
+    if any(t % p ** vdel for g in gammas for t in g):
+        return None
+    gprime = [tuple(t // p ** vdel for t in g) for g in gammas]
+    ge = [tuple(t % m for t in mat_mul_flat(g, eta)) for g in gprime]
+    gen, _ = matrix_cyclic_generator(eta, p)
+    candidates = {}
+    if all(all(t == 0 for t in v) for v in ge):
+        candidates[(0, 0, 0, 0)] = [1] + [0] * (n - 1)
+    for i, t in enumerate(ge):
+        if m > 1 and not any(t):
+            continue
+        mu = [next((lam for lam in range(m)
+                    if all((x - lam * y) % m == 0 for x, y in zip(v, t))),
+                   None) for v in ge]
+        if None not in mu:
+            mu[i] = 1
+            candidates.setdefault(class_key(t, m, p), mu)
+    witnesses = {key: (_measure(key, gen, m), tuple(mu))
+                 for key, mu in candidates.items()}
+    bound_sq = min((expsums._bound_sq(gprime, eta, vdel, veta, wm, p, n)
+                    for wm, _ in witnesses.values()), default=None)
+    return witnesses, bound_sq
+
+
+# the deltas and slot counts of `local_integral_audit` at p = 3 whose gamma
+# space it enumerates exhaustively
+EXHAUSTIVE_P3 = [(delta, n) for vd, n in [(1, 1), (1, 2), (2, 1)]
+                 for delta in expsums._audit_deltas(3, vd)]
+
+
+class TestWitnessReport:
+    @pytest.mark.parametrize("delta,n", EXHAUSTIVE_P3)
+    def test_matches_the_candidate_loop(self, delta, n):
+        p = 3
+        veta = pval(det_flat(split_primitive_part(delta, p)[1]), p)
+        q = p ** pval(det_flat(delta), p)
+        for gammas in itertools.product(
+                itertools.product(range(q), repeat=4), repeat=n):
+            rep = witness_report(delta, list(gammas), p)
+            want = witness_oracle(delta, gammas, p)
+            if want is None:
+                assert not rep["supported"]
+                continue
+            got = {class_key(k, p ** veta, p): v
+                   for k, v in rep["witnesses"].items()}
+            assert (got, rep["bound_sq"]) == want, gammas
+            assert len(got) <= 1
 
 
 class TestLocalIntegralAudit:
@@ -528,9 +598,9 @@ def unit_mod(p):
     return st.integers(1, 10 ** 6).filter(lambda c: c % p)
 
 
-def slot_static_oracle(delta, p, vd, level, coeff):
-    q, qc = p ** level, p ** vd
-    s = mat_square_flat(all_mats(q), q) % qc * (coeff % qc) % qc
+def slot_static_oracle(delta, p, vd, coeff):
+    qc = p ** vd
+    s = mat_square_flat(all_mats(qc), qc) * (coeff % qc) % qc
     lmat = left_mul_matrix(adj_flat(delta)) % qc
     return np.unique(_pack(s @ lmat.T % qc, qc), return_inverse=True)
 
@@ -551,11 +621,11 @@ class TestGridKernel:
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
            st.data())
     def test_slot_static_matches_unique(self, moduli, delta, data):
-        p, vd, level = moduli
+        p, vd, _ = moduli
         coeff = data.draw(unit_mod(p))
         _slot_static.cache_clear()
-        uniq, inv = _slot_static(delta, p, vd, level, coeff)
-        want_uniq, want_inv = slot_static_oracle(delta, p, vd, level, coeff)
+        uniq, inv = _slot_static(delta, p, vd, coeff)
+        want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
         assert np.array_equal(uniq, want_uniq)
         assert np.array_equal(inv, want_inv)
 

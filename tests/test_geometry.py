@@ -16,6 +16,7 @@ from qcl.geometry import (
     traceless_pair_count,
 )
 from qcl.linalg import field_rref
+from qcl.padic import line_key
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,12 @@ class TestInvertibleAndIntersections:
                 continue
             assert (table[i] & table[j]).sum() <= 5
             checked += 1
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_line_ids_are_the_stacked_line_key(self, q):
+        w = field_matrices(q)[1:]
+        keys = np.array([line_key(t, q, 1) for t in w.tolist()])
+        assert np.array_equal(_line_ids(w, q), keys @ q ** np.arange(3, -1, -1))
 
     def test_proportional_detection(self):
         assert mat_rank([(1, 2, 3, 4), (2, 4, 6, 8)]) == 1

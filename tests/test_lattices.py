@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -88,6 +90,41 @@ class TestLatticeBasis:
                        + hq_from_basis_coords(w) * eta.conjugate())
             other = lattice_basis(1, 3, m, eta, shifted)
             assert other.hnf == base.hnf
+
+
+def line_congruence_oracle(lat):
+    """Every basis vector M has M eta = lam * m0 eta mod m for some lam,
+    found by trying every lam in range(m)."""
+    line = hq_to_basis_coords(lat.m0 * lat.eta)
+    for row in lat.hnf:
+        t = hq_to_basis_coords(hq_from_basis_coords(row) * lat.eta)
+        if not any(all((x - lam * y) % lat.m == 0 for x, y in zip(t, line))
+                   for lam in range(lat.m)):
+            return False
+    return True
+
+
+class TestAuditMembership:
+    @pytest.mark.parametrize("m,eta", [(6, (2, 1, 1, 0)), (15, (3, 2, 1, 1)),
+                                       (45, (5, 4, 2, 0))])
+    def test_line_congruence_at_composite_m(self, m, eta):
+        # one basis, many lines m0 eta: the prime-power tests of the audit
+        # agree with one search over every lam mod m
+        lat = lattice_basis(1, 3, m, HurwitzQuat.from_true(*eta), ONE)
+        rng = random.Random(m)
+        seen = set()
+        for _ in range(150):
+            m0 = hq_from_basis_coords([rng.randrange(m) for _ in range(4)])
+            other = dataclasses.replace(lat, m0=m0)
+            ok = line_congruence_oracle(other)
+            try:
+                lattices._audit_membership(other)
+                audited = True
+            except VerificationError:
+                audited = False
+            assert audited == ok, m0
+            seen.add(ok)
+        assert seen == {True, False}
 
 
 class TestMinima:
@@ -358,7 +395,6 @@ class TestPrepgeom:
         assert rep["theta_count"] == 1
 
     def test_random_primitive_etas(self):
-        import random
         rng = random.Random(3)
         done = 0
         while done < 12:

@@ -4,7 +4,8 @@ import pytest
 
 from qcl.algebra import CycloSum
 from qcl.errors import PreconditionError
-from qcl.padic import GaussSumParams, gauss_sum, gauss_sum_law_report, punit, pval
+from qcl.padic import (GaussSumParams, gauss_sum, gauss_sum_law_report,
+                       line_key, line_multiple, pivot, punit, pval)
 
 
 class TestValuation:
@@ -15,6 +16,82 @@ class TestValuation:
         with pytest.raises(PreconditionError):
             pval(0, 5)
         assert punit(18, 3, 27) == 2
+
+
+# The brute lambda searches that `line_multiple` and `line_key` replaced,
+# kept as their oracles.
+
+
+def multiples_oracle(g, m):
+    """{lam * g mod m: least such lam}, by trying every lam in range(m)."""
+    out = {}
+    for lam in range(m):
+        out.setdefault(tuple(lam * x % m for x in g), lam)
+    return out
+
+
+def class_key_oracle(t, m, p):
+    """The lexicographically least unit multiple of t mod m."""
+    return min(tuple(lam * x % m for x in t)
+               for lam in range(1, max(m, 2)) if lam % p)
+
+
+# p^k in {2, 4, 8, 3, 9, 27, 5, 25}, on vectors of length 2
+LINE_MODULI = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+def line_bases(p, k):
+    """Every g mod p^k below 10; past it, the g whose entries are 0 or
+    u p^j for u in {1, p - 1, p + 1}: zero, imprimitive and primitive g at
+    every valuation."""
+    m = p ** k
+    vecs = itertools.product(range(m), repeat=2)
+    if m < 10:
+        return list(vecs)
+    entries = {0} | {u * p ** j % m for u in (1, p - 1, p + 1)
+                     for j in range(k)}
+    return [g for g in vecs if set(g) <= entries]
+
+
+class TestLines:
+    @pytest.mark.parametrize("p,k", LINE_MODULI)
+    def test_line_multiple_is_the_least_lambda(self, p, k):
+        m = p ** k
+        vecs = list(itertools.product(range(m), repeat=2))
+        for g in line_bases(p, k):
+            want = multiples_oracle(g, m)
+            for t in vecs:
+                assert line_multiple(t, g, p, k) == want.get(t), (t, g)
+
+    @pytest.mark.parametrize("p,k", LINE_MODULI)
+    def test_line_key_names_the_unit_class(self, p, k):
+        m = p ** k
+        units = [u for u in range(1, m) if u % p] or [1]
+        keys = {}
+        for t in itertools.product(range(m), repeat=2):
+            key = line_key(t, p, k)
+            assert key in {tuple(u * x % m for x in t) for u in units}
+            keys.setdefault(class_key_oracle(t, m, p), set()).add(key)
+        # one key per class, and distinct classes get distinct keys
+        assert all(len(ks) == 1 for ks in keys.values())
+        assert len(set().union(*keys.values())) == len(keys)
+
+    def test_line_key_of_long_vectors(self):
+        for p, k in [(3, 2), (5, 1), (2, 3)]:
+            m = p ** k
+            for t in itertools.product(range(m), repeat=4):
+                if t[0] % 2 == 0 and t[3] % 3 == 0:  # a spread subset
+                    assert class_key_oracle(line_key(t, p, k), m, p) == \
+                        class_key_oracle(t, m, p)
+
+    def test_pivot_and_trivial_modulus(self):
+        assert pivot((9, 3, 6), 3, 2) == (1, 1)
+        assert pivot((0, 9, 18), 3, 2) == (0, 2)
+        assert pivot((-1, 0), 3, 1) == (0, 0)
+        assert line_key((4, 7), 3, 0) == (0, 0)
+        assert line_multiple((4, 7), (1, 2), 3, 0) == 0
+        # entries are read mod p^k, negative ones included
+        assert line_multiple((-2, -4), (1, 2), 3, 2) == 7
 
 
 class TestGaussSum:
