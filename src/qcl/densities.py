@@ -192,11 +192,15 @@ def _slot_coeffs(p, n, coeffs):
 
 def split_square_distribution(p, m, coeff=1):
     """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array
-    (the lexicographic packing of `QuotientGroup.diagonal`). The grid kernel
-    of `qcl.expsums` refuses p^{4m} > 10^7 with BudgetError."""
+    (the lexicographic packing of `QuotientGroup.diagonal`), counted over
+    the blocks of the grid kernel of `qcl.expsums`, which refuses
+    p^{4m} > 10^7 with BudgetError."""
     q = p ** m
-    keys = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q, q)
-    return np.bincount(keys, minlength=q ** 4)
+    blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q, q)
+    dist = np.zeros(q ** 4, dtype=np.int64)
+    for keys in blocks:
+        dist += np.bincount(keys, minlength=q ** 4)
+    return dist
 
 
 def split_density(p, m, n, coeffs=None):

@@ -15,12 +15,33 @@ Main objects, all exact:
   the search tests one candidate slot with `padic.line_multiple`.
 * `prime_case_report`: exact point-count identities at prime level.
 
-Every sum over all 2x2 matrices Y mod q runs on one grid kernel: the packed
-key of L @ flat(Y^2) mod qc (`grid_square_keys`) or of R @ flat(Y) mod qc
-(`grid_linear_keys`) for every Y, as numpy outer sums over the four
-entries. Nothing forms the (q^4, 4) grid itself. The kernel refuses grids
-with q^4 > 10^7 (`BudgetError`), the cap behind the int64 bound of the
-two-slot join.
+Every sum over all 2x2 matrices Y mod q runs on one blocked grid kernel:
+the packed key of L @ flat(Y^2) mod qc (`grid_square_keys`) or of
+R @ flat(Y) mod qc (`grid_linear_keys`) for every Y, in grid order, as
+blocks of at most 2^16 rows. A block is a run of leading entry pairs
+(a, b) (`_grid_blocks`), so grids up to 16^4 are one block and 25^4 is
+seven. Every consumer accumulates over the blocks: nothing forms the
+(q^4, 4) grid, and the only arrays with one entry per grid row are the
+bool key bitmap and the cached compact inverse index of `_slot_static`.
+The kernel refuses grids with q^4 > 10^7 (`BudgetError`) when called,
+before it allocates; the cap bounds the int64 counts of the two-slot join.
+
+One slot sums its phase over the cached solution set
+S = {Y : adj(delta) Y^2 = 0 mod p^v}, a few thousand rows at q = 25; two
+slots join per-slot histograms of (distinct key, phase), D x qc entries.
+The witness measure lives on the image of Z -> Z gen, which is Z/m-linear,
+so every w of it has the same fiber: the image is enumerated from a
+Hermite basis (`_right_image`), m^2 elements since gen has rank one mod m,
+and the measure table holds at most that many (key, count) entries.
+
+Caches (`functools.lru_cache`):
+
+* `_grid_blocks`: the leading pairs of each block, per q;
+* `_slot_static` (12 entries): per (delta, p, v, coeff), the distinct keys
+  and their negations, the inverse index and S;
+* `_image_generator`: the cyclic image generator, per (eta mod m, m, p);
+* `_measure_table` (3 entries): per (gen, m), the sorted span keys and
+  their counts.
 
 Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
 product, determinant and adjugate are the flat helpers of `qcl.algebra`.
@@ -37,10 +58,16 @@ import numpy as np
 
 from .algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
 from .errors import BudgetError, PreconditionError, VerificationError
+from .linalg import row_hnf
 from .padic import line_key, line_multiple, pivot, pval, punit
 
 #: cap on the grid size q^4; `_join_two_slots` rests its int64 bound on it
 _GRID_CAP = 10 ** 7
+#: most rows in one block of the grid kernels
+_BLOCK_ROWS = 2 ** 16
+#: number of set bits of each byte value
+_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1).sum(axis=1, dtype=np.int32)
 
 
 def _check_grid(q):
@@ -49,50 +76,80 @@ def _check_grid(q):
         raise BudgetError(f"matrix grid {q}^4 exceeds budget")
 
 
-def _grid_linear(row, q, qc):
-    """row . flat(Y) mod qc for every Y mod q, as a (q, q, q, q) array
-    indexed by the entries of Y: an outer sum of one term per entry,
-    broadcast over shapes (q,1,1,1) ... (q,). Each term is below qc, so
-    int32 holds the sum exactly."""
+@functools.lru_cache(maxsize=None)
+def _grid_blocks(q):
+    """The grid of Y = (a, b, c, d) mod q in blocks, after `_check_grid`: per
+    block, the (a, b) of a run of consecutive leading pairs. Each pair leads
+    q^2 rows, so a block holds at most `_BLOCK_ROWS` rows on every grid
+    under the cap; grids up to 16^4 are one block, 25^4 is seven. Cached
+    per q (a refusal is not cached)."""
     _check_grid(q)
-    e = np.arange(q, dtype=np.int32)
-    t0, t1, t2, t3 = (int(t) % qc * e % qc for t in row)
-    return (t0[:, None, None, None] + t1[:, None, None] + t2[:, None]
-            + t3) % qc
+    a, b = np.divmod(np.arange(q * q, dtype=np.int32), q)
+    a.setflags(write=False)  # the blocks are views shared by every caller
+    b.setflags(write=False)
+    step = _BLOCK_ROWS // (q * q)
+    return tuple((a[s:s + step], b[s:s + step])
+                 for s in range(0, q * q, step))
 
 
 def grid_linear_keys(rows, q, qc):
     """Packed key of (rows @ flat(Y)) mod qc for every Y mod q, one entry per
-    row of `rows`, in grid order: lexicographic in flat(Y), as `_pack`
-    orders keys. Callers keep qc <= q, so a key is below q^4 <= `_GRID_CAP`
-    and int32 holds it exactly."""
-    keys = 0
+    row of `rows`, as blocks of `_grid_blocks` in grid order: lexicographic
+    in flat(Y), as `_pack` orders keys. Callers keep qc <= q, so a key is
+    below q^4 <= `_GRID_CAP` and int32 holds it exactly. Refuses a grid
+    past the cap when called, before any block is formed.
+
+    Row (t0, t1, t2, t3) gives (t0 a + t1 b) + (t2 c + t3 d): the first
+    part, reduced, picks one (q, q) run of the table
+    tail[r, c, d] = (r + t2 c + t3 d) mod qc per leading pair, so a block
+    is one gather per row."""
+    blocks = _grid_blocks(q)
+    e = np.arange(q, dtype=np.int32)
+    lead = np.arange(qc, dtype=np.int32)[:, None, None]
+    tables = []
     for row in rows:
-        keys = keys * qc + _grid_linear(row, q, qc)
+        coef = np.array([int(t) % qc for t in row], dtype=np.int32)
+        t0, t1, t2, t3 = coef[:, None] * e % qc
+        tables.append((t0, t1, (lead + t2[:, None] + t3) % qc))
+    return (_linear_block(tables, a, b, qc) for a, b in blocks)
+
+
+def _linear_block(tables, a, b, qc):
+    keys = 0
+    for t0, t1, tail in tables:
+        keys = keys * qc + tail[(t0[a] + t1[b]) % qc]
     return keys.ravel()
 
 
 def grid_square_keys(lmat, q, qc):
     """Packed key of (lmat @ flat(Y^2)) mod qc for every Y mod q, in the
-    grid order of `grid_linear_keys`, for a 4x4 integer matrix `lmat`.
+    blocks and grid order of `grid_linear_keys`, for a 4x4 integer matrix
+    `lmat`.
 
     With Y = (a, b, c, d), Y^2 = (a^2 + bc, b(a + d), c(a + d), d^2 + bc),
     so row (l0, l1, l2, l3) gives the quadratic form
     (l0 a^2 + l1 ab) + l2 ac + (l0 + l3) bc + l1 bd + (l2 cd + l3 d^2):
     an outer sum of five tables over pairs of entries, each reduced mod qc.
     No (q^4, 4) array, matmul or sort is formed."""
-    _check_grid(q)
+    blocks = _grid_blocks(q)
     e = np.arange(q, dtype=np.int32)
     sq = e * e % qc
     pr = np.multiply.outer(e, e) % qc  # pr[x, y] = x y mod qc
-    keys = 0
+    tables = []
     for row in lmat:
         l0, l1, l2, l3 = (int(t) % qc for t in row)
         ab = (l0 * sq[:, None] + l1 * pr) % qc
         ac, bc, bd = (l * pr % qc for l in (l2, l0 + l3, l1))
         cd = (l2 * pr + l3 * sq) % qc
-        comp = (ab[:, :, None, None] + ac[:, None, :, None] + bc[:, :, None]
-                + bd[:, None, :])
+        tables.append((ab, ac, bc, bd, cd))
+    return (_square_block(tables, a, b, qc) for a, b in blocks)
+
+
+def _square_block(tables, a, b, qc):
+    keys = 0
+    for ab, ac, bc, bd, cd in tables:
+        lead = ab[a, b][:, None] + ac[a] + bc[b]  # indexed by (pair, c)
+        comp = lead[:, :, None] + bd[b][:, None, :]
         comp += cd
         keys = keys * qc + comp % qc
     return keys.ravel()
@@ -110,11 +167,6 @@ def right_mul_matrix(b):
     b00, b01, b10, b11 = b
     return np.array([[b00, 0, b10, 0], [b01, 0, b11, 0],
                      [0, b00, 0, b10], [0, b01, 0, b11]], dtype=np.int64)
-
-
-def _grid_trace_pair(m, q, qc):
-    """tr(M Y) mod qc for Y over the grid of matrices mod q, in grid order."""
-    return _grid_linear((m[0], m[2], m[1], m[3]), q, qc).ravel()
 
 
 def _pack(rows, q):
@@ -135,38 +187,58 @@ def _unpack(keys, q):
 
 @functools.lru_cache(maxsize=12)
 def _slot_static(delta, p, vd, coeff):
-    """Gamma-independent slot data: the packed keys of the divisibility
-    condition coeff * adj(delta) Y^2 = 0 mod p^vd over the grid of Y mod
-    p^vd (`grid_square_keys`), factored once as (distinct keys, inverse
-    index) as `np.unique(keys, return_inverse=True)` would: a histogram of
-    the qc^4 <= q^4 possible keys marks the distinct ones, and its running
-    count ranks them, with no sort and no array larger than the grid.
-    Cached per (delta tuple, p, vd, coeff); the keys dominate the
-    cost of repeated evaluations at the same modulus."""
+    """Gamma-independent slot data for the divisibility condition
+    coeff * adj(delta) Y^2 = 0 mod p^vd, over the grid of Y mod p^vd, in two
+    passes of `grid_square_keys`:
+
+    * the sorted distinct packed keys, read off a bool bitmap of the qc^4
+      possible keys, and the packed negation of each;
+    * the inverse index of every Y into them, as `np.unique(keys,
+      return_inverse=True)` would give it, in the smallest unsigned dtype
+      that holds their number D. The rank of a key is the number of bitmap
+      bits set below it: a running count per byte of the packed bitmap,
+      plus a popcount of the lower bits of its own byte;
+    * the coordinates of S = {Y : key 0}, an (|S|, 4) int64 array: Y = 0 has
+      key 0, the least key, so S is inverse index 0.
+
+    Cached per (delta tuple, p, vd, coeff); the keys dominate the cost of
+    repeated evaluations at the same modulus."""
     qc = p ** vd
     lmat = left_mul_matrix(adj_flat(delta)) % qc * (coeff % qc)
-    keys = grid_square_keys(lmat, qc, qc)
-    present = np.bincount(keys, minlength=qc ** 4) > 0
-    rank = np.cumsum(present) - 1
-    uniq, inv = np.flatnonzero(present), rank[keys]
-    uniq.setflags(write=False)  # every caller shares the cached arrays
-    inv.setflags(write=False)
-    return uniq, inv
+    blocks = grid_square_keys(lmat, qc, qc)  # refuses a grid past the cap
+    present = np.zeros(qc ** 4, dtype=bool)
+    for keys in blocks:
+        present[keys] = True
+    uniq = np.flatnonzero(present)
+    bits = np.packbits(present, bitorder="little")
+    ones = _POPCOUNT8[bits]
+    before = np.cumsum(ones, dtype=np.int32) - ones  # set bits below a byte
+    inv = np.empty(qc ** 4, dtype=np.min_scalar_type(len(uniq)))
+    sol, start = [], 0
+    for keys in grid_square_keys(lmat, qc, qc):
+        byte, low = keys >> 3, (1 << (keys & 7)) - 1
+        inv[start:start + len(keys)] = (before[byte]
+                                        + _POPCOUNT8[bits[byte] & low])
+        sol.append(start + np.flatnonzero(keys == 0))
+        start += len(keys)
+    sol = _unpack(np.concatenate(sol), qc)
+    neg = _pack(-_unpack(uniq, qc) % qc, qc)
+    for arr in (uniq, neg, inv, sol):
+        arr.setflags(write=False)  # every caller shares the cached arrays
+    return uniq, neg, inv, sol
 
 
-def _slot_tables(delta, gammas, p, vd, coeffs):
-    """Per slot (distinct condition keys, inverse index, phase residues), for
-    Y mod p^vd."""
-    qc = p ** vd
-    inv_u = pow(punit(det_flat(delta), p, p ** (vd + 1)), -1, qc) if vd else 1
-    out = []
-    for i, g in enumerate(gammas):
-        if coeffs[i] % p == 0:
-            raise PreconditionError("slot coefficients must be units")
-        uniq, inv = _slot_static(tuple(delta), p, vd, coeffs[i] % qc)
-        phase = _grid_trace_pair([inv_u * t for t in g], qc, qc)
-        out.append((uniq, inv, phase))
-    return out, qc
+def _slot_histogram(inv, ndist, row, qc):
+    """(ndist, qc) exact int64 counts of (inverse index, row . flat(Y) mod qc)
+    over the grid of Y mod qc, accumulated over the kernel's blocks. The
+    bin index is below ndist * qc <= qc^5 < 2^31 under the grid cap."""
+    hist, start = np.zeros(ndist * qc, dtype=np.int64), 0
+    for phase in grid_linear_keys([row], qc, qc):
+        idx = np.multiply(inv[start:start + len(phase)], qc, dtype=np.int32)
+        idx += phase
+        hist += np.bincount(idx, minlength=ndist * qc)
+        start += len(phase)
+    return hist.reshape(ndist, qc)
 
 
 def i0_local(delta, gammas, p, coeffs=None):
@@ -178,7 +250,9 @@ def i0_local(delta, gammas, p, coeffs=None):
 
     The average runs over Y mod p^v, v = v_p(det delta), which suffices:
     both the divisibility condition and the phase only depend on Y mod p^v.
-    The grid kernel refuses p^{4 v} > `_GRID_CAP` (BudgetError).
+    One slot sums the phase over the solution set S of `_slot_static`; two
+    slots join their (key, phase) histograms (`_join_two_slots`). The grid
+    kernel refuses p^{4 v} > `_GRID_CAP` (BudgetError).
     """
     n = len(gammas)
     det = det_flat(delta)
@@ -191,34 +265,39 @@ def i0_local(delta, gammas, p, coeffs=None):
         return CycloSum.from_int(1, p)
     if n not in (1, 2):
         raise BudgetError("slot count limited to 1 or 2 here")
-    tables, qc = _slot_tables(delta, gammas, p, vd, coeffs)
+    if any(c % p == 0 for c in coeffs):
+        raise PreconditionError("slot coefficients must be units")
+    qc = p ** vd
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, qc)
+    # phase tr(gamma Y) / u as one row against flat(Y)
+    rows = [tuple(inv_u * int(g[t]) % qc for t in (0, 2, 1, 3))
+            for g in gammas]
+    slots = [_slot_static(tuple(delta), p, vd, c % qc) for c in coeffs]
     if n == 1:
-        # Y = 0 has key 0, the least key, so inverse index 0 is the condition
-        _, inv, phase = tables[0]
-        counts = np.bincount(phase[inv == 0], minlength=qc)
+        sol = slots[0][3]
+        counts = np.bincount(sol @ np.array(rows[0]) % qc, minlength=qc)
     else:
-        counts = _join_two_slots(tables[0], tables[1], qc)
+        counts = _join_two_slots(
+            *((uniq, neg, _slot_histogram(inv, len(uniq), row, qc))
+              for (uniq, neg, inv, _), row in zip(slots, rows)), qc)
     total = {int(r): int(c) for r, c in enumerate(counts) if c}
     return CycloSum(p, vd, total, scale=4 * n * vd)
 
 
 def _join_two_slots(slot1, slot2, qc):
-    """counts[r] = #{(i,j) : key1[i] + key2[j] = 0, ph1[i] + ph2[j] = r mod qc},
-    with keys added componentwise mod qc; exact int64 counts.
+    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod qc}, with
+    keys added componentwise mod qc; exact int64 counts.
 
-    Each slot is (distinct packed keys, inverse index, phase residues).
-    Packed keys do not add componentwise, so each distinct key of slot 1 is
-    matched with its packed negation in slot 2; the per-key phase histograms
-    of matched keys are multiplied and folded over (r1 + r2) mod qc. Every
-    count is at most q^8 <= 10^14 (the grid kernel caps q^4 at
-    `_GRID_CAP`), far below 2^63.
+    Each slot is (distinct packed keys, their packed negations, their
+    (D, qc) phase histograms). Packed keys do not add componentwise, so the
+    negation of each distinct key of slot 1 is looked up among the keys of
+    slot 2; the phase histograms of matched keys are multiplied and folded
+    over (r1 + r2) mod qc. Every count is at most q^8 <= 10^14 (the grid
+    kernel caps q^4 at `_GRID_CAP`), far below 2^63.
     """
-    (u1, inv1, ph1), (u2, inv2, ph2) = slot1, slot2
-    h1 = np.bincount(inv1 * qc + ph1, minlength=len(u1) * qc).reshape(-1, qc)
-    h2 = np.bincount(inv2 * qc + ph2, minlength=len(u2) * qc).reshape(-1, qc)
-    neg = _pack(-_unpack(u1, qc) % qc, qc)
-    pos = np.minimum(np.searchsorted(u2, neg), len(u2) - 1)
-    match = u2[pos] == neg
+    (_, neg1, h1), (u2, _, h2) = slot1, slot2
+    pos = np.minimum(np.searchsorted(u2, neg1), len(u2) - 1)
+    match = u2[pos] == neg1
     d = h1[match].T @ h2[pos[match]]  # d[r1, r2] = paired count
     r = np.arange(qc)
     counts = np.zeros(qc, dtype=np.int64)
@@ -268,49 +347,65 @@ def _cyclic_generator(cmat, m, p):
     return gen
 
 
-def _right_image_histogram(b, m):
-    """hist[pack(w)] = #{Z mod m : Z b = w}, over all packed w mod m."""
-    keys = grid_linear_keys(right_mul_matrix(b), m, m)
-    return np.bincount(keys, minlength=m ** 4)
+def _right_image(b, m):
+    """The distinct w = Z b over all Z mod m, as an (N, 4) int64 array.
+
+    Z -> Z b is Z/m-linear, with flat(Z b) = R flat(Z) for
+    R = `right_mul_matrix(b)`, so the image is L / m Z^4 for the lattice L
+    spanned by the rows of R^T and m I. Its upper-triangular Hermite basis
+    H has pivots d_i dividing m, and the image is
+    {c H mod m : 0 <= c_i < m / d_i}, each element once; every w has the
+    same fiber m^4 / N."""
+    rows = right_mul_matrix(b).T % m
+    rows = np.vstack([rows, m * np.eye(4, dtype=np.int64)]).tolist()
+    basis = np.array(row_hnf(rows)[0][:4], dtype=np.int64)
+    coeffs = np.indices([m // int(basis[i, i]) for i in range(4)])
+    return coeffs.reshape(4, -1).T @ basis % m
 
 
 @functools.lru_cache(maxsize=3)
 def _measure_table(gen, m):
-    """table[pack(t)] = #{Z mod m : t in (Z/m) * Z gen} for every t mod m.
+    """(keys, counts): counts[i] = #{Z mod m : t in (Z/m) * Z gen} for the
+    packed t = keys[i], sorted; every other t has count 0.
 
-    One pass: histogram the packed w = Z gen over all Z, then add the count
-    of each distinct w to the distinct elements lam * w, 0 <= lam < ord(w),
-    of its span. Exact int64 counts (each at most m^4). Cached per
-    (gen tuple, m): the same table serves every target at a fixed modulus."""
-    hist = _right_image_histogram(gen, m)
-    ws = np.flatnonzero(hist)
-    rows = _unpack(ws, m)
-    order = m // np.gcd.reduce(rows, axis=1, initial=m)
+    Each w of the image of Z -> Z gen (`_right_image`) has the same fiber
+    m^4 / N, and the span (Z/m) * w of each lies inside the image, so the
+    table has at most N entries: the distinct lam * w, 0 <= lam < ord(w),
+    over every w, each counted once per w it spans, times the fiber. Exact
+    int64 counts (each at most m^4). Cached per (gen tuple, m): the same
+    table serves every target at a fixed modulus."""
+    ws = _right_image(gen, m)
+    order = m // np.gcd.reduce(ws, axis=1, initial=m)
     lam = np.arange(m)
-    span = _pack(lam[None, :, None] * rows[:, None, :] % m, m)
-    live = lam[None, :] < order[:, None]
-    table = np.zeros(m ** 4, dtype=np.int64)
-    np.add.at(table, span[live],
-              np.broadcast_to(hist[ws][:, None], span.shape)[live])
-    table.setflags(write=False)
-    return table
+    span = _pack(lam[None, :, None] * ws[:, None, :] % m, m)
+    keys, counts = np.unique(span[lam[None, :] < order[:, None]],
+                             return_counts=True)
+    counts *= m ** 4 // len(ws)
+    keys.setflags(write=False)
+    counts.setflags(write=False)
+    return keys, counts
 
 
 def _measure(target, gen, m):
     """Volume of {Z mod m : target lies in (Z/m) * Z gen + m O}, for a
     target tuple of residues mod m."""
-    key = _pack(np.array(target, dtype=np.int64), m)
-    return Fraction(int(_measure_table(gen, m)[key]), m ** 4)
+    keys, counts = _measure_table(gen, m)
+    key = 0
+    for t in target:  # the packed key, as `_pack` forms it
+        key = key * m + int(t)
+    i = int(np.searchsorted(keys, key))
+    hit = i < len(keys) and keys[i] == key
+    return Fraction(int(counts[i]) if hit else 0, m ** 4)
 
 
 def w_class_sum_report(eta, p):
     """Sum of the measure factor over all witness classes, the targets
-    Z eta mod m up to unit multiples, each named by its `line_key`; the
-    structural bound is v_p(det eta) + 1. Returns (classes, total, bound)."""
+    Z eta mod m (`_right_image`) up to unit multiples, each named by its
+    `line_key`; the structural bound is v_p(det eta) + 1. Returns
+    (classes, total, bound)."""
     gen, m = matrix_cyclic_generator(eta, p)
     v = pval(det_flat(eta), p)
-    targets = _unpack(np.flatnonzero(_right_image_histogram(eta, m)), m)
-    classes = {line_key(t, p, v) for t in targets.tolist()}
+    classes = {line_key(t, p, v) for t in _right_image(eta, m).tolist()}
     total = sum((_measure(t, gen, m) for t in classes), Fraction(0))
     return len(classes), total, v + 1
 
@@ -474,38 +569,29 @@ def s2_closed(q, n):
     return q ** (3 * n - 2) * (q ** n - 1) + q ** (2 * n) * x2_count(q, [0] * n)
 
 
-def _square_keys(q, delta):
-    """Packed key of adj(delta) Y^2 mod q for every Y mod q; the same for
-    every slot and every gamma."""
-    return grid_square_keys(left_mul_matrix(adj_flat(delta)), q, q)
-
-
-def _negated_keys(q):
-    """Key of -v for the packed key of each v in F_q^4."""
-    return _pack(-_unpack(np.arange(q ** 4), q) % q, q)
-
-
 def s2_brute(q, n, delta=None):
-    keys = _square_keys(q, delta or (q, 0, 0, 1))
-    if n == 1:
-        return int((keys == 0).sum())
-    h = np.bincount(keys, minlength=q ** 4).astype(np.int64)
-    return int((h * h[_negated_keys(q)]).sum())
+    """S2 = #{Y in M_2(F_q)^n : adj(delta) sum Y_i^2 = 0}: S3 at gamma = 0."""
+    return s3_brute(q, n, [[(0, 0, 0, 0)] * n], delta)[0]
 
 
 def s3_brute(q, n, gamma_list, delta=None):
-    """Brute-force S3 for each gamma tuple of the list, from one key grid."""
-    keys = _square_keys(q, delta or (q, 0, 0, 1))
-    neg, negt = _negated_keys(q), (-np.arange(q)) % q
+    """Brute-force S3 = #{Y : adj(delta) sum Y_i^2 = 0, sum tr(gamma_i Y_i)
+    = 0 mod q} for each gamma tuple of the list (n = 1 or 2), from the
+    cached slot data of `_slot_static` at level 1: the solutions of one
+    slot with trace 0, or the (key, trace) counts of two slots paired at
+    opposite keys and opposite traces."""
+    uniq, neg, inv, sol = _slot_static(tuple(delta or (q, 0, 0, 1)), q, 1, 1)
+    pos = np.minimum(np.searchsorted(uniq, neg), len(uniq) - 1)
+    match = uniq[pos] == neg
+    negt = -np.arange(q) % q
     out = []
     for gammas in gamma_list:
-        traces = [_grid_trace_pair(g, q, q) for g in gammas]
+        rows = [tuple(int(g[t]) % q for t in (0, 2, 1, 3)) for g in gammas]
         if n == 1:
-            out.append(int(((keys == 0) & (traces[0] == 0)).sum()))
+            out.append(int(np.count_nonzero(sol @ np.array(rows[0]) % q == 0)))
             continue
-        c1, c2 = (np.bincount(keys * q + t, minlength=q ** 5).reshape(q ** 4, q)
-                  for t in traces)
-        out.append(int((c1.astype(np.int64) * c2[neg][:, negt]).sum()))
+        h1, h2 = (_slot_histogram(inv, len(uniq), row, q) for row in rows)
+        out.append(int((h1[match] * h2[pos[match]][:, negt]).sum()))
     return out
 
 

@@ -13,9 +13,9 @@ from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
-    _cyclic_generator, _grid_trace_pair, _image_generator,
-    _join_two_slots, _measure, _measure_table, _pack, _right_image_histogram,
-    _slot_static,
+    _BLOCK_ROWS, _cyclic_generator, _grid_blocks,
+    _image_generator, _join_two_slots, _measure, _measure_table, _pack,
+    _right_image, _slot_histogram, _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
     left_mul_matrix, local_integral_audit,
     matrix_cyclic_generator, prime_case_report,
@@ -27,8 +27,9 @@ from qcl.geometry import hessian_matrix
 from qcl.padic import line_key, pval, punit
 
 
-# The (q^4, 4) grid path that the broadcast kernel replaced, kept as its
-# oracle: enumerate every flat Y mod q, square it, apply L by matmul.
+# The dense whole-grid forms that the blocked kernels replaced, kept as their
+# oracles: enumerate every flat Y mod q as one (q^4, 4) array, square it,
+# apply L by matmul, and count with np.unique or one dense bincount.
 
 
 def all_mats(q):
@@ -107,7 +108,7 @@ def phase_integral_z(zmat, delta, gammas, p, coeffs=None, budget=10 ** 7):
     acc = CycloSum.from_int(1, p)
     for i, g in enumerate(gammas):
         s = mat_square_flat(y, q) * (coeffs[i] % q) % q
-        r = (_trace_pair(s, zadj, q) + _grid_trace_pair(g, q, q)) % q * inv_u % q
+        r = (_trace_pair(s, zadj, q) + _trace_pair(y, g, q)) % q * inv_u % q
         counts = np.bincount(r, minlength=q)
         slot = CycloSum(p, vd, {int(t): int(c) for t, c in enumerate(counts) if c},
                         scale=4 * vd)
@@ -301,6 +302,37 @@ def w_measure(m0, eta, p):
     return _measure([t % m for t in mat_mul_flat(m0, eta)], gen, m)
 
 
+def right_image_histogram(b, m):
+    """hist[pack(w)] = #{Z mod m : Z b = w}, over all packed w mod m."""
+    w = all_mats(m) @ (right_mul_matrix(b) % m).T % m
+    return np.bincount(_pack(w, m), minlength=m ** 4)
+
+
+def dense_measure_table(gen, m):
+    """table[pack(t)] = #{Z mod m : t in (Z/m) * Z gen} for every t mod m,
+    as one dense m^4 table: add the count of each distinct w = Z gen to
+    the distinct elements lam * w, 0 <= lam < ord(w), of its span."""
+    hist = right_image_histogram(gen, m)
+    ws = np.flatnonzero(hist)
+    rows = expsums._unpack(ws, m)
+    order = m // np.gcd.reduce(rows, axis=1, initial=m)
+    lam = np.arange(m)
+    span = _pack(lam[None, :, None] * rows[:, None, :] % m, m)
+    live = lam[None, :] < order[:, None]
+    table = np.zeros(m ** 4, dtype=np.int64)
+    np.add.at(table, span[live],
+              np.broadcast_to(hist[ws][:, None], span.shape)[live])
+    return table
+
+
+def sparse_as_dense(gen, m):
+    """`_measure_table(gen, m)` spread over all m^4 packed targets."""
+    keys, counts = _measure_table(gen, m)
+    table = np.zeros(m ** 4, dtype=np.int64)
+    table[keys] = counts
+    return table
+
+
 def w_histogram(gen, m):
     """Distinct w = Z gen over all Z mod m, with how many Z give each."""
     w = (all_mats(m) @ (right_mul_matrix(gen) % m).T) % m
@@ -327,11 +359,15 @@ class TestWitnessMeasure:
     @pytest.mark.parametrize("p,eta", SMALL_ETAS)
     def test_table_matches_oracle_on_every_target(self, p, eta):
         gen, m = matrix_cyclic_generator(eta, p)
-        table = _measure_table(gen, m)
-        assert table.dtype == np.int64 and len(table) == m ** 4
+        keys, counts = _measure_table(gen, m)
+        assert counts.dtype == np.int64 and len(keys) <= m * m
+        assert np.all(np.diff(keys) > 0)
+        table = sparse_as_dense(gen, m)
+        assert np.array_equal(table, dense_measure_table(gen, m))
         hist = w_histogram(gen, m)
         for key, t in enumerate(itertools.product(range(m), repeat=4)):
             assert table[key] == measure_oracle(t, hist, m)
+            assert _measure(t, gen, m) == Fraction(int(table[key]), m ** 4)
 
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5)])
     def test_table_matches_oracle_m25(self, delta):
@@ -339,15 +375,19 @@ class TestWitnessMeasure:
         _, eta = split_primitive_part(delta, p)
         gen, m = matrix_cyclic_generator(eta, p)
         assert m == 25
-        table = _measure_table(gen, m)
+        table = sparse_as_dense(gen, m)
+        assert np.array_equal(table, dense_measure_table(gen, m))
         hist = w_histogram(gen, m)
         rng = random.Random(25)
         targets = [mat_mul_flat(tuple(rng.randrange(m) for _ in range(4)), eta)
                    for _ in range(15)]
         targets += [tuple(rng.randrange(m) for _ in range(4)) for _ in range(15)]
         for t in targets:
+            want = measure_oracle(t, hist, m)
             key = _pack(np.array(t) % m, m)
-            assert table[key] == measure_oracle(t, hist, m)
+            assert table[key] == want
+            assert _measure(tuple(x % m for x in t), gen, m) == Fraction(
+                want, m ** 4)
         assert w_measure((1, 0, 0, 1), eta, p) == Fraction(
             measure_oracle(eta, hist, m), m ** 4)
 
@@ -362,11 +402,11 @@ class TestWitnessMeasure:
     @pytest.mark.parametrize("p,eta", SMALL_ETAS)
     def test_measure_invariant_under_unit_scaling(self, p, eta):
         gen, m = matrix_cyclic_generator(eta, p)
-        table = _measure_table(gen, m)
+        table = sparse_as_dense(gen, m)
         for u in range(2, m):
             if u % p:
                 scaled = tuple(u * x % m for x in gen)
-                assert np.array_equal(_measure_table(scaled, m), table)
+                assert np.array_equal(sparse_as_dense(scaled, m), table)
 
     def test_non_cyclic_image_raises(self):
         # rank 2: the span of E00 and E11 is not cyclic
@@ -446,15 +486,16 @@ class TestJoinTwoSlots:
             keys = [rng.choice(pool) for _ in range(size)]
             ph = np.array([rng.randrange(q) for _ in range(size)], dtype=np.int64)
             uniq, inv = np.unique(_pack(np.array(keys), q), return_inverse=True)
-            slots.append((uniq, inv, ph))
+            hist = np.bincount(inv * q + ph, minlength=len(uniq) * q)
+            neg = _pack(-expsums._unpack(uniq, q) % q, q)
+            slots.append((uniq, neg, hist.reshape(-1, q)))
             raw.append((keys, ph.tolist()))
         counts = _join_two_slots(slots[0], slots[1], q)
         assert counts.dtype == np.int64
         assert counts.tolist() == dict_join(*raw[0], *raw[1], q)
 
     def test_no_matching_key(self):
-        one = (np.array([1]), np.zeros(3, dtype=np.int64),
-               np.array([0, 1, 2], dtype=np.int64))
+        one = (np.array([1]), np.array([2]), np.ones((1, 3), dtype=np.int64))
         counts = _join_two_slots(one, one, 3)
         assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
 
@@ -583,8 +624,10 @@ class TestPrimeCase:
         assert "u!=0,v off line" in rep["case_histogram"]
 
 
-# Grids of the kernel oracle: (p, level), Y mod q = p^level in {3, 5, 7, 9, 25}
-GRIDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
+# Grids of the kernel oracle: (p, level), Y mod q = p^level in
+# {3, 5, 7, 9, 17, 25}; 17^4 and 25^4 span two and seven blocks, the last
+# of each short
+GRIDS = [(3, 1), (5, 1), (7, 1), (3, 2), (17, 1), (5, 2)]
 
 
 @st.composite
@@ -598,6 +641,11 @@ def unit_mod(p):
     return st.integers(1, 10 ** 6).filter(lambda c: c % p)
 
 
+def joined(blocks):
+    """The blocks of a grid kernel as one whole-grid array."""
+    return np.concatenate(list(blocks))
+
+
 def slot_static_oracle(delta, p, vd, coeff):
     qc = p ** vd
     s = mat_square_flat(all_mats(qc), qc) * (coeff % qc) % qc
@@ -606,6 +654,23 @@ def slot_static_oracle(delta, p, vd, coeff):
 
 
 class TestGridKernel:
+    @pytest.mark.parametrize("q,blocks", [(3, 1), (16, 1), (17, 2), (25, 7)])
+    def test_blocks_cover_the_grid_in_order(self, q, blocks):
+        sizes = [len(k) for k in grid_linear_keys(np.eye(4, dtype=np.int64),
+                                                  q, q)]
+        assert len(sizes) == blocks and sum(sizes) == q ** 4
+        assert max(sizes) <= _BLOCK_ROWS and sizes[-1] <= sizes[0]
+        assert np.array_equal(
+            joined(grid_linear_keys(np.eye(4, dtype=np.int64), q, q)),
+            np.arange(q ** 4))
+
+    @pytest.mark.parametrize("q", [17, 41, 49, 56])
+    def test_block_rows_stay_under_the_limit(self, q):
+        # a block is a run of leading pairs, each leading q^2 rows
+        pairs = [len(a) for a, _ in _grid_blocks(q)]
+        assert sum(pairs) == q * q
+        assert max(pairs) * q * q <= _BLOCK_ROWS
+
     @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.lists(st.integers(-10 ** 6, 10 ** 6),
                                    min_size=16, max_size=16))
@@ -615,27 +680,81 @@ class TestGridKernel:
         lmat = np.array(entries, dtype=np.int64).reshape(4, 4)
         s = mat_square_flat(all_mats(q), q)
         want = _pack(s @ (lmat % qc).T % qc, qc)
-        assert np.array_equal(grid_square_keys(lmat, q, qc), want)
+        assert np.array_equal(joined(grid_square_keys(lmat, q, qc)), want)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
            st.data())
     def test_slot_static_matches_unique(self, moduli, delta, data):
         p, vd, _ = moduli
+        qc = p ** vd
         coeff = data.draw(unit_mod(p))
         _slot_static.cache_clear()
-        uniq, inv = _slot_static(delta, p, vd, coeff)
+        uniq, neg, inv, sol = _slot_static(delta, p, vd, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
         assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(
+            neg, _pack(-expsums._unpack(want_uniq, qc) % qc, qc))
         assert np.array_equal(inv, want_inv)
+        assert inv.dtype == np.min_scalar_type(len(uniq))
+        assert inv.dtype.kind == "u"
+        assert np.array_equal(sol, all_mats(qc)[want_inv == 0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
+           st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+    def test_slot_histogram_matches_dense_bincount(self, moduli, delta, g):
+        p, vd, _ = moduli
+        qc = p ** vd
+        uniq, _, inv, _ = _slot_static(delta, p, vd, 1)
+        row = tuple(g[t] % qc for t in (0, 2, 1, 3))
+        _, want_inv = slot_static_oracle(delta, p, vd, 1)
+        phase = _trace_pair(all_mats(qc), g, qc)
+        want = np.bincount(want_inv * qc + phase, minlength=len(uniq) * qc)
+        hist = _slot_histogram(inv, len(uniq), row, qc)
+        assert hist.dtype == np.int64 and hist.shape == (len(uniq), qc)
+        assert np.array_equal(hist.ravel(), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
+           st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+    def test_one_slot_on_the_solution_set(self, moduli, delta, g):
+        # i0_local for one slot against the phases of the whole grid,
+        # restricted to the condition
+        p, vd, _ = moduli
+        qc = p ** vd
+        det = det_flat(delta)
+        if det == 0 or pval(det, p) != vd:
+            delta = (qc * (1 + abs(delta[0]) * p), delta[1] * p, 0, 1)
+            det = det_flat(delta)
+        _, want_inv = slot_static_oracle(delta, p, vd, 1)
+        inv_u = pow(punit(det, p, p ** (vd + 1)), -1, qc)
+        phase = _trace_pair(all_mats(qc), [inv_u * t for t in g], qc)
+        counts = np.bincount(phase[want_inv == 0], minlength=qc)
+        want = CycloSum(p, vd, {r: int(c) for r, c in enumerate(counts) if c},
+                        scale=4 * vd)
+        assert (i0_local(delta, [g], p) - want).is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([p ** level for p, level in GRIDS]),
            st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
     def test_right_image_histogram_matches_grid_matmul(self, m, b):
-        w = all_mats(m) @ (right_mul_matrix(b) % m).T % m
-        want = np.bincount(_pack(w, m), minlength=m ** 4)
-        assert np.array_equal(_right_image_histogram(b, m), want)
+        # the image, each w once, and one fiber size shared by every w
+        hist = right_image_histogram(b, m)
+        image = _pack(_right_image(b, m), m)
+        assert np.array_equal(np.sort(image), np.flatnonzero(hist))
+        assert np.all(hist[image] * len(image) == m ** 4)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([p ** level for p, level in GRIDS]),
+           st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
+    def test_measure_table_matches_dense_table(self, m, gen):
+        _measure_table.cache_clear()
+        dense = dense_measure_table(gen, m)
+        keys, counts = _measure_table(gen, m)
+        assert len(keys) <= len(_right_image(gen, m))
+        assert np.array_equal(keys, np.flatnonzero(dense))
+        assert np.array_equal(counts, dense[keys])
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(GRIDS), st.data())
@@ -648,15 +767,18 @@ class TestGridKernel:
         assert np.array_equal(split_square_distribution(p, m, coeff), want)
 
     def test_trace_pair_is_the_one_row_key(self):
+        # tr(M Y) = (m0, m2, m1, m3) . flat(Y), the phase of a slot
         rng = random.Random(9)
-        for q, qc in [(9, 3), (25, 5), (7, 7)]:
+        for q, qc in [(9, 3), (25, 5), (7, 7), (17, 17)]:
             g = tuple(rng.randrange(-50, 50) for _ in range(4))
-            assert np.array_equal(_grid_trace_pair(g, q, qc),
+            row = (g[0], g[2], g[1], g[3])
+            assert np.array_equal(joined(grid_linear_keys([row], q, qc)),
                                   _trace_pair(all_mats(q), g, qc))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_slot_keys_built_once_per_delta(self, n, monkeypatch):
-        # the gamma-independent keys of one (delta, p) serve every gamma
+        # the gamma-independent keys of one (delta, p), two kernel passes,
+        # serve every gamma
         kernel = expsums.grid_square_keys
         calls = []
 
@@ -668,12 +790,33 @@ class TestGridKernel:
         _slot_static.cache_clear()
         delta = (9, 0, 0, 1)
         first = i0_local(delta, [(1, 2, 0, 1)] * n, 3)
+        assert len(calls) == 2
         second = i0_local(delta, [(0, 1, 1, 2)] * n, 3)
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert _slot_static.cache_info().hits == 2 * n - 1
         _slot_static.cache_clear()
         assert first == i0_local(delta, [(1, 2, 0, 1)] * n, 3)
         assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+
+    def test_witness_request_memory(self):
+        # no int64 array per grid row or per m^4 residue: the whole-grid
+        # path peaked at 10.4 MiB here
+        delta, gammas, p = (25, 0, 0, 1), [(5, 10, 0, 5)] * 2, 5
+        for cached in (_slot_static, _measure_table, _image_generator):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            i0_local(delta, gammas, p)
+            rep = witness_report(delta, gammas, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["witnesses"]
+        assert peak < 5 * 2 ** 20
+        assert _measure_table.cache_info().currsize == 1
+        gen, m = matrix_cyclic_generator(delta, p)
+        keys, counts = _measure_table(gen, m)
+        assert len(keys) == len(counts) <= m * m
 
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
                                        (5, 0, 0, 5)])

@@ -263,11 +263,17 @@ def _unpruned_enum_ball(hnf, rd):
 
 class TestEnumBall:
     def test_same_sequence_as_unpruned_walk(self):
+        # On these lattices rd <= 8 already narrows the interval at every
+        # depth that has a fixed coordinate to prune against (depths 1-3);
+        # the unpruned oracle walks the whole box, so larger radii only
+        # cost time.
         hnfs = [lattice_basis(i["H"], i["K"], i["m"], i["eta"], i["m0"]).hnf
                 for i in instance_corpus(25, 20260823)]
         hnfs.append(od_lattice().hnf)
+        assert any(h[i][j] for h in hnfs for i in range(4)
+                   for j in range(i + 1, 4))
         for hnf in hnfs:
-            for rd in (1, 2, 3, 5, 8, 13):
+            for rd in (1, 2, 3, 5, 8):
                 assert (list(lattices._enum_ball(hnf, rd))
                         == list(_unpruned_enum_ball(hnf, rd)))
 
