@@ -24,6 +24,10 @@ from .errors import PreconditionError, VerificationError
 # ---------------------------------------------------------------------------
 
 
+#: the flat unit matrices (and quaternions) e_0, ..., e_3
+FLAT_UNITS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
 def reduce_mod(x, q):
     """x mod q, or x unchanged when q is None."""
     return x if q is None else x % q
@@ -183,10 +187,16 @@ HQ_OMEGA = HurwitzQuat(1, 1, 1, 1)  # (1+i+j+k)/2
 HQ_BASIS = (HQ_ONE, HQ_I, HQ_J, HQ_OMEGA)
 
 
+def doubled_from_basis_coords(v):
+    """Doubled quaternion coordinates, as a tuple, of the element with
+    order-basis coefficients v."""
+    a, b, c, d = v
+    return (2 * a + d, 2 * b + d, 2 * c + d, d)
+
+
 def hq_from_basis_coords(v):
     """Inverse of hq_to_basis_coords: integer coefficients -> element."""
-    a, b, c, d = (int(t) for t in v)
-    return HurwitzQuat(2 * a + d, 2 * b + d, 2 * c + d, d)
+    return HurwitzQuat(*doubled_from_basis_coords([int(t) for t in v]))
 
 
 def hq_to_basis_coords(x):

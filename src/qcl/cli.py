@@ -183,11 +183,25 @@ def _failed_audit(subcommand, payload):
     return subcommand == "audit" and not payload["result"]["passed"]
 
 
+def _parse_ints(entries):
+    """The ints of the entries of a comma-separated option value."""
+    try:
+        return [int(v) for v in entries]
+    except ValueError:
+        raise PreconditionError("need comma-separated integers") from None
+
+
 def _parse_coords(text):
-    parts = [int(v) for v in text.split(",")]
+    parts = _parse_ints(text.split(","))
     if len(parts) != 4:
         raise PreconditionError("need four comma-separated integers")
     return parts
+
+
+def _check_prime(p):
+    from .padic import is_prime
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not a prime")
 
 
 def _parse_signs(text):
@@ -339,6 +353,7 @@ def density(opts, place, p, m, n, engine):
     def compute():
         from .densities import (nonsplit_density_odd, nonsplit_density_two,
                                 split_density, split_density_exhaustive)
+        _check_prime(p)
         out = {"place": place, "p": p, "m": m, "n": n}
         if place == "nonsplit":
             out["density"] = (nonsplit_density_two(m, n) if p == 2
@@ -372,6 +387,7 @@ def gauss(opts, p, va, vt, vxi, ua, ut, uxi, xi_zero):
 
     def compute():
         from .padic import GaussSumParams, gauss_sum_law_report
+        _check_prime(p)
         rep = gauss_sum_law_report(
             GaussSumParams(p, va, vt, vxi, ua, ut, uxi, xi_zero))
         return {"p": p, "value": _cyclo_out(rep["value"]),
@@ -400,6 +416,7 @@ def expsum(opts, p, delta, gammas):
 
     def compute():
         from .expsums import i0_local, witness_report
+        _check_prime(p)
         d = tuple(_parse_coords(delta))
         gs = [_parse_coords(g) for g in gammas]
         val = i0_local(d, gs, p)
@@ -480,7 +497,10 @@ def singular(opts, n, m, primes, skip_two, arch):
 
     def compute():
         from .densities import archimedean_density, singular_series
-        plist = sorted({int(v) for v in primes.split(",") if v.strip()})
+        plist = sorted(set(_parse_ints(
+            v for v in primes.split(",") if v.strip())))
+        for p in plist:
+            _check_prime(p)
         value, per = singular_series(n, plist, m, include_two=not skip_two)
         out = {"n": n, "m": m, "value": value,
                "per_prime": {str(p): d for p, d in sorted(per.items())}}

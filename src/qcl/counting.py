@@ -29,6 +29,13 @@ _BIAS3 = _LANE_BIAS | (_LANE_BIAS << 16) | (_LANE_BIAS << 32)
 _OUTER_CHUNK = 20_000_000  # max elements per outer-sum block
 _BRUTE_BLOCK = 1 << 16  # max tuple sums per brute_count block
 
+#: cap on the box^n tuples `brute_count` enumerates
+_BRUTE_CAP = 10 ** 9
+#: cap on the cells of the value box of one `conv_count`
+_CONV_SUPPORT_CAP = 5 * 10 ** 9
+#: cap on the slot-box cells times the slots of one `traceless_count`
+_TRACELESS_CAP = 10 ** 8
+
 
 def pack_key(v):
     """Pack 4-vectors of small integers into 64-bit keys: an (N, 4) int64
@@ -217,7 +224,7 @@ def brute_count(n, upsilon, X):
     Exactness: a doubled coordinate of g^2 is at most 3(2X)^2/2 <= 24 in
     absolute value, so a partial coordinate is at most 2 * 24 = 48 and a
     code at most 48 * (97^4 - 1) / 96 < 2^26; a total is at most
-    box_size(X)**n <= 10**9.  int64 overflows nowhere.
+    box_size(X)**n <= `_BRUTE_CAP`.  int64 overflows nowhere.
 
     Independent of conv_count: it shares no code with SparseDist, pack_key
     or dist_convolve, only the slot values of slot_square_values.
@@ -225,7 +232,7 @@ def brute_count(n, upsilon, X):
     if not 1 <= n <= 3 or X > 2:
         raise PreconditionError("brute engine is limited to n <= 3, X <= 2")
     upsilon = _check_signature(n, upsilon)
-    if box_size(X) ** n > 10 ** 9:
+    if box_size(X) ** n > _BRUTE_CAP:
         raise BudgetError("enumeration box too large")
     squares = {u: slot_square_values(u, X) for u in set(upsilon)}
     slots = [squares[u] for u in upsilon]
@@ -264,7 +271,7 @@ def conv_count(n, upsilon, X, traceless=False):
     if n == 0:
         return 1
     upsilon = _check_signature(n, upsilon)
-    if (2 * n * (2 * X) ** 2 + 1) ** 4 > 5 * 10 ** 9:
+    if (2 * n * (2 * X) ** 2 + 1) ** 4 > _CONV_SUPPORT_CAP:
         raise BudgetError("value support exceeds memory budget")
     dists = [slot_square_dist(u, X, traceless) for u in upsilon]
     if n == 1:
@@ -294,7 +301,7 @@ def traceless_count(n, upsilon, X):
     minus its norm, so the two are equal.
     """
     upsilon = _check_signature(n, upsilon)
-    if (2 * X + 1) ** 3 * n > 10 ** 8:
+    if (2 * X + 1) ** 3 * n > _TRACELESS_CAP:
         raise BudgetError("quadric slot enumeration too large")
     count = conv_count(n, upsilon, X, traceless=True)
     # independent scalar engine: 1D histogram convolution in exact integers

@@ -43,7 +43,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HurwitzQuat, hq_from_basis_coords, right_mul_coords
+from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords,
+                      right_mul_coords)
 from .errors import PreconditionError, VerificationError
 from .lattices import norm_counts
 from .linalg import congruence_lattice, field_rref, row_hnf
@@ -102,12 +103,8 @@ DEFAULT_PROFILE = DeltaTestFn()
 # ---------------------------------------------------------------------------
 # order lattice in true coordinates and its trace-form dual
 
-ORDER_BASIS = (
-    (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-)
+# the order basis `HQ_BASIS` in true coordinates: each doubled one halved
+ORDER_BASIS = tuple(tuple(Fraction(t, 2) for t in b.c) for b in HQ_BASIS)
 
 PAIRING_SIGNS = (Fraction(2), Fraction(-2), Fraction(-2), Fraction(-2))
 

@@ -38,6 +38,8 @@ _OBJECT_COST = 32
 _CONVOLVE_BUDGET = 4 * 10 ** 9
 #: cap on the tuples `split_density_exhaustive` enumerates
 _EXHAUSTIVE_CAP = 10 ** 7
+#: cap on the squared quotient order of the nonsplit densities
+_QUOTIENT_CAP = 10 ** 9
 
 
 class QuotientGroup:
@@ -196,7 +198,7 @@ def split_square_distribution(p, m, coeff=1):
     the blocks of the grid kernel of `qcl.expsums`, which refuses
     p^{4m} > 10^7 with BudgetError."""
     q = p ** m
-    blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q, q)
+    blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q)
     dist = np.zeros(q ** 4, dtype=np.int64)
     for keys in blocks:
         dist += np.bincount(keys, minlength=q ** 4)
@@ -262,7 +264,7 @@ def nonsplit_density_two(m, n, coeffs=None):
     coeffs = _slot_coeffs(2, n, coeffs)
     grp = QuotientGroup(_hurwitz_level_lattice(m))
     size = grp.order
-    if size ** 2 > 10 ** 9:
+    if size ** 2 > _QUOTIENT_CAP:
         raise BudgetError("quotient too large")
     # distribution of c * Y^2 over the quotient, one slot
     ys = [hq_from_basis_coords(rep) for rep in grp.digits]
@@ -283,7 +285,7 @@ def nonsplit_density_odd(p, m, n, coeffs=None):
     coeffs = _slot_coeffs(p, n, coeffs)
     grp = QuotientGroup.diagonal([p ** m, p ** m, p ** (m - 1), p ** (m - 1)])
     size = grp.order
-    if size ** 2 > 10 ** 9:
+    if size ** 2 > _QUOTIENT_CAP:
         raise BudgetError("quotient too large")
     xs = [NonsplitLocalElem(z, p, m) for z in grp.digits]
     dist = {c: np.bincount(grp.pack([(x * x * c).z for x in xs]),

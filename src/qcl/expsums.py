@@ -16,29 +16,35 @@ Main objects, all exact:
 * `prime_case_report`: exact point-count identities at prime level.
 
 Every sum over all 2x2 matrices Y mod q runs on one blocked grid kernel:
-the packed key of L @ flat(Y^2) mod qc (`grid_square_keys`) or of
-R @ flat(Y) mod qc (`grid_linear_keys`) for every Y, in grid order, as
+the packed key of L @ flat(Y^2) mod q (`grid_square_keys`) or of
+R @ flat(Y) mod q (`grid_linear_keys`) for every Y, in grid order, as
 blocks of at most 2^16 rows. A block is a run of leading entry pairs
 (a, b) (`_grid_blocks`), so grids up to 16^4 are one block and 25^4 is
 seven. Every consumer accumulates over the blocks: nothing forms the
 (q^4, 4) grid, and the only arrays with one entry per grid row are the
-bool key bitmap and the cached compact inverse index of `_slot_static`.
-The kernel refuses grids with q^4 > 10^7 (`BudgetError`) when called,
-before it allocates; the cap bounds the int64 counts of the two-slot join.
+bool key bitmap of a slot pass, freed when the pass ends, and the cached
+compact inverse index of two slots. The kernel refuses grids with
+q^4 > 10^7 (`BudgetError`) when called, before it allocates; the cap
+bounds the int64 counts of the two-slot join.
 
-One slot sums its phase over the cached solution set
-S = {Y : adj(delta) Y^2 = 0 mod p^v}, a few thousand rows at q = 25; two
-slots join per-slot histograms of (distinct key, phase), D x qc entries.
-The witness measure lives on the image of Z -> Z gen, which is Z/m-linear,
-so every w of it has the same fiber: the image is enumerated from a
-Hermite basis (`_right_image`), m^2 elements since gen has rank one mod m,
-and the measure table holds at most that many (key, count) entries.
+I0, S2 and S3 are entries of one count by phase (`_phase_counts`) of the
+slot tuples Y with adj(delta) sum c_i Y_i^2 = 0. One slot bins its phase
+over the solution set S = {Y : adj(delta) Y^2 = 0 mod p^v}, a few thousand
+rows at q = 25, from one kernel pass; two slots pay a second pass for the
+inverse index and join per-slot histograms of (distinct key, phase),
+D x q entries. The witness measure lives on the image of Z -> Z gen, which
+is Z/m-linear, so every w of it has the same fiber: the image is
+enumerated from a Hermite basis (`_right_image`), m^2 elements since gen
+has rank one mod m, and the measure table holds at most that many
+(key, count) entries.
 
 Caches (`functools.lru_cache`):
 
 * `_grid_blocks`: the leading pairs of each block, per q;
-* `_slot_static` (12 entries): per (delta, p, v, coeff), the distinct keys
-  and their negations, the inverse index and S;
+* `_slot_solutions` (12 entries): per (delta, p, v, coeff), the distinct
+  keys and S, from one kernel pass;
+* `_slot_static` (12 entries): per (delta, p, v, coeff), the key
+  negations and the inverse index, from a second pass, for two slots only;
 * `_image_generator`: the cyclic image generator, per (eta mod m, m, p);
 * `_measure_table` (3 entries): per (gen, m), the sorted span keys and
   their counts.
@@ -56,7 +62,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CycloSum, adj_flat, det_flat, mat_mul_flat
+from .algebra import FLAT_UNITS, CycloSum, adj_flat, det_flat, mat_mul_flat
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import row_hnf
 from .padic import line_key, line_multiple, pivot, pval, punit
@@ -92,81 +98,80 @@ def _grid_blocks(q):
                  for s in range(0, q * q, step))
 
 
-def grid_linear_keys(rows, q, qc):
-    """Packed key of (rows @ flat(Y)) mod qc for every Y mod q, one entry per
+def grid_linear_keys(rows, q):
+    """Packed key of (rows @ flat(Y)) mod q for every Y mod q, one entry per
     row of `rows`, as blocks of `_grid_blocks` in grid order: lexicographic
-    in flat(Y), as `_pack` orders keys. Callers keep qc <= q, so a key is
-    below q^4 <= `_GRID_CAP` and int32 holds it exactly. Refuses a grid
-    past the cap when called, before any block is formed.
+    in flat(Y), as `_pack` orders keys. A key is below q^4 <= `_GRID_CAP`,
+    so int32 holds it exactly. Refuses a grid past the cap when called,
+    before any block is formed.
 
     Row (t0, t1, t2, t3) gives (t0 a + t1 b) + (t2 c + t3 d): the first
     part, reduced, picks one (q, q) run of the table
-    tail[r, c, d] = (r + t2 c + t3 d) mod qc per leading pair, so a block
+    tail[r, c, d] = (r + t2 c + t3 d) mod q per leading pair, so a block
     is one gather per row."""
     blocks = _grid_blocks(q)
     e = np.arange(q, dtype=np.int32)
-    lead = np.arange(qc, dtype=np.int32)[:, None, None]
     tables = []
     for row in rows:
-        coef = np.array([int(t) % qc for t in row], dtype=np.int32)
-        t0, t1, t2, t3 = coef[:, None] * e % qc
-        tables.append((t0, t1, (lead + t2[:, None] + t3) % qc))
-    return (_linear_block(tables, a, b, qc) for a, b in blocks)
+        coef = np.array([int(t) % q for t in row], dtype=np.int32)
+        t0, t1, t2, t3 = coef[:, None] * e % q
+        tables.append((t0, t1, (e[:, None, None] + t2[:, None] + t3) % q))
+    return (_linear_block(tables, a, b, q) for a, b in blocks)
 
 
-def _linear_block(tables, a, b, qc):
+def _linear_block(tables, a, b, q):
     keys = 0
     for t0, t1, tail in tables:
-        keys = keys * qc + tail[(t0[a] + t1[b]) % qc]
+        keys = keys * q + tail[(t0[a] + t1[b]) % q]
     return keys.ravel()
 
 
-def grid_square_keys(lmat, q, qc):
-    """Packed key of (lmat @ flat(Y^2)) mod qc for every Y mod q, in the
+def grid_square_keys(lmat, q):
+    """Packed key of (lmat @ flat(Y^2)) mod q for every Y mod q, in the
     blocks and grid order of `grid_linear_keys`, for a 4x4 integer matrix
     `lmat`.
 
     With Y = (a, b, c, d), Y^2 = (a^2 + bc, b(a + d), c(a + d), d^2 + bc),
     so row (l0, l1, l2, l3) gives the quadratic form
     (l0 a^2 + l1 ab) + l2 ac + (l0 + l3) bc + l1 bd + (l2 cd + l3 d^2):
-    an outer sum of five tables over pairs of entries, each reduced mod qc.
+    an outer sum of five tables over pairs of entries, each reduced mod q.
     No (q^4, 4) array, matmul or sort is formed."""
     blocks = _grid_blocks(q)
     e = np.arange(q, dtype=np.int32)
-    sq = e * e % qc
-    pr = np.multiply.outer(e, e) % qc  # pr[x, y] = x y mod qc
+    sq = e * e % q
+    pr = np.multiply.outer(e, e) % q  # pr[x, y] = x y mod q
     tables = []
     for row in lmat:
-        l0, l1, l2, l3 = (int(t) % qc for t in row)
-        ab = (l0 * sq[:, None] + l1 * pr) % qc
-        ac, bc, bd = (l * pr % qc for l in (l2, l0 + l3, l1))
-        cd = (l2 * pr + l3 * sq) % qc
+        l0, l1, l2, l3 = (int(t) % q for t in row)
+        ab = (l0 * sq[:, None] + l1 * pr) % q
+        ac, bc, bd = (l * pr % q for l in (l2, l0 + l3, l1))
+        cd = (l2 * pr + l3 * sq) % q
         tables.append((ab, ac, bc, bd, cd))
-    return (_square_block(tables, a, b, qc) for a, b in blocks)
+    return (_square_block(tables, a, b, q) for a, b in blocks)
 
 
-def _square_block(tables, a, b, qc):
+def _square_block(tables, a, b, q):
     keys = 0
     for ab, ac, bc, bd, cd in tables:
         lead = ab[a, b][:, None] + ac[a] + bc[b]  # indexed by (pair, c)
         comp = lead[:, :, None] + bd[b][:, None, :]
         comp += cd
-        keys = keys * qc + comp % qc
+        keys = keys * q + comp % q
     return keys.ravel()
 
 
 def left_mul_matrix(a):
-    """4x4 integer matrix L with flat(A X) = L @ flat(X)."""
-    a00, a01, a10, a11 = a
-    return np.array([[a00, 0, a01, 0], [0, a00, 0, a01],
-                     [a10, 0, a11, 0], [0, a10, 0, a11]], dtype=np.int64)
+    """4x4 integer matrix L with flat(A X) = L @ flat(X), column j read off
+    at X = e_j."""
+    return np.array([mat_mul_flat(a, e) for e in FLAT_UNITS],
+                    dtype=np.int64).T
 
 
 def right_mul_matrix(b):
-    """4x4 integer matrix R with flat(X B) = R @ flat(X)."""
-    b00, b01, b10, b11 = b
-    return np.array([[b00, 0, b10, 0], [b01, 0, b11, 0],
-                     [0, b00, 0, b10], [0, b01, 0, b11]], dtype=np.int64)
+    """4x4 integer matrix R with flat(X B) = R @ flat(X), column j read off
+    at X = e_j."""
+    return np.array([mat_mul_flat(e, b) for e in FLAT_UNITS],
+                    dtype=np.int64).T
 
 
 def _pack(rows, q):
@@ -185,60 +190,108 @@ def _unpack(keys, q):
 # ---------------------------------------------------------------------------
 
 
+def _slot_keys(delta, q, coeff):
+    """The `grid_square_keys` blocks of coeff * adj(delta) Y^2 mod q."""
+    return grid_square_keys(left_mul_matrix(adj_flat(delta)) % q * (coeff % q),
+                            q)
+
+
 @functools.lru_cache(maxsize=12)
-def _slot_static(delta, p, vd, coeff):
-    """Gamma-independent slot data for the divisibility condition
-    coeff * adj(delta) Y^2 = 0 mod p^vd, over the grid of Y mod p^vd, in two
-    passes of `grid_square_keys`:
+def _slot_solutions(delta, p, vd, coeff):
+    """One pass of `grid_square_keys` over the grid of Y mod q = p^vd for
+    the condition coeff * adj(delta) Y^2 = 0 mod q:
 
-    * the sorted distinct packed keys, read off a bool bitmap of the qc^4
-      possible keys, and the packed negation of each;
-    * the inverse index of every Y into them, as `np.unique(keys,
-      return_inverse=True)` would give it, in the smallest unsigned dtype
-      that holds their number D. The rank of a key is the number of bitmap
-      bits set below it: a running count per byte of the packed bitmap,
-      plus a popcount of the lower bits of its own byte;
-    * the coordinates of S = {Y : key 0}, an (|S|, 4) int64 array: Y = 0 has
-      key 0, the least key, so S is inverse index 0.
+    * the sorted distinct packed keys, read off a bool bitmap of the q^4
+      possible keys, which is freed on return;
+    * the coordinates of S = {Y : key 0}, an (|S|, 4) int64 array.
 
-    Cached per (delta tuple, p, vd, coeff); the keys dominate the cost of
-    repeated evaluations at the same modulus."""
-    qc = p ** vd
-    lmat = left_mul_matrix(adj_flat(delta)) % qc * (coeff % qc)
-    blocks = grid_square_keys(lmat, qc, qc)  # refuses a grid past the cap
-    present = np.zeros(qc ** 4, dtype=bool)
+    Cached per (delta tuple, p, vd, coeff); one slot reads only S."""
+    q = p ** vd
+    blocks = _slot_keys(delta, q, coeff)  # refuses a grid past the cap
+    present = np.zeros(q ** 4, dtype=bool)
+    sol, start = [], 0
     for keys in blocks:
         present[keys] = True
-    uniq = np.flatnonzero(present)
+        sol.append(start + np.flatnonzero(keys == 0))
+        start += len(keys)
+    uniq, sol = np.flatnonzero(present), _unpack(np.concatenate(sol), q)
+    for arr in (uniq, sol):
+        arr.setflags(write=False)  # every caller shares the cached arrays
+    return uniq, sol
+
+
+@functools.lru_cache(maxsize=12)
+def _slot_static(delta, p, vd, coeff):
+    """The distinct keys of `_slot_solutions`, the packed negation of each,
+    and a second kernel pass for the inverse index of every Y into them,
+    as `np.unique(keys, return_inverse=True)` would give it, in the
+    smallest unsigned dtype that holds their number D. The rank of a key is
+    the number of distinct keys below it: a running count per byte of the
+    packed key bitmap, plus a popcount of the lower bits of its own byte.
+
+    Cached per (delta tuple, p, vd, coeff); only two slots read it."""
+    q = p ** vd
+    uniq, _ = _slot_solutions(delta, p, vd, coeff)
+    present = np.zeros(q ** 4, dtype=bool)
+    present[uniq] = True
     bits = np.packbits(present, bitorder="little")
     ones = _POPCOUNT8[bits]
     before = np.cumsum(ones, dtype=np.int32) - ones  # set bits below a byte
-    inv = np.empty(qc ** 4, dtype=np.min_scalar_type(len(uniq)))
-    sol, start = [], 0
-    for keys in grid_square_keys(lmat, qc, qc):
+    inv = np.empty(q ** 4, dtype=np.min_scalar_type(len(uniq)))
+    start = 0
+    for keys in _slot_keys(delta, q, coeff):
         byte, low = keys >> 3, (1 << (keys & 7)) - 1
         inv[start:start + len(keys)] = (before[byte]
                                         + _POPCOUNT8[bits[byte] & low])
-        sol.append(start + np.flatnonzero(keys == 0))
         start += len(keys)
-    sol = _unpack(np.concatenate(sol), qc)
-    neg = _pack(-_unpack(uniq, qc) % qc, qc)
-    for arr in (uniq, neg, inv, sol):
-        arr.setflags(write=False)  # every caller shares the cached arrays
-    return uniq, neg, inv, sol
+    neg = _pack(-_unpack(uniq, q) % q, q)
+    for arr in (neg, inv):
+        arr.setflags(write=False)
+    return uniq, neg, inv
 
 
-def _slot_histogram(inv, ndist, row, qc):
-    """(ndist, qc) exact int64 counts of (inverse index, row . flat(Y) mod qc)
-    over the grid of Y mod qc, accumulated over the kernel's blocks. The
-    bin index is below ndist * qc <= qc^5 < 2^31 under the grid cap."""
-    hist, start = np.zeros(ndist * qc, dtype=np.int64), 0
-    for phase in grid_linear_keys([row], qc, qc):
-        idx = np.multiply(inv[start:start + len(phase)], qc, dtype=np.int32)
+def _slot_histogram(inv, ndist, row, q):
+    """(ndist, q) exact int64 counts of (inverse index, row . flat(Y) mod q)
+    over the grid of Y mod q, accumulated over the kernel's blocks. The
+    bin index is below ndist * q <= q^5 < 2^31 under the grid cap."""
+    hist, start = np.zeros(ndist * q, dtype=np.int64), 0
+    for phase in grid_linear_keys([row], q):
+        idx = np.multiply(inv[start:start + len(phase)], q, dtype=np.int32)
         idx += phase
-        hist += np.bincount(idx, minlength=ndist * qc)
+        hist += np.bincount(idx, minlength=ndist * q)
         start += len(phase)
-    return hist.reshape(ndist, qc)
+    return hist.reshape(ndist, q)
+
+
+def _phase_counts(delta, rows, p, vd, coeffs):
+    """counts[r] = #{(Y_i) mod q : sum c_i adj(delta) Y_i^2 = 0,
+    sum rows_i . flat(Y_i) = r mod q}, q = p^vd, for one or two slots with
+    unit coefficients c_i: an exact int64 vector of length q, the one place
+    the slot sum is formed.
+
+    One slot bins its phase over the solution set S of `_slot_solutions`;
+    two slots join their (key, phase) histograms (`_join_two_slots`)."""
+    q = p ** vd
+    delta = tuple(delta)
+    if len(rows) == 1:
+        _, sol = _slot_solutions(delta, p, vd, coeffs[0] % q)
+        return np.bincount(sol @ np.array(rows[0]) % q, minlength=q)
+    slots = [_slot_static(delta, p, vd, c % q) for c in coeffs]
+    return _join_two_slots(
+        *((uniq, neg, _slot_histogram(inv, len(uniq), row, q))
+          for (uniq, neg, inv), row in zip(slots, rows)), q)
+
+
+def _trace_row(g, q, unit=1):
+    """The row t with unit * tr(g Y) = t . flat(Y) mod q."""
+    return tuple(unit * int(g[t]) % q for t in (0, 2, 1, 3))
+
+
+def _cyclo_counts(counts, p, vd, n):
+    """I0 from the `_phase_counts` vector of n slots: the average of
+    e(r / p^vd) over the q^{4n} slot tuples."""
+    total = {int(r): int(c) for r, c in enumerate(counts) if c}
+    return CycloSum(p, vd, total, scale=4 * n * vd)
 
 
 def i0_local(delta, gammas, p, coeffs=None):
@@ -250,9 +303,9 @@ def i0_local(delta, gammas, p, coeffs=None):
 
     The average runs over Y mod p^v, v = v_p(det delta), which suffices:
     both the divisibility condition and the phase only depend on Y mod p^v.
-    One slot sums the phase over the solution set S of `_slot_static`; two
-    slots join their (key, phase) histograms (`_join_two_slots`). The grid
-    kernel refuses p^{4 v} > `_GRID_CAP` (BudgetError).
+    The phase tr(gamma_i Y_i) / u, u the unit part of det delta, is one row
+    against flat(Y_i), binned by `_phase_counts`. The grid kernel refuses
+    p^{4 v} > `_GRID_CAP` (BudgetError).
     """
     n = len(gammas)
     det = det_flat(delta)
@@ -267,41 +320,30 @@ def i0_local(delta, gammas, p, coeffs=None):
         raise BudgetError("slot count limited to 1 or 2 here")
     if any(c % p == 0 for c in coeffs):
         raise PreconditionError("slot coefficients must be units")
-    qc = p ** vd
-    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, qc)
-    # phase tr(gamma Y) / u as one row against flat(Y)
-    rows = [tuple(inv_u * int(g[t]) % qc for t in (0, 2, 1, 3))
-            for g in gammas]
-    slots = [_slot_static(tuple(delta), p, vd, c % qc) for c in coeffs]
-    if n == 1:
-        sol = slots[0][3]
-        counts = np.bincount(sol @ np.array(rows[0]) % qc, minlength=qc)
-    else:
-        counts = _join_two_slots(
-            *((uniq, neg, _slot_histogram(inv, len(uniq), row, qc))
-              for (uniq, neg, inv, _), row in zip(slots, rows)), qc)
-    total = {int(r): int(c) for r, c in enumerate(counts) if c}
-    return CycloSum(p, vd, total, scale=4 * n * vd)
+    q = p ** vd
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    rows = [_trace_row(g, q, inv_u) for g in gammas]
+    return _cyclo_counts(_phase_counts(delta, rows, p, vd, coeffs), p, vd, n)
 
 
-def _join_two_slots(slot1, slot2, qc):
-    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod qc}, with
-    keys added componentwise mod qc; exact int64 counts.
+def _join_two_slots(slot1, slot2, q):
+    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod q}, with
+    keys added componentwise mod q; exact int64 counts.
 
     Each slot is (distinct packed keys, their packed negations, their
-    (D, qc) phase histograms). Packed keys do not add componentwise, so the
+    (D, q) phase histograms). Packed keys do not add componentwise, so the
     negation of each distinct key of slot 1 is looked up among the keys of
     slot 2; the phase histograms of matched keys are multiplied and folded
-    over (r1 + r2) mod qc. Every count is at most q^8 <= 10^14 (the grid
+    over (r1 + r2) mod q. Every count is at most q^8 <= 10^14 (the grid
     kernel caps q^4 at `_GRID_CAP`), far below 2^63.
     """
     (_, neg1, h1), (u2, _, h2) = slot1, slot2
     pos = np.minimum(np.searchsorted(u2, neg1), len(u2) - 1)
     match = u2[pos] == neg1
     d = h1[match].T @ h2[pos[match]]  # d[r1, r2] = paired count
-    r = np.arange(qc)
-    counts = np.zeros(qc, dtype=np.int64)
-    np.add.at(counts, (r[:, None] + r[None, :]) % qc, d)
+    r = np.arange(q)
+    counts = np.zeros(q, dtype=np.int64)
+    np.add.at(counts, (r[:, None] + r[None, :]) % q, d)
     return counts
 
 
@@ -456,8 +498,7 @@ def witness_report(delta, gammas, p):
         wm = _measure(key, gen, m)
         witnesses[key] = (wm, tuple(mu))
         bound_sq = _bound_sq(gprime, eta, vdel, veta, wm, p, n)
-    return {"supported": True, "witnesses": witnesses, "bound_sq": bound_sq,
-            "gprime": gprime, "eta": eta, "vdel": vdel, "veta": veta}
+    return {"supported": True, "witnesses": witnesses, "bound_sq": bound_sq}
 
 
 def _bound_sq(gprime, eta, vdel, veta, wm, p, n):
@@ -569,30 +610,24 @@ def s2_closed(q, n):
     return q ** (3 * n - 2) * (q ** n - 1) + q ** (2 * n) * x2_count(q, [0] * n)
 
 
-def s2_brute(q, n, delta=None):
-    """S2 = #{Y in M_2(F_q)^n : adj(delta) sum Y_i^2 = 0}: S3 at gamma = 0."""
-    return s3_brute(q, n, [[(0, 0, 0, 0)] * n], delta)[0]
+def s2_brute(q, n):
+    """S2 = #{Y in M_2(F_q)^n : adj(delta) sum Y_i^2 = 0} at
+    delta = diag(q, 1): S3 at gamma = 0."""
+    return s3_brute(q, n, [[(0, 0, 0, 0)] * n])[0]
 
 
-def s3_brute(q, n, gamma_list, delta=None):
+def s3_brute(q, n, gamma_list):
     """Brute-force S3 = #{Y : adj(delta) sum Y_i^2 = 0, sum tr(gamma_i Y_i)
-    = 0 mod q} for each gamma tuple of the list (n = 1 or 2), from the
-    cached slot data of `_slot_static` at level 1: the solutions of one
-    slot with trace 0, or the (key, trace) counts of two slots paired at
-    opposite keys and opposite traces."""
-    uniq, neg, inv, sol = _slot_static(tuple(delta or (q, 0, 0, 1)), q, 1, 1)
-    pos = np.minimum(np.searchsorted(uniq, neg), len(uniq) - 1)
-    match = uniq[pos] == neg
-    negt = -np.arange(q) % q
-    out = []
-    for gammas in gamma_list:
-        rows = [tuple(int(g[t]) % q for t in (0, 2, 1, 3)) for g in gammas]
-        if n == 1:
-            out.append(int(np.count_nonzero(sol @ np.array(rows[0]) % q == 0)))
-            continue
-        h1, h2 = (_slot_histogram(inv, len(uniq), row, q) for row in rows)
-        out.append(int((h1[match] * h2[pos[match]][:, negt]).sum()))
-    return out
+    = 0 mod q} at delta = diag(q, 1), for each gamma tuple of the list
+    (n = 1 or 2): the phase-0 entry of `_phase_counts` at level 1."""
+    return [int(_prime_counts(q, n, gammas)[0]) for gammas in gamma_list]
+
+
+def _prime_counts(q, n, gammas):
+    """`_phase_counts` at delta = diag(q, 1), level 1, whose phase unit is 1:
+    entry 0 is S3 at gamma and the vector gives q^{4n} I0(delta, gamma)."""
+    rows = [_trace_row(g, q) for g in gammas]
+    return _phase_counts((q, 0, 0, 1), rows, q, 1, [1] * n)
 
 
 def s3_closed(q, n, gammas):
@@ -673,13 +708,12 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
         else:
             g = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(n))
         gammas_seen.append(g)
-    s3bs = s3_brute(q, n, gammas_seen, delta)
-    for g, s3b in zip(gammas_seen, s3bs):
-        gl = [list(x) for x in g]
+    for g in gammas_seen:
+        counts = _prime_counts(q, n, g)  # S3 and I0 from one vector
         s3c = s3_closed(q, n, g)
-        if s3b != s3c:
+        if int(counts[0]) != s3c:
             raise VerificationError(f"closed S3 mismatch at gamma={g}")
-        val = i0_local(delta, gl, q)
+        val = _cyclo_counts(counts, q, 1, n)
         # q^{4n} (1 - 1/q) I0 = S3 - S2/q, exactly
         lhs = val * (q ** (4 * n) - q ** (4 * n - 1))
         rhs = CycloSum.from_fraction(Fraction(s3c) - Fraction(s2b, q), q)

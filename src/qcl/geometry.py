@@ -22,14 +22,14 @@ import random
 
 import numpy as np
 
-from .algebra import mat_mul_flat, quat_mul_flat, trace_flat
+from .algebra import FLAT_UNITS, mat_mul_flat, quat_mul_flat, trace_flat
 from .errors import BudgetError, PreconditionError, VerificationError
 
 # Ranks over Q are taken mod this prime (see mat_rank).
 P = 2 ** 31 - 1
 
-# the flat unit matrices e_0, ..., e_3
-_UNITS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+#: cap on the cells of one `kernel_table`, len(W) * q^4
+_KERNEL_TABLE_CAP = 10 ** 7
 
 # The form y -> trace(W y^2) for one flat W.
 _FORMS = {
@@ -47,14 +47,14 @@ def _tensor(kind):
     trace(W y^2) by polarization, J[a][b] = f(e_a + e_b) - f(e_a) - f(e_b),
     so that f = (1/2) y^T J y."""
     def entry(w, i, j):
-        ei, ej = _UNITS[i], _UNITS[j]
+        ei, ej = FLAT_UNITS[i], FLAT_UNITS[j]
         if kind == "anti":
             return mat_mul_flat(w, ej)[i] + mat_mul_flat(ej, w)[i]
         f = _FORMS[kind]
         return (f(w, tuple(x + y for x, y in zip(ei, ej)))
                 - f(w, ei) - f(w, ej))
     t = np.array([[entry(w, i, j) for i in range(4) for j in range(4)]
-                  for w in _UNITS], dtype=np.int64)
+                  for w in FLAT_UNITS], dtype=np.int64)
     t.flags.writeable = False
     return t
 
@@ -193,7 +193,7 @@ def kernel_table(w, q):
     w = _stack(w).reshape(-1, 4) % q
     if not w.any(axis=1).all():
         raise PreconditionError("W must be nonzero")
-    if len(w) * q ** 4 > 10 ** 7:
+    if len(w) * q ** 4 > _KERNEL_TABLE_CAP:
         raise BudgetError(f"kernel table of {len(w)} x {q}^4 cells")
     maps = (anticommutator_map(w) % q).astype(np.int16)
     cols = field_matrices(q).T.astype(np.int16)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (HQ_BASIS, HurwitzQuat, _cyclic_product,
-                      hq_from_basis_coords, hq_to_basis_coords,
-                      left_mul_coords, right_mul_coords)
+                      doubled_from_basis_coords, hq_from_basis_coords,
+                      hq_to_basis_coords, left_mul_coords, right_mul_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import (
     congruence_lattice, hnf_determinant, reduce_mod_hnf, row_hnf,
@@ -129,12 +129,6 @@ def _audit_membership(lat):
                 raise VerificationError("m*order not contained in lattice")
 
 
-def _coords_doubled(x):
-    """Order-basis coordinates -> doubled quaternion coordinates."""
-    a, b, c, d = x
-    return (2 * a + d, 2 * b + d, 2 * c + d, d)
-
-
 def _enum_ball(hnf, rd):
     """Yield (doubled_norm, coords) over nonzero lattice points with doubled
     sup-norm <= rd, by interval propagation down the triangular basis.
@@ -156,7 +150,8 @@ def _enum_ball(hnf, rd):
         i, acc, low, high = stack.pop()
         if i == 4:
             if any(acc):
-                yield max(abs(t) for t in _coords_doubled(acc)), tuple(acc)
+                yield (max(abs(t) for t in doubled_from_basis_coords(acc)),
+                       tuple(acc))
             continue
         if i < 3:
             vlo, vhi = high - rd, low + rd

@@ -246,9 +246,20 @@ class TestArgumentParsing:
         ["--no-c", "repnum", "--m", "3"],
         ["--config", "{directory}", "repnum", "--m", "3"],
         ["--config", "{lots}", "repnum", "--m", "3"],
+        ["expsum", "--p", "1", "--delta", "25,0,0,1", "--gamma", "0,0,0,0"],
+        ["expsum", "--p", "0", "--delta", "25,0,0,1", "--gamma", "0,0,0,0"],
+        ["expsum", "--p", "6", "--delta", "36,0,0,1", "--gamma", "0,0,0,0"],
+        ["density", "--p", "4", "--m", "1", "--n", "2"],
+        ["singular", "--n", "2", "--primes", "4"],
+        ["gauss", "--p", "4", "--va", "0", "--vt", "1", "--xi", "0"],
+        ["expsum", "--p", "5", "--delta", "a,b,c,d", "--gamma", "0,0,0,0"],
+        ["singular", "--n", "2", "--primes", "x"],
     ], ids=["threads-zero", "missing-config", "abbreviated-option",
             "abbreviated-global-option", "config-is-a-directory",
-            "config-budget-not-an-integer"])
+            "config-budget-not-an-integer", "expsum-p-one", "expsum-p-zero",
+            "expsum-p-composite", "density-p-composite",
+            "singular-prime-composite", "gauss-p-composite",
+            "coords-not-integers", "primes-not-integers"])
     def test_usage_error_is_two_with_empty_stdout(self, args, tmp_path,
                                                   monkeypatch, capsysbinary):
         monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))

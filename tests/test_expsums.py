@@ -15,7 +15,7 @@ from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
     _BLOCK_ROWS, _cyclic_generator, _grid_blocks,
     _image_generator, _join_two_slots, _measure, _measure_table, _pack,
-    _right_image, _slot_histogram, _slot_static,
+    _right_image, _slot_histogram, _slot_solutions, _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
     left_mul_matrix, local_integral_audit,
     matrix_cyclic_generator, prime_case_report,
@@ -632,9 +632,9 @@ GRIDS = [(3, 1), (5, 1), (7, 1), (3, 2), (17, 1), (5, 2)]
 
 @st.composite
 def grid_moduli(draw):
-    """(p, vd, level) with qc = p^vd <= q = p^level."""
+    """(p, vd) with q = p^vd a grid of `GRIDS` or a power of p below it."""
     p, level = draw(st.sampled_from(GRIDS))
-    return p, draw(st.integers(1, level)), level
+    return p, draw(st.integers(1, level))
 
 
 def unit_mod(p):
@@ -657,11 +657,11 @@ class TestGridKernel:
     @pytest.mark.parametrize("q,blocks", [(3, 1), (16, 1), (17, 2), (25, 7)])
     def test_blocks_cover_the_grid_in_order(self, q, blocks):
         sizes = [len(k) for k in grid_linear_keys(np.eye(4, dtype=np.int64),
-                                                  q, q)]
+                                                  q)]
         assert len(sizes) == blocks and sum(sizes) == q ** 4
         assert max(sizes) <= _BLOCK_ROWS and sizes[-1] <= sizes[0]
         assert np.array_equal(
-            joined(grid_linear_keys(np.eye(4, dtype=np.int64), q, q)),
+            joined(grid_linear_keys(np.eye(4, dtype=np.int64), q)),
             np.arange(q ** 4))
 
     @pytest.mark.parametrize("q", [17, 41, 49, 56])
@@ -675,24 +675,27 @@ class TestGridKernel:
     @given(grid_moduli(), st.lists(st.integers(-10 ** 6, 10 ** 6),
                                    min_size=16, max_size=16))
     def test_square_keys_match_grid_matmul(self, moduli, entries):
-        p, vd, level = moduli
-        q, qc = p ** level, p ** vd
+        p, vd = moduli
+        q = p ** vd
         lmat = np.array(entries, dtype=np.int64).reshape(4, 4)
         s = mat_square_flat(all_mats(q), q)
-        want = _pack(s @ (lmat % qc).T % qc, qc)
-        assert np.array_equal(joined(grid_square_keys(lmat, q, qc)), want)
+        want = _pack(s @ (lmat % q).T % q, q)
+        assert np.array_equal(joined(grid_square_keys(lmat, q)), want)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
            st.data())
     def test_slot_static_matches_unique(self, moduli, delta, data):
-        p, vd, _ = moduli
+        p, vd = moduli
         qc = p ** vd
         coeff = data.draw(unit_mod(p))
+        _slot_solutions.cache_clear()
         _slot_static.cache_clear()
-        uniq, neg, inv, sol = _slot_static(delta, p, vd, coeff)
+        uniq, neg, inv = _slot_static(delta, p, vd, coeff)
+        keys, sol = _slot_solutions(delta, p, vd, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
         assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(keys, want_uniq)
         assert np.array_equal(
             neg, _pack(-expsums._unpack(want_uniq, qc) % qc, qc))
         assert np.array_equal(inv, want_inv)
@@ -704,9 +707,9 @@ class TestGridKernel:
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
            st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
     def test_slot_histogram_matches_dense_bincount(self, moduli, delta, g):
-        p, vd, _ = moduli
+        p, vd = moduli
         qc = p ** vd
-        uniq, _, inv, _ = _slot_static(delta, p, vd, 1)
+        uniq, _, inv = _slot_static(delta, p, vd, 1)
         row = tuple(g[t] % qc for t in (0, 2, 1, 3))
         _, want_inv = slot_static_oracle(delta, p, vd, 1)
         phase = _trace_pair(all_mats(qc), g, qc)
@@ -721,7 +724,7 @@ class TestGridKernel:
     def test_one_slot_on_the_solution_set(self, moduli, delta, g):
         # i0_local for one slot against the phases of the whole grid,
         # restricted to the condition
-        p, vd, _ = moduli
+        p, vd = moduli
         qc = p ** vd
         det = det_flat(delta)
         if det == 0 or pval(det, p) != vd:
@@ -769,40 +772,73 @@ class TestGridKernel:
     def test_trace_pair_is_the_one_row_key(self):
         # tr(M Y) = (m0, m2, m1, m3) . flat(Y), the phase of a slot
         rng = random.Random(9)
-        for q, qc in [(9, 3), (25, 5), (7, 7), (17, 17)]:
+        for q in [3, 9, 7, 17, 25]:
             g = tuple(rng.randrange(-50, 50) for _ in range(4))
             row = (g[0], g[2], g[1], g[3])
-            assert np.array_equal(joined(grid_linear_keys([row], q, qc)),
-                                  _trace_pair(all_mats(q), g, qc))
+            assert np.array_equal(joined(grid_linear_keys([row], q)),
+                                  _trace_pair(all_mats(q), g, q))
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_slot_keys_built_once_per_delta(self, n, monkeypatch):
-        # the gamma-independent keys of one (delta, p), two kernel passes,
-        # serve every gamma
-        kernel = expsums.grid_square_keys
+    @staticmethod
+    def _count_kernel(monkeypatch, name):
+        """Record the calls of one function of `qcl.expsums`."""
+        kernel = getattr(expsums, name)
         calls = []
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(expsums, "grid_square_keys", counted)
+        monkeypatch.setattr(expsums, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slot_keys_built_once_per_delta(self, n, monkeypatch):
+        # the gamma-independent keys of one (delta, p), one kernel pass for
+        # one slot and two for two, serve every gamma
+        calls = self._count_kernel(monkeypatch, "grid_square_keys")
+        _slot_solutions.cache_clear()
         _slot_static.cache_clear()
         delta = (9, 0, 0, 1)
         first = i0_local(delta, [(1, 2, 0, 1)] * n, 3)
-        assert len(calls) == 2
+        assert len(calls) == n
         second = i0_local(delta, [(0, 1, 1, 2)] * n, 3)
-        assert len(calls) == 2
-        assert _slot_static.cache_info().hits == 2 * n - 1
+        assert len(calls) == n
+        # one slot builds no inverse index; two share one (same coeff)
+        assert _slot_static.cache_info().currsize == n - 1
+        cached = _slot_solutions if n == 1 else _slot_static
+        assert cached.cache_info().hits == 2 * n - 1
+        _slot_solutions.cache_clear()
         _slot_static.cache_clear()
         assert first == i0_local(delta, [(1, 2, 0, 1)] * n, 3)
         assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+
+    @pytest.mark.parametrize("n,passes", [(1, 0), (2, 2)])
+    def test_prime_case_counts_once_per_gamma(self, n, passes, monkeypatch):
+        # S3 and I0 of each gamma are read from one phase-count vector: the
+        # gamma loop adds one count per gamma, and its phase passes (none
+        # for one slot, which bins on S; one per slot for two)
+        counts = self._count_kernel(monkeypatch, "_phase_counts")
+        phases = self._count_kernel(monkeypatch, "grid_linear_keys")
+        prime_case_report(3, n, num_gamma=0, seed=2)
+        base = len(counts), len(phases)
+        prime_case_report(3, n, num_gamma=12, seed=2)
+        assert len(counts) - 2 * base[0] == 12
+        assert len(phases) - 2 * base[1] == 12 * passes
+
+    def test_mul_matrices_match_the_product(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            a, x = (tuple(rng.randrange(-9, 10) for _ in range(4))
+                    for _ in range(2))
+            assert (left_mul_matrix(a) @ x).tolist() == list(mat_mul_flat(a, x))
+            assert (right_mul_matrix(a) @ x).tolist() == list(mat_mul_flat(x, a))
 
     def test_witness_request_memory(self):
         # no int64 array per grid row or per m^4 residue: the whole-grid
         # path peaked at 10.4 MiB here
         delta, gammas, p = (25, 0, 0, 1), [(5, 10, 0, 5)] * 2, 5
-        for cached in (_slot_static, _measure_table, _image_generator):
+        for cached in (_slot_solutions, _slot_static, _measure_table,
+                       _image_generator):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -824,7 +860,8 @@ class TestGridKernel:
     def test_witness_moduli_stay_small(self, delta, n):
         # the (q^4, 4) grid path peaked near 50 MB here
         gammas = [(5, 10, 0, 5)] * n
-        for cached in (_slot_static, _measure_table, _image_generator):
+        for cached in (_slot_solutions, _slot_static, _measure_table,
+                       _image_generator):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -838,8 +875,8 @@ class TestGridKernel:
     @pytest.mark.parametrize("call", [
         lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)], 7),
         lambda: split_square_distribution(7, 3),
-        lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57, 57),
-        lambda: grid_linear_keys(np.eye(4, dtype=np.int64), 57, 57),
+        lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57),
+        lambda: grid_linear_keys(np.eye(4, dtype=np.int64), 57),
     ])
     def test_grid_cap_refuses_before_allocating(self, call):
         # q^4 = 7^12 and 57^4 both exceed the 10^7 cap

@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
+from sympy import isprime
 
 from qcl.algebra import CycloSum
 from qcl.errors import PreconditionError
 from qcl.padic import (GaussSumParams, gauss_sum, gauss_sum_law_report,
-                       line_key, line_multiple, pivot, punit, pval)
+                       is_prime, line_key, line_multiple, pivot, punit, pval)
 
 
 class TestValuation:
@@ -51,6 +53,30 @@ def line_bases(p, k):
     entries = {0} | {u * p ** j % m for u in (1, p - 1, p + 1)
                      for j in range(k)}
     return [g for g in vecs if set(g) <= entries]
+
+
+class TestIsPrime:
+    def test_matches_sympy_on_small_ints(self):
+        assert [n for n in range(-3, 30000) if is_prime(n) != isprime(n)] == []
+
+    @pytest.mark.parametrize("n", [
+        2047, 3277, 4033, 4681, 8321, 3215031751, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981,
+    ])
+    def test_strong_base_two_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971, 22499])
+    def test_strong_lucas_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_squares_and_large_ints(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randrange(2, 10 ** 40)
+            assert is_prime(n) == isprime(n), n
+        assert not is_prime(1_000_003 ** 2)
+        assert is_prime(2 ** 521 - 1) and not is_prime(2 ** 523 - 1)
 
 
 class TestLines:

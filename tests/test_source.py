@@ -98,26 +98,47 @@ def _defaulted_params(fn):
     return {a.arg for a in named}
 
 
-def _knob_guards(tree):
-    """(line, function, parameters) of each BudgetError guard, an `if`
-    whose body raises BudgetError, whose test reads a parameter of its
-    function that has a default value."""
-    out = []
+def _budget_guards(tree):
+    """(function, node) of each BudgetError guard: an `if` whose body
+    raises BudgetError."""
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        knobs = _defaulted_params(fn)
         for node in ast.walk(fn):
-            if not (isinstance(node, ast.If) and any(
+            if isinstance(node, ast.If) and any(
                     isinstance(s, ast.Raise) and s.exc is not None
                     and "BudgetError" in _referenced_names(s.exc)
-                    for s in node.body)):
-                continue
-            read = knobs & {n.id for n in ast.walk(node.test)
-                            if isinstance(n, ast.Name)}
-            if read:
-                out.append((node.lineno, fn.name, sorted(read)))
+                    for s in node.body):
+                yield fn, node
+
+
+def _knob_guards(tree):
+    """(line, function, parameters) of each BudgetError guard whose test
+    reads a parameter of its function that has a default value."""
+    out = []
+    for fn, node in _budget_guards(tree):
+        read = _defaulted_params(fn) & {n.id for n in ast.walk(node.test)
+                                        if isinstance(n, ast.Name)}
+        if read:
+            out.append((node.lineno, fn.name, sorted(read)))
     return out
+
+
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _unnamed_caps(tree):
+    """(line, function) of each ordering comparison in a BudgetError guard
+    with no name assigned at module level among its operands."""
+    constants = {n for stmt in tree.body
+                 if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                 for n in _top_level_names(stmt)}
+    return [(cmp.lineno, fn.name) for fn, node in _budget_guards(tree)
+            for cmp in ast.walk(node.test)
+            if isinstance(cmp, ast.Compare)
+            and any(isinstance(op, _ORDERINGS) for op in cmp.ops)
+            and not any(isinstance(o, ast.Name) and o.id in constants
+                        for o in [cmp.left, *cmp.comparators])]
 
 
 def test_caps_are_not_per_call_knobs():
@@ -130,6 +151,23 @@ def test_caps_are_not_per_call_knobs():
     found = [(path.name, *guard)
              for path in sorted(SRC.glob("*.py"))
              for guard in _knob_guards(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_caps_are_named_module_constants():
+    """Every ordering comparison in a BudgetError guard in src/qcl compares
+    against a module-level name, so each cap is defined, documented and
+    found in one place."""
+    sample = ast.parse("CAP = 10\n"
+                       "def f(q, n):\n"
+                       "    if q > 10 ** 7 or n not in (1, 2):\n"
+                       "        raise BudgetError('over')\n"
+                       "    if q * n >= CAP:\n"
+                       "        raise BudgetError('over')\n")
+    assert _unnamed_caps(sample) == [(3, "f")]
+    found = [(path.name, *cap)
+             for path in sorted(SRC.glob("*.py"))
+             for cap in _unnamed_caps(ast.parse(path.read_text(), str(path)))]
     assert found == []
 
 
