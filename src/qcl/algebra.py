@@ -1,10 +1,14 @@
-"""Exact arithmetic cores: integral quaternions in the Hurwitz order, the
-local division-order presentation at odd primes, and exact values of
-prime-power exponential sums.
+"""Exact arithmetic cores: integral quaternions in the Hurwitz order, and
+exact values of prime-power exponential sums.
 
 The flat 4-tuple helpers below (2x2 product, determinant, trace, adjugate
-and the Hamilton product) are the one definition of that arithmetic; the
-exponential sums, the geometry checks and HurwitzQuat all use them.
+and the quaternion product) are the one definition of that arithmetic; the
+exponential sums, the geometry checks, HurwitzQuat, the nonsplit densities
+and the counting boxes all use them. `quat_mul_flat` multiplies in any
+quaternion algebra (a, b): Hamilton's (-1, -1), or at an odd prime p the
+local division order (u, p) on (1, s, P, sP), s^2 = u a non-square unit,
+P^2 = p. Exact on Python ints, and within int64 on int64 numpy columns,
+where one call multiplies whole arrays of elements.
 
 All values are immutable after construction; every operation is a pure
 function, so everything here is safe to share across threads.
@@ -54,14 +58,35 @@ def adj_flat(m):
     return (d, -b, -c, a)
 
 
-def quat_mul_flat(x, y):
-    """Hamilton product of two quaternion coordinate 4-tuples."""
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+def quat_mul_flat(x, y, a=-1, b=-1):
+    """Product x * y in the quaternion algebra (a, b) on the flat basis
+    (1, i, j, k): i^2 = a, j^2 = b and k = ij = -ji, so k^2 = -ab."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * (x2 * y3 - x3 * y2),
+            x0 * y2 + x2 * y0 + a * (x1 * y3 - x3 * y1),
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def smallest_nonresidue(p):
+    """Smallest positive quadratic non-residue mod an odd prime: the u of
+    the local division order, the algebra (u, p) of `quat_mul_flat`."""
+    for u in range(2, p):
+        if pow(u, (p - 1) // 2, p) == p - 1:
+            return u
+    raise PreconditionError(f"{p} has no non-residue; not an odd prime?")
+
+
+def doubled_mul_flat(x, y):
+    """Doubled coordinates of the product of the Hurwitz quaternions with
+    doubled coordinates x and y: half their Hamilton product (4x the true
+    one), refused if odd, as the product would then have left the order."""
+    p0, p1, p2, p3 = quat_mul_flat(x, y)
+    odd = (p0 | p1 | p2 | p3) & 1
+    if odd if isinstance(odd, int) else odd.any():
+        raise VerificationError("product left the order (odd doubled sum)")
+    return p0 // 2, p1 // 2, p2 // 2, p3 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +143,7 @@ class HurwitzQuat:
         if isinstance(other, int):
             a = self.c
             return HurwitzQuat(a[0] * other, a[1] * other, a[2] * other, a[3] * other)
-        # Hamilton product of the doubled vectors is 4x the true product,
-        # so halving it gives the doubled coordinates of the product.
-        p0, p1, p2, p3 = quat_mul_flat(self.c, other.c)
-        if (p0 | p1 | p2 | p3) & 1:
-            raise VerificationError("product left the order (odd doubled sum)")
-        return HurwitzQuat(p0 // 2, p1 // 2, p2 // 2, p3 // 2)
+        return HurwitzQuat(*doubled_mul_flat(self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -170,13 +190,6 @@ class HurwitzQuat:
     def is_primitive(self):
         return not self.is_zero() and self.content() == 1
 
-    def true_coords_mod(self, m):
-        """Coordinates (w,x,y,z) as residues mod odd m (2 is a unit mod m)."""
-        if m % 2 == 0:
-            raise PreconditionError("true coordinates need an odd modulus")
-        inv2 = pow(2, -1, m)
-        return tuple((ci * inv2) % m for ci in self.c)
-
 
 HQ_ONE = HurwitzQuat(2, 0, 0, 0)
 HQ_I = HurwitzQuat(0, 2, 0, 0)
@@ -189,9 +202,16 @@ HQ_BASIS = (HQ_ONE, HQ_I, HQ_J, HQ_OMEGA)
 
 def doubled_from_basis_coords(v):
     """Doubled quaternion coordinates, as a tuple, of the element with
-    order-basis coefficients v."""
+    order-basis coefficients v (ints, or int64 columns)."""
     a, b, c, d = v
     return (2 * a + d, 2 * b + d, 2 * c + d, d)
+
+
+def basis_from_doubled_coords(c):
+    """Inverse of doubled_from_basis_coords (ints, or int64 columns)."""
+    c0, c1, c2, c3 = c
+    # equal parities make each difference even
+    return ((c0 - c3) // 2, (c1 - c3) // 2, (c2 - c3) // 2, c3)
 
 
 def hq_from_basis_coords(v):
@@ -201,9 +221,7 @@ def hq_from_basis_coords(v):
 
 def hq_to_basis_coords(x):
     """Coefficients of x in the Z-basis (1, i, j, (1+i+j+k)/2)."""
-    c0, c1, c2, c3 = x.c
-    # equal parities make each difference even
-    return ((c0 - c3) // 2, (c1 - c3) // 2, (c2 - c3) // 2, c3)
+    return basis_from_doubled_coords(x.c)
 
 
 def left_mul_coords(g):
@@ -216,104 +234,6 @@ def right_mul_coords(g):
     """4x4 integer matrix of x -> x*g on order-basis coordinates."""
     cols = [hq_to_basis_coords(b * g) for b in HQ_BASIS]
     return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-# ---------------------------------------------------------------------------
-# Local division order at an odd prime
-# ---------------------------------------------------------------------------
-
-
-def smallest_nonresidue(p):
-    """Smallest positive quadratic non-residue mod an odd prime."""
-    for u in range(2, p):
-        if pow(u, (p - 1) // 2, p) == p - 1:
-            return u
-    raise PreconditionError(f"{p} has no non-residue; not an odd prime?")
-
-
-class NonsplitLocalElem:
-    """Element of the local division order at an odd prime p, to precision
-    p^N, in the basis 1, s, P, s*P where s^2 = u (a unit non-square) and
-    P^2 = p, with the twist P*alpha = conj(alpha)*P.
-    """
-
-    __slots__ = ("z", "p", "N", "u")
-
-    def __init__(self, z, p, N, u=None):
-        if p == 2:
-            raise PreconditionError("this presentation needs odd residue characteristic")
-        if u is None:
-            u = smallest_nonresidue(p)
-        m = p ** N
-        object.__setattr__(self, "z", tuple(int(t) % m for t in z))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "u", u)
-
-    def __setattr__(self, *a):
-        raise AttributeError("NonsplitLocalElem is immutable")
-
-    def _check(self, other):
-        if (self.p, self.N, self.u) != (other.p, other.N, other.u):
-            raise PreconditionError("presentation mismatch (p, precision, or u)")
-
-    def __repr__(self):
-        return f"NonsplitLocalElem({self.z}, p={self.p}, N={self.N}, u={self.u})"
-
-    def __eq__(self, other):
-        return (isinstance(other, NonsplitLocalElem)
-                and (self.z, self.p, self.N, self.u) == (other.z, other.p, other.N, other.u))
-
-    def __hash__(self):
-        return hash((self.z, self.p, self.N, self.u))
-
-    def __add__(self, other):
-        self._check(other)
-        return NonsplitLocalElem(
-            tuple(a + b for a, b in zip(self.z, other.z)), self.p, self.N, self.u)
-
-    def __sub__(self, other):
-        self._check(other)
-        return NonsplitLocalElem(
-            tuple(a - b for a, b in zip(self.z, other.z)), self.p, self.N, self.u)
-
-    def __neg__(self):
-        return NonsplitLocalElem(tuple(-a for a in self.z), self.p, self.N, self.u)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return NonsplitLocalElem(
-                tuple(a * other for a in self.z), self.p, self.N, self.u)
-        self._check(other)
-        p, u = self.p, self.u
-        # write x = A + B*P, y = C + D*P with A,B,C,D in Z[s]/(s^2-u);
-        # then x*y = (A*C + p*B*conj(D)) + (A*D + B*conj(C))*P
-        a1, a2, b1, b2 = self.z
-        c1, c2, d1, d2 = other.z
-        # quadratic-extension helpers: (x1 + x2 s)(y1 + y2 s)
-        def qmul(x1, x2, y1, y2):
-            return (x1 * y1 + u * x2 * y2, x1 * y2 + x2 * y1)
-        ac1, ac2 = qmul(a1, a2, c1, c2)
-        bd1, bd2 = qmul(b1, b2, d1, -d2)
-        ad1, ad2 = qmul(a1, a2, d1, d2)
-        bc1, bc2 = qmul(b1, b2, c1, -c2)
-        return NonsplitLocalElem(
-            (ac1 + p * bd1, ac2 + p * bd2, ad1 + bc1, ad2 + bc2),
-            p, self.N, u)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        z = self.z
-        return NonsplitLocalElem((z[0], -z[1], -z[2], -z[3]), self.p, self.N, self.u)
-
-    def trd(self):
-        return (2 * self.z[0]) % (self.p ** self.N)
-
-    def nrd(self):
-        z1, z2, z3, z4 = self.z
-        p, u = self.p, self.u
-        return (z1 * z1 - u * z2 * z2 - p * z3 * z3 + p * u * z4 * z4) % (p ** self.N)
 
 
 # ---------------------------------------------------------------------------

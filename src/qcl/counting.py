@@ -4,7 +4,9 @@ Counts gamma = (gamma_1, ..., gamma_n) with integral quaternion entries of
 bounded height satisfying sum_i upsilon_i * gamma_i^2 = 0, upsilon_i = +-1.
 Two independent engines are provided: a direct nested enumeration
 (brute_count) and a meet-in-the-middle convolution over sparse value
-histograms (conv_count).  They must agree exactly wherever both run.
+histograms (conv_count).  They must agree exactly wherever both run.  Both
+read the squares of a height box, an int64 array of doubled coordinates
+squared in one `algebra.doubled_mul_flat` product over the whole box.
 
 The traceless slice is counted twice as well: once through the quaternion
 engine and once as a plain integer quadric in 3n variables; the two agree
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import HurwitzQuat
+from .algebra import doubled_mul_flat
 from .errors import BudgetError, PreconditionError, VerificationError
 
 # Packed key layout: four signed 16-bit lanes in one 64-bit word.  The three
@@ -138,30 +140,28 @@ def dist_pair_zero(a, b):
     return int(np.sum(ca * cb)) if len(ca) else 0
 
 
-def hurwitz_box(X):
-    """All integral quaternions of sup-norm at most X, as HurwitzQuat.
+def _grid(*axes):
+    """Rows of the Cartesian product of the axes, the last varying fastest
+    (the order of itertools.product), as an int64 array."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, len(axes)).astype(np.int64)
 
-    Doubled coordinates are either all even or all odd, each bounded by 2X
-    in absolute value; the box has (2X+1)^4 + (2X)^4 elements.
+
+def hurwitz_box(X):
+    """All integral quaternions of sup-norm at most X, as an (N, 4) int64
+    array of doubled coordinates: first every all-even row, then every
+    all-odd one, each bounded by 2X in absolute value, so the box has
+    (2X+1)^4 + (2X)^4 rows.
     """
     if X < 1:
         raise PreconditionError("height must be >= 1")
-    out = []
-    evens = range(-2 * X, 2 * X + 1, 2)
-    odds = range(-2 * X + 1, 2 * X, 2)
-    for parity in (evens, odds):
-        for c in itertools.product(parity, repeat=4):
-            out.append(HurwitzQuat(*c))
-    return out
+    evens = np.arange(-2 * X, 2 * X + 1, 2)
+    odds = np.arange(-2 * X + 1, 2 * X, 2)
+    return np.concatenate([_grid(*[r] * 4) for r in (evens, odds)])
 
 
 def box_size(X):
     return (2 * X + 1) ** 4 + (2 * X) ** 4
-
-
-def _square_doubled_coords(g):
-    """Doubled coordinates of g^2 (integers of equal parity)."""
-    return (g * g).c
 
 
 @functools.lru_cache(maxsize=8)
@@ -170,12 +170,12 @@ def _box_squares(X, traceless):
     an int64 array squared once per (X, traceless) and read-only, since
     every caller shares it."""
     if traceless:
-        src = (HurwitzQuat(0, 2 * x, 2 * y, 2 * z)
-               for x, y, z in itertools.product(range(-X, X + 1), repeat=3))
+        t = np.arange(-2 * X, 2 * X + 1, 2)
+        box = _grid([0], t, t, t)
     else:
-        src = hurwitz_box(X)
-    squares = np.array([_square_doubled_coords(g) for g in src],
-                       dtype=np.int64)
+        box = hurwitz_box(X)
+    g = tuple(box.T)
+    squares = np.stack(doubled_mul_flat(g, g), axis=1)
     squares.flags.writeable = False
     return squares
 

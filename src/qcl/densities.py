@@ -4,12 +4,15 @@ ramified quaternion order (nonsplit places), and over the reals.
 
 Finite-place densities are exact rationals computed by convolving the
 per-slot distribution of Y^2 over the relevant finite quotient group and
-reading off the mass at zero. One coset-split kernel serves every quotient:
-a gather and a matmul per head coset in the support (`group_convolve`). It
-counts in int64 while min(max a * mass b, mass a * max b), a bound on every
-output entry, is below 2^63, on Python ints otherwise, and checks that every
-result carries the product of the two masses in Python ints. The
-archimedean density is a seeded, shard-deterministic Monte Carlo estimate.
+reading off the mass at zero. At nonsplit places Y^2 is one int64 column
+product over the whole quotient (`algebra.quat_mul_flat`), and a quotient
+past the cap is refused before it is built. One coset-split kernel serves
+every quotient: a gather and a matmul per head coset in the support
+(`group_convolve`). It counts in int64 while min(max a * mass b, mass a *
+max b), a bound on every output entry, is below 2^63, on Python ints
+otherwise, and checks that every result carries the product of the two
+masses in Python ints. The archimedean density is a seeded,
+shard-deterministic Monte Carlo estimate.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_SEED
-from .algebra import (HurwitzQuat, NonsplitLocalElem, hq_from_basis_coords,
-                      hq_to_basis_coords, left_mul_coords)
+from .algebra import (HurwitzQuat, basis_from_doubled_coords,
+                      doubled_from_basis_coords, doubled_mul_flat,
+                      left_mul_coords, quat_mul_flat, smallest_nonresidue)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .expsums import grid_square_keys
 from .linalg import row_hnf
@@ -256,43 +260,63 @@ def _hurwitz_level_lattice(m):
     return [h[i] for i in range(4)]
 
 
-def nonsplit_density_two(m, n, coeffs=None):
-    """d_m at the ramified place 2: count Y in (O/w^{2m-1})^n with
-    sum c_i Y_i^2 = 0 in the quotient, normalized by 2^{4m} / size^n."""
+def _nonsplit_density(p, m, n, coeffs, order, quotient, square, q):
+    """The tail of both nonsplit densities: d_m = p^{4m} * count / G^n,
+    count the mass at zero of the convolution of the slots' distributions
+    of c_i Y^2 (one per distinct c mod q) over the quotient of order G.
+
+    The cap G^2 <= `_QUOTIENT_CAP` is checked on `order` before `quotient()`
+    builds the group and its digits. `square` maps the digit columns to
+    those of Y^2 in int64: under the cap every c mod q is below 2^8 and, as
+    each caller shows, every square below 2^32, so c * Y^2 is below 2^40."""
     if m < 1:
         raise PreconditionError("level must be positive")
-    coeffs = _slot_coeffs(2, n, coeffs)
-    grp = QuotientGroup(_hurwitz_level_lattice(m))
-    size = grp.order
-    if size ** 2 > _QUOTIENT_CAP:
+    coeffs = _slot_coeffs(p, n, coeffs)
+    if order ** 2 > _QUOTIENT_CAP:
         raise BudgetError("quotient too large")
-    # distribution of c * Y^2 over the quotient, one slot
-    ys = [hq_from_basis_coords(rep) for rep in grp.digits]
-    dist = {c: np.bincount(grp.pack([hq_to_basis_coords(y * y * c)
-                                     for y in ys]), minlength=size)
-            for c in {cc % 4 ** m for cc in coeffs}}
-    count = _count_at_zero([dist[c % 4 ** m] for c in coeffs], grp)
-    return Fraction(2 ** (4 * m) * count, size ** n)
+    grp = quotient()
+    if grp.order != order:
+        raise VerificationError(f"quotient has order {grp.order}, not {order}")
+    squares = np.stack(square(tuple(grp.digits.T)), axis=1)
+    dist = {c: np.bincount(grp.pack(c * squares), minlength=order)
+            for c in {cc % q for cc in coeffs}}
+    count = _count_at_zero([dist[c % q] for c in coeffs], grp)
+    return Fraction(p ** (4 * m) * count, order ** n)
+
+
+def _hurwitz_square(digits):
+    """Order-basis columns of y^2 for those of y. The level lattice holds
+    w^{2m} O = 2^m O, so under the cap every digit is below 2^m <= 16, a
+    doubled coordinate below 48 and a square below 2^14."""
+    d = doubled_from_basis_coords(digits)
+    return basis_from_doubled_coords(doubled_mul_flat(d, d))
+
+
+def nonsplit_density_two(m, n, coeffs=None):
+    """d_m at the ramified place 2: count Y in (O/w^{2m-1})^n with
+    sum c_i Y_i^2 = 0 in the quotient, normalized by 2^{4m} / size^n. The
+    quotient has order nrd(w)^{2(2m-1)} = 4^{2m-1}."""
+    return _nonsplit_density(
+        2, m, n, coeffs, 4 ** (2 * m - 1),
+        lambda: QuotientGroup(_hurwitz_level_lattice(m)), _hurwitz_square,
+        4 ** m)
 
 
 def nonsplit_density_odd(p, m, n, coeffs=None):
     """d_m at an odd nonsplit place: quotient coordinates are
-    (z1, z2 mod p^m, z3, z4 mod p^{m-1})."""
+    (z1, z2 mod p^m, z3, z4 mod p^{m-1}) on the basis (1, s, P, sP) of the
+    local division order, squared in the algebra (u, p). Under the cap the
+    order p^{4m-2} is below 2^15, so m <= 2, every digit is below p^m < 2^8,
+    and a term of the square, at most u p z z' < p^{2m+2} <= p^{2(4m-2)},
+    is below 2^30."""
     if p == 2:
         raise PreconditionError("use nonsplit_density_two at 2")
-    if m < 1:
-        raise PreconditionError("level must be positive")
-    coeffs = _slot_coeffs(p, n, coeffs)
-    grp = QuotientGroup.diagonal([p ** m, p ** m, p ** (m - 1), p ** (m - 1)])
-    size = grp.order
-    if size ** 2 > _QUOTIENT_CAP:
-        raise BudgetError("quotient too large")
-    xs = [NonsplitLocalElem(z, p, m) for z in grp.digits]
-    dist = {c: np.bincount(grp.pack([(x * x * c).z for x in xs]),
-                           minlength=size)
-            for c in {cc % p ** m for cc in coeffs}}
-    count = _count_at_zero([dist[c % p ** m] for c in coeffs], grp)
-    return Fraction(p ** (4 * m) * count, size ** n)
+    u = smallest_nonresidue(p)
+    return _nonsplit_density(
+        p, m, n, coeffs, p ** (4 * m - 2),
+        lambda: QuotientGroup.diagonal(
+            [p ** m, p ** m, p ** (m - 1), p ** (m - 1)]),
+        lambda z: quat_mul_flat(z, z, u, p), p ** m)
 
 
 # ---------------------------------------------------------------------------

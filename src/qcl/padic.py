@@ -27,7 +27,10 @@ _GAUSS_SUM_CAP = 10 ** 7
 
 def pval(x, p, cap=None):
     """p-adic valuation of a nonzero integer; `cap` if x == 0 (cap required
-    in that case)."""
+    in that case). p < 2 is refused: x % p == 0 would hold forever for
+    p = 1 and divide by zero for p = 0."""
+    if p < 2:
+        raise PreconditionError(f"valuation base must be >= 2, not {p}")
     x = int(x)
     if x == 0:
         if cap is None:
@@ -41,7 +44,9 @@ def pval(x, p, cap=None):
 
 
 def punit(x, p, modulus):
-    """Unit part of x mod `modulus` (x nonzero mod modulus)."""
+    """Unit part of x mod `modulus` (x nonzero mod modulus); p >= 2."""
+    if p < 2:
+        raise PreconditionError(f"valuation base must be >= 2, not {p}")
     x = int(x) % modulus
     if x == 0:
         raise PreconditionError("zero has no unit part at this precision")

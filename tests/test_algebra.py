@@ -1,14 +1,17 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcl.algebra import (
     HQ_I, HQ_J, HQ_OMEGA, HQ_ONE,
-    CycloSum, HurwitzQuat, NonsplitLocalElem,
-    adj_flat, det_flat, hq_from_basis_coords, hq_to_basis_coords,
+    CycloSum, HurwitzQuat,
+    adj_flat, det_flat, doubled_mul_flat, hq_from_basis_coords,
+    hq_to_basis_coords,
     mat_mul_flat, quat_mul_flat, trace_flat, smallest_nonresidue,
 )
 from qcl.errors import PreconditionError, VerificationError
@@ -98,11 +101,6 @@ class TestHurwitzQuat:
         # while (2,2,0,0)/2 = 1+i is too; check a genuinely primitive one
         assert HurwitzQuat(2, 0, 2, 4).content() == 1
 
-    def test_true_coords_mod(self):
-        assert HQ_OMEGA.true_coords_mod(3) == (2, 2, 2, 2)
-        with pytest.raises(PreconditionError):
-            HQ_OMEGA.true_coords_mod(4)
-
     @given(hq_elems(), hq_elems(), hq_elems())
     def test_associativity(self, a, b, c):
         assert (a * b) * c == a * (b * c)
@@ -130,44 +128,92 @@ class TestHurwitzQuat:
 
 # -- local division order ----------------------------------------------------
 
+def local_mul(x, y, p, N):
+    """The local division order's product (u, p) = (smallest non-residue,
+    p) on the basis (1, s, P, sP), reduced mod p^N."""
+    return tuple(t % p ** N for t in
+                 quat_mul_flat(x, y, smallest_nonresidue(p), p))
+
+
+def local_nrd(z, p, N):
+    z1, z2, z3, z4 = z
+    u = smallest_nonresidue(p)
+    return (z1 * z1 - u * z2 * z2 - p * z3 * z3 + p * u * z4 * z4) % p ** N
+
+
+def local_conj(z):
+    return (z[0], -z[1], -z[2], -z[3])
+
+
 class TestNonsplitLocalElem:
+    """Laws of the local division order at odd p, the algebra (u, p) of
+    `quat_mul_flat`: s^2 = u, P^2 = p and Ps = -sP."""
+
+    S, P = (0, 1, 0, 0), (0, 0, 1, 0)
+
     def test_uniformizer_squares_to_p(self):
         for p, N in [(3, 3), (5, 2), (7, 2)]:
-            P = NonsplitLocalElem((0, 0, 1, 0), p, N)
-            assert (P * P).z == (p % p ** N, 0, 0, 0)
+            assert local_mul(self.P, self.P, p, N) == (p % p ** N, 0, 0, 0)
 
     def test_twist_relation(self):
         # P * sqrt(u) = -sqrt(u) * P at precision 3^3
         p, N = 3, 3
-        P = NonsplitLocalElem((0, 0, 1, 0), p, N)
-        s = NonsplitLocalElem((0, 1, 0, 0), p, N)
-        assert P * s == -(s * P)
-        assert s * s == NonsplitLocalElem((smallest_nonresidue(p), 0, 0, 0), p, N)
+        m = p ** N
+        assert local_mul(self.P, self.S, p, N) == tuple(
+            -t % m for t in local_mul(self.S, self.P, p, N))
+        assert local_mul(self.S, self.S, p, N) == (smallest_nonresidue(p),
+                                                   0, 0, 0)
 
     def test_norm_formula_matches_conjugate_product(self):
         p, N = 5, 2
         m = p ** N
-        import random
         rng = random.Random(7)
         for _ in range(50):
-            x = NonsplitLocalElem(tuple(rng.randrange(m) for _ in range(4)), p, N)
-            prod = x * x.conjugate()
-            assert prod.z == (x.nrd(), 0, 0, 0)
-            assert (x + x.conjugate()).z == (x.trd() * pow(2, -1, m) * 2 % m, 0, 0, 0)
+            x = tuple(rng.randrange(m) for _ in range(4))
+            assert local_mul(x, local_conj(x), p, N) == (
+                local_nrd(x, p, N), 0, 0, 0)
 
     def test_norm_multiplicative(self):
         p, N = 3, 3
         m = p ** N
-        import random
         rng = random.Random(11)
         for _ in range(50):
-            x = NonsplitLocalElem(tuple(rng.randrange(m) for _ in range(4)), p, N)
-            y = NonsplitLocalElem(tuple(rng.randrange(m) for _ in range(4)), p, N)
-            assert (x * y).nrd() == x.nrd() * y.nrd() % m
+            x = tuple(rng.randrange(m) for _ in range(4))
+            y = tuple(rng.randrange(m) for _ in range(4))
+            assert local_nrd(local_mul(x, y, p, N), p, N) == (
+                local_nrd(x, p, N) * local_nrd(y, p, N) % m)
 
     def test_even_prime_rejected(self):
+        # 2 has no non-residue, so there is no u for the algebra (u, 2)
         with pytest.raises(PreconditionError):
-            NonsplitLocalElem((1, 0, 0, 0), 2, 3)
+            smallest_nonresidue(2)
+
+
+class TestProductOnColumns:
+    @pytest.mark.parametrize("a,b", [(-1, -1), (2, 3), (3, 7), (-5, 11)])
+    def test_int_and_int64_columns_agree(self, a, b):
+        rng = random.Random(a * 100 + b)
+        rows = [[tuple(rng.randrange(-999, 1000) for _ in range(4))
+                 for _ in range(64)] for _ in range(2)]
+        x, y = (tuple(np.array(r, dtype=np.int64).T) for r in rows)
+        cols = np.stack(quat_mul_flat(x, y, a, b), axis=1)
+        assert cols.dtype == np.int64
+        assert cols.tolist() == [list(quat_mul_flat(r, t, a, b))
+                                 for r, t in zip(*rows)]
+
+    def test_doubled_product_on_columns_keeps_the_parity_guard(self):
+        box = [hq_from_basis_coords((a, b, c, d)).c
+               for a, b, c, d in [(1, 2, 3, 4), (0, 0, 0, 1), (5, -3, 2, 7)]]
+        g = tuple(np.array(box, dtype=np.int64).T)
+        got = np.stack(doubled_mul_flat(g, g), axis=1).tolist()
+        assert got == [list((HurwitzQuat(*c) * HurwitzQuat(*c)).c)
+                       for c in box]
+        # doubled (1, 0, 0, 0) is no Hurwitz quaternion: its square is odd
+        odd = tuple(np.array([[1, 0, 0, 0], [2, 0, 0, 0]]).T)
+        with pytest.raises(VerificationError):
+            doubled_mul_flat(odd, odd)
+        with pytest.raises(VerificationError):
+            doubled_mul_flat((1, 0, 0, 0), (1, 0, 0, 0))
 
 
 # -- exact root-of-unity sums ------------------------------------------------

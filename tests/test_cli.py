@@ -129,6 +129,14 @@ class TestExitCodes:
                        check=False)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("p,m,n", [(2, 12, 5), (3, 9, 2), (2, 40, 5)])
+    def test_nonsplit_quotient_cap_is_three(self, tmp_path, p, m, n):
+        # refused on the quotient's order, before its digits are allocated
+        proc = run_cli(["--no-cache", "density", "--place", "nonsplit",
+                        "--p", str(p), "--m", str(m), "--n", str(n)],
+                       tmp_path, check=False)
+        assert proc.returncode == 3 and proc.stdout == b""
+
     def test_verification_is_four(self, tmp_path, monkeypatch, capsys):
         from qcl import cli
 

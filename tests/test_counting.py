@@ -77,6 +77,9 @@ class TestSparseDist:
     def test_box_sizes(self):
         assert len(hurwitz_box(1)) == box_size(1) == 97
         assert len(hurwitz_box(2)) == box_size(2) == 881
+        box = hurwitz_box(2)
+        assert box.dtype == np.int64 and box.shape == (881, 4)
+        assert len({tuple(r) for r in box.tolist()}) == 881
 
     def test_mass_equals_box(self):
         d = slot_square_dist(1, 1)
@@ -153,11 +156,15 @@ def _nested_loop_brute_count(n, upsilon, X):
 
 
 def _unmemoised_squares(sign, X, traceless):
+    """sign * g^2 for g in the box, squared one HurwitzQuat at a time; the
+    full box is rebuilt by itertools.product in its documented order."""
     if traceless:
         src = [HurwitzQuat(0, 2 * x, 2 * y, 2 * z)
                for x, y, z in itertools.product(range(-X, X + 1), repeat=3)]
     else:
-        src = hurwitz_box(X)
+        src = [HurwitzQuat(*c) for parity in (range(-2 * X, 2 * X + 1, 2),
+                                              range(-2 * X + 1, 2 * X, 2))
+               for c in itertools.product(parity, repeat=4)]
     return [tuple(sign * c for c in (g * g).c) for g in src]
 
 
@@ -178,17 +185,18 @@ class TestBoxSquares:
 
     def test_suite_squares_each_box_once(self, monkeypatch):
         calls = []
-        square = counting._square_doubled_coords
-        monkeypatch.setattr(counting, "_square_doubled_coords",
-                            lambda g: calls.append(g) or square(g))
+        square = counting.doubled_mul_flat
+        monkeypatch.setattr(counting, "doubled_mul_flat",
+                            lambda x, y: calls.append(len(x[0])) or square(x, y))
         counting._box_squares.cache_clear()
         try:
             assert suite_counting()["passed"]
         finally:
             counting._box_squares.cache_clear()
-        # one box per (X, traceless): X in (1, 2), full and traceless
-        boxes = box_size(1) + box_size(2) + 3 ** 3 + 5 ** 3
-        assert 0 < len(calls) <= boxes
+        # one product per (X, traceless), over the whole box: X in (1, 2),
+        # full and traceless
+        assert 0 < len(calls) <= 4
+        assert set(calls) <= {box_size(1), box_size(2), 3 ** 3, 5 ** 3}
 
 
 class TestBruteCount:

@@ -48,6 +48,35 @@ def nonsplit_density_two_exhaustive(m, n, budget=10 ** 7):
     return Fraction(2 ** (4 * m) * count, size ** n)
 
 
+def local_order_product(x, y, p, u):
+    """Product in the local division order at odd p on (1, s, P, sP),
+    s^2 = u, P^2 = p, P a = conj(a) P: write x = A + B P, y = C + D P with
+    A, B, C, D in Z[s], so that x y = (A C + p B conj(D)) + (A D + B conj(C)) P.
+    A derivation independent of `quat_mul_flat`."""
+    def qmul(x1, x2, y1, y2):  # (x1 + x2 s)(y1 + y2 s)
+        return (x1 * y1 + u * x2 * y2, x1 * y2 + x2 * y1)
+    a1, a2, b1, b2 = x
+    c1, c2, d1, d2 = y
+    ac, bd = qmul(a1, a2, c1, c2), qmul(b1, b2, d1, -d2)
+    ad, bc = qmul(a1, a2, d1, d2), qmul(b1, b2, c1, -c2)
+    return (ac[0] + p * bd[0], ac[1] + p * bd[1], ad[0] + bc[0], ad[1] + bc[1])
+
+
+def nonsplit_density_odd_exhaustive(p, m, n, coeffs=None):
+    """Brute-force oracle for nonsplit_density_odd: every n-tuple of the
+    quotient (z1, z2 mod p^m, z3, z4 mod p^{m-1}), one square per element."""
+    coeffs = coeffs or [1] * n
+    u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+    radii = [p ** m, p ** m, p ** (m - 1), p ** (m - 1)]
+    squares = [local_order_product(z, z, p, u)
+               for z in itertools.product(*(range(r) for r in radii))]
+    count = 0
+    for ys in itertools.product(squares, repeat=n):
+        total = [sum(c * y[t] for c, y in zip(coeffs, ys)) for t in range(4)]
+        count += all(v % r == 0 for v, r in zip(total, radii))
+    return Fraction(p ** (4 * m) * count, len(squares) ** n)
+
+
 @st.composite
 def quotient_groups(draw):
     """Diagonal and mixed-radix boxes, random upper-triangular 4x4 HNFs
@@ -297,16 +326,37 @@ class TestNonsplitDensity:
 
     def test_odd_place_one_slot(self):
         # independent direct count at p = 3, m = 1, n = 1
-        from qcl.algebra import NonsplitLocalElem
         p = 3
         count = 0
         for z1, z2 in itertools.product(range(p), repeat=2):
-            x = NonsplitLocalElem((z1, z2, 0, 0), p, 1)
-            sq = x * x
-            if sq.z[0] % p == 0 and sq.z[1] % p == 0:
+            sq = local_order_product((z1, z2, 0, 0), (z1, z2, 0, 0), p, 2)
+            if sq[0] % p == 0 and sq[1] % p == 0:
                 count += 1
         expect = Fraction(p ** 4 * count, p ** 2)
         assert nonsplit_density_odd(p, 1, 1) == expect
+
+    @pytest.mark.parametrize("p,m,n,coeffs", [
+        (3, 1, 1, None), (3, 1, 2, None), (3, 1, 3, None), (3, 2, 1, None),
+        (5, 1, 2, None), (3, 1, 2, (1, 2)), (5, 1, 2, (1, 2))])
+    def test_odd_matches_exhaustive(self, p, m, n, coeffs):
+        assert (nonsplit_density_odd(p, m, n, coeffs)
+                == nonsplit_density_odd_exhaustive(p, m, n, coeffs))
+
+    @pytest.mark.parametrize("density,args", [
+        (nonsplit_density_two, (12, 5)), (nonsplit_density_two, (40, 5)),
+        (nonsplit_density_odd, (3, 9, 2)), (nonsplit_density_odd, (3, 3, 1))])
+    def test_cap_refuses_before_the_quotient_is_built(self, density, args,
+                                                      monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("quotient built past the cap")
+        monkeypatch.setattr(densities, "QuotientGroup", refuse)
+        with pytest.raises(BudgetError):
+            density(*args)
+
+    def test_cap_admits_the_largest_orders(self):
+        # 4^7 and 5^6 are the largest orders whose square fits the cap
+        assert 0 < nonsplit_density_two(4, 1)
+        assert 0 < nonsplit_density_odd(5, 2, 1)
 
     def test_odd_place_positive(self):
         d = nonsplit_density_odd(3, 2, 5)

@@ -247,6 +247,11 @@ class TestI0Local:
     def test_unit_delta(self):
         assert i0_local((1, 0, 0, 1), [(0, 0, 0, 0)], 3) == 1
 
+    def test_base_one_refused(self):
+        # its valuations at p = 1 looped forever
+        with pytest.raises(PreconditionError):
+            i0_local((25, 0, 0, 1), [(0, 0, 0, 0)], 1)
+
     def test_pinned_value_n1_q3(self):
         # at gamma = 0 the integral is the solution density: 15/81 at q=3
         v = i0_local((3, 0, 0, 1), [(0, 0, 0, 0)], 3)

@@ -19,6 +19,19 @@ class TestValuation:
             pval(0, 5)
         assert punit(18, 3, 27) == 2
 
+    # x % 1 == 0 always holds, so these looped forever; x % 0 divides by 0
+    def test_base_one_refused(self):
+        with pytest.raises(PreconditionError):
+            pval(5, 1)
+
+    def test_base_zero_refused(self):
+        with pytest.raises(PreconditionError):
+            pval(5, 0)
+
+    def test_unit_part_base_one_refused(self):
+        with pytest.raises(PreconditionError):
+            punit(5, 1, 7)
+
 
 # The brute lambda searches that `line_multiple` and `line_key` replaced,
 # kept as their oracles.
