@@ -8,6 +8,12 @@ histograms (conv_count).  They must agree exactly wherever both run.  Both
 read the squares of a height box, an int64 array of doubled coordinates
 squared in one `algebra.doubled_mul_flat` product over the whole box.
 
+A histogram keeps its values as sorted packed keys, coordinate 3 in the
+top 16 bits.  The convolution forms its pair sums in blocks of consecutive
+top lanes (`dist_convolve`), so it holds one block of pair sums plus its
+output, and it refuses a pair of histograms with more than
+`_CONV_PAIR_CAP` pairs before it allocates.
+
 The traceless slice is counted twice as well: once through the quaternion
 engine and once as a plain integer quadric in 3n variables; the two agree
 because a traceless quaternion squares to a rational scalar.
@@ -28,13 +34,15 @@ from .errors import BudgetError, PreconditionError, VerificationError
 _LANE_BIAS = 1 << 15
 _BIAS3 = _LANE_BIAS | (_LANE_BIAS << 16) | (_LANE_BIAS << 32)
 
-_OUTER_CHUNK = 20_000_000  # max elements per outer-sum block
+_CONV_BLOCK = 1 << 15  # max pair sums per dist_convolve block
 _BRUTE_BLOCK = 1 << 16  # max tuple sums per brute_count block
 
 #: cap on the box^n tuples `brute_count` enumerates
 _BRUTE_CAP = 10 ** 9
 #: cap on the cells of the value box of one `conv_count`
 _CONV_SUPPORT_CAP = 5 * 10 ** 9
+#: cap on the pair sums |a| * |b| of one `dist_convolve`
+_CONV_PAIR_CAP = 5 * 10 ** 7
 #: cap on the slot-box cells times the slots of one `traceless_count`
 _TRACELESS_CAP = 10 ** 8
 
@@ -66,17 +74,19 @@ def _neg_key(keys):
 class SparseDist:
     """Histogram of 4-coordinate integer values under packed 64-bit keys.
 
-    keys is a sorted int64 array, counts the matching multiplicities, and
-    bound is the declared max absolute coordinate (used to rule out lane
-    carries when two distributions are convolved).
+    keys is a strictly increasing int64 array (checked, not sorted here),
+    counts the matching multiplicities, and bound is the declared max
+    absolute coordinate (used to rule out lane carries when two
+    distributions are convolved).
     """
 
     __slots__ = ("keys", "counts", "bound", "mass")
 
     def __init__(self, keys, counts, bound):
-        order = np.argsort(keys, kind="stable")
-        self.keys = np.ascontiguousarray(keys[order])
-        self.counts = np.ascontiguousarray(counts[order])
+        self.keys = np.ascontiguousarray(keys)
+        self.counts = np.ascontiguousarray(counts)
+        if (self.keys[1:] <= self.keys[:-1]).any():
+            raise PreconditionError("keys must be strictly increasing")
         self.bound = int(bound)
         if self.bound >= _LANE_BIAS:
             raise PreconditionError("coordinate bound exceeds 16-bit lanes")
@@ -97,31 +107,95 @@ class SparseDist:
         return 0
 
 
+def _slabs(keys):
+    """(top lane, start, length) of each run of one top lane in sorted
+    keys: the top lane of a key is key >> 48, since the biased low lanes
+    fill the low 48 bits with a nonnegative number."""
+    tops, starts = np.unique(keys >> 48, return_index=True)
+    return tops, starts, np.diff(np.append(starts, len(keys)))
+
+
+def _reduce(keys, counts):
+    """The distinct keys, sorted, and the summed counts of each.  The sort
+    is stable, so it merges presorted runs (the carry, and each row of a
+    block) instead of sorting from scratch."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _block_sums(a, b):
+    """Distinct pair sums of a and b, sorted, with their summed counts.
+
+    A sum of top lane s comes from an a-slab of top i and a b-slab of top
+    s - i.  A row pairs one key of a with one b-slab; the rows are listed
+    in order of their sums' top lane, and their pair sums are cut into
+    blocks of `_CONV_BLOCK`, edges falling anywhere, even inside a row.
+    Each block is reduced on its own.  Its sums of the next block's first
+    top lane may meet more of that lane, so they are carried into the next
+    block; the rest are final and come out in key order.
+    """
+    ta, sa, la = _slabs(a.keys)
+    tb, sb, lb = _slabs(b.keys)
+    if len(a.keys) * len(tb) > len(b.keys) * len(ta):  # the fewer rows
+        (ta, sa, la), (tb, sb, lb) = (tb, sb, lb), (ta, sa, la)
+        a, b = b, a
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(len(ta)),
+                                           np.arange(len(tb)), indexing="ij"))
+    s = ta[i] + tb[j]
+    order = np.argsort(s, kind="stable")
+    i, j, s = i[order], j[order], s[order]
+    # one row per key of slab i: key x of a against the b-keys y0 .. y0+w-1
+    slab = np.repeat(np.arange(len(i)), la[i])
+    first = np.cumsum(la[i]) - la[i]  # the first row of each slab pair
+    x = sa[i][slab] + np.arange(len(slab)) - first[slab]
+    y0, w, top = sb[j][slab], lb[j][slab], s[slab]
+    del slab, first
+    # row r covers the pair sums cum[r] .. cum[r + 1] - 1
+    cum = np.concatenate(([0], np.cumsum(w)))
+    total = int(cum[-1])
+    empty = np.empty(0, np.int64)
+    parts_k, parts_c, carry_k, carry_c = [empty], [empty], empty, empty
+    for p0 in range(0, total, _CONV_BLOCK):
+        p1 = min(p0 + _CONV_BLOCK, total)
+        r0 = np.searchsorted(cum, p0, side="right") - 1
+        r1 = np.searchsorted(cum, p1, side="left")
+        lens = np.diff(np.clip(cum[r0:r1 + 1], p0, p1))
+        xs = np.repeat(x[r0:r1], lens)
+        ys = np.arange(p0, p1) - np.repeat(cum[r0:r1] - y0[r0:r1], lens)
+        keys, counts = _reduce(
+            np.concatenate((carry_k, a.keys[xs] + b.keys[ys] - _BIAS3)),
+            np.concatenate((carry_c, a.counts[xs] * b.counts[ys])))
+        del xs, ys
+        cut = len(keys)
+        if p1 < total:
+            cut = np.searchsorted(keys, top[r1 - (cum[r1] > p1)] << 48)
+        parts_k.append(keys[:cut].copy())
+        parts_c.append(counts[:cut].copy())
+        carry_k, carry_c = keys[cut:], counts[cut:]
+    return np.concatenate(parts_k), np.concatenate(parts_c)
+
+
 def dist_convolve(a, b):
-    """Exact additive convolution of two SparseDists."""
+    """Exact additive convolution of two SparseDists.
+
+    Refuses (`BudgetError`) when |a| * |b| exceeds `_CONV_PAIR_CAP`, before
+    anything is allocated: the output has at most |a| * |b| keys.  Memory
+    is one block of `_CONV_BLOCK` pair sums (with its sort and the carried
+    sums of one top lane), the row table of `_block_sums` (one row per key
+    of one side and top lane of the other, whichever is fewer) and the
+    output.
+    """
     if a.bound + b.bound >= _LANE_BIAS:
         raise PreconditionError("convolution would overflow key lanes")
+    if len(a.keys) * len(b.keys) > _CONV_PAIR_CAP:
+        raise BudgetError("convolution pairs exceed memory budget")
     # the key arithmetic a+b-BIAS3 is carry-free once the bound check holds
-    if len(a.keys) < len(b.keys):
-        a, b = b, a
-    chunk = max(1, _OUTER_CHUNK // max(len(a.keys), 1))
-    parts_k, parts_c = [], []
-    for start in range(0, len(b.keys), chunk):
-        kb = b.keys[start:start + chunk]
-        cb = b.counts[start:start + chunk]
-        ks = (a.keys[:, None] + kb[None, :] - _BIAS3).ravel()
-        cs = (a.counts[:, None] * cb[None, :]).ravel()
-        uk, inv = np.unique(ks, return_inverse=True)
-        uc = np.zeros(len(uk), dtype=np.int64)
-        np.add.at(uc, inv, cs)
-        parts_k.append(uk)
-        parts_c.append(uc)
-    allk = np.concatenate(parts_k)
-    allc = np.concatenate(parts_c)
-    uk, inv = np.unique(allk, return_inverse=True)
-    uc = np.zeros(len(uk), dtype=np.int64)
-    np.add.at(uc, inv, allc)
-    out = SparseDist(uk, uc, a.bound + b.bound)
+    keys, counts = _block_sums(a, b)
+    out = SparseDist(keys, counts, a.bound + b.bound)
     # int64 count products wrap silently; the exact masses expose it
     if out.mass != a.mass * b.mass:
         raise VerificationError(

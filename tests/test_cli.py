@@ -122,6 +122,23 @@ class TestExitCodes:
                        check=False)
         assert proc.returncode == 3
 
+    def test_pair_cap_is_three(self, monkeypatch, capsysbinary):
+        # the first four-slot node at X = 2 is 48552^2 pairs: refused on
+        # the children's supports, before any of its pair sums exist
+        from qcl import counting
+
+        real, over = counting._block_sums, []
+
+        def guarded(a, b):
+            if len(a.keys) * len(b.keys) > counting._CONV_PAIR_CAP:
+                over.append((len(a.keys), len(b.keys)))
+            return real(a, b)
+
+        monkeypatch.setattr(counting, "_block_sums", guarded)
+        code, out = _run_main(["--no-cache", "count", "--n", "8", "--x", "2"],
+                              capsysbinary)
+        assert (code, out, over) == (3, b"", [])
+
     def test_grid_cap_is_three(self, tmp_path):
         # Y mod 343 would be a grid of 7^12 matrices
         proc = run_cli(["--no-cache", "expsum", "--p", "7", "--delta",

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,34 @@ def unpack_key(k):
 def value_multiset(d):
     """{value: multiplicity} of a SparseDist."""
     return {unpack_key(k): int(c) for k, c in zip(d.keys, d.counts)}
+
+
+def one_shot_convolve(a, b):
+    """The earlier dist_convolve in one shot: every pair sum at once, then
+    np.unique and np.add.at; (keys, counts, bound, mass)."""
+    bias = int(pack_key((0, 0, 0, 0)))
+    ks = (a.keys[:, None] + b.keys[None, :] - bias).ravel()
+    cs = (a.counts[:, None] * b.counts[None, :]).ravel()
+    uk, inv = np.unique(ks, return_inverse=True)
+    uc = np.zeros(len(uk), dtype=np.int64)
+    np.add.at(uc, inv, cs)
+    return uk, uc, a.bound + b.bound, int(np.sum(uc, dtype=object))
+
+
+def assert_matches_one_shot(a, b):
+    c = dist_convolve(a, b)
+    keys, counts, bound, mass = one_shot_convolve(a, b)
+    assert c.keys.tolist() == keys.tolist()
+    assert c.counts.tolist() == counts.tolist()
+    assert (c.bound, c.mass) == (bound, mass) == (bound, a.mass * b.mass)
+
+
+def random_dist(rng, size, bound):
+    """A SparseDist of at most `size` random values, every coordinate (the
+    top lane too) of either sign, with random positive counts."""
+    values = rng.integers(-bound, bound + 1, size=(size, 4))
+    keys = np.unique(pack_key(values))
+    return SparseDist(keys, rng.integers(1, 1000, size=len(keys)), bound)
 
 
 def point_mass():
@@ -118,6 +147,14 @@ class TestSparseDist:
         with pytest.raises(VerificationError):
             dist_convolve(big, big)
 
+    def test_unsorted_keys_refused(self):
+        keys = np.array([pack_key((1, 0, 0, 0)), pack_key((0, 0, 0, 0))],
+                        dtype=np.int64)
+        with pytest.raises(PreconditionError):
+            SparseDist(keys, np.array([1, 1], dtype=np.int64), 1)
+        with pytest.raises(PreconditionError):
+            SparseDist(keys[[0, 0]], np.array([1, 1], dtype=np.int64), 1)
+
     def test_pair_zero_matches_convolve(self):
         a = slot_square_dist(1, 1)
         b = slot_square_dist(-1, 1)
@@ -131,6 +168,84 @@ class TestSparseDist:
                 ms = value_multiset(slot_square_dist(sign, X))
                 conj = {(v[0], -v[1], -v[2], -v[3]): c for v, c in ms.items()}
                 assert ms == conj
+
+
+class TestBlockConvolve:
+    """dist_convolve in top-lane blocks against the one-shot oracle."""
+
+    @pytest.mark.parametrize("traceless", [False, True])
+    @pytest.mark.parametrize("X", [1, 2])
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1),
+                                                             repeat=2)))
+    def test_slot_pairs_match_one_shot(self, signs, X, traceless):
+        assert_matches_one_shot(*(slot_square_dist(u, X, traceless)
+                                  for u in signs))
+
+    @pytest.mark.parametrize("block", [1, 7, 2 ** 30])
+    def test_block_edges_match_one_shot(self, block, monkeypatch):
+        # block 1 and 7 put edges inside slabs and rows, between them, and
+        # in the middle of one top lane's sums; 2^30 puts the one edge past
+        # the end
+        monkeypatch.setattr(counting, "_CONV_BLOCK", block)
+        rng = np.random.default_rng(21)
+        for sizes, bound in [((1, 1), 3), ((30, 45), 4), ((60, 5), 40),
+                             ((5, 60), 2), ((40, 40), 1), ((70, 20), 9)]:
+            a, b = (random_dist(rng, size, bound) for size in sizes)
+            assert_matches_one_shot(a, b)
+            assert_matches_one_shot(b, a)
+        d = slot_square_dist(-1, 1, True)
+        assert_matches_one_shot(d, slot_square_dist(1, 1))
+
+    def test_empty_operand(self):
+        empty = SparseDist(np.empty(0, np.int64), np.empty(0, np.int64), 0)
+        for a, b in [(empty, point_mass()), (point_mass(), empty)]:
+            c = dist_convolve(a, b)
+            assert len(c.keys) == len(c.counts) == c.mass == 0
+
+    def test_pair_cap_refuses_before_allocating(self, monkeypatch):
+        a, b = slot_square_dist(1, 2), slot_square_dist(-1, 2)
+        monkeypatch.setattr(counting, "_CONV_PAIR_CAP",
+                            len(a.keys) * len(b.keys) - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                dist_convolve(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
+        monkeypatch.setattr(counting, "_CONV_PAIR_CAP",
+                            len(a.keys) * len(b.keys))
+        assert dist_convolve(a, b).mass == a.mass * b.mass
+
+    @staticmethod
+    def _cold_peak(call):
+        """(result, tracemalloc peak) of call with the slot memos empty."""
+        counting.slot_square_dist.cache_clear()
+        counting._box_squares.cache_clear()
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_three_slot_memory(self):
+        # reducing all 388^2 pair sums of the first node at once peaked at
+        # 9.7 MiB
+        count, peak = self._cold_peak(lambda: conv_count(3, (1, -1, 1), 2))
+        assert count == brute_count(3, (1, -1, 1), 2)
+        assert peak <= 9.7 * 2 ** 20 / 2
+
+    def test_five_slot_memory(self):
+        # about 1 GB when the pair sums were reduced 2 * 10^7 at a time
+        count, peak = self._cold_peak(lambda: conv_count(5, (1,) * 5, 2))
+        assert count == 395004961
+        assert peak < 128 * 2 ** 20
+
+    def test_six_slots_pinned(self):
+        assert conv_count(6, (1,) * 6, 2) == 74863920049
 
 
 def _nested_loop_brute_count(n, upsilon, X):
