@@ -90,6 +90,53 @@ def doubled_mul_flat(x, y):
 
 
 # ---------------------------------------------------------------------------
+# Exact counts: one overflow rule, one dot product and one zero-count tree
+# ---------------------------------------------------------------------------
+
+
+def count_dtype(a, mass_a, b, mass_b):
+    """"int64" while min(max a * mass b, mass a * max b) < 2^63, else object:
+    for nonnegative count arrays with sums at most mass_a and mass_b, that
+    bounds every partial sum of their convolution and of their dot product."""
+    peak = min(int(a.max()) * mass_b, mass_a * int(b.max()))
+    return "int64" if peak < 2 ** 63 else object
+
+
+def exact_dot(a, b, mass_a, mass_b):
+    """sum_i a[i] b[i] of two aligned count arrays, in their `count_dtype`."""
+    if not len(a):
+        return 0
+    dtype = count_dtype(a, mass_a, b, mass_b)
+    return int(a.astype(dtype, copy=False).dot(b.astype(dtype, copy=False)))
+
+
+def zero_mass(dists, convolve, pair):
+    """Mass at zero of the convolution of n >= 2 slots' histograms, where
+    pair(x, y) is the mass at zero of x * y. Slots holding one histogram
+    are grouped, the groups in order of first appearance (an order by id
+    would let memory addresses shape the tree). A node of 2k slots
+    convolves the nodes of its even and odd slots, one of 2k + 1 its first
+    slot (the first operand) with the node of the rest; each distinct
+    sub-multiset is convolved once: binary powering (TAOCP 2, 4.6.3)."""
+    ids = [id(d) for d in dists]
+    ds = sorted(dists, key=lambda d: ids.index(id(d)))
+    memo = {}  # grouped sub-lists of one multiset have the same ids
+
+    def node(ds):
+        if len(ds) == 1:
+            return ds[0]
+        key = tuple(map(id, ds))
+        if key not in memo:
+            memo[key] = (convolve(ds[0], node(ds[1:])) if len(ds) % 2 else
+                         convolve(node(ds[0::2]), node(ds[1::2])))
+        return memo[key]
+
+    if len(ds) % 2:
+        return pair(node(ds[1::2]), convolve(ds[0], node(ds[2::2])))
+    return pair(node(ds[0::2]), node(ds[1::2]))
+
+
+# ---------------------------------------------------------------------------
 # Integral quaternions (doubled coordinates)
 # ---------------------------------------------------------------------------
 
@@ -246,7 +293,8 @@ def _cyclic_product(a, sa, b, sb, n):
     mod x^n - 1, where every r * sa and r * sb lies in [0, n).
 
     Kronecker substitution: each operand is evaluated at x = 2^w as one
-    signed Python int, packed by shifting, and one big-integer product
+    signed Python int, its digits written into one byte string per sign and
+    read by one int.from_bytes, and one big-integer product
     replaces the |a| |b| coefficient products.  Every coefficient of the
     product, before and after the fold mod x^n - 1, is at most
     B = min(max|a| sum|b|, sum|a| max|b|) in absolute value (so is every
@@ -263,13 +311,12 @@ def _cyclic_product(a, sa, b, sb, n):
     bits = 8 * width
 
     def evaluate(d, s):
-        pos = neg = 0
+        pos, neg = bytearray(n * width), bytearray(n * width)
         for r, c in d.items():
-            if c > 0:
-                pos |= c << (r * s * bits)
-            else:
-                neg |= -c << (r * s * bits)
-        return pos - neg
+            at = r * s * width
+            (pos if c > 0 else neg)[at:at + width] = abs(c).to_bytes(
+                width, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
     prod = evaluate(a, sa) * evaluate(b, sb)
     span = n * bits
@@ -367,39 +414,26 @@ class CycloSum:
     def canonical(self):
         if self._canonical:
             return self
-        p = self.p
-        k = self.k
+        p, k = self.p, self.k
         counts = dict(self.counts)
-        while True:
-            if k == 0:
-                break
-            pk = p ** k
-            pk1 = pk // p
-            top = pk - pk1
-            changed = True
-            while changed:
-                changed = False
-                for r in [r for r in counts if r >= top]:
-                    c = counts.pop(r, 0)
-                    if not c:
-                        continue
-                    base = r % pk1
-                    for t in range(p - 1):
-                        rr = base + t * pk1
-                        counts[rr] = counts.get(rr, 0) - c
-                    changed = True
+        while k:
+            pk1 = p ** (k - 1)
+            top = (p - 1) * pk1
+            # one pass: base + t p^(k-1) with t <= p - 2 is below top
+            for r in [r for r in counts if r >= top]:
+                c = counts.pop(r)
+                base = r % pk1
+                for t in range(p - 1):
+                    rr = base + t * pk1
+                    counts[rr] = counts.get(rr, 0) - c
             counts = {r: c for r, c in counts.items() if c}
-            if counts and all(r % p == 0 for r in counts):
-                counts = {r // p: c for r, c in counts.items()}
-                k -= 1
-                continue
-            if not counts:
-                k = 0
-                continue
-            break
-        scale = self.scale
+            if not counts or any(r % p for r in counts):
+                break
+            counts = {r // p: c for r, c in counts.items()}  # drop conductor
+            k -= 1
         if not counts:
             return CycloSum._reduced(p, 0, {}, 0, canonical=True)
+        scale = self.scale
         while scale > 0 and all(c % p == 0 for c in counts.values()):
             counts = {r: c // p for r, c in counts.items()}
             scale -= 1

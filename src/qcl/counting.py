@@ -12,7 +12,8 @@ A histogram keeps its values as sorted packed keys, coordinate 3 in the
 top 16 bits.  The convolution forms its pair sums in blocks of consecutive
 top lanes (`dist_convolve`), so it holds one block of pair sums plus its
 output, and it refuses a pair of histograms with more than
-`_CONV_PAIR_CAP` pairs before it allocates.
+`_CONV_PAIR_CAP` pairs before it allocates.  The slots meet in the
+zero-count tree of the local densities, `algebra.zero_mass`.
 
 The traceless slice is counted twice as well: once through the quaternion
 engine and once as a plain integer quadric in 3n variables; the two agree
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .algebra import doubled_mul_flat
+from .algebra import doubled_mul_flat, exact_dot, zero_mass
 from .errors import BudgetError, PreconditionError, VerificationError
 
 # Packed key layout: four signed 16-bit lanes in one 64-bit word.  The three
@@ -204,14 +205,13 @@ def dist_convolve(a, b):
 
 
 def dist_pair_zero(a, b):
-    """sum_v a(v) * b(-v), exact in unbounded integers."""
+    """sum_v a(v) * b(-v), exact: one `algebra.exact_dot` of the matched
+    counts, in int64 under the overflow rule of the two masses."""
     targets = _neg_key(a.keys)
     idx = np.searchsorted(b.keys, targets)
     ok = idx < len(b.keys)
     ok[ok] &= b.keys[idx[ok]] == targets[ok]
-    ca = a.counts[ok].astype(object)
-    cb = b.counts[idx[ok]].astype(object)
-    return int(np.sum(ca * cb)) if len(ca) else 0
+    return exact_dot(a.counts[ok], b.counts[idx[ok]], a.mass, b.mass)
 
 
 def _grid(*axes):
@@ -327,20 +327,12 @@ def brute_count(n, upsilon, X):
     return total
 
 
-def _build_dist(dists):
-    """Convolution of the slots' distributions, as a balanced binary tree."""
-    if len(dists) == 1:
-        return dists[0]
-    h = len(dists) // 2
-    return dist_convolve(_build_dist(dists[:h]), _build_dist(dists[h:]))
-
-
 def conv_count(n, upsilon, X, traceless=False):
     """Exact solution count by sparse-histogram convolution.
 
-    Builds the per-slot distribution of sign * g^2, convolves each half of
-    the slots as a balanced binary tree, and reads the multiplicity of zero
-    via a final meet-in-the-middle pairing.
+    Builds the per-slot distribution of sign * g^2, convolves the slots in
+    `algebra.zero_mass`, one node per distinct sign multiset, and reads the
+    multiplicity of zero via a final meet-in-the-middle pairing.
     """
     if n == 0:
         return 1
@@ -350,10 +342,7 @@ def conv_count(n, upsilon, X, traceless=False):
     dists = [slot_square_dist(u, X, traceless) for u in upsilon]
     if n == 1:
         return dists[0].multiplicity((0, 0, 0, 0))
-    h = (n + 1) // 2
-    left = _build_dist(dists[:h])
-    right = _build_dist(dists[h:])
-    return dist_pair_zero(left, right)
+    return zero_mass(dists, dist_convolve, dist_pair_zero)
 
 
 def _quadric_histogram(sign, X):

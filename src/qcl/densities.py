@@ -4,15 +4,15 @@ ramified quaternion order (nonsplit places), and over the reals.
 
 Finite-place densities are exact rationals computed by convolving the
 per-slot distribution of Y^2 over the relevant finite quotient group and
-reading off the mass at zero. At nonsplit places Y^2 is one int64 column
-product over the whole quotient (`algebra.quat_mul_flat`), and a quotient
-past the cap is refused before it is built. One coset-split kernel serves
-every quotient: a gather and a matmul per head coset in the support
-(`group_convolve`). It counts in int64 while min(max a * mass b, mass a *
-max b), a bound on every output entry, is below 2^63, on Python ints
-otherwise, and checks that every result carries the product of the two
-masses in Python ints. The archimedean density is a seeded,
-shard-deterministic Monte Carlo estimate.
+reading off the mass at zero in the zero-count tree `algebra.zero_mass`.
+At nonsplit places Y^2 is one int64 column product over the whole quotient
+(`algebra.quat_mul_flat`), and a quotient past the cap is refused before it
+is built. One coset-split kernel serves every quotient: a gather and a
+matmul per head coset in the support (`group_convolve`). It and the last
+pairing count in the dtype of `algebra.count_dtype`, and the kernel checks
+that every result carries the product of the two masses in Python ints.
+The archimedean density is a seeded, shard-deterministic Monte Carlo
+estimate.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_SEED
-from .algebra import (HurwitzQuat, basis_from_doubled_coords,
-                      doubled_from_basis_coords, doubled_mul_flat,
-                      left_mul_coords, quat_mul_flat, smallest_nonresidue)
+from .algebra import (HurwitzQuat, basis_from_doubled_coords, count_dtype,
+                      doubled_from_basis_coords, doubled_mul_flat, exact_dot,
+                      left_mul_coords, quat_mul_flat, smallest_nonresidue,
+                      zero_mass)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .expsums import grid_square_keys
 from .linalg import row_hnf
@@ -118,11 +119,15 @@ def _convolve_cosets(a, b, grp, heads):
     return C.reshape(-1)
 
 
+def _mass(a):
+    """Sum of a count array in Python ints: an int64 sum could wrap."""
+    return int(a.sum(dtype=object))
+
+
 def group_convolve(a, b, grp):
-    """Exact convolution of two nonnegative count arrays over the group:
-    in int64 while min(max a * mass b, mass a * max b) < 2^63, else on
-    Python ints. That product bounds every output entry, and as the counts
-    are nonnegative no partial sum exceeds its entry. The work, |heads of
+    """Exact convolution of two nonnegative count arrays over the group,
+    in the dtype of `algebra.count_dtype`: int64 while min(max a * mass b,
+    mass a * max b) < 2^63, else Python ints. The work, |heads of
     a| * U * V^2 multiply-adds (times `_OBJECT_COST` for Python ints), must
     fit `_CONVOLVE_BUDGET`, and the result must carry mass(a) * mass(b)."""
     if (a < 0).any() or (b < 0).any():
@@ -131,54 +136,25 @@ def group_convolve(a, b, grp):
     work = len(heads) * grp.order * grp.tail
     if work > _CONVOLVE_BUDGET:
         raise BudgetError("convolution exceeds budget")
-    # summed in Python ints: an int64 sum could wrap
-    mass_a, mass_b = int(a.sum(dtype=object)), int(b.sum(dtype=object))
-    peak = min(int(a.max()) * mass_b, mass_a * int(b.max()))
-    dtype = np.int64 if peak < 2 ** 63 else object
+    mass_a, mass_b = _mass(a), _mass(b)
+    dtype = count_dtype(a, mass_a, b, mass_b)
     if dtype is object and work * _OBJECT_COST > _CONVOLVE_BUDGET:
         raise BudgetError("exact (object) convolution exceeds budget")
     c = _convolve_cosets(a.astype(dtype, copy=False),
                          b.astype(dtype, copy=False), grp, heads)
-    if int(c.sum(dtype=object)) != mass_a * mass_b:
+    if _mass(c) != mass_a * mass_b:
         raise VerificationError("convolution did not conserve mass")
     return c
 
 
-def _pair_at_zero(left, right, grp):
-    """Mass at the identity of left * right: sum_x left[x] * right[-x]."""
-    neg = grp.pack(-grp.digits)
-    return int(np.dot(left.astype(object), right[neg].astype(object)))
-
-
-def convolve_power_at_zero(dist, n, grp):
-    """Mass at the identity of the n-fold convolution of `dist`, exactly.
-
-    Balanced binary splitting: dist^(n//2) is built once, and the last
-    product is read at the identity only, as one pairing.
-    """
-    if n == 1:
-        return int(dist[0])
-    half = _convolve_power(dist, n // 2, grp)
-    return _pair_at_zero(
-        half, group_convolve(dist, half, grp) if n % 2 else half, grp)
-
-
-def _convolve_power(dist, n, grp):
-    if n == 1:
-        return dist
-    half = _convolve_power(dist, n // 2, grp)
-    out = group_convolve(half, half, grp)
-    return group_convolve(dist, out, grp) if n % 2 else out
-
-
 def _count_at_zero(dists, grp):
-    """Mass at the identity of the convolution of the slots' distributions."""
-    if all(d is dists[0] for d in dists):
-        return convolve_power_at_zero(dists[0], len(dists), grp)
-    acc = dists[0]
-    for d in dists[1:-1]:
-        acc = group_convolve(d, acc, grp)
-    return _pair_at_zero(acc, dists[-1], grp)
+    """Mass at the identity of the convolution of the slots' distributions;
+    the last product is one pairing, sum_x left[x] right[-x]."""
+    if len(dists) == 1:
+        return int(dists[0][0])
+    neg = grp.pack(-grp.digits)
+    return zero_mass(dists, lambda a, b: group_convolve(a, b, grp),
+                     lambda a, b: exact_dot(a, b[neg], _mass(a), _mass(b)))
 
 
 def _slot_coeffs(p, n, coeffs):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from qcl.algebra import (
     HQ_I, HQ_J, HQ_OMEGA, HQ_ONE,
     CycloSum, HurwitzQuat,
-    adj_flat, det_flat, doubled_mul_flat, hq_from_basis_coords,
-    hq_to_basis_coords,
-    mat_mul_flat, quat_mul_flat, trace_flat, smallest_nonresidue,
+    adj_flat, count_dtype, det_flat, doubled_mul_flat, exact_dot,
+    hq_from_basis_coords, hq_to_basis_coords,
+    mat_mul_flat, quat_mul_flat, trace_flat, smallest_nonresidue, zero_mass,
 )
 from qcl.errors import PreconditionError, VerificationError
 
@@ -451,3 +451,93 @@ class TestCycloSumProduct:
         v = CycloSum(5, 3, {7: 3}, 1)
         assert _form(z * v) == (5, 3, 3, {})
         assert _form(v * z) == (5, 3, 3, {})
+
+    def test_ten_thousand_terms(self):
+        # an operand of 10^4 terms at level 2 times one of 40 at level 1
+        rng = random.Random(22)
+        x = CycloSum(101, 2, {r: rng.randint(-2 ** 70, 2 ** 70)
+                              for r in rng.sample(range(101 ** 2), 10 ** 4)})
+        y = CycloSum(101, 1, {r: rng.randint(-9, 9) or 1
+                              for r in rng.sample(range(101), 40)}, 2)
+        assert len(x.counts) == 10 ** 4
+        assert _form(x * y) == _form(_schoolbook_product(x, y))
+
+
+# -- exact counts --------------------------------------------------------------
+
+
+class TestExactDot:
+    @pytest.mark.parametrize("low,dtype", [(2 ** 62 - 1, "int64"),
+                                           (2 ** 62, object)])
+    def test_both_sides_of_the_int64_bound(self, low, dtype):
+        # a = (2^62, low) against b = (1, 1): min(max a * mass b, mass a *
+        # max b) = 2^62 + low, which is the dot product itself
+        a = np.array([2 ** 62, low], dtype=np.int64)
+        b = np.ones(2, dtype=np.int64)
+        mass_a = 2 ** 62 + low
+        assert count_dtype(a, mass_a, b, 2) == dtype
+        assert exact_dot(a, b, mass_a, 2) == exact_dot(b, a, 2, mass_a) \
+            == 2 ** 62 + low
+        if dtype is object:  # int64 would have wrapped
+            assert int(a.dot(b)) < 0
+
+    def test_single_product_past_int64(self):
+        a = np.array([2 ** 62], dtype=np.int64)
+        b = np.array([4], dtype=np.int64)
+        assert exact_dot(a, b, 2 ** 62, 4) == 2 ** 64
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert exact_dot(empty, empty, 0, 0) == 0
+
+
+def _cyclic_convolve(a, b, m=7):
+    """Convolution of two {residue mod m: count} histograms."""
+    out = {}
+    for x, u in a.items():
+        for y, v in b.items():
+            out[(x + y) % m] = out.get((x + y) % m, 0) + u * v
+    return out
+
+
+class TestZeroMass:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=2, max_size=12), st.data())
+    def test_matches_left_fold(self, slots, data):
+        hists = [data.draw(st.dictionaries(st.integers(0, 6),
+                                           st.integers(1, 5), min_size=1))
+                 for _ in range(3)]
+        dists = [hists[i] for i in slots]
+        acc = {0: 1}
+        for d in dists:
+            acc = _cyclic_convolve(acc, d)
+        assert zero_mass(dists, _cyclic_convolve,
+                         lambda a, b: _cyclic_convolve(a, b).get(0, 0)) \
+            == acc.get(0, 0)
+        # on symbols: every node is a distinct sub-multiset of the slots
+        leaves = [(i,) for i in range(3)]
+        nodes = []
+
+        def convolve(a, b):
+            nodes.append(tuple(sorted(a + b)))
+            return nodes[-1]
+
+        top = zero_mass([leaves[i] for i in slots], convolve,
+                        lambda a, b: tuple(sorted(a + b)))
+        assert top == tuple(sorted(slots))
+        assert len(set(nodes)) == len(nodes) <= len(slots) - 1
+
+    def test_grouped_by_first_appearance(self):
+        # symbols for histograms: the tree's shape as nested tuples
+        a, b = ["a"], ["b"]
+        seen = []
+
+        def convolve(x, y):
+            seen.append((x, y))
+            return ("*", x, y)
+
+        zero_mass([b, a, b, a, b], convolve, lambda x, y: (x, y))
+        assert seen == [(b, a), (b, ("*", b, a))]
+        seen.clear()
+        zero_mass([a, b, a, b], convolve, lambda x, y: (x, y))
+        assert seen == [(a, b)]

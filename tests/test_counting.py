@@ -155,6 +155,17 @@ class TestSparseDist:
         with pytest.raises(PreconditionError):
             SparseDist(keys[[0, 0]], np.array([1, 1], dtype=np.int64), 1)
 
+    def test_pair_zero_near_int64_bound(self):
+        # counts near 2^62: the masses admit int64 for 2^62 + (2^62 - 1)
+        # and not for 2^62 + 2^62, whose dot product passes 2^63
+        keys = pack_key(np.array([[0, 0, 0, 0], [1, 0, 0, 0]]))
+        neg = pack_key(np.array([[-1, 0, 0, 0], [0, 0, 0, 0]]))
+        ones = SparseDist(neg, np.array([1, 1], dtype=np.int64), 1)
+        for low in (2 ** 62 - 1, 2 ** 62):
+            big = SparseDist(keys, np.array([2 ** 62, low], dtype=np.int64), 1)
+            assert dist_pair_zero(big, ones) == 2 ** 62 + low
+            assert dist_pair_zero(ones, big) == 2 ** 62 + low
+
     def test_pair_zero_matches_convolve(self):
         a = slot_square_dist(1, 1)
         b = slot_square_dist(-1, 1)
@@ -244,8 +255,52 @@ class TestBlockConvolve:
         assert count == 395004961
         assert peak < 128 * 2 ** 20
 
-    def test_six_slots_pinned(self):
+    @staticmethod
+    def _recorded(monkeypatch):
+        """Patch dist_convolve to log each pair of operands as
+        (keys, mass, first key) of a, then of b."""
+        calls = []
+
+        def recorded(a, b):
+            calls.append(tuple((len(d.keys), d.mass, int(d.keys[0]))
+                               for d in (a, b)))
+            return dist_convolve(a, b)
+
+        monkeypatch.setattr(counting, "dist_convolve", recorded)
+        return calls
+
+    def test_six_slots_pinned(self, monkeypatch):
+        # the (1, 1, 1) half is built once, not once per side
+        calls = self._recorded(monkeypatch)
         assert conv_count(6, (1,) * 6, 2) == 74863920049
+        assert len(calls) == 2
+
+    def test_twelve_slots_build_each_power_once(self, monkeypatch):
+        # slots 1, 2, 3 and 6, one convolution each past the first slot
+        calls = self._recorded(monkeypatch)
+        assert conv_count(12, (1,) * 12, 1) == 1740967733596961
+        assert len(calls) == 3
+
+    def test_tree_does_not_depend_on_build_order(self, monkeypatch):
+        # the slots are grouped in order of first appearance, so the memo
+        # order (and so the memory addresses) of the two signs' histograms
+        # cannot change the tree
+        signs = (1, -1) * 3
+        calls = self._recorded(monkeypatch)
+        runs = []
+        for first in (1, -1):
+            counting.slot_square_dist.cache_clear()
+            for u in (first, -first):
+                slot_square_dist(u, 1)
+            calls.clear()
+            runs.append((conv_count(6, signs, 1), list(calls)))
+        assert runs[0] == runs[1]
+        # grouped +, +, +, -, -, -: the first node is + * -, the sign of
+        # the first slot leading
+        plus, minus = (slot_square_dist(u, 1) for u in (1, -1))
+        assert runs[0][1][0] == tuple((len(d.keys), d.mass, int(d.keys[0]))
+                                      for d in (plus, minus))
+        assert len(runs[0][1]) == 4
 
 
 def _nested_loop_brute_count(n, upsilon, X):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qcl import densities
 from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
 from qcl.densities import (
-    QuotientGroup, _hurwitz_level_lattice, archimedean_density,
-    convolve_power_at_zero, density_tail_bracket, group_convolve, local_zeta,
+    QuotientGroup, _count_at_zero, _hurwitz_level_lattice,
+    archimedean_density, density_tail_bracket, group_convolve, local_zeta,
     nonsplit_density_odd, nonsplit_density_two, outside_tail_bracket,
     singular_series,
     split_density, split_density_exhaustive, split_square_distribution,
@@ -139,7 +139,7 @@ class TestGroupConvolve:
         full = np.zeros(4, dtype=np.int64)
         for i, j, k in itertools.product(range(4), repeat=3):
             full[(i + j + k) % 4] += d[i] * d[j] * d[k]
-        assert convolve_power_at_zero(d, 3, grp) == full[0]
+        assert _count_at_zero([d] * 3, grp) == full[0]
 
     def test_nondiagonal_lattice(self):
         # Z^2 / <(2,1),(0,2)>: order 4, addition must reduce via the basis
@@ -258,8 +258,62 @@ class TestCosetKernel:
                 for y in range(4):
                     nxt[(x + y) % 4] += u * int(d[y])
             full = nxt
-        assert convolve_power_at_zero(d, n, grp) == full[0]
+        assert _count_at_zero([d] * n, grp) == full[0]
         assert len(calls) == convolutions
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """Patch group_convolve to log (heads of a, mass a, mass b)."""
+        calls = []
+
+        def recorded(a, b, grp):
+            heads = a.reshape(grp.cosets, grp.tail).any(axis=1).sum()
+            calls.append((int(heads), int(a.sum(dtype=object)),
+                          int(b.sum(dtype=object))))
+            return group_convolve(a, b, grp)
+
+        monkeypatch.setattr(densities, "group_convolve", recorded)
+        return calls
+
+    def test_power_call_sequence_pinned(self, monkeypatch):
+        # the equal-slot tree runs, call for call, the convolutions of the
+        # earlier power path (dist^(n//2) built once by balanced splitting)
+        def power(dist, n, grp):
+            if n == 1:
+                return dist
+            half = power(dist, n // 2, grp)
+            out = densities.group_convolve(half, half, grp)
+            return densities.group_convolve(dist, out, grp) if n % 2 else out
+
+        def power_at_zero(dist, n, grp):
+            half = power(dist, n // 2, grp)
+            last = densities.group_convolve(dist, half, grp) if n % 2 else half
+            neg = grp.pack(-grp.digits)
+            return int(np.dot(half.astype(object), last[neg].astype(object)))
+
+        grp = QuotientGroup.diagonal([3] * 4)
+        d = split_square_distribution(3, 1)
+        calls = self._recorded(monkeypatch)
+        for n in range(2, 31):
+            calls.clear()
+            expect = power_at_zero(d, n, grp)
+            pinned = list(calls)
+            calls.clear()
+            assert _count_at_zero([d] * n, grp) == expect
+            assert calls == pinned, n
+
+    def test_mixed_slots_build_each_multiset_once(self, monkeypatch):
+        # coefficients 1, 2, 1, 2, 1 are grouped as 1, 1, 1, 2, 2: the node
+        # 1 * 2 is built once and convolved once more with a 1; the left
+        # fold over the slots took three convolutions
+        grp = QuotientGroup.diagonal([3] * 4)
+        d1, d2 = (split_square_distribution(3, 1, c) for c in (1, 2))
+        acc = d1
+        for d in (d2, d1, d2, d1):
+            acc = group_convolve_oracle(d, acc, grp)
+        calls = self._recorded(monkeypatch)
+        assert _count_at_zero([d1, d2, d1, d2, d1], grp) == acc[0]
+        assert len(calls) == 2
 
 
 class TestSplitDensity:
