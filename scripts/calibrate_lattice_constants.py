@@ -39,7 +39,7 @@ def main():
     for inst in corpus:
         lat = lattice_basis(inst["H"], inst["K"], inst["m"], inst["eta"],
                             inst["m0"])
-        mins = successive_minima(lat, max(4, 2 * inst["m"]))
+        mins = successive_minima(lat)
         prod, lo, hi = minkowski_bracket(lat, mins)
         if not lo <= prod <= hi:
             bracket_violations += 1

@@ -10,6 +10,11 @@ local division order (u, p) on (1, s, P, sP), s^2 = u a non-square unit,
 P^2 = p. Exact on Python ints, and within int64 on int64 numpy columns,
 where one call multiplies whole arrays of elements.
 
+A CycloSum, the exact value of a prime-power exponential sum, is one dense
+tuple of p^k Python ints at one prime p: canonical form is one row
+subtraction and a stride, and a product is one Kronecker product of two
+coefficient lists.  The module imports no numpy.
+
 All values are immutable after construction; every operation is a pure
 function, so everything here is safe to share across threads.
 """
@@ -17,6 +22,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import PreconditionError, VerificationError
@@ -289,8 +295,9 @@ def right_mul_coords(g):
 
 
 def _cyclic_product(a, sa, b, sb, n):
-    """{r: c} with c != 0 for (sum a[r] x^(r sa)) (sum b[r] x^(r sb)) taken
-    mod x^n - 1, where every r * sa and r * sb lies in [0, n).
+    """[c_0, ..., c_(n-1)], the coefficients of
+    (sum a[r] x^(r sa)) (sum b[r] x^(r sb)) taken mod x^n - 1, for
+    coefficient sequences a and b with every r * sa and r * sb in [0, n).
 
     Kronecker substitution: each operand is evaluated at x = 2^w as one
     signed Python int, its digits written into one byte string per sign and
@@ -304,21 +311,24 @@ def _cyclic_product(a, sa, b, sb, n):
     2^(n w) - 1 (the value of x^n - 1), and its base-2^w digits minus
     2^(w-1) are the coefficients.  Exact at any coefficient size.
     """
-    absa = [abs(c) for c in a.values()]
-    absb = [abs(c) for c in b.values()]
+    absa, absb = list(map(abs, a)), list(map(abs, b))
     bound = min(max(absa) * sum(absb), sum(absa) * max(absb))
+    if not bound:  # a zero operand
+        return [0] * n
     width = ((bound + 1).bit_length() + 8) // 8  # bytes per digit
     bits = 8 * width
 
     def evaluate(d, s):
         pos, neg = bytearray(n * width), bytearray(n * width)
-        for r, c in d.items():
-            at = r * s * width
-            (pos if c > 0 else neg)[at:at + width] = abs(c).to_bytes(
-                width, "little")
+        for r, c in enumerate(d):
+            if c:
+                at = r * s * width
+                (pos if c > 0 else neg)[at:at + width] = abs(c).to_bytes(
+                    width, "little")
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    prod = evaluate(a, sa) * evaluate(b, sb)
+    x = evaluate(a, sa)
+    prod = x * (x if b is a and sb == sa else evaluate(b, sb))
     span = n * bits
     modulus = (1 << span) - 1
     half = 1 << (bits - 1)
@@ -326,67 +336,70 @@ def _cyclic_product(a, sa, b, sb, n):
     # prod = high 2^span + low, and 2^span = 1 mod the modulus
     folded = ((prod & modulus) + (prod >> span) + offset) % modulus
     raw = folded.to_bytes(n * width, "little")
-    out = {}
-    for r in range(n):
-        c = int.from_bytes(raw[r * width:(r + 1) * width], "little") - half
-        if c:
-            out[r] = c
-    return out
+    return [int.from_bytes(raw[at:at + width], "little") - half
+            for at in range(0, n * width, width)]
 
 
 class CycloSum:
-    """Exact value p^(-scale) * sum_r counts[r] * e^(2 pi i r / p^k).
+    """Exact value p^(-scale) * sum_r v[r] * e^(2 pi i r / p^k), stored as
+    the dense tuple v of p^k Python ints. Each value has one prime p, and
+    values of different primes do not combine.
 
-    Canonical form restricts support to exponents r < p^k - p^(k-1)
-    (the remaining powers of the root of unity form a Q-basis), drops
-    the conductor when the support allows it, and strips common p-factors
-    against the scale. A value built by canonical() is marked as such, so
+    Canonical form uses the one relation Phi_{p^k}(x) = Phi_p(x^(p^(k-1))):
+    viewed as p rows of p^(k-1) entries, v loses its last row by one row
+    subtraction (the remaining powers of the root of unity form a Q-basis),
+    the conductor drops (v becomes v[::p]) while every entry off the
+    multiples of p is zero, and common p-factors are stripped against the
+    scale. A value built by canonical() is marked as such, so
     canonicalizing it again returns it as it is. Equality and zero tests are
-    exact on canonical forms; real_sign() certifies the sign of the real part, at_most()
-    compares a real value with a rational bound through it, and
-    magnitude() is an approximate float.  The product of two values is one
-    big-integer product by Kronecker substitution (_cyclic_product), exact
-    at any coefficient size.
+    exact on canonical forms; real_sign() certifies the sign of the real
+    part, at_most() compares a real value with a rational bound through it,
+    and magnitude() is an approximate float.  The product of two values is
+    one big-integer product by Kronecker substitution (_cyclic_product),
+    exact at any coefficient size.
     """
 
-    __slots__ = ("p", "k", "counts", "scale", "_canonical")
+    __slots__ = ("p", "k", "v", "scale", "_canonical")
 
     def __init__(self, p, k, counts, scale=0):
+        """counts: p^k coefficients in exponent order, or a mapping of
+        exponents (taken mod p^k) to coefficients."""
         if scale < 0:
             raise PreconditionError("negative scale; multiply counts instead")
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "k", int(k))
+        p, k = int(p), int(k)
         pk = p ** k
-        cc = {}
-        for r, c in counts.items():
-            c = int(c)
-            if c:
-                r = int(r) % pk
-                cc[r] = cc.get(r, 0) + c
-        object.__setattr__(self, "counts", {r: c for r, c in cc.items() if c})
-        object.__setattr__(self, "scale", int(scale))
-        object.__setattr__(self, "_canonical", False)
+        if hasattr(counts, "items"):
+            v = [0] * pk
+            for r, c in counts.items():
+                v[int(r) % pk] += int(c)
+        else:
+            v = list(map(int, counts))
+            if len(v) != pk:
+                raise PreconditionError(f"{len(v)} coefficients, not {p}^{k}")
+        self._fill(p, k, tuple(v), int(scale), False)
 
     @classmethod
-    def _reduced(cls, p, k, counts, scale, canonical=False):
-        """Trusted constructor: `counts` is a dict the caller no longer
-        uses, with int exponents already in [0, p^k), nonzero int counts and
-        int scale >= 0, so nothing is re-reduced or copied. `canonical`
-        says that the value is already in canonical form."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_canonical", canonical)
+    def _reduced(cls, p, k, v, scale, canonical=False):
+        """Trusted constructor: v is a tuple of p^k ints and scale an int
+        >= 0, so nothing is checked or copied. `canonical` says that the
+        value is already in canonical form."""
+        return object.__new__(cls)._fill(p, k, v, scale, canonical)
+
+    def _fill(self, p, k, v, scale, canonical):
+        setattr_ = object.__setattr__
+        setattr_(self, "p", p)
+        setattr_(self, "k", k)
+        setattr_(self, "v", v)
+        setattr_(self, "scale", scale)
+        setattr_(self, "_canonical", canonical)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("CycloSum is immutable")
 
     @classmethod
-    def from_int(cls, n, p=2):
-        return cls(p, 0, {0: n}, 0)
+    def from_int(cls, n, p):
+        return cls._reduced(p, 0, (int(n),), 0, True)
 
     @classmethod
     def from_fraction(cls, fr, p):
@@ -399,7 +412,7 @@ class CycloSum:
             s += 1
         if den != 1:
             raise PreconditionError(f"denominator of {fr} is not a power of {p}")
-        return cls(p, 0, {0: fr.numerator}, s)
+        return cls._reduced(p, 0, (fr.numerator,), s, True)
 
     @classmethod
     def root(cls, p, k, r):
@@ -407,40 +420,37 @@ class CycloSum:
         return cls(p, k, {r: 1}, 0)
 
     def __repr__(self):
-        return f"CycloSum(p={self.p}, k={self.k}, scale={self.scale}, counts={self.counts})"
+        return f"CycloSum(p={self.p}, k={self.k}, scale={self.scale}, v={self.v})"
 
     # -- canonicalization ---------------------------------------------------
 
     def canonical(self):
         if self._canonical:
             return self
-        p, k = self.p, self.k
-        counts = dict(self.counts)
+        p, k, v = self.p, self.k, self.v
         while k:
-            pk1 = p ** (k - 1)
-            top = (p - 1) * pk1
-            # one pass: base + t p^(k-1) with t <= p - 2 is below top
-            for r in [r for r in counts if r >= top]:
-                c = counts.pop(r)
-                base = r % pk1
-                for t in range(p - 1):
-                    rr = base + t * pk1
-                    counts[rr] = counts.get(rr, 0) - c
-            counts = {r: c for r, c in counts.items() if c}
-            if not counts or any(r % p for r in counts):
+            m = len(v) // p
+            top = v[-m:]
+            if any(top):  # the last row is minus the sum of the others
+                v = [*map(operator.sub, v, top * (p - 1)), *(0,) * m]
+            if any(any(v[j::p]) for j in range(1, p)):
                 break
-            counts = {r // p: c for r, c in counts.items()}  # drop conductor
+            v = v[::p]  # drop the conductor
             k -= 1
-        if not counts:
-            return CycloSum._reduced(p, 0, {}, 0, canonical=True)
-        scale = self.scale
-        while scale > 0 and all(c % p == 0 for c in counts.values()):
-            counts = {r: c // p for r, c in counts.items()}
+        if not any(v):
+            return CycloSum._reduced(p, 0, (0,), 0, True)
+        scale, g = self.scale, math.gcd(*v)
+        while scale and g % p == 0:
+            g //= p
             scale -= 1
-        return CycloSum._reduced(p, k, counts, scale, canonical=True)
+        if scale < self.scale:
+            d = p ** (self.scale - scale)
+            v = [c // d for c in v]
+        return CycloSum._reduced(p, k, tuple(v), scale, True)
 
     def is_zero(self):
-        return not self.canonical().counts
+        c = self.canonical()
+        return c.k == 0 and not c.v[0]
 
     def is_rational(self):
         return self.canonical().k == 0
@@ -449,7 +459,7 @@ class CycloSum:
         c = self.canonical()
         if c.k != 0:
             raise PreconditionError("value is irrational")
-        return Fraction(c.counts.get(0, 0), c.p ** c.scale)
+        return Fraction(c.v[0], c.p ** c.scale)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -458,88 +468,82 @@ class CycloSum:
             return NotImplemented
         a, b = self.canonical(), other.canonical()
         if a.k == 0 and b.k == 0:
-            return Fraction(a.counts.get(0, 0), a.p ** a.scale) == \
-                Fraction(b.counts.get(0, 0), b.p ** b.scale)
-        return (a.p, a.k, a.scale, a.counts) == (b.p, b.k, b.scale, b.counts)
+            return a.to_fraction() == b.to_fraction()
+        return (a.p, a.k, a.scale, a.v) == (b.p, b.k, b.scale, b.v)
 
     def __hash__(self):
         c = self.canonical()
         if c.k == 0:
-            return hash(Fraction(c.counts.get(0, 0), c.p ** c.scale))
-        return hash((c.p, c.k, c.scale, tuple(sorted(c.counts.items()))))
+            return hash(c.to_fraction())
+        return hash((c.p, c.k, c.scale, c.v))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _aligned(self, other):
+        """(p, k, scale, a, b): the coefficients of both values at the
+        larger level and scale."""
         if isinstance(other, int):
             other = CycloSum.from_int(other, self.p)
         if self.p != other.p:
-            a, b = self.canonical(), other.canonical()
-            if a.k == 0 and a.scale == 0:
-                a = CycloSum(b.p, 0, a.counts, 0)
-            elif b.k == 0 and b.scale == 0:
-                b = CycloSum(a.p, 0, b.counts, 0)
-            else:
-                raise PreconditionError("mixed-prime values are not combinable")
-        else:
-            a, b = self, other
-        k = max(a.k, b.k)
-        s = max(a.scale, b.scale)
-        p = a.p
+            raise PreconditionError("mixed-prime values are not combinable")
+        p = self.p
+        k, s = max(self.k, other.k), max(self.scale, other.scale)
 
-        def lift(v):
-            mult = p ** (s - v.scale)
-            shift = p ** (k - v.k)
-            return {r * shift: c * mult for r, c in v.counts.items()}
-        return p, k, s, lift(a), lift(b)
+        def lift(x):
+            mult, shift = p ** (s - x.scale), p ** (k - x.k)
+            v = x.v if mult == 1 else [c * mult for c in x.v]
+            if shift == 1:
+                return v
+            out = [0] * p ** k
+            out[::shift] = v
+            return out
+        return p, k, s, lift(self), lift(other)
 
     def __add__(self, other):
-        p, k, s, ca, cb = self._aligned(other)
-        out = dict(ca)
-        for r, c in cb.items():
-            out[r] = out.get(r, 0) + c
-        return CycloSum(p, k, out, s)
+        p, k, s, a, b = self._aligned(other)
+        return CycloSum._reduced(p, k, tuple(map(operator.add, a, b)), s)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycloSum.from_int(other, self.p)
-        return self + (-other)
+        p, k, s, a, b = self._aligned(other)
+        return CycloSum._reduced(p, k, tuple(map(operator.sub, a, b)), s)
 
     def __neg__(self):
-        return CycloSum(self.p, self.k, {r: -c for r, c in self.counts.items()}, self.scale)
+        return CycloSum._reduced(self.p, self.k,
+                                 tuple(map(operator.neg, self.v)), self.scale)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloSum(self.p, self.k,
-                            {r: c * other for r, c in self.counts.items()}, self.scale)
+            return CycloSum._reduced(self.p, self.k,
+                                     tuple(c * other for c in self.v),
+                                     self.scale)
         if isinstance(other, Fraction):
             return self * CycloSum.from_fraction(other, self.p)
         if self.p != other.p:
             raise PreconditionError("mixed-prime values are not combinable")
         p = self.p
         k = max(self.k, other.k)
-        scale = self.scale + other.scale
-        if not self.counts or not other.counts:
-            return CycloSum(p, k, {}, scale)
-        out = _cyclic_product(self.counts, p ** (k - self.k),
-                              other.counts, p ** (k - other.k), p ** k)
-        return CycloSum._reduced(p, k, out, scale)
+        out = _cyclic_product(self.v, p ** (k - self.k),
+                              other.v, p ** (k - other.k), p ** k)
+        return CycloSum._reduced(p, k, tuple(out), self.scale + other.scale)
 
     __rmul__ = __mul__
 
     def conjugate(self):
         """Complex conjugate: each root of unity goes to its inverse."""
-        pk = self.p ** self.k
-        return CycloSum._reduced(self.p, self.k,
-                                 {(-r) % pk: c for r, c in self.counts.items()},
-                                 self.scale)
+        v = self.v
+        return CycloSum._reduced(self.p, self.k, v[:1] + v[:0:-1], self.scale)
+
+    def _terms(self):
+        """(r, v[r]) for the nonzero coefficients."""
+        return [(r, c) for r, c in enumerate(self.v) if c]
 
     def complex_value(self):
-        tau = 2.0 * math.pi / (self.p ** self.k)
-        re = math.fsum(c * math.cos(tau * r) for r, c in self.counts.items())
-        im = math.fsum(c * math.sin(tau * r) for r, c in self.counts.items())
+        tau = 2.0 * math.pi / len(self.v)
+        terms = self._terms()
+        re = math.fsum(c * math.cos(tau * r) for r, c in terms)
+        im = math.fsum(c * math.sin(tau * r) for r, c in terms)
         return complex(re, im) / (self.p ** self.scale)
 
     def magnitude(self):
@@ -557,23 +561,23 @@ class CycloSum:
         """
         re2 = (self + self.conjugate()).canonical()
         if re2.k == 0:
-            c = re2.counts.get(0, 0)
+            c = re2.v[0]
             return (c > 0) - (c < 0)
         import mpmath  # only irrational comparisons need it
 
-        pk = self.p ** re2.k
-        slack = sum(abs(c) for c in re2.counts.values())
+        pk = len(re2.v)
+        terms = re2._terms()
+        slack = sum(abs(c) for _, c in terms)
         prec, max_prec = 64, 2 ** 14
         while prec <= max_prec:
             with mpmath.workprec(prec + 10):
                 total = sum(c * int(mpmath.nint(mpmath.ldexp(
                     mpmath.cospi(mpmath.mpf(2 * r) / pk), prec)))
-                    for r, c in re2.counts.items())
+                    for r, c in terms)
             if abs(total) > slack:
                 return 1 if total > 0 else -1
             prec *= 2
         raise VerificationError(f"sign not resolved at {max_prec} bits")
-
 
     def at_most(self, bound):
         """Certified self <= bound for a real value and a rational bound

@@ -182,7 +182,7 @@ def suite_lattices(seed=DEFAULT_SEED):
     def minima_and_bracket():
         h1 = 0
         for inst, lat in zip(corpus, lats):
-            mins = successive_minima(lat, max(4, 2 * inst["m"]))
+            mins = successive_minima(lat)
             prod, lo, hi = minkowski_bracket(lat, mins)
             if not lo <= prod <= hi:
                 raise VerificationError(f"bracket fails: {inst}")

@@ -401,7 +401,7 @@ def _cyclo_out(val):
     if c.is_rational():
         return c.to_fraction()
     return {"p": c.p, "k": c.k, "scale": c.scale,
-            "counts": {str(r): n for r, n in sorted(c.counts.items())}}
+            "counts": {str(r): n for r, n in enumerate(c.v) if n}}
 
 
 @_command("expsum",
@@ -450,7 +450,7 @@ def lattice(opts, hh, kk, m, eta, m0, minima):
         out = {"hnf": [list(r) for r in lat.hnf], "index": lat.index,
                "kprime": lat.kprime, "mprime": lat.mprime}
         if minima:
-            mins = successive_minima(lat, max(4, m))
+            mins = successive_minima(lat)
             prod, lo, hi = minkowski_bracket(lat, mins)
             out["minima"] = list(mins)
             out["minkowski"] = {"product": prod, "lower": lo, "upper": hi}

@@ -65,12 +65,16 @@ class QuotientGroup:
         self.order = math.prod(self.radii)
         self.weights = np.array([math.prod(self.radii[i + 1:])
                                  for i in range(self.k)], dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)[:, None]
-        self.digits = idx // self.weights % self.radii  # (G, k) box reps
         self.head = next(i for i in range(self.k + 1)
                          if math.prod(self.radii[:i]) ** 2 >= self.order)
         self.cosets = math.prod(self.radii[:self.head])
         self.tail = self.order // self.cosets
+
+    @functools.cached_property
+    def digits(self):
+        """(G, k) box representatives, built when first read."""
+        idx = np.arange(self.order, dtype=np.int64)[:, None]
+        return idx // self.weights % self.radii
 
     @classmethod
     def diagonal(cls, radii):
@@ -174,15 +178,12 @@ def _slot_coeffs(p, n, coeffs):
 
 def split_square_distribution(p, m, coeff=1):
     """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array
-    (the lexicographic packing of `QuotientGroup.diagonal`), counted over
-    the blocks of the grid kernel of `qcl.expsums`, which refuses
-    p^{4m} > 10^7 with BudgetError."""
+    (the lexicographic packing of `QuotientGroup.diagonal`): one bincount
+    of the int32 keys of all blocks of the grid kernel of `qcl.expsums`,
+    which refuses p^{4m} > 10^7 with BudgetError."""
     q = p ** m
     blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q)
-    dist = np.zeros(q ** 4, dtype=np.int64)
-    for keys in blocks:
-        dist += np.bincount(keys, minlength=q ** 4)
-    return dist
+    return np.bincount(np.concatenate(tuple(blocks)), minlength=q ** 4)
 
 
 def split_density(p, m, n, coeffs=None):

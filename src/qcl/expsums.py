@@ -290,8 +290,7 @@ def _trace_row(g, q, unit=1):
 def _cyclo_counts(counts, p, vd, n):
     """I0 from the `_phase_counts` vector of n slots: the average of
     e(r / p^vd) over the q^{4n} slot tuples."""
-    total = {int(r): int(c) for r, c in enumerate(counts) if c}
-    return CycloSum(p, vd, total, scale=4 * n * vd)
+    return CycloSum(p, vd, counts, scale=4 * n * vd)
 
 
 def i0_local(delta, gammas, p, coeffs=None):
@@ -631,11 +630,12 @@ def _prime_counts(q, n, gammas):
 
 
 def s3_closed(q, n, gammas):
-    """The exact case-by-case formula for S3 at delta = diag(q, 1).
+    """The exact case-by-case formula for S3 at delta = diag(q, 1), q prime.
 
     gammas are the n flat matrices mod q; each gamma_i = [[s_i, u_i],
     [t_i, v_i]]. The residual point counts in the formula live in at most
-    n+1 variables and are evaluated directly.
+    n+1 variables: the zeros of linear forms are counted in closed form
+    (`_linear_zeros`), the quadrics directly.
     """
     s = [g[0] % q for g in gammas]
     u = [g[1] % q for g in gammas]
@@ -654,21 +654,19 @@ def s3_closed(q, n, gammas):
     elif any(v):
         sv = [(s[i] - v[i]) % q for i in range(n)]
         tv = sum(t[i] * v[i] for i in range(n)) % q
-        with_l = sum(1 for a in itertools.product(range(q), repeat=n)
-                     for lam in range(q)
-                     if (sum(sv[i] * a[i] for i in range(n)) + tv * lam) % q == 0)
-        without = sum(1 for a in itertools.product(range(q), repeat=n)
-                      if sum(sv[i] * a[i] for i in range(n)) % q == 0)
-        total += q ** (2 * n - 2) * (with_l - without)
+        total += q ** (2 * n - 2) * (_linear_zeros(q, sv + [tv])
+                                     - _linear_zeros(q, sv))
     else:
         x2s = x2_count(q, s)
-        ab = sum(1 for a in itertools.product(range(q), repeat=n)
-                 for b in itertools.product(range(q), repeat=n)
-                 if sum(s[i] * a[i] + t[i] * b[i] for i in range(n)) % q == 0)
-        a_only = sum(1 for a in itertools.product(range(q), repeat=n)
-                     if sum(s[i] * a[i] for i in range(n)) % q == 0)
-        total += q ** (2 * n) * x2s + q ** (2 * n - 2) * (ab - a_only)
+        total += q ** (2 * n) * x2s + q ** (2 * n - 2) * (
+            _linear_zeros(q, s + t) - _linear_zeros(q, s))
     return total
+
+
+def _linear_zeros(q, coeffs):
+    """#{x in F_q^N : sum c_i x_i = 0}, N = len(coeffs), q prime: q^(N-1)
+    for a nonzero form, q^N for the zero form."""
+    return q ** (len(coeffs) - any(c % q for c in coeffs))
 
 
 def _count_quadric_al(q, n, s, v, t, u):

@@ -204,22 +204,29 @@ def _points_by_norm(hnf, rdmax):
         inner = outer
 
 
-def successive_minima(lat, bound):
-    """Exact successive minima of the lattice under the quaternion sup-norm.
+def successive_minima(lat):
+    """Exact successive minima of the lattice under the quaternion sup-norm:
+    the points pass the greedy rank test in norm order.
 
-    bound, an int or a Fraction, must dominate the fourth minimum; the
-    points of norm up to bound pass the greedy rank test in norm order.
+    The lattice bounds its own fourth minimum.  With L = lcm(H, K, m), it
+    contains L * order: an element of L * order lies in H * order, its skew
+    part times eta lies in K * order, and it times eta lies in m * order
+    (the line congruence at lambda = 0).  The basis 1, i, j, (1+i+j+k)/2 of
+    the order has sup-norm at most 1, so L times it is four independent
+    points of sup-norm at most L, and lambda_4 <= L: the walk stops at
+    doubled radius 2 L.  Missing rank 4 there means that proof is broken.
     """
     minima = []
     echelon = []  # (pivot column, row) of the chosen points, reduced
-    for nd, x in _points_by_norm(lat.hnf, math.ceil(2 * Fraction(bound))):
+    bound = math.lcm(lat.H, lat.K, lat.m)
+    for nd, x in _points_by_norm(lat.hnf, 2 * bound):
         v = _reduce_against(echelon, x)
         if any(v):
             echelon.append((next(i for i, c in enumerate(v) if c), v))
             minima.append(Fraction(nd, 2))
             if len(minima) == 4:
                 return tuple(minima)
-    raise PreconditionError("bound too small: rank 4 not reached")
+    raise VerificationError(f"rank 4 not reached at sup-norm {bound}")
 
 
 def minkowski_bracket(lat, minima):
@@ -374,10 +381,9 @@ def _even_counts(n):
 def _square(counts):
     """Coefficients of (sum_t counts[t] x^t)^2, by one Kronecker product;
     its degree is below 2 len(counts) - 1, so nothing folds."""
-    size = 2 * len(counts) - 1
-    terms = {t: c for t, c in enumerate(counts) if c}
-    product = _cyclic_product(terms, 1, terms, 1, size) if terms else {}
-    return [product.get(t, 0) for t in range(size)]
+    if not counts:
+        return []
+    return _cyclic_product(counts, 1, counts, 1, 2 * len(counts) - 1)
 
 
 def norm_counts(n):

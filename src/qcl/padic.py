@@ -219,10 +219,9 @@ def gauss_sum(params):
     inv_ut = pow(params.ut, -1, pm)
     a = (params.ua * pow(p, va, pm * p)) % pm if va < M else 0
     xi = 0 if params.xi_zero else ((params.uxi * p ** vxi) % pm if vxi < M else 0)
-    counts = {}
+    counts = [0] * pm
     for y in range(pm):
-        r = ((a * y * y + xi * y) * inv_ut) % pm
-        counts[r] = counts.get(r, 0) + 1
+        counts[((a * y * y + xi * y) * inv_ut) % pm] += 1
     return CycloSum(p, M, counts, scale=M)
 
 

@@ -238,7 +238,7 @@ class TestCycloSum:
 
     def test_conductor_reduction(self):
         v = CycloSum(5, 3, {0: 2, 25: 7}).canonical()
-        assert v.k == 1 and v.counts == {0: 2, 1: 7}
+        assert v.k == 1 and v.v == (2, 7, 0, 0, 0)
 
     def test_rational_detection(self):
         # zeta_9^3 + zeta_9^6 = -1
@@ -252,8 +252,6 @@ class TestCycloSum:
     def test_mixed_prime_rejected(self):
         with pytest.raises(PreconditionError):
             CycloSum(3, 1, {1: 1}) + CycloSum(5, 1, {1: 1})
-        # but plain integers combine across primes
-        assert CycloSum(3, 0, {0: 2}) + CycloSum(5, 0, {0: 3}) == 5
 
     @given(st.integers(0, 26), st.integers(0, 26))
     def test_root_product_adds_exponents(self, r1, r2):
@@ -289,9 +287,9 @@ class TestCycloSum:
         c = a.canonical()
         assert c.canonical() == c
         assert cmath.isclose(c.complex_value(), a.complex_value(), abs_tol=1e-9)
-        if c.counts:
-            pk = c.p ** c.k
-            assert max(c.counts) < pk - pk // c.p or c.k == 0
+        pk = len(c.v)
+        assert pk == c.p ** c.k
+        assert c.k == 0 or not any(c.v[pk - pk // c.p:])
 
     @given(cyclo_values())
     def test_conjugate(self, a):
@@ -355,7 +353,7 @@ def cyclo_pairs(draw):
 
 
 def _form(v):
-    return (v.p, v.k, v.scale, v.counts)
+    return (v.p, v.k, v.scale, v.v)
 
 
 class TestCycloSumCanonicalProperties:
@@ -367,14 +365,14 @@ class TestCycloSumCanonicalProperties:
             assert c.canonical() is c
             # the form is a fixed point of the reduction itself, not only of
             # the mark that skips it
-            fresh = CycloSum(c.p, c.k, c.counts, c.scale)
+            fresh = CycloSum(c.p, c.k, c.v, c.scale)
             assert _form(fresh.canonical()) == _form(c)
 
     @settings(max_examples=300, deadline=None)
     @given(cyclo_pairs())
     def test_preserves_value(self, pair):
         for v in pair:
-            tol = sum(abs(c) for c in v.counts.values()) * 1e-12
+            tol = sum(map(abs, v.v)) * 1e-12
             assert abs(v.canonical().complex_value()
                        - v.complex_value()) <= tol
 
@@ -393,6 +391,159 @@ class TestCycloSumCanonicalProperties:
                     == _form(v.canonical().conjugate().canonical()))
 
 
+# -- the dict form, kept as the oracle of the dense one ----------------------
+
+
+def _nonzero(x):
+    """{r: v[r]} over the nonzero coefficients of a CycloSum."""
+    return {r: c for r, c in enumerate(x.v) if c}
+
+
+def _dict_form(x):
+    return (x.p, x.k, x.scale, _nonzero(x))
+
+
+def _dict_canonical(p, k, scale, counts):
+    """The earlier canonical form of p^(-scale) sum counts[r] e(r / p^k) on
+    an {exponent: count} dict, as (p, k, scale, counts)."""
+    counts = {r: c for r, c in counts.items() if c}
+    while k:
+        pk1 = p ** (k - 1)
+        top = (p - 1) * pk1
+        for r in [r for r in counts if r >= top]:
+            c = counts.pop(r)
+            base = r % pk1
+            for t in range(p - 1):
+                rr = base + t * pk1
+                counts[rr] = counts.get(rr, 0) - c
+        counts = {r: c for r, c in counts.items() if c}
+        if not counts or any(r % p for r in counts):
+            break
+        counts = {r // p: c for r, c in counts.items()}  # drop conductor
+        k -= 1
+    if not counts:
+        return (p, 0, 0, {})
+    while scale > 0 and all(c % p == 0 for c in counts.values()):
+        counts = {r: c // p for r, c in counts.items()}
+        scale -= 1
+    return (p, k, scale, counts)
+
+
+def _dict_cyclic_product(a, sa, b, sb, n):
+    """The earlier `_cyclic_product` on {r: c} dicts with nonzero counts:
+    {r: c}, c != 0, by the same Kronecker substitution."""
+    if not a or not b:
+        return {}
+    absa = [abs(c) for c in a.values()]
+    absb = [abs(c) for c in b.values()]
+    bound = min(max(absa) * sum(absb), sum(absa) * max(absb))
+    width = ((bound + 1).bit_length() + 8) // 8
+    bits = 8 * width
+
+    def evaluate(d, s):
+        pos, neg = bytearray(n * width), bytearray(n * width)
+        for r, c in d.items():
+            at = r * s * width
+            (pos if c > 0 else neg)[at:at + width] = abs(c).to_bytes(
+                width, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    prod = evaluate(a, sa) * evaluate(b, sb)
+    span = n * bits
+    modulus = (1 << span) - 1
+    half = 1 << (bits - 1)
+    offset = modulus // ((1 << bits) - 1) * half
+    folded = ((prod & modulus) + (prod >> span) + offset) % modulus
+    raw = folded.to_bytes(n * width, "little")
+    out = {}
+    for r in range(n):
+        c = int.from_bytes(raw[r * width:(r + 1) * width], "little") - half
+        if c:
+            out[r] = c
+    return out
+
+
+def _dict_lift(p, k, scale, x):
+    """x's counts as a dict at level k and scale scale >= x.scale."""
+    mult, shift = p ** (scale - x.scale), p ** (k - x.k)
+    return {r * shift: c * mult for r, c in _nonzero(x).items()}
+
+
+@st.composite
+def dict_oracle_pairs(draw):
+    """Two values of one prime p in {2, 3, 5, 7}: each dense (every exponent
+    drawn) at level k <= 3, or sparse (at most 3 entries) at k <= 7; the
+    coefficients carry a drawn power of p, so the scale can strip."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def value():
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 3))
+            counts = {r: draw(st.integers(-30, 30)) for r in range(p ** k)}
+        else:
+            k = draw(st.integers(0, 7))
+            counts = draw(st.dictionaries(st.integers(0, p ** k - 1),
+                                          st.integers(-30, 30), max_size=3))
+        unit = p ** draw(st.integers(0, 2))
+        return (p, k, {r: c * unit for r, c in counts.items()},
+                draw(st.integers(0, 3)))
+
+    return value(), value()
+
+
+def _stored(x):
+    """x, after checking that it stores p^k coefficients."""
+    assert isinstance(x.v, tuple) and len(x.v) == x.p ** x.k
+    return x
+
+
+class TestDenseAgainstDict:
+    @settings(max_examples=150, deadline=None)
+    @given(dict_oracle_pairs())
+    def test_canonical(self, pair):
+        for p, k, counts, s in pair:
+            v = _stored(CycloSum(p, k, counts, s))
+            c = _stored(v.canonical())
+            assert _dict_form(c) == _dict_canonical(p, k, s, counts)
+            # a canonical value is a fixed point of the reduction itself
+            assert c.canonical() is c
+            fresh = CycloSum(c.p, c.k, c.v, c.scale)
+            assert _form(_stored(fresh.canonical())) == _form(c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dict_oracle_pairs())
+    def test_sum_and_difference(self, pair):
+        x, y = (CycloSum(*t) for t in pair)
+        p, k, s = x.p, max(x.k, y.k), max(x.scale, y.scale)
+        a, b = _dict_lift(p, k, s, x), _dict_lift(p, k, s, y)
+        for got, sign in ((x + y, 1), (x - y, -1)):
+            want = dict(a)
+            for r, c in b.items():
+                want[r] = want.get(r, 0) + sign * c
+            assert _dict_form(_stored(got)) == (
+                p, k, s, {r: c for r, c in want.items() if c})
+            assert _dict_form(_stored(got.canonical())) == _dict_canonical(
+                p, k, s, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dict_oracle_pairs())
+    def test_product(self, pair):
+        from qcl.algebra import _cyclic_product
+        x, y = (CycloSum(*t) for t in pair)
+        p, k = x.p, max(x.k, y.k)
+        sa, sb = p ** (k - x.k), p ** (k - y.k)
+        raw = _cyclic_product(x.v, sa, y.v, sb, p ** k)
+        assert isinstance(raw, list) and len(raw) == p ** k
+        want = _dict_cyclic_product(_nonzero(x), sa, _nonzero(y), sb, p ** k)
+        assert {r: c for r, c in enumerate(raw) if c} == want
+        prod = _stored(x * y)
+        assert _dict_form(_stored(prod.canonical())) == _dict_canonical(
+            p, k, x.scale + y.scale, want)
+        assert _dict_form(_stored(x.conjugate())) == (
+            p, x.k, x.scale,
+            {(-r) % p ** x.k: c for r, c in _nonzero(x).items()})
+
+
 def _schoolbook_product(x, y):
     """The earlier CycloSum product: one dict update per pair of terms."""
     p = x.p
@@ -401,8 +552,8 @@ def _schoolbook_product(x, y):
     sa = p ** (k - x.k)
     sb = p ** (k - y.k)
     out = {}
-    for r1, c1 in x.counts.items():
-        for r2, c2 in y.counts.items():
+    for r1, c1 in _nonzero(x).items():
+        for r2, c2 in _nonzero(y).items():
             r = (r1 * sa + r2 * sb) % pk
             out[r] = out.get(r, 0) + c1 * c2
     return CycloSum(p, k, out, x.scale + y.scale)
@@ -449,8 +600,8 @@ class TestCycloSumProduct:
     def test_empty_operand(self):
         z = CycloSum(5, 0, {}, 2)
         v = CycloSum(5, 3, {7: 3}, 1)
-        assert _form(z * v) == (5, 3, 3, {})
-        assert _form(v * z) == (5, 3, 3, {})
+        assert _form(z * v) == (5, 3, 3, (0,) * 125)
+        assert _form(v * z) == (5, 3, 3, (0,) * 125)
 
     def test_ten_thousand_terms(self):
         # an operand of 10^4 terms at level 2 times one of 40 at level 1
@@ -459,7 +610,7 @@ class TestCycloSumProduct:
                               for r in rng.sample(range(101 ** 2), 10 ** 4)})
         y = CycloSum(101, 1, {r: rng.randint(-9, 9) or 1
                               for r in rng.sample(range(101), 40)}, 2)
-        assert len(x.counts) == 10 ** 4
+        assert len(_nonzero(x)) == 10 ** 4
         assert _form(x * y) == _form(_schoolbook_product(x, y))
 
 

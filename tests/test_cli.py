@@ -85,6 +85,20 @@ class TestSubcommands:
         doc = json.loads(out.stdout)
         assert doc["result"]["index"] == "9"
 
+    @pytest.mark.parametrize("args,minima", [
+        (["--k", "29", "--m", "58", "--eta", "-3,5,6,-6",
+          "--m0", "6,53,16,4"], ["12", "30", "33", "87"]),
+        (["--k", "7", "--m", "7", "--eta", "-2,4,-1,0", "--m0", "5,0,3,5"],
+         ["9", "9", "21/2", "21/2"]),
+    ], ids=["k29-m58", "k7-m7"])
+    def test_lattice_minima_need_no_bound(self, tmp_path, args, minima):
+        # at H = 3 the fourth minimum passes max(4, m), a bound the caller
+        # once had to guess; the lattice bounds it by lcm(H, m) itself
+        out = run_cli(["lattice", "--h", "3", *args, "--minima"], tmp_path)
+        got = json.loads(out.stdout)["result"]["minima"]
+        assert [m["num"] if m["den"] == "1" else f'{m["num"]}/{m["den"]}'
+                for m in got] == minima
+
     def test_delta_check_cancellation(self, tmp_path):
         out = run_cli(["delta-check", "--q", "8", "--alpha", "1,0,0,0"],
                       tmp_path)

@@ -339,6 +339,22 @@ class TestSplitDensity:
         d1 = split_density(3, 1, 5)
         assert abs(float(d1) - 1.0) <= bracket
 
+    def test_one_slot_builds_no_tables_it_never_reads(self):
+        # q = 25: seven grid blocks and q^4 = 390625 group elements.  One
+        # bincount over the blocks and no (G, 4) digit table keep the peak
+        # near the one int64 histogram (3.1 MB); a histogram per block and
+        # the digit table took about 30 MB.
+        import tracemalloc
+
+        split_density(5, 2, 1)  # the grid blocks of q = 25 are cached
+        tracemalloc.start()
+        try:
+            assert split_density(5, 2, 1) == 1225
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
     def test_unit_coeff_precondition(self):
         with pytest.raises(PreconditionError):
             split_density(3, 1, 2, coeffs=[3, 1])

@@ -129,27 +129,28 @@ class TestAuditMembership:
 
 class TestMinima:
     def test_order_minima(self):
-        assert successive_minima(od_lattice(), 2) == (
+        assert successive_minima(od_lattice()) == (
             Fraction(1, 2),) * 4
 
     def test_scaled_order(self):
         h = tuple(tuple(3 if i == j else 0 for j in range(4))
                   for i in range(4))
         lat = Lattice4(h, 81, 1, 1, 3, ETA3, ONE)
-        assert successive_minima(lat, 4) == (Fraction(3, 2),) * 4
+        assert successive_minima(lat) == (Fraction(3, 2),) * 4
 
     def test_minkowski_bracket_order(self):
         lat = od_lattice()
-        mins = successive_minima(lat, 2)
+        mins = successive_minima(lat)
         prod, lo, hi = minkowski_bracket(lat, mins)
         assert lo <= prod <= hi
 
-    def test_bound_too_small(self):
+    def test_missed_rank_is_a_broken_proof(self):
+        # a lattice whose m undercuts its true L: 3 * order with m = 1
         h = tuple(tuple(3 if i == j else 0 for j in range(4))
                   for i in range(4))
-        lat = Lattice4(h, 81, 1, 1, 3, ETA3, ONE)
-        with pytest.raises(PreconditionError):
-            successive_minima(lat, 1)
+        lat = Lattice4(h, 81, 1, 1, 1, ETA3, ONE)
+        with pytest.raises(VerificationError):
+            successive_minima(lat)
 
 
 def _minima_by_row_hnf(lat, bound):
@@ -205,9 +206,8 @@ class TestMinimaOracle:
         for inst in instance_corpus(12, 20260823):
             lat = lattice_basis(inst["H"], inst["K"], inst["m"],
                                 inst["eta"], inst["m0"])
-            bound = max(4, 2 * inst["m"])
-            assert successive_minima(lat, bound) == _minima_by_row_hnf(
-                lat, bound)
+            bound = math.lcm(inst["H"], inst["m"])
+            assert successive_minima(lat) == _minima_by_row_hnf(lat, bound)
 
     @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
     def test_one_search_matches_restarted_walks(self, seed):
@@ -217,9 +217,8 @@ class TestMinimaOracle:
         for inst in instance_corpus(100, seed):
             lat = lattice_basis(inst["H"], inst["K"], inst["m"],
                                 inst["eta"], inst["m0"])
-            bound = max(4, 2 * inst["m"])
-            assert successive_minima(lat, bound) == _minima_by_row_hnf(
-                lat, bound)
+            bound = math.lcm(inst["H"], inst["m"])
+            assert successive_minima(lat) == _minima_by_row_hnf(lat, bound)
             rep = eta_congruence_checks(inst["eta"], inst["K"], seed=seed)
             th, short = _short_vectors_by_restarted_walks(inst["eta"],
                                                           inst["K"])
@@ -358,7 +357,7 @@ class TestLambdaTwo:
                 continue
             lat = lattice_basis(1, inst["K"], inst["m"], inst["eta"],
                                 inst["m0"])
-            mins = successive_minima(lat, max(4, inst["m"]))
+            mins = successive_minima(lat)
             assert mins[1] ** 2 >= Fraction(inst["K"], 12)
 
     def test_quarter_constant_is_refuted(self):
