@@ -5,12 +5,14 @@ ramified quaternion order (nonsplit places), and over the reals.
 Finite-place densities are exact rationals computed by convolving the
 per-slot distribution of Y^2 over the relevant finite quotient group and
 reading off the mass at zero in the zero-count tree `algebra.zero_mass`.
-At nonsplit places Y^2 is one int64 column product over the whole quotient
-(`algebra.quat_mul_flat`), and a quotient past the cap is refused before it
-is built. One coset-split kernel serves every quotient: a gather and a
-matmul per head coset in the support (`group_convolve`). It and the last
-pairing count in the dtype of `algebra.count_dtype`, and the kernel checks
-that every result carries the product of the two masses in Python ints.
+Every quotient is a mixed-radix box (`QuotientGroup`); at the ramified place
+2 it is diagonal on the order basis (1+j, i+j, j, (1+i+j+k)/2). At nonsplit
+places Y^2 is one int64 column product over the whole box
+(`algebra.quat_mul_flat`), and a box past the cap is refused before it is
+built. One coset-split kernel serves every box: a matmul per head coset in
+the support (`group_convolve`). It and the last pairing count in the dtype
+of `algebra.count_dtype`, and the kernel checks that every result carries
+the product of the two masses in Python ints.
 The archimedean density is a seeded, shard-deterministic Monte Carlo
 estimate.
 """
@@ -25,16 +27,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_SEED
-from .algebra import (HurwitzQuat, basis_from_doubled_coords, count_dtype,
+from .algebra import (basis_from_doubled_coords, count_dtype,
                       doubled_from_basis_coords, doubled_mul_flat, exact_dot,
-                      left_mul_coords, quat_mul_flat, smallest_nonresidue,
-                      zero_mass)
+                      quat_mul_flat, smallest_nonresidue, zero_mass)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .expsums import grid_square_keys
-from .linalg import row_hnf
 
 # ---------------------------------------------------------------------------
-# Exact convolution over a finite abelian group in mixed-radix coordinates
+# Exact convolution over a mixed-radix box
 # ---------------------------------------------------------------------------
 
 #: a Python-int multiply-add costs ~32 int64 ones (81x81 matmul: 42/1.3 ms)
@@ -48,24 +48,20 @@ _QUOTIENT_CAP = 10 ** 9
 
 
 class QuotientGroup:
-    """Z^k modulo a full-rank lattice with upper-triangular HNF basis.
-
-    Elements are represented by the mixed-radix box over the diagonal;
-    addition reduces back into the box, which handles non-diagonal bases
-    (componentwise addition would be wrong there). As the basis is
-    upper-triangular, the elements with zero `head` digits form a subgroup
-    K of order V = `tail`; index = u * V + v over its U = `cosets` cosets u,
-    and the head is the shortest prefix with U >= V.
+    """The box Z/r_1 x ... x Z/r_k in mixed-radix coordinates: index =
+    sum_i digit_i * weight_i, and addition is digitwise mod the radii. The
+    elements with zero `head` digits form a subgroup K of order V = `tail`;
+    index = u * V + v over its U = `cosets` cosets u, and the head is the
+    shortest prefix with U >= V.
     """
 
-    def __init__(self, hnf):
-        self.h = [list(r) for r in hnf]
-        self.k = len(self.h)
-        self.radii = [self.h[i][i] for i in range(self.k)]
+    def __init__(self, radii):
+        self.radii = list(radii)
+        k = len(self.radii)
         self.order = math.prod(self.radii)
         self.weights = np.array([math.prod(self.radii[i + 1:])
-                                 for i in range(self.k)], dtype=np.int64)
-        self.head = next(i for i in range(self.k + 1)
+                                 for i in range(k)], dtype=np.int64)
+        self.head = next(i for i in range(k + 1)
                          if math.prod(self.radii[:i]) ** 2 >= self.order)
         self.cosets = math.prod(self.radii[:self.head])
         self.tail = self.order // self.cosets
@@ -76,50 +72,32 @@ class QuotientGroup:
         idx = np.arange(self.order, dtype=np.int64)[:, None]
         return idx // self.weights % self.radii
 
-    @classmethod
-    def diagonal(cls, radii):
-        return cls(np.diag(radii).tolist())
-
-    def reduce(self, rows):
-        """Vectorized canonical reduction of integer rows into the box."""
-        v = np.array(rows, dtype=np.int64, ndmin=2)
-        for i in range(self.k):
-            v[:, i:] -= np.outer(v[:, i] // self.h[i][i], self.h[i][i:])
-        return v
-
     def pack(self, rows):
-        return self.reduce(rows) @ self.weights
+        """Index of each integer row, reduced digitwise into the box."""
+        rows = np.array(rows, dtype=np.int64, ndmin=2)
+        return rows % self.radii @ self.weights
 
     @functools.cached_property
     def coset_tables(self):
         """diff[h, t] = t - h inside K (V x V), and for head cosets s, u the
-        coset target[s, u] of s + u with the element carry[s, u] of K that
-        the head sum carries into the tail (U x U; 0 if diagonal)."""
-        U, V, h = self.cosets, self.tail, self.head
-        tails = self.digits[:V, h:]
-        rows = np.zeros((V, V, self.k), dtype=np.int64)
-        rows[:, :, h:] = tails[None, :, :] - tails[:, None, :]
-        diff = self.pack(rows.reshape(-1, self.k)).reshape(V, V)
-        heads = self.digits[::V, :h]
-        rows = np.zeros((U, U, self.k), dtype=np.int64)
-        rows[:, :, :h] = heads[:, None, :] + heads[None, :, :]
-        packed = self.pack(rows.reshape(-1, self.k)).reshape(U, U)
-        return diff, packed // V, packed % V
+        coset target[s, u] of s + u (U x U)."""
+        tails = self.digits[:self.tail]
+        heads = self.digits[::self.tail]
+        diff = self.pack(tails[None, :, :] - tails[:, None, :])
+        target = self.pack(heads[:, None, :] + heads[None, :, :]) // self.tail
+        return diff, target
 
 
 def _convolve_cosets(a, b, grp, heads):
-    """The kernel: for each head s of `a`, one gather and one matmul give
-    a's coset s times every coset of `b`. Row u of `shifted` is b's coset u
-    translated by the carry of s + u, and A[s][diff] is the V x V matrix of
+    """The kernel: for each head s of `a`, one matmul gives a's coset s
+    times every coset of `b`, as A[s][diff] is the V x V matrix of
     translates of a's coset s inside K. Entries stay in a.dtype."""
-    diff, target, carry = grp.coset_tables
+    diff, target = grp.coset_tables
     A = a.reshape(grp.cosets, grp.tail)
     B = b.reshape(grp.cosets, grp.tail)
     C = np.zeros_like(B)
-    rows = np.arange(grp.cosets)[:, None]
     for s in heads:
-        shifted = B[rows, diff[carry[s]]]
-        C[target[s]] += shifted @ A[s][diff]
+        C[target[s]] += B @ A[s][diff]
     return C.reshape(-1)
 
 
@@ -161,8 +139,11 @@ def _count_at_zero(dists, grp):
                      lambda a, b: exact_dot(a, b[neg], _mass(a), _mass(b)))
 
 
-def _slot_coeffs(p, n, coeffs):
-    """One coefficient per slot (all 1 by default), each a unit mod p."""
+def _slot_coeffs(p, m, n, coeffs):
+    """One coefficient per slot (all 1 by default), each a unit mod p, at a
+    positive level m."""
+    if m < 1:
+        raise PreconditionError("level must be positive")
     coeffs = list(coeffs or [1] * n)
     if n < 1 or len(coeffs) != n:
         raise PreconditionError("need one coefficient per slot, n >= 1")
@@ -178,7 +159,7 @@ def _slot_coeffs(p, n, coeffs):
 
 def split_square_distribution(p, m, coeff=1):
     """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array
-    (the lexicographic packing of `QuotientGroup.diagonal`): one bincount
+    (the packing of `QuotientGroup([p^m] * 4)`): one bincount
     of the int32 keys of all blocks of the grid kernel of `qcl.expsums`,
     which refuses p^{4m} > 10^7 with BudgetError."""
     q = p ** m
@@ -189,20 +170,19 @@ def split_square_distribution(p, m, coeff=1):
 def split_density(p, m, n, coeffs=None):
     """d_m = p^{4m} * #{Y in M_2(Z/p^m)^n : sum c_i Y_i^2 = 0} / p^{4mn},
     as an exact Fraction."""
-    if m < 1:
-        raise PreconditionError("level must be positive")
-    coeffs = _slot_coeffs(p, n, coeffs)
+    coeffs = _slot_coeffs(p, m, n, coeffs)
     q = p ** m
     dist = {c: split_square_distribution(p, m, c)
             for c in {cc % q for cc in coeffs}}
     count = _count_at_zero([dist[c % q] for c in coeffs],
-                           QuotientGroup.diagonal([q] * 4))
+                           QuotientGroup([q] * 4))
     return Fraction(count, q ** (4 * (n - 1)))
 
 
 def split_density_exhaustive(p, m, n, coeffs=None):
-    """Independent brute-force oracle for split_density (tiny cases)."""
-    coeffs = coeffs or [1] * n
+    """Independent brute-force oracle for split_density (tiny cases), with
+    its preconditions."""
+    coeffs = _slot_coeffs(p, m, n, coeffs)
     q = p ** m
     if q ** (4 * n) > _EXHAUSTIVE_CAP:
         raise BudgetError("exhaustive enumeration too large")
@@ -224,37 +204,23 @@ def split_density_exhaustive(p, m, n, coeffs=None):
 # ---------------------------------------------------------------------------
 
 
-def _hurwitz_level_lattice(m):
-    """HNF basis (in integral-basis coordinates) of w^{2m-1} O for the
-    ramified order at 2, where w = 1 + i is the uniformizer."""
-    w = HurwitzQuat.from_true(1, 1, 0, 0)
-    pw = HurwitzQuat.from_true(1, 0, 0, 0)
-    for _ in range(2 * m - 1):
-        pw = pw * w
-    h, _, rank = row_hnf([list(col) for col in zip(*left_mul_coords(pw))])
-    if rank != 4:
-        raise VerificationError("level lattice is degenerate")
-    return [h[i] for i in range(4)]
-
-
-def _nonsplit_density(p, m, n, coeffs, order, quotient, square, q):
+def _nonsplit_density(p, m, n, coeffs, radii, square):
     """The tail of both nonsplit densities: d_m = p^{4m} * count / G^n,
     count the mass at zero of the convolution of the slots' distributions
-    of c_i Y^2 (one per distinct c mod q) over the quotient of order G.
+    of c_i Y^2 (one per distinct c mod max(radii)) over the box of order
+    G = prod(radii).
 
-    The cap G^2 <= `_QUOTIENT_CAP` is checked on `order` before `quotient()`
-    builds the group and its digits. `square` maps the digit columns to
-    those of Y^2 in int64: under the cap every c mod q is below 2^8 and, as
-    each caller shows, every square below 2^32, so c * Y^2 is below 2^40."""
-    if m < 1:
-        raise PreconditionError("level must be positive")
-    coeffs = _slot_coeffs(p, n, coeffs)
+    The cap G^2 <= `_QUOTIENT_CAP` is checked before the box and its digits
+    are built. `square` maps the digit columns to those of Y^2 in int64:
+    under the cap every c mod max(radii) is below 2^8 and, as each caller
+    shows, every square below 2^32, so c * Y^2 is below 2^40."""
+    coeffs = _slot_coeffs(p, m, n, coeffs)
+    order = math.prod(radii)
     if order ** 2 > _QUOTIENT_CAP:
         raise BudgetError("quotient too large")
-    grp = quotient()
-    if grp.order != order:
-        raise VerificationError(f"quotient has order {grp.order}, not {order}")
+    grp = QuotientGroup(radii)
     squares = np.stack(square(tuple(grp.digits.T)), axis=1)
+    q = max(radii)
     dist = {c: np.bincount(grp.pack(c * squares), minlength=order)
             for c in {cc % q for cc in coeffs}}
     count = _count_at_zero([dist[c % q] for c in coeffs], grp)
@@ -262,21 +228,26 @@ def _nonsplit_density(p, m, n, coeffs, order, quotient, square, q):
 
 
 def _hurwitz_square(digits):
-    """Order-basis columns of y^2 for those of y. The level lattice holds
-    w^{2m} O = 2^m O, so under the cap every digit is below 2^m <= 16, a
-    doubled coordinate below 48 and a square below 2^14."""
-    d = doubled_from_basis_coords(digits)
-    return basis_from_doubled_coords(doubled_mul_flat(d, d))
+    """Columns of y^2 on the basis F = (1+j, i+j, j, omega) of the order,
+    omega = (1+i+j+k)/2, for those of y. F-coordinates (a, b, c, d) are the
+    order-basis ones (a, b, a+b+c, d), which `algebra` squares. Under the cap
+    m <= 4, so every digit is below 2^m <= 16, an order coordinate below 46,
+    a doubled coordinate below 2^7, a doubled coordinate of the square below
+    2^15 and an F-coordinate of the square below 2^17 in absolute value."""
+    a, b, c, d = digits
+    y = doubled_from_basis_coords((a, b, a + b + c, d))
+    a, b, c, d = basis_from_doubled_coords(doubled_mul_flat(y, y))
+    return a, b, c - a - b, d
 
 
 def nonsplit_density_two(m, n, coeffs=None):
     """d_m at the ramified place 2: count Y in (O/w^{2m-1})^n with
-    sum c_i Y_i^2 = 0 in the quotient, normalized by 2^{4m} / size^n. The
-    quotient has order nrd(w)^{2(2m-1)} = 4^{2m-1}."""
+    sum c_i Y_i^2 = 0 in the quotient, normalized by 2^{4m} / size^n, for
+    the uniformizer w = 1 + i. The level lattice w^{2m-1} O = 2^{m-1} (1+i) O
+    is diag(2^{m-1}, 2^{m-1}, 2^m, 2^m) on the basis F of `_hurwitz_square`,
+    so the quotient is that box, of order nrd(w)^{2(2m-1)} = 4^{2m-1}."""
     return _nonsplit_density(
-        2, m, n, coeffs, 4 ** (2 * m - 1),
-        lambda: QuotientGroup(_hurwitz_level_lattice(m)), _hurwitz_square,
-        4 ** m)
+        2, m, n, coeffs, [2 ** (m - 1)] * 2 + [2 ** m] * 2, _hurwitz_square)
 
 
 def nonsplit_density_odd(p, m, n, coeffs=None):
@@ -290,10 +261,8 @@ def nonsplit_density_odd(p, m, n, coeffs=None):
         raise PreconditionError("use nonsplit_density_two at 2")
     u = smallest_nonresidue(p)
     return _nonsplit_density(
-        p, m, n, coeffs, p ** (4 * m - 2),
-        lambda: QuotientGroup.diagonal(
-            [p ** m, p ** m, p ** (m - 1), p ** (m - 1)]),
-        lambda z: quat_mul_flat(z, z, u, p), p ** m)
+        p, m, n, coeffs, [p ** m] * 2 + [p ** (m - 1)] * 2,
+        lambda z: quat_mul_flat(z, z, u, p))
 
 
 # ---------------------------------------------------------------------------

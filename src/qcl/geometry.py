@@ -149,20 +149,17 @@ def mat_rank(a, q=None):
     return used.sum(axis=-1).reshape(batch)
 
 
-def hessian_rank(w, n=1, upsilon=None, kind="matrix", q=None):
+def hessian_rank(w, n=1, kind="matrix", q=None):
     """Rank of the block Hessian of y -> trace(W * sum_i u_i y_i^2), per W.
 
     The block Hessian is diag(u_1 J_W, ..., u_n J_W), and a unit u_i keeps
-    the rank of J_W, so the rank is n * rank(J_W).  Raises
+    the rank of J_W, so the rank is n * rank(J_W) whatever the signs.  Raises
     VerificationError unless each slot has rank >= 2 (so the block has rank
     >= 2n) and, over the rationals with trace(W) = 0, exactly 2.
     """
     w = _stack(w) if q is None else _stack(w) % q
     if not w.any(axis=-1).all():
         raise PreconditionError("W must be nonzero")
-    upsilon = tuple(upsilon) if upsilon is not None else (1,) * n
-    if len(upsilon) != n or any(u not in (1, -1) for u in upsilon):
-        raise PreconditionError("need n unit signs")
     slot = mat_rank(hessian_matrix(w, kind), q)
     if (slot < 2).any():
         raise VerificationError("slot Hessian rank below 2")
@@ -249,7 +246,7 @@ def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
     with_unit = int((table[traceless] & (_det(mats) % q != 0)).any(1).sum())
     if with_unit != traceless.sum():
         raise VerificationError("some traceless kernel lacks a unit")
-    hessian_rank(w, 1, None, "matrix", q)
+    hessian_rank(w, q=q)
     # pairwise intersections among non-proportional W
     rng = random.Random(seed)
     ids = _line_ids(w, q).tolist()
@@ -272,7 +269,7 @@ def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
     if (4 - mat_rank(anticommutator_map(r)) != lw_dim_formula(r)).any():
         raise VerificationError("kernel dim disagrees with formula over Q")
     hessian_rank(r, 1)
-    if (hessian_rank(r[_trace(r) == 0], 2, (1, -1)) != 4).any():
+    if (hessian_rank(r[_trace(r) == 0], 2) != 4).any():
         raise VerificationError("traceless W: two-slot rank != 4")
     dims, counts = np.unique(lw_dim_formula(w, q), return_counts=True)
     return {"q": q, "dim_histogram": dict(zip(dims.tolist(), counts.tolist())),

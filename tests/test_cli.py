@@ -293,12 +293,22 @@ class TestArgumentParsing:
         ["gauss", "--p", "4", "--va", "0", "--vt", "1", "--xi", "0"],
         ["expsum", "--p", "5", "--delta", "a,b,c,d", "--gamma", "0,0,0,0"],
         ["singular", "--n", "2", "--primes", "x"],
+        ["density", "--p", "3", "--m", "1", "--n", "0", "--engine",
+         "exhaustive"],
+        ["density", "--p", "3", "--m", "-1", "--n", "2", "--engine",
+         "exhaustive"],
+        ["density", "--p", "3", "--m", "1", "--n", "-2", "--engine",
+         "exhaustive"],
+        ["density", "--p", "3", "--m", "0", "--n", "2", "--engine",
+         "exhaustive"],
     ], ids=["threads-zero", "missing-config", "abbreviated-option",
             "abbreviated-global-option", "config-is-a-directory",
             "config-budget-not-an-integer", "expsum-p-one", "expsum-p-zero",
             "expsum-p-composite", "density-p-composite",
             "singular-prime-composite", "gauss-p-composite",
-            "coords-not-integers", "primes-not-integers"])
+            "coords-not-integers", "primes-not-integers",
+            "exhaustive-no-slots", "exhaustive-negative-level",
+            "exhaustive-negative-slots", "exhaustive-level-zero"])
     def test_usage_error_is_two_with_empty_stdout(self, args, tmp_path,
                                                   monkeypatch, capsysbinary):
         monkeypatch.setenv("QCL_CACHE_DIR", str(tmp_path / "cache"))

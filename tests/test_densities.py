@@ -7,16 +7,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcl import densities
-from qcl.algebra import HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords
+from qcl.algebra import (HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords,
+                         left_mul_coords)
 from qcl.densities import (
-    QuotientGroup, _count_at_zero, _hurwitz_level_lattice,
+    QuotientGroup, _count_at_zero,
     archimedean_density, density_tail_bracket, group_convolve, local_zeta,
     nonsplit_density_odd, nonsplit_density_two, outside_tail_bracket,
     singular_series,
     split_density, split_density_exhaustive, split_square_distribution,
 )
 from qcl.errors import BudgetError, PreconditionError, VerificationError
-from qcl.linalg import reduce_mod_hnf
+from qcl.linalg import reduce_mod_hnf, row_hnf
+
+
+def _hurwitz_level_lattice(m):
+    """HNF basis (in order-basis coordinates) of w^{2m-1} O for the
+    ramified order at 2, where w = 1 + i is the uniformizer: the row HNF of
+    the image of the order under left multiplication by w^{2m-1}."""
+    w = HurwitzQuat.from_true(1, 1, 0, 0)
+    pw = HurwitzQuat.from_true(1, 0, 0, 0)
+    for _ in range(2 * m - 1):
+        pw = pw * w
+    h, _, rank = row_hnf([list(col) for col in zip(*left_mul_coords(pw))])
+    assert rank == 4
+    return [h[i] for i in range(4)]
 
 
 def group_convolve_oracle(a, b, grp):
@@ -79,20 +93,9 @@ def nonsplit_density_odd_exhaustive(p, m, n, coeffs=None):
 
 @st.composite
 def quotient_groups(draw):
-    """Diagonal and mixed-radix boxes, random upper-triangular 4x4 HNFs
-    (entries above a pivot reduced modulo it) and the Hurwitz level
-    lattices for m = 1, 2, 3."""
-    kind = draw(st.sampled_from(["diagonal", "hnf", "hurwitz"]))
-    if kind == "hurwitz":
-        return QuotientGroup(_hurwitz_level_lattice(
-            draw(st.integers(1, 3))))
-    if kind == "diagonal":
-        return QuotientGroup.diagonal(draw(
-            st.lists(st.integers(1, 7), min_size=1, max_size=4)))
-    radii = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
-    return QuotientGroup([[radii[i] if i == j else
-                           draw(st.integers(0, radii[j] - 1)) if j > i else 0
-                           for j in range(4)] for i in range(4)])
+    """Mixed-radix boxes of one to four digits."""
+    return QuotientGroup(draw(
+        st.lists(st.integers(1, 7), min_size=1, max_size=4)))
 
 
 @st.composite
@@ -113,14 +116,14 @@ def group_and_masses(draw):
 
 class TestGroupConvolve:
     def test_delta_identity(self):
-        grp = QuotientGroup.diagonal([2, 3])
+        grp = QuotientGroup([2, 3])
         a = np.zeros(6, dtype=np.int64)
         a[0] = 1
         b = np.arange(6, dtype=np.int64)
         assert (group_convolve(a, b, grp) == b).all()
 
     def test_matches_direct(self):
-        grp = QuotientGroup.diagonal([3, 3])
+        grp = QuotientGroup([3, 3])
         rng = np.random.default_rng(0)
         a = rng.integers(0, 5, 9).astype(np.int64)
         b = rng.integers(0, 5, 9).astype(np.int64)
@@ -133,26 +136,13 @@ class TestGroupConvolve:
         assert (c == direct).all()
 
     def test_power_at_zero(self):
-        grp = QuotientGroup.diagonal([4])
+        grp = QuotientGroup([4])
         d = np.array([1, 2, 0, 1], dtype=np.int64)
         # cube by hand
         full = np.zeros(4, dtype=np.int64)
         for i, j, k in itertools.product(range(4), repeat=3):
             full[(i + j + k) % 4] += d[i] * d[j] * d[k]
         assert _count_at_zero([d] * 3, grp) == full[0]
-
-    def test_nondiagonal_lattice(self):
-        # Z^2 / <(2,1),(0,2)>: order 4, addition must reduce via the basis
-        grp = QuotientGroup([[2, 1], [0, 2]])
-        assert grp.order == 4
-        # (1,0) + (1,0) = (2,0) = (2,1) - (0,1) -> reduces to (0,1)... check
-        # against a handmade Cayley table via canonical reduction
-        a = np.zeros(4, dtype=np.int64)
-        a[grp.pack([1, 0])[0]] = 1
-        c = group_convolve(a, a, grp)
-        expect = np.zeros(4, dtype=np.int64)
-        expect[grp.pack([2, 0])[0]] = 1
-        assert (c == expect).all()
 
 
 class TestCosetKernel:
@@ -168,9 +158,9 @@ class TestCosetKernel:
         assert int(c.sum()) == mass
 
     def test_head_is_shortest_prefix_covering_the_tail(self):
-        grp = QuotientGroup.diagonal([9] * 4)
+        grp = QuotientGroup([9] * 4)
         assert (grp.head, grp.cosets, grp.tail) == (2, 81, 81)
-        grp = QuotientGroup(_hurwitz_level_lattice(1))
+        grp = QuotientGroup([1, 1, 2, 2])
         assert (grp.head, grp.cosets, grp.tail) == (3, 2, 2)
 
     def test_lost_mass_is_a_verification_failure(self, monkeypatch):
@@ -182,7 +172,7 @@ class TestCosetKernel:
             return c
 
         monkeypatch.setattr(densities, "_convolve_cosets", leaky)
-        grp = QuotientGroup.diagonal([3, 3])
+        grp = QuotientGroup([3, 3])
         a = np.arange(9, dtype=np.int64)
         with pytest.raises(VerificationError):
             group_convolve(a, a, grp)
@@ -195,7 +185,7 @@ class TestCosetKernel:
 
         monkeypatch.setattr(densities, "_convolve_cosets", no_work)
         monkeypatch.setattr(densities, "_CONVOLVE_BUDGET", 10 ** 7)
-        grp = QuotientGroup.diagonal([9] * 4)
+        grp = QuotientGroup([9] * 4)
         a = np.ones(grp.order, dtype=np.int64)
         # 81 heads * 81 cosets * 81^2 = 4.3e7 multiply-adds
         with pytest.raises(BudgetError):
@@ -203,7 +193,7 @@ class TestCosetKernel:
         assert "coset_tables" not in vars(grp)
 
     def test_object_path_has_its_own_budget(self, monkeypatch):
-        grp = QuotientGroup.diagonal([3] * 4)
+        grp = QuotientGroup([3] * 4)
         big = np.full(grp.order, 2 ** 40, dtype=object)
         cost = 9 * 81 * 9 * densities._OBJECT_COST
         monkeypatch.setattr(densities, "_CONVOLVE_BUDGET", cost)
@@ -236,7 +226,7 @@ class TestCosetKernel:
         assert split_density(3, 2, 9) == fast
 
     def test_negative_counts_rejected(self):
-        grp = QuotientGroup.diagonal([2])
+        grp = QuotientGroup([2])
         with pytest.raises(PreconditionError):
             group_convolve(np.array([1, -1]), np.array([1, 1]), grp)
 
@@ -249,7 +239,7 @@ class TestCosetKernel:
             return group_convolve(a, b, grp)
 
         monkeypatch.setattr(densities, "group_convolve", counted)
-        grp = QuotientGroup.diagonal([4])
+        grp = QuotientGroup([4])
         d = np.array([1, 2, 0, 1], dtype=np.int64)
         full = Counter({0: 1})
         for _ in range(n):
@@ -291,7 +281,7 @@ class TestCosetKernel:
             neg = grp.pack(-grp.digits)
             return int(np.dot(half.astype(object), last[neg].astype(object)))
 
-        grp = QuotientGroup.diagonal([3] * 4)
+        grp = QuotientGroup([3] * 4)
         d = split_square_distribution(3, 1)
         calls = self._recorded(monkeypatch)
         for n in range(2, 31):
@@ -306,7 +296,7 @@ class TestCosetKernel:
         # coefficients 1, 2, 1, 2, 1 are grouped as 1, 1, 1, 2, 2: the node
         # 1 * 2 is built once and convolved once more with a 1; the left
         # fold over the slots took three convolutions
-        grp = QuotientGroup.diagonal([3] * 4)
+        grp = QuotientGroup([3] * 4)
         d1, d2 = (split_square_distribution(3, 1, c) for c in (1, 2))
         acc = d1
         for d in (d2, d1, d2, d1):
@@ -355,6 +345,19 @@ class TestSplitDensity:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20
 
+    @pytest.mark.parametrize("p,m,c", [(3, 1, 1), (3, 1, 2), (3, 2, 1),
+                                       (3, 2, 5)])
+    def test_square_distribution_is_packed_by_the_box(self, p, m, c):
+        # the one format `qcl.expsums` and `qcl.densities` share: every Y
+        # mod q adds one to the bin of c Y^2 in QuotientGroup([q] * 4)
+        q = p ** m
+        a, b, cc, d = np.indices((q,) * 4).reshape(4, -1)
+        square = np.stack([a * a + b * cc, b * (a + d), cc * (a + d),
+                           d * d + b * cc], axis=1)
+        keys = QuotientGroup([q] * 4).pack(c * square % q)
+        assert (split_square_distribution(p, m, c)
+                == np.bincount(keys, minlength=q ** 4)).all()
+
     def test_unit_coeff_precondition(self):
         with pytest.raises(PreconditionError):
             split_density(3, 1, 2, coeffs=[3, 1])
@@ -385,7 +388,17 @@ class TestSplitDensity:
 
 
 class TestNonsplitDensity:
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_level_lattice_is_the_box_on_basis_f(self, m):
+        # 2^{m-1}(1+j), 2^{m-1}(i+j), 2^m j, 2^m w on the order basis
+        # (1, i, j, w): the box of `nonsplit_density_two`
+        e = 2 ** (m - 1)
+        rows = [[e, 0, e, 0], [0, e, e, 0], [0, 0, 2 * e, 0], [0, 0, 0, 2 * e]]
+        h, _, rank = row_hnf(rows)
+        assert rank == 4
+        assert [h[i] for i in range(4)] == _hurwitz_level_lattice(m)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
     def test_two_matches_exhaustive(self, m, n):
         assert nonsplit_density_two(m, n) == nonsplit_density_two_exhaustive(m, n)
 
