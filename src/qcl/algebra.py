@@ -13,7 +13,10 @@ where one call multiplies whole arrays of elements.
 A CycloSum, the exact value of a prime-power exponential sum, is one dense
 tuple of p^k Python ints at one prime p: canonical form is one row
 subtraction and a stride, and a product is one Kronecker product of two
-coefficient lists.  The module imports no numpy.
+coefficient lists.  Its certified sign test reads cosines from
+`cos_fixed`, which with `pi_fixed` (Machin's formula, also behind the
+Bessel main term of `qcl.delta`) computes in Python integers with a counted
+error.  The module imports neither numpy nor mpmath.
 
 All values are immutable after construction; every operation is a pure
 function, so everything here is safe to share across threads.
@@ -290,6 +293,82 @@ def right_mul_coords(g):
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point pi and cosines: Python integers with a counted error
+# ---------------------------------------------------------------------------
+
+
+def _arctan_inv(x, one):
+    """one * arctan(1/x) for integers x >= 2 and one >= 1, within the number
+    of summed terms plus one: each term one / ((2k+1) x^(2k+1)) is floored
+    exactly (nested floors of positive integers are one floor), and the
+    alternating tail is below its first term, which is below 1."""
+    x2 = x * x
+    power, total, k = one // x, 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total
+
+
+#: [bits, value] of the most precise pi_fixed computed so far
+_PI_MEMO = [-1, 0]
+
+
+def pi_fixed(bits):
+    """An integer within 2 of pi * 2^bits, for bits >= 0.
+
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) at W = bits + g
+    working bits, g = bitlen(bits) + 8: the two series have at most W / 4.6
+    + 1 and W / 15.8 + 1 terms, so the sum is within 16 (W / 4.6 + 2) +
+    4 (W / 15.8 + 2) < 4 W + 48 < 2^g of pi * 2^W, and the floor by 2^g
+    loses less than 1 more.  A less precise request floors the memo, which
+    keeps the error below 2.
+    """
+    have, value = _PI_MEMO
+    if bits <= have:
+        return value >> (have - bits)
+    guard = bits.bit_length() + 8
+    one = 1 << (bits + guard)
+    value = (16 * _arctan_inv(5, one) - 4 * _arctan_inv(239, one)) >> guard
+    _PI_MEMO[:] = bits, value
+    return value
+
+
+def cos_fixed(r, n, prec):
+    """An integer within 1 of 2^prec * cos(2 pi r / n), for n >= 1 and
+    prec >= 0.
+
+    With j = round(4r / n), 2 pi r / n = j pi / 2 + x and x = pi m / (2n),
+    m = 4r - jn, |x| <= pi / 4; the cosine is +-cos x or +-sin x by j mod 4.
+    At w = prec + g working bits, g = 2 bitlen(prec + 64) + 2, |x| 2^w is
+    floored within 2, and the Taylor terms |x|^i / i! are floored one from
+    the last, term i within i of its value at that |x|.  The last term
+    summed is zero, so the alternating tail is within 2 (i + 1); in all the
+    sum is within (w + 3)^2 < 2^(g - 2), and rounding off g bits keeps the
+    result within 1/2 + 1/4.
+    """
+    guard = 2 * (prec + 64).bit_length() + 2
+    w = prec + guard
+    j = (8 * r + n) // (2 * n)
+    m = 4 * r - j * n
+    x = pi_fixed(w) * abs(m) // (2 * n)
+    odd = j & 1                      # sum the odd terms: sin |x|
+    term, i, total = 1 << w, 0, 0
+    while term:
+        if i & 1 == odd:
+            total += -term if i & 2 else term
+        i += 1
+        term = (term * x >> w) // i
+    if odd and m < 0:
+        total = -total               # sin x = -sin |x|
+    if (j + 1) & 2:
+        total = -total               # j = 1, 2 mod 4: -sin x, -cos x
+    return (total + (1 << (guard - 1))) >> guard
+
+
+# ---------------------------------------------------------------------------
 # Exact prime-power exponential-sum values
 # ---------------------------------------------------------------------------
 
@@ -554,26 +633,21 @@ class CycloSum:
 
         A rational real part is compared exactly.  An irrational one is
         nonzero; its twice-scaled sum sum_r c_r cos(2 pi r / p^k) is
-        evaluated as sum_r c_r t_r with integers t_r = round(2^prec cos),
-        each within 1 of 2^prec cos (mpmath at prec + 10 bits), so the sum
-        lies within sum_r |c_r| of 2^prec times the true one.  The precision
-        starts at 64 bits and doubles until that bound decides the sign.
+        evaluated as sum_r c_r t_r with integers t_r = `cos_fixed(r, p^k,
+        prec)`, each within 1 of 2^prec cos, so the sum lies within
+        sum_r |c_r| of 2^prec times the true one.  The precision starts at
+        64 bits and doubles until that bound decides the sign.
         """
         re2 = (self + self.conjugate()).canonical()
         if re2.k == 0:
             c = re2.v[0]
             return (c > 0) - (c < 0)
-        import mpmath  # only irrational comparisons need it
-
         pk = len(re2.v)
         terms = re2._terms()
         slack = sum(abs(c) for _, c in terms)
         prec, max_prec = 64, 2 ** 14
         while prec <= max_prec:
-            with mpmath.workprec(prec + 10):
-                total = sum(c * int(mpmath.nint(mpmath.ldexp(
-                    mpmath.cospi(mpmath.mpf(2 * r) / pk), prec)))
-                    for r, c in terms)
+            total = sum(c * cos_fixed(r, pk, prec) for r, c in terms)
             if abs(total) > slack:
                 return 1 if total > 0 else -1
             prec *= 2

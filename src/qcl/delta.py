@@ -29,7 +29,13 @@ kernel by Sonine's first finite integral
     int_0^1 r^{nu+1} (1 - r^2)^mu J_nu(a r) dr = 2^mu mu! a^{-mu-1} J_{nu+mu+1}(a)
 
 (Watson, A Treatise on the Theory of Bessel Functions, 12.11), so each
-value is a few Bessel-function evaluations and no quadrature.
+value is a few Bessel values and no quadrature.  The power series of J_nu
+(DLMF 10.2.2) makes the sum one alternating series in (pi s)^2, which
+`ghat` sums in Python integers with a counted error bound and rounds
+correctly to a float; pi comes from `qcl.algebra.pi_fixed`.
+
+A zero shift is refused past Q = 512, and a nonzero one when the divisor
+scan or the index-set shells would pass their caps (`delta_sum`).
 
 Conventions (fixed throughout): additive character e(-t) on the reals,
 pairing (x, y) -> trd(x y) with Gram matrix 2 diag(1,-1,-1,-1), self-dual
@@ -39,13 +45,14 @@ factor 1/2.  The Gram matrix is inverted by the field Gauss-Jordan
 histogram read r(n) from one table, `qcl.lattices.norm_counts`.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords,
+from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords, pi_fixed,
                       right_mul_coords)
-from .errors import PreconditionError, VerificationError
+from .errors import BudgetError, PreconditionError, VerificationError
 from .lattices import norm_counts
 from .linalg import congruence_lattice, field_rref, row_hnf
 
@@ -57,19 +64,19 @@ def _poly_eval(coeffs, t):
     return acc
 
 
-@dataclass(frozen=True)
-class DeltaTestFn:
+class DeltaTestFn(namedtuple("DeltaTestFn", "phi1_coeffs phi2_coeffs")):
     """Separable radial pair: phi1/phi2 are polynomials on [0,1] (zero
     outside), phi2(0) = 0 and phi1(0) != 0 are enforced."""
 
-    phi1_coeffs: tuple = (1, -3, 3, -1)        # (1-t)^3
-    phi2_coeffs: tuple = (0, 1, -3, 3, -1)     # t(1-t)^3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _poly_eval(self.phi2_coeffs, Fraction(0)) != 0:
+    def __new__(cls, phi1_coeffs=(1, -3, 3, -1),       # (1-t)^3
+                phi2_coeffs=(0, 1, -3, 3, -1)):        # t(1-t)^3
+        if _poly_eval(phi2_coeffs, Fraction(0)) != 0:
             raise PreconditionError("phi2(0) must vanish")
-        if _poly_eval(self.phi1_coeffs, Fraction(0)) == 0:
+        if _poly_eval(phi1_coeffs, Fraction(0)) == 0:
             raise PreconditionError("phi1(0) must not vanish")
+        return super().__new__(cls, phi1_coeffs, phi2_coeffs)
 
     def phi1(self, t):
         t = Fraction(t)
@@ -172,30 +179,96 @@ def dual_norm_histogram(max_nsq):
 #: `b_term` drops the dual-lattice terms with argument 2Q|xi| past this
 _B_TERM_CUTOFF = 60.0
 
+
+@functools.lru_cache(maxsize=None)
+def _sonine_series(profile):
+    """(top, lcm, weights, diffs) with
+
+        sum_mu d_mu / ((mu + 1) (mu + 2)) 0F1(; mu + 3; -z)
+            = sum_k (-z)^k / (k! (top)_k) * n_k / lcm,
+
+    n_k = sum_nu weights[nu] (nu + k)_(top - nu) over nu = mu + 3, from
+    (nu)_k (nu + k)_(top - nu) = (nu)_(top - nu) (top)_k; the weights are
+    integers, and n_k is a polynomial in k whose value at 0 and forward
+    differences are `diffs`.  None if phi2 is zero."""
+    c = {mu + 3: Fraction(d, (mu + 1) * (mu + 2))
+         for mu, d in enumerate(profile.phi2_about_one()) if d}
+    if not c:
+        return None
+    top = max(c)
+    c = {nu: v / math.prod(range(nu, top)) for nu, v in c.items()}
+    lcm = math.lcm(*(v.denominator for v in c.values()))
+    weights = {nu: int(v * lcm) for nu, v in c.items()}
+    span = top - min(weights)
+    diffs = [sum(w * math.prod(range(nu + k, top + k))
+                 for nu, w in weights.items()) for k in range(span + 1)]
+    for i in range(1, span + 1):
+        for j in range(span, i - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    return top, lcm, weights, tuple(diffs)
+
+
 def ghat(s, profile=DEFAULT_PROFILE):
-    """4D radial Fourier transform of g(r) = phi2(r^2) at radius s >= 0.
+    """4D radial Fourier transform of g(r) = phi2(r^2) at radius s >= 0,
+    as the correctly rounded float.
 
     For s > 0 it is (2 pi / s) int_0^1 r^2 g(r) J_1(2 pi s r) dr.  With
     phi2(t) = sum_mu d_mu (1 - t)^mu and a = 2 pi s, Sonine's integral at
-    nu = 1 turns it into (2 pi / s) sum_mu d_mu 2^mu mu! a^{-mu-1} J_{mu+2}(a).
-    """
-    import mpmath  # only the zero shift needs it; importing it costs ~14 ms
+    nu = 1 turns it into (2 pi / s) sum_mu d_mu 2^mu mu! a^{-mu-1} J_{mu+2}(a),
+    and the power series of J (DLMF 10.2.2) into
 
+        pi^2 sum_mu d_mu / ((mu + 1) (mu + 2)) 0F1(; mu + 3; -z),  z = (pi s)^2,
+
+    one alternating series (`_sonine_series`) summed in integers at P
+    fractional bits, u = 2^-P.  g_k = z^k / (k! (top)_k) is floored from
+    g_(k-1) by Z, within a relative eps of z, so sum_(k<=K) |G_k u - g_k|
+    <= E = B K (2 eps + (K + 1) u) while K eps <= 1/8, where B = 2^b >=
+    e^(2 pi s) bounds every g_k and their sum.  Each term G_k n_k is exact,
+    |n_k| <= M = sum |weights[nu]| (nu + K)_(top - nu), and the sum stops
+    at G_K = 0 with every later ratio below 1/2, a tail within 2 M E; in
+    all the sum is within 3 M E.  P starts at b + 128 bits against the
+    cancellation, and doubles until the enclosure rounds to one float.
+    """
     if s == 0:
-        # integral of phi2(r^2) r^3 dr = (1/2) integral t phi2(t) dt
-        return float(2 * mpmath.pi ** 2
-                     * mpmath.mpf(profile.radial_moment().numerator)
-                     / profile.radial_moment().denominator / 2)
-    # guard digits against cancellation between the terms of the sum
-    with mpmath.workdps(mpmath.mp.dps + 10):
-        a = 2 * mpmath.pi * s
-        total = mpmath.mpf(0)
-        for mu, d in enumerate(profile.phi2_about_one()):
-            if d:
-                w = d * 2 ** mu * math.factorial(mu)
-                total += (mpmath.mpf(w.numerator) / w.denominator
-                          * mpmath.besselj(mu + 2, a) / a ** (mu + 1))
-        return float(2 * mpmath.pi / s * total)
+        # (pi^2 / 2) int t phi2(t) dt in doubles: `b_term_approx` prints this
+        # value, one unit in the last place off the correctly rounded one
+        m = profile.radial_moment()
+        return 2 * (math.pi * math.pi) * m.numerator / m.denominator / 2
+    series = _sonine_series(profile)
+    if series is None:
+        return 0.0
+    top, lcm, weights, diffs = series
+    span = len(diffs) - 1
+    num, den = Fraction(s).as_integer_ratio()
+    num = abs(num)
+    b = -(-9065 * num // (1000 * den))                  # 9.065 > 2 pi log2 e
+    eps2 = 3 + -(-2 * den * den // (9 * num * num))     # 2 eps <= eps2 u
+    kmin = math.isqrt(20 * num * num // (den * den)) + 1   # 20 s^2 > 2 z
+    prec = b + 128
+    while True:
+        pi = pi_fixed(prec)
+        # |Pi^2 u^2 - pi^2| <= 13 u, so |Z u - z| <= (13 s^2 + 1) u
+        z = pi * pi * num * num // (den * den << prec)
+        g, k, total, n = 1 << prec, 0, 0, list(diffs)
+        while g or k < kmin:
+            t = g * n[0]
+            total += -t if k & 1 else t
+            for i in range(span):           # n_k -> n_(k+1)
+                n[i] += n[i + 1]
+            k += 1
+            g = (g * z >> prec) // (k * (top + k - 1))
+        if k * eps2 <= 1 << (prec - 2):
+            bound = sum(abs(w) * math.prod(range(nu + k, top + k))
+                        for nu, w in weights.items())
+            err = 3 * bound * (k * (eps2 + k + 1) << b)
+            lo_pi, hi_pi = (pi - 2) ** 2, (pi + 2) ** 2
+            lo, hi = total - err, total + err
+            scale = lcm << 3 * prec
+            lo = (lo_pi if lo >= 0 else hi_pi) * lo / scale
+            hi = (hi_pi if hi >= 0 else lo_pi) * hi / scale
+            if lo == hi:
+                return lo
+        prec *= 2
 
 
 def f2phi_at_zero(profile=DEFAULT_PROFILE):
@@ -328,17 +401,34 @@ def support_divisors(na, Q):
             if na % d == 0 and na <= d * Q2]
 
 
+#: cap on Q at the zero shift, whose norm table runs to Q^2
+_ZERO_SHIFT_Q_CAP = 512
+#: cap on min(nrd alpha, Q^2), the integers `support_divisors` scans
+_DIVISOR_SCAN_CAP = 10 ** 6
+#: cap on sum_d gcd(d, content of alpha) over the support divisors, which
+#: bounds the sum of the cofactor norms d / nrd(beta) of the shells built
+_SHELL_NORM_CAP = 10 ** 5
+
+
 def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
     """Two-sided smoothed sum at shift alpha and modulus height Q.
 
     Returns a report with the exact rational difference, the dual main term,
     and (for nonzero alpha) the bijection certificate between the two index
     sets.  The difference is exactly zero for nonzero alpha.
+
+    The caps are checked before any norm table or shell is built.  A shell
+    at d has cofactor norm d / nrd(beta) <= gcd(d, g) for alpha = g alpha0
+    with alpha0 primitive: delta conj(alpha) lies in d O exactly when delta
+    conj(alpha0) lies in e O, e = d / gcd(d, g), and that left ideal has
+    norm at least e at every prime.
     """
     if Q < 4:
         raise PreconditionError("Q must be >= 4")
     Q2 = Q * Q
     if alpha.is_zero():
+        if Q > _ZERO_SHIFT_Q_CAP:
+            raise BudgetError(f"zero shift needs Q <= {_ZERO_SHIFT_Q_CAP}")
         # phi2(n / Q^2) = sum_k c_k n^k / Q^(2k), so the sum over n is
         # sum_k c_k S_k / Q^(2k) with integer moments S_k = sum_n r(n) n^k
         counts = norm_counts(Q2)
@@ -349,10 +439,16 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
         return {"difference": diff, "b_term": b_term(Q, profile),
                 "normalized": diff / Q ** 4, "terms": None}
     na = alpha.nrd()
+    if min(na, Q2) > _DIVISOR_SCAN_CAP:
+        raise BudgetError("divisor scan exceeds budget")
+    divisors = support_divisors(na, Q)
+    content = alpha.content()
+    if sum(math.gcd(d, content) for d in divisors) > _SHELL_NORM_CAP:
+        raise BudgetError("index-set shells exceed budget")
     side1 = {}
     side2 = {}
     s1 = s2 = Fraction(0)
-    for d in support_divisors(na, Q):
+    for d in divisors:
         right, left = index_sets(alpha, d)
         side1.update((delta.c, (d, delta)) for delta in right)
         side2.update((delta.c, (d, delta)) for delta in left)

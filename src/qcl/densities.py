@@ -66,25 +66,58 @@ class QuotientGroup:
         self.cosets = math.prod(self.radii[:self.head])
         self.tail = self.order // self.cosets
 
+    def digits_of(self, idx):
+        """(len(idx), k) box representatives of the indices idx."""
+        return idx[:, None] // self.weights % self.radii
+
     @functools.cached_property
     def digits(self):
         """(G, k) box representatives, built when first read."""
-        idx = np.arange(self.order, dtype=np.int64)[:, None]
-        return idx // self.weights % self.radii
+        return self.digits_of(np.arange(self.order, dtype=np.int64))
 
     def pack(self, rows):
         """Index of each integer row, reduced digitwise into the box."""
         rows = np.array(rows, dtype=np.int64, ndmin=2)
         return rows % self.radii @ self.weights
 
+    def negation(self):
+        """Index of -x for every index x, packed one digit at a time
+        without the (G, k) digits."""
+        idx = np.arange(self.order, dtype=np.int64)
+        out = np.zeros_like(idx)
+        for r, w in zip(self.radii, self.weights):
+            part = idx // w
+            part %= r
+            np.negative(part, out=part)
+            part %= r
+            part *= w
+            out += part
+        return out
+
     @functools.cached_property
     def coset_tables(self):
         """diff[h, t] = t - h inside K (V x V), and for head cosets s, u the
-        coset target[s, u] of s + u (U x U)."""
-        tails = self.digits[:self.tail]
-        heads = self.digits[::self.tail]
-        diff = self.pack(tails[None, :, :] - tails[:, None, :])
-        target = self.pack(heads[:, None, :] + heads[None, :, :]) // self.tail
+        coset target[s, u] of s + u (U x U).
+
+        Both are packed one digit at a time, diff = sum_i ((t_i - h_i) mod
+        r_i) w_i over the tail digits and target likewise over the head
+        digits, so the peak is two tables, not k of them."""
+        def packed(values, digits, sign):
+            out = np.zeros((len(values), len(values)), dtype=np.int64)
+            for i in digits:
+                col = values[:, i]
+                part = col[None, :] + sign * col[:, None]
+                part %= self.radii[i]
+                part *= self.weights[i]
+                out += part
+            return out
+
+        tails = self.digits_of(np.arange(self.tail, dtype=np.int64))
+        heads = self.digits_of(np.arange(0, self.order, self.tail,
+                                         dtype=np.int64))
+        diff = packed(tails, range(self.head, len(self.radii)), -1)
+        target = packed(heads, range(self.head), 1)
+        target //= self.tail
         return diff, target
 
 
@@ -134,7 +167,7 @@ def _count_at_zero(dists, grp):
     the last product is one pairing, sum_x left[x] right[-x]."""
     if len(dists) == 1:
         return int(dists[0][0])
-    neg = grp.pack(-grp.digits)
+    neg = grp.negation()
     return zero_mass(dists, lambda a, b: group_convolve(a, b, grp),
                      lambda a, b: exact_dot(a, b[neg], _mass(a), _mass(b)))
 

@@ -17,7 +17,7 @@ derived bounds.
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (HQ_BASIS, HurwitzQuat, _cyclic_product,
@@ -37,18 +37,12 @@ C_SHORT = 8     # short-vector searches, in units of sqrt(K) / sqrt(Km)
 _ENUM_BUDGET = 4 * 10 ** 6
 
 
-@dataclass(frozen=True)
-class Lattice4:
+class Lattice4(namedtuple("Lattice4", "hnf index H K m eta m0",
+                          defaults=(1, 1, 1, None, None))):
     """Full-rank sublattice of the maximal order, rows = HNF basis in
     order-basis coordinates; index is [order : lattice]."""
 
-    hnf: tuple
-    index: int
-    H: int = 1
-    K: int = 1
-    m: int = 1
-    eta: HurwitzQuat = None
-    m0: HurwitzQuat = None
+    __slots__ = ()
 
     @property
     def kprime(self):

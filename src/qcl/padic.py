@@ -15,7 +15,7 @@ at working precision are capped at the precision exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import CycloSum
@@ -176,8 +176,8 @@ def _strong_lucas(n):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussSumParams:
+class GaussSumParams(namedtuple("GaussSumParams",
+                                "p va vt vxi ua ut uxi xi_zero")):
     """Parameters for the normalized sum
     p^(-vt) * sum_{y mod p^vt} e(( a y^2 + xi y ) / t ) with
     a = ua * p^va, t = ut * p^vt, xi = uxi * p^vxi; e() is the character
@@ -186,21 +186,16 @@ class GaussSumParams:
     vxi may be given as >= vt + va + 2 to mean "xi irrelevant/zero"; use
     xi_zero=True for a true zero linear term.
     """
-    p: int
-    va: int
-    vt: int
-    vxi: int
-    ua: int = 1
-    ut: int = 1
-    uxi: int = 1
-    xi_zero: bool = False
 
-    def __post_init__(self):
-        if self.va < 0 or self.vt < 0 or self.vxi < 0:
+    __slots__ = ()
+
+    def __new__(cls, p, va, vt, vxi, ua=1, ut=1, uxi=1, xi_zero=False):
+        if va < 0 or vt < 0 or vxi < 0:
             raise PreconditionError("valuations must be non-negative")
-        for u in (self.ua, self.ut, self.uxi):
-            if u % self.p == 0:
+        for u in (ua, ut, uxi):
+            if u % p == 0:
                 raise PreconditionError("unit parts must be coprime to p")
+        return super().__new__(cls, p, va, vt, vxi, ua, ut, uxi, xi_zero)
 
 
 def gauss_sum(params):

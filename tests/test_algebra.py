@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from qcl.algebra import (
     HQ_I, HQ_J, HQ_OMEGA, HQ_ONE,
     CycloSum, HurwitzQuat,
-    adj_flat, count_dtype, det_flat, doubled_mul_flat, exact_dot,
+    adj_flat, cos_fixed, count_dtype, det_flat, doubled_mul_flat, exact_dot,
     hq_from_basis_coords, hq_to_basis_coords,
-    mat_mul_flat, quat_mul_flat, trace_flat, smallest_nonresidue, zero_mass,
+    mat_mul_flat, pi_fixed, quat_mul_flat, trace_flat, smallest_nonresidue,
+    zero_mass,
 )
 from qcl.errors import PreconditionError, VerificationError
 
@@ -321,6 +322,28 @@ class TestCycloSum:
         assert sq.at_most(Fraction(2) + Fraction(1, 7 ** 11))
         assert CycloSum.from_int(2, 7).at_most(Fraction(2))
         assert not CycloSum.from_int(2, 7).at_most(Fraction(13, 7))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 25, 27, 49, 125, 7 ** 7])
+    def test_fixed_point_cosines_are_within_one(self, n):
+        # the t_r of real_sign against mpmath, 40 bits past the precision
+        import mpmath
+
+        rng = random.Random(n)
+        rs = sorted({*range(min(n, 130)), n - 1, n // 2, n // 4, 3 * n // 4,
+                     *(rng.randrange(n) for _ in range(60))})
+        for prec in (64, 128, 1024):
+            with mpmath.workprec(prec + 40):
+                for r in rs:
+                    exact = mpmath.ldexp(mpmath.cospi(mpmath.mpf(2 * r) / n),
+                                         prec)
+                    assert abs(cos_fixed(r, n, prec) - exact) <= 1, (r, prec)
+
+    def test_fixed_point_pi_is_within_two(self):
+        import mpmath
+
+        for bits in (0, 1, 7, 64, 700, 3000, 100):   # the last from the memo
+            with mpmath.workprec(bits + 40):
+                assert abs(pi_fixed(bits) - mpmath.ldexp(mpmath.pi, bits)) < 2
 
     @given(cyclo_values())
     def test_zero_test_matches_floats(self, a):

@@ -160,6 +160,17 @@ class TestExitCodes:
                        check=False)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("args", [
+        ["--q", "513", "--alpha", "0,0,0,0"],
+        ["--q", "100000", "--alpha=1000001,3,5,7"],
+        ["--q", "316", "--alpha", "27720,0,0,0"],
+    ], ids=["zero-shift-height", "divisor-scan", "shells"])
+    def test_delta_check_caps_are_three(self, tmp_path, args):
+        # refused before the norm table, the divisor scan or any shell
+        proc = run_cli(["--no-cache", "delta-check", *args], tmp_path,
+                       check=False)
+        assert proc.returncode == 3 and proc.stdout == b""
+
     @pytest.mark.parametrize("p,m,n", [(2, 12, 5), (3, 9, 2), (2, 40, 5)])
     def test_nonsplit_quotient_cap_is_three(self, tmp_path, p, m, n):
         # refused on the quotient's order, before its digits are allocated
@@ -416,7 +427,7 @@ class TestDeterminismAndCache:
 
 
 # Runs one command in this interpreter; its last stderr line lists the
-# numpy, mpmath and qcl modules it loaded.
+# numpy, mpmath, dataclasses, inspect and qcl modules it loaded.
 _MODULES_PROBE = """
 import json, sys
 from qcl.cli import main
@@ -425,8 +436,8 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("numpy", "mpmath", "qcl"))),
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in
+                        ("numpy", "mpmath", "dataclasses", "inspect", "qcl"))),
       file=sys.stderr)
 """
 
@@ -455,8 +466,10 @@ EXACT_PATHS = pytest.mark.parametrize("args", [
      "--ua", "3", "--ut", "5", "--uxi", "2"],
     ["lattice", "--k", "3", "--m", "3", "--eta", "1,1,1,0", "--minima"],
     ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
+    ["delta-check", "--q", "8", "--alpha", "0,0,0,0"],
     ["repnum", "--m", "3000"],
-], ids=["gauss", "lattice-minima", "delta-check-shift", "repnum"])
+], ids=["gauss", "lattice-minima", "delta-check-shift", "delta-check-zero",
+        "repnum"])
 
 
 class TestImportPaths:
@@ -464,6 +477,7 @@ class TestImportPaths:
     def test_exact_paths_leave_numpy_unloaded(self, args, tmp_path):
         _, modules = _probe_modules(["--no-cache"] + args, tmp_path / "cache")
         assert "numpy" not in modules
+        assert not {"mpmath", "dataclasses", "inspect"} & set(modules)
 
     @EXACT_PATHS
     def test_exact_paths_run_without_numpy_or_mpmath(self, args, tmp_path):
@@ -565,6 +579,7 @@ class TestStdoutDiff:
             "gauss --p 7 --va 1 --vt 3 --xi 0 --ua 3 --ut 5 --uxi 2\n"
             "lattice --k 19 --m 19 --eta -2,-3,-5,0 --minima\n"
             "delta-check --q 16 --alpha 3,-1,2,5\n"
+            "delta-check --q 8 --alpha 0,0,0,0\n"
             "repnum --max 30\n")
         for python in pythons:
             proc = subprocess.run(
@@ -573,4 +588,4 @@ class TestStdoutDiff:
                  str(ROOT / "src"), str(requests)],
                 capture_output=True, text=True)
             assert proc.returncode == 0, (python, proc.stdout + proc.stderr)
-            assert "4 requests, 0 differ" in proc.stderr, python
+            assert "5 requests, 0 differ" in proc.stderr, python

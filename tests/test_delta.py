@@ -58,6 +58,27 @@ def ghat_quadrature(s, profile):
     return float(2 * mpmath.pi / s * mpmath.quad(f, pts))
 
 
+def ghat_sonine(s, profile):
+    """Reference for ghat at s > 0: the Sonine sum (2 pi / s) sum_mu d_mu
+    2^mu mu! a^{-mu-1} J_{mu+2}(a), a = 2 pi s, by mpmath at 400 bits,
+    rounded once to a float."""
+    with mpmath.workprec(400):
+        a = 2 * mpmath.pi * s
+        total = mpmath.mpf(0)
+        for mu, d in enumerate(profile.phi2_about_one()):
+            w = d * 2 ** mu * math.factorial(mu)
+            total += (mpmath.mpf(w.numerator) / w.denominator
+                      * mpmath.besselj(mu + 2, a) / a ** (mu + 1))
+        return float(2 * mpmath.pi / s * total)
+
+
+def b_term_arguments(heights):
+    """Every nonzero argument s that `b_term` passes to ghat at these Q."""
+    return sorted({2 * Q * math.sqrt(key / 4) for Q in heights
+                   for key in dual_norm_histogram((60.0 / (2 * Q)) ** 2)
+                   if key})
+
+
 def scanned_index_sets(alpha, d):
     """Reference for both index sets at norm d: scan every element of the
     norm-d shell and keep those with alpha conj(delta), resp. conj(delta)
@@ -161,6 +182,25 @@ class TestRadialTransform:
             ref = ghat_quadrature(s, profile)
             assert abs(ghat(s, profile) - ref) <= 1e-15 + 1e-12 * abs(ref), s
 
+    def test_value_at_zero_is_the_double_formula(self):
+        # 2 fl(pi^2) / 60 / 2 in doubles; the correctly rounded pi^2 / 60 is
+        # 0.16449340668482265, and b_term_approx prints this one
+        assert ghat(0) == 0.16449340668482262
+
+    def test_b_term_arguments_are_correctly_rounded(self):
+        args = b_term_arguments(range(4, 129))
+        assert len(args) > 300
+        assert [ghat(s) for s in args] == [
+            ghat_sonine(s, DEFAULT_PROFILE) for s in args]
+
+    @pytest.mark.parametrize("profile", [
+        DeltaTestFn(phi2_coeffs=(0, 1, -2, 1)),
+        DeltaTestFn(phi2_coeffs=(0, 3, 0, -7, 2, 0, 1))])
+    def test_other_profiles_are_correctly_rounded(self, profile):
+        for s in (1e-3, 0.3, 1, 2.5, 7.1, 13.3, 28.28, 57.5):
+            assert ghat(s, profile) == ghat_sonine(s, profile), s
+        assert ghat(-2.5, profile) == ghat(2.5, profile)
+
     def test_expansion_about_one(self):
         # t(1-t)^3 = (1-t)^3 - (1-t)^4
         assert DEFAULT_PROFILE.phi2_about_one() == (0, 0, 0, 1, -1)
@@ -203,6 +243,25 @@ class TestDeltaSumZeroShift:
         with pytest.raises(PreconditionError):
             delta_sum(ZERO, 3)
 
+    def test_height_cap_refuses_before_the_norm_table(self, monkeypatch):
+        def no_work(n):
+            raise AssertionError("norm table built past the cap")
+
+        monkeypatch.setattr(delta_mod, "norm_counts", no_work)
+        with pytest.raises(BudgetError):
+            delta_sum(ZERO, delta_mod._ZERO_SHIFT_Q_CAP + 1)
+
+    def test_zero_shift_skips_mpmath_and_dataclasses(self):
+        import subprocess
+        import sys
+        code = ("import sys; from qcl.algebra import HurwitzQuat; "
+                "from qcl.delta import delta_sum; "
+                "delta_sum(HurwitzQuat(0, 0, 0, 0), 20); "
+                "print(sorted({'mpmath', 'dataclasses'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_sum_builds_the_two_square_counts_once(self, monkeypatch):
         # one build to Q^2 for the sum, one to its own end for b_term's
         # dual histogram; no table is kept to be grown as the walk goes
@@ -233,6 +292,41 @@ class TestDeltaSumNonzeroShift:
         alpha = HurwitzQuat.from_true(2 ** 9, 0, 0, 0)
         rep = delta_sum(alpha, 8)
         assert rep["difference"] == 0 and rep["terms"] == (0, 0)
+
+    def test_scan_cap_refuses_before_the_scan(self, monkeypatch):
+        def no_work(na, Q):
+            raise AssertionError("divisors scanned past the cap")
+
+        monkeypatch.setattr(delta_mod, "support_divisors", no_work)
+        alpha = HurwitzQuat.from_true(1000001, 3, 5, 7)
+        with pytest.raises(BudgetError):
+            delta_sum(alpha, 100000)
+
+    def test_shell_cap_refuses_before_any_shell(self, monkeypatch):
+        def no_work(d):
+            raise AssertionError("shell built past the cap")
+
+        monkeypatch.setattr(delta_mod, "_norm_shell", no_work)
+        # sum_d gcd(d, 27720) over the support at Q = 316 is 630417
+        with pytest.raises(BudgetError):
+            delta_sum(HurwitzQuat.from_true(27720, 0, 0, 0), 316)
+
+    @pytest.mark.parametrize("content", [1, 2, 6, 12, 30])
+    def test_cofactor_norm_is_at_most_the_gcd_with_the_content(
+            self, content, monkeypatch):
+        # the bound behind _SHELL_NORM_CAP: d / nrd(beta) <= gcd(d, g)
+        shells = []
+        monkeypatch.setattr(delta_mod, "_norm_shell",
+                            lambda n: shells.append(n) or _norm_shell(n))
+        for prim in (HurwitzQuat(1, 3, -1, 5),
+                     HurwitzQuat.from_true(2, 1, 0, 1)):
+            alpha = prim * content
+            na = alpha.nrd()
+            for d in range(1, min(na, 400) + 1):
+                if na % d == 0:
+                    shells.clear()
+                    index_sets(alpha, d)
+                    assert all(n <= math.gcd(d, content) for n in shells)
 
 
 class TestIndexSets:

@@ -163,6 +163,30 @@ class TestCosetKernel:
         grp = QuotientGroup([1, 1, 2, 2])
         assert (grp.head, grp.cosets, grp.tail) == (3, 2, 2)
 
+    @pytest.mark.parametrize("radii", [[25] * 4, [2, 3, 5, 4], [1, 1, 2, 2]])
+    def test_coset_tables_match_the_broadcast_formula(self, radii):
+        # the (V, V, k) broadcast the tables were once packed from
+        grp = QuotientGroup(radii)
+        tails = grp.digits[:grp.tail]
+        heads = grp.digits[::grp.tail]
+        diff = grp.pack(tails[None, :, :] - tails[:, None, :])
+        target = grp.pack(heads[:, None, :] + heads[None, :, :]) // grp.tail
+        got_diff, got_target = QuotientGroup(radii).coset_tables
+        assert (got_diff == diff).all() and (got_target == target).all()
+        assert (grp.negation() == grp.pack(-grp.digits)).all()
+
+    def test_coset_tables_peak_is_two_tables(self):
+        import tracemalloc
+
+        grp = QuotientGroup([25] * 4)
+        tracemalloc.start()
+        try:
+            diff, target = grp.coset_tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * diff.nbytes + target.nbytes
+
     def test_lost_mass_is_a_verification_failure(self, monkeypatch):
         kernel = densities._convolve_cosets
 

@@ -18,6 +18,36 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _banned_imports(tree, banned=("mpmath", "dataclasses")):
+    """Lines of the absolute imports of a banned top-level module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [node.lineno for n in names if n.split(".")[0] in banned]
+    return out
+
+
+def test_no_runtime_mpmath_or_dataclasses():
+    """mpmath is a test dependency only, and the records are namedtuples:
+    no module in src/qcl imports either, at any depth, so no request loads
+    them."""
+    sample = ast.parse("import math\n"
+                       "def f():\n"
+                       "    import mpmath.libmp\n"
+                       "from dataclasses import dataclass\n"
+                       "from .delta import ghat\n")
+    assert sorted(_banned_imports(sample)) == [3, 4]
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in _banned_imports(ast.parse(path.read_text(),
+                                                   str(path)))]
+    assert found == []
+
+
 ROOT_MODULES = ("cli", "audits", "errors", "__init__")
 SCRIPTS = SRC.parents[1] / "scripts"
 
