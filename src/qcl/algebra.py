@@ -7,8 +7,10 @@ exponential sums, the geometry checks, HurwitzQuat, the nonsplit densities
 and the counting boxes all use them. `quat_mul_flat` multiplies in any
 quaternion algebra (a, b): Hamilton's (-1, -1), or at an odd prime p the
 local division order (u, p) on (1, s, P, sP), s^2 = u a non-square unit,
-P^2 = p. Exact on Python ints, and within int64 on int64 numpy columns,
-where one call multiplies whole arrays of elements.
+P^2 = p. Exact on Python ints, and on numpy arrays within their dtype:
+int64 columns, or blocks that broadcast against each other, as the int32
+grid blocks of `qcl.expsums` do, where one call multiplies whole arrays
+of elements.
 
 A CycloSum, the exact value of a prime-power exponential sum, is one dense
 tuple of p^k Python ints at one prime p: canonical form is one row

@@ -29,7 +29,8 @@ import numpy as np
 from . import DEFAULT_SEED
 from .algebra import (basis_from_doubled_coords, count_dtype,
                       doubled_from_basis_coords, doubled_mul_flat, exact_dot,
-                      quat_mul_flat, smallest_nonresidue, zero_mass)
+                      mat_mul_flat, quat_mul_flat, smallest_nonresidue,
+                      zero_mass)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .expsums import grid_square_keys
 
@@ -333,24 +334,25 @@ def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=DEFAULT_SEED,
                         shards=16):
     """Monte Carlo estimate of the real density of P(Y) = 0 with Y in the
     unit sup-norm box: 2^{4n} * Pr[ all four entries of P(Y) within eps ]
-    / (2 eps)^4. Deterministic under resharding (counter-based generator,
-    fixed per-shard batches)."""
+    / (2 eps)^4, and its standard error, whose variance is floored at that
+    of one hit: with no hit it is the resolution 2^{4n} / ((2 eps)^4 N)
+    times sqrt(1 - 1/N), not 0. Deterministic under resharding
+    (counter-based generator, fixed per-shard batches)."""
     if samples % shards:
         raise PreconditionError("samples must split evenly into shards")
     per = samples // shards
     hits = 0
     for shard in range(shards):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=shard))
-        y = rng.uniform(-1.0, 1.0, size=(per, n, 4))
-        a, b, c, d = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-        bc = b * c
-        s = np.stack([a * a + bc, b * (a + d), c * (a + d), d * d + bc],
-                     axis=-1).sum(axis=1)
+        y = tuple(np.moveaxis(rng.uniform(-1.0, 1.0, size=(per, n, 4)),
+                              -1, 0))
+        s = np.stack(mat_mul_flat(y, y), axis=-1).sum(axis=1)
         hits += int((np.abs(s) < eps).all(axis=1).sum())
     p_hat = hits / samples
     est = 2 ** (4 * n) * p_hat / (2 * eps) ** 4
-    stderr = 2 ** (4 * n) * math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / samples) \
-        / (2 * eps) ** 4
+    one = 1 / samples
+    stderr = 2 ** (4 * n) * math.sqrt(max(p_hat * (1 - p_hat), one * (1 - one))
+                                      / samples) / (2 * eps) ** 4
     return est, stderr
 
 

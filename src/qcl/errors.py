@@ -19,7 +19,3 @@ class BudgetError(QclError):
 
 class VerificationError(QclError):
     """An identity that should hold exactly did not."""
-
-
-class PrecisionError(PreconditionError):
-    """A p-adic computation would drop below its declared precision."""

@@ -16,23 +16,25 @@ Main objects, all exact:
 * `prime_case_report`: exact point-count identities at prime level.
 
 Every sum over all 2x2 matrices Y mod q runs on one blocked grid kernel:
-the packed key of L @ flat(Y^2) mod q (`grid_square_keys`) or of
-R @ flat(Y) mod q (`grid_linear_keys`) for every Y, in grid order, as
-blocks of at most 2^16 rows. A block is a run of leading entry pairs
-(a, b) (`_grid_blocks`), so grids up to 16^4 are one block and 25^4 is
-seven. Every consumer accumulates over the blocks: nothing forms the
-(q^4, 4) grid, and the only arrays with one entry per grid row are the
-bool key bitmap of a slot pass, freed when the pass ends, and the cached
-compact inverse index of two slots. The kernel refuses grids with
-q^4 > 10^7 (`BudgetError`) when called, before it allocates; the cap
-bounds the int64 counts of the two-slot join.
+the packed key of L @ flat(Y^2) mod q (`grid_square_keys`, which squares
+a broadcast block of Y with `mat_mul_flat`) or of R @ flat(Y) mod q
+(`grid_linear_keys`, one table gather per row) for every Y, in grid
+order, as blocks of at most 2^16 rows. A block is a run of leading entry
+pairs (a, b) (`_grid_blocks`), so grids up to 16^4 are one block and 25^4
+is seven. Every consumer accumulates over the blocks: nothing forms the
+(q^4, 4) grid, and the only arrays with one entry per grid row are built
+by the two-slot pass: the bool key bitmap and the rank table, freed when
+the pass ends, and the cached compact inverse index. The kernel refuses
+grids with q^4 > 10^7 (`BudgetError`) when called, before it allocates;
+the cap bounds the int64 counts of the two-slot join.
 
 I0, S2 and S3 are entries of one count by phase (`_phase_counts`) of the
 slot tuples Y with adj(delta) sum c_i Y_i^2 = 0. One slot bins its phase
 over the solution set S = {Y : adj(delta) Y^2 = 0 mod p^v}, a few thousand
-rows at q = 25, from one kernel pass; two slots pay a second pass for the
-inverse index and join per-slot histograms of (distinct key, phase),
-D x q entries. The witness measure lives on the image of Z -> Z gen, which
+rows at q = 25, from one kernel pass that keeps S alone; two slots pay two
+passes of their own, one for the distinct keys and one for the inverse
+index, and join per-slot histograms of (distinct key, phase), D x q
+entries. The witness measure lives on the image of Z -> Z gen, which
 is Z/m-linear, so every w of it has the same fiber: the image is
 enumerated from a Hermite basis (`_right_image`), m^2 elements since gen
 has rank one mod m, and the measure table holds at most that many
@@ -41,10 +43,11 @@ has rank one mod m, and the measure table holds at most that many
 Caches (`functools.lru_cache`):
 
 * `_grid_blocks`: the leading pairs of each block, per q;
-* `_slot_solutions` (12 entries): per (delta, p, v, coeff), the distinct
-  keys and S, from one kernel pass;
-* `_slot_static` (12 entries): per (delta, p, v, coeff), the key
-  negations and the inverse index, from a second pass, for two slots only;
+* `_slot_solutions` (12 entries): per (delta, p, v, coeff), S alone, from
+  one kernel pass, for one slot only;
+* `_slot_static` (12 entries): per (delta, p, v, coeff), the distinct
+  keys, their negations and the inverse index, from two passes, for two
+  slots only;
 * `_image_generator`: the cyclic image generator, per (eta mod m, m, p);
 * `_measure_table` (3 entries): per (gen, m), the sorted span keys and
   their counts.
@@ -71,9 +74,6 @@ from .padic import line_key, line_multiple, pivot, pval, punit
 _GRID_CAP = 10 ** 7
 #: most rows in one block of the grid kernels
 _BLOCK_ROWS = 2 ** 16
-#: number of set bits of each byte value
-_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                           axis=1).sum(axis=1, dtype=np.int32)
 
 
 def _check_grid(q):
@@ -131,32 +131,30 @@ def grid_square_keys(lmat, q):
     blocks and grid order of `grid_linear_keys`, for a 4x4 integer matrix
     `lmat`.
 
-    With Y = (a, b, c, d), Y^2 = (a^2 + bc, b(a + d), c(a + d), d^2 + bc),
-    so row (l0, l1, l2, l3) gives the quadratic form
-    (l0 a^2 + l1 ab) + l2 ac + (l0 + l3) bc + l1 bd + (l2 cd + l3 d^2):
-    an outer sum of five tables over pairs of entries, each reduced mod q.
+    A block broadcasts Y = (a, b, c, d) as int32 arrays, a and b of shape
+    (pairs, 1, 1), c (q, 1) and d (q,), squares it with `mat_mul_flat`
+    and forms the key row by row as (row . flat(Y^2)) mod q, in Horner
+    order. Under the cap q <= 56, an entry of Y^2 is below 2 q^2, a row
+    sum below 8 q^3 < 2^31 and a key below q^4, so int32 holds every step.
     No (q^4, 4) array, matmul or sort is formed."""
     blocks = _grid_blocks(q)
+    rows = [[int(t) % q for t in row] for row in lmat]
     e = np.arange(q, dtype=np.int32)
-    sq = e * e % q
-    pr = np.multiply.outer(e, e) % q  # pr[x, y] = x y mod q
-    tables = []
-    for row in lmat:
-        l0, l1, l2, l3 = (int(t) % q for t in row)
-        ab = (l0 * sq[:, None] + l1 * pr) % q
-        ac, bc, bd = (l * pr % q for l in (l2, l0 + l3, l1))
-        cd = (l2 * pr + l3 * sq) % q
-        tables.append((ab, ac, bc, bd, cd))
-    return (_square_block(tables, a, b, q) for a, b in blocks)
+    return (_square_block(rows, (a[:, None, None], b[:, None, None],
+                                 e[:, None], e), q)
+            for a, b in blocks)
 
 
-def _square_block(tables, a, b, q):
+def _square_block(rows, y, q):
+    sq = mat_mul_flat(y, y)  # the last two entries span the block
     keys = 0
-    for ab, ac, bc, bd, cd in tables:
-        lead = ab[a, b][:, None] + ac[a] + bc[b]  # indexed by (pair, c)
-        comp = lead[:, :, None] + bd[b][:, None, :]
-        comp += cd
-        keys = keys * q + comp % q
+    for row in rows:  # in place: at most five arrays of block size live
+        key = row[0] * sq[0] + row[1] * sq[1]
+        key += row[2] * sq[2]
+        key += row[3] * sq[3]
+        key %= q
+        key += keys * q
+        keys = key
     return keys.ravel()
 
 
@@ -198,55 +196,51 @@ def _slot_keys(delta, q, coeff):
 
 @functools.lru_cache(maxsize=12)
 def _slot_solutions(delta, p, vd, coeff):
-    """One pass of `grid_square_keys` over the grid of Y mod q = p^vd for
-    the condition coeff * adj(delta) Y^2 = 0 mod q:
+    """S = {Y mod q : coeff * adj(delta) Y^2 = 0 mod q}, q = p^vd, the
+    rows of key 0 in one pass of `grid_square_keys`, as an (|S|, 4) int64
+    array of coordinates.
 
-    * the sorted distinct packed keys, read off a bool bitmap of the q^4
-      possible keys, which is freed on return;
-    * the coordinates of S = {Y : key 0}, an (|S|, 4) int64 array.
-
-    Cached per (delta tuple, p, vd, coeff); one slot reads only S."""
+    Cached per (delta tuple, p, vd, coeff); only one slot reads it."""
     q = p ** vd
-    blocks = _slot_keys(delta, q, coeff)  # refuses a grid past the cap
-    present = np.zeros(q ** 4, dtype=bool)
     sol, start = [], 0
-    for keys in blocks:
-        present[keys] = True
+    for keys in _slot_keys(delta, q, coeff):  # refuses a grid past the cap
         sol.append(start + np.flatnonzero(keys == 0))
         start += len(keys)
-    uniq, sol = np.flatnonzero(present), _unpack(np.concatenate(sol), q)
-    for arr in (uniq, sol):
-        arr.setflags(write=False)  # every caller shares the cached arrays
-    return uniq, sol
+    sol = _unpack(np.concatenate(sol), q)
+    sol.setflags(write=False)  # every caller shares the cached array
+    return sol
 
 
 @functools.lru_cache(maxsize=12)
 def _slot_static(delta, p, vd, coeff):
-    """The distinct keys of `_slot_solutions`, the packed negation of each,
-    and a second kernel pass for the inverse index of every Y into them,
-    as `np.unique(keys, return_inverse=True)` would give it, in the
-    smallest unsigned dtype that holds their number D. The rank of a key is
-    the number of distinct keys below it: a running count per byte of the
-    packed key bitmap, plus a popcount of the lower bits of its own byte.
+    """Two kernel passes over the grid of Y mod q = p^vd for the keys of
+    coeff * adj(delta) Y^2 mod q:
+
+    * the sorted distinct keys, read off a bool bitmap of the q^4 possible
+      keys, which is freed before the second pass;
+    * the packed negation of each;
+    * the inverse index of every Y into them, as
+      `np.unique(keys, return_inverse=True)` would give it, gathered from
+      one table of the rank of each distinct key, in the smallest unsigned
+      dtype that holds their number D.
 
     Cached per (delta tuple, p, vd, coeff); only two slots read it."""
     q = p ** vd
-    uniq, _ = _slot_solutions(delta, p, vd, coeff)
+    blocks = _slot_keys(delta, q, coeff)  # refuses a grid past the cap
     present = np.zeros(q ** 4, dtype=bool)
-    present[uniq] = True
-    bits = np.packbits(present, bitorder="little")
-    ones = _POPCOUNT8[bits]
-    before = np.cumsum(ones, dtype=np.int32) - ones  # set bits below a byte
-    inv = np.empty(q ** 4, dtype=np.min_scalar_type(len(uniq)))
-    start = 0
+    for keys in blocks:
+        present[keys] = True
+    uniq = np.flatnonzero(present)
+    del present
+    rank = np.zeros(q ** 4, dtype=np.min_scalar_type(len(uniq)))
+    rank[uniq] = np.arange(len(uniq))
+    inv, start = np.empty(q ** 4, dtype=rank.dtype), 0
     for keys in _slot_keys(delta, q, coeff):
-        byte, low = keys >> 3, (1 << (keys & 7)) - 1
-        inv[start:start + len(keys)] = (before[byte]
-                                        + _POPCOUNT8[bits[byte] & low])
+        inv[start:start + len(keys)] = rank[keys]
         start += len(keys)
     neg = _pack(-_unpack(uniq, q) % q, q)
-    for arr in (neg, inv):
-        arr.setflags(write=False)
+    for arr in (uniq, neg, inv):
+        arr.setflags(write=False)  # every caller shares the cached arrays
     return uniq, neg, inv
 
 
@@ -274,7 +268,7 @@ def _phase_counts(delta, rows, p, vd, coeffs):
     q = p ** vd
     delta = tuple(delta)
     if len(rows) == 1:
-        _, sol = _slot_solutions(delta, p, vd, coeffs[0] % q)
+        sol = _slot_solutions(delta, p, vd, coeffs[0] % q)
         return np.bincount(sol @ np.array(rows[0]) % q, minlength=q)
     slots = [_slot_static(delta, p, vd, c % q) for c in coeffs]
     return _join_two_slots(
@@ -431,9 +425,7 @@ def _measure(target, gen, m):
     """Volume of {Z mod m : target lies in (Z/m) * Z gen + m O}, for a
     target tuple of residues mod m."""
     keys, counts = _measure_table(gen, m)
-    key = 0
-    for t in target:  # the packed key, as `_pack` forms it
-        key = key * m + int(t)
+    key = _pack(np.array(target), m)
     i = int(np.searchsorted(keys, key))
     hit = i < len(keys) and keys[i] == key
     return Fraction(int(counts[i]) if hit else 0, m ** 4)

@@ -501,6 +501,24 @@ class TestArchimedean:
         with pytest.raises(PreconditionError):
             archimedean_density(2, samples=100, shards=16)
 
+    @pytest.mark.parametrize("n,want", [
+        (2, (488.2812499999999, 34.523405420560245)),
+        (3, (1210.9374999999998, 217.48758046080823)),
+    ])
+    def test_default_values_pinned(self, n, want):
+        assert archimedean_density(n) == want
+
+    def test_zero_hits_report_the_resolution(self):
+        # no sample hits at n = 4; the variance floor is that of one hit,
+        # so the stderr is the resolution 2^{4n} / ((2 eps)^4 N) = 625 up
+        # to the factor sqrt(1 - 1/N)
+        n, eps, samples = 4, 0.05, 2 ** 20
+        est, err = archimedean_density(n)
+        resolution = 2 ** (4 * n) / ((2 * eps) ** 4 * samples)
+        assert est == 0.0
+        assert resolution == pytest.approx(625)
+        assert err == pytest.approx(resolution, rel=1e-6)
+
 
 class TestZetaAndSeries:
     def test_local_zeta_pinned(self):

@@ -687,6 +687,24 @@ class TestGridKernel:
         want = _pack(s @ (lmat % q).T % q, q)
         assert np.array_equal(joined(grid_square_keys(lmat, q)), want)
 
+    @pytest.mark.parametrize("q", [53, 56])
+    def test_square_keys_at_the_cap(self, q):
+        # the largest entries of lmat and of Y^2 meet in the last block,
+        # where every row sum must still be exact in int32
+        lmat = np.full((4, 4), q - 1, dtype=np.int64)
+        for last in grid_square_keys(lmat, q):
+            pass
+        a, b = _grid_blocks(q)[-1]
+        want = []
+        for (a0, b0), c, d in itertools.product(zip(a.tolist(), b.tolist()),
+                                                range(q), range(q)):
+            sq = mat_mul_flat((a0, b0, c, d), (a0, b0, c, d))
+            key = 0
+            for row in lmat.tolist():
+                key = key * q + sum(t * s for t, s in zip(row, sq)) % q
+            want.append(key)
+        assert last.tolist() == want
+
     @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
            st.data())
@@ -697,10 +715,9 @@ class TestGridKernel:
         _slot_solutions.cache_clear()
         _slot_static.cache_clear()
         uniq, neg, inv = _slot_static(delta, p, vd, coeff)
-        keys, sol = _slot_solutions(delta, p, vd, coeff)
+        sol = _slot_solutions(delta, p, vd, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
         assert np.array_equal(uniq, want_uniq)
-        assert np.array_equal(keys, want_uniq)
         assert np.array_equal(
             neg, _pack(-expsums._unpack(want_uniq, qc) % qc, qc))
         assert np.array_equal(inv, want_inv)
@@ -859,6 +876,20 @@ class TestGridKernel:
         keys, counts = _measure_table(gen, m)
         assert len(keys) == len(counts) <= m * m
 
+    def test_one_slot_builds_no_grid_table(self):
+        # one slot keeps S alone: a bool bitmap of the q^4 = 5,764,801
+        # possible keys at q = 49 would pass the bound by itself
+        for cached in (_slot_solutions, _slot_static):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            i0_local((49, 0, 0, 1), [(7, 14, 0, 7)], 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _slot_static.cache_info().currsize == 0
+        assert peak < 4 * 2 ** 20
+
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
                                        (5, 0, 0, 5)])
     @pytest.mark.parametrize("n", [1, 2])
@@ -879,6 +910,7 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("call", [
         lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)], 7),
+        lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)] * 2, 7),
         lambda: split_square_distribution(7, 3),
         lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57),
         lambda: grid_linear_keys(np.eye(4, dtype=np.int64), 57),

@@ -48,6 +48,70 @@ def test_no_runtime_mpmath_or_dataclasses():
     assert found == []
 
 
+_DEFERRED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _import_time_nodes(node):
+    """`node` and every node under it that runs when it runs: a def or a
+    lambda runs its decorators and default values, not its body; a class
+    body runs with the class statement."""
+    yield node
+    if isinstance(node, _DEFERRED):
+        children = [*getattr(node, "decorator_list", ()), node.args]
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _import_time_nodes(child)
+
+
+def _import_time_numpy_calls(tree):
+    """Lines of the calls through a module-level numpy import that run
+    when the module is imported."""
+    numpy = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            numpy.update((a.asname or a.name).split(".")[0] for a in stmt.names
+                         if a.name.split(".")[0] == "numpy")
+        elif isinstance(stmt, ast.ImportFrom) and not stmt.level \
+                and stmt.module.split(".")[0] == "numpy":
+            numpy.update(a.asname or a.name for a in stmt.names)
+    out = []
+    for stmt in tree.body:
+        for node in _import_time_nodes(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in numpy:
+                out.append(node.lineno)
+    return out
+
+
+def test_no_numpy_work_at_import():
+    """Every request pays for what its imports run, and the benchmark times
+    the imports of every workload: no module in src/qcl calls numpy when
+    it is imported, so a table is built by the call that first reads it."""
+    sample = ast.parse("import numpy as np\n"
+                       "from numpy import arange\n"
+                       "TABLE = np.arange(4).sum()\n"
+                       "def f(x=arange(2)):\n"
+                       "    return np.zeros(x)\n"
+                       "g = lambda: np.eye(2)\n"
+                       "class C:\n"
+                       "    ONES = np.ones(3)\n"
+                       "    def m(self):\n"
+                       "        return np.ones(1)\n"
+                       "DTYPE = np.int32\n"
+                       "import math\n"
+                       "ROOT = math.sqrt(2)\n")
+    assert _import_time_numpy_calls(sample) == [3, 4, 8]
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in _import_time_numpy_calls(ast.parse(path.read_text(),
+                                                            str(path)))]
+    assert found == []
+
+
 ROOT_MODULES = ("cli", "audits", "errors", "__init__")
 SCRIPTS = SRC.parents[1] / "scripts"
 
