@@ -38,8 +38,6 @@ _BIAS3 = _LANE_BIAS | (_LANE_BIAS << 16) | (_LANE_BIAS << 32)
 _CONV_BLOCK = 1 << 15  # max pair sums per dist_convolve block
 _BRUTE_BLOCK = 1 << 16  # max tuple sums per brute_count block
 
-#: cap on the box^n tuples `brute_count` enumerates
-_BRUTE_CAP = 10 ** 9
 #: cap on the cells of the value box of one `conv_count`
 _CONV_SUPPORT_CAP = 5 * 10 ** 9
 #: cap on the pair sums |a| * |b| of one `dist_convolve`
@@ -234,10 +232,6 @@ def hurwitz_box(X):
     return np.concatenate([_grid(*[r] * 4) for r in (evens, odds)])
 
 
-def box_size(X):
-    return (2 * X + 1) ** 4 + (2 * X) ** 4
-
-
 @functools.lru_cache(maxsize=8)
 def _box_squares(X, traceless):
     """Doubled coordinates of g^2 over the height-X box, one row per g, as
@@ -297,8 +291,9 @@ def brute_count(n, upsilon, X):
 
     Exactness: a doubled coordinate of g^2 is at most 3(2X)^2/2 <= 24 in
     absolute value, so a partial coordinate is at most 2 * 24 = 48 and a
-    code at most 48 * (97^4 - 1) / 96 < 2^26; a total is at most
-    box_size(X)**n <= `_BRUTE_CAP`.  int64 overflows nowhere.
+    code at most 48 * (97^4 - 1) / 96 < 2^26; a total is at most the
+    881^3 = 683797841 < 2^30 tuples of n = 3 slots of the X = 2 box.  int64
+    overflows nowhere.
 
     Independent of conv_count: it shares no code with SparseDist, pack_key
     or dist_convolve, only the slot values of slot_square_values.
@@ -306,8 +301,6 @@ def brute_count(n, upsilon, X):
     if not 1 <= n <= 3 or X > 2:
         raise PreconditionError("brute engine is limited to n <= 3, X <= 2")
     upsilon = _check_signature(n, upsilon)
-    if box_size(X) ** n > _BRUTE_CAP:
-        raise BudgetError("enumeration box too large")
     squares = {u: slot_square_values(u, X) for u in set(upsilon)}
     slots = [squares[u] for u in upsilon]
     reach = max(n - 1, 1) * int(np.abs(slots[0]).max())

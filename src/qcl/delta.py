@@ -16,8 +16,10 @@ comes from `qcl.linalg.congruence_lattice`, beta is the right-Euclidean gcd
 of its rows, and the points are x beta for x in the cofactor shell of norm
 d / nrd(beta), which is the 24 units unless alpha is imprimitive.  beta lying
 in L_d and every HNF row being a left multiple of beta certify L_d = O beta,
-and every emitted delta is rechecked.  Side 2 is the conjugate of side 1
-for conj(alpha).
+and every emitted delta is rechecked.  The bijection takes side 1 at d to
+side 2 at e = nrd(alpha) / d, {mu : nrd mu = e, conj(mu) alpha in e O},
+built as side 1 for conj(alpha) at e and conjugated; `index_sets` builds
+and certifies that one pair at a time, so no index set outlives its divisor.
 
 For alpha = 0 the sum is a smoothed quaternion-norm count whose
 Q^{-4}-normalization converges to the dual-lattice main term b(Q), a sum
@@ -294,30 +296,24 @@ def b_term(Q, profile=DEFAULT_PROFILE):
 # delta sum
 
 def _norm_shell(d):
-    """All order elements of reduced norm d, in doubled coordinates.
-    Called with the cofactor norm d / nrd(beta) only (see `_index_set`)."""
+    """All order elements of reduced norm d, in doubled coordinates: pairs
+    (c0, c1) and (c2, c3) of one parity whose squares sum to 4d.  Called
+    with the cofactor norm d / nrd(beta) only (see `_index_set`)."""
     target = 4 * d
-    cmax = int(math.isqrt(target))
-    pairs_even, pairs_odd = {}, {}
-    for c0 in range(-cmax, cmax + 1):
-        for c1 in range(-cmax, cmax + 1):
-            s = c0 * c0 + c1 * c1
-            if s > target:
-                continue
-            if c0 % 2 == 0 and c1 % 2 == 0:
-                pairs_even.setdefault(s, []).append((c0, c1))
-            elif c0 % 2 and c1 % 2:
-                pairs_odd.setdefault(s, []).append((c0, c1))
+    cmax = math.isqrt(target)
     out = []
-    for s, front in pairs_even.items():
-        for back in pairs_even.get(target - s, ()):
-            for f in front:
-                out.append(f + back)
-    for s, front in pairs_odd.items():
-        for back in pairs_odd.get(target - s, ()):
-            for f in front:
-                out.append(f + back)
-    return [HurwitzQuat(*c) for c in out]
+    for parity in (0, 1):
+        coords = [c for c in range(-cmax, cmax + 1) if c % 2 == parity]
+        pairs = {}
+        for c0 in coords:
+            for c1 in coords:
+                s = c0 * c0 + c1 * c1
+                if s <= target:
+                    pairs.setdefault(s, []).append((c0, c1))
+        for s, front in pairs.items():
+            for back in pairs.get(target - s, ()):
+                out.extend(HurwitzQuat(*f, *back) for f in front)
+    return out
 
 
 def _in_scaled_order(x, d):
@@ -386,11 +382,25 @@ def _index_set(alpha, d):
 
 
 def index_sets(alpha, d):
-    """Both index sets at modulus norm d: side 1 is {delta : alpha
-    conj(delta) in d O}, side 2 is {delta : conj(delta) alpha in d O}, the
-    conjugate of side 1 for conj(alpha)."""
-    return (_index_set(alpha, d),
-            [x.conjugate() for x in _index_set(alpha.conjugate(), d)])
+    """The two index sets the bijection delta -> alpha delta^-1 = alpha
+    conj(delta) / d links: side 1 is {delta : nrd delta = d, alpha
+    conj(delta) in d O}, and side 2 is {mu : nrd mu = e, conj(mu) alpha in
+    e O} at e = nrd(alpha) / d, the conjugate of side 1 for conj(alpha) at
+    e.  The pair is certified: neither side repeats an element, both have
+    one size, and {alpha conj(delta)} = {d mu}, so the map is one-to-one
+    and onto."""
+    na = alpha.nrd()
+    if not na or na % d:
+        raise PreconditionError("d must divide nrd(alpha) != 0")
+    right = _index_set(alpha, d)
+    left = [x.conjugate() for x in _index_set(alpha.conjugate(), na // d)]
+    images = {(alpha * delta.conjugate()).c for delta in right}
+    scaled = {(mu * d).c for mu in left}
+    if not len(images) == len(scaled) == len(right) == len(left):
+        raise VerificationError(f"index sets at {d} repeat or differ in size")
+    if images != scaled:
+        raise VerificationError(f"bijection at {d} misses the second side")
+    return right, left
 
 
 def support_divisors(na, Q):
@@ -414,14 +424,19 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
     """Two-sided smoothed sum at shift alpha and modulus height Q.
 
     Returns a report with the exact rational difference, the dual main term,
-    and (for nonzero alpha) the bijection certificate between the two index
-    sets.  The difference is exactly zero for nonzero alpha.
+    and (for nonzero alpha) the term counts of the two sides.  The
+    difference is exactly zero for nonzero alpha: at each support divisor d
+    `index_sets` certifies the bijection from side 1 at d onto side 2 at
+    nrd(alpha) / d, and the pair's terms are added and dropped.
 
     The caps are checked before any norm table or shell is built.  A shell
     at d has cofactor norm d / nrd(beta) <= gcd(d, g) for alpha = g alpha0
     with alpha0 primitive: delta conj(alpha) lies in d O exactly when delta
-    conj(alpha0) lies in e O, e = d / gcd(d, g), and that left ideal has
-    norm at least e at every prime.
+    conj(alpha0) lies in f O, f = d / gcd(d, g), and that left ideal has
+    norm at least f at every prime.  Side 2 at nrd(alpha) / d is side 1
+    for conj(alpha), of the same content, and d -> nrd(alpha) / d maps the
+    support divisors onto themselves, so the side-2 shells also sum to at
+    most sum_d gcd(d, g).
     """
     if Q < 4:
         raise PreconditionError("Q must be >= 4")
@@ -445,37 +460,21 @@ def delta_sum(alpha, Q, profile=DEFAULT_PROFILE):
     content = alpha.content()
     if sum(math.gcd(d, content) for d in divisors) > _SHELL_NORM_CAP:
         raise BudgetError("index-set shells exceed budget")
-    side1 = {}
-    side2 = {}
     s1 = s2 = Fraction(0)
+    n1 = n2 = 0
     for d in divisors:
+        e = na // d
         right, left = index_sets(alpha, d)
-        side1.update((delta.c, (d, delta)) for delta in right)
-        side2.update((delta.c, (d, delta)) for delta in left)
-        # every term at one d has the same value
-        s1 += (len(right) * profile.phi1(Fraction(na, d * Q2))
+        n1, n2 = n1 + len(right), n2 + len(left)
+        # every term of one side at one norm has the same value
+        s1 += (len(right) * profile.phi1(Fraction(e, Q2))
                * profile.phi2(Fraction(d, Q2)))
-        s2 += (len(left) * profile.phi1(Fraction(d, Q2))
-               * profile.phi2(Fraction(na, d * Q2)))
-    # bijection certificate: delta -> alpha * delta^{-1}
-    seen = set()
-    for key, (d, delta) in side1.items():
-        prod = alpha * delta.conjugate()
-        mu = HurwitzQuat(*(c // d for c in prod.c))
-        if mu.nrd() != na // d:
-            raise VerificationError("bijection image has the wrong norm")
-        if mu.c not in side2:
-            raise VerificationError("bijection image escapes second side")
-        if mu.c in seen:
-            raise VerificationError("bijection is not injective")
-        seen.add(mu.c)
-    if len(seen) != len(side2):
-        raise VerificationError("bijection is not surjective")
+        s2 += (len(left) * profile.phi1(Fraction(e, Q2))
+               * profile.phi2(Fraction(na, e * Q2)))
     diff = s1 - s2
     if diff != 0:
         raise VerificationError("two-sided sum fails to cancel exactly")
-    return {"difference": diff, "b_term": None,
-            "terms": (len(side1), len(side2))}
+    return {"difference": diff, "b_term": None, "terms": (n1, n2)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import random
 
 import numpy as np
 
-from .algebra import FLAT_UNITS, mat_mul_flat, quat_mul_flat, trace_flat
+from .algebra import (FLAT_UNITS, det_flat, mat_mul_flat, quat_mul_flat,
+                      trace_flat)
 from .errors import BudgetError, PreconditionError, VerificationError
 
 # Ranks over Q are taken mod this prime (see mat_rank).
@@ -80,14 +81,6 @@ def _apply(kind, w):
     return (w @ _tensor(kind)).reshape(w.shape[:-1] + (4, 4))
 
 
-def _trace(w):
-    return w[..., 0] + w[..., 3]
-
-
-def _det(w):
-    return w[..., 0] * w[..., 3] - w[..., 1] * w[..., 2]
-
-
 def anticommutator_map(w):
     """4x4 matrix of A -> WA + AW on flat matrix coordinates, per W."""
     return _apply("anti", w)
@@ -103,11 +96,8 @@ def hessian_matrix(w, kind="matrix"):
 
 def lw_dim_formula(w, q=None):
     """max(2 [trace W = 0], [det W = 0]), per W."""
-    w = _stack(w)
-    t, d = _trace(w), _det(w)
-    if q is not None:
-        t, d = t % q, d % q
-    return np.maximum(2 * (t == 0), d == 0)
+    m = np.moveaxis(_stack(w), -1, 0)
+    return np.maximum(2 * (trace_flat(m, q) == 0), det_flat(m, q) == 0)
 
 
 def mat_rank(a, q=None):
@@ -164,7 +154,8 @@ def hessian_rank(w, n=1, kind="matrix", q=None):
     if (slot < 2).any():
         raise VerificationError("slot Hessian rank below 2")
     if q is None:
-        traceless = (_trace(w) if kind == "matrix" else w[..., 0]) == 0
+        m = np.moveaxis(w, -1, 0)
+        traceless = (trace_flat(m) if kind == "matrix" else m[0]) == 0
         if (traceless & (slot != 2)).any():
             raise VerificationError("traceless slot rank must be exactly 2")
     return n * slot
@@ -219,7 +210,7 @@ def traceless_pair_count(q):
     dimension > 1 needs two 2-dimensional kernels, i.e. two traceless W, so
     these pairs are exhaustive."""
     w = field_matrices(q)[1:]
-    w = w[_trace(w) % q == 0]
+    w = w[trace_flat(w.T, q) == 0]
     table = kernel_table(w, q).astype(np.int32)
     ids = _line_ids(w, q)
     pairs = np.triu(ids[:, None] != ids[None, :], k=1)
@@ -237,13 +228,14 @@ def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
     mats = field_matrices(q)
     w = mats[1:]
     table = kernel_table(w, q)
-    traceless = _trace(w) % q == 0
-    if table[traceless][:, _trace(mats) % q != 0].any():
+    traceless = trace_flat(w.T, q) == 0
+    if table[traceless][:, trace_flat(mats.T, q) != 0].any():
         raise VerificationError("kernel escapes traceless plane")
     # A in L(W) iff W in L(A), on the nonzero A
     if (table[:, 1:] != table[:, 1:].T).any():
         raise VerificationError("anticommutator symmetry fails")
-    with_unit = int((table[traceless] & (_det(mats) % q != 0)).any(1).sum())
+    unit = det_flat(mats.T, q) != 0
+    with_unit = int((table[traceless] & unit).any(1).sum())
     if with_unit != traceless.sum():
         raise VerificationError("some traceless kernel lacks a unit")
     hessian_rank(w, q=q)
@@ -269,7 +261,7 @@ def geometry_audit(q, pair_samples=300, rational_samples=1000, seed=0):
     if (4 - mat_rank(anticommutator_map(r)) != lw_dim_formula(r)).any():
         raise VerificationError("kernel dim disagrees with formula over Q")
     hessian_rank(r, 1)
-    if (hessian_rank(r[_trace(r) == 0], 2) != 4).any():
+    if (hessian_rank(r[trace_flat(r.T) == 0], 2) != 4).any():
         raise VerificationError("traceless W: two-slot rank != 4")
     dims, counts = np.unique(lw_dim_formula(w, q), return_counts=True)
     return {"q": q, "dim_histogram": dict(zip(dims.tolist(), counts.tolist())),

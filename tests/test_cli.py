@@ -171,6 +171,15 @@ class TestExitCodes:
                        check=False)
         assert proc.returncode == 3 and proc.stdout == b""
 
+    @pytest.mark.parametrize("args", [
+        ["gauss", "--p", "3", "--va", "0", "--vt", "15", "--xi", "0"],
+        ["count", "--n", "13", "--x", "100", "--traceless"],
+    ], ids=["gauss-sum", "traceless"])
+    def test_summand_caps_are_three(self, tmp_path, args):
+        # 3^15 Gauss summands; 201^3 * 13 traceless slot-box cells
+        proc = run_cli(["--no-cache", *args], tmp_path, check=False)
+        assert proc.returncode == 3 and proc.stdout == b""
+
     @pytest.mark.parametrize("p,m,n", [(2, 12, 5), (3, 9, 2), (2, 40, 5)])
     def test_nonsplit_quotient_cap_is_three(self, tmp_path, p, m, n):
         # refused on the quotient's order, before its digits are allocated

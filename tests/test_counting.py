@@ -8,7 +8,7 @@ from qcl import counting
 from qcl.algebra import HurwitzQuat
 from qcl.audits import suite_counting
 from qcl.counting import (
-    SparseDist, box_size, brute_count, conv_count, dist_convolve,
+    SparseDist, brute_count, conv_count, dist_convolve,
     dist_pair_zero, growth_report, hurwitz_box, pack_key, slot_square_dist,
     slot_square_values, traceless_count,
 )
@@ -104,8 +104,8 @@ class TestPackedKeys:
 
 class TestSparseDist:
     def test_box_sizes(self):
-        assert len(hurwitz_box(1)) == box_size(1) == 97
-        assert len(hurwitz_box(2)) == box_size(2) == 881
+        assert len(hurwitz_box(1)) == 3 ** 4 + 2 ** 4 == 97
+        assert len(hurwitz_box(2)) == 5 ** 4 + 4 ** 4 == 881
         box = hurwitz_box(2)
         assert box.dtype == np.int64 and box.shape == (881, 4)
         assert len({tuple(r) for r in box.tolist()}) == 881
@@ -366,7 +366,8 @@ class TestBoxSquares:
         # one product per (X, traceless), over the whole box: X in (1, 2),
         # full and traceless
         assert 0 < len(calls) <= 4
-        assert set(calls) <= {box_size(1), box_size(2), 3 ** 3, 5 ** 3}
+        assert set(calls) <= {len(hurwitz_box(1)), len(hurwitz_box(2)),
+                              3 ** 3, 5 ** 3}
 
 
 class TestBruteCount:

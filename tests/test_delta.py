@@ -91,10 +91,25 @@ def scanned_index_sets(alpha, d):
 def assert_index_sets_match(alpha, divisors):
     for d in divisors:
         right, left = index_sets(alpha, d)
-        want_right, want_left = scanned_index_sets(alpha, d)
+        want_right = scanned_index_sets(alpha, d)[0]
+        want_left = scanned_index_sets(alpha, alpha.nrd() // d)[1]
         assert len(right) == len(want_right) and len(left) == len(want_left)
         assert {x.c for x in right} == want_right, (alpha, d)
         assert {x.c for x in left} == want_left, (alpha, d)
+
+
+def _swap_one(side):
+    """side with its first element swapped for another of the same norm."""
+    others = [x for x in _norm_shell(side[0].nrd()) if x not in side]
+    return others[:1] + side[1:] if others else side
+
+
+#: edits of a nonempty index set that its certificate must reject
+TAMPERS = {
+    "drop": lambda side: side[1:],
+    "repeat": lambda side: side + side[:1],
+    "swap": _swap_one,
+}
 
 
 def audit_shifts(seed):
@@ -314,19 +329,40 @@ class TestDeltaSumNonzeroShift:
     @pytest.mark.parametrize("content", [1, 2, 6, 12, 30])
     def test_cofactor_norm_is_at_most_the_gcd_with_the_content(
             self, content, monkeypatch):
-        # the bound behind _SHELL_NORM_CAP: d / nrd(beta) <= gcd(d, g)
-        shells = []
-        monkeypatch.setattr(delta_mod, "_norm_shell",
-                            lambda n: shells.append(n) or _norm_shell(n))
+        # the bound behind _SHELL_NORM_CAP: a side at norm m builds a
+        # cofactor shell of norm m / nrd(beta) <= gcd(m, g), side 1 at d and
+        # side 2 at nrd(alpha) / d
+        norms, shells = [], []
+        index_set = delta_mod._index_set
+        monkeypatch.setattr(delta_mod, "_index_set",
+                            lambda a, m: norms.append(m) or index_set(a, m))
+        monkeypatch.setattr(
+            delta_mod, "_norm_shell",
+            lambda n: shells.append((norms[-1], n)) or _norm_shell(n))
         for prim in (HurwitzQuat(1, 3, -1, 5),
                      HurwitzQuat.from_true(2, 1, 0, 1)):
             alpha = prim * content
             na = alpha.nrd()
             for d in range(1, min(na, 400) + 1):
                 if na % d == 0:
+                    norms.clear()
                     shells.clear()
                     index_sets(alpha, d)
-                    assert all(n <= math.gcd(d, content) for n in shells)
+                    assert norms == [d, na // d]
+                    assert all(n <= math.gcd(m, content) for m, n in shells)
+
+    def test_peak_memory_stays_per_divisor(self):
+        # 60 (1 + i) at Q = 40: keeping every index set of every divisor
+        # until the end peaked at 4.3 MiB
+        import tracemalloc
+        alpha = HurwitzQuat.from_true(60, 60, 0, 0)
+        tracemalloc.start()
+        try:
+            assert delta_sum(alpha, 40)["difference"] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
 
 class TestIndexSets:
@@ -346,8 +382,9 @@ class TestIndexSets:
                 alpha, [d for d in range(1, min(na, 600) + 1) if na % d == 0])
 
     def test_imprimitive_shift_uses_cofactor_shell(self, monkeypatch):
-        # alpha = 6 (1 + i): at d = 12 the generator has norm 2, and the
-        # cofactor shell of norm 6 holds 24 * sigma_odd(6) = 96 points
+        # alpha = 6 (1 + i): side 1 at d = 12 has a generator of norm 2,
+        # side 2 at 72 / 12 = 6 a unit one, and both cofactor shells of
+        # norm 6 hold 24 * sigma_odd(6) = 96 points
         shells = []
         monkeypatch.setattr(delta_mod, "_norm_shell",
                             lambda n: shells.append(n) or _norm_shell(n))
@@ -378,6 +415,36 @@ class TestIndexSets:
                             lambda rows: HurwitzQuat(2, 0, 0, 0))
         with pytest.raises(VerificationError):
             index_sets(alpha, 37)
+        with pytest.raises(VerificationError):
+            delta_sum(alpha, 8)
+
+    def test_norm_must_divide_the_shift(self):
+        # side 2 sits at nrd(alpha) / d
+        with pytest.raises(PreconditionError):
+            index_sets(HurwitzQuat.from_true(6, 1, 0, 0), 2)
+        with pytest.raises(PreconditionError):
+            index_sets(HurwitzQuat(0, 0, 0, 0), 1)
+
+    @pytest.mark.parametrize("edit", sorted(TAMPERS))
+    @pytest.mark.parametrize("alpha, d", [
+        (HurwitzQuat.from_true(6, 1, 0, 0), 1),       # primitive, norm 37
+        (HurwitzQuat.from_true(2, 1, 0, 1) * 3, 3),   # content 3, norm 54
+    ], ids=["primitive", "imprimitive"])
+    def test_tampered_second_side_is_rejected(self, monkeypatch, alpha, d,
+                                              edit):
+        # side 2 comes from _index_set at conj(alpha): the bijection alone
+        # must catch a changed set, which passed every per-element check
+        index_set = delta_mod._index_set
+
+        def tampered(a, m):
+            out = index_set(a, m)
+            if a != alpha.conjugate() or not out:
+                return out
+            return TAMPERS[edit](out)
+
+        monkeypatch.setattr(delta_mod, "_index_set", tampered)
+        with pytest.raises(VerificationError):
+            index_sets(alpha, d)
         with pytest.raises(VerificationError):
             delta_sum(alpha, 8)
 

@@ -9,7 +9,7 @@ import pytest
 from qcl import DEFAULT_SEED
 from qcl.algebra import (det_flat, mat_mul_flat, quat_mul_flat, reduce_mod,
                          trace_flat)
-from qcl.errors import PreconditionError, VerificationError
+from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.geometry import (
     P, _line_ids, anticommutator_map, geometry_audit, hessian_matrix,
     hessian_rank, kernel_table, lw_dim_formula, mat_rank, field_matrices,
@@ -257,6 +257,17 @@ class TestLwKernel:
             hessian_rank((0, 0, 0, 0))
         with pytest.raises(PreconditionError):
             kernel_table([(1, 0, 0, 0)], 4)
+
+    def test_table_cap_refuses_before_the_maps(self, monkeypatch):
+        # 59^4 cells pass the cap of 10^7
+        from qcl import geometry
+
+        def no_work(w):
+            raise AssertionError("maps built past the cap")
+
+        monkeypatch.setattr(geometry, "anticommutator_map", no_work)
+        with pytest.raises(BudgetError):
+            kernel_table([(0, 1, 0, 0)], 59)
 
 
 class TestInvertibleAndIntersections:
