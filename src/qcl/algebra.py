@@ -217,10 +217,6 @@ class HurwitzQuat:
         # equal parities make the sum of squares a multiple of 4
         return (a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]) // 4
 
-    def sup_norm(self):
-        """max |coordinate| in true (non-doubled) units, as a Fraction."""
-        return Fraction(max(abs(ci) for ci in self.c), 2)
-
     def is_zero(self):
         return self.c == (0, 0, 0, 0)
 

@@ -265,7 +265,7 @@ def suite_geometry(seed=DEFAULT_SEED):
 
 def suite_delta(seed=DEFAULT_SEED):
     from .algebra import HurwitzQuat
-    from .delta import delta_sum, dual_double_audit, poisson_check
+    from .delta import delta_sum, dual_lattice_audit, poisson_check
 
     def nonzero_shifts():
         rng = random.Random(seed)
@@ -307,7 +307,7 @@ def suite_delta(seed=DEFAULT_SEED):
         return {"rel_ladder_approx": rels, "gap_ladder_approx": gaps}
 
     def poisson():
-        dual_double_audit()
+        dual_lattice_audit()
         for sc in (Fraction(1, 8), Fraction(1, 2), 1, Fraction(3, 2), 8):
             _, _, rel = poisson_check(sc)
             if rel > 1e-10:

@@ -318,6 +318,8 @@ def count(opts, n, upsilon, height, engine, traceless):
 
     def compute():
         from .counting import brute_count, conv_count, traceless_count
+        if n < 1:
+            raise PreconditionError("n must be at least 1")
         signs = _parse_signs(ups)
         if len(signs) != n:
             raise PreconditionError("sign pattern length must equal n")

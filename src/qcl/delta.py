@@ -42,9 +42,10 @@ scan or the index-set shells would pass their caps (`delta_sum`).
 Conventions (fixed throughout): additive character e(-t) on the reals,
 pairing (x, y) -> trd(x y) with Gram matrix 2 diag(1,-1,-1,-1), self-dual
 measure 4 * Lebesgue, so the order has covolume 2 and the dual sum carries a
-factor 1/2.  The Gram matrix is inverted by the field Gauss-Jordan
-`qcl.linalg.field_rref`, and the zero-shift sum and the dual-lattice norm
-histogram read r(n) from one table, `qcl.lattices.norm_counts`.
+factor 1/2.  The dual of the order is (1 + i) O / 2, certified by its
+unimodular integral pairing with the order (`dual_lattice_audit`), and the
+zero-shift sum and the dual-lattice norm histogram read r(n) from one table,
+`qcl.lattices.norm_counts`.
 """
 
 import functools
@@ -56,7 +57,7 @@ from .algebra import (HQ_BASIS, HurwitzQuat, hq_from_basis_coords, pi_fixed,
                       right_mul_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .lattices import norm_counts
-from .linalg import congruence_lattice, field_rref, row_hnf
+from .linalg import congruence_lattice, row_hnf
 
 
 def _poly_eval(coeffs, t):
@@ -110,55 +111,29 @@ DEFAULT_PROFILE = DeltaTestFn()
 
 
 # ---------------------------------------------------------------------------
-# order lattice in true coordinates and its trace-form dual
+# trace-form dual of the order
 
-# the order basis `HQ_BASIS` in true coordinates: each doubled one halved
-ORDER_BASIS = tuple(tuple(Fraction(t, 2) for t in b.c) for b in HQ_BASIS)
-
-PAIRING_SIGNS = (Fraction(2), Fraction(-2), Fraction(-2), Fraction(-2))
+#: 1 + i: the trace-form dual of the order is _DUAL_SCALE O / 2
+_DUAL_SCALE = HurwitzQuat(2, 2, 0, 0)
 
 
-def trace_pairing(x, y):
-    return sum(s * a * b for s, a, b in zip(PAIRING_SIGNS, x, y))
+def dual_lattice_audit():
+    """Certify that the trace-form dual O* = {x : trd(x O) in Z} of the
+    order is (1 + i) O / 2.
 
-
-def _mat_inv4(a):
-    """Exact inverse of a 4x4 rational matrix; raises if it is singular."""
-    rows, pivots = field_rref([list(a[i]) + [int(i == j) for j in range(4)]
-                               for i in range(4)])
-    if pivots != [0, 1, 2, 3]:
-        raise VerificationError("matrix is singular")
-    return [row[4:] for row in rows]
-
-
-def dual_basis(basis=ORDER_BASIS):
-    """Rows d_j with trd(b_i * d_j) = delta_ij for the given lattice rows."""
-    gram = [[trace_pairing(bi, bj) for bj in basis] for bi in basis]
-    ginv = _mat_inv4(gram)
-    return tuple(
-        tuple(sum(ginv[j][i] * basis[i][k] for i in range(4))
-              for k in range(4))
-        for j in range(4))
-
-
-def _lattice_hnf_key(basis):
-    """Canonical integer HNF of a rational-basis lattice, for comparison."""
-    den = 1
-    for row in basis:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    rows = [[int(v * den) for v in row] for row in basis]
-    h, _, rank = row_hnf(rows)
-    if rank != 4:
-        raise VerificationError(f"lattice basis has rank {rank}, not 4")
-    return den, tuple(tuple(r) for r in h[:4])
-
-
-def dual_double_audit():
-    """The trace-form dual of the dual is the order itself (HNF equality)."""
-    dd = dual_basis(dual_basis())
-    if _lattice_hnf_key(dd) != _lattice_hnf_key(ORDER_BASIS):
-        raise VerificationError("double dual differs from the order")
+    Over the order basis b_i, the pairing of O with (1 + i) O / 2 has the
+    matrix trd(b_i (1 + i) b_j) / 2.  Every entry is an integer, so
+    (1 + i) O / 2 lies in O*, and the matrix is unimodular (its HNF is the
+    identity), so it is all of O*.  Otherwise `VerificationError`.
+    """
+    pairing = [[(bi * _DUAL_SCALE * bj).trd() for bj in HQ_BASIS]
+               for bi in HQ_BASIS]
+    if any(t % 2 for row in pairing for t in row):
+        raise VerificationError(
+            f"{_DUAL_SCALE} O / 2 pairs non-integrally with the order")
+    h, _, _ = row_hnf([[t // 2 for t in row] for row in pairing])
+    if h != [[int(i == j) for j in range(4)] for i in range(4)]:
+        raise VerificationError(f"{_DUAL_SCALE} O / 2 is not the dual")
     return True
 
 
@@ -166,13 +141,14 @@ def dual_norm_histogram(max_nsq):
     """Counts of Euclidean norm-squared values over the dual lattice,
     keyed by 4*|xi|^2 (an integer), up to |xi|^2 <= max_nsq.
 
-    The dual lattice is (1 + i) O / 2 (checked against the direct
-    enumeration in the tests), and nrd((1 + i) x) = 2 nrd(x), so the key
+    The dual lattice is (1 + i) O / 2 (certified by `dual_lattice_audit`),
+    and nrd((1 + i) x) = nrd(1 + i) nrd(x) = 2 nrd(x), so the key
     4 |xi|^2 = 2 nrd(x) takes the value 2n exactly r(n) times, read from
     one table of r.  Keys are inserted in increasing order.
     """
-    counts = norm_counts(int(math.floor(4 * max_nsq)) // 2)
-    return {2 * n: c for n, c in enumerate(counts)}
+    scale = _DUAL_SCALE.nrd()
+    counts = norm_counts(int(math.floor(4 * max_nsq)) // scale)
+    return {scale * n: c for n, c in enumerate(counts)}
 
 
 # ---------------------------------------------------------------------------

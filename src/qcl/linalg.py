@@ -1,6 +1,5 @@
-"""Small exact linear algebra: Hermite normal form with transform,
-integer kernels, congruence-condition lattices, and the one field
-Gauss-Jordan elimination (over F_q or Q) behind ranks, kernels and inverses.
+"""Small exact integer linear algebra: Hermite normal form with transform,
+integer kernels and congruence-condition lattices.
 
 Everything is deterministic (fixed pivoting order) so downstream results are
 byte-reproducible. Matrices are lists of lists of Python ints; functions
@@ -8,8 +7,6 @@ return fresh lists and never mutate their arguments.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import PreconditionError
 
@@ -75,43 +72,6 @@ def row_hnf(a):
             if piv_row == m:
                 break
     return h, u, len(pivots)
-
-
-def field_rref(rows, q=None):
-    """Reduced row echelon form over F_q (q prime) or, when q is None, Q.
-
-    Returns (reduced, pivots): the reduced rows, entries in [0, q) or
-    Fractions, and the pivot column of each of the first len(pivots) rows.
-    """
-    a = [[x % q if q is not None else Fraction(x) for x in row]
-         for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if q is not None:
-            inv = pow(a[r][col], -1, q)
-            a[r] = [v * inv % q for v in a[r]]
-        else:
-            inv = 1 / a[r][col]
-            a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                if q is not None:
-                    a[i] = [(a[i][j] - f * a[r][j]) % q for j in range(n)]
-                else:
-                    a[i] = [a[i][j] - f * a[r][j] for j in range(n)]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
 
 
 def zkernel(a):

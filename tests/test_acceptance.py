@@ -125,7 +125,7 @@ def test_criterion_06_second_minimum_constant():
     M = HurwitzQuat(-3, 1, 3, 3)
     skew = M - M.conjugate()
     assert skew.nrd() == 19 and skew.nrd() % 19 == 0
-    assert M.sup_norm() ** 2 < Fraction(19, 4)
+    assert Fraction(max(abs(c) for c in M.c), 2) ** 2 < Fraction(19, 4)
     assert M.nrd() >= Fraction(19, 4)
 
 

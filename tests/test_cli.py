@@ -174,11 +174,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["gauss", "--p", "3", "--va", "0", "--vt", "15", "--xi", "0"],
         ["count", "--n", "13", "--x", "100", "--traceless"],
-    ], ids=["gauss-sum", "traceless"])
+        ["density", "--place", "split", "--p", "3", "--m", "1", "--n", "4",
+         "--engine", "exhaustive"],
+    ], ids=["gauss-sum", "traceless", "exhaustive"])
     def test_summand_caps_are_three(self, tmp_path, args):
-        # 3^15 Gauss summands; 201^3 * 13 traceless slot-box cells
+        # 3^15 Gauss summands; 201^3 * 13 traceless slot-box cells; 3^16
+        # exhaustive density tuples
         proc = run_cli(["--no-cache", *args], tmp_path, check=False)
         assert proc.returncode == 3 and proc.stdout == b""
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_slot_count_below_one_is_two(self, capsysbinary, n):
+        # refused on n itself, not on the empty default sign pattern
+        from qcl import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--no-cache", "count", "--n", n, "--x", "1"])
+        out, err = capsysbinary.readouterr()
+        assert (exc.value.code, out) == (2, b"")
+        assert b"n must be at least 1" in err
 
     @pytest.mark.parametrize("p,m,n", [(2, 12, 5), (3, 9, 2), (2, 40, 5)])
     def test_nonsplit_quotient_cap_is_three(self, tmp_path, p, m, n):

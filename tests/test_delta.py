@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from sympy import Matrix, Rational, diag
 
-from qcl.algebra import HurwitzQuat
+from qcl.algebra import HQ_BASIS, HurwitzQuat
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl import delta as delta_mod
 from qcl.delta import (
-    DEFAULT_PROFILE, DeltaTestFn, _in_scaled_order, _mat_inv4, _norm_shell,
-    b_term, delta_sum, dual_basis, dual_double_audit, dual_norm_histogram,
-    f2phi_at_zero, ghat, index_sets, poisson_check, support_divisors,
-    trace_pairing,
+    DEFAULT_PROFILE, DeltaTestFn, _in_scaled_order, _norm_shell, b_term,
+    delta_sum, dual_lattice_audit, dual_norm_histogram, f2phi_at_zero, ghat,
+    index_sets, poisson_check, support_divisors,
 )
 
 ZERO = HurwitzQuat(0, 0, 0, 0)
@@ -22,10 +22,16 @@ ZERO = HurwitzQuat(0, 0, 0, 0)
 def dual_norm_histogram_direct(max_nsq):
     """Counts of Euclidean norm-squared values over the dual lattice,
     keyed by 4*|xi|^2 (an integer), by direct coefficient enumeration.
-    Exact but slow; kept as an oracle for the convolution route."""
-    D = dual_basis()
-    Dinv = _mat_inv4(D)
-    colnorm = [math.sqrt(sum(float(Dinv[i][j]) ** 2 for i in range(4)))
+    The dual basis D = G^-1 B comes from sympy's exact inverse of the Gram
+    matrix G = B diag(2, -2, -2, -2) B^T of trd(x y) on the order basis B
+    in true coordinates.  Exact but slow; kept as an oracle for the closed
+    form (1 + i) O / 2."""
+    B = Matrix([[Rational(t, 2) for t in b.c] for b in HQ_BASIS])
+    dual = (B * diag(2, -2, -2, -2) * B.T).inv() * B
+    Dinv = dual.inv()
+    D = [[Fraction(int(v.p), int(v.q)) for v in dual.row(j)]
+         for j in range(4)]
+    colnorm = [math.sqrt(sum(float(Dinv[i, j]) ** 2 for i in range(4)))
                for j in range(4)]
     r = math.sqrt(max_nsq)
     bounds = [int(math.floor(r * c)) + 1 for c in colnorm]
@@ -157,25 +163,22 @@ class TestProfile:
 
 
 class TestDualLattice:
-    def test_dual_basis_pairing(self):
-        from qcl.delta import ORDER_BASIS
-        D = dual_basis()
-        for i, b in enumerate(ORDER_BASIS):
-            for j, d in enumerate(D):
-                assert trace_pairing(b, d) == (1 if i == j else 0)
+    def test_closed_form_is_certified(self):
+        assert dual_lattice_audit()
 
-    def test_double_dual_is_order(self):
-        assert dual_double_audit()
+    @pytest.mark.parametrize("scale,message", [
+        (HurwitzQuat(2, 0, 0, 0), "pairs non-integrally"),  # O / 2
+        (HurwitzQuat(4, 0, 0, 0), "not the dual"),          # O: det -4
+    ], ids=["one", "two"])
+    def test_tampered_scale_is_rejected(self, monkeypatch, scale, message):
+        monkeypatch.setattr(delta_mod, "_DUAL_SCALE", scale)
+        with pytest.raises(VerificationError, match=message):
+            dual_lattice_audit()
 
     def test_histogram_matches_direct_enumeration(self):
         for max_nsq in (5, 12):
             assert (dual_norm_histogram(max_nsq)
                     == dual_norm_histogram_direct(max_nsq))
-
-    def test_singular_gram_rejected(self):
-        from qcl.delta import ORDER_BASIS
-        with pytest.raises(VerificationError):
-            dual_basis(ORDER_BASIS[:3] + ORDER_BASIS[:1])
 
     def test_minimal_vectors(self):
         h = dual_norm_histogram(1)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 from qcl import DEFAULT_SEED
 from qcl.algebra import (det_flat, mat_mul_flat, quat_mul_flat, reduce_mod,
@@ -15,23 +17,34 @@ from qcl.geometry import (
     hessian_rank, kernel_table, lw_dim_formula, mat_rank, field_matrices,
     traceless_pair_count,
 )
-from qcl.linalg import field_rref
 from qcl.padic import line_key
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-W geometry, one Gauss-Jordan elimination (field_rref) per
-# rank or kernel, over F_q or over exact Fractions.
+# Oracle: the per-W geometry, one sympy Gauss-Jordan elimination per rank or
+# kernel, over F_q or over exact Fractions.
 # ---------------------------------------------------------------------------
 
 
+def oracle_rref(rows, q=None):
+    """sympy's reduced row echelon form over F_q (q prime) or, when q is
+    None, over Q: (reduced rows, pivot columns), the entries in [0, q) or
+    Fractions."""
+    field = QQ if q is None else GF(q)
+    ref, pivots = DomainMatrix.from_list(rows, field).rref()
+    if q is None:
+        return ([[Fraction(v.numerator, v.denominator) for v in row]
+                 for row in ref.to_list()], pivots)
+    return [[int(v) % q for v in row] for row in ref.to_list()], pivots
+
+
 def oracle_rank(rows, q=None):
-    return len(field_rref(rows, q)[1])
+    return len(oracle_rref(rows, q)[1])
 
 
 def oracle_kernel_basis(rows, q=None):
     """Basis of the right kernel of the given matrix."""
-    a, pivots = field_rref(rows, q)
+    a, pivots = oracle_rref(rows, q)
     n = len(a[0]) if a else 0
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
@@ -160,7 +173,7 @@ class TestRank:
         assert mat_rank([[3, 0], [0, 1]]) == 2
         assert mat_rank([[3, 0], [0, 1]], q=3) == 1
 
-    def test_agrees_with_field_rref(self):
+    def test_agrees_with_sympy_rref(self):
         rng = random.Random(7)
         for _ in range(300):
             # entries at most 20 keep the Hadamard bound below P (45^5 < P)

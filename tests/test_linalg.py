@@ -1,13 +1,10 @@
 import itertools
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
-from sympy import GF, Matrix
-from sympy.polys.matrices import DomainMatrix
+from sympy import Matrix
 
 from qcl.linalg import (
-    congruence_lattice, field_rref, hnf_determinant, reduce_mod_hnf, row_hnf,
-    zkernel,
+    congruence_lattice, hnf_determinant, reduce_mod_hnf, row_hnf, zkernel,
 )
 
 
@@ -113,25 +110,3 @@ class TestCosets:
         # difference lies in the lattice: congruence holds
         assert all(sum(a[i][j] * diff[j] for j in range(3)) % mod == 0
                    for i in range(len(a)))
-
-
-class TestFieldRref:
-    @given(small_matrices())
-    @settings(max_examples=80)
-    def test_rationals_match_sympy(self, a):
-        rows, pivots = field_rref(a)
-        ref, ref_pivots = Matrix(a).rref()
-        assert tuple(pivots) == ref_pivots
-        assert rows == [[Fraction(int(v.p), int(v.q)) for v in ref.row(i)]
-                        for i in range(len(a))]
-
-    @given(small_matrices(), st.sampled_from([3, 5, 7]))
-    @settings(max_examples=80)
-    def test_prime_field_matches_sympy(self, a, q):
-        rows, pivots = field_rref(a, q)
-        dm = DomainMatrix([[GF(q)(v) for v in row] for row in a],
-                          (len(a), len(a[0])), GF(q))
-        ref, ref_pivots = dm.rref()
-        assert tuple(pivots) == tuple(ref_pivots)
-        assert rows == [[int(v) % q for v in r]
-                        for r in ref.to_Matrix().tolist()]

@@ -18,7 +18,7 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _banned_imports(tree, banned=("mpmath", "dataclasses")):
+def _banned_imports(tree, banned=("mpmath", "sympy", "dataclasses")):
     """Lines of the absolute imports of a banned top-level module."""
     out = []
     for node in ast.walk(tree):
@@ -33,15 +33,16 @@ def _banned_imports(tree, banned=("mpmath", "dataclasses")):
 
 
 def test_no_runtime_mpmath_or_dataclasses():
-    """mpmath is a test dependency only, and the records are namedtuples:
-    no module in src/qcl imports either, at any depth, so no request loads
-    them."""
+    """mpmath and sympy are test dependencies only, and the records are
+    namedtuples: no module in src/qcl imports any of the three, at any
+    depth, so no request loads them."""
     sample = ast.parse("import math\n"
                        "def f():\n"
                        "    import mpmath.libmp\n"
                        "from dataclasses import dataclass\n"
-                       "from .delta import ghat\n")
-    assert sorted(_banned_imports(sample)) == [3, 4]
+                       "from .delta import ghat\n"
+                       "from sympy.polys.matrices import DomainMatrix\n")
+    assert sorted(_banned_imports(sample)) == [3, 4, 6]
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in _banned_imports(ast.parse(path.read_text(),
                                                    str(path)))]
