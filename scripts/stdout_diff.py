@@ -9,7 +9,8 @@ request, split like a shell command line and run as
 once with PYTHONPATH=BASE_SRC and once with PYTHONPATH=HEAD_SRC, each run
 with PYTHONHASHSEED=0 and a fresh, empty QCL_CACHE_DIR. Every request whose
 stdout bytes or exit code differ is printed; the exit status is 1 if any
-differ, else 0. Run from anywhere:
+differ, else 0, and 2 without running anything when a tree holds no
+qcl/cli.py. Run from anywhere:
 
     python3 scripts/stdout_diff.py ../base/src src requests.txt
 
@@ -69,6 +70,9 @@ def main(argv=None):
                     help="interpreter for the HEAD_SRC runs (default: this "
                          "one)")
     args = ap.parse_args(argv)
+    for src in (args.base_src, args.head_src):
+        if not os.path.isfile(os.path.join(src, "qcl", "cli.py")):
+            ap.error(f"no qcl/cli.py under {src}")
     with open(args.requests) as fh:
         lines = [ln.strip() for ln in fh]
     seeds = [[]] if args.seeds is None else [["--seed", str(s)]

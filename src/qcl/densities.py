@@ -197,7 +197,8 @@ def split_square_distribution(p, m, coeff=1):
     of the int32 keys of all blocks of the grid kernel of `qcl.expsums`,
     which refuses p^{4m} > 10^7 with BudgetError."""
     q = p ** m
-    blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q)
+    blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q,
+                              (q,) * 4)
     return np.bincount(np.concatenate(tuple(blocks)), minlength=q ** 4)
 
 

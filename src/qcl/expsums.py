@@ -16,37 +16,47 @@ Main objects, all exact:
 * `prime_case_report`: exact point-count identities at prime level.
 
 Every sum over all 2x2 matrices Y mod q runs on one blocked grid kernel:
-the packed key of L @ flat(Y^2) mod q (`grid_square_keys`, which squares
-a broadcast block of Y with `mat_mul_flat`) or of R @ flat(Y) mod q
-(`grid_linear_keys`, one table gather per row) for every Y, in grid
-order, as blocks of at most 2^16 rows. A block is a run of leading entry
-pairs (a, b) (`_grid_blocks`), so grids up to 16^4 are one block and 25^4
-is seven. Every consumer accumulates over the blocks: nothing forms the
-(q^4, 4) grid, and the only arrays with one entry per grid row are built
-by the two-slot pass: the bool key bitmap and the rank table, freed when
-the pass ends, and the cached compact inverse index. The kernel refuses
-grids with q^4 > 10^7 (`BudgetError`) when called, before it allocates;
-the cap bounds the int64 counts of the two-slot join.
+the mixed-radix key of the rows of L @ flat(Y^2), row i mod radii[i]
+(`grid_square_keys`, which squares a broadcast block of Y with
+`mat_mul_flat`), or t . flat(Y) mod q (`grid_linear_keys`, one table
+gather), for every Y in grid order, as blocks of at most 2^16 rows: runs
+of leading entry pairs (a, b) (`_grid_blocks`), one block up to 16^4 and
+seven at 25^4. Nothing forms the (q^4, 4) grid; the one array here with
+an entry per grid row is the cached two-slot box index. The kernel refuses
+q^4 > 10^7 (`BudgetError`) when called, before it allocates; the cap
+bounds the int64 counts of the two-slot join.
+
+The slot key is in closed form (`_slot_box`; the Smith form of adj(delta)
+over Z_p, Cohen, A Course in Computational Algebraic Number Theory,
+2.4.4). Write adj(delta) mod q = p^a E', E' primitive mod p^b, b = v - a,
+and w = v_p(det E') capped at b. Let r be the first row of E' with a unit
+entry r_k and j the other column: the other row is s = lam r + mu e_j with
+r_k mu = +-det E', so v_p(mu) = w. For X = c Y^2, adj(delta) X = 0 mod q
+iff r X = 0 and mu e_j X = 0 mod p^b, that is iff the box key
+(r X mod p^b, e_j X mod p^(b-w)), an entry per column of X, is zero. The
+key is additive and onto the box of radii (p^b, p^b, p^(b-w), p^(b-w)),
+so its fibres are those of X -> adj(delta) X mod q, and two slots sum to
+zero exactly when their keys do, digit by digit. At v = v_p(det delta),
+a is the content valuation of delta and w = v - 2a: the box has order q^2.
 
 I0, S2 and S3 are entries of one count by phase (`_phase_counts`) of the
 slot tuples Y with adj(delta) sum c_i Y_i^2 = 0. One slot bins its phase
-over the solution set S = {Y : adj(delta) Y^2 = 0 mod p^v}, a few thousand
-rows at q = 25, from one kernel pass that keeps S alone; two slots pay two
-passes of their own, one for the distinct keys and one for the inverse
-index, and join per-slot histograms of (distinct key, phase), D x q
-entries. The witness measure lives on the image of Z -> Z gen, which
-is Z/m-linear, so every w of it has the same fiber: the image is
-enumerated from a Hermite basis (`_right_image`), m^2 elements since gen
-has rank one mod m, and the measure table holds at most that many
-(key, count) entries.
+over the solution set S = {Y : adj(delta) Y^2 = 0 mod p^v}, the rows of
+box key 0 in one kernel pass; two slots make one pass per distinct
+coefficient for the box index of every Y, and join per-slot (box index,
+phase) histograms, q^2 x q entries, through the negation of the box. The
+witness measure lives on the image of Z -> Z gen, which is Z/m-linear, so
+every w of it has the same fiber: the image is enumerated from a Hermite
+basis (`_right_image`), m^2 elements since gen has rank one mod m, and
+the measure table holds at most that many (key, count) entries.
 
 Caches (`functools.lru_cache`):
 
 * `_grid_blocks`: the leading pairs of each block, per q;
 * `_slot_solutions` (12 entries): per (delta, p, v, coeff), S alone, from
   one kernel pass, for one slot only;
-* `_slot_static` (12 entries): per (delta, p, v, coeff), the distinct
-  keys, their negations and the inverse index, from two passes, for two
+* `_slot_static` (12 entries): per (delta, p, v, coeff), the box index of
+  every Y and the negation permutation of the box, from one pass, for two
   slots only;
 * `_image_generator`: the cyclic image generator, per (eta mod m, m, p);
 * `_measure_table` (3 entries): per (gen, m), the sorted span keys and
@@ -76,20 +86,16 @@ _GRID_CAP = 10 ** 7
 _BLOCK_ROWS = 2 ** 16
 
 
-def _check_grid(q):
-    """Refuse a grid of more than `_GRID_CAP` matrices mod q (BudgetError)."""
-    if q ** 4 > _GRID_CAP:
-        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
-
-
 @functools.lru_cache(maxsize=None)
 def _grid_blocks(q):
-    """The grid of Y = (a, b, c, d) mod q in blocks, after `_check_grid`: per
-    block, the (a, b) of a run of consecutive leading pairs. Each pair leads
-    q^2 rows, so a block holds at most `_BLOCK_ROWS` rows on every grid
-    under the cap; grids up to 16^4 are one block, 25^4 is seven. Cached
-    per q (a refusal is not cached)."""
-    _check_grid(q)
+    """The grid of Y = (a, b, c, d) mod q in blocks, after refusing a grid
+    of more than `_GRID_CAP` matrices (BudgetError): per block, the (a, b)
+    of a run of consecutive leading pairs. Each pair leads q^2 rows, so a
+    block holds at most `_BLOCK_ROWS` rows on every grid under the cap;
+    grids up to 16^4 are one block, 25^4 is seven. Cached per q (a refusal
+    is not cached)."""
+    if q ** 4 > _GRID_CAP:
+        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
     a, b = np.divmod(np.arange(q * q, dtype=np.int32), q)
     a.setflags(write=False)  # the blocks are views shared by every caller
     b.setflags(write=False)
@@ -98,62 +104,56 @@ def _grid_blocks(q):
                  for s in range(0, q * q, step))
 
 
-def grid_linear_keys(rows, q):
-    """Packed key of (rows @ flat(Y)) mod q for every Y mod q, one entry per
-    row of `rows`, as blocks of `_grid_blocks` in grid order: lexicographic
-    in flat(Y), as `_pack` orders keys. A key is below q^4 <= `_GRID_CAP`,
-    so int32 holds it exactly. Refuses a grid past the cap when called,
-    before any block is formed.
+def grid_linear_keys(row, q):
+    """Key row . flat(Y) mod q for every Y mod q, as blocks of
+    `_grid_blocks` in grid order: lexicographic in flat(Y). Every block is
+    written into one int32 buffer of this call and returned as a view of
+    it, valid until the next block. Refuses a grid past the cap when
+    called, before any block is formed.
 
     Row (t0, t1, t2, t3) gives (t0 a + t1 b) + (t2 c + t3 d): the first
     part, reduced, picks one (q, q) run of the table
     tail[r, c, d] = (r + t2 c + t3 d) mod q per leading pair, so a block
-    is one gather per row."""
+    is one gather."""
     blocks = _grid_blocks(q)
     e = np.arange(q, dtype=np.int32)
-    tables = []
-    for row in rows:
-        coef = np.array([int(t) % q for t in row], dtype=np.int32)
-        t0, t1, t2, t3 = coef[:, None] * e % q
-        tables.append((t0, t1, (e[:, None, None] + t2[:, None] + t3) % q))
-    return (_linear_block(tables, a, b, q) for a, b in blocks)
+    coef = np.array([int(t) % q for t in row], dtype=np.int32)
+    t0, t1, t2, t3 = coef[:, None] * e % q
+    tail = (e[:, None, None] + t2[:, None] + t3) % q
+    out = np.empty((len(blocks[0][0]), q, q), dtype=np.int32)
+    return (np.take(tail, (t0[a] + t1[b]) % q, axis=0, out=out[:len(a)],
+                    mode="clip").ravel() for a, b in blocks)
 
 
-def _linear_block(tables, a, b, q):
-    keys = 0
-    for t0, t1, tail in tables:
-        keys = keys * q + tail[(t0[a] + t1[b]) % q]
-    return keys.ravel()
-
-
-def grid_square_keys(lmat, q):
-    """Packed key of (lmat @ flat(Y^2)) mod q for every Y mod q, in the
-    blocks and grid order of `grid_linear_keys`, for a 4x4 integer matrix
-    `lmat`.
+def grid_square_keys(lmat, q, radii):
+    """Mixed-radix key of the residues (row_i . flat(Y^2)) mod radii[i] for
+    every Y mod q, in the blocks and grid order of `grid_linear_keys`, for
+    four integer rows `lmat` and radii dividing q; the key of residues
+    (k0, k1, k2, k3) is ((k0 r1 + k1) r2 + k2) r3 + k3, so radii (q,)*4
+    pack L @ flat(Y^2) mod q lexicographically.
 
     A block broadcasts Y = (a, b, c, d) as int32 arrays, a and b of shape
     (pairs, 1, 1), c (q, 1) and d (q,), squares it with `mat_mul_flat`
-    and forms the key row by row as (row . flat(Y^2)) mod q, in Horner
-    order. Under the cap q <= 56, an entry of Y^2 is below 2 q^2, a row
-    sum below 8 q^3 < 2^31 and a key below q^4, so int32 holds every step.
-    No (q^4, 4) array, matmul or sort is formed."""
+    and forms the key row by row, in Horner order. Under the cap q <= 56,
+    an entry of Y^2 is below 2 q^2, a row sum below 8 q^3 < 2^31 and a key
+    below q^4, so int32 holds every step."""
     blocks = _grid_blocks(q)
-    rows = [[int(t) % q for t in row] for row in lmat]
+    rows = [([int(t) % r for t in row], r) for row, r in zip(lmat, radii)]
     e = np.arange(q, dtype=np.int32)
     return (_square_block(rows, (a[:, None, None], b[:, None, None],
-                                 e[:, None], e), q)
+                                 e[:, None], e))
             for a, b in blocks)
 
 
-def _square_block(rows, y, q):
+def _square_block(rows, y):
     sq = mat_mul_flat(y, y)  # the last two entries span the block
     keys = 0
-    for row in rows:  # in place: at most five arrays of block size live
+    for row, r in rows:  # in place: at most five arrays of block size live
         key = row[0] * sq[0] + row[1] * sq[1]
         key += row[2] * sq[2]
         key += row[3] * sq[3]
-        key %= q
-        key += keys * q
+        key %= r
+        key += keys * r
         keys = key
     return keys.ravel()
 
@@ -188,22 +188,33 @@ def _unpack(keys, q):
 # ---------------------------------------------------------------------------
 
 
-def _slot_keys(delta, q, coeff):
-    """The `grid_square_keys` blocks of coeff * adj(delta) Y^2 mod q."""
-    return grid_square_keys(left_mul_matrix(adj_flat(delta)) % q * (coeff % q),
-                            q)
+def _slot_box(delta, p, vd, coeff):
+    """(rows, radii) of the closed-form box key of coeff * adj(delta) X mod
+    p^vd (module docstring), as rows against flat(X): r X mod p^b, one per
+    column of X, then row j of X mod p^(b-w)."""
+    adj = adj_flat(delta)
+    i, a = pivot(adj, p, vd)  # a unit entry of E', in its first such row
+    e = [t % p ** vd // p ** a for t in adj]
+    b = vd - a
+    w = pval((e[0] * e[3] - e[1] * e[2]) % p ** b, p, cap=b)
+    r0, r1 = e[i & 2], e[(i & 2) + 1]
+    j = 2 - 2 * (i & 1)  # flat index of the first entry of row j
+    rows = [(r0, 0, r1, 0), (0, r0, 0, r1), FLAT_UNITS[j], FLAT_UNITS[j + 1]]
+    return ([[coeff * t for t in row] for row in rows],
+            (p ** b,) * 2 + (p ** (b - w),) * 2)
 
 
 @functools.lru_cache(maxsize=12)
 def _slot_solutions(delta, p, vd, coeff):
     """S = {Y mod q : coeff * adj(delta) Y^2 = 0 mod q}, q = p^vd, the
-    rows of key 0 in one pass of `grid_square_keys`, as an (|S|, 4) int64
-    array of coordinates.
+    rows of box key 0 in one pass of `grid_square_keys`, as an (|S|, 4)
+    int64 array of coordinates.
 
     Cached per (delta tuple, p, vd, coeff); only one slot reads it."""
     q = p ** vd
+    rows, radii = _slot_box(delta, p, vd, coeff)
     sol, start = [], 0
-    for keys in _slot_keys(delta, q, coeff):  # refuses a grid past the cap
+    for keys in grid_square_keys(rows, q, radii):  # refuses past the cap
         sol.append(start + np.flatnonzero(keys == 0))
         start += len(keys)
     sol = _unpack(np.concatenate(sol), q)
@@ -213,48 +224,38 @@ def _slot_solutions(delta, p, vd, coeff):
 
 @functools.lru_cache(maxsize=12)
 def _slot_static(delta, p, vd, coeff):
-    """Two kernel passes over the grid of Y mod q = p^vd for the keys of
-    coeff * adj(delta) Y^2 mod q:
-
-    * the sorted distinct keys, read off a bool bitmap of the q^4 possible
-      keys, which is freed before the second pass;
-    * the packed negation of each;
-    * the inverse index of every Y into them, as
-      `np.unique(keys, return_inverse=True)` would give it, gathered from
-      one table of the rank of each distinct key, in the smallest unsigned
-      dtype that holds their number D.
+    """One kernel pass over the grid of Y mod q = p^vd: the uint16 box index
+    of coeff * adj(delta) Y^2 (`_slot_box`) for every Y, and neg[k], the
+    index of the digitwise negation of box element k. At vd = v_p(det
+    delta) the box has order q^2 <= 56^2 < 2^16; a larger one is refused.
 
     Cached per (delta tuple, p, vd, coeff); only two slots read it."""
-    q = p ** vd
-    blocks = _slot_keys(delta, q, coeff)  # refuses a grid past the cap
-    present = np.zeros(q ** 4, dtype=bool)
+    rows, radii = _slot_box(delta, p, vd, coeff)
+    blocks = grid_square_keys(rows, p ** vd, radii)  # refuses past the cap
+    if np.prod(radii) > 2 ** 16:
+        raise PreconditionError(f"key box {radii} too large for uint16")
+    neg = np.ravel_multi_index(
+        tuple(-d % r for d, r in zip(np.indices(radii), radii)), radii).ravel()
+    index, start = np.empty(p ** (4 * vd), dtype=np.uint16), 0
     for keys in blocks:
-        present[keys] = True
-    uniq = np.flatnonzero(present)
-    del present
-    rank = np.zeros(q ** 4, dtype=np.min_scalar_type(len(uniq)))
-    rank[uniq] = np.arange(len(uniq))
-    inv, start = np.empty(q ** 4, dtype=rank.dtype), 0
-    for keys in _slot_keys(delta, q, coeff):
-        inv[start:start + len(keys)] = rank[keys]
+        index[start:start + len(keys)] = keys
         start += len(keys)
-    neg = _pack(-_unpack(uniq, q) % q, q)
-    for arr in (uniq, neg, inv):
-        arr.setflags(write=False)  # every caller shares the cached arrays
-    return uniq, neg, inv
+    index.setflags(write=False)  # every caller shares the cached arrays
+    neg.setflags(write=False)
+    return index, neg
 
 
-def _slot_histogram(inv, ndist, row, q):
-    """(ndist, q) exact int64 counts of (inverse index, row . flat(Y) mod q)
-    over the grid of Y mod q, accumulated over the kernel's blocks. The
-    bin index is below ndist * q <= q^5 < 2^31 under the grid cap."""
-    hist, start = np.zeros(ndist * q, dtype=np.int64), 0
-    for phase in grid_linear_keys([row], q):
-        idx = np.multiply(inv[start:start + len(phase)], q, dtype=np.int32)
-        idx += phase
-        hist += np.bincount(idx, minlength=ndist * q)
-        start += len(phase)
-    return hist.reshape(ndist, q)
+def _slot_histogram(index, size, row, q):
+    """(size, q) exact int64 counts of (box index, row . flat(Y) mod q)
+    over the grid of Y mod q, binned block by block in place in the phase
+    buffer of `grid_linear_keys` as phase * size + index < q 2^16 < 2^31."""
+    hist, start = np.zeros(q * size, dtype=np.int64), 0
+    for ph in grid_linear_keys(row, q):
+        ph *= size
+        ph += index[start:start + len(ph)]
+        hist += np.bincount(ph, minlength=q * size)
+        start += len(ph)
+    return hist.reshape(q, size).T
 
 
 def _phase_counts(delta, rows, p, vd, coeffs):
@@ -264,27 +265,21 @@ def _phase_counts(delta, rows, p, vd, coeffs):
     the slot sum is formed.
 
     One slot bins its phase over the solution set S of `_slot_solutions`;
-    two slots join their (key, phase) histograms (`_join_two_slots`)."""
+    two slots join their (box index, phase) histograms."""
     q = p ** vd
     delta = tuple(delta)
     if len(rows) == 1:
         sol = _slot_solutions(delta, p, vd, coeffs[0] % q)
         return np.bincount(sol @ np.array(rows[0]) % q, minlength=q)
     slots = [_slot_static(delta, p, vd, c % q) for c in coeffs]
-    return _join_two_slots(
-        *((uniq, neg, _slot_histogram(inv, len(uniq), row, q))
-          for (uniq, neg, inv), row in zip(slots, rows)), q)
+    hists = [_slot_histogram(index, len(neg), row, q)
+             for (index, neg), row in zip(slots, rows)]
+    return _join_two_slots(*hists, slots[0][1], q)  # one box for every c
 
 
 def _trace_row(g, q, unit=1):
     """The row t with unit * tr(g Y) = t . flat(Y) mod q."""
     return tuple(unit * int(g[t]) % q for t in (0, 2, 1, 3))
-
-
-def _cyclo_counts(counts, p, vd, n):
-    """I0 from the `_phase_counts` vector of n slots: the average of
-    e(r / p^vd) over the q^{4n} slot tuples."""
-    return CycloSum(p, vd, counts, scale=4 * n * vd)
 
 
 def i0_local(delta, gammas, p, coeffs=None):
@@ -307,6 +302,8 @@ def i0_local(delta, gammas, p, coeffs=None):
     vd = pval(det, p)
     if coeffs is None:
         coeffs = [1] * n
+    if len(coeffs) != n:
+        raise PreconditionError("need one coefficient per slot")
     if vd == 0:
         return CycloSum.from_int(1, p)
     if n not in (1, 2):
@@ -316,24 +313,19 @@ def i0_local(delta, gammas, p, coeffs=None):
     q = p ** vd
     inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
     rows = [_trace_row(g, q, inv_u) for g in gammas]
-    return _cyclo_counts(_phase_counts(delta, rows, p, vd, coeffs), p, vd, n)
+    # the average of e(r / q) over the q^{4n} slot tuples
+    return CycloSum(p, vd, _phase_counts(delta, rows, p, vd, coeffs),
+                    scale=4 * n * vd)
 
 
-def _join_two_slots(slot1, slot2, q):
-    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod q}, with
-    keys added componentwise mod q; exact int64 counts.
-
-    Each slot is (distinct packed keys, their packed negations, their
-    (D, q) phase histograms). Packed keys do not add componentwise, so the
-    negation of each distinct key of slot 1 is looked up among the keys of
-    slot 2; the phase histograms of matched keys are multiplied and folded
-    over (r1 + r2) mod q. Every count is at most q^8 <= 10^14 (the grid
-    kernel caps q^4 at `_GRID_CAP`), far below 2^63.
-    """
-    (_, neg1, h1), (u2, _, h2) = slot1, slot2
-    pos = np.minimum(np.searchsorted(u2, neg1), len(u2) - 1)
-    match = u2[pos] == neg1
-    d = h1[match].T @ h2[pos[match]]  # d[r1, r2] = paired count
+def _join_two_slots(h1, h2, neg, q):
+    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod q} from
+    two (box order, q) phase histograms over one box with negation `neg`:
+    the rows k that slot 1 hits times rows neg[k] of slot 2, folded over
+    (r1 + r2) mod q. Every count is at most q^8 <= 10^14 (the grid kernel
+    caps q^4 at `_GRID_CAP`), far below 2^63, so int64 is exact."""
+    live = np.flatnonzero(h1.any(axis=1))
+    d = h1[live].T @ h2[neg[live]]  # d[r1, r2] = paired count
     r = np.arange(q)
     counts = np.zeros(q, dtype=np.int64)
     np.add.at(counts, (r[:, None] + r[None, :]) % q, d)
@@ -579,7 +571,7 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
 
 def _audit_deltas(p, vd):
     if vd == 1:
-        return [(p, 0, 0, 1), (1, 1, 1 - p, 1 - p + p)]  # second: unit-conjugate-like
+        return [(p, 0, 0, 1), (1, 1, 1 - p, 1)]  # second: unit-conjugate-like
     return [(p * p, 0, 0, 1), (p, 0, 0, p), (p, 1, 0, p)]
 
 
@@ -703,7 +695,7 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
         s3c = s3_closed(q, n, g)
         if int(counts[0]) != s3c:
             raise VerificationError(f"closed S3 mismatch at gamma={g}")
-        val = _cyclo_counts(counts, q, 1, n)
+        val = CycloSum(q, 1, counts, scale=4 * n)
         # q^{4n} (1 - 1/q) I0 = S3 - S2/q, exactly
         lhs = val * (q ** (4 * n) - q ** (4 * n - 1))
         rhs = CycloSum.from_fraction(Fraction(s3c) - Fraction(s2b, q), q)

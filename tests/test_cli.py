@@ -591,6 +591,21 @@ class TestStdoutDiff:
             "DIFFERS (stdout): --seed 4 repnum --m 5"]
         assert "4 requests, 2 differ" in proc.stderr
 
+    @pytest.mark.parametrize("missing", ["base", "head"])
+    def test_tree_without_the_cli_is_refused(self, tmp_path, missing):
+        # both runs failing to import qcl would otherwise "agree"
+        trees = {"base": str(ROOT / "src"), "head": str(ROOT / "src")}
+        trees[missing] = str(tmp_path / "missing")
+        requests = tmp_path / "requests.txt"
+        requests.write_text("repnum --m 5\n")
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
+             trees["base"], trees["head"], str(requests)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "no qcl/cli.py under" in proc.stderr
+        assert proc.stdout == ""
+
     # gauss, lattice, repnum and a nonzero-shift delta-check need neither
     # numpy nor mpmath, so they run on a bare interpreter
     def test_numpy_free_commands_match_on_other_interpreters(self, tmp_path):

@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
 from qcl import expsums
-from qcl.algebra import CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat
+from qcl.algebra import (
+    FLAT_UNITS, CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat,
+)
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
     _BLOCK_ROWS, _cyclic_generator, _grid_blocks,
     _image_generator, _join_two_slots, _measure, _measure_table, _pack,
-    _right_image, _slot_histogram, _slot_solutions, _slot_static,
+    _right_image, _slot_box, _slot_histogram, _slot_solutions, _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
     left_mul_matrix, local_integral_audit,
     matrix_cyclic_generator, prime_case_report,
@@ -288,6 +290,12 @@ class TestI0Local:
         b = i0_brute(delta, g, p, coeffs=[2])
         assert (a - b).is_zero()
 
+    @pytest.mark.parametrize("n,coeffs", [(1, [1, 2]), (2, [1]), (1, [])])
+    def test_one_coefficient_per_slot(self, n, coeffs):
+        with pytest.raises(PreconditionError,
+                           match="need one coefficient per slot"):
+            i0_local((3, 0, 0, 1), [(1, 2, 0, 1)] * n, 3, coeffs=coeffs)
+
     def test_average_over_z_recovers_constrained_integral(self):
         # averaging the unconstrained companion over Z mod p^vd reinstates
         # the divisibility condition
@@ -482,26 +490,29 @@ def dict_join(k1, ph1, k2, ph2, q):
 class TestJoinTwoSlots:
     @pytest.mark.parametrize("q,size", [(2, 30), (3, 60), (5, 80), (9, 120)])
     def test_matches_dict_join(self, q, size):
+        # the box (q, q, q, q): box index = packed key
         rng = random.Random(q * size)
-        slots, raw = [], []
+        neg = _pack(-expsums._unpack(np.arange(q ** 4), q) % q, q)
+        hists, raw = [], []
         for _ in range(2):
             # few distinct keys, so that many pairs match
             pool = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(4)]
             pool += [tuple(-x % q for x in k) for k in pool]
             keys = [rng.choice(pool) for _ in range(size)]
             ph = np.array([rng.randrange(q) for _ in range(size)], dtype=np.int64)
-            uniq, inv = np.unique(_pack(np.array(keys), q), return_inverse=True)
-            hist = np.bincount(inv * q + ph, minlength=len(uniq) * q)
-            neg = _pack(-expsums._unpack(uniq, q) % q, q)
-            slots.append((uniq, neg, hist.reshape(-1, q)))
+            hist = np.bincount(_pack(np.array(keys), q) * q + ph,
+                               minlength=q ** 5)
+            hists.append(hist.reshape(-1, q))
             raw.append((keys, ph.tolist()))
-        counts = _join_two_slots(slots[0], slots[1], q)
+        counts = _join_two_slots(hists[0], hists[1], neg, q)
         assert counts.dtype == np.int64
         assert counts.tolist() == dict_join(*raw[0], *raw[1], q)
 
     def test_no_matching_key(self):
-        one = (np.array([1]), np.array([2]), np.ones((1, 3), dtype=np.int64))
-        counts = _join_two_slots(one, one, 3)
+        # the box Z/3: both slots sit at 1 alone, whose negation is 2
+        hist = np.zeros((3, 3), dtype=np.int64)
+        hist[1] = 1
+        counts = _join_two_slots(hist, hist, np.array([0, 2, 1]), 3)
         assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
 
 
@@ -647,27 +658,58 @@ def unit_mod(p):
 
 
 def joined(blocks):
-    """The blocks of a grid kernel as one whole-grid array."""
-    return np.concatenate(list(blocks))
+    """The blocks of a grid kernel as one whole-grid array, each copied out
+    before the next, since the linear keys reuse one buffer."""
+    return np.concatenate([block.copy() for block in blocks])
+
+
+def dense_slot_keys(delta, x, q):
+    """Packed adj(delta) X mod q for an (N, 4) array of flat X."""
+    return _pack(x @ (left_mul_matrix(adj_flat(delta)) % q).T % q, q)
 
 
 def slot_static_oracle(delta, p, vd, coeff):
     qc = p ** vd
     s = mat_square_flat(all_mats(qc), qc) * (coeff % qc) % qc
-    lmat = left_mul_matrix(adj_flat(delta)) % qc
-    return np.unique(_pack(s @ lmat.T % qc, qc), return_inverse=True)
+    return np.unique(dense_slot_keys(delta, s, qc), return_inverse=True)
+
+
+def box_keys(rows, radii, x):
+    """Box index (mixed radix) of the residues x @ row_i mod radii[i] for an
+    (N, 4) array of flat X."""
+    digits = x @ np.array(rows, dtype=np.int64).T % np.array(radii)
+    return np.ravel_multi_index(tuple(digits.T), radii)
+
+
+# (p, vd) of the closed-form key test, p = 2 included
+BOX_GRIDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2),
+             (7, 1)]
+
+
+@st.composite
+def slot_deltas(draw, p):
+    """Any delta, a singular one (det = 0) or an imprimitive one."""
+    entry = st.integers(-60, 60)
+    kind = draw(st.sampled_from(["any", "singular", "imprimitive"]))
+    if kind == "singular":
+        a, b, x, y = (draw(entry) for _ in range(4))
+        return (a * x, a * y, b * x, b * y)
+    scale = p ** draw(st.integers(1, 2)) if kind == "imprimitive" else 1
+    return tuple(scale * draw(entry) for _ in range(4))
 
 
 class TestGridKernel:
     @pytest.mark.parametrize("q,blocks", [(3, 1), (16, 1), (17, 2), (25, 7)])
     def test_blocks_cover_the_grid_in_order(self, q, blocks):
-        sizes = [len(k) for k in grid_linear_keys(np.eye(4, dtype=np.int64),
-                                                  q)]
+        sizes = [len(k) for k in grid_linear_keys((1, 0, 0, 0), q)]
         assert len(sizes) == blocks and sum(sizes) == q ** 4
         assert max(sizes) <= _BLOCK_ROWS and sizes[-1] <= sizes[0]
-        assert np.array_equal(
-            joined(grid_linear_keys(np.eye(4, dtype=np.int64), q)),
-            np.arange(q ** 4))
+        coords = [joined(grid_linear_keys(e, q)) for e in FLAT_UNITS]
+        assert np.array_equal(_pack(np.stack(coords, axis=1), q),
+                              np.arange(q ** 4))
+        # one buffer of the call serves every block
+        first, *rest = grid_linear_keys((1, 0, 0, 0), q)
+        assert all(np.shares_memory(first, k) for k in rest)
 
     @pytest.mark.parametrize("q", [17, 41, 49, 56])
     def test_block_rows_stay_under_the_limit(self, q):
@@ -678,21 +720,24 @@ class TestGridKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.lists(st.integers(-10 ** 6, 10 ** 6),
-                                   min_size=16, max_size=16))
-    def test_square_keys_match_grid_matmul(self, moduli, entries):
+                                   min_size=16, max_size=16), st.data())
+    def test_square_keys_match_grid_matmul(self, moduli, entries, data):
         p, vd = moduli
         q = p ** vd
+        radii = tuple(p ** data.draw(st.integers(0, vd)) for _ in range(4))
         lmat = np.array(entries, dtype=np.int64).reshape(4, 4)
         s = mat_square_flat(all_mats(q), q)
-        want = _pack(s @ (lmat % q).T % q, q)
-        assert np.array_equal(joined(grid_square_keys(lmat, q)), want)
+        want = box_keys(lmat, radii, s)
+        assert np.array_equal(joined(grid_square_keys(lmat, q, radii)), want)
+        if radii == (q,) * 4:
+            assert np.array_equal(want, _pack(s @ (lmat % q).T % q, q))
 
     @pytest.mark.parametrize("q", [53, 56])
     def test_square_keys_at_the_cap(self, q):
         # the largest entries of lmat and of Y^2 meet in the last block,
         # where every row sum must still be exact in int32
         lmat = np.full((4, 4), q - 1, dtype=np.int64)
-        for last in grid_square_keys(lmat, q):
+        for last in grid_square_keys(lmat, q, (q,) * 4):
             pass
         a, b = _grid_blocks(q)[-1]
         want = []
@@ -706,24 +751,52 @@ class TestGridKernel:
         assert last.tolist() == want
 
     @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(BOX_GRIDS).flatmap(
+        lambda g: st.tuples(st.just(g), slot_deltas(g[0]))))
+    def test_box_key_matches_dense_key(self, case):
+        # over every W mod q, the closed-form key and adj(delta) W mod q
+        # are zero together and have images of one size: as both are
+        # additive, they have the same fibres; the box is the image, of
+        # order q^2 when vd = v_p(det delta)
+        (p, vd), delta = case
+        q = p ** vd
+        rows, radii = _slot_box(delta, p, vd, 1)
+        mats = all_mats(q)
+        box, dense = box_keys(rows, radii, mats), dense_slot_keys(delta, mats, q)
+        assert np.array_equal(box == 0, dense == 0)
+        assert len(np.unique(box)) == len(np.unique(dense)) == np.prod(radii)
+        if pval(det_flat(delta), p, cap=vd + 1) == vd:
+            assert np.prod(radii) == q * q
+        assert all(q % r == 0 for r in radii)
+
+    @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
            st.data())
     def test_slot_static_matches_unique(self, moduli, delta, data):
+        # the box index of c Y^2 splits the grid as np.unique of the dense
+        # keys does, index 0 is the solution set, and neg is the box key
+        # of -c Y^2; a box past 2^16, only off vd = v_p(det delta), is
+        # refused
         p, vd = moduli
         qc = p ** vd
         coeff = data.draw(unit_mod(p))
         _slot_solutions.cache_clear()
         _slot_static.cache_clear()
-        uniq, neg, inv = _slot_static(delta, p, vd, coeff)
         sol = _slot_solutions(delta, p, vd, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
-        assert np.array_equal(uniq, want_uniq)
-        assert np.array_equal(
-            neg, _pack(-expsums._unpack(want_uniq, qc) % qc, qc))
-        assert np.array_equal(inv, want_inv)
-        assert inv.dtype == np.min_scalar_type(len(uniq))
-        assert inv.dtype.kind == "u"
         assert np.array_equal(sol, all_mats(qc)[want_inv == 0])
+        rows, radii = _slot_box(delta, p, vd, 1)
+        if np.prod(radii) > 2 ** 16:
+            with pytest.raises(PreconditionError):
+                _slot_static(delta, p, vd, coeff)
+            return
+        index, neg = _slot_static(delta, p, vd, coeff)
+        s = mat_square_flat(all_mats(qc), qc) * (coeff % qc) % qc
+        assert np.array_equal(index, box_keys(rows, radii, s))
+        assert np.array_equal(neg[index], box_keys(rows, radii, -s % qc))
+        assert index.dtype == np.uint16 and len(neg) == np.prod(radii)
+        pairs = np.unique(want_inv * len(neg) + index)
+        assert len(pairs) == len(want_uniq) == len(np.unique(index))
 
     @settings(max_examples=40, deadline=None)
     @given(grid_moduli(), st.tuples(*[st.integers(-99, 99)] * 4),
@@ -731,13 +804,15 @@ class TestGridKernel:
     def test_slot_histogram_matches_dense_bincount(self, moduli, delta, g):
         p, vd = moduli
         qc = p ** vd
-        uniq, _, inv = _slot_static(delta, p, vd, 1)
+        if det_flat(delta) == 0 or pval(det_flat(delta), p) != vd:
+            delta = (qc * (1 + abs(delta[0]) * p), delta[1] * p, 0, 1)
+        index, neg = _slot_static(delta, p, vd, 1)
         row = tuple(g[t] % qc for t in (0, 2, 1, 3))
-        _, want_inv = slot_static_oracle(delta, p, vd, 1)
         phase = _trace_pair(all_mats(qc), g, qc)
-        want = np.bincount(want_inv * qc + phase, minlength=len(uniq) * qc)
-        hist = _slot_histogram(inv, len(uniq), row, qc)
-        assert hist.dtype == np.int64 and hist.shape == (len(uniq), qc)
+        want = np.bincount(index.astype(np.int64) * qc + phase,
+                           minlength=len(neg) * qc)
+        hist = _slot_histogram(index, len(neg), row, qc)
+        assert hist.dtype == np.int64 and hist.shape == (len(neg), qc)
         assert np.array_equal(hist.ravel(), want)
 
     @settings(max_examples=40, deadline=None)
@@ -797,7 +872,7 @@ class TestGridKernel:
         for q in [3, 9, 7, 17, 25]:
             g = tuple(rng.randrange(-50, 50) for _ in range(4))
             row = (g[0], g[2], g[1], g[3])
-            assert np.array_equal(joined(grid_linear_keys([row], q)),
+            assert np.array_equal(joined(grid_linear_keys(row, q)),
                                   _trace_pair(all_mats(q), g, q))
 
     @staticmethod
@@ -816,16 +891,16 @@ class TestGridKernel:
     @pytest.mark.parametrize("n", [1, 2])
     def test_slot_keys_built_once_per_delta(self, n, monkeypatch):
         # the gamma-independent keys of one (delta, p), one kernel pass for
-        # one slot and two for two, serve every gamma
+        # one slot or for two of one coefficient, serve every gamma
         calls = self._count_kernel(monkeypatch, "grid_square_keys")
         _slot_solutions.cache_clear()
         _slot_static.cache_clear()
         delta = (9, 0, 0, 1)
         first = i0_local(delta, [(1, 2, 0, 1)] * n, 3)
-        assert len(calls) == n
+        assert len(calls) == 1
         second = i0_local(delta, [(0, 1, 1, 2)] * n, 3)
-        assert len(calls) == n
-        # one slot builds no inverse index; two share one (same coeff)
+        assert len(calls) == 1
+        # one slot builds no box index; two share one (same coeff)
         assert _slot_static.cache_info().currsize == n - 1
         cached = _slot_solutions if n == 1 else _slot_static
         assert cached.cache_info().hits == 2 * n - 1
@@ -833,6 +908,16 @@ class TestGridKernel:
         _slot_static.cache_clear()
         assert first == i0_local(delta, [(1, 2, 0, 1)] * n, 3)
         assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+
+    @pytest.mark.parametrize("coeffs,passes", [([1, 1], 1), ([1, 10], 1),
+                                               ([1, 2], 2)])
+    def test_two_slots_pass_once_per_coefficient(self, coeffs, passes,
+                                                 monkeypatch):
+        # one grid pass per distinct coefficient mod q = 9
+        calls = self._count_kernel(monkeypatch, "grid_square_keys")
+        _slot_static.cache_clear()
+        i0_local((9, 0, 0, 1), [(1, 2, 0, 1)] * 2, 3, coeffs=coeffs)
+        assert len(calls) == passes
 
     @pytest.mark.parametrize("n,passes", [(1, 0), (2, 2)])
     def test_prime_case_counts_once_per_gamma(self, n, passes, monkeypatch):
@@ -890,6 +975,21 @@ class TestGridKernel:
         assert _slot_static.cache_info().currsize == 0
         assert peak < 4 * 2 ** 20
 
+    def test_two_slots_keep_one_index(self):
+        # two slots keep one uint16 box index per grid row, 11 MiB at
+        # q = 49; a bool key bitmap and a rank table beside it peaked at
+        # 23.5 MiB
+        for cached in (_slot_solutions, _slot_static):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            i0_local((49, 0, 0, 1), [(7, 14, 0, 7)] * 2, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _slot_static.cache_info().currsize == 1
+        assert peak < 18 * 2 ** 20
+
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
                                        (5, 0, 0, 5)])
     @pytest.mark.parametrize("n", [1, 2])
@@ -912,8 +1012,8 @@ class TestGridKernel:
         lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)], 7),
         lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)] * 2, 7),
         lambda: split_square_distribution(7, 3),
-        lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57),
-        lambda: grid_linear_keys(np.eye(4, dtype=np.int64), 57),
+        lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57, (57,) * 4),
+        lambda: grid_linear_keys((1, 0, 0, 0), 57),
     ])
     def test_grid_cap_refuses_before_allocating(self, call):
         # q^4 = 7^12 and 57^4 both exceed the 10^7 cap

@@ -105,7 +105,10 @@ def oracle_meet_dim(w1, w2, q=None):
 
 
 def oracle_proportional(w1, w2, q=None):
-    return oracle_rank([list(w1), list(w2)], q) <= 1
+    """Rank at most 1 of the 2x4 matrix [w1; w2] over F_q or Q: every 2x2
+    minor vanishes, decided in plain Python."""
+    return all(reduce_mod(w1[a] * w2[b] - w1[b] * w2[a], q) == 0
+               for a, b in itertools.combinations(range(4), 2))
 
 
 def oracle_hessian(w, kind="matrix", q=None):
