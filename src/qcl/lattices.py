@@ -21,8 +21,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (HQ_BASIS, HurwitzQuat, _cyclic_product,
-                      doubled_from_basis_coords, hq_from_basis_coords,
-                      hq_to_basis_coords, left_mul_coords, right_mul_coords)
+                      basis_from_doubled_coords, doubled_from_basis_coords,
+                      hq_from_basis_coords, hq_to_basis_coords,
+                      left_mul_coords, right_mul_coords)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import (
     congruence_lattice, hnf_determinant, reduce_mod_hnf, row_hnf,
@@ -123,47 +124,57 @@ def _audit_membership(lat):
                 raise VerificationError("m*order not contained in lattice")
 
 
-def _enum_ball(hnf, rd):
-    """Yield (doubled_norm, coords) over nonzero lattice points with doubled
-    sup-norm <= rd, by interval propagation down the triangular basis.
+def _doubled_hnf(hnf):
+    """Row HNF, in doubled coordinates, of the basis rows hnf."""
+    g, _, rank = row_hnf([doubled_from_basis_coords(r) for r in hnf])
+    if rank != 4:
+        raise PreconditionError("lattice basis is not full rank")
+    return g
 
-    Depth i fixes order-basis coordinate i of (a, b, c, d), whose doubled
-    coordinates are 2a+d, 2b+d, 2c+d and d.  Each coordinate is bounded by
-    the exact interval in which the fixed ones can still be extended: from
-    |2x+d|, |2y+d|, |d| <= rd, each of a, b, c lies within rd of 0 and of
-    every fixed one, and d lies in [-rd, rd] and in every [-rd-2x, rd-2x].
-    So every leaf lies in the ball, and only nodes on a feasible path count
-    against `_ENUM_BUDGET`.  A pruned subtree yields nothing, so the
-    depth-first order of the points is that of the unpruned walk.
-    """
-    h = [list(r) for r in hnf]
+
+def _box_runs(g, rd, inner):
+    """Yield (m, y0, y1, y2, ys) for the points (y0, y1, y2, y3), y3 in the
+    range ys, of the lattice with doubled HNF g in the box |y_j| <= rd, the
+    ball of doubled sup-norm rd, and outside |y_j| <= inner, with
+    m = max(|y0|, |y1|, |y2|).
+
+    Coordinate i is acc_i + t_i g_ii with acc_i fixed by t_0, ..., t_(i-1),
+    so the box bounds each t_i on its own; a t_1 or t_2 whose child has no
+    value in the box is skipped by one modulo.  Where the fixed ones lie
+    within inner, y3 walks inner < |y3| <= rd alone (at inner = 0, all but
+    the origin).  Each t and y3 tried counts against `_ENUM_BUDGET`."""
+    (g0, g01, g02, g03), (_, g1, g12, g13), (_, _, g2, g23), (_, _, _, g3) = g
     nodes = 0
-    # (depth, point so far, min and max of 0 and the fixed a, b, c)
-    stack = [(0, [0, 0, 0, 0], 0, 0)]
-    while stack:
-        i, acc, low, high = stack.pop()
-        if i == 4:
-            if any(acc):
-                yield (max(abs(t) for t in doubled_from_basis_coords(acc)),
-                       tuple(acc))
-            continue
-        if i < 3:
-            vlo, vhi = high - rd, low + rd
-        else:
-            vlo, vhi = -rd - 2 * low, rd - 2 * high
-        # coordinate i of the point is acc[i] + t * h[i][i]
-        step = h[i][i]
-        lo = -((acc[i] - vlo) // step)
-        hi = (vhi - acc[i]) // step
-        for t in range(lo, hi + 1):
-            nodes += 1
+    for t0 in range(-(rd // g0), rd // g0 + 1):
+        y0, c1, c2, c3 = t0 * g0, t0 * g01, t0 * g02, t0 * g03
+        r1 = range(-((rd + c1) // g1), (rd - c1) // g1 + 1)
+        nodes += 1 + len(r1)
+        for t1 in r1:
+            d2 = c2 + t1 * g12
+            if rd < d2 % g2 < g2 - rd:  # no y2 in the box
+                continue
+            r2 = range(-((rd + d2) // g2), (rd - d2) // g2 + 1)
+            pass
             if nodes > _ENUM_BUDGET:
                 raise BudgetError("lattice enumeration budget exceeded")
-            nxt = list(acc)
-            for j in range(i, 4):
-                nxt[j] += t * h[i][j]
-            v = nxt[i]
-            stack.append((i + 1, nxt, min(low, v), max(high, v)))
+            y1 = c1 + t1 * g1
+            d3, m1 = c3 + t1 * g13, max(abs(y0), abs(y1))
+            for t2 in r2:
+                e3 = d3 + t2 * g23
+                low = (e3 + rd) % g3 - rd  # the least y3 >= -rd
+                if low > rd:
+                    continue
+                y2 = d2 + t2 * g2
+                m = max(m1, abs(y2))
+                runs = ((range(low, rd + 1, g3),) if m > inner else (
+                    range(low, -inner, g3),
+                    range((e3 - inner - 1) % g3 + inner + 1, rd + 1, g3)))
+                for ys in runs:
+                    nodes += len(ys)
+                    if nodes > _ENUM_BUDGET:
+                        raise BudgetError(
+                            "lattice enumeration budget exceeded")
+                    yield m, y0, y1, y2, ys
 
 
 def _reduce_against(echelon, x):
@@ -182,17 +193,22 @@ def _reduce_against(echelon, x):
 
 def _points_by_norm(hnf, rdmax):
     """Yield (doubled_norm, coords) once for each nonzero lattice point of
-    doubled sup-norm <= rdmax, in nondecreasing norm and, within one norm,
-    in walk order.
-
-    The walk order of two points does not depend on the radius: at any
-    depth they are ordered by their first differing coefficient.  So the
-    radius doubles from 1, and each ball yields only the points past the
-    previous radius, sorted on the norm alone."""
+    doubled sup-norm <= rdmax, by nondecreasing norm and, within one norm,
+    by descending order-basis coords: the order of a depth-first walk down
+    the HNF that tries the largest coefficient first, since with positive
+    pivots coordinate i grows with coefficient i once the ones before it
+    are fixed.  The doubled radius runs 1, 2, 3, 4, 6, 8, 12, ... (every
+    power of two among them) up to rdmax; each shell past the last radius
+    is walked once and put in that order by two stable C-keyed sorts."""
+    g = _doubled_hnf(hnf)
     inner = 0
     while inner < rdmax:
-        outer = min(max(2 * inner, 1), rdmax)
-        shell = [p for p in _enum_ball(hnf, outer) if p[0] > inner]
+        step = inner // 2 if inner & (inner - 1) == 0 else inner // 3
+        outer = min(inner + max(step, 1), rdmax)
+        shell = [(max(m, abs(d)), basis_from_doubled_coords((y0, y1, y2, d)))
+                 for m, y0, y1, y2, ys in _box_runs(g, outer, inner)
+                 for d in ys]
+        shell.sort(key=operator.itemgetter(1), reverse=True)
         shell.sort(key=operator.itemgetter(0))
         yield from shell
         inner = outer
@@ -263,8 +279,11 @@ def lattice_point_count(lat, R2):
     of a rational; the returned rhs and ratio are floats.
     """
     R2 = Fraction(R2)
+    if R2 < 0:
+        raise PreconditionError("R2 must be nonnegative")
     rd = math.isqrt(math.floor(4 * R2))
-    count = 1 + sum(1 for _ in _enum_ball(lat.hnf, rd))
+    count = 1 + sum(len(run[4])
+                    for run in _box_runs(_doubled_hnf(lat.hnf), rd, 0))
     kp, mp = lat.kprime, lat.mprime
     s = R2 / lat.H ** 2
     terms = [(1, 1), (1, s), (s, Fraction(1, kp)), (s, s / (kp * mp)),

@@ -153,6 +153,16 @@ class TestExitCodes:
                               capsysbinary)
         assert (code, out, over) == (3, b"", [])
 
+    def test_lattice_walk_cap_is_three(self, monkeypatch, capsysbinary):
+        # the sup-box walk behind the minima refuses past its node cap
+        from qcl import lattices
+
+        monkeypatch.setattr(lattices, "_ENUM_BUDGET", 100)
+        code, out = _run_main(["--no-cache", "lattice", "--k", "19", "--m",
+                               "38", "--eta", "-2,-3,-5,0", "--minima"],
+                              capsysbinary)
+        assert (code, out) == (3, b"")
+
     def test_grid_cap_is_three(self, tmp_path):
         # Y mod 343 would be a grid of 7^12 matrices
         proc = run_cli(["--no-cache", "expsum", "--p", "7", "--delta",

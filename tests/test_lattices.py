@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcl import DEFAULT_SEED, lattices
-from qcl.algebra import (HurwitzQuat, hq_from_basis_coords,
+from qcl.algebra import (HurwitzQuat, basis_from_doubled_coords,
+                         doubled_from_basis_coords, hq_from_basis_coords,
                          hq_to_basis_coords, left_mul_coords,
                          right_mul_coords)
 from qcl.errors import BudgetError, PreconditionError, VerificationError
@@ -152,6 +153,46 @@ class TestMinima:
             successive_minima(lat)
 
 
+def _coupled_enum_ball(hnf, rd):
+    """Reference walk in order-basis coordinates: yield (doubled_norm,
+    coords) over the nonzero lattice points of doubled sup-norm <= rd,
+    depth first down the HNF with the largest coefficient first, which is
+    the tie order `_points_by_norm` keeps.  Depth i fixes coordinate i of
+    (a, b, c, d), so the intervals are coupled: each of a, b, c lies within
+    rd of 0 and of every fixed one, and d in [-rd, rd] and every
+    [-rd-2x, rd-2x]."""
+    h = [list(r) for r in hnf]
+    # (depth, point so far, min and max of 0 and the fixed a, b, c)
+    stack = [(0, [0, 0, 0, 0], 0, 0)]
+    while stack:
+        i, acc, low, high = stack.pop()
+        if i == 4:
+            if any(acc):
+                yield (max(abs(t) for t in doubled_from_basis_coords(acc)),
+                       tuple(acc))
+            continue
+        if i < 3:
+            vlo, vhi = high - rd, low + rd
+        else:
+            vlo, vhi = -rd - 2 * low, rd - 2 * high
+        step = h[i][i]
+        for t in range(-((acc[i] - vlo) // step), (vhi - acc[i]) // step + 1):
+            nxt = list(acc)
+            for j in range(i, 4):
+                nxt[j] += t * h[i][j]
+            v = nxt[i]
+            stack.append((i + 1, nxt, min(low, v), max(high, v)))
+
+
+def _box_points(hnf, rd, inner=0):
+    """(doubled_norm, coords) of every point `lattices._box_runs` walks,
+    in its order."""
+    return [(max(m, abs(d)), basis_from_doubled_coords((y0, y1, y2, d)))
+            for m, y0, y1, y2, ys in lattices._box_runs(
+                lattices._doubled_hnf(hnf), rd, inner)
+            for d in ys]
+
+
 def _minima_by_row_hnf(lat, bound):
     """The earlier rank test: row_hnf of the chosen points plus each
     candidate, once per candidate."""
@@ -159,7 +200,7 @@ def _minima_by_row_hnf(lat, bound):
     rd = 1
     while rd <= rdmax:
         minima, chosen = [], []
-        for nd, x in sorted(lattices._enum_ball(lat.hnf, rd)):
+        for nd, x in sorted(_coupled_enum_ball(lat.hnf, rd)):
             cand = chosen + [list(x)]
             if row_hnf(cand)[2] == len(cand):
                 chosen = cand
@@ -179,7 +220,7 @@ def _first_short_vector(hnf, limit_dbl):
     while rd < limit_dbl:
         rd = min(2 * rd, limit_dbl)
         best = None
-        for nd, x in lattices._enum_ball(hnf, rd):
+        for nd, x in _coupled_enum_ball(hnf, rd):
             if best is None or nd < best[0]:
                 best = (nd, x)
         if best is not None:
@@ -261,10 +302,9 @@ def _unpruned_enum_ball(hnf, rd):
 
 class TestEnumBall:
     def test_same_sequence_as_unpruned_walk(self):
-        # On these lattices rd <= 8 already narrows the interval at every
-        # depth that has a fixed coordinate to prune against (depths 1-3);
-        # the unpruned oracle walks the whole box, so larger radii only
-        # cost time.
+        # the box walk at inner = 0 is the whole ball less the origin; the
+        # unpruned oracle walks the whole box, so larger radii only cost
+        # time
         hnfs = [lattice_basis(i["H"], i["K"], i["m"], i["eta"], i["m0"]).hnf
                 for i in instance_corpus(25, 20260823)]
         hnfs.append(od_lattice().hnf)
@@ -272,13 +312,13 @@ class TestEnumBall:
                    for j in range(i + 1, 4))
         for hnf in hnfs:
             for rd in (1, 2, 3, 5, 8):
-                assert (list(lattices._enum_ball(hnf, rd))
-                        == list(_unpruned_enum_ball(hnf, rd)))
+                assert (Counter(_box_points(hnf, rd))
+                        == Counter(_unpruned_enum_ball(hnf, rd)))
 
     def test_budget_still_binds(self, monkeypatch):
         monkeypatch.setattr(lattices, "_ENUM_BUDGET", 50)
         with pytest.raises(BudgetError):
-            list(lattices._enum_ball(od_lattice().hnf, 8))
+            _box_points(od_lattice().hnf, 8)
 
 
 @st.composite
@@ -289,6 +329,21 @@ def triangular_bases(draw):
                  for i in range(4))
 
 
+@st.composite
+def sparse_doubled_bases(draw):
+    """(order-basis HNF, diagonal of its doubled HNF), the diagonal even
+    and up to 24 on rows 1-3: above 2 rd + 1 at the small radii drawn, so
+    that many children have no value in the box."""
+    odd = draw(st.booleans())
+    rows = [[draw(st.integers(1, 6)) * 2 - odd]
+            + [draw(st.integers(-6, 6)) * 2 - odd for _ in range(3)]]
+    for i in range(1, 4):
+        rows.append([0] * i + [2 * draw(st.integers(1, 12))]
+                    + [2 * draw(st.integers(-6, 6)) for _ in range(i, 3)])
+    hnf = row_hnf([basis_from_doubled_coords(r) for r in rows])[0]
+    return tuple(map(tuple, hnf)), [r[i] for i, r in enumerate(rows)]
+
+
 class TestPointsByNorm:
     @given(triangular_bases(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -297,10 +352,21 @@ class TestPointsByNorm:
         norms = [nd for nd, _ in points]
         assert norms == sorted(norms)
         assert len(set(points)) == len(points)
-        walk = list(lattices._enum_ball(hnf, rdmax))
+        walk = list(_coupled_enum_ball(hnf, rdmax))
         assert Counter(points) == Counter(walk)
-        # ties keep the order of one walk at the full radius
+        # ties keep the order of one coupled walk at the full radius
         assert points == sorted(walk, key=operator.itemgetter(0))
+
+    @given(sparse_doubled_bases(), st.integers(0, 10), st.integers(1, 11))
+    @settings(max_examples=80, deadline=None)
+    def test_one_shell_is_the_ball_difference(self, basis, inner, width):
+        hnf, pivots = basis
+        assert [r[i] for i, r in enumerate(lattices._doubled_hnf(hnf))] == (
+            pivots)
+        outer = inner + width
+        shell = _box_points(hnf, outer, inner)
+        assert Counter(shell) == Counter(
+            p for p in _coupled_enum_ball(hnf, outer) if p[0] > inner)
 
 
 class TestPointCount:
@@ -315,6 +381,19 @@ class TestPointCount:
         # just below R = 1 only the 16 units of sup-norm 1/2 remain
         assert lattice_point_count(lat, Fraction(3, 4))["count"] == 17
         assert lattice_point_count(lat, Fraction(24, 25))["count"] == 17
+
+    def test_negative_radius_is_a_precondition(self):
+        with pytest.raises(PreconditionError):
+            lattice_point_count(od_lattice(), -1)
+
+    def test_count_matches_coupled_walk(self):
+        # the lattice audit's corpus and radius R^2 = 4K
+        for inst in instance_corpus(100, DEFAULT_SEED):
+            lat = lattice_basis(inst["H"], inst["K"], inst["m"],
+                                inst["eta"], inst["m0"])
+            rd = math.isqrt(16 * inst["K"])
+            assert lattice_point_count(lat, 4 * inst["K"])["count"] == (
+                1 + sum(1 for _ in _coupled_enum_ball(lat.hnf, rd)))
 
     def test_bound_holds_on_sample_instances(self):
         for inst in instance_corpus(10, 7):
