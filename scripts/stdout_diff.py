@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the CLI's stdout bytes and exit codes between two source trees.
+"""Compare the CLI's stdout bytes and exit codes between two source trees,
+or check one tree against a file of recorded verdicts.
 
 Each non-blank line of REQUESTS (lines starting with '#' are skipped) is one
 request, split like a shell command line and run as
@@ -26,14 +27,29 @@ the one running this script, so one tree can be compared under two:
 
     python3 scripts/stdout_diff.py --head-python /usr/bin/python3.12 \
         src src requests.txt
+
+With --golden FILE one tree SRC is checked against FILE, whose lines are
+`EXIT SHA256 REQUEST`: the exit code and the sha256 of the stdout bytes
+recorded for each request. A line holding a request alone has no verdict
+yet and counts as differing. --update rewrites FILE with SRC's verdicts in
+place, keeping its comments and order, so `git diff` shows every verdict
+that moved:
+
+    python3 scripts/stdout_diff.py --golden scripts/verdicts.txt src
+    python3 scripts/stdout_diff.py --golden scripts/verdicts.txt --update src
 """
 
 import argparse
+import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
+
+# EXIT SHA256 REQUEST
+_VERDICT = re.compile(r"(\d+) ([0-9a-f]{64}) (\S.*)")
 
 
 def run(python, src, request):
@@ -59,21 +75,91 @@ def seed_range(text):
     return seeds
 
 
+def read_verdicts(path):
+    """The lines of a verdict file as (text, exit code, digest, is_request):
+    a blank or a comment is its own text and no request, and a request with
+    no verdict yet has exit code and digest None."""
+    out = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                out.append((raw.rstrip("\n"), None, None, False))
+                continue
+            hit = _VERDICT.fullmatch(line)
+            if hit:
+                out.append((hit[3], int(hit[1]), hit[2], True))
+            else:
+                out.append((line, None, None, True))
+    return out
+
+
+def report(line, recorded, got):
+    """Print the request line if its verdicts differ; True if they do."""
+    (rc_a, out_a), (rc_b, out_b) = recorded, got
+    if rc_a == rc_b and out_a == out_b:
+        return False
+    what = [] if out_a == out_b else ["stdout"]
+    if rc_a != rc_b:
+        what.append(f"exit {rc_a} -> {rc_b}")
+    print(f"DIFFERS ({', '.join(what)}): {line}")
+    return True
+
+
+def check_golden(path, python, src, update):
+    """Run every request of the verdict file under src; count those whose
+    exit code or stdout digest differ from the recorded ones, and with
+    `update` rewrite the file with the verdicts just seen."""
+    lines = read_verdicts(path)
+    differ = requests = 0
+    for k, (text, rc, digest, is_request) in enumerate(lines):
+        if not is_request:
+            continue
+        requests += 1
+        got_rc, out = run(python, src, shlex.split(text))
+        got = (got_rc, hashlib.sha256(out).hexdigest())
+        differ += report(text, (rc, digest), got)
+        lines[k] = (text, *got, True)
+    if update:
+        with open(path, "w") as fh:
+            for text, rc, digest, is_request in lines:
+                fh.write(f"{rc} {digest} {text}\n" if is_request
+                         else text + "\n")
+    return requests, differ
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("base_src", help="source tree holding the qcl package")
-    ap.add_argument("head_src", help="source tree to compare against it")
-    ap.add_argument("requests", help="file with one request per line")
+    ap.add_argument("paths", nargs="+", metavar="PATH",
+                    help="BASE_SRC HEAD_SRC REQUESTS; with --golden, the "
+                         "one source tree SRC")
     ap.add_argument("--seeds", type=seed_range, metavar="A-B",
                     help="run every request at each --seed from A to B")
     ap.add_argument("--head-python", default=sys.executable, metavar="PATH",
-                    help="interpreter for the HEAD_SRC runs (default: this "
-                         "one)")
+                    help="interpreter for the HEAD_SRC (or SRC) runs "
+                         "(default: this one)")
+    ap.add_argument("--golden", metavar="FILE",
+                    help="check SRC against the verdicts recorded in FILE")
+    ap.add_argument("--update", action="store_true",
+                    help="with --golden: record SRC's verdicts in FILE")
     args = ap.parse_args(argv)
-    for src in (args.base_src, args.head_src):
+    if args.golden is None:
+        if len(args.paths) != 3 or args.update:
+            ap.error("need BASE_SRC HEAD_SRC REQUESTS, without --update")
+        trees = args.paths[:2]
+    else:
+        if len(args.paths) != 1 or args.seeds is not None:
+            ap.error("--golden takes one SRC, without --seeds")
+        trees = args.paths
+    for src in trees:
         if not os.path.isfile(os.path.join(src, "qcl", "cli.py")):
             ap.error(f"no qcl/cli.py under {src}")
-    with open(args.requests) as fh:
+    if args.golden is not None:
+        requests, differ = check_golden(args.golden, args.head_python,
+                                        trees[0], args.update)
+        print(f"{requests} requests, {differ} differ", file=sys.stderr)
+        return 1 if differ else 0
+    with open(args.paths[2]) as fh:
         lines = [ln.strip() for ln in fh]
     seeds = [[]] if args.seeds is None else [["--seed", str(s)]
                                              for s in args.seeds]
@@ -83,15 +169,8 @@ def main(argv=None):
     differ = 0
     for line in requests:
         request = shlex.split(line)
-        (rc_a, out_a), (rc_b, out_b) = (
-            run(sys.executable, args.base_src, request),
-            run(args.head_python, args.head_src, request))
-        if rc_a != rc_b or out_a != out_b:
-            differ += 1
-            what = [] if out_a == out_b else ["stdout"]
-            if rc_a != rc_b:
-                what.append(f"exit {rc_a} -> {rc_b}")
-            print(f"DIFFERS ({', '.join(what)}): {line}")
+        differ += report(line, run(sys.executable, trees[0], request),
+                         run(args.head_python, trees[1], request))
     print(f"{len(requests)} requests, {differ} differ", file=sys.stderr)
     return 1 if differ else 0
 

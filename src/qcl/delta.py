@@ -131,7 +131,7 @@ def dual_lattice_audit():
     if any(t % 2 for row in pairing for t in row):
         raise VerificationError(
             f"{_DUAL_SCALE} O / 2 pairs non-integrally with the order")
-    h, _, _ = row_hnf([[t // 2 for t in row] for row in pairing])
+    h = row_hnf([[t // 2 for t in row] for row in pairing])
     if h != [[int(i == j) for j in range(4)] for i in range(4)]:
         raise VerificationError(f"{_DUAL_SCALE} O / 2 is not the dual")
     return True

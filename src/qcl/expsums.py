@@ -385,7 +385,7 @@ def _right_image(b, m):
     same fiber m^4 / N."""
     rows = right_mul_matrix(b).T % m
     rows = np.vstack([rows, m * np.eye(4, dtype=np.int64)]).tolist()
-    basis = np.array(row_hnf(rows)[0][:4], dtype=np.int64)
+    basis = np.array(row_hnf(rows), dtype=np.int64)
     coeffs = np.indices([m // int(basis[i, i]) for i in range(4)])
     return coeffs.reshape(4, -1).T @ basis % m
 

@@ -34,7 +34,8 @@ from .padic import line_multiple
 C_GLOBAL = 256  # point count vs structural right side
 C_SHORT = 8     # short-vector searches, in units of sqrt(K) / sqrt(Km)
 
-#: cap on the nodes of one sup-ball walk (`_enum_ball`)
+#: cap on the nodes (coordinate values tried) of one sup-box walk
+#: (`_box_runs`)
 _ENUM_BUDGET = 4 * 10 ** 6
 
 
@@ -63,7 +64,10 @@ def lattice_basis(H, K, m, eta, m0):
     M*eta in Z*m0*eta + m*order}.
 
     Solved as a linear congruence system in (coords(M), lambda) over a
-    single modulus, then projected back to the M coordinates.
+    single modulus L = lcm(H, K, m). The solutions contain L * Z^5, so
+    their HNF is upper triangular: its last row is zero on the M
+    coordinates, and its top-left 4 x 4 block is already the HNF of their
+    projection to M.
     """
     if H < 1 or K < 1 or m < 1:
         raise PreconditionError("H, K, m must be positive")
@@ -89,12 +93,7 @@ def lattice_basis(H, K, m, eta, m0):
     sm = L // m
     for i in range(4):
         rows.append([sm * t2[i][j] for j in range(4)] + [-sm * c[i]])
-    sol = congruence_lattice(rows, L)
-    proj = [r[:4] for r in sol]
-    h, _, rank = row_hnf(proj)
-    if rank != 4:
-        raise PreconditionError("projected lattice is not full rank")
-    h = h[:4]
+    h = [r[:4] for r in congruence_lattice(rows, L)[:4]]
     index = hnf_determinant(h)
     lat = Lattice4(_freeze(h), index, H, K, m, eta, m0)
     _audit_membership(lat)
@@ -126,8 +125,8 @@ def _audit_membership(lat):
 
 def _doubled_hnf(hnf):
     """Row HNF, in doubled coordinates, of the basis rows hnf."""
-    g, _, rank = row_hnf([doubled_from_basis_coords(r) for r in hnf])
-    if rank != 4:
+    g = row_hnf([doubled_from_basis_coords(r) for r in hnf])
+    if len(g) != 4:
         raise PreconditionError("lattice basis is not full rank")
     return g
 
@@ -154,7 +153,6 @@ def _box_runs(g, rd, inner):
             if rd < d2 % g2 < g2 - rd:  # no y2 in the box
                 continue
             r2 = range(-((rd + d2) // g2), (rd - d2) // g2 + 1)
-            pass
             if nodes > _ENUM_BUDGET:
                 raise BudgetError("lattice enumeration budget exceeded")
             y1 = c1 + t1 * g1
@@ -336,10 +334,11 @@ def eta_congruence_checks(eta, K, seed=0):
     # short element of eta*order + K*order
     gens = [list(col) for col in zip(*lmat)]
     gens += [[K if i == j else 0 for i in range(4)] for j in range(4)]
-    h, _, rank = row_hnf(gens)
-    if rank != 4:
-        raise VerificationError(f"eta*order + K*order has rank {rank}, not 4")
-    short = next(_points_by_norm(h[:4], limit), None)
+    h = row_hnf(gens)
+    if len(h) != 4:
+        raise VerificationError(
+            f"eta*order + K*order has rank {len(h)}, not 4")
+    short = next(_points_by_norm(h, limit), None)
     if short is None:
         raise VerificationError("no short coset representative found")
     return {

@@ -1,5 +1,5 @@
-"""Small exact integer linear algebra: Hermite normal form with transform,
-integer kernels and congruence-condition lattices.
+"""Small exact integer linear algebra: the row Hermite normal form,
+congruence-condition lattices and reduction modulo an HNF basis.
 
 Everything is deterministic (fixed pivoting order) so downstream results are
 byte-reproducible. Matrices are lists of lists of Python ints; functions
@@ -11,27 +11,20 @@ from __future__ import annotations
 from .errors import PreconditionError
 
 
-def _copy(a):
-    return [list(row) for row in a]
-
-
 def row_hnf(a):
-    """Row-style Hermite normal form.
+    """Row-style Hermite normal form of the lattice spanned by the rows of a.
 
-    Returns (h, u, rank) with u unimodular, u*a = h, h in row echelon form
-    with positive pivots and entries above each pivot reduced into
-    [0, pivot). Zero rows are at the bottom.
+    Returns the nonzero rows h, so len(h) is the rank: h is in row echelon
+    form with positive pivots and entries above each pivot reduced into
+    [0, pivot).
     """
-    h = _copy(a)
+    h = [list(row) for row in a]
     m = len(h)
     n = len(h[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     piv_row = 0
-    pivots = []
     for col in range(n):
         # gcd out the column below piv_row
-        r = piv_row
-        while r < m:
+        while True:
             best = None
             for i in range(piv_row, m):
                 if h[i][col] != 0:
@@ -39,9 +32,7 @@ def row_hnf(a):
                         best = i
             if best is None:
                 break
-            if best != piv_row:
-                h[piv_row], h[best] = h[best], h[piv_row]
-                u[piv_row], u[best] = u[best], u[piv_row]
+            h[piv_row], h[best] = h[best], h[piv_row]
             q0 = h[piv_row][col]
             done = True
             for i in range(piv_row + 1, m):
@@ -49,8 +40,6 @@ def row_hnf(a):
                     q = h[i][col] // q0
                     for j in range(n):
                         h[i][j] -= q * h[piv_row][j]
-                    for j in range(m):
-                        u[i][j] -= q * u[piv_row][j]
                     if h[i][col] != 0:
                         done = False
             if done:
@@ -58,31 +47,16 @@ def row_hnf(a):
         if piv_row < m and h[piv_row][col] != 0:
             if h[piv_row][col] < 0:
                 h[piv_row] = [-x for x in h[piv_row]]
-                u[piv_row] = [-x for x in u[piv_row]]
             p = h[piv_row][col]
             for i in range(piv_row):
                 q = h[i][col] // p
                 if q:
                     for j in range(n):
                         h[i][j] -= q * h[piv_row][j]
-                    for j in range(m):
-                        u[i][j] -= q * u[piv_row][j]
-            pivots.append(col)
             piv_row += 1
             if piv_row == m:
                 break
-    return h, u, len(pivots)
-
-
-def zkernel(a):
-    """Basis (list of integer vectors) of {x in Z^n : a @ x = 0}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    at = [[a[i][j] for i in range(m)] for j in range(n)]
-    h, u, rank = row_hnf(at)
-    return [list(u[i]) for i in range(rank, n)]
+    return h[:piv_row]
 
 
 def congruence_lattice(a, mod):
@@ -90,20 +64,23 @@ def congruence_lattice(a, mod):
 
     `a` is an m x n integer matrix, `mod` a positive integer. Returns an
     n x n upper-triangular matrix whose rows are a basis.
+
+    The rows (a e_j, e_j) and (mod e_i, 0) span the augmented lattice
+    {(a v + mod w, v) : v in Z^n, w in Z^m}. Its projection to the first m
+    coordinates contains mod Z^m, so its HNF has m + n rows, the first m
+    with pivots in the first m columns. The other n are zero there, so they
+    span its intersection with 0 x Z^n, which is {(0, v) : a v = 0 mod
+    mod}; their last n entries are the HNF of the answer.
     """
     if mod <= 0:
         raise PreconditionError("modulus must be positive")
     m = len(a)
     n = len(a[0]) if m else 0
-    # kernel of [a | mod*I_m] projected to the first n coordinates
-    ext = [[a[i][j] for j in range(n)] + [mod if k == i else 0 for k in range(m)]
-           for i in range(m)]
-    ker = zkernel(ext)
-    rows = [v[:n] for v in ker]
-    h, _, rank = row_hnf(rows)
-    if rank != n:
-        raise PreconditionError("congruence lattice is not full rank")
-    return [h[i] for i in range(n)]
+    gens = [[a[i][j] for i in range(m)] + [1 if k == j else 0
+                                           for k in range(n)]
+            for j in range(n)]
+    gens += [[mod if k == i else 0 for k in range(m + n)] for i in range(m)]
+    return [row[m:] for row in row_hnf(gens)[m:]]
 
 
 def hnf_determinant(h):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -600,6 +601,54 @@ class TestStdoutDiff:
             "DIFFERS (stdout): --seed 3 repnum --m 5",
             "DIFFERS (stdout): --seed 4 repnum --m 5"]
         assert "4 requests, 2 differ" in proc.stderr
+
+    def test_golden_file_checks_one_tree(self, tmp_path):
+        # record the verdicts of this tree, then check a perturbed copy
+        golden = tmp_path / "verdicts.txt"
+        golden.write_text("# two requests\n" + "\n".join(self.REQUESTS)
+                          + "\n")
+        script = [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
+                  "--golden", str(golden)]
+        record = subprocess.run([*script, "--update", str(ROOT / "src")],
+                                capture_output=True, text=True)
+        assert record.returncode == 1, record.stdout + record.stderr
+        lines = golden.read_text().splitlines()
+        assert lines[0] == "# two requests"
+        assert [ln.split(" ", 2)[::2] for ln in lines[1:]] == [
+            ["0", req] for req in self.REQUESTS]
+        head = tmp_path / "head"
+        shutil.copytree(ROOT / "src" / "qcl", head / "qcl",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run([*script, str(head)], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 requests, 0 differ" in proc.stderr
+        with open(head / "qcl" / "lattices.py", "a") as fh:
+            fh.write(_PERTURB)
+        proc = subprocess.run([*script, str(head)], capture_output=True,
+                              text=True)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["DIFFERS (stdout): repnum --m 5"]
+
+    def test_verdict_file_names_every_command(self):
+        # the corpus itself runs outside the test suite; here only its
+        # shape: every line parsed, every command, every exit code, and
+        # every audit suite at seeds 0-8
+        from qcl.audits import SUITES
+        from qcl.cli import _COMMANDS
+
+        diff = runpy.run_path(str(ROOT / "scripts" / "stdout_diff.py"))
+        verdicts = [(text, rc) for text, rc, _, is_request in
+                    diff["read_verdicts"](ROOT / "scripts" / "verdicts.txt")
+                    if is_request]
+        assert all(rc is not None for _, rc in verdicts)
+        commands = {next(t for t in text.split() if t in _COMMANDS)
+                    for text, _ in verdicts}
+        assert commands == set(_COMMANDS)
+        assert {rc for _, rc in verdicts} == {0, 2, 3, 4}
+        requests = {text for text, _ in verdicts}
+        assert {f"--seed {s} audit {suite}" for s in range(9)
+                for suite in SUITES} <= requests
 
     @pytest.mark.parametrize("missing", ["base", "head"])
     def test_tree_without_the_cli_is_refused(self, tmp_path, missing):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcl import DEFAULT_SEED, lattices
+from qcl import DEFAULT_SEED, lattices, linalg
 from qcl.algebra import (HurwitzQuat, basis_from_doubled_coords,
                          doubled_from_basis_coords, hq_from_basis_coords,
                          hq_to_basis_coords, left_mul_coords,
@@ -66,6 +66,22 @@ class TestLatticeBasis:
                    for lam in range(3)):
                 classes += 1
         assert lat.index * classes == 3 ** 4
+
+    def test_one_hermite_form(self, monkeypatch):
+        # congruence_lattice makes one row_hnf call, and lattice_basis,
+        # which solves one congruence system, makes one in all
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return row_hnf(a)
+
+        monkeypatch.setattr(linalg, "row_hnf", counted)
+        monkeypatch.setattr(lattices, "row_hnf", counted)
+        congruence_lattice(right_mul_coords(ETA3), 3)
+        assert len(calls) == 1
+        lattice_basis(3, 3, 9, HurwitzQuat.from_true(2, 2, 1, 0), ONE)
+        assert len(calls) == 2
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -202,7 +218,7 @@ def _minima_by_row_hnf(lat, bound):
         minima, chosen = [], []
         for nd, x in sorted(_coupled_enum_ball(lat.hnf, rd)):
             cand = chosen + [list(x)]
-            if row_hnf(cand)[2] == len(cand):
+            if len(row_hnf(cand)) == len(cand):
                 chosen = cand
                 minima.append(Fraction(nd, 2))
                 if len(minima) == 4:
@@ -238,7 +254,7 @@ def _short_vectors_by_restarted_walks(eta, K):
     gens = [list(col) for col in zip(*lmat)]
     gens += [[K if i == j else 0 for i in range(4)] for j in range(4)]
     return (_first_short_vector(congruence_lattice(lmat, K), limit),
-            _first_short_vector(row_hnf(gens)[0][:4], limit))
+            _first_short_vector(row_hnf(gens), limit))
 
 
 class TestMinimaOracle:
@@ -340,7 +356,7 @@ def sparse_doubled_bases(draw):
     for i in range(1, 4):
         rows.append([0] * i + [2 * draw(st.integers(1, 12))]
                     + [2 * draw(st.integers(-6, 6)) for _ in range(i, 3)])
-    hnf = row_hnf([basis_from_doubled_coords(r) for r in rows])[0]
+    hnf = row_hnf([basis_from_doubled_coords(r) for r in rows])
     return tuple(map(tuple, hnf)), [r[i] for i, r in enumerate(rows)]
 
 
