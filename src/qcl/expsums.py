@@ -8,8 +8,8 @@ Main objects, all exact:
   where P(Y) = sum of slotwise squares (with optional unit coefficients).
 * `w_class_sum_report`: the volume of auxiliary matrices Z for which a
   target lies on the scalar line through Z times the cyclic image
-  generator, read from one exact count table per (generator, modulus),
-  summed over the witness classes, each named by its `padic.line_key`.
+  generator, in closed form (`_measure`), summed over the witness
+  classes, each named by its `padic.line_key`.
 * `witness_report` / `local_integral_audit`: support, witness and magnitude
   bound checks for i0_local; at most one nonzero witness class exists, so
   the search tests one candidate slot with `padic.line_multiple`.
@@ -44,11 +44,24 @@ slot tuples Y with adj(delta) sum c_i Y_i^2 = 0. One slot bins its phase
 over the solution set S = {Y : adj(delta) Y^2 = 0 mod p^v}, the rows of
 box key 0 in one kernel pass; two slots make one pass per distinct
 coefficient for the box index of every Y, and join per-slot (box index,
-phase) histograms, q^2 x q entries, through the negation of the box. The
-witness measure lives on the image of Z -> Z gen, which is Z/m-linear, so
-every w of it has the same fiber: the image is enumerated from a Hermite
-basis (`_right_image`), m^2 elements since gen has rank one mod m, and
-the measure table holds at most that many (key, count) entries.
+phase) histograms, q^2 x q entries, through the negation of the box.
+
+The witness measure of a target t mod m = p^v is the volume of
+{Z mod m : t in (Z/m) Z gen}, in closed form (`_measure`) by the Smith
+form of gen. gen has a unit entry and det(gen) = 0 mod m, so its Smith
+form mod m is diag(1, 0): every row of gen is c_i r for one primitive row
+r, a row of gen with a unit entry (the other row minus a multiple of r
+is zero at r's unit column and +-det(gen)/unit at the other). Z gen is
+then (Z c) x r, and Z -> Z c is onto (Z/m)^2 as c is 1 at r's row, so
+Z gen runs over the m^2 matrices c x r, c in (Z/m)^2, each hit by m^2 of
+the m^4 matrices Z. A target t that is no c_t x r lies on no such line and
+has volume 0; else c_t is read row by row with `padic.line_multiple`
+against r. Let s = v_p(c_t), capped at v. At s = v (t = 0, and every t
+when m = 1) every Z counts: volume 1. At s < v, the c whose span holds
+c_t are p^j c' with j <= s and c' a unit multiple of c_t / p^s mod
+p^(v-s), lifted mod p^(v-j): phi(p^(v-s)) p^(2(s-j)) of them for each j.
+Summed over j and times m^2 / m^4, the volume is
+(p - 1) p^(v-s-1) (p^(2s+2) - 1) / ((p^2 - 1) m^2).
 
 Caches (`functools.lru_cache`):
 
@@ -58,9 +71,7 @@ Caches (`functools.lru_cache`):
 * `_slot_static` (12 entries): per (delta, p, v, coeff), the box index of
   every Y and the negation permutation of the box, from one pass, for two
   slots only;
-* `_image_generator`: the cyclic image generator, per (eta mod m, m, p);
-* `_measure_table` (3 entries): per (gen, m), the sorted span keys and
-  their counts.
+* `_image_generator`: the cyclic image generator, per (eta mod m, m, p).
 
 Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
 product, determinant and adjugate are the flat helpers of `qcl.algebra`.
@@ -172,14 +183,9 @@ def right_mul_matrix(b):
                     dtype=np.int64).T
 
 
-def _pack(rows, q):
-    """Pack residues mod q along the last axis (length 4) into scalar keys;
-    the packed order is the lexicographic order of the 4-tuples."""
-    return ((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q + rows[..., 3]
-
-
 def _unpack(keys, q):
-    """Inverse of `_pack`: an (N,) array of keys to an (N,4) array."""
+    """An (N,) array of keys to the (N, 4) array of their base-q digits,
+    most significant first: the rows of a grid in grid order."""
     return np.stack([keys // q ** (3 - t) % q for t in range(4)], axis=1)
 
 
@@ -375,14 +381,14 @@ def _cyclic_generator(cmat, m, p):
 
 
 def _right_image(b, m):
-    """The distinct w = Z b over all Z mod m, as an (N, 4) int64 array.
+    """The distinct w = Z b over all Z mod m, as an (N, 4) int64 array: the
+    enumeration from which `w_class_sum_report` reads the witness classes.
 
     Z -> Z b is Z/m-linear, with flat(Z b) = R flat(Z) for
     R = `right_mul_matrix(b)`, so the image is L / m Z^4 for the lattice L
     spanned by the rows of R^T and m I. Its upper-triangular Hermite basis
     H has pivots d_i dividing m, and the image is
-    {c H mod m : 0 <= c_i < m / d_i}, each element once; every w has the
-    same fiber m^4 / N."""
+    {c H mod m : 0 <= c_i < m / d_i}, each element once."""
     rows = right_mul_matrix(b).T % m
     rows = np.vstack([rows, m * np.eye(4, dtype=np.int64)]).tolist()
     basis = np.array(row_hnf(rows), dtype=np.int64)
@@ -390,48 +396,37 @@ def _right_image(b, m):
     return coeffs.reshape(4, -1).T @ basis % m
 
 
-@functools.lru_cache(maxsize=3)
-def _measure_table(gen, m):
-    """(keys, counts): counts[i] = #{Z mod m : t in (Z/m) * Z gen} for the
-    packed t = keys[i], sorted; every other t has count 0.
-
-    Each w of the image of Z -> Z gen (`_right_image`) has the same fiber
-    m^4 / N, and the span (Z/m) * w of each lies inside the image, so the
-    table has at most N entries: the distinct lam * w, 0 <= lam < ord(w),
-    over every w, each counted once per w it spans, times the fiber. Exact
-    int64 counts (each at most m^4). Cached per (gen tuple, m): the same
-    table serves every target at a fixed modulus."""
-    ws = _right_image(gen, m)
-    order = m // np.gcd.reduce(ws, axis=1, initial=m)
-    lam = np.arange(m)
-    span = _pack(lam[None, :, None] * ws[:, None, :] % m, m)
-    keys, counts = np.unique(span[lam[None, :] < order[:, None]],
-                             return_counts=True)
-    counts *= m ** 4 // len(ws)
-    keys.setflags(write=False)
-    counts.setflags(write=False)
-    return keys, counts
-
-
-def _measure(target, gen, m):
-    """Volume of {Z mod m : target lies in (Z/m) * Z gen + m O}, for a
-    target tuple of residues mod m."""
-    keys, counts = _measure_table(gen, m)
-    key = _pack(np.array(target), m)
-    i = int(np.searchsorted(keys, key))
-    hit = i < len(keys) and keys[i] == key
-    return Fraction(int(counts[i]) if hit else 0, m ** 4)
+def _measure(target, gen, m, p):
+    """Volume of {Z mod m : target lies in (Z/m) * Z gen + m O}, m = p^v,
+    in closed form (module docstring). Refuses a gen with no unit entry or
+    with det(gen) != 0 mod m, where the formula does not hold."""
+    v = pval(m, p)
+    i, k = pivot(gen, p, v)
+    if k or det_flat(gen) % m:
+        raise PreconditionError(
+            f"measure needs a primitive generator of rank one mod {m}")
+    r = gen[i & 2:(i & 2) + 2]
+    c = [line_multiple(target[j:j + 2], r, p, v) for j in (0, 2)]
+    if None in c:
+        return Fraction(0)
+    s = pivot(c, p, v)[1]
+    if s == v:
+        return Fraction(1)
+    return Fraction((p - 1) * p ** (v - s - 1) * (p ** (2 * s + 2) - 1),
+                    (p * p - 1) * m * m)
 
 
 def w_class_sum_report(eta, p):
     """Sum of the measure factor over all witness classes, the targets
     Z eta mod m (`_right_image`) up to unit multiples, each named by its
-    `line_key`; the structural bound is v_p(det eta) + 1. Returns
-    (classes, total, bound)."""
+    `line_key`; the structural bound is v + 1, v = v_p(det eta). Returns
+    (classes, total, bound). By the closed form of `_measure` there are
+    exactly 1 + (p + 1)(p^v - 1)/(p - 1) classes, and the total is
+    v + 1 - (p^(2v) - 1)/(p^(2v) (p^2 - 1)), below the bound at v > 0."""
     gen, m = matrix_cyclic_generator(eta, p)
     v = pval(det_flat(eta), p)
     classes = {line_key(t, p, v) for t in _right_image(eta, m).tolist()}
-    total = sum((_measure(t, gen, m) for t in classes), Fraction(0))
+    total = sum((_measure(t, gen, m, p) for t in classes), Fraction(0))
     return len(classes), total, v + 1
 
 
@@ -478,7 +473,7 @@ def witness_report(delta, gammas, p):
     if None not in mu:
         mu[i] = 1  # slot i is 1 * itself, or the zero witness has mu = e_i
         key = line_key(ge[i], p, veta)
-        wm = _measure(key, gen, m)
+        wm = _measure(key, gen, m, p)
         witnesses[key] = (wm, tuple(mu))
         bound_sq = _bound_sq(gprime, eta, vdel, veta, wm, p, n)
     return {"supported": True, "witnesses": witnesses, "bound_sq": bound_sq}

@@ -153,6 +153,7 @@ def _box_runs(g, rd, inner):
             if rd < d2 % g2 < g2 - rd:  # no y2 in the box
                 continue
             r2 = range(-((rd + d2) // g2), (rd - d2) // g2 + 1)
+            nodes += len(r2)
             if nodes > _ENUM_BUDGET:
                 raise BudgetError("lattice enumeration budget exceeded")
             y1 = c1 + t1 * g1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import Matrix
 
 from qcl import expsums
@@ -16,8 +16,8 @@ from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
     _BLOCK_ROWS, _cyclic_generator, _grid_blocks,
-    _image_generator, _join_two_slots, _measure, _measure_table, _pack,
-    _right_image, _slot_box, _slot_histogram, _slot_solutions, _slot_static,
+    _image_generator, _join_two_slots, _measure, _right_image, _slot_box,
+    _slot_histogram, _slot_solutions, _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
     left_mul_matrix, local_integral_audit,
     matrix_cyclic_generator, prime_case_report,
@@ -39,6 +39,14 @@ def all_mats(q):
     if q ** 4 > 10 ** 7:
         raise BudgetError(f"matrix enumeration {q}^4 exceeds budget")
     return np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T
+
+
+def _pack(rows, q):
+    """Pack residues mod q along the last axis (length 4) into scalar keys;
+    the packed order is the lexicographic order of the 4-tuples, the grid
+    order that `expsums._unpack` inverts."""
+    return (((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q
+            + rows[..., 3])
 
 
 def mat_square_flat(y, q):
@@ -312,7 +320,7 @@ class TestI0Local:
 def w_measure(m0, eta, p):
     """The measure factor for a witness matrix m0 against primitive eta."""
     gen, m = matrix_cyclic_generator(eta, p)
-    return _measure([t % m for t in mat_mul_flat(m0, eta)], gen, m)
+    return _measure([t % m for t in mat_mul_flat(m0, eta)], gen, m, p)
 
 
 def right_image_histogram(b, m):
@@ -338,12 +346,12 @@ def dense_measure_table(gen, m):
     return table
 
 
-def sparse_as_dense(gen, m):
-    """`_measure_table(gen, m)` spread over all m^4 packed targets."""
-    keys, counts = _measure_table(gen, m)
-    table = np.zeros(m ** 4, dtype=np.int64)
-    table[keys] = counts
-    return table
+def measure_as_dense(gen, m, p):
+    """`_measure` of every packed target mod m, times m^4, as one dense
+    table in the layout of `dense_measure_table`."""
+    return np.array([_measure(t, gen, m, p) * m ** 4
+                     for t in itertools.product(range(m), repeat=4)],
+                    dtype=np.int64)
 
 
 def w_histogram(gen, m):
@@ -368,19 +376,27 @@ SMALL_ETAS = [(3, (3, 0, 0, 1)), (3, (1, 1, -2, 1)), (5, (5, 0, 0, 1)),
               (5, (1, 1, -4, 1)), (3, (9, 0, 0, 1)), (3, (3, 1, 0, 3))]
 
 
+def class_sum_closed(p, v):
+    """(classes, total, bound) of `w_class_sum_report` at v = v_p(det eta):
+    1 + (p + 1)(p^v - 1)/(p - 1) classes, of total measure
+    v + 1 - (p^(2v) - 1)/(p^(2v) (p^2 - 1)), against the bound v + 1."""
+    return (1 + (p + 1) * (p ** v - 1) // (p - 1),
+            v + 1 - Fraction(p ** (2 * v) - 1, p ** (2 * v) * (p * p - 1)),
+            v + 1)
+
+
 class TestWitnessMeasure:
-    @pytest.mark.parametrize("p,eta", SMALL_ETAS)
+    # plus m = 8 at p = 2 and m = 7 at p = 7
+    @pytest.mark.parametrize("p,eta", SMALL_ETAS + [(2, (1, 1, -7, 1)),
+                                                    (7, (1, 2, -3, 1))])
     def test_table_matches_oracle_on_every_target(self, p, eta):
         gen, m = matrix_cyclic_generator(eta, p)
-        keys, counts = _measure_table(gen, m)
-        assert counts.dtype == np.int64 and len(keys) <= m * m
-        assert np.all(np.diff(keys) > 0)
-        table = sparse_as_dense(gen, m)
-        assert np.array_equal(table, dense_measure_table(gen, m))
+        table = dense_measure_table(gen, m)
         hist = w_histogram(gen, m)
         for key, t in enumerate(itertools.product(range(m), repeat=4)):
-            assert table[key] == measure_oracle(t, hist, m)
-            assert _measure(t, gen, m) == Fraction(int(table[key]), m ** 4)
+            want = measure_oracle(t, hist, m)
+            assert table[key] == want
+            assert _measure(t, gen, m, p) == Fraction(want, m ** 4)
 
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5)])
     def test_table_matches_oracle_m25(self, delta):
@@ -388,7 +404,7 @@ class TestWitnessMeasure:
         _, eta = split_primitive_part(delta, p)
         gen, m = matrix_cyclic_generator(eta, p)
         assert m == 25
-        table = sparse_as_dense(gen, m)
+        table = measure_as_dense(gen, m, p)
         assert np.array_equal(table, dense_measure_table(gen, m))
         hist = w_histogram(gen, m)
         rng = random.Random(25)
@@ -399,7 +415,7 @@ class TestWitnessMeasure:
             want = measure_oracle(t, hist, m)
             key = _pack(np.array(t) % m, m)
             assert table[key] == want
-            assert _measure(tuple(x % m for x in t), gen, m) == Fraction(
+            assert _measure(tuple(x % m for x in t), gen, m, p) == Fraction(
                 want, m ** 4)
         assert w_measure((1, 0, 0, 1), eta, p) == Fraction(
             measure_oracle(eta, hist, m), m ** 4)
@@ -415,11 +431,11 @@ class TestWitnessMeasure:
     @pytest.mark.parametrize("p,eta", SMALL_ETAS)
     def test_measure_invariant_under_unit_scaling(self, p, eta):
         gen, m = matrix_cyclic_generator(eta, p)
-        table = sparse_as_dense(gen, m)
+        table = measure_as_dense(gen, m, p)
         for u in range(2, m):
             if u % p:
                 scaled = tuple(u * x % m for x in gen)
-                assert np.array_equal(sparse_as_dense(scaled, m), table)
+                assert np.array_equal(measure_as_dense(scaled, m, p), table)
 
     def test_non_cyclic_image_raises(self):
         # rank 2: the span of E00 and E11 is not cyclic
@@ -458,13 +474,23 @@ class TestWitnessMeasure:
         assert m == 1
         assert w_measure((1, 2, 3, 4), (1, 0, 0, 1), 3) == 1
 
+    # every primitive part of the deltas of `local_integral_audit`
     @pytest.mark.parametrize("p,eta", [(3, (3, 0, 0, 1)), (3, (1, 1, -2, 1)),
                                        (5, (5, 0, 0, 1)), (3, (9, 0, 0, 1)),
-                                       (3, (3, 1, 0, 3))])
+                                       (3, (3, 1, 0, 3)), (3, (1, 0, 0, 1)),
+                                       (5, (1, 1, -4, 1)), (5, (25, 0, 0, 1)),
+                                       (5, (1, 0, 0, 1)), (5, (5, 1, 0, 5))])
     def test_class_sum_bound(self, p, eta):
-        ncls, total, bound = w_class_sum_report(eta, p)
-        assert total <= bound
-        assert ncls >= 1
+        # the HNF enumeration of the classes against the closed form
+        assert w_class_sum_report(eta, p) == class_sum_closed(
+            p, pval(det_flat(eta), p))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+    def test_class_sum_closed_form(self, p, v, data):
+        # the closed form puts the total strictly below the bound v + 1
+        eta = data.draw(primitive_etas(p, v))
+        assert w_class_sum_report(eta, p) == class_sum_closed(p, v)
 
     def test_measure_range(self):
         for m0 in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]:
@@ -550,7 +576,7 @@ def witness_oracle(delta, gammas, p):
         if None not in mu:
             mu[i] = 1
             candidates.setdefault(class_key(t, m, p), mu)
-    witnesses = {key: (_measure(key, gen, m), tuple(mu))
+    witnesses = {key: (_measure(key, gen, m, p), tuple(mu))
                  for key, mu in candidates.items()}
     bound_sq = min((expsums._bound_sq(gprime, eta, vdel, veta, wm, p, n)
                     for wm, _ in witnesses.values()), default=None)
@@ -655,6 +681,20 @@ def grid_moduli(draw):
 
 def unit_mod(p):
     return st.integers(1, 10 ** 6).filter(lambda c: c % p)
+
+
+# (p, v) with m = p^v <= 9, so that `_measure` runs on all m^4 targets fast
+MEASURE_GRIDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+@st.composite
+def primitive_etas(draw, p, v):
+    """A primitive eta with v_p(det eta) = v: A diag(p^v, 1) B for A and B
+    with unit determinants mod p."""
+    units = st.tuples(*[st.integers(-50, 50)] * 4).filter(
+        lambda a: det_flat(a) % p)
+    return mat_mul_flat(mat_mul_flat(draw(units), (p ** v, 0, 0, 1)),
+                        draw(units))
 
 
 def joined(blocks):
@@ -846,15 +886,30 @@ class TestGridKernel:
         assert np.all(hist[image] * len(image) == m ** 4)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from([p ** level for p, level in GRIDS]),
-           st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4))
-    def test_measure_table_matches_dense_table(self, m, gen):
-        _measure_table.cache_clear()
-        dense = dense_measure_table(gen, m)
-        keys, counts = _measure_table(gen, m)
-        assert len(keys) <= len(_right_image(gen, m))
-        assert np.array_equal(keys, np.flatnonzero(dense))
-        assert np.array_equal(counts, dense[keys])
+    @given(st.sampled_from(MEASURE_GRIDS), st.data())
+    def test_measure_table_matches_dense_table(self, grid, data):
+        # the generators that `matrix_cyclic_generator` builds, at every
+        # m^4 target; m = 25 is covered by the audit's deltas (m25 tests)
+        p, level = grid
+        gen, m = matrix_cyclic_generator(data.draw(primitive_etas(p, level)),
+                                         p)
+        assert m == p ** level
+        assert np.array_equal(measure_as_dense(gen, m, p),
+                              dense_measure_table(gen, m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(GRIDS),
+           st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4), st.booleans())
+    def test_measure_refuses_invalid_generators(self, grid, gen, imprimitive):
+        # the closed form holds only for a gen with a unit entry and
+        # det(gen) = 0 mod m
+        p, level = grid
+        m = p ** level
+        if imprimitive:
+            gen = tuple(p * x for x in gen)
+        assume(all(x % p == 0 for x in gen) or det_flat(gen) % m)
+        with pytest.raises(PreconditionError):
+            _measure((0, 0, 0, 0), gen, m, p)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(GRIDS), st.data())
@@ -944,8 +999,7 @@ class TestGridKernel:
         # no int64 array per grid row or per m^4 residue: the whole-grid
         # path peaked at 10.4 MiB here
         delta, gammas, p = (25, 0, 0, 1), [(5, 10, 0, 5)] * 2, 5
-        for cached in (_slot_solutions, _slot_static, _measure_table,
-                       _image_generator):
+        for cached in (_slot_solutions, _slot_static, _image_generator):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -956,10 +1010,6 @@ class TestGridKernel:
             tracemalloc.stop()
         assert rep["witnesses"]
         assert peak < 5 * 2 ** 20
-        assert _measure_table.cache_info().currsize == 1
-        gen, m = matrix_cyclic_generator(delta, p)
-        keys, counts = _measure_table(gen, m)
-        assert len(keys) == len(counts) <= m * m
 
     def test_one_slot_builds_no_grid_table(self):
         # one slot keeps S alone: a bool bitmap of the q^4 = 5,764,801
@@ -996,8 +1046,7 @@ class TestGridKernel:
     def test_witness_moduli_stay_small(self, delta, n):
         # the (q^4, 4) grid path peaked near 50 MB here
         gammas = [(5, 10, 0, 5)] * n
-        for cached in (_slot_solutions, _slot_static, _measure_table,
-                       _image_generator):
+        for cached in (_slot_solutions, _slot_static, _image_generator):
             cached.cache_clear()
         tracemalloc.start()
         try:

@@ -316,6 +316,35 @@ def _unpruned_enum_ball(hnf, rd):
             stack.append((prefix + (t,), nxt))
 
 
+def _walk_nodes(g, rd, inner):
+    """(nodes, t2s, dead) of the box walk over the doubled HNF g, by brute
+    force over the coefficients: nodes counts each t0 with |y0| <= rd, each
+    t1 with |y1| <= rd and each y3 in the box outside |y| <= inner; t2s
+    counts each t2 with |y2| <= rd, and dead those with no y3 in the box."""
+    span = range(-4 * rd - 4, 4 * rd + 5)
+    nodes = t2s = dead = 0
+    for t0 in span:
+        if abs(t0 * g[0][0]) > rd:
+            continue
+        nodes += 1
+        for t1 in span:
+            y1 = t0 * g[0][1] + t1 * g[1][1]
+            if abs(y1) > rd:
+                continue
+            nodes += 1
+            for t2 in span:
+                y2 = t0 * g[0][2] + t1 * g[1][2] + t2 * g[2][2]
+                if abs(y2) > rd:
+                    continue
+                e3 = t0 * g[0][3] + t1 * g[1][3] + t2 * g[2][3]
+                ys = [y for y in range(-rd, rd + 1) if (y - e3) % g[3][3] == 0]
+                t2s += 1
+                dead += not ys
+                m = max(abs(t0 * g[0][0]), abs(y1), abs(y2))
+                nodes += sum(max(m, abs(y)) > inner for y in ys)
+    return nodes, t2s, dead
+
+
 class TestEnumBall:
     def test_same_sequence_as_unpruned_walk(self):
         # the box walk at inner = 0 is the whole ball less the origin; the
@@ -335,6 +364,19 @@ class TestEnumBall:
         monkeypatch.setattr(lattices, "_ENUM_BUDGET", 50)
         with pytest.raises(BudgetError):
             _box_points(od_lattice().hnf, 8)
+
+    def test_budget_counts_every_t2(self, monkeypatch):
+        # a t2 with no y3 in the box is tried, so it counts: the walk takes
+        # exactly the brute-force count, and one node less is refused
+        g = ((2, 1, 0, 3), (0, 2, 1, 5), (0, 0, 2, 3), (0, 0, 0, 11))
+        nodes, t2s, dead = _walk_nodes(g, 4, 1)
+        assert dead > 0
+        monkeypatch.setattr(lattices, "_ENUM_BUDGET", nodes + t2s)
+        points = list(lattices._box_runs(g, 4, 1))
+        assert points
+        monkeypatch.setattr(lattices, "_ENUM_BUDGET", nodes + t2s - 1)
+        with pytest.raises(BudgetError):
+            list(lattices._box_runs(g, 4, 1))
 
 
 @st.composite
