@@ -9,9 +9,10 @@ request, split like a shell command line and run as
 
 once with PYTHONPATH=BASE_SRC and once with PYTHONPATH=HEAD_SRC, each run
 with PYTHONHASHSEED=0 and a fresh, empty QCL_CACHE_DIR. Every request whose
-stdout bytes or exit code differ is printed; the exit status is 1 if any
-differ, else 0, and 2 without running anything when a tree holds no
-qcl/cli.py. Run from anywhere:
+stdout bytes or exit code differ is printed, in file order; the exit status
+is 1 if any differ, else 0, and 2 without running anything when a tree
+holds no qcl/cli.py. The runs share one worker per core (os.cpu_count()).
+Run from anywhere:
 
     python3 scripts/stdout_diff.py ../base/src src requests.txt
 
@@ -47,6 +48,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 # EXIT SHA256 REQUEST
 _VERDICT = re.compile(r"(\d+) ([0-9a-f]{64}) (\S.*)")
@@ -61,6 +63,13 @@ def run(python, src, request):
             [python, "-m", "qcl.cli", "--no-cache", *request],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
     return proc.returncode, proc.stdout
+
+
+def run_all(jobs):
+    """`run` of every (python, src, request) job, one worker per core, as
+    a list in job order."""
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        return list(pool.map(lambda job: run(*job), jobs))
 
 
 def seed_range(text):
@@ -111,12 +120,11 @@ def check_golden(path, python, src, update):
     exit code or stdout digest differ from the recorded ones, and with
     `update` rewrite the file with the verdicts just seen."""
     lines = read_verdicts(path)
-    differ = requests = 0
-    for k, (text, rc, digest, is_request) in enumerate(lines):
-        if not is_request:
-            continue
-        requests += 1
-        got_rc, out = run(python, src, shlex.split(text))
+    todo = [k for k, line in enumerate(lines) if line[3]]
+    runs = run_all([(python, src, shlex.split(lines[k][0])) for k in todo])
+    differ = 0
+    for k, (got_rc, out) in zip(todo, runs):
+        text, rc, digest, _ = lines[k]
         got = (got_rc, hashlib.sha256(out).hexdigest())
         differ += report(text, (rc, digest), got)
         lines[k] = (text, *got, True)
@@ -125,7 +133,7 @@ def check_golden(path, python, src, update):
             for text, rc, digest, is_request in lines:
                 fh.write(f"{rc} {digest} {text}\n" if is_request
                          else text + "\n")
-    return requests, differ
+    return len(todo), differ
 
 
 def main(argv=None):
@@ -166,11 +174,11 @@ def main(argv=None):
     requests = [shlex.join(seed + shlex.split(ln))
                 for ln in lines if ln and not ln.startswith("#")
                 for seed in seeds]
-    differ = 0
-    for line in requests:
-        request = shlex.split(line)
-        differ += report(line, run(sys.executable, trees[0], request),
-                         run(args.head_python, trees[1], request))
+    runs = run_all([job for line in requests for job in (
+        (sys.executable, trees[0], shlex.split(line)),
+        (args.head_python, trees[1], shlex.split(line)))])
+    differ = sum(report(line, *runs[2 * k:2 * k + 2])
+                 for k, line in enumerate(requests))
     print(f"{len(requests)} requests, {differ} differ", file=sys.stderr)
     return 1 if differ else 0
 

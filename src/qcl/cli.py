@@ -161,22 +161,28 @@ def _emit(opts, subcommand, params, compute):
                                     separators=(",", ":")) + "\n").encode()
         # A failed verdict is recomputed on every run, never replayed.
         if cache_file and not _failed_audit(subcommand, payload):
-            os.makedirs(os.path.dirname(cache_file), exist_ok=True)
             tmp = cache_file + f".tmp{os.getpid()}"
-            with open(tmp, "wb") as fh:
-                fh.write(payload_bytes)
-            os.replace(tmp, cache_file)
-            _evict_other_builds(cache_file, key)
+            try:  # the cache only saves work: a failed write keeps the result
+                os.makedirs(os.path.dirname(cache_file), exist_ok=True)
+                with open(tmp, "wb") as fh:
+                    fh.write(payload_bytes)
+                os.replace(tmp, cache_file)
+            except OSError as exc:
+                print(f"cache write failed: {exc}", file=sys.stderr)
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+            else:
+                _evict_other_builds(cache_file, key)
     sys.stdout.buffer.write(payload_bytes)
     sys.stdout.buffer.flush()
+    obj = json.loads(payload_bytes)
     if opts["csv"]:
-        obj = json.loads(payload_bytes)
-        with open(opts["csv"], "w") as fh:
-            fh.write("field,value\n")
-            for path, v in _flatten(obj["result"]):
-                fh.write(f"{path},{v}\n")
-    failed = _failed_audit(subcommand, json.loads(payload_bytes))
-    sys.exit(4 if failed else 0)
+        import csv
+        with open(opts["csv"], "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(("field", "value"))
+            out.writerows((k, f"{v}") for k, v in _flatten(obj["result"]))
+    sys.exit(4 if _failed_audit(subcommand, obj) else 0)
 
 
 def _failed_audit(subcommand, payload):

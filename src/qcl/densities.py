@@ -360,7 +360,8 @@ def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=DEFAULT_SEED,
 def singular_series(n, split_primes, m, include_two=True):
     """Partial product of local densities at level m over the given odd
     split primes, times the nonsplit factor at 2. Returns (value_fraction,
-    per_prime dict)."""
+    per_prime dict). A split prime p > 3 runs at level min(m, 2): levels
+    above 2 are clamped there, while callers still report the m asked."""
     per = {}
     acc = Fraction(1)
     if include_two:

@@ -12,7 +12,8 @@ Main objects, all exact:
   classes, each named by its `padic.line_key`.
 * `witness_report` / `local_integral_audit`: support, witness and magnitude
   bound checks for i0_local; at most one nonzero witness class exists, so
-  the search tests one candidate slot with `padic.line_multiple`.
+  the search tests one candidate slot with `padic.line_multiple`, and its
+  measure is read from that slot's valuation.
 * `prime_case_report`: exact point-count identities at prime level.
 
 Every sum over all 2x2 matrices Y mod q runs on one blocked grid kernel:
@@ -46,22 +47,33 @@ box key 0 in one kernel pass; two slots make one pass per distinct
 coefficient for the box index of every Y, and join per-slot (box index,
 phase) histograms, q^2 x q entries, through the negation of the box.
 
-The witness measure of a target t mod m = p^v is the volume of
-{Z mod m : t in (Z/m) Z gen}, in closed form (`_measure`) by the Smith
-form of gen. gen has a unit entry and det(gen) = 0 mod m, so its Smith
-form mod m is diag(1, 0): every row of gen is c_i r for one primitive row
-r, a row of gen with a unit entry (the other row minus a multiple of r
-is zero at r's unit column and +-det(gen)/unit at the other). Z gen is
-then (Z c) x r, and Z -> Z c is onto (Z/m)^2 as c is 1 at r's row, so
-Z gen runs over the m^2 matrices c x r, c in (Z/m)^2, each hit by m^2 of
-the m^4 matrices Z. A target t that is no c_t x r lies on no such line and
+Both witness objects rest on one Smith form: a flat 2x2 M mod m = p^v
+with a unit entry and det M = 0 mod m is diag(1, 0), so M = c x r with r
+the row holding M's pivot entry, a unit, and c with a unit entry (the
+other row minus a multiple of r is 0 at r's unit column and +-det M/unit
+at the other).
+
+The image of Y -> adj(eta) Y eta, eta primitive, v = v_p(det eta), is
+cyclic of order m (`matrix_cyclic_generator`): eta = c x r mod m, and as
+adj(M) = J^T M^T J with J = [[0, 1], [-1, 0]], adj(c x r) = r' x c' for
+r' = (-r1, r0) and c' = (-c1, c0). So adj(eta) Y eta = (c' Y c) (r' x r),
+and c' Y c is Z/m-linear in Y and onto, as c' and c have unit entries:
+gen = r' x r = (-r1 r0, -r1^2, r0^2, r0 r1) generates, with a unit entry.
+
+The witness measure of a target t mod m is the volume of
+{Z mod m : t in (Z/m) Z gen}, in closed form (`_measure`). With
+gen = c x r, Z gen = (Z c) x r, and Z -> Z c is onto (Z/m)^2, so Z gen
+runs over the m^2 matrices c x r, c in (Z/m)^2, each hit by m^2 of the
+m^4 matrices Z. A target t that is no c_t x r lies on no such line and
 has volume 0; else c_t is read row by row with `padic.line_multiple`
 against r. Let s = v_p(c_t), capped at v. At s = v (t = 0, and every t
 when m = 1) every Z counts: volume 1. At s < v, the c whose span holds
 c_t are p^j c' with j <= s and c' a unit multiple of c_t / p^s mod
 p^(v-s), lifted mod p^(v-j): phi(p^(v-s)) p^(2(s-j)) of them for each j.
 Summed over j and times m^2 / m^4, the volume is
-(p - 1) p^(v-s-1) (p^(2s+2) - 1) / ((p^2 - 1) m^2).
+(p - 1) p^(v-s-1) (p^(2s+2) - 1) / ((p^2 - 1) m^2) (`_volume`). A witness
+candidate t = g' eta = (g' c) x r mod m has c_t = g' c with r's unit
+entry, so s = v_p(t): `witness_report` takes `_volume` at that valuation.
 
 Caches (`functools.lru_cache`):
 
@@ -70,8 +82,7 @@ Caches (`functools.lru_cache`):
   one kernel pass, for one slot only;
 * `_slot_static` (12 entries): per (delta, p, v, coeff), the box index of
   every Y and the negation permutation of the box, from one pass, for two
-  slots only;
-* `_image_generator`: the cyclic image generator, per (eta mod m, m, p).
+  slots only.
 
 Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
 product, determinant and adjugate are the flat helpers of `qcl.algebra`.
@@ -167,20 +178,6 @@ def _square_block(rows, y):
         key += keys * r
         keys = key
     return keys.ravel()
-
-
-def left_mul_matrix(a):
-    """4x4 integer matrix L with flat(A X) = L @ flat(X), column j read off
-    at X = e_j."""
-    return np.array([mat_mul_flat(a, e) for e in FLAT_UNITS],
-                    dtype=np.int64).T
-
-
-def right_mul_matrix(b):
-    """4x4 integer matrix R with flat(X B) = R @ flat(X), column j read off
-    at X = e_j."""
-    return np.array([mat_mul_flat(e, b) for e in FLAT_UNITS],
-                    dtype=np.int64).T
 
 
 def _unpack(keys, q):
@@ -343,54 +340,28 @@ def _join_two_slots(h1, h2, neg, q):
 # ---------------------------------------------------------------------------
 
 def matrix_cyclic_generator(eta, p):
-    """Generator of the image of Y -> adj(eta) Y eta in M_2(Z/m), m = p^v
-    with v = v_p(det eta), for primitive eta. The image is cyclic of order m;
-    returns (gen_flat, m). Cached per (eta mod m, m, p)."""
-    m = p ** pval(det_flat(eta), p)
-    return _image_generator(tuple(t % m for t in eta), m, p), m
-
-
-@functools.lru_cache(maxsize=None)
-def _image_generator(eta, m, p):
-    """`matrix_cyclic_generator` for eta reduced mod m; the image only
-    depends on eta mod m."""
-    if m == 1:
-        return (0, 0, 0, 0)
-    if min(pval(t, p, cap=1) for t in eta) > 0:
+    """(gen_flat, m): gen = (-r1, r0) x r generates the cyclic image of
+    Y -> adj(eta) Y eta in M_2(Z/m), m = p^v_p(det eta), for primitive eta
+    and r its row holding the pivot entry (module docstring)."""
+    v = pval(det_flat(eta), p)
+    m = p ** v
+    i, k = pivot(eta, p, v)
+    if k:
         raise PreconditionError("eta must be primitive")
-    # flat(adj(eta) Y eta) = L R flat(Y); L and R commute
-    cmat = (left_mul_matrix(adj_flat(eta)) @ right_mul_matrix(eta)) % m
-    return _cyclic_generator(cmat, m, p)
-
-
-def _cyclic_generator(cmat, m, p):
-    """A generator of the Z/m-span of the four columns of the 4x4 matrix
-    `cmat`, m = p^v. The span is cyclic of order m exactly when some column
-    g has an entry that is a unit mod p and every column is a multiple of g;
-    raises VerificationError otherwise. Any two generators differ by a unit
-    factor, so every measure built on the generator is independent of the
-    choice."""
-    k = pval(m, p)
-    cols = [tuple(int(x) % m for x in cmat[:, j]) for j in range(4)]
-    gen = next((c for c in cols if pivot(c, p, k)[1] == 0), None)
-    if gen is None:
-        raise VerificationError(f"image has no element of order {m}")
-    if any(line_multiple(c, gen, p, k) is None for c in cols):
-        raise VerificationError(f"image is not cyclic of order {m}")
-    return gen
+    r0, r1 = eta[i & 2], eta[(i & 2) + 1]
+    return tuple(t % m for t in (-r1 * r0, -r1 * r1, r0 * r0, r0 * r1)), m
 
 
 def _right_image(b, m):
     """The distinct w = Z b over all Z mod m, as an (N, 4) int64 array: the
     enumeration from which `w_class_sum_report` reads the witness classes.
 
-    Z -> Z b is Z/m-linear, with flat(Z b) = R flat(Z) for
-    R = `right_mul_matrix(b)`, so the image is L / m Z^4 for the lattice L
-    spanned by the rows of R^T and m I. Its upper-triangular Hermite basis
-    H has pivots d_i dividing m, and the image is
-    {c H mod m : 0 <= c_i < m / d_i}, each element once."""
-    rows = right_mul_matrix(b).T % m
-    rows = np.vstack([rows, m * np.eye(4, dtype=np.int64)]).tolist()
+    Z -> Z b is Z/m-linear, so the image is L / m Z^4 for the lattice L
+    spanned by the rows flat(e_j b), e_j the flat units, and m I. Its
+    upper-triangular Hermite basis H has pivots d_i dividing m, and the
+    image is {c H mod m : 0 <= c_i < m / d_i}, each element once."""
+    rows = [mat_mul_flat(e, b, m) for e in FLAT_UNITS]
+    rows += [tuple(m * t for t in e) for e in FLAT_UNITS]
     basis = np.array(row_hnf(rows), dtype=np.int64)
     coeffs = np.indices([m // int(basis[i, i]) for i in range(4)])
     return coeffs.reshape(4, -1).T @ basis % m
@@ -409,11 +380,16 @@ def _measure(target, gen, m, p):
     c = [line_multiple(target[j:j + 2], r, p, v) for j in (0, 2)]
     if None in c:
         return Fraction(0)
-    s = pivot(c, p, v)[1]
+    return _volume(pivot(c, p, v)[1], p, v)
+
+
+def _volume(s, p, v):
+    """The witness measure of a target c_t x r mod m = p^v at
+    s = v_p(c_t), capped at v (module docstring)."""
     if s == v:
         return Fraction(1)
     return Fraction((p - 1) * p ** (v - s - 1) * (p ** (2 * s + 2) - 1),
-                    (p * p - 1) * m * m)
+                    (p * p - 1) * p ** (2 * v))
 
 
 def w_class_sum_report(eta, p):
@@ -463,18 +439,15 @@ def witness_report(delta, gammas, p):
     if any(t % p ** vdel for g in gammas for t in g):
         return {"supported": False, "witnesses": {}, "bound_sq": None}
     gprime = [tuple(t // p ** vdel for t in g) for g in gammas]
-    ge = [tuple(t % m for t in mat_mul_flat(g, eta)) for g in gprime]
-    gen, _ = matrix_cyclic_generator(eta, p)
-
+    ge = [mat_mul_flat(g, eta, m) for g in gprime]
     vals = [pivot(t, p, veta)[1] for t in ge]
     i = vals.index(min(vals))
     mu = [line_multiple(t, ge[i], p, veta) for t in ge]
     witnesses, bound_sq = {}, None
     if None not in mu:
         mu[i] = 1  # slot i is 1 * itself, or the zero witness has mu = e_i
-        key = line_key(ge[i], p, veta)
-        wm = _measure(key, gen, m, p)
-        witnesses[key] = (wm, tuple(mu))
+        wm = _volume(vals[i], p, veta)  # c_t has the valuation of slot i
+        witnesses[line_key(ge[i], p, veta)] = (wm, tuple(mu))
         bound_sq = _bound_sq(gprime, eta, vdel, veta, wm, p, n)
     return {"supported": True, "witnesses": witnesses, "bound_sq": bound_sq}
 
@@ -506,9 +479,10 @@ def cyclo_abs_sq(v):
 def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
     """Audit the support, witness, and magnitude-bound laws of i0_local.
 
-    For each test delta with v_p(det) in `vds`, iterate over gamma tuples
-    mod det-level (exhaustively when the space is small, else seeded
-    samples) and verify:
+    For each test delta with v_p(det) in `vds`, a subset of {1, 2} (any
+    other level is refused before any work, PreconditionError), iterate
+    over gamma tuples mod det-level (exhaustively when the space is small,
+    else seeded samples) and verify:
       * out-of-support gammas give exactly zero;
       * a nonzero value implies a witness exists;
       * |I0|^2 <= best witness bound squared, decided exactly
@@ -516,6 +490,8 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
       * the class-sum bound for the measure factors.
     Raises VerificationError on any failure; returns a summary dict.
     """
+    if any(vd not in (1, 2) for vd in vds):
+        raise PreconditionError(f"audit levels must be 1 or 2, not {vds}")
     rng = random.Random(seed)
     report = {"p": p, "n": n, "checked": 0, "nonzero": 0, "cases": []}
     for vd in vds:

@@ -123,6 +123,18 @@ class TestSubcommands:
         assert lines[0] == "field,value"
         assert any(line.startswith("enumerated,4") for line in lines)
 
+    def test_csv_quotes_fields_with_commas(self, tmp_path):
+        import csv
+
+        csv_path = tmp_path / "out.csv"
+        run_cli(["--no-cache", "--csv", str(csv_path), "delta-check",
+                 "--q", "8", "--alpha", "0,-4,8,-2"], tmp_path)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["field", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows)["alpha"] == "0,-4,8,-2"
+
 
 class TestExitCodes:
     def test_precondition_is_two(self, tmp_path):
@@ -423,6 +435,19 @@ class TestDeterminismAndCache:
         entries = list((tmp_path / "cache").glob("*.json"))
         assert len(entries) == 1
         assert entries[0].name.startswith(fresh["request_hash"] + "-")
+
+    def test_unusable_cache_dir_still_prints(self, tmp_path):
+        # the cache only saves work: a cache path under a regular file
+        # fails at makedirs, after the result is computed
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["repnum", "--m", "5"]
+        proc = run_cli(args, tmp_path, check=False, cache=blocker / "sub")
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == run_cli(["--no-cache"] + args, tmp_path).stdout
+        assert "cache write failed:" in proc.stderr.decode()
+        assert "Traceback" not in proc.stderr.decode()
+        assert blocker.read_text() == ""
 
     def test_warm_run_at_same_code_hits(self, tmp_path):
         cache = tmp_path / "cache"

@@ -15,18 +15,15 @@ from qcl.algebra import (
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
-    _BLOCK_ROWS, _cyclic_generator, _grid_blocks,
-    _image_generator, _join_two_slots, _measure, _right_image, _slot_box,
-    _slot_histogram, _slot_solutions, _slot_static,
+    _BLOCK_ROWS, _grid_blocks, _join_two_slots, _measure, _right_image,
+    _slot_box, _slot_histogram, _slot_solutions, _slot_static,
     cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
-    left_mul_matrix, local_integral_audit,
-    matrix_cyclic_generator, prime_case_report,
-    right_mul_matrix, s2_brute, s2_closed,
-    s3_brute, s3_closed, split_primitive_part, w_class_sum_report,
-    witness_report, x2_count,
+    local_integral_audit, matrix_cyclic_generator, prime_case_report,
+    s2_brute, s2_closed, s3_brute, s3_closed, split_primitive_part,
+    w_class_sum_report, witness_report, x2_count,
 )
 from qcl.geometry import hessian_matrix
-from qcl.padic import line_key, pval, punit
+from qcl.padic import line_key, line_multiple, pval, punit
 
 
 # The dense whole-grid forms that the blocked kernels replaced, kept as their
@@ -47,6 +44,20 @@ def _pack(rows, q):
     order that `expsums._unpack` inverts."""
     return (((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q
             + rows[..., 3])
+
+
+def left_mul_matrix(a):
+    """4x4 integer matrix L with flat(A X) = L @ flat(X), column j read off
+    at X = e_j."""
+    return np.array([mat_mul_flat(a, e) for e in FLAT_UNITS],
+                    dtype=np.int64).T
+
+
+def right_mul_matrix(b):
+    """4x4 integer matrix R with flat(X B) = R @ flat(X), column j read off
+    at X = e_j."""
+    return np.array([mat_mul_flat(e, b) for e in FLAT_UNITS],
+                    dtype=np.int64).T
 
 
 def mat_square_flat(y, q):
@@ -437,14 +448,23 @@ class TestWitnessMeasure:
                 scaled = tuple(u * x % m for x in gen)
                 assert np.array_equal(measure_as_dense(scaled, m, p), table)
 
-    def test_non_cyclic_image_raises(self):
-        # rank 2: the span of E00 and E11 is not cyclic
-        cmat = np.diag([1, 0, 0, 1]).astype(np.int64)
-        with pytest.raises(VerificationError):
-            _cyclic_generator(cmat, 3, 3)
-        # no unit entry: the span has no element of order m
-        with pytest.raises(VerificationError):
-            _cyclic_generator(3 * left_mul_matrix((1, 2, 0, 1)), 9, 3)
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), st.data())
+    def test_generator_spans_the_image(self, p, v, data):
+        # the closed form against the definition: the columns of
+        # L(adj eta) R(eta) mod m span the image of Y -> adj(eta) Y eta, so
+        # each is a multiple of gen, and one is a unit multiple of it
+        eta = data.draw(primitive_etas(p, v))
+        gen, m = matrix_cyclic_generator(eta, p)
+        assert m == p ** v
+        cmat = left_mul_matrix(adj_flat(eta)) @ right_mul_matrix(eta) % m
+        cols = [tuple(int(x) for x in cmat[:, j]) for j in range(4)]
+        assert all(line_multiple(c, gen, p, v) is not None for c in cols)
+        assert line_key(gen, p, v) in {line_key(c, p, v) for c in cols}
+
+    def test_imprimitive_eta_is_refused(self):
+        with pytest.raises(PreconditionError, match="primitive"):
+            matrix_cyclic_generator((3, 0, 0, 3), 3)
 
     def test_generator_cache_keeps_moduli_apart(self):
         # diag(3, 1) and diag(9, 1) agree mod their own moduli
@@ -589,6 +609,15 @@ EXHAUSTIVE_P3 = [(delta, n) for vd, n in [(1, 1), (1, 2), (2, 1)]
                  for delta in expsums._audit_deltas(3, vd)]
 
 
+def witness_measures(delta, gammas, p):
+    """(measure, `_measure` of its key against the generator) for every
+    witness of `witness_report`."""
+    _, eta = split_primitive_part(delta, p)
+    gen, m = matrix_cyclic_generator(eta, p)
+    return [(wm, _measure(key, gen, m, p)) for key, (wm, _) in
+            witness_report(delta, gammas, p)["witnesses"].items()]
+
+
 class TestWitnessReport:
     @pytest.mark.parametrize("delta,n", EXHAUSTIVE_P3)
     def test_matches_the_candidate_loop(self, delta, n):
@@ -607,6 +636,29 @@ class TestWitnessReport:
             assert (got, rep["bound_sq"]) == want, gammas
             assert len(got) <= 1
 
+    @pytest.mark.parametrize("delta", expsums._audit_deltas(3, 1))
+    def test_measure_is_the_generator_measure_exhaustive(self, delta):
+        # every gamma of the exhaustive p = 3, n = 1 audit at level 1
+        pairs = [pair for g in itertools.product(range(3), repeat=4)
+                 for pair in witness_measures(delta, [g], 3)]
+        assert len(pairs) > 0
+        assert all(got == want for got, want in pairs)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_measure_is_the_generator_measure_level_two(self, p):
+        # 500 seeded supported gamma tuples over the level-2 audit deltas
+        rng = random.Random(p)
+        deltas = expsums._audit_deltas(p, 2)
+        pairs = []
+        for k in range(500):
+            delta = deltas[k % len(deltas)]
+            unit = p ** split_primitive_part(delta, p)[0]
+            gammas = [tuple(rng.randrange(p * p) * unit for _ in range(4))
+                      for _ in range(rng.choice([1, 2]))]
+            pairs += witness_measures(delta, gammas, p)
+        assert len(pairs) > 250
+        assert all(got == want for got, want in pairs)
+
 
 class TestLocalIntegralAudit:
     def test_small_audit_p3_n1(self):
@@ -617,6 +669,16 @@ class TestLocalIntegralAudit:
     def test_small_audit_p3_n1_level2(self):
         report = local_integral_audit(3, 1, vds=(2,), max_gammas=40, seed=2)
         assert report["nonzero"] > 0
+
+    @pytest.mark.parametrize("vds", [(3,), (0,), (1, 3)])
+    def test_other_levels_are_refused(self, vds, monkeypatch):
+        # _audit_deltas knows levels 1 and 2; nothing is audited first
+        def fail(*args):
+            raise AssertionError("audited before the refusal")
+
+        monkeypatch.setattr(expsums, "w_class_sum_report", fail)
+        with pytest.raises(PreconditionError, match="audit levels"):
+            local_integral_audit(3, 1, vds=vds)
 
     def test_support_law_directly(self):
         # delta = p * I: gamma not divisible by p forces exact vanishing
@@ -999,7 +1061,7 @@ class TestGridKernel:
         # no int64 array per grid row or per m^4 residue: the whole-grid
         # path peaked at 10.4 MiB here
         delta, gammas, p = (25, 0, 0, 1), [(5, 10, 0, 5)] * 2, 5
-        for cached in (_slot_solutions, _slot_static, _image_generator):
+        for cached in (_slot_solutions, _slot_static):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -1046,7 +1108,7 @@ class TestGridKernel:
     def test_witness_moduli_stay_small(self, delta, n):
         # the (q^4, 4) grid path peaked near 50 MB here
         gammas = [(5, 10, 0, 5)] * n
-        for cached in (_slot_solutions, _slot_static, _image_generator):
+        for cached in (_slot_solutions, _slot_static):
             cached.cache_clear()
         tracemalloc.start()
         try:
