@@ -81,7 +81,7 @@ def suite_gauss_laws(seed=DEFAULT_SEED):
 
 
 def suite_prime_case(seed=DEFAULT_SEED):
-    from .expsums import prime_case_report, s2_brute, s2_closed
+    from .expsums import prime_case_report, s2_closed, s2_count
 
     def identity(q, n):
         def run():
@@ -94,7 +94,7 @@ def suite_prime_case(seed=DEFAULT_SEED):
         checked = 0
         for q in (3, 5):
             for n in (1, 2):
-                if s2_brute(q, n) != s2_closed(q, n):
+                if s2_count(q, n) != s2_closed(q, n):
                     raise VerificationError(f"closed count fails q={q} n={n}")
                 checked += 1
         return {"checked": checked}

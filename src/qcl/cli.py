@@ -329,6 +329,8 @@ def count(opts, n, upsilon, height, engine, traceless):
         signs = _parse_signs(ups)
         if len(signs) != n:
             raise PreconditionError("sign pattern length must equal n")
+        if traceless and engine != "conv":
+            raise PreconditionError("--traceless counts with --engine conv")
         out = {"n": n, "upsilon": ups, "X": height, "traceless": traceless}
         if traceless:
             cnt, quadric = traceless_count(n, signs, height)

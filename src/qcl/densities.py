@@ -32,7 +32,6 @@ from .algebra import (basis_from_doubled_coords, count_dtype,
                       mat_mul_flat, quat_mul_flat, smallest_nonresidue,
                       zero_mass)
 from .errors import BudgetError, PreconditionError, VerificationError
-from .expsums import grid_square_keys
 
 # ---------------------------------------------------------------------------
 # Exact convolution over a mixed-radix box
@@ -46,6 +45,10 @@ _CONVOLVE_BUDGET = 4 * 10 ** 9
 _EXHAUSTIVE_CAP = 10 ** 7
 #: cap on the squared quotient order of the nonsplit densities
 _QUOTIENT_CAP = 10 ** 9
+#: cap on the matrices p^(4m) of one `split_square_distribution`
+_GRID_CAP = 10 ** 7
+#: most matrices in one block of `split_square_distribution`
+_BLOCK_ROWS = 2 ** 16
 
 
 class QuotientGroup:
@@ -193,13 +196,32 @@ def _slot_coeffs(p, m, n, coeffs):
 
 def split_square_distribution(p, m, coeff=1):
     """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array
-    (the packing of `QuotientGroup([p^m] * 4)`): one bincount
-    of the int32 keys of all blocks of the grid kernel of `qcl.expsums`,
-    which refuses p^{4m} > 10^7 with BudgetError."""
+    (the packing of `QuotientGroup([p^m] * 4)`): one bincount of the int32
+    key of every Y, refused past p^(4m) > `_GRID_CAP` (BudgetError) before
+    any array is built.
+
+    Y = (a, b, c, d) runs in lexicographic order, in blocks of at most
+    `_BLOCK_ROWS` matrices, each a run of leading pairs (a, b) broadcast
+    against c of shape (q, 1) and d of shape (q,), squared with
+    `mat_mul_flat`; the key is Horner over c (Y^2)_t mod q. Under the cap
+    q <= 56, an entry of Y^2 is below 2 q^2, its product with c mod q below
+    2 q^3 and a key below q^4, so int32 holds every step."""
     q = p ** m
-    blocks = grid_square_keys(coeff % q * np.eye(4, dtype=np.int64), q,
-                              (q,) * 4)
-    return np.bincount(np.concatenate(tuple(blocks)), minlength=q ** 4)
+    if q ** 4 > _GRID_CAP:
+        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
+    c = coeff % q
+    e = np.arange(q, dtype=np.int32)
+    keys = np.empty(q ** 4, dtype=np.int32)
+    step = _BLOCK_ROWS // (q * q)  # leading pairs per block
+    for start in range(0, q * q, step):
+        a, b = np.divmod(np.arange(start, min(start + step, q * q),
+                                   dtype=np.int32), q)
+        y = a[:, None, None], b[:, None, None], e[:, None], e
+        key = 0
+        for entry in mat_mul_flat(y, y):
+            key = key * q + c * entry % q
+        keys[start * q * q:(start + len(a)) * q * q] = key.ravel()
+    return np.bincount(keys, minlength=q ** 4)
 
 
 def split_density(p, m, n, coeffs=None):

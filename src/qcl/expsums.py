@@ -2,10 +2,12 @@
 
 Main objects, all exact:
 
-* `i0_local`: the constrained oscillatory integral over n matrix slots
+* `i0_local` / `i0_batch`: the constrained oscillatory integral over n
+  matrix slots
   I0(delta, gamma) = avg over Y in O^n of
   [delta^{-1} P(Y) integral] * e(trd(gamma . Y) / det(delta)),
-  where P(Y) = sum of slotwise squares (with optional unit coefficients).
+  where P(Y) = sum of slotwise squares (with optional unit coefficients),
+  for one gamma tuple or for a batch of tuples at one delta.
 * `w_class_sum_report`: the volume of auxiliary matrices Z for which a
   target lies on the scalar line through Z times the cyclic image
   generator, in closed form (`_measure`), summed over the witness
@@ -15,17 +17,6 @@ Main objects, all exact:
   the search tests one candidate slot with `padic.line_multiple`, and its
   measure is read from that slot's valuation.
 * `prime_case_report`: exact point-count identities at prime level.
-
-Every sum over all 2x2 matrices Y mod q runs on one blocked grid kernel:
-the mixed-radix key of the rows of L @ flat(Y^2), row i mod radii[i]
-(`grid_square_keys`, which squares a broadcast block of Y with
-`mat_mul_flat`), or t . flat(Y) mod q (`grid_linear_keys`, one table
-gather), for every Y in grid order, as blocks of at most 2^16 rows: runs
-of leading entry pairs (a, b) (`_grid_blocks`), one block up to 16^4 and
-seven at 25^4. Nothing forms the (q^4, 4) grid; the one array here with
-an entry per grid row is the cached two-slot box index. The kernel refuses
-q^4 > 10^7 (`BudgetError`) when called, before it allocates; the cap
-bounds the int64 counts of the two-slot join.
 
 The slot key is in closed form (`_slot_box`; the Smith form of adj(delta)
 over Z_p, Cohen, A Course in Computational Algebraic Number Theory,
@@ -40,12 +31,48 @@ so its fibres are those of X -> adj(delta) X mod q, and two slots sum to
 zero exactly when their keys do, digit by digit. At v = v_p(det delta),
 a is the content valuation of delta and w = v - 2a: the box has order q^2.
 
-I0, S2 and S3 are entries of one count by phase (`_phase_counts`) of the
-slot tuples Y with adj(delta) sum c_i Y_i^2 = 0. One slot bins its phase
-over the solution set S = {Y : adj(delta) Y^2 = 0 mod p^v}, the rows of
-box key 0 in one kernel pass; two slots make one pass per distinct
-coefficient for the box index of every Y, and join per-slot (box index,
-phase) histograms, q^2 x q entries, through the negation of the box.
+I0 is one character sum over that box B. The average runs over Y mod
+q = p^v, v = v_p(det delta), and the phase of slot i is t_i . flat(Y_i),
+the row of tr(gamma_i Y_i) / u, u the unit part of det delta
+(`_trace_row`). Orthogonality on B, [key = 0] = |B|^-1 sum_{a in B}
+e(sum_k a_k key_k / r_k), turns the condition sum_i c_i key(Y_i^2) = 0
+into characters: q^(4n) |B| I0 = sum_{a in B} prod_i G(c_i l_a, t_i), with
+l_a = sum_k a_k (q / r_k) row_k (`_characters`) and
+G(l, t) = sum_{Y mod q} e((l . flat(Y^2) + t . flat(Y)) / q).
+
+At odd p, l . flat(Y^2) is the quadratic form of the Gram matrix A with
+A00 = l0, A33 = l3, A12 = (l0 + l3)/2, A01 = A13 = l1/2, A02 = A23 = l2/2.
+A Jordan splitting E^T A E = diag(u_j p^(w_j)) mod q (`padic.jordan_split`,
+det E a unit) turns Y = E z into G = prod_j F(u_j p^(w_j), s_j), s = E^T t,
+with F(u p^w, s) = sum_{x mod q} e((u p^w x^2 + s x) / q):
+
+* at w = v, F = q [s = 0 mod q];
+* at w < v, x -> x + p^(v-w) y keeps u p^w x^2 mod q and adds s y / p^w to
+  the phase, so F = 0 unless p^w | s; else completing the square gives
+  F = p^w e(-(s/p^w)^2 (4u)^-1 / p^(v-w)) g(u, p^(v-w));
+* g(u, p^k) = sum_{x mod p^k} e(u x^2 / p^k) is p^(k/2) at even k and
+  p^((k-1)/2) (u/p) g1 at odd k, with g1 = sum_{x mod p} e(x^2 / p) and
+  g1^2 = (-1)^((p-1)/2) p (Berndt, Evans and Williams, Gauss and Jacobi
+  Sums, ch. 1).
+
+So each character adds +-p^P zeta_q^e g1^(0 or 1), and the sum is two
+integer vectors, the odd one times g1 once, as the sum of its p shifts by
+x^2 q/p (`_jordan_rows`). No square root and no float enters. The split
+is made once per unit class of l (`padic.line_key`): l = c key scales A by
+c, which keeps E and w and scales each u_j by c, and a slot coefficient
+does the same. So s, its vanishing test and the phase sum
+Phi = sum -(s/p^w)^2 (4 c_i u_j)^-1 p^w are read per (gamma, class), and a
+character of the class has phase c^-1 Phi and sign (c/p)^(n m) times the
+class's, m the number of odd v - w_j.
+
+At p = 2 (no 1/2) G is summed over the hyperbolic pair (`_pair_histograms`,
+valid at every p, and the tests' oracle for the Jordan path). With y0, y3
+fixed, (y1, y2) enters as k y1 y2 + b y1 + g y2 with k = l0 + l3,
+b = l1 (y0 + y3) + t1 and g = l2 (y0 + y3) + t2. The sum over y1 forces
+k y2 = -b mod q; with w = v_p(k) capped at v that needs p^w | b and puts
+y2 = y* = -(b/p^w) (k/p^w)^-1 mod p^(v-w), and the p^w lifts of y2 sum to
+q p^w [p^w | b, g] e(g y* / q). The pair (y0, y3) is summed directly: q^4
+work per slot, so p = 2 keeps the cap q^4 <= 10^7.
 
 Both witness objects rest on one Smith form: a flat 2x2 M mod m = p^v
 with a unit entry and det M = 0 mod m is diag(1, 0), so M = c x r with r
@@ -75,14 +102,8 @@ Summed over j and times m^2 / m^4, the volume is
 candidate t = g' eta = (g' c) x r mod m has c_t = g' c with r's unit
 entry, so s = v_p(t): `witness_report` takes `_volume` at that valuation.
 
-Caches (`functools.lru_cache`):
-
-* `_grid_blocks`: the leading pairs of each block, per q;
-* `_slot_solutions` (12 entries): per (delta, p, v, coeff), S alone, from
-  one kernel pass, for one slot only;
-* `_slot_static` (12 entries): per (delta, p, v, coeff), the box index of
-  every Y and the negation permutation of the box, from one pass, for two
-  slots only.
+The one cache (`functools.lru_cache`, 16 entries) is `_character_table`,
+the Jordan data of every character per (delta, p, v).
 
 Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
 product, determinant and adjugate are the flat helpers of `qcl.algebra`.
@@ -97,93 +118,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import FLAT_UNITS, CycloSum, adj_flat, det_flat, mat_mul_flat
+from .algebra import (FLAT_UNITS, CycloSum, adj_flat, count_dtype, det_flat,
+                      mat_mul_flat)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import row_hnf
-from .padic import line_key, line_multiple, pivot, pval, punit
+from .padic import jordan_split, line_key, line_multiple, pivot, pval, punit
 
-#: cap on the grid size q^4; `_join_two_slots` rests its int64 bound on it
-_GRID_CAP = 10 ** 7
-#: most rows in one block of the grid kernels
-_BLOCK_ROWS = 2 ** 16
-
-
-@functools.lru_cache(maxsize=None)
-def _grid_blocks(q):
-    """The grid of Y = (a, b, c, d) mod q in blocks, after refusing a grid
-    of more than `_GRID_CAP` matrices (BudgetError): per block, the (a, b)
-    of a run of consecutive leading pairs. Each pair leads q^2 rows, so a
-    block holds at most `_BLOCK_ROWS` rows on every grid under the cap;
-    grids up to 16^4 are one block, 25^4 is seven. Cached per q (a refusal
-    is not cached)."""
-    if q ** 4 > _GRID_CAP:
-        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
-    a, b = np.divmod(np.arange(q * q, dtype=np.int32), q)
-    a.setflags(write=False)  # the blocks are views shared by every caller
-    b.setflags(write=False)
-    step = _BLOCK_ROWS // (q * q)
-    return tuple((a[s:s + step], b[s:s + step])
-                 for s in range(0, q * q, step))
-
-
-def grid_linear_keys(row, q):
-    """Key row . flat(Y) mod q for every Y mod q, as blocks of
-    `_grid_blocks` in grid order: lexicographic in flat(Y). Every block is
-    written into one int32 buffer of this call and returned as a view of
-    it, valid until the next block. Refuses a grid past the cap when
-    called, before any block is formed.
-
-    Row (t0, t1, t2, t3) gives (t0 a + t1 b) + (t2 c + t3 d): the first
-    part, reduced, picks one (q, q) run of the table
-    tail[r, c, d] = (r + t2 c + t3 d) mod q per leading pair, so a block
-    is one gather."""
-    blocks = _grid_blocks(q)
-    e = np.arange(q, dtype=np.int32)
-    coef = np.array([int(t) % q for t in row], dtype=np.int32)
-    t0, t1, t2, t3 = coef[:, None] * e % q
-    tail = (e[:, None, None] + t2[:, None] + t3) % q
-    out = np.empty((len(blocks[0][0]), q, q), dtype=np.int32)
-    return (np.take(tail, (t0[a] + t1[b]) % q, axis=0, out=out[:len(a)],
-                    mode="clip").ravel() for a, b in blocks)
-
-
-def grid_square_keys(lmat, q, radii):
-    """Mixed-radix key of the residues (row_i . flat(Y^2)) mod radii[i] for
-    every Y mod q, in the blocks and grid order of `grid_linear_keys`, for
-    four integer rows `lmat` and radii dividing q; the key of residues
-    (k0, k1, k2, k3) is ((k0 r1 + k1) r2 + k2) r3 + k3, so radii (q,)*4
-    pack L @ flat(Y^2) mod q lexicographically.
-
-    A block broadcasts Y = (a, b, c, d) as int32 arrays, a and b of shape
-    (pairs, 1, 1), c (q, 1) and d (q,), squares it with `mat_mul_flat`
-    and forms the key row by row, in Horner order. Under the cap q <= 56,
-    an entry of Y^2 is below 2 q^2, a row sum below 8 q^3 < 2^31 and a key
-    below q^4, so int32 holds every step."""
-    blocks = _grid_blocks(q)
-    rows = [([int(t) % r for t in row], r) for row, r in zip(lmat, radii)]
-    e = np.arange(q, dtype=np.int32)
-    return (_square_block(rows, (a[:, None, None], b[:, None, None],
-                                 e[:, None], e))
-            for a, b in blocks)
-
-
-def _square_block(rows, y):
-    sq = mat_mul_flat(y, y)  # the last two entries span the block
-    keys = 0
-    for row, r in rows:  # in place: at most five arrays of block size live
-        key = row[0] * sq[0] + row[1] * sq[1]
-        key += row[2] * sq[2]
-        key += row[3] * sq[3]
-        key %= r
-        key += keys * r
-        keys = key
-    return keys.ravel()
-
-
-def _unpack(keys, q):
-    """An (N,) array of keys to the (N, 4) array of their base-q digits,
-    most significant first: the rows of a grid in grid order."""
-    return np.stack([keys // q ** (3 - t) % q for t in range(4)], axis=1)
+#: cap on the q^2 characters of one I0 at odd p
+_CHARACTER_CAP = 10 ** 7
+#: cap on the q^4 terms of one slot of the pair sum at p = 2
+_PAIR_CAP = 10 ** 7
+#: most (gamma, character) pairs of one block of `_jordan_rows`
+_BLOCK = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -207,77 +153,248 @@ def _slot_box(delta, p, vd, coeff):
             (p ** b,) * 2 + (p ** (b - w),) * 2)
 
 
-@functools.lru_cache(maxsize=12)
-def _slot_solutions(delta, p, vd, coeff):
-    """S = {Y mod q : coeff * adj(delta) Y^2 = 0 mod q}, q = p^vd, the
-    rows of box key 0 in one pass of `grid_square_keys`, as an (|S|, 4)
-    int64 array of coordinates.
-
-    Cached per (delta tuple, p, vd, coeff); only one slot reads it."""
-    q = p ** vd
-    rows, radii = _slot_box(delta, p, vd, coeff)
-    sol, start = [], 0
-    for keys in grid_square_keys(rows, q, radii):  # refuses past the cap
-        sol.append(start + np.flatnonzero(keys == 0))
-        start += len(keys)
-    sol = _unpack(np.concatenate(sol), q)
-    sol.setflags(write=False)  # every caller shares the cached array
-    return sol
+def _characters(delta, p, v):
+    """l_a = sum_k a_k (q / r_k) row_k mod q, q = p^v, for every a in the
+    box of `_slot_box`, in C order of the box: a (|B|, 4) int64 array
+    (entries below q, and four products below 4 q^2 before the reduction)."""
+    q = p ** v
+    rows, radii = _slot_box(delta, p, v, 1)
+    a = np.indices(radii).reshape(4, -1).T * (q // np.array(radii))
+    return a @ (np.array(rows, dtype=np.int64) % q) % q
 
 
-@functools.lru_cache(maxsize=12)
-def _slot_static(delta, p, vd, coeff):
-    """One kernel pass over the grid of Y mod q = p^vd: the uint16 box index
-    of coeff * adj(delta) Y^2 (`_slot_box`) for every Y, and neg[k], the
-    index of the digitwise negation of box element k. At vd = v_p(det
-    delta) the box has order q^2 <= 56^2 < 2^16; a larger one is refused.
-
-    Cached per (delta tuple, p, vd, coeff); only two slots read it."""
-    rows, radii = _slot_box(delta, p, vd, coeff)
-    blocks = grid_square_keys(rows, p ** vd, radii)  # refuses past the cap
-    if np.prod(radii) > 2 ** 16:
-        raise PreconditionError(f"key box {radii} too large for uint16")
-    neg = np.ravel_multi_index(
-        tuple(-d % r for d, r in zip(np.indices(radii), radii)), radii).ravel()
-    index, start = np.empty(p ** (4 * vd), dtype=np.uint16), 0
-    for keys in blocks:
-        index[start:start + len(keys)] = keys
-        start += len(keys)
-    index.setflags(write=False)  # every caller shares the cached arrays
-    neg.setflags(write=False)
-    return index, neg
+def _valuations(x, p, v):
+    """v_p of each entry of an int64 array of residues mod p^v, capped at
+    v (so v at 0)."""
+    val = np.zeros(x.shape, dtype=np.int64)
+    for j in range(1, v + 1):
+        val += x % p ** j == 0
+    return val
 
 
-def _slot_histogram(index, size, row, q):
-    """(size, q) exact int64 counts of (box index, row . flat(Y) mod q)
-    over the grid of Y mod q, binned block by block in place in the phase
-    buffer of `grid_linear_keys` as phase * size + index < q 2^16 < 2^31."""
-    hist, start = np.zeros(q * size, dtype=np.int64), 0
-    for ph in grid_linear_keys(row, q):
-        ph *= size
-        ph += index[start:start + len(ph)]
-        hist += np.bincount(ph, minlength=q * size)
-        start += len(ph)
-    return hist.reshape(q, size).T
+def _unit_inverses(q, p):
+    """inv[x] = x^-1 mod q for every unit x mod q = p^v, 0 elsewhere."""
+    return np.array([pow(x, -1, q) if x % p else 0 for x in range(q)],
+                    dtype=np.int64)
 
 
-def _phase_counts(delta, rows, p, vd, coeffs):
-    """counts[r] = #{(Y_i) mod q : sum c_i adj(delta) Y_i^2 = 0,
-    sum rows_i . flat(Y_i) = r mod q}, q = p^vd, for one or two slots with
-    unit coefficients c_i: an exact int64 vector of length q, the one place
-    the slot sum is formed.
+def _gram(l, half, q):
+    """The Gram matrix of Y -> l . flat(Y^2) mod q (module docstring),
+    with half = 2^-1 mod q."""
+    l0, l1, l2, l3 = (x * half % q for x in l)
+    return [[2 * l0, l1, l2, 0], [l1, 0, l0 + l3, l1],
+            [l2, l0 + l3, 0, l2], [0, l1, l2, 2 * l3]]
 
-    One slot bins its phase over the solution set S of `_slot_solutions`;
-    two slots join their (box index, phase) histograms."""
-    q = p ** vd
-    delta = tuple(delta)
-    if len(rows) == 1:
-        sol = _slot_solutions(delta, p, vd, coeffs[0] % q)
-        return np.bincount(sol @ np.array(rows[0]) % q, minlength=q)
-    slots = [_slot_static(delta, p, vd, c % q) for c in coeffs]
-    hists = [_slot_histogram(index, len(neg), row, q)
-             for (index, neg), row in zip(slots, rows)]
-    return _join_two_slots(*hists, slots[0][1], q)  # one box for every c
+
+@functools.lru_cache(maxsize=16)
+def _character_table(delta, p, v):
+    """The Jordan data of every character of the box at odd p, q = p^v:
+    (cls, inv_c, et, w, u), with l_a = c_a key mod q for the unit class key
+    number cls[a] of l_a (`padic.line_key`; c_a = 1 at l_a = 0),
+    inv_c[a] = c_a^-1 mod q, and et[k] = E^T, w[k] and u[k] the splitting
+    of key k's Gram matrix: one `jordan_split` per class.
+
+    Cached per (delta tuple, p, v); every array is read-only."""
+    q = p ** v
+    ell = _characters(delta, p, v)
+    val = _valuations(ell, p, v)
+    rows = np.arange(len(ell))
+    piv = val.argmin(axis=1)  # the first entry of least valuation
+    lead = ell[rows, piv] // p ** val[rows, piv]  # its unit part, 0 at l = 0
+    inv_c = _unit_inverses(q, p)[np.where(lead == 0, 1, lead)]
+    packed = (ell * inv_c[:, None] % q) @ q ** np.arange(3, -1, -1)  # < q^4
+    keys, cls = np.unique(packed, return_inverse=True)
+    splits = [jordan_split(_gram([k // q ** i % q for i in (3, 2, 1, 0)],
+                                 (q + 1) // 2, q), p, v)
+              for k in keys.tolist()]
+    et = np.array([e for e, _, _ in splits], dtype=np.int64).transpose(0, 2, 1)
+    w = np.array([w for _, w, _ in splits], dtype=np.int64)
+    u = np.array([u for _, _, u in splits], dtype=np.int64)
+    table = cls, inv_c, et, w, u
+    for arr in table:
+        arr.setflags(write=False)  # every caller shares the cached arrays
+    return table
+
+
+def _legendre(x, p):
+    """(x/p) of every entry of an int64 array of units mod p, by Euler's
+    criterion on a table of the p residues."""
+    table = np.array([pow(r, (p - 1) // 2, p) for r in range(p)])
+    return np.where(table[x % p] == 1, 1, -1)
+
+
+def _factor_parts(uu, w, p, v):
+    """(power, sign, odd, coef) with F(uu p^w, s) = [p^w | s] sign p^power
+    g1^odd e(coef (s/p^w)^2 / q), q = p^v at odd p, entrywise for units uu
+    and 0 <= w <= v (module docstring): power = w + (v - w) // 2,
+    odd = (v - w) mod 2, sign = (uu/p) where odd, else 1, and
+    coef = -(4 uu)^-1 p^w mod q, 0 at w = v."""
+    q = p ** v
+    odd = (v - w) % 2
+    sign = np.where(odd == 1, _legendre(uu, p), 1)
+    coef = -_unit_inverses(q, p)[4 * uu % q] * p ** w % q
+    return w + (v - w) // 2, sign, odd, coef
+
+
+def _jordan_rows(delta, t, p, v, coeffs):
+    """(rows, scale) with I0 = rows[g] (zeta_q) / p^scale for the phase rows
+    t[g] (an (N, n, 4) int64 array mod q) of each gamma tuple at odd p, by
+    the character sum of the module docstring.
+
+    The factors of a class and slot (`_factor_parts`, with uu = c_i u_j)
+    give its P, g1 count and sign; Phi sums coef (s/p^w)^2 mod q.
+    Characters are binned by (gamma, weight class, phase), a weight class
+    being one (P, parity of the g1 count, sign), so each count is at most
+    q^2 and int64; the weights are +-p^(P - Pmin), Python ints, and the
+    rows are in int64 where (p + 1) q^2 max weight < 2^63, else Python
+    ints. Under the cap q <= 3162, s sums four products below q^2, and
+    every term of Phi and of c^-1 Phi is below q^2, all in int64."""
+    q = p ** v
+    n = len(coeffs)
+    cls, inv_c, et, w, u = _character_table(delta, p, v)
+    pw = p ** w
+    uu = np.array(coeffs, dtype=np.int64)[:, None, None] * u % q
+    power, sign, odd, coef = _factor_parts(uu, w, p, v)  # coef (n, C, 4)
+    m = odd.sum(axis=1)  # g1 factors per slot, (C,)
+    power = n * power.sum(axis=1) + n * m // 2
+    sign = sign.prod(axis=(0, 2))
+    if p % 4 == 3:  # g1^2 = -p
+        sign *= 1 - 2 * (n * m // 2 % 2)
+    # per character: P, g1 parity and sign, the last times (c/p)^(n m)
+    lo = int(power.min())
+    sign = sign[cls] * _legendre(inv_c, p) ** (n * m[cls])
+    kinds, wid = np.unique((power[cls] - lo) * 4 + n * m[cls] % 2 * 2
+                           + (sign < 0), return_inverse=True)
+    parities = kinds // 2 % 2
+    weights = [(-1) ** (k % 2) * p ** (k // 4) for k in kinds.tolist()]
+    nw = len(weights)
+    big = (p + 1) * len(cls) * max(map(abs, weights)) >= 2 ** 63
+    dtype = object if big else np.int64
+    out = np.zeros((len(t), 2, q), dtype=dtype)
+    step = max(1, _BLOCK // len(cls))
+    for start in range(0, len(t), step):
+        tb = t[start:start + step]
+        ok = np.ones((len(tb), len(et)), dtype=bool)
+        phi = np.zeros((len(tb), len(et)), dtype=np.int64)
+        for i in range(n):
+            s = np.einsum("cjr,gr->gcj", et, tb[:, i]) % q
+            ok &= (s % pw == 0).all(axis=2)
+            phi += (coef[i] * ((s // pw) ** 2 % q)).sum(axis=2)
+            phi %= q
+        phase = inv_c * phi[:, cls] % q
+        gid = np.arange(len(tb))[:, None] * nw + wid
+        counts = np.bincount((gid * q + phase)[ok[:, cls]],
+                             minlength=len(tb) * nw * q)
+        counts = counts.reshape(len(tb), nw, q)
+        for k, (weight, parity) in enumerate(zip(weights, parities)):
+            out[start:start + len(tb), parity] += (
+                counts[:, k].astype(dtype) * weight)
+    shift = q // p
+    rows = out[:, 0] + sum(np.roll(out[:, 1], x * x * shift % q, axis=1)
+                           for x in range(p))
+    return rows, (4 * n + 2) * v - lo
+
+
+def _pair_histograms(ell, t, p, v):
+    """hist with G(l_a, t) = q p^(w_a) sum_e hist[a, e] zeta_q^e, for each
+    row l_a of ell, w_a = v_p(l_a0 + l_a3) capped at v: the hyperbolic-pair
+    sum of the module docstring, valid at every p. The pair (y0, y3) runs
+    as (y0, z = y0 + y3): z fixes b, g and y*, kept where p^w divides b
+    and g, and y0 adds k y0^2 + (t0 - t3 - 2 l3 z) y0 to the phase. Under
+    the cap q <= 56 every term is below 2 q^3 in int64, and each count at
+    most q^2."""
+    q = p ** v
+    kappa = (ell[:, 0] + ell[:, 3]) % q
+    pw = p ** _valuations(kappa, p, v)
+    kinv = _unit_inverses(q, p)[kappa // pw % q]
+    z = np.arange(q, dtype=np.int64)
+    beta = (ell[:, 1:2] * z + t[1]) % q
+    gam = (ell[:, 2:3] * z + t[2]) % q
+    a, z = np.nonzero((beta % pw[:, None] == 0) & (gam % pw[:, None] == 0))
+    ystar = -(beta[a, z] // pw[a]) * kinv[a] % (q // pw[a])
+    const = (ell[a, 3] * z * z + t[3] * z + gam[a, z] * ystar) % q
+    lin = (t[0] - t[3] - 2 * ell[a, 3] * z) % q
+    y0 = np.arange(q, dtype=np.int64)
+    phase = (kappa[a, None] * (y0 * y0) + lin[:, None] * y0
+             + const[:, None]) % q
+    return np.bincount((a[:, None] * q + phase).ravel(),
+                       minlength=len(ell) * q).reshape(-1, q)
+
+
+def _cyclic_convolve(x, y, q):
+    """out[a, r] = sum_s x[a, s] y[a, r - s mod q] for nonnegative (A, q)
+    count arrays, in the `algebra.count_dtype` of their largest rows."""
+    dtype = count_dtype(x, int(x.sum(axis=1).max()),
+                        y, int(y.sum(axis=1).max()))
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    r = np.arange(q)
+    return (x[:, None, :] * y[:, (r[:, None] - r) % q]).sum(axis=2)
+
+
+def _pair_row(delta, t, p, v, coeffs):
+    """The row with I0 = row(zeta_q) / p^((3n + 2) v) for the phase rows t
+    (n, 4) of one gamma tuple: the pair histograms of every character and
+    slot, convolved over the slots per character and weighted by
+    (q p^w)^n, w the same for every slot (a unit coefficient keeps
+    v_p(l0 + l3)); the rows of one w are summed in Python ints."""
+    q = p ** v
+    ell = _characters(delta, p, v)
+    w = _valuations((ell[:, 0] + ell[:, 3]) % q, p, v)
+    acc = np.zeros((len(ell), q), dtype=np.int64)
+    acc[:, 0] = 1
+    for c, ti in zip(coeffs, t):
+        acc = _cyclic_convolve(acc, _pair_histograms(c * ell % q, ti, p, v), q)
+    return sum(acc[w == k].sum(axis=0, dtype=object) * p ** (len(t) * k)
+               for k in range(v + 1))
+
+
+def i0_batch(delta, batch, p, coeffs=None):
+    """Exact I0(delta, gamma) as a CycloSum for every gamma tuple of the
+    batch, each a list of n flat matrices, one per slot.
+
+    delta: flat 2x2 integer matrix with nonzero determinant; coeffs:
+    optional unit coefficients of the slotwise squares in P(Y), one per
+    slot of every tuple."""
+    rows, vd, scale = _i0_rows(delta, batch, p, coeffs)
+    return [CycloSum(p, vd, row, scale) for row in rows.tolist()]
+
+
+def _i0_rows(delta, batch, p, coeffs):
+    """(rows, v, scale) with I0 = rows[g](zeta_{p^v}) / p^scale for each
+    gamma tuple of the batch (`i0_batch`).
+
+    The average runs over Y mod p^v, v = v_p(det delta), which suffices:
+    both the divisibility condition and the phase only depend on Y mod p^v.
+    The character sum of the module docstring refuses more than
+    `_CHARACTER_CAP` characters q^2 at odd p, and q^4 > `_PAIR_CAP` at
+    p = 2 (BudgetError), before any array is built."""
+    det = det_flat(delta)
+    if det == 0:
+        raise PreconditionError("delta must be invertible over the fractions")
+    vd = pval(det, p)
+    if coeffs is None:
+        coeffs = [1] * (len(batch[0]) if batch else 0)
+    if any(len(gammas) != len(coeffs) for gammas in batch):
+        raise PreconditionError("need one coefficient per slot")
+    if vd == 0:
+        return np.ones((len(batch), 1), dtype=np.int64), 0, 0
+    if any(c % p == 0 for c in coeffs):
+        raise PreconditionError("slot coefficients must be units")
+    q, n = p ** vd, len(coeffs)
+    if p == 2 and q ** 4 > _PAIR_CAP:
+        raise BudgetError(f"pair sum {q}^4 exceeds budget")
+    if q * q > _CHARACTER_CAP:
+        raise BudgetError(f"{q}^2 characters exceed budget")
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    t = np.array([[_trace_row(g, q, inv_u) for g in gammas]
+                  for gammas in batch], dtype=np.int64)
+    t = t.reshape(len(batch), n, 4)  # an empty batch too
+    coeffs = [c % q for c in coeffs]
+    if p == 2:
+        return (np.array([_pair_row(delta, tg, p, vd, coeffs) for tg in t]),
+                vd, (3 * n + 2) * vd)
+    rows, scale = _jordan_rows(tuple(delta), t, p, vd, coeffs)
+    return rows, vd, scale
 
 
 def _trace_row(g, q, unit=1):
@@ -286,53 +403,9 @@ def _trace_row(g, q, unit=1):
 
 
 def i0_local(delta, gammas, p, coeffs=None):
-    """Exact I0(delta, gamma) as a CycloSum.
-
-    delta: flat 2x2 integer matrix with nonzero determinant;
-    gammas: list of n flat matrices; coeffs: optional unit coefficients of
-    the slotwise squares in P(Y).
-
-    The average runs over Y mod p^v, v = v_p(det delta), which suffices:
-    both the divisibility condition and the phase only depend on Y mod p^v.
-    The phase tr(gamma_i Y_i) / u, u the unit part of det delta, is one row
-    against flat(Y_i), binned by `_phase_counts`. The grid kernel refuses
-    p^{4 v} > `_GRID_CAP` (BudgetError).
-    """
-    n = len(gammas)
-    det = det_flat(delta)
-    if det == 0:
-        raise PreconditionError("delta must be invertible over the fractions")
-    vd = pval(det, p)
-    if coeffs is None:
-        coeffs = [1] * n
-    if len(coeffs) != n:
-        raise PreconditionError("need one coefficient per slot")
-    if vd == 0:
-        return CycloSum.from_int(1, p)
-    if n not in (1, 2):
-        raise BudgetError("slot count limited to 1 or 2 here")
-    if any(c % p == 0 for c in coeffs):
-        raise PreconditionError("slot coefficients must be units")
-    q = p ** vd
-    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
-    rows = [_trace_row(g, q, inv_u) for g in gammas]
-    # the average of e(r / q) over the q^{4n} slot tuples
-    return CycloSum(p, vd, _phase_counts(delta, rows, p, vd, coeffs),
-                    scale=4 * n * vd)
-
-
-def _join_two_slots(h1, h2, neg, q):
-    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod q} from
-    two (box order, q) phase histograms over one box with negation `neg`:
-    the rows k that slot 1 hits times rows neg[k] of slot 2, folded over
-    (r1 + r2) mod q. Every count is at most q^8 <= 10^14 (the grid kernel
-    caps q^4 at `_GRID_CAP`), far below 2^63, so int64 is exact."""
-    live = np.flatnonzero(h1.any(axis=1))
-    d = h1[live].T @ h2[neg[live]]  # d[r1, r2] = paired count
-    r = np.arange(q)
-    counts = np.zeros(q, dtype=np.int64)
-    np.add.at(counts, (r[:, None] + r[None, :]) % q, d)
-    return counts
+    """Exact I0(delta, gamma) as a CycloSum for one gamma tuple: the batch
+    of one (`i0_batch`)."""
+    return i0_batch(delta, [gammas], p, coeffs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +555,8 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
     For each test delta with v_p(det) in `vds`, a subset of {1, 2} (any
     other level is refused before any work, PreconditionError), iterate
     over gamma tuples mod det-level (exhaustively when the space is small,
-    else seeded samples) and verify:
+    else seeded samples), evaluated as one `i0_batch` per delta, and
+    verify:
       * out-of-support gammas give exactly zero;
       * a nonzero value implies a witness exists;
       * |I0|^2 <= best witness bound squared, decided exactly
@@ -512,8 +586,10 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
                                 for _ in range(4)) for _ in range(n))
                     for _ in range(max_gammas))
             count = nz = 0
-            for gammas in gamma_iter:
-                val = i0_local(delta, [list(g) for g in gammas], p)
+            gammas_list = list(gamma_iter)
+            vals = i0_batch(delta, [[list(g) for g in gammas]
+                                    for gammas in gammas_list], p)
+            for gammas, val in zip(gammas_list, vals):
                 rep = witness_report(delta, list(gammas), p)
                 if not rep["supported"]:
                     if not val.is_zero():
@@ -564,24 +640,38 @@ def s2_closed(q, n):
     return q ** (3 * n - 2) * (q ** n - 1) + q ** (2 * n) * x2_count(q, [0] * n)
 
 
-def s2_brute(q, n):
+def s2_count(q, n):
     """S2 = #{Y in M_2(F_q)^n : adj(delta) sum Y_i^2 = 0} at
     delta = diag(q, 1): S3 at gamma = 0."""
-    return s3_brute(q, n, [[(0, 0, 0, 0)] * n])[0]
+    return s3_count(q, n, [[(0, 0, 0, 0)] * n])[0]
 
 
-def s3_brute(q, n, gamma_list):
-    """Brute-force S3 = #{Y : adj(delta) sum Y_i^2 = 0, sum tr(gamma_i Y_i)
-    = 0 mod q} at delta = diag(q, 1), for each gamma tuple of the list
-    (n = 1 or 2): the phase-0 entry of `_phase_counts` at level 1."""
-    return [int(_prime_counts(q, n, gammas)[0]) for gammas in gamma_list]
+def s3_count(q, n, gamma_list):
+    """S3 = #{Y : adj(delta) sum Y_i^2 = 0, sum tr(gamma_i Y_i) = 0 mod q}
+    at delta = diag(q, 1), q prime, for each gamma tuple of the list
+    (`_prime_level`)."""
+    return [s3 for s3, _ in _prime_level(q, n, gamma_list)]
 
 
-def _prime_counts(q, n, gammas):
-    """`_phase_counts` at delta = diag(q, 1), level 1, whose phase unit is 1:
-    entry 0 is S3 at gamma and the vector gives q^{4n} I0(delta, gamma)."""
-    rows = [_trace_row(g, q) for g in gammas]
-    return _phase_counts((q, 0, 0, 1), rows, q, 1, [1] * n)
+def _prime_level(q, n, gamma_list):
+    """(S3, I0) at delta = diag(q, 1), q prime, for each gamma tuple of the
+    list, from one batch of rows (`_i0_rows`) over the tuples lam gamma,
+    lam mod q: the phase unit is 1, so Fourier inversion of the phase
+    condition gives S3 = q^(4n-1) sum_lam I0(delta, lam gamma), read from
+    one CycloSum of the summed rows, which must be an integer
+    (VerificationError)."""
+    batch = [[[lam * x for x in g] for g in gammas]
+             for gammas in gamma_list for lam in range(q)]
+    rows, _, scale = _i0_rows((q, 0, 0, 1), batch, q, [1] * n)
+    rows = rows.reshape(len(gamma_list), q, q)  # level 1: rows mod q
+    out = []
+    for lam_rows, total in zip(rows.tolist(), rows.sum(axis=1, dtype=object)):
+        s3 = (CycloSum(q, 1, total.tolist(), scale)
+              * q ** (4 * n - 1)).canonical()
+        if not s3.is_rational() or s3.to_fraction().denominator != 1:
+            raise VerificationError("S3 by Fourier inversion is no integer")
+        out.append((int(s3.to_fraction()), CycloSum(q, 1, lam_rows[1], scale)))
+    return out
 
 
 def s3_closed(q, n, gammas):
@@ -643,7 +733,7 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
     delta = (q, 0, 0, 1)
     report = {"q": q, "n": n, "checked": 0, "case_histogram": {}}
 
-    s2b = s2_brute(q, n)
+    s2b = s2_count(q, n)
     if s2b != s2_closed(q, n):
         raise VerificationError("closed S2 formula mismatch")
     # identity (zero gamma): q^{4n} I0(delta, 0) = S2
@@ -661,12 +751,10 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
         else:
             g = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(n))
         gammas_seen.append(g)
-    for g in gammas_seen:
-        counts = _prime_counts(q, n, g)  # S3 and I0 from one vector
+    for g, (s3, val) in zip(gammas_seen, _prime_level(q, n, gammas_seen)):
         s3c = s3_closed(q, n, g)
-        if int(counts[0]) != s3c:
+        if s3 != s3c:
             raise VerificationError(f"closed S3 mismatch at gamma={g}")
-        val = CycloSum(q, 1, counts, scale=4 * n)
         # q^{4n} (1 - 1/q) I0 = S3 - S2/q, exactly
         lhs = val * (q ** (4 * n) - q ** (4 * n - 1))
         rhs = CycloSum.from_fraction(Fraction(s3c) - Fraction(s2b, q), q)
@@ -676,16 +764,22 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
         report["case_histogram"][case] = report["case_histogram"].get(case, 0) + 1
         report["checked"] += 1
 
-    # symmetry under unit multiplications and homogeneity
+    # symmetry under unit multiplications and homogeneity; the draws come
+    # first, so one batch at delta serves every g and its multiple
+    draws = []
     for _ in range(20):
         g = [[rng.randrange(q) for _ in range(4)] for _ in range(n)]
-        val = i0_local(delta, g, q)
         a = rng.choice([1] + list(range(2, q)))
-        if (val - i0_local(delta, [[a * x % q for x in gi] for gi in g], q)
-                ).is_zero() is False:
-            raise VerificationError("scalar homogeneity failed")
         alpha, alpha_inv = _random_unit_pair(q, rng)
         beta = _random_unit_pair(q, rng)[0]
+        draws.append((g, a, alpha, alpha_inv, beta))
+    vals = i0_batch(delta, [gs for g, a, *_ in draws
+                            for gs in (g, [[a * x % q for x in gi] for gi in g])],
+                    q)
+    for k, (g, a, alpha, alpha_inv, beta) in enumerate(draws):
+        val = vals[2 * k]
+        if (val - vals[2 * k + 1]).is_zero() is False:
+            raise VerificationError("scalar homogeneity failed")
         d2 = mat_mul_flat(mat_mul_flat(alpha, delta), beta)
         g2 = [mat_mul_flat(mat_mul_flat(alpha, tuple(gi)), alpha_inv) for gi in g]
         if (val - i0_local(d2, g2, q)).is_zero() is False:

@@ -91,6 +91,55 @@ def line_multiple(t, g, p, k):
     return lam if all((x - lam * y) % m == 0 for x, y in zip(t, g)) else None
 
 
+def jordan_split(a, p, k):
+    """(e, w, u) with e^T a e = diag(u_j p^(w_j)) mod p^k for a symmetric
+    integer matrix a (a list of rows) and an odd prime p: a Jordan
+    splitting over Z_p (Cassels, Rational Quadratic Forms, ch. 8). The
+    columns of e are the new basis and det e is a unit mod p; each u_j is a
+    unit, and w_j = k with u_j = 1 where the form vanishes mod p^k.
+
+    Symmetric elimination on an entry of least valuation of the block not
+    yet split, a diagonal one first: an off-diagonal pivot a_rs, whose
+    diagonal entries then have larger valuation, moves to the diagonal by
+    e_r += e_s (a_rr + 2 a_rs + a_ss keeps its valuation, as 2 is a unit);
+    it is swapped to the front, and e_t -= (a_jt / a_jj) e_j clears its
+    row, the ratio being integral at the least valuation."""
+    if p == 2:
+        raise PreconditionError("a Jordan splitting here needs an odd prime")
+    m = p ** k
+    size = len(a)
+    g = [[x % m for x in row] for row in a]
+    e = [[int(i == j) for j in range(size)] for i in range(size)]
+
+    def add(dst, src, f):  # e_dst += f e_src, a congruence of g
+        for row in e + g:
+            row[dst] = (row[dst] + f * row[src]) % m
+        g[dst] = [(x + f * y) % m for x, y in zip(g[dst], g[src])]
+
+    def swap(i, j):
+        for row in e + g:
+            row[i], row[j] = row[j], row[i]
+        g[i], g[j] = g[j], g[i]
+
+    w, u = [], []
+    for j in range(size):
+        vj, _, r, s = min((pval(g[r][s], p, cap=k), r != s, r, s)
+                          for r in range(j, size) for s in range(r, size))
+        if vj == k:
+            return e, w + [k] * (size - j), u + [1] * (size - j)
+        if r != s:
+            add(r, s, 1)
+        swap(j, r)
+        pj, rest = p ** vj, p ** (k - vj)
+        unit = g[j][j] // pj
+        inv = pow(unit, -1, rest)
+        for t in range(j + 1, size):
+            add(t, j, -(g[j][t] // pj) * inv % rest)
+        w.append(vj)
+        u.append(unit)
+    return e, w, u
+
+
 #: the primes below 50, by which `is_prime` divides first
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 

@@ -14,6 +14,7 @@ import pytest
 from qcl import DEFAULT_SEED
 from qcl.cli import _canonical_request, _flatten, _jsonable, _load_config
 from qcl.errors import VerificationError
+from qcl.padic import pval
 
 QCL = [sys.executable, "-m", "qcl.cli"]
 
@@ -176,12 +177,46 @@ class TestExitCodes:
                               capsysbinary)
         assert (code, out) == (3, b"")
 
-    def test_grid_cap_is_three(self, tmp_path):
-        # Y mod 343 would be a grid of 7^12 matrices
-        proc = run_cli(["--no-cache", "expsum", "--p", "7", "--delta",
-                        "343,0,0,1", "--gamma", "0,0,0,0"], tmp_path,
+    def test_character_sum_answers_past_the_grid_cap(self, capsysbinary):
+        # q = 343: 7^12 grid matrices, but 7^6 characters. At gamma = 0,
+        # I0 = #{Y : a^2 + bc = b(a + d) = 0 mod q} / q^4, counted in
+        # O(q^2): for each (a, b) with j = min(v_7(b), 3) there are p^j
+        # values of c when p^j | a^2, and p^j of d
+        code, out = _run_main(["--no-cache", "expsum", "--p", "7", "--delta",
+                               "343,0,0,1", "--gamma", "0,0,0,0"],
+                              capsysbinary)
+        q = 343
+        count = 0
+        for b in range(q):
+            j = pval(b, 7, cap=3)
+            count += sum(7 ** (2 * j) for a in range(q) if a * a % 7 ** j == 0)
+        value = json.loads(out)["result"]["value"]
+        assert code == 0
+        assert Fraction(int(value["num"]), int(value["den"])) == Fraction(
+            count, q ** 4) == Fraction(103, 823543)
+
+    def test_character_cap_is_three(self, tmp_path):
+        # 3163 is the least prime whose q^2 characters exceed 10^7
+        proc = run_cli(["--no-cache", "expsum", "--p", "3163", "--delta",
+                        "3163,0,0,1", "--gamma", "0,0,0,0"], tmp_path,
                        check=False)
-        assert proc.returncode == 3
+        assert proc.returncode == 3 and proc.stdout == b""
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_repnum_max_below_one_is_two(self, capsysbinary, top):
+        # no vacuous verdict over an empty range
+        code, out = _run_main(["--no-cache", "repnum", "--max", top],
+                              capsysbinary)
+        assert (code, out) == (2, b"")
+
+    @pytest.mark.parametrize("engine", ["brute", "both"])
+    def test_traceless_has_no_other_engine(self, capsysbinary, engine):
+        # the traceless count ran whatever the engine, which only moved
+        # the request hash
+        code, out = _run_main(["--no-cache", "count", "--n", "3", "--x", "1",
+                               "--traceless", "--engine", engine],
+                              capsysbinary)
+        assert (code, out) == (2, b"")
 
     @pytest.mark.parametrize("args", [
         ["--q", "513", "--alpha", "0,0,0,0"],

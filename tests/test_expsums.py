@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -15,15 +16,15 @@ from qcl.algebra import (
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
-    _BLOCK_ROWS, _grid_blocks, _join_two_slots, _measure, _right_image,
-    _slot_box, _slot_histogram, _slot_solutions, _slot_static,
-    cyclo_abs_sq, grid_linear_keys, grid_square_keys, i0_local,
-    local_integral_audit, matrix_cyclic_generator, prime_case_report,
-    s2_brute, s2_closed, s3_brute, s3_closed, split_primitive_part,
-    w_class_sum_report, witness_report, x2_count,
+    _character_table, _measure, _pair_row, _right_image, _slot_box,
+    _trace_row, cyclo_abs_sq, i0_batch, i0_local, local_integral_audit,
+    matrix_cyclic_generator, prime_case_report, s2_closed, s2_count,
+    s3_closed, s3_count, split_primitive_part, w_class_sum_report,
+    witness_report, x2_count,
 )
 from qcl.geometry import hessian_matrix
-from qcl.padic import line_key, line_multiple, pval, punit
+from qcl.padic import (GaussSumParams, gauss_sum, line_key, line_multiple,
+                       pval, punit)
 
 
 # The dense whole-grid forms that the blocked kernels replaced, kept as their
@@ -41,7 +42,7 @@ def all_mats(q):
 def _pack(rows, q):
     """Pack residues mod q along the last axis (length 4) into scalar keys;
     the packed order is the lexicographic order of the 4-tuples, the grid
-    order that `expsums._unpack` inverts."""
+    order that `_unpack` inverts."""
     return (((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q
             + rows[..., 3])
 
@@ -107,6 +108,175 @@ def i0_brute(delta, gammas, p, coeffs=None, level=None):
             r = ph * inv_u % qc
             counts[r] = counts.get(r, 0) + 1
     return CycloSum(p, vd, counts, scale=4 * n * level)
+
+
+# The grid path that `i0_local` ran before the character sum, kept as its
+# oracle: every sum over all 2x2 matrices Y mod q runs on one blocked grid
+# kernel, the mixed-radix key of the rows of L @ flat(Y^2), row i mod
+# radii[i] (`grid_square_keys`), or t . flat(Y) mod q (`grid_linear_keys`),
+# for every Y in grid order, as blocks of at most 2^16 rows: runs of leading
+# entry pairs (a, b) (`_grid_blocks`). One slot bins its phase over the
+# solution set of box key 0; two slots join per-slot (box index, phase)
+# histograms, q^2 x q entries, through the negation of the box.
+
+#: cap on the grid size q^4 of the oracle
+_GRID_CAP = 10 ** 7
+#: most rows in one block of the oracle's grid kernels
+_BLOCK_ROWS = 2 ** 16
+
+
+def _grid_blocks(q):
+    """The grid of Y = (a, b, c, d) mod q in blocks, after refusing a grid
+    of more than `_GRID_CAP` matrices (BudgetError): per block, the (a, b)
+    of a run of consecutive leading pairs. Each pair leads q^2 rows, so a
+    block holds at most `_BLOCK_ROWS` rows on every grid under the cap;
+    grids up to 16^4 are one block, 25^4 is seven."""
+    if q ** 4 > _GRID_CAP:
+        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
+    a, b = np.divmod(np.arange(q * q, dtype=np.int32), q)
+    step = _BLOCK_ROWS // (q * q)
+    return tuple((a[s:s + step], b[s:s + step])
+                 for s in range(0, q * q, step))
+
+
+def grid_linear_keys(row, q):
+    """Key row . flat(Y) mod q for every Y mod q, as blocks of
+    `_grid_blocks` in grid order: lexicographic in flat(Y). Every block is
+    written into one int32 buffer of this call and returned as a view of
+    it, valid until the next block. Row (t0, t1, t2, t3) gives
+    (t0 a + t1 b) + (t2 c + t3 d): the first part, reduced, picks one
+    (q, q) run of the table tail[r, c, d] = (r + t2 c + t3 d) mod q per
+    leading pair, so a block is one gather."""
+    blocks = _grid_blocks(q)
+    e = np.arange(q, dtype=np.int32)
+    coef = np.array([int(t) % q for t in row], dtype=np.int32)
+    t0, t1, t2, t3 = coef[:, None] * e % q
+    tail = (e[:, None, None] + t2[:, None] + t3) % q
+    out = np.empty((len(blocks[0][0]), q, q), dtype=np.int32)
+    return (np.take(tail, (t0[a] + t1[b]) % q, axis=0, out=out[:len(a)],
+                    mode="clip").ravel() for a, b in blocks)
+
+
+def grid_square_keys(lmat, q, radii):
+    """Mixed-radix key of the residues (row_i . flat(Y^2)) mod radii[i] for
+    every Y mod q, in the blocks and grid order of `grid_linear_keys`, for
+    four integer rows `lmat` and radii dividing q; the key of residues
+    (k0, k1, k2, k3) is ((k0 r1 + k1) r2 + k2) r3 + k3. A block broadcasts
+    Y = (a, b, c, d) as int32 arrays and squares it with `mat_mul_flat`;
+    under the cap q <= 56 a row sum stays below 8 q^3 < 2^31."""
+    blocks = _grid_blocks(q)
+    rows = [([int(t) % r for t in row], r) for row, r in zip(lmat, radii)]
+    e = np.arange(q, dtype=np.int32)
+    return (_square_block(rows, (a[:, None, None], b[:, None, None],
+                                 e[:, None], e))
+            for a, b in blocks)
+
+
+def _square_block(rows, y):
+    sq = mat_mul_flat(y, y)  # the last two entries span the block
+    keys = 0
+    for row, r in rows:
+        key = row[0] * sq[0] + row[1] * sq[1]
+        key += row[2] * sq[2]
+        key += row[3] * sq[3]
+        key %= r
+        key += keys * r
+        keys = key
+    return keys.ravel()
+
+
+def _unpack(keys, q):
+    """An (N,) array of keys to the (N, 4) array of their base-q digits,
+    most significant first: the rows of a grid in grid order."""
+    return np.stack([keys // q ** (3 - t) % q for t in range(4)], axis=1)
+
+
+def _slot_solutions(delta, p, vd, coeff):
+    """S = {Y mod q : coeff * adj(delta) Y^2 = 0 mod q}, q = p^vd, the rows
+    of box key 0 in one pass of `grid_square_keys`, as an (|S|, 4) array."""
+    q = p ** vd
+    rows, radii = _slot_box(delta, p, vd, coeff)
+    sol, start = [], 0
+    for keys in grid_square_keys(rows, q, radii):
+        sol.append(start + np.flatnonzero(keys == 0))
+        start += len(keys)
+    return _unpack(np.concatenate(sol), q)
+
+
+def _slot_static(delta, p, vd, coeff):
+    """One kernel pass over the grid of Y mod q = p^vd: the uint16 box
+    index of coeff * adj(delta) Y^2 (`_slot_box`) for every Y, and neg[k],
+    the index of the digitwise negation of box element k; a box past 2^16
+    is refused."""
+    rows, radii = _slot_box(delta, p, vd, coeff)
+    blocks = grid_square_keys(rows, p ** vd, radii)
+    if np.prod(radii) > 2 ** 16:
+        raise PreconditionError(f"key box {radii} too large for uint16")
+    neg = np.ravel_multi_index(
+        tuple(-d % r for d, r in zip(np.indices(radii), radii)), radii).ravel()
+    index, start = np.empty(p ** (4 * vd), dtype=np.uint16), 0
+    for keys in blocks:
+        index[start:start + len(keys)] = keys
+        start += len(keys)
+    return index, neg
+
+
+def _slot_histogram(index, size, row, q):
+    """(size, q) int64 counts of (box index, row . flat(Y) mod q) over the
+    grid of Y mod q, binned block by block in the buffer of
+    `grid_linear_keys`."""
+    hist, start = np.zeros(q * size, dtype=np.int64), 0
+    for ph in grid_linear_keys(row, q):
+        ph *= size
+        ph += index[start:start + len(ph)]
+        hist += np.bincount(ph, minlength=q * size)
+        start += len(ph)
+    return hist.reshape(q, size).T
+
+
+def _join_two_slots(h1, h2, neg, q):
+    """counts[r] = #{(Y1, Y2) : key1 + key2 = 0, ph1 + ph2 = r mod q} from
+    two (box order, q) phase histograms over one box with negation `neg`:
+    the rows k that slot 1 hits times rows neg[k] of slot 2, folded over
+    (r1 + r2) mod q; every count is at most q^8 <= 10^14 under the cap."""
+    live = np.flatnonzero(h1.any(axis=1))
+    d = h1[live].T @ h2[neg[live]]  # d[r1, r2] = paired count
+    r = np.arange(q)
+    counts = np.zeros(q, dtype=np.int64)
+    np.add.at(counts, (r[:, None] + r[None, :]) % q, d)
+    return counts
+
+
+def grid_phase_counts(delta, rows, p, vd, coeffs):
+    """counts[r] = #{(Y_i) mod q : sum c_i adj(delta) Y_i^2 = 0,
+    sum rows_i . flat(Y_i) = r mod q}, q = p^vd, for one or two slots: one
+    slot bins its phase over its solution set, two join their histograms,
+    with one grid pass per distinct coefficient mod q."""
+    q = p ** vd
+    if len(rows) == 1:
+        sol = _slot_solutions(delta, p, vd, coeffs[0] % q)
+        return np.bincount(sol @ np.array(rows[0]) % q, minlength=q)
+    static = {c: _slot_static(delta, p, vd, c)
+              for c in dict.fromkeys(c % q for c in coeffs)}
+    slots = [static[c % q] for c in coeffs]
+    hists = [_slot_histogram(index, len(neg), row, q)
+             for (index, neg), row in zip(slots, rows)]
+    return _join_two_slots(*hists, slots[0][1], q)  # one box for every c
+
+
+def grid_i0(delta, gammas, p, coeffs=None):
+    """I0(delta, gamma) on the grid path, for one or two slots."""
+    det = det_flat(delta)
+    vd = pval(det, p)
+    n = len(gammas)
+    coeffs = coeffs or [1] * n
+    if vd == 0:
+        return CycloSum.from_int(1, p)
+    q = p ** vd
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    rows = [_trace_row(g, q, inv_u) for g in gammas]
+    return CycloSum(p, vd, grid_phase_counts(delta, rows, p, vd, coeffs),
+                    scale=4 * n * vd)
 
 
 def phase_integral_z(zmat, delta, gammas, p, coeffs=None, budget=10 ** 7):
@@ -277,7 +447,7 @@ class TestI0Local:
         # at gamma = 0 the integral is the solution density: 15/81 at q=3
         v = i0_local((3, 0, 0, 1), [(0, 0, 0, 0)], 3)
         assert v.to_fraction() == Fraction(15, 81)
-        assert s2_brute(3, 1) == 15
+        assert s2_count(3, 1) == 15
 
     @pytest.mark.parametrize("p,vd,n", [(3, 1, 1), (3, 1, 2), (5, 1, 1), (3, 2, 1)])
     def test_matches_brute_reference(self, p, vd, n):
@@ -346,7 +516,7 @@ def dense_measure_table(gen, m):
     the distinct elements lam * w, 0 <= lam < ord(w), of its span."""
     hist = right_image_histogram(gen, m)
     ws = np.flatnonzero(hist)
-    rows = expsums._unpack(ws, m)
+    rows = _unpack(ws, m)
     order = m // np.gcd.reduce(rows, axis=1, initial=m)
     lam = np.arange(m)
     span = _pack(lam[None, :, None] * rows[:, None, :] % m, m)
@@ -538,7 +708,7 @@ class TestJoinTwoSlots:
     def test_matches_dict_join(self, q, size):
         # the box (q, q, q, q): box index = packed key
         rng = random.Random(q * size)
-        neg = _pack(-expsums._unpack(np.arange(q ** 4), q) % q, q)
+        neg = _pack(-_unpack(np.arange(q ** 4), q) % q, q)
         hists, raw = [], []
         for _ in range(2):
             # few distinct keys, so that many pairs match
@@ -696,14 +866,14 @@ class TestPrimeCase:
 
     @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1), (5, 2)])
     def test_s2_closed(self, q, n):
-        assert s2_brute(q, n) == s2_closed(q, n)
+        assert s2_count(q, n) == s2_closed(q, n)
 
     @pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (5, 1)])
     def test_s3_closed_random(self, q, n):
         rng = random.Random(q * 10 + n)
         for _ in range(30):
             g = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(n))
-            assert s3_brute(q, n, [g]) == [s3_closed(q, n, g)]
+            assert s3_count(q, n, [g]) == [s3_closed(q, n, g)]
 
     def test_s3_all_cases_n2_q3(self):
         # exhaustive over a structured family covering every case
@@ -715,7 +885,7 @@ class TestPrimeCase:
         for _ in range(60):
             fams.append(tuple(tuple(rng.randrange(q) for _ in range(4))
                               for _ in range(2)))
-        assert s3_brute(q, n, fams) == [s3_closed(q, n, g) for g in fams]
+        assert s3_count(q, n, fams) == [s3_closed(q, n, g) for g in fams]
 
     def test_report_q3_n1(self):
         rep = prime_case_report(3, 1, num_gamma=60, seed=0)
@@ -882,8 +1052,6 @@ class TestGridKernel:
         p, vd = moduli
         qc = p ** vd
         coeff = data.draw(unit_mod(p))
-        _slot_solutions.cache_clear()
-        _slot_static.cache_clear()
         sol = _slot_solutions(delta, p, vd, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
         assert np.array_equal(sol, all_mats(qc)[want_inv == 0])
@@ -993,61 +1161,55 @@ class TestGridKernel:
                                   _trace_pair(all_mats(q), g, q))
 
     @staticmethod
-    def _count_kernel(monkeypatch, name):
-        """Record the calls of one function of `qcl.expsums`."""
-        kernel = getattr(expsums, name)
+    def _count_kernel(monkeypatch, name, module=sys.modules[__name__]):
+        """Record the calls of one function of a module, by default of the
+        grid oracle here."""
+        kernel = getattr(module, name)
         calls = []
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(expsums, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_slot_keys_built_once_per_delta(self, n, monkeypatch):
-        # the gamma-independent keys of one (delta, p), one kernel pass for
-        # one slot or for two of one coefficient, serve every gamma
-        calls = self._count_kernel(monkeypatch, "grid_square_keys")
-        _slot_solutions.cache_clear()
-        _slot_static.cache_clear()
+    def test_slot_keys_built_once_per_delta(self, n):
+        # the gamma-independent character table of one (delta, p) is built
+        # once and serves every gamma and every slot coefficient
+        _character_table.cache_clear()
         delta = (9, 0, 0, 1)
         first = i0_local(delta, [(1, 2, 0, 1)] * n, 3)
-        assert len(calls) == 1
-        second = i0_local(delta, [(0, 1, 1, 2)] * n, 3)
-        assert len(calls) == 1
-        # one slot builds no box index; two share one (same coeff)
-        assert _slot_static.cache_info().currsize == n - 1
-        cached = _slot_solutions if n == 1 else _slot_static
-        assert cached.cache_info().hits == 2 * n - 1
-        _slot_solutions.cache_clear()
-        _slot_static.cache_clear()
+        second = i0_local(delta, [(0, 1, 1, 2)] * n, 3, coeffs=[2] * n)
+        info = _character_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        _character_table.cache_clear()
         assert first == i0_local(delta, [(1, 2, 0, 1)] * n, 3)
-        assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+        assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3,
+                                  coeffs=[2] * n)
 
     @pytest.mark.parametrize("coeffs,passes", [([1, 1], 1), ([1, 10], 1),
                                                ([1, 2], 2)])
     def test_two_slots_pass_once_per_coefficient(self, coeffs, passes,
                                                  monkeypatch):
-        # one grid pass per distinct coefficient mod q = 9
+        # the oracle makes one grid pass per distinct coefficient mod q = 9
         calls = self._count_kernel(monkeypatch, "grid_square_keys")
-        _slot_static.cache_clear()
-        i0_local((9, 0, 0, 1), [(1, 2, 0, 1)] * 2, 3, coeffs=coeffs)
+        want = grid_i0((9, 0, 0, 1), [(1, 2, 0, 1)] * 2, 3, coeffs=coeffs)
         assert len(calls) == passes
+        assert i0_local((9, 0, 0, 1), [(1, 2, 0, 1)] * 2, 3,
+                        coeffs=coeffs) == want
 
-    @pytest.mark.parametrize("n,passes", [(1, 0), (2, 2)])
-    def test_prime_case_counts_once_per_gamma(self, n, passes, monkeypatch):
-        # S3 and I0 of each gamma are read from one phase-count vector: the
-        # gamma loop adds one count per gamma, and its phase passes (none
-        # for one slot, which bins on S; one per slot for two)
-        counts = self._count_kernel(monkeypatch, "_phase_counts")
-        phases = self._count_kernel(monkeypatch, "grid_linear_keys")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_prime_case_reads_every_gamma_from_one_batch(self, n,
+                                                         monkeypatch):
+        # S3 and I0 of every gamma of the loop come from one batch of
+        # rows, so more gammas add no batch
+        calls = self._count_kernel(monkeypatch, "_i0_rows", expsums)
         prime_case_report(3, n, num_gamma=0, seed=2)
-        base = len(counts), len(phases)
+        base = len(calls)
         prime_case_report(3, n, num_gamma=12, seed=2)
-        assert len(counts) - 2 * base[0] == 12
-        assert len(phases) - 2 * base[1] == 12 * passes
+        assert len(calls) == 2 * base
 
     def test_mul_matrices_match_the_product(self):
         rng = random.Random(4)
@@ -1061,8 +1223,7 @@ class TestGridKernel:
         # no int64 array per grid row or per m^4 residue: the whole-grid
         # path peaked at 10.4 MiB here
         delta, gammas, p = (25, 0, 0, 1), [(5, 10, 0, 5)] * 2, 5
-        for cached in (_slot_solutions, _slot_static):
-            cached.cache_clear()
+        _character_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local(delta, gammas, p)
@@ -1074,33 +1235,31 @@ class TestGridKernel:
         assert peak < 5 * 2 ** 20
 
     def test_one_slot_builds_no_grid_table(self):
-        # one slot keeps S alone: a bool bitmap of the q^4 = 5,764,801
-        # possible keys at q = 49 would pass the bound by itself
-        for cached in (_slot_solutions, _slot_static):
-            cached.cache_clear()
+        # one slot keeps the character table alone, 2401 characters at
+        # q = 49: a bool bitmap of the q^4 = 5,764,801 possible keys would
+        # pass the bound by itself
+        _character_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local((49, 0, 0, 1), [(7, 14, 0, 7)], 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _slot_static.cache_info().currsize == 0
+        assert _character_table.cache_info().currsize == 1
         assert peak < 4 * 2 ** 20
 
     def test_two_slots_keep_one_index(self):
-        # two slots keep one uint16 box index per grid row, 11 MiB at
-        # q = 49; a bool key bitmap and a rank table beside it peaked at
-        # 23.5 MiB
-        for cached in (_slot_solutions, _slot_static):
-            cached.cache_clear()
+        # two slots read the one character table of one slot; the grid
+        # path's uint16 box index of every Y took 11 MiB at q = 49
+        _character_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local((49, 0, 0, 1), [(7, 14, 0, 7)] * 2, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _slot_static.cache_info().currsize == 1
-        assert peak < 18 * 2 ** 20
+        assert _character_table.cache_info().currsize == 1
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
                                        (5, 0, 0, 5)])
@@ -1108,8 +1267,7 @@ class TestGridKernel:
     def test_witness_moduli_stay_small(self, delta, n):
         # the (q^4, 4) grid path peaked near 50 MB here
         gammas = [(5, 10, 0, 5)] * n
-        for cached in (_slot_solutions, _slot_static):
-            cached.cache_clear()
+        _character_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local(delta, gammas, 5)
@@ -1120,14 +1278,15 @@ class TestGridKernel:
         assert peak < 20 * 10 ** 6
 
     @pytest.mark.parametrize("call", [
-        lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)], 7),
-        lambda: i0_local((343, 0, 0, 1), [(0, 0, 0, 0)] * 2, 7),
+        lambda: i0_local((3163, 0, 0, 1), [(0, 0, 0, 0)], 3163),
+        lambda: i0_local((7 ** 9, 0, 0, 1), [(0, 0, 0, 0)] * 2, 7),
         lambda: split_square_distribution(7, 3),
+        lambda: i0_local((64, 0, 0, 1), [(0, 0, 0, 0)], 2),
         lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57, (57,) * 4),
-        lambda: grid_linear_keys((1, 0, 0, 0), 57),
     ])
     def test_grid_cap_refuses_before_allocating(self, call):
-        # q^4 = 7^12 and 57^4 both exceed the 10^7 cap
+        # 3163^2 and 7^18 characters exceed the 10^7 character cap at odd
+        # p, and q^4 = 7^12, 64^4 and 57^4 the 10^7 grid and pair caps
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError):
@@ -1136,3 +1295,158 @@ class TestGridKernel:
         finally:
             tracemalloc.stop()
         assert peak < 10 ** 6
+
+
+def pair_i0(delta, gammas, p, coeffs=None):
+    """I0 by the hyperbolic-pair sum (`expsums._pair_row`), at any p."""
+    det = det_flat(delta)
+    vd = pval(det, p)
+    q = p ** vd
+    coeffs = [c % q for c in coeffs or [1] * len(gammas)]
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    t = np.array([_trace_row(g, q, inv_u) for g in gammas], dtype=np.int64)
+    return CycloSum(p, vd, _pair_row(delta, t, p, vd, coeffs).tolist(),
+                    (3 * len(gammas) + 2) * vd)
+
+
+def tuple_count_i0(delta, gammas, p, coeffs=None):
+    """I0 by counting every slot tuple, all q^(4n) of them broadcast at
+    once: the keys adj(delta) c_i Y_i^2 and phases add across slot axes."""
+    n = len(gammas)
+    det = det_flat(delta)
+    vd = pval(det, p)
+    q = p ** vd
+    coeffs = coeffs or [1] * n
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    mats = all_mats(q)
+    adj = left_mul_matrix(adj_flat(delta)) % q
+    keys = phases = 0
+    for i, (g, c) in enumerate(zip(gammas, coeffs)):
+        shape = [1] * n
+        shape[i] = -1
+        key = mat_square_flat(mats, q) * (c % q) % q @ adj.T % q
+        keys = keys + key.reshape(*shape, 4)
+        phase = mats @ np.array(_trace_row(g, q, inv_u)) % q
+        phases = phases + phase.reshape(shape)
+    ok = (keys % q == 0).all(axis=-1)
+    counts = np.bincount(phases[ok] % q, minlength=q)
+    return CycloSum(p, vd, counts.tolist(), scale=4 * n * vd)
+
+
+def draw_gammas(rng, delta, p, n):
+    """n seeded gamma matrices mod the level of delta, each entry scaled
+    by 1 or the content p^vdel of delta, so that some tuples are
+    supported."""
+    q = p ** pval(det_flat(delta), p)
+    unit = p ** split_primitive_part(delta, p)[0]
+    return [tuple(rng.randrange(q) * rng.choice([1, unit]) for _ in range(4))
+            for _ in range(n)]
+
+
+# every delta of `local_integral_audit` at p = 3, 5 and 7, three at p = 3
+# and level 3 (two of them with content), and four at p = 2
+ORACLE_DELTAS = ([(p, delta) for p in (3, 5, 7) for vd in (1, 2)
+                  for delta in expsums._audit_deltas(p, vd)]
+                 + [(3, (27, 0, 0, 1)), (3, (9, 3, 0, 3)), (3, (3, 1, 0, 9)),
+                    (2, (4, 0, 0, 1)), (2, (8, 0, 0, 1)), (2, (2, 1, 0, 2)),
+                    (2, (16, 0, 0, 1))])
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p,delta", ORACLE_DELTAS)
+    def test_i0_matches_the_grid_path(self, p, delta, n):
+        # mixed unit coefficients, one batch against one grid call a tuple
+        rng = random.Random(f"{p}:{delta}:{n}")
+        batch = [draw_gammas(rng, delta, p, n) for _ in range(3)]
+        coeffs = [rng.choice([c for c in range(1, 2 * p + 2) if c % p])
+                  for _ in range(n)]
+        vals = i0_batch(delta, batch, p, coeffs)
+        assert vals == [grid_i0(delta, gammas, p, coeffs) for gammas in batch]
+        assert vals[0] == i0_local(delta, batch[0], p, coeffs)
+
+    @pytest.mark.parametrize("p,delta", [(3, (3, 0, 0, 1)), (3, (9, 0, 0, 1)),
+                                         (5, (5, 0, 0, 1)), (2, (4, 0, 0, 1))])
+    def test_grid_path_matches_brute(self, p, delta):
+        # the oracle itself against the tuple-by-tuple reference
+        rng = random.Random(p)
+        for n in (1, 2):
+            if pval(det_flat(delta), p) * 4 * n > 8 + 4 * (p == 2):
+                continue
+            gammas = draw_gammas(rng, delta, p, n)
+            assert grid_i0(delta, gammas, p) == i0_brute(delta, gammas, p)
+
+
+class TestCharacterSum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]),
+           st.data())
+    def test_factor_is_the_gauss_sum(self, grid, data):
+        # F(u p^w, s) from `_factor_parts` against q * gauss_sum of the
+        # same parameters: a = u p^w, t = q, xi = s
+        p, v = grid
+        q = p ** v
+        u = data.draw(unit_mod(p)) % q
+        w = data.draw(st.integers(0, v))
+        s = data.draw(st.integers(0, q - 1))
+        power, sign, odd, coef = (int(x) for x in expsums._factor_parts(
+            np.array(u), np.array(w), p, v))
+        got = CycloSum.from_int(0, p)
+        if s % p ** w == 0:
+            g1 = CycloSum(p, 1, [sum(x * x % p == r for x in range(p))
+                                 for r in range(p)])
+            got = CycloSum.root(p, v, coef * (s // p ** w) ** 2 % q) * (
+                sign * p ** power)
+            if odd:
+                got = got * g1
+        vs = pval(s, p, cap=v)
+        want = gauss_sum(GaussSumParams(p, w, v, vs if s else 0, u, 1,
+                                        s // p ** vs if s else 1,
+                                        xi_zero=not s))
+        assert got == want * q
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("p,delta", [(3, (3, 0, 0, 1)), (3, (9, 0, 0, 1)),
+                                         (3, (3, 0, 0, 3)), (3, (9, 3, 0, 3)),
+                                         (5, (5, 0, 0, 1)), (5, (5, 1, 0, 5)),
+                                         (5, (25, 0, 0, 1)), (7, (7, 0, 0, 1)),
+                                         (3, (1, 1, -2, 1))])
+    def test_jordan_path_matches_the_pair_sum(self, p, delta, n):
+        # at odd p, any slot count, mixed unit coefficients
+        rng = random.Random(f"{p}:{delta}:{n}")
+        coeffs = [rng.choice([1, 2, p + 1, 2 * p - 1]) for _ in range(n)]
+        for _ in range(3):
+            gammas = draw_gammas(rng, delta, p, n)
+            assert (i0_local(delta, gammas, p, coeffs)
+                    == pair_i0(delta, gammas, p, coeffs))
+
+    @pytest.mark.parametrize("p,delta", [(2, (2, 0, 0, 1)), (2, (1, 1, -1, 1)),
+                                         (3, (3, 0, 0, 1)), (3, (1, 1, -2, 1))])
+    def test_three_slots_match_the_tuple_count(self, p, delta):
+        # the character sum at p = 2 and p = 3, level 1, against all
+        # q^12 slot tuples
+        rng = random.Random(p)
+        for _ in range(3):
+            gammas = draw_gammas(rng, delta, p, 3)
+            coeffs = [rng.choice([1, p - 1]) for _ in range(3)]
+            assert (i0_local(delta, gammas, p, coeffs)
+                    == tuple_count_i0(delta, gammas, p, coeffs))
+
+    def test_batch_is_the_tuples_one_by_one(self):
+        delta, p = (25, 0, 0, 1), 5
+        rng = random.Random(4)
+        batch = [draw_gammas(rng, delta, p, 2) for _ in range(7)]
+        assert i0_batch(delta, batch, p) == [i0_local(delta, g, p)
+                                             for g in batch]
+        assert i0_batch(delta, [], p) == []
+
+    def test_unit_part_of_the_character_table(self):
+        # l_a = c_a key: every character's splitting is its class's,
+        # with each u_j times c_a
+        p, v, q = 5, 2, 25
+        cls, inv_c, et, w, u = _character_table((25, 0, 0, 1), p, v)
+        assert len(cls) == q * q and len(et) < len(cls)
+        ell = expsums._characters((25, 0, 0, 1), p, v)
+        for a in range(0, q * q, 7):
+            key = line_key(tuple(ell[a].tolist()), p, v)
+            assert tuple(x * int(inv_c[a]) % q for x in ell[a]) == key

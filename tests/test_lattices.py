@@ -630,7 +630,9 @@ class TestRepNumbers:
             a, b = rep_number(m)
             assert a == b
         assert rep_numbers(200) == [rep_number(m) for m in range(1, 201)]
-        assert rep_numbers(0) == []
+        for top in (0, -3):  # an empty range is refused like m = 0
+            with pytest.raises(PreconditionError, match="m out of range"):
+                rep_numbers(top)
 
     def test_max_range_builds_one_table(self, monkeypatch, capsysbinary):
         from qcl import cli

@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
-from sympy import isprime
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, isprime
 
 from qcl.algebra import CycloSum
 from qcl.errors import PreconditionError
 from qcl.padic import (GaussSumParams, gauss_sum, gauss_sum_law_report,
-                       is_prime, line_key, line_multiple, pivot, punit, pval)
+                       is_prime, jordan_split, line_key, line_multiple, pivot,
+                       punit, pval)
 
 
 class TestValuation:
@@ -131,6 +133,46 @@ class TestLines:
         assert line_multiple((4, 7), (1, 2), 3, 0) == 0
         # entries are read mod p^k, negative ones included
         assert line_multiple((-2, -4), (1, 2), 3, 2) == 7
+
+
+@st.composite
+def symmetric_mod(draw, p, k):
+    """A symmetric 4x4 matrix mod p^k, each entry a random residue times
+    p^j for a drawn j <= k, so that every valuation pattern occurs."""
+    m = p ** k
+    a = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            x = draw(st.integers(0, m - 1)) * p ** draw(st.integers(0, k))
+            a[i][j] = a[j][i] = x % m
+    return a
+
+
+class TestJordanSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]).flatmap(
+        lambda g: st.tuples(st.just(g), symmetric_mod(*g))))
+    def test_splits_the_form(self, case):
+        # q = 3, 5, 9, 25, 27: e^T a e is diag(u_j p^(w_j)) mod q, every
+        # u_j a unit, and det e a unit
+        (p, k), a = case
+        m = p ** k
+        e, w, u = jordan_split(a, p, k)
+        d = (Matrix(e).T * Matrix(a) * Matrix(e)).applyfunc(lambda x: x % m)
+        assert d == Matrix.diag(*[uj * p ** wj % m for uj, wj in zip(u, w)])
+        assert all(uj % p for uj in u) and all(0 <= wj <= k for wj in w)
+        assert Matrix(e).det() % p
+
+    def test_off_diagonal_pivot_and_zero_form(self):
+        # the hyperbolic plane y0 y1 has no diagonal unit: e_0 += e_1
+        e, w, u = jordan_split([[0, 1], [1, 0]], 5, 2)
+        assert w == [0, 0] and all(x % 5 for x in u)
+        assert jordan_split([[0, 0], [0, 9]], 3, 2) == (
+            [[1, 0], [0, 1]], [2, 2], [1, 1])
+
+    def test_two_is_refused(self):
+        with pytest.raises(PreconditionError, match="odd prime"):
+            jordan_split([[1, 0], [0, 1]], 2, 3)
 
 
 class TestGaussSum:
