@@ -195,21 +195,15 @@ def _slot_coeffs(p, m, n, coeffs):
 
 
 def split_square_distribution(p, m, coeff=1):
-    """Distribution of coeff * Y^2 over M_2(Z/p^m), as a packed mass array
-    (the packing of `QuotientGroup([p^m] * 4)`): one bincount of the int32
-    key of every Y, refused past p^(4m) > `_GRID_CAP` (BudgetError) before
-    any array is built.
-
-    Y = (a, b, c, d) runs in lexicographic order, in blocks of at most
-    `_BLOCK_ROWS` matrices, each a run of leading pairs (a, b) broadcast
-    against c of shape (q, 1) and d of shape (q,), squared with
-    `mat_mul_flat`; the key is Horner over c (Y^2)_t mod q. Under the cap
-    q <= 56, an entry of Y^2 is below 2 q^2, its product with c mod q below
-    2 q^3 and a key below q^4, so int32 holds every step."""
+    """Distribution of coeff * Y^2 over M_2(Z/p^m), packed as in
+    `QuotientGroup([p^m] * 4)`: one bincount of the int32 key of every Y,
+    Horner over c (Y^2)_t mod q, in blocks of at most `_BLOCK_ROWS`
+    matrices, runs of leading pairs (a, b) broadcast against c and d.
+    Refuses p^(4m) > `_GRID_CAP` (BudgetError) first; under it, q <= 56
+    and every step stays below q^4 < 2^31."""
     q = p ** m
     if q ** 4 > _GRID_CAP:
         raise BudgetError(f"matrix grid {q}^4 exceeds budget")
-    c = coeff % q
     e = np.arange(q, dtype=np.int32)
     keys = np.empty(q ** 4, dtype=np.int32)
     step = _BLOCK_ROWS // (q * q)  # leading pairs per block
@@ -219,7 +213,7 @@ def split_square_distribution(p, m, coeff=1):
         y = a[:, None, None], b[:, None, None], e[:, None], e
         key = 0
         for entry in mat_mul_flat(y, y):
-            key = key * q + c * entry % q
+            key = key * q + coeff % q * entry % q
         keys[start * q * q:(start + len(a)) * q * q] = key.ravel()
     return np.bincount(keys, minlength=q ** 4)
 

@@ -3,11 +3,10 @@
 Main objects, all exact:
 
 * `i0_local` / `i0_batch`: the constrained oscillatory integral over n
-  matrix slots
+  matrix slots, for one gamma tuple or a batch of them at one delta,
   I0(delta, gamma) = avg over Y in O^n of
   [delta^{-1} P(Y) integral] * e(trd(gamma . Y) / det(delta)),
-  where P(Y) = sum of slotwise squares (with optional unit coefficients),
-  for one gamma tuple or for a batch of tuples at one delta.
+  where P(Y) = sum of slotwise squares (with optional unit coefficients).
 * `w_class_sum_report`: the volume of auxiliary matrices Z for which a
   target lies on the scalar line through Z times the cyclic image
   generator, in closed form (`_measure`), summed over the witness
@@ -31,48 +30,33 @@ so its fibres are those of X -> adj(delta) X mod q, and two slots sum to
 zero exactly when their keys do, digit by digit. At v = v_p(det delta),
 a is the content valuation of delta and w = v - 2a: the box has order q^2.
 
-I0 is one character sum over that box B. The average runs over Y mod
-q = p^v, v = v_p(det delta), and the phase of slot i is t_i . flat(Y_i),
-the row of tr(gamma_i Y_i) / u, u the unit part of det delta
-(`_trace_row`). Orthogonality on B, [key = 0] = |B|^-1 sum_{a in B}
-e(sum_k a_k key_k / r_k), turns the condition sum_i c_i key(Y_i^2) = 0
-into characters: q^(4n) |B| I0 = sum_{a in B} prod_i G(c_i l_a, t_i), with
-l_a = sum_k a_k (q / r_k) row_k (`_characters`) and
+I0 is one character sum over B: with q = p^v, v = v_p(det delta), and
+t_i . flat(Y_i) the phase of tr(gamma_i Y_i) / u, u the unit part of
+det delta, orthogonality on B gives q^(4n) |B| I0 = sum_{a in B}
+prod_i G(c_i l_a, t_i), with l_a = sum_k a_k (q / r_k) row_k and
 G(l, t) = sum_{Y mod q} e((l . flat(Y^2) + t . flat(Y)) / q).
 
-At odd p, l . flat(Y^2) is the quadratic form of the Gram matrix A with
-A00 = l0, A33 = l3, A12 = (l0 + l3)/2, A01 = A13 = l1/2, A02 = A23 = l2/2.
-A Jordan splitting E^T A E = diag(u_j p^(w_j)) mod q (`padic.jordan_split`,
-det E a unit) turns Y = E z into G = prod_j F(u_j p^(w_j), s_j), s = E^T t,
-with F(u p^w, s) = sum_{x mod q} e((u p^w x^2 + s x) / q):
+At odd p, l . flat(Y^2) has the Gram matrix A with A00 = l0, A33 = l3,
+A12 = (l0 + l3)/2, A01 = A13 = l1/2 and A02 = A23 = l2/2. A Jordan
+splitting E^T A E = diag(u_j p^(w_j)) mod q (`padic.jordan_split`) gives
+G = prod_j F(u_j p^(w_j), s_j), s = E^T t, F(u p^w, s) = sum_{x mod q}
+e((u p^w x^2 + s x) / q). At w = v, F = q [s = 0]. At w < v, x -> x +
+p^(v-w) y fixes u p^w x^2 and adds s y / p^w, so F = 0 unless p^w | s;
+then completing the square gives F = p^w e(-(s/p^w)^2 (4u)^-1 / p^(v-w))
+g(u, p^(v-w)), g(u, p^k) = sum_{x mod p^k} e(u x^2 / p^k), which is
+p^(k/2) at even k and p^((k-1)/2) (u/p) g1 at odd k, g1 = sum_{x mod p}
+e(x^2 / p), g1^2 = (-1)^((p-1)/2) p (Berndt, Evans and Williams, Gauss
+and Jacobi Sums, ch. 1). Each character adds +-p^P zeta_q^e g1^(0 or 1):
+two integer vectors, the odd one times g1 once, with no square root and
+no float. l = c key, or a slot coefficient c, scales each u_j by c and
+keeps E, so one split serves each unit class of l (`padic.line_key`).
 
-* at w = v, F = q [s = 0 mod q];
-* at w < v, x -> x + p^(v-w) y keeps u p^w x^2 mod q and adds s y / p^w to
-  the phase, so F = 0 unless p^w | s; else completing the square gives
-  F = p^w e(-(s/p^w)^2 (4u)^-1 / p^(v-w)) g(u, p^(v-w));
-* g(u, p^k) = sum_{x mod p^k} e(u x^2 / p^k) is p^(k/2) at even k and
-  p^((k-1)/2) (u/p) g1 at odd k, with g1 = sum_{x mod p} e(x^2 / p) and
-  g1^2 = (-1)^((p-1)/2) p (Berndt, Evans and Williams, Gauss and Jacobi
-  Sums, ch. 1).
-
-So each character adds +-p^P zeta_q^e g1^(0 or 1), and the sum is two
-integer vectors, the odd one times g1 once, as the sum of its p shifts by
-x^2 q/p (`_jordan_rows`). No square root and no float enters. The split
-is made once per unit class of l (`padic.line_key`): l = c key scales A by
-c, which keeps E and w and scales each u_j by c, and a slot coefficient
-does the same. So s, its vanishing test and the phase sum
-Phi = sum -(s/p^w)^2 (4 c_i u_j)^-1 p^w are read per (gamma, class), and a
-character of the class has phase c^-1 Phi and sign (c/p)^(n m) times the
-class's, m the number of odd v - w_j.
-
-At p = 2 (no 1/2) G is summed over the hyperbolic pair (`_pair_histograms`,
-valid at every p, and the tests' oracle for the Jordan path). With y0, y3
-fixed, (y1, y2) enters as k y1 y2 + b y1 + g y2 with k = l0 + l3,
-b = l1 (y0 + y3) + t1 and g = l2 (y0 + y3) + t2. The sum over y1 forces
-k y2 = -b mod q; with w = v_p(k) capped at v that needs p^w | b and puts
-y2 = y* = -(b/p^w) (k/p^w)^-1 mod p^(v-w), and the p^w lifts of y2 sum to
-q p^w [p^w | b, g] e(g y* / q). The pair (y0, y3) is summed directly: q^4
-work per slot, so p = 2 keeps the cap q^4 <= 10^7.
+At p = 2 (no 1/2), with y0, y3 fixed, (y1, y2) enters as k y1 y2 + b y1
++ g y2, k = l0 + l3, b = l1 (y0 + y3) + t1, g = l2 (y0 + y3) + t2. The
+sum over y1 forces k y2 = -b mod q: with w = v_p(k) capped at v, p^w | b
+and y2 = y* = -(b/p^w) (k/p^w)^-1 mod p^(v-w), so the pair sums to
+q p^w [p^w | b, g] e(g y* / q). (y0, y3) is summed directly: q^4 work
+per slot, valid at every p, and the tests' oracle for the Jordan path.
 
 Both witness objects rest on one Smith form: a flat 2x2 M mod m = p^v
 with a unit entry and det M = 0 mod m is diag(1, 0), so M = c x r with r
@@ -102,8 +86,7 @@ Summed over j and times m^2 / m^4, the volume is
 candidate t = g' eta = (g' c) x r mod m has c_t = g' c with r's unit
 entry, so s = v_p(t): `witness_report` takes `_volume` at that valuation.
 
-The one cache (`functools.lru_cache`, 16 entries) is `_character_table`,
-the Jordan data of every character per (delta, p, v).
+The one cache (`functools.lru_cache`, 16 entries) is `_character_table`.
 
 Matrices are passed as flat 4-tuples (e00, e01, e10, e11) of ints; their
 product, determinant and adjugate are the flat helpers of `qcl.algebra`.
@@ -128,8 +111,6 @@ from .padic import jordan_split, line_key, line_multiple, pivot, pval, punit
 _CHARACTER_CAP = 10 ** 7
 #: cap on the q^4 terms of one slot of the pair sum at p = 2
 _PAIR_CAP = 10 ** 7
-#: most (gamma, character) pairs of one block of `_jordan_rows`
-_BLOCK = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +118,9 @@ _BLOCK = 2 ** 18
 # ---------------------------------------------------------------------------
 
 
-def _slot_box(delta, p, vd, coeff):
-    """(rows, radii) of the closed-form box key of coeff * adj(delta) X mod
-    p^vd (module docstring), as rows against flat(X): r X mod p^b, one per
+def _slot_box(delta, p, vd):
+    """(rows, radii) of the closed-form box key of adj(delta) X mod p^vd
+    (module docstring), as rows against flat(X): r X mod p^b, one per
     column of X, then row j of X mod p^(b-w)."""
     adj = adj_flat(delta)
     i, a = pivot(adj, p, vd)  # a unit entry of E', in its first such row
@@ -148,87 +129,63 @@ def _slot_box(delta, p, vd, coeff):
     w = pval((e[0] * e[3] - e[1] * e[2]) % p ** b, p, cap=b)
     r0, r1 = e[i & 2], e[(i & 2) + 1]
     j = 2 - 2 * (i & 1)  # flat index of the first entry of row j
-    rows = [(r0, 0, r1, 0), (0, r0, 0, r1), FLAT_UNITS[j], FLAT_UNITS[j + 1]]
-    return ([[coeff * t for t in row] for row in rows],
+    return ([(r0, 0, r1, 0), (0, r0, 0, r1), FLAT_UNITS[j], FLAT_UNITS[j + 1]],
             (p ** b,) * 2 + (p ** (b - w),) * 2)
 
 
 def _characters(delta, p, v):
-    """l_a = sum_k a_k (q / r_k) row_k mod q, q = p^v, for every a in the
-    box of `_slot_box`, in C order of the box: a (|B|, 4) int64 array
-    (entries below q, and four products below 4 q^2 before the reduction)."""
+    """l_a mod q = p^v for every a in the box, in C order: (|B|, 4) int64."""
     q = p ** v
-    rows, radii = _slot_box(delta, p, v, 1)
+    rows, radii = _slot_box(delta, p, v)
     a = np.indices(radii).reshape(4, -1).T * (q // np.array(radii))
     return a @ (np.array(rows, dtype=np.int64) % q) % q
 
 
-def _valuations(x, p, v):
-    """v_p of each entry of an int64 array of residues mod p^v, capped at
-    v (so v at 0)."""
-    val = np.zeros(x.shape, dtype=np.int64)
-    for j in range(1, v + 1):
-        val += x % p ** j == 0
-    return val
-
-
 def _unit_inverses(q, p):
     """inv[x] = x^-1 mod q for every unit x mod q = p^v, 0 elsewhere."""
-    return np.array([pow(x, -1, q) if x % p else 0 for x in range(q)],
-                    dtype=np.int64)
+    return np.array([pow(x, -1, q) if x % p else 0 for x in range(q)])
 
 
-def _gram(l, half, q):
-    """The Gram matrix of Y -> l . flat(Y^2) mod q (module docstring),
-    with half = 2^-1 mod q."""
-    l0, l1, l2, l3 = (x * half % q for x in l)
-    return [[2 * l0, l1, l2, 0], [l1, 0, l0 + l3, l1],
-            [l2, l0 + l3, 0, l2], [0, l1, l2, 2 * l3]]
+def _legendre(x, p):
+    """(x/p) of each entry of an int64 array of units mod p."""
+    table = np.array([pow(r, (p - 1) // 2, p) for r in range(p)])
+    return np.where(table[x % p] == 1, 1, -1)
 
 
 @functools.lru_cache(maxsize=16)
 def _character_table(delta, p, v):
-    """The Jordan data of every character of the box at odd p, q = p^v:
-    (cls, inv_c, et, w, u), with l_a = c_a key mod q for the unit class key
-    number cls[a] of l_a (`padic.line_key`; c_a = 1 at l_a = 0),
-    inv_c[a] = c_a^-1 mod q, and et[k] = E^T, w[k] and u[k] the splitting
-    of key k's Gram matrix: one `jordan_split` per class.
-
-    Cached per (delta tuple, p, v); every array is read-only."""
-    q = p ** v
+    """(cls, inv_c, et, w, u) at odd p, q = p^v: l_a = c_a key mod q for
+    the unit class key number cls[a] of l_a (`padic.line_key`; c_a = 1 at
+    l_a = 0), inv_c[a] = c_a^-1 mod q, and E^T, w and u of each class's
+    `jordan_split`. Packed keys are below q^4 < 2^63. Cached per (delta
+    tuple, p, v), as read-only arrays."""
+    q, h = p ** v, (p ** v + 1) // 2  # h = 1/2 mod q
     ell = _characters(delta, p, v)
-    val = _valuations(ell, p, v)
-    rows = np.arange(len(ell))
-    piv = val.argmin(axis=1)  # the first entry of least valuation
-    lead = ell[rows, piv] // p ** val[rows, piv]  # its unit part, 0 at l = 0
+    pw = np.gcd(ell, q)  # p^(valuation capped at v)
+    piv = np.arange(len(ell)), pw.argmin(axis=1)  # the first least entry
+    lead = ell[piv] // pw[piv]  # its unit part, 0 at l = 0
     inv_c = _unit_inverses(q, p)[np.where(lead == 0, 1, lead)]
-    packed = (ell * inv_c[:, None] % q) @ q ** np.arange(3, -1, -1)  # < q^4
-    keys, cls = np.unique(packed, return_inverse=True)
-    splits = [jordan_split(_gram([k // q ** i % q for i in (3, 2, 1, 0)],
-                                 (q + 1) // 2, q), p, v)
-              for k in keys.tolist()]
-    et = np.array([e for e, _, _ in splits], dtype=np.int64).transpose(0, 2, 1)
-    w = np.array([w for _, w, _ in splits], dtype=np.int64)
-    u = np.array([u for _, _, u in splits], dtype=np.int64)
-    table = cls, inv_c, et, w, u
+    packed = (ell * inv_c[:, None] % q) @ q ** np.arange(4)
+    keys = np.sort(packed)  # np.unique would import numpy.ma, some 15 ms
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    cls = np.searchsorted(keys, packed)
+    splits = []
+    for k in keys.tolist():
+        l0, l1, l2, l3 = (k // q ** i % q * h for i in range(4))
+        splits.append(jordan_split([[2 * l0, l1, l2, 0], [l1, 0, l0 + l3, l1],
+                                    [l2, l0 + l3, 0, l2], [0, l1, l2, 2 * l3]],
+                                   p, v))
+    e, w, u = (np.array(x) for x in zip(*splits))
+    table = cls, inv_c, e.transpose(0, 2, 1), w, u
     for arr in table:
         arr.setflags(write=False)  # every caller shares the cached arrays
     return table
 
 
-def _legendre(x, p):
-    """(x/p) of every entry of an int64 array of units mod p, by Euler's
-    criterion on a table of the p residues."""
-    table = np.array([pow(r, (p - 1) // 2, p) for r in range(p)])
-    return np.where(table[x % p] == 1, 1, -1)
-
-
 def _factor_parts(uu, w, p, v):
     """(power, sign, odd, coef) with F(uu p^w, s) = [p^w | s] sign p^power
     g1^odd e(coef (s/p^w)^2 / q), q = p^v at odd p, entrywise for units uu
-    and 0 <= w <= v (module docstring): power = w + (v - w) // 2,
-    odd = (v - w) mod 2, sign = (uu/p) where odd, else 1, and
-    coef = -(4 uu)^-1 p^w mod q, 0 at w = v."""
+    and 0 <= w <= v (module docstring)."""
     q = p ** v
     odd = (v - w) % 2
     sign = np.where(odd == 1, _legendre(uu, p), 1)
@@ -237,143 +194,107 @@ def _factor_parts(uu, w, p, v):
 
 
 def _jordan_rows(delta, t, p, v, coeffs):
-    """(rows, scale) with I0 = rows[g] (zeta_q) / p^scale for the phase rows
-    t[g] (an (N, n, 4) int64 array mod q) of each gamma tuple at odd p, by
-    the character sum of the module docstring.
-
-    The factors of a class and slot (`_factor_parts`, with uu = c_i u_j)
-    give its P, g1 count and sign; Phi sums coef (s/p^w)^2 mod q.
-    Characters are binned by (gamma, weight class, phase), a weight class
-    being one (P, parity of the g1 count, sign), so each count is at most
-    q^2 and int64; the weights are +-p^(P - Pmin), Python ints, and the
-    rows are in int64 where (p + 1) q^2 max weight < 2^63, else Python
-    ints. Under the cap q <= 3162, s sums four products below q^2, and
-    every term of Phi and of c^-1 Phi is below q^2, all in int64."""
-    q = p ** v
-    n = len(coeffs)
+    """(rows, scale) with I0 = rows[g](zeta_q) / p^scale for the phase rows
+    t (N, n, 4) at odd p. Per class, s = E^T t_i decides vanishing and Phi
+    sums coef (s/p^w)^2; a character has phase c^-1 Phi and sign (c/p)^(n m)
+    times its class's. Counts by (gamma, weight +-p^(P - Pmin) and g1
+    parity, phase) are at most q^2; the rows are int64 where (p + 1) q^2
+    max weight < 2^63, else Python ints. Under the cap q <= 3162 every
+    other term stays below 4 q^2 in int64."""
+    q, n = p ** v, len(coeffs)
     cls, inv_c, et, w, u = _character_table(delta, p, v)
-    pw = p ** w
     uu = np.array(coeffs, dtype=np.int64)[:, None, None] * u % q
     power, sign, odd, coef = _factor_parts(uu, w, p, v)  # coef (n, C, 4)
-    m = odd.sum(axis=1)  # g1 factors per slot, (C,)
-    power = n * power.sum(axis=1) + n * m // 2
-    sign = sign.prod(axis=(0, 2))
-    if p % 4 == 3:  # g1^2 = -p
-        sign *= 1 - 2 * (n * m // 2 % 2)
-    # per character: P, g1 parity and sign, the last times (c/p)^(n m)
-    lo = int(power.min())
+    m = odd.sum(axis=1)
+    half = n * m // 2  # g1^(n m) = (+-p)^half g1^(n m mod 2)
+    power = n * power.sum(axis=1) + half
+    sign = sign.prod(axis=(0, 2)) * (-1) ** (half * (p % 4 == 3))
     sign = sign[cls] * _legendre(inv_c, p) ** (n * m[cls])
-    kinds, wid = np.unique((power[cls] - lo) * 4 + n * m[cls] % 2 * 2
-                           + (sign < 0), return_inverse=True)
-    parities = kinds // 2 % 2
-    weights = [(-1) ** (k % 2) * p ** (k // 4) for k in kinds.tolist()]
-    nw = len(weights)
-    big = (p + 1) * len(cls) * max(map(abs, weights)) >= 2 ** 63
-    dtype = object if big else np.int64
-    out = np.zeros((len(t), 2, q), dtype=dtype)
-    step = max(1, _BLOCK // len(cls))
-    for start in range(0, len(t), step):
-        tb = t[start:start + step]
-        ok = np.ones((len(tb), len(et)), dtype=bool)
-        phi = np.zeros((len(tb), len(et)), dtype=np.int64)
-        for i in range(n):
-            s = np.einsum("cjr,gr->gcj", et, tb[:, i]) % q
-            ok &= (s % pw == 0).all(axis=2)
-            phi += (coef[i] * ((s // pw) ** 2 % q)).sum(axis=2)
-            phi %= q
-        phase = inv_c * phi[:, cls] % q
-        gid = np.arange(len(tb))[:, None] * nw + wid
-        counts = np.bincount((gid * q + phase)[ok[:, cls]],
-                             minlength=len(tb) * nw * q)
-        counts = counts.reshape(len(tb), nw, q)
-        for k, (weight, parity) in enumerate(zip(weights, parities)):
-            out[start:start + len(tb), parity] += (
-                counts[:, k].astype(dtype) * weight)
-    shift = q // p
-    rows = out[:, 0] + sum(np.roll(out[:, 1], x * x * shift % q, axis=1)
-                           for x in range(p))
+    lo = int(power.min())
+    wid = (power[cls] - lo) * 4 + n * m[cls] % 2 * 2 + (sign < 0)
+    nw = int(wid.max()) + 1
+    dtype = (object if (p + 1) * len(cls) * p ** ((nw - 1) // 4) >= 2 ** 63
+             else np.int64)
+    weights = np.array([[(-1) ** k * p ** (k // 4) * (k // 2 % 2 == j)
+                         for j in (0, 1)] for k in range(nw)], dtype)
+    pw, ok = p ** w, np.ones((len(t), len(et)), dtype=bool)
+    phi = np.zeros(ok.shape, dtype=np.int64)
+    for i in range(n):
+        s = np.einsum("cjr,gr->gcj", et, t[:, i]) % q
+        ok &= (s % pw == 0).all(axis=2)
+        phi = (phi + (coef[i] * ((s // pw) ** 2 % q)).sum(axis=2)) % q
+    key = (np.arange(len(t))[:, None] * nw + wid) * q
+    key += inv_c * phi[:, cls] % q
+    counts = np.bincount(key[ok[:, cls]], minlength=len(t) * nw * q)
+    even, odd = np.tensordot(counts.reshape(len(t), nw, q).astype(dtype),
+                             weights, axes=(1, 0)).transpose(2, 0, 1)
+    rows = even + sum(np.roll(odd, x * x * q // p, axis=1) for x in range(p))
     return rows, (4 * n + 2) * v - lo
 
 
 def _pair_histograms(ell, t, p, v):
-    """hist with G(l_a, t) = q p^(w_a) sum_e hist[a, e] zeta_q^e, for each
-    row l_a of ell, w_a = v_p(l_a0 + l_a3) capped at v: the hyperbolic-pair
-    sum of the module docstring, valid at every p. The pair (y0, y3) runs
-    as (y0, z = y0 + y3): z fixes b, g and y*, kept where p^w divides b
-    and g, and y0 adds k y0^2 + (t0 - t3 - 2 l3 z) y0 to the phase. Under
-    the cap q <= 56 every term is below 2 q^3 in int64, and each count at
-    most q^2."""
+    """hist with G(l_a, t) = q p^w sum_e hist[a, e] zeta_q^e for each row
+    l_a of ell, w = v_p(l_a0 + l_a3) capped at v, at any p: (y0, y3) runs
+    as (y0, z = y0 + y3), z fixes b, g and y*, and y0 adds k y0^2 +
+    (t0 - t3 - 2 l3 z) y0. Under the cap q <= 56 terms stay below 2 q^3."""
     q = p ** v
     kappa = (ell[:, 0] + ell[:, 3]) % q
-    pw = p ** _valuations(kappa, p, v)
+    pw = np.gcd(kappa, q)  # p^w
     kinv = _unit_inverses(q, p)[kappa // pw % q]
-    z = np.arange(q, dtype=np.int64)
+    z = np.arange(q)
     beta = (ell[:, 1:2] * z + t[1]) % q
     gam = (ell[:, 2:3] * z + t[2]) % q
     a, z = np.nonzero((beta % pw[:, None] == 0) & (gam % pw[:, None] == 0))
     ystar = -(beta[a, z] // pw[a]) * kinv[a] % (q // pw[a])
     const = (ell[a, 3] * z * z + t[3] * z + gam[a, z] * ystar) % q
     lin = (t[0] - t[3] - 2 * ell[a, 3] * z) % q
-    y0 = np.arange(q, dtype=np.int64)
-    phase = (kappa[a, None] * (y0 * y0) + lin[:, None] * y0
-             + const[:, None]) % q
-    return np.bincount((a[:, None] * q + phase).ravel(),
-                       minlength=len(ell) * q).reshape(-1, q)
-
-
-def _cyclic_convolve(x, y, q):
-    """out[a, r] = sum_s x[a, s] y[a, r - s mod q] for nonnegative (A, q)
-    count arrays, in the `algebra.count_dtype` of their largest rows."""
-    dtype = count_dtype(x, int(x.sum(axis=1).max()),
-                        y, int(y.sum(axis=1).max()))
-    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    r = np.arange(q)
-    return (x[:, None, :] * y[:, (r[:, None] - r) % q]).sum(axis=2)
+    y0 = np.arange(q, dtype=np.int32)
+    table = (y0[:, None, None] * y0 * y0 + y0[:, None] * y0) % q  # k, lin
+    key = table[kappa[a], lin] + const[:, None].astype(np.int32)
+    key %= q
+    key += (a * q).astype(np.int32)[:, None]
+    return np.bincount(key.ravel(), minlength=len(ell) * q).reshape(-1, q)
 
 
 def _pair_row(delta, t, p, v, coeffs):
-    """The row with I0 = row(zeta_q) / p^((3n + 2) v) for the phase rows t
-    (n, 4) of one gamma tuple: the pair histograms of every character and
-    slot, convolved over the slots per character and weighted by
-    (q p^w)^n, w the same for every slot (a unit coefficient keeps
-    v_p(l0 + l3)); the rows of one w are summed in Python ints."""
+    """The row with I0 = row(zeta_q) / p^((4n + 2) v) for the phase rows t
+    (n, 4) of one gamma tuple: per character the cyclic convolution of its
+    slots' pair histograms (in their `algebra.count_dtype`), times
+    (q p^w)^n, as a unit coefficient keeps w."""
     q = p ** v
     ell = _characters(delta, p, v)
-    w = _valuations((ell[:, 0] + ell[:, 3]) % q, p, v)
     acc = np.zeros((len(ell), q), dtype=np.int64)
     acc[:, 0] = 1
+    diff = np.subtract.outer(np.arange(q), np.arange(q)) % q
     for c, ti in zip(coeffs, t):
-        acc = _cyclic_convolve(acc, _pair_histograms(c * ell % q, ti, p, v), q)
-    return sum(acc[w == k].sum(axis=0, dtype=object) * p ** (len(t) * k)
-               for k in range(v + 1))
+        hist = _pair_histograms(c * ell % q, ti, p, v)
+        dtype = count_dtype(acc, int(acc.sum(axis=1).max()),
+                            hist, int(hist.sum(axis=1).max()))
+        acc = (acc.astype(dtype)[:, None, :]
+               * hist.astype(dtype)[:, diff]).sum(axis=2)
+    pw = np.gcd(ell[:, 0] + ell[:, 3], q)  # p^w
+    return sum(acc[pw == p ** w].sum(axis=0, dtype=object)
+               * (q * p ** w) ** len(t) for w in range(v + 1))
 
 
 def i0_batch(delta, batch, p, coeffs=None):
-    """Exact I0(delta, gamma) as a CycloSum for every gamma tuple of the
-    batch, each a list of n flat matrices, one per slot.
-
-    delta: flat 2x2 integer matrix with nonzero determinant; coeffs:
-    optional unit coefficients of the slotwise squares in P(Y), one per
-    slot of every tuple."""
+    """Exact I0(delta, gamma) as a CycloSum for each gamma tuple of the
+    batch (n flat matrices, one per slot) at a flat integer delta with
+    det delta != 0; coeffs: optional unit coefficients of the squares."""
     rows, vd, scale = _i0_rows(delta, batch, p, coeffs)
     return [CycloSum(p, vd, row, scale) for row in rows.tolist()]
 
 
 def _i0_rows(delta, batch, p, coeffs):
     """(rows, v, scale) with I0 = rows[g](zeta_{p^v}) / p^scale for each
-    gamma tuple of the batch (`i0_batch`).
-
-    The average runs over Y mod p^v, v = v_p(det delta), which suffices:
-    both the divisibility condition and the phase only depend on Y mod p^v.
-    The character sum of the module docstring refuses more than
-    `_CHARACTER_CAP` characters q^2 at odd p, and q^4 > `_PAIR_CAP` at
-    p = 2 (BudgetError), before any array is built."""
+    gamma tuple, averaged over Y mod p^v, v = v_p(det delta), on which the
+    condition and phase depend. Refuses q^2 > `_CHARACTER_CAP` at odd p
+    and q^4 > `_PAIR_CAP` at p = 2 (BudgetError) before any array."""
     det = det_flat(delta)
     if det == 0:
         raise PreconditionError("delta must be invertible over the fractions")
     vd = pval(det, p)
-    if coeffs is None:
-        coeffs = [1] * (len(batch[0]) if batch else 0)
+    coeffs = [1] * len(batch[0] if batch else ()) if coeffs is None else coeffs
     if any(len(gammas) != len(coeffs) for gammas in batch):
         raise PreconditionError("need one coefficient per slot")
     if vd == 0:
@@ -381,18 +302,16 @@ def _i0_rows(delta, batch, p, coeffs):
     if any(c % p == 0 for c in coeffs):
         raise PreconditionError("slot coefficients must be units")
     q, n = p ** vd, len(coeffs)
-    if p == 2 and q ** 4 > _PAIR_CAP:
-        raise BudgetError(f"pair sum {q}^4 exceeds budget")
-    if q * q > _CHARACTER_CAP:
-        raise BudgetError(f"{q}^2 characters exceed budget")
+    if p == 2 and q ** 4 > _PAIR_CAP or q * q > _CHARACTER_CAP:
+        raise BudgetError(f"I0 at q = {q} exceeds budget")
     inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
     t = np.array([[_trace_row(g, q, inv_u) for g in gammas]
                   for gammas in batch], dtype=np.int64)
-    t = t.reshape(len(batch), n, 4)  # an empty batch too
+    t = t.reshape(len(batch), n, 4)
     coeffs = [c % q for c in coeffs]
     if p == 2:
         return (np.array([_pair_row(delta, tg, p, vd, coeffs) for tg in t]),
-                vd, (3 * n + 2) * vd)
+                vd, (4 * n + 2) * vd)
     rows, scale = _jordan_rows(tuple(delta), t, p, vd, coeffs)
     return rows, vd, scale
 
@@ -403,8 +322,7 @@ def _trace_row(g, q, unit=1):
 
 
 def i0_local(delta, gammas, p, coeffs=None):
-    """Exact I0(delta, gamma) as a CycloSum for one gamma tuple: the batch
-    of one (`i0_batch`)."""
+    """Exact I0(delta, gamma) as a CycloSum: `i0_batch` of one tuple."""
     return i0_batch(delta, [gammas], p, coeffs)[0]
 
 
@@ -576,20 +494,16 @@ def local_integral_audit(p, n, vds=(1, 2), max_gammas=200, seed=0):
                 raise VerificationError(
                     f"class sum {total} exceeds {bound} for eta={eta}")
             level = p ** vd
-            space = level ** (4 * n)
-            if space <= 10 ** 4:
-                gamma_iter = itertools.product(
-                    itertools.product(range(level), repeat=4), repeat=n)
+            if level ** (4 * n) <= 10 ** 4:
+                batch = list(itertools.product(
+                    itertools.product(range(level), repeat=4), repeat=n))
             else:
-                gamma_iter = (
+                batch = [
                     tuple(tuple(rng.randrange(level) * rng.choice([1, p ** vdel])
                                 for _ in range(4)) for _ in range(n))
-                    for _ in range(max_gammas))
+                    for _ in range(max_gammas)]
             count = nz = 0
-            gammas_list = list(gamma_iter)
-            vals = i0_batch(delta, [[list(g) for g in gammas]
-                                    for gammas in gammas_list], p)
-            for gammas, val in zip(gammas_list, vals):
+            for gammas, val in zip(batch, i0_batch(delta, batch, p)):
                 rep = witness_report(delta, list(gammas), p)
                 if not rep["supported"]:
                     if not val.is_zero():
@@ -641,33 +555,26 @@ def s2_closed(q, n):
 
 
 def s2_count(q, n):
-    """S2 = #{Y in M_2(F_q)^n : adj(delta) sum Y_i^2 = 0} at
-    delta = diag(q, 1): S3 at gamma = 0."""
-    return s3_count(q, n, [[(0, 0, 0, 0)] * n])[0]
-
-
-def s3_count(q, n, gamma_list):
-    """S3 = #{Y : adj(delta) sum Y_i^2 = 0, sum tr(gamma_i Y_i) = 0 mod q}
-    at delta = diag(q, 1), q prime, for each gamma tuple of the list
-    (`_prime_level`)."""
-    return [s3 for s3, _ in _prime_level(q, n, gamma_list)]
+    """S2 = #{Y in M_2(F_q)^n : adj(delta) sum Y_i^2 = 0} = q^(4n) I0(delta, 0)
+    at delta = diag(q, 1)."""
+    return int(i0_local((q, 0, 0, 1), [(0, 0, 0, 0)] * n, q).to_fraction()
+               * q ** (4 * n))
 
 
 def _prime_level(q, n, gamma_list):
-    """(S3, I0) at delta = diag(q, 1), q prime, for each gamma tuple of the
-    list, from one batch of rows (`_i0_rows`) over the tuples lam gamma,
-    lam mod q: the phase unit is 1, so Fourier inversion of the phase
-    condition gives S3 = q^(4n-1) sum_lam I0(delta, lam gamma), read from
-    one CycloSum of the summed rows, which must be an integer
-    (VerificationError)."""
+    """(S3, I0) at delta = diag(q, 1), q prime, for each gamma tuple, with
+    S3 = #{Y : adj(delta) sum Y_i^2 = 0, sum tr(gamma_i Y_i) = 0 mod q} =
+    q^(4n-1) sum_{lam mod q} I0(delta, lam gamma) by Fourier inversion (the
+    phase unit is 1): the rows of one batch, summed over lam into one
+    CycloSum, which must be an integer (VerificationError)."""
     batch = [[[lam * x for x in g] for g in gammas]
              for gammas in gamma_list for lam in range(q)]
     rows, _, scale = _i0_rows((q, 0, 0, 1), batch, q, [1] * n)
     rows = rows.reshape(len(gamma_list), q, q)  # level 1: rows mod q
     out = []
     for lam_rows, total in zip(rows.tolist(), rows.sum(axis=1, dtype=object)):
-        s3 = (CycloSum(q, 1, total.tolist(), scale)
-              * q ** (4 * n - 1)).canonical()
+        s3 = (CycloSum(q, 1, total.tolist(), scale) * q ** (4 * n - 1)
+              ).canonical()
         if not s3.is_rational() or s3.to_fraction().denominator != 1:
             raise VerificationError("S3 by Fourier inversion is no integer")
         out.append((int(s3.to_fraction()), CycloSum(q, 1, lam_rows[1], scale)))
@@ -733,13 +640,9 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
     delta = (q, 0, 0, 1)
     report = {"q": q, "n": n, "checked": 0, "case_histogram": {}}
 
-    s2b = s2_count(q, n)
+    s2b = s2_count(q, n)  # q^{4n} I0(delta, 0)
     if s2b != s2_closed(q, n):
         raise VerificationError("closed S2 formula mismatch")
-    # identity (zero gamma): q^{4n} I0(delta, 0) = S2
-    i00 = i0_local(delta, [(0, 0, 0, 0)] * n, q)
-    if (i00 * q ** (4 * n) - CycloSum.from_int(s2b, q)).is_zero() is False:
-        raise VerificationError("I0 at zero gamma does not match S2")
     report["s2"] = s2b
 
     gammas_seen = []
@@ -764,22 +667,16 @@ def prime_case_report(q, n, num_gamma=500, seed=0):
         report["case_histogram"][case] = report["case_histogram"].get(case, 0) + 1
         report["checked"] += 1
 
-    # symmetry under unit multiplications and homogeneity; the draws come
-    # first, so one batch at delta serves every g and its multiple
-    draws = []
+    # symmetry under unit multiplications and homogeneity
     for _ in range(20):
         g = [[rng.randrange(q) for _ in range(4)] for _ in range(n)]
         a = rng.choice([1] + list(range(2, q)))
+        val, val_a = i0_batch(delta, [g, [[a * x % q for x in gi] for gi in g]],
+                              q)
+        if (val - val_a).is_zero() is False:
+            raise VerificationError("scalar homogeneity failed")
         alpha, alpha_inv = _random_unit_pair(q, rng)
         beta = _random_unit_pair(q, rng)[0]
-        draws.append((g, a, alpha, alpha_inv, beta))
-    vals = i0_batch(delta, [gs for g, a, *_ in draws
-                            for gs in (g, [[a * x % q for x in gi] for gi in g])],
-                    q)
-    for k, (g, a, alpha, alpha_inv, beta) in enumerate(draws):
-        val = vals[2 * k]
-        if (val - vals[2 * k + 1]).is_zero() is False:
-            raise VerificationError("scalar homogeneity failed")
         d2 = mat_mul_flat(mat_mul_flat(alpha, delta), beta)
         g2 = [mat_mul_flat(mat_mul_flat(alpha, tuple(gi)), alpha_inv) for gi in g]
         if (val - i0_local(d2, g2, q)).is_zero() is False:

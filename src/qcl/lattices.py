@@ -480,8 +480,7 @@ def rep_number(m):
 
 
 def rep_numbers(top):
-    """[rep_number(m) for m = 1, ..., top], reading one table of r; top
-    lies in the range of m, [1, 10^6]."""
+    """[rep_number(m) for m = 1, ..., top], reading one table of r."""
     if not 1 <= top <= 10 ** 6:
         raise PreconditionError("m out of range")
     table = norm_counts(top)

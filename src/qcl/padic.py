@@ -5,6 +5,7 @@
   key of a unit class (`line_key`) and the multiplier onto a line
   (`line_multiple`)
 * a primality test for the prime a request names (`is_prime`)
+* the Jordan splitting of a quadratic form at an odd prime (`jordan_split`)
 * exact one-variable quadratic exponential sums over Z_p and their laws,
   each law decided exactly on CycloSum values
 
@@ -92,51 +93,39 @@ def line_multiple(t, g, p, k):
 
 
 def jordan_split(a, p, k):
-    """(e, w, u) with e^T a e = diag(u_j p^(w_j)) mod p^k for a symmetric
-    integer matrix a (a list of rows) and an odd prime p: a Jordan
-    splitting over Z_p (Cassels, Rational Quadratic Forms, ch. 8). The
-    columns of e are the new basis and det e is a unit mod p; each u_j is a
-    unit, and w_j = k with u_j = 1 where the form vanishes mod p^k.
-
-    Symmetric elimination on an entry of least valuation of the block not
-    yet split, a diagonal one first: an off-diagonal pivot a_rs, whose
-    diagonal entries then have larger valuation, moves to the diagonal by
-    e_r += e_s (a_rr + 2 a_rs + a_ss keeps its valuation, as 2 is a unit);
-    it is swapped to the front, and e_t -= (a_jt / a_jj) e_j clears its
-    row, the ratio being integral at the least valuation."""
+    """(e, w, u) with e^T a e = diag(u_j p^(w_j)) mod p^k, det e and each
+    u_j units, for a symmetric integer matrix a (rows) at an odd prime p:
+    a Jordan splitting over Z_p (Cassels, Rational Quadratic Forms, ch. 8),
+    with w_j = k, u_j = 1 where the form vanishes mod p^k. Symmetric
+    elimination on an entry of least valuation among the rows not yet
+    split, a diagonal one first: an off-diagonal pivot a_rs moves to the
+    diagonal by e_r += e_s (a_rr + 2 a_rs + a_ss keeps its valuation, as 2
+    is a unit), then e_t -= (a_rt / a_rr) e_r clears row r."""
     if p == 2:
         raise PreconditionError("a Jordan splitting here needs an odd prime")
-    m = p ** k
-    size = len(a)
+    m, size = p ** k, len(a)
     g = [[x % m for x in row] for row in a]
     e = [[int(i == j) for j in range(size)] for i in range(size)]
+    w, u, todo = [k] * size, [1] * size, list(range(size))
 
     def add(dst, src, f):  # e_dst += f e_src, a congruence of g
         for row in e + g:
             row[dst] = (row[dst] + f * row[src]) % m
         g[dst] = [(x + f * y) % m for x, y in zip(g[dst], g[src])]
 
-    def swap(i, j):
-        for row in e + g:
-            row[i], row[j] = row[j], row[i]
-        g[i], g[j] = g[j], g[i]
-
-    w, u = [], []
-    for j in range(size):
-        vj, _, r, s = min((pval(g[r][s], p, cap=k), r != s, r, s)
-                          for r in range(j, size) for s in range(r, size))
-        if vj == k:
-            return e, w + [k] * (size - j), u + [1] * (size - j)
+    while todo:
+        w_r, _, r, s = min((pval(g[r][s], p, cap=k), r != s, r, s)
+                           for i, r in enumerate(todo) for s in todo[i:])
+        if w_r == k:
+            break
         if r != s:
             add(r, s, 1)
-        swap(j, r)
-        pj, rest = p ** vj, p ** (k - vj)
-        unit = g[j][j] // pj
-        inv = pow(unit, -1, rest)
-        for t in range(j + 1, size):
-            add(t, j, -(g[j][t] // pj) * inv % rest)
-        w.append(vj)
-        u.append(unit)
+        todo.remove(r)
+        rest = p ** (k - w_r)
+        w[r], u[r] = w_r, g[r][r] // p ** w_r
+        inv = pow(u[r], -1, rest)
+        for t in todo:
+            add(t, r, -(g[r][t] // p ** w_r) * inv % rest)
     return e, w, u
 
 

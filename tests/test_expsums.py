@@ -19,7 +19,7 @@ from qcl.expsums import (
     _character_table, _measure, _pair_row, _right_image, _slot_box,
     _trace_row, cyclo_abs_sq, i0_batch, i0_local, local_integral_audit,
     matrix_cyclic_generator, prime_case_report, s2_closed, s2_count,
-    s3_closed, s3_count, split_primitive_part, w_class_sum_report,
+    s3_closed, split_primitive_part, w_class_sum_report,
     witness_report, x2_count,
 )
 from qcl.geometry import hessian_matrix
@@ -191,11 +191,17 @@ def _unpack(keys, q):
     return np.stack([keys // q ** (3 - t) % q for t in range(4)], axis=1)
 
 
+def slot_box(delta, p, vd, coeff):
+    """`_slot_box` of coeff * adj(delta) X: its rows times coeff."""
+    rows, radii = _slot_box(delta, p, vd)
+    return [[coeff * t for t in row] for row in rows], radii
+
+
 def _slot_solutions(delta, p, vd, coeff):
     """S = {Y mod q : coeff * adj(delta) Y^2 = 0 mod q}, q = p^vd, the rows
     of box key 0 in one pass of `grid_square_keys`, as an (|S|, 4) array."""
     q = p ** vd
-    rows, radii = _slot_box(delta, p, vd, coeff)
+    rows, radii = slot_box(delta, p, vd, coeff)
     sol, start = [], 0
     for keys in grid_square_keys(rows, q, radii):
         sol.append(start + np.flatnonzero(keys == 0))
@@ -208,7 +214,7 @@ def _slot_static(delta, p, vd, coeff):
     index of coeff * adj(delta) Y^2 (`_slot_box`) for every Y, and neg[k],
     the index of the digitwise negation of box element k; a box past 2^16
     is refused."""
-    rows, radii = _slot_box(delta, p, vd, coeff)
+    rows, radii = slot_box(delta, p, vd, coeff)
     blocks = grid_square_keys(rows, p ** vd, radii)
     if np.prod(radii) > 2 ** 16:
         raise PreconditionError(f"key box {radii} too large for uint16")
@@ -858,6 +864,11 @@ class TestLocalIntegralAudit:
             assert i0_local(delta, [g], p).is_zero()
 
 
+def s3_count(q, n, gamma_list):
+    """S3 of each gamma tuple by Fourier inversion of I0 (`_prime_level`)."""
+    return [s3 for s3, _ in expsums._prime_level(q, n, gamma_list)]
+
+
 class TestPrimeCase:
     def test_x2_values(self):
         assert x2_count(3, [0, 0]) == 1
@@ -1032,7 +1043,7 @@ class TestGridKernel:
         # order q^2 when vd = v_p(det delta)
         (p, vd), delta = case
         q = p ** vd
-        rows, radii = _slot_box(delta, p, vd, 1)
+        rows, radii = _slot_box(delta, p, vd)
         mats = all_mats(q)
         box, dense = box_keys(rows, radii, mats), dense_slot_keys(delta, mats, q)
         assert np.array_equal(box == 0, dense == 0)
@@ -1055,7 +1066,7 @@ class TestGridKernel:
         sol = _slot_solutions(delta, p, vd, coeff)
         want_uniq, want_inv = slot_static_oracle(delta, p, vd, coeff)
         assert np.array_equal(sol, all_mats(qc)[want_inv == 0])
-        rows, radii = _slot_box(delta, p, vd, 1)
+        rows, radii = _slot_box(delta, p, vd)
         if np.prod(radii) > 2 ** 16:
             with pytest.raises(PreconditionError):
                 _slot_static(delta, p, vd, coeff)
@@ -1306,7 +1317,7 @@ def pair_i0(delta, gammas, p, coeffs=None):
     inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
     t = np.array([_trace_row(g, q, inv_u) for g in gammas], dtype=np.int64)
     return CycloSum(p, vd, _pair_row(delta, t, p, vd, coeffs).tolist(),
-                    (3 * len(gammas) + 2) * vd)
+                    (4 * len(gammas) + 2) * vd)
 
 
 def tuple_count_i0(delta, gammas, p, coeffs=None):
