@@ -217,11 +217,10 @@ def _jordan_rows(delta, t, p, v, coeffs):
              else np.int64)
     weights = np.array([[(-1) ** k * p ** (k // 4) * (k // 2 % 2 == j)
                          for j in (0, 1)] for k in range(nw)], dtype)
-    pw, ok = p ** w, np.ones((len(t), len(et)), dtype=bool)
-    phi = np.zeros(ok.shape, dtype=np.int64)
+    pw, ok, phi = p ** w, True, 0
     for i in range(n):
         s = np.einsum("cjr,gr->gcj", et, t[:, i]) % q
-        ok &= (s % pw == 0).all(axis=2)
+        ok = ok & (s % pw == 0).all(axis=2)
         phi = (phi + (coef[i] * ((s // pw) ** 2 % q)).sum(axis=2)) % q
     key = (np.arange(len(t))[:, None] * nw + wid) * q
     key += inv_c * phi[:, cls] % q
@@ -236,7 +235,7 @@ def _pair_histograms(ell, t, p, v):
     """hist with G(l_a, t) = q p^w sum_e hist[a, e] zeta_q^e for each row
     l_a of ell, w = v_p(l_a0 + l_a3) capped at v, at any p: (y0, y3) runs
     as (y0, z = y0 + y3), z fixes b, g and y*, and y0 adds k y0^2 +
-    (t0 - t3 - 2 l3 z) y0. Under the cap q <= 56 terms stay below 2 q^3."""
+    (t0 - t3 - 2 l3 z) y0. Under the cap q <= 56 a key stays below 3 q^3."""
     q = p ** v
     kappa = (ell[:, 0] + ell[:, 3]) % q
     pw = np.gcd(kappa, q)  # p^w
@@ -250,10 +249,9 @@ def _pair_histograms(ell, t, p, v):
     lin = (t[0] - t[3] - 2 * ell[a, 3] * z) % q
     y0 = np.arange(q, dtype=np.int32)
     table = (y0[:, None, None] * y0 * y0 + y0[:, None] * y0) % q  # k, lin
-    key = table[kappa[a], lin] + const[:, None].astype(np.int32)
-    key %= q
-    key += (a * q).astype(np.int32)[:, None]
-    return np.bincount(key.ravel(), minlength=len(ell) * q).reshape(-1, q)
+    key = table[kappa[a], lin] + (a * 2 * q + const).astype(np.int32)[:, None]
+    hist = np.bincount(key.ravel(), minlength=len(ell) * 2 * q)
+    return hist.reshape(-1, 2, q).sum(axis=1)  # phases below 2 q, folded
 
 
 def _pair_row(delta, t, p, v, coeffs):
@@ -263,15 +261,15 @@ def _pair_row(delta, t, p, v, coeffs):
     (q p^w)^n, as a unit coefficient keeps w."""
     q = p ** v
     ell = _characters(delta, p, v)
-    acc = np.zeros((len(ell), q), dtype=np.int64)
-    acc[:, 0] = 1
-    diff = np.subtract.outer(np.arange(q), np.arange(q)) % q
+    diff, acc = np.subtract.outer(np.arange(q), np.arange(q)) % q, None
     for c, ti in zip(coeffs, t):
         hist = _pair_histograms(c * ell % q, ti, p, v)
-        dtype = count_dtype(acc, int(acc.sum(axis=1).max()),
-                            hist, int(hist.sum(axis=1).max()))
-        acc = (acc.astype(dtype)[:, None, :]
-               * hist.astype(dtype)[:, diff]).sum(axis=2)
+        if acc is not None:
+            dtype = count_dtype(acc, int(acc.sum(axis=1).max()),
+                                hist, int(hist.sum(axis=1).max()))
+            hist = (acc.astype(dtype)[:, None, :]
+                    * hist.astype(dtype)[:, diff]).sum(axis=2)
+        acc = hist
     pw = np.gcd(ell[:, 0] + ell[:, 3], q)  # p^w
     return sum(acc[pw == p ** w].sum(axis=0, dtype=object)
                * (q * p ** w) ** len(t) for w in range(v + 1))
@@ -297,7 +295,7 @@ def _i0_rows(delta, batch, p, coeffs):
     coeffs = [1] * len(batch[0] if batch else ()) if coeffs is None else coeffs
     if any(len(gammas) != len(coeffs) for gammas in batch):
         raise PreconditionError("need one coefficient per slot")
-    if vd == 0:
+    if vd == 0 or not coeffs:  # I0 = 1
         return np.ones((len(batch), 1), dtype=np.int64), 0, 0
     if any(c % p == 0 for c in coeffs):
         raise PreconditionError("slot coefficients must be units")
