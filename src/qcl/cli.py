@@ -431,7 +431,7 @@ def expsum(opts, p, delta, gammas):
         gs = [_parse_coords(g) for g in gammas]
         val = i0_local(d, gs, p)
         rep = witness_report(d, [tuple(g) for g in gs], p)
-        return {"p": p, "value": _cyclo_out(val), "is_zero": val.is_zero(),
+        return {"p": p, "value": val, "is_zero": val == 0,
                 "supported": rep["supported"]}
 
     _emit(opts, "expsum", params, compute)

@@ -377,7 +377,14 @@ def singular_series(n, split_primes, m, include_two=True):
     """Partial product of local densities at level m over the given odd
     split primes, times the nonsplit factor at 2. Returns (value_fraction,
     per_prime dict). A split prime p > 3 runs at level min(m, 2): levels
-    above 2 are clamped there, while callers still report the m asked."""
+    above 2 are clamped there, while callers still report the m asked.
+    Refuses 2 as a split prime, whose factor is the nonsplit one, and a
+    product of no factor (PreconditionError)."""
+    if 2 in split_primes:
+        raise PreconditionError(
+            "2 is no split prime: its factor is the nonsplit one")
+    if not split_primes and not include_two:
+        raise PreconditionError("the partial series needs a local factor")
     per = {}
     acc = Fraction(1)
     if include_two:
@@ -385,8 +392,6 @@ def singular_series(n, split_primes, m, include_two=True):
         per[2] = d2
         acc *= d2
     for p in split_primes:
-        if p == 2:
-            continue
         d = split_density(p, min(m, 2) if p > 3 else m, n)
         per[p] = d
         acc *= d

@@ -209,6 +209,22 @@ class TestExitCodes:
                               capsysbinary)
         assert (code, out) == (2, b"")
 
+    @pytest.mark.parametrize("primes", [["2", "--skip-two"], ["2,3"]],
+                             ids=["two-alone", "two-and-three"])
+    def test_singular_refuses_two_as_a_split_prime(self, capsysbinary,
+                                                   primes):
+        # 2 has the nonsplit factor: alone it answered the empty product
+        # 1, beside 3 it was dropped without a word
+        code, out = _run_main(["--no-cache", "singular", "--n", "3",
+                               "--primes", *primes], capsysbinary)
+        assert (code, out) == (2, b"")
+
+    def test_singular_needs_a_local_factor(self, capsysbinary):
+        # no split prime and --skip-two: no factor to multiply
+        code, out = _run_main(["--no-cache", "singular", "--n", "3",
+                               "--primes", "", "--skip-two"], capsysbinary)
+        assert (code, out) == (2, b"")
+
     @pytest.mark.parametrize("engine", ["brute", "both"])
     def test_traceless_has_no_other_engine(self, capsysbinary, engine):
         # the traceless count ran whatever the engine, which only moved
@@ -583,6 +599,39 @@ class TestImportPaths:
         assert runs[0].returncode == 0, runs[0].stderr.decode()
         assert runs[0].stdout == runs[1].stdout != b""
 
+    @pytest.mark.parametrize("args", [
+        ["expsum", "--p", "5", "--delta", "25,0,0,1", "--gamma", "1,2,3,4"],
+        ["expsum", "--p", "3", "--delta", "9,0,0,1", "--gamma", "1,0,0,1",
+         "--gamma", "2,1,0,1", "--gamma", "0,1,1,0"],
+        ["audit", "prime-case"],
+        ["audit", "local-integrals"],
+    ], ids=["expsum-p5", "expsum-p3-three-slots", "prime-case",
+            "local-integrals"])
+    def test_odd_p_integrals_run_without_numpy(self, args, tmp_path):
+        # I0 at odd p is a class sum in Python integers; numpy is
+        # imported only by the pair sum at p = 2
+        env = dict(os.environ, QCL_CACHE_DIR=str(tmp_path / "cache"))
+        proc = subprocess.run([sys.executable, "-c", _BLOCKED_RUN,
+                               "--no-cache", *args], capture_output=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)["result"]
+
+    def test_expsums_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qcl.cli, qcl.expsums; "
+             "print(sorted(m for m in sys.modules if 'numpy' in m))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_two_adic_expsum_reads_numpy(self, tmp_path):
+        # the pair sum at p = 2 still answers, and loads numpy itself
+        _, modules = _probe_modules(
+            ["--no-cache", "expsum", "--p", "2", "--delta", "32,0,0,1",
+             "--gamma", "1,0,0,1", "--gamma", "1,1,0,0"], tmp_path / "cache")
+        assert "numpy" in modules
+
     def test_cache_hit_loads_only_the_cli(self, tmp_path):
         # a later eager import in the CLI would put these back on every hit
         args = ["gauss", "--p", "7", "--va", "1", "--vt", "3", "--xi", "0"]
@@ -725,8 +774,9 @@ class TestStdoutDiff:
         assert "no qcl/cli.py under" in proc.stderr
         assert proc.stdout == ""
 
-    # gauss, lattice, repnum and a nonzero-shift delta-check need neither
-    # numpy nor mpmath, so they run on a bare interpreter
+    # gauss, lattice, repnum, a nonzero-shift delta-check, odd-p expsum
+    # and the prime-case audit need neither numpy nor mpmath, so they run
+    # on a bare interpreter
     def test_numpy_free_commands_match_on_other_interpreters(self, tmp_path):
         pythons = _other_pythons()
         if not pythons:
@@ -737,7 +787,11 @@ class TestStdoutDiff:
             "lattice --k 19 --m 19 --eta -2,-3,-5,0 --minima\n"
             "delta-check --q 16 --alpha 3,-1,2,5\n"
             "delta-check --q 8 --alpha 0,0,0,0\n"
-            "repnum --max 30\n")
+            "repnum --max 30\n"
+            "expsum --p 5 --delta 25,0,0,1 --gamma 1,2,3,4\n"
+            "expsum --p 3 --delta 9,0,0,1 --gamma 1,0,0,1 --gamma 2,1,0,1"
+            " --gamma 0,1,1,0\n"
+            "audit prime-case\n")
         for python in pythons:
             proc = subprocess.run(
                 [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
@@ -745,4 +799,4 @@ class TestStdoutDiff:
                  str(ROOT / "src"), str(requests)],
                 capture_output=True, text=True)
             assert proc.returncode == 0, (python, proc.stdout + proc.stderr)
-            assert "5 requests, 0 differ" in proc.stderr, python
+            assert "8 requests, 0 differ" in proc.stderr, python

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -16,15 +18,15 @@ from qcl.algebra import (
 from qcl.densities import split_square_distribution
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
-    _character_table, _measure, _pair_row, _right_image, _slot_box,
-    _trace_row, cyclo_abs_sq, i0_batch, i0_local, local_integral_audit,
-    matrix_cyclic_generator, prime_case_report, s2_closed, s2_count,
-    s3_closed, split_primitive_part, w_class_sum_report,
+    _characters, _class_representatives, _class_table, _measure, _pair_row,
+    _right_image, _slot_box, _trace_row, _unit_sum, cyclo_abs_sq, i0_local,
+    local_integral_audit, matrix_cyclic_generator, prime_case_report,
+    s2_closed, s2_count, s3_closed, split_primitive_part, w_class_sum_report,
     witness_report, x2_count,
 )
 from qcl.geometry import hessian_matrix
-from qcl.padic import (GaussSumParams, gauss_sum, line_key, line_multiple,
-                       pval, punit)
+from qcl.padic import (GaussSumParams, gauss_sum, jordan_split, line_key,
+                       line_multiple, pval, punit)
 
 
 # The dense whole-grid forms that the blocked kernels replaced, kept as their
@@ -452,7 +454,7 @@ class TestI0Local:
     def test_pinned_value_n1_q3(self):
         # at gamma = 0 the integral is the solution density: 15/81 at q=3
         v = i0_local((3, 0, 0, 1), [(0, 0, 0, 0)], 3)
-        assert v.to_fraction() == Fraction(15, 81)
+        assert v == Fraction(15, 81)
         assert s2_count(3, 1) == 15
 
     @pytest.mark.parametrize("p,vd,n", [(3, 1, 1), (3, 1, 2), (5, 1, 1), (3, 2, 1)])
@@ -463,7 +465,7 @@ class TestI0Local:
             gammas = [tuple(rng.randrange(p ** vd) for _ in range(4))
                       for _ in range(n)]
             assert (i0_local(delta, gammas, p)
-                    - i0_brute(delta, gammas, p)).is_zero()
+                    == i0_brute(delta, gammas, p).to_fraction())
 
     def test_higher_level_is_redundant(self):
         # averaging over p^{vd+1} gives the same exact value
@@ -475,7 +477,7 @@ class TestI0Local:
             gammas = [tuple(rng.randrange(p ** 2) for _ in range(4))]
             a = i0_local(delta, gammas, p)
             b = i0_brute(delta, gammas, p, level=2)
-            assert (a - b).is_zero()
+            assert a == b.to_fraction()
 
     def test_unit_coefficients(self):
         p = 3
@@ -483,7 +485,7 @@ class TestI0Local:
         g = [(1, 2, 0, 1)]
         a = i0_local(delta, g, p, coeffs=[2])
         b = i0_brute(delta, g, p, coeffs=[2])
-        assert (a - b).is_zero()
+        assert a == b.to_fraction()
 
     @pytest.mark.parametrize("n,coeffs", [(1, [1, 2]), (2, [1]), (1, [])])
     def test_one_coefficient_per_slot(self, n, coeffs):
@@ -501,7 +503,7 @@ class TestI0Local:
         acc = CycloSum.from_int(0, p)
         for z in itertools.product(range(p), repeat=4):
             acc = acc + phase_integral_z(z, delta, g, p)
-        assert (acc * Fraction(1, p ** 4) - direct).is_zero()
+        assert (acc * Fraction(1, p ** 4)).to_fraction() == direct
 
 
 def w_measure(m0, eta, p):
@@ -861,7 +863,7 @@ class TestLocalIntegralAudit:
         p = 3
         delta = (p, 0, 0, p)
         for g in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1), (2, 0, 1, 0)]:
-            assert i0_local(delta, [g], p).is_zero()
+            assert i0_local(delta, [g], p) == 0
 
 
 def s3_count(q, n, gamma_list):
@@ -1114,7 +1116,7 @@ class TestGridKernel:
         counts = np.bincount(phase[want_inv == 0], minlength=qc)
         want = CycloSum(p, vd, {r: int(c) for r, c in enumerate(counts) if c},
                         scale=4 * vd)
-        assert (i0_local(delta, [g], p) - want).is_zero()
+        assert i0_local(delta, [g], p) == want.to_fraction()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([p ** level for p, level in GRIDS]),
@@ -1122,7 +1124,7 @@ class TestGridKernel:
     def test_right_image_histogram_matches_grid_matmul(self, m, b):
         # the image, each w once, and one fiber size shared by every w
         hist = right_image_histogram(b, m)
-        image = _pack(_right_image(b, m), m)
+        image = _pack(np.array(_right_image(b, m)), m)
         assert np.array_equal(np.sort(image), np.flatnonzero(hist))
         assert np.all(hist[image] * len(image) == m ** 4)
 
@@ -1172,9 +1174,9 @@ class TestGridKernel:
                                   _trace_pair(all_mats(q), g, q))
 
     @staticmethod
-    def _count_kernel(monkeypatch, name, module=sys.modules[__name__]):
-        """Record the calls of one function of a module, by default of the
-        grid oracle here."""
+    def _count_kernel(monkeypatch, name):
+        """Record the calls of one function of the grid oracle here."""
+        module = sys.modules[__name__]
         kernel = getattr(module, name)
         calls = []
 
@@ -1187,18 +1189,24 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_slot_keys_built_once_per_delta(self, n):
-        # the gamma-independent character table of one (delta, p) is built
-        # once and serves every gamma and every slot coefficient
-        _character_table.cache_clear()
+        # the gamma-independent class table of one (delta, p) and one
+        # coefficient tuple mod q is built once and serves every gamma
+        _class_table.cache_clear()
         delta = (9, 0, 0, 1)
         first = i0_local(delta, [(1, 2, 0, 1)] * n, 3)
-        second = i0_local(delta, [(0, 1, 1, 2)] * n, 3, coeffs=[2] * n)
-        info = _character_table.cache_info()
+        second = i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+        info = _class_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        _character_table.cache_clear()
+        third = i0_local(delta, [(0, 1, 1, 2)] * n, 3, coeffs=[2] * n)
+        assert third == i0_local(delta, [(0, 1, 1, 2)] * n, 3,
+                                 coeffs=[11] * n)  # 11 = 2 mod 9
+        info = _class_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        _class_table.cache_clear()
         assert first == i0_local(delta, [(1, 2, 0, 1)] * n, 3)
-        assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3,
-                                  coeffs=[2] * n)
+        assert second == i0_local(delta, [(0, 1, 1, 2)] * n, 3)
+        assert third == i0_local(delta, [(0, 1, 1, 2)] * n, 3,
+                                 coeffs=[2] * n)
 
     @pytest.mark.parametrize("coeffs,passes", [([1, 1], 1), ([1, 10], 1),
                                                ([1, 2], 2)])
@@ -1209,18 +1217,19 @@ class TestGridKernel:
         want = grid_i0((9, 0, 0, 1), [(1, 2, 0, 1)] * 2, 3, coeffs=coeffs)
         assert len(calls) == passes
         assert i0_local((9, 0, 0, 1), [(1, 2, 0, 1)] * 2, 3,
-                        coeffs=coeffs) == want
+                        coeffs=coeffs) == want.to_fraction()
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_prime_case_reads_every_gamma_from_one_batch(self, n,
-                                                         monkeypatch):
-        # S3 and I0 of every gamma of the loop come from one batch of
-        # rows, so more gammas add no batch
-        calls = self._count_kernel(monkeypatch, "_i0_rows", expsums)
-        prime_case_report(3, n, num_gamma=0, seed=2)
-        base = len(calls)
-        prime_case_report(3, n, num_gamma=12, seed=2)
-        assert len(calls) == 2 * base
+    def test_prime_case_reads_every_gamma_from_one_batch(self, n):
+        # S3 and I0 of every gamma of the loop, at every lam, read one
+        # class table, so more gammas build no table
+        rng = random.Random(n)
+        gammas = [tuple(tuple(rng.randrange(3) for _ in range(4))
+                        for _ in range(n)) for _ in range(12)]
+        _class_table.cache_clear()
+        expsums._prime_level(3, n, gammas)
+        info = _class_table.cache_info()
+        assert (info.misses, info.hits) == (1, 12 * 3 - 1)
 
     def test_mul_matrices_match_the_product(self):
         rng = random.Random(4)
@@ -1234,7 +1243,7 @@ class TestGridKernel:
         # no int64 array per grid row or per m^4 residue: the whole-grid
         # path peaked at 10.4 MiB here
         delta, gammas, p = (25, 0, 0, 1), [(5, 10, 0, 5)] * 2, 5
-        _character_table.cache_clear()
+        _class_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local(delta, gammas, p)
@@ -1246,30 +1255,30 @@ class TestGridKernel:
         assert peak < 5 * 2 ** 20
 
     def test_one_slot_builds_no_grid_table(self):
-        # one slot keeps the character table alone, 2401 characters at
-        # q = 49: a bool bitmap of the q^4 = 5,764,801 possible keys would
-        # pass the bound by itself
-        _character_table.cache_clear()
+        # one slot keeps the class table alone, 65 classes of the 2401
+        # characters at q = 49: a bool bitmap of the q^4 = 5,764,801
+        # possible keys would pass the bound by itself
+        _class_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local((49, 0, 0, 1), [(7, 14, 0, 7)], 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _character_table.cache_info().currsize == 1
+        assert _class_table.cache_info().currsize == 1
         assert peak < 4 * 2 ** 20
 
     def test_two_slots_keep_one_index(self):
-        # two slots read the one character table of one slot; the grid
+        # two slots read one class table, as one slot does; the grid
         # path's uint16 box index of every Y took 11 MiB at q = 49
-        _character_table.cache_clear()
+        _class_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local((49, 0, 0, 1), [(7, 14, 0, 7)] * 2, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _character_table.cache_info().currsize == 1
+        assert _class_table.cache_info().currsize == 1
         assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("delta", [(25, 0, 0, 1), (5, 1, 0, 5),
@@ -1278,7 +1287,7 @@ class TestGridKernel:
     def test_witness_moduli_stay_small(self, delta, n):
         # the (q^4, 4) grid path peaked near 50 MB here
         gammas = [(5, 10, 0, 5)] * n
-        _character_table.cache_clear()
+        _class_table.cache_clear()
         tracemalloc.start()
         try:
             i0_local(delta, gammas, 5)
@@ -1344,6 +1353,108 @@ def tuple_count_i0(delta, gammas, p, coeffs=None):
     return CycloSum(p, vd, counts.tolist(), scale=4 * n * vd)
 
 
+# The character-table path that `i0_local` ran at odd p before the class
+# sum, kept as its oracle: all q^2 characters l_a as numpy arrays, one
+# Jordan splitting per unit class of l_a (`padic.line_key`), and per
+# character a weight +-p^P g1^(0 or 1) at the phase c^-1 Phi, binned into
+# two integer rows per gamma tuple, the odd one times g1 once.
+
+
+def _unit_inverses(q, p):
+    """inv[x] = x^-1 mod q for every unit x mod q = p^v, 0 elsewhere."""
+    return np.array([pow(x, -1, q) if x % p else 0 for x in range(q)])
+
+
+def _legendre(x, p):
+    """(x/p) of each entry of an int64 array of units mod p."""
+    table = np.array([pow(r, (p - 1) // 2, p) for r in range(p)])
+    return np.where(table[x % p] == 1, 1, -1)
+
+
+@functools.lru_cache(maxsize=16)
+def character_table(delta, p, v):
+    """(cls, inv_c, et, w, u) at odd p, q = p^v: l_a = c_a key mod q for
+    the unit class key number cls[a] of l_a (c_a = 1 at l_a = 0),
+    inv_c[a] = c_a^-1 mod q, and E^T, w and u of each class's
+    `jordan_split`. Packed keys are below q^4 < 2^63."""
+    q, h = p ** v, (p ** v + 1) // 2  # h = 1/2 mod q
+    ell = _characters(delta, p, v)
+    pw = np.gcd(ell, q)  # p^(valuation capped at v)
+    piv = np.arange(len(ell)), pw.argmin(axis=1)  # the first least entry
+    lead = ell[piv] // pw[piv]  # its unit part, 0 at l = 0
+    inv_c = _unit_inverses(q, p)[np.where(lead == 0, 1, lead)]
+    packed = (ell * inv_c[:, None] % q) @ q ** np.arange(4)
+    keys = np.unique(packed)
+    cls = np.searchsorted(keys, packed)
+    splits = []
+    for k in keys.tolist():
+        l0, l1, l2, l3 = (k // q ** i % q * h for i in range(4))
+        splits.append(jordan_split([[2 * l0, l1, l2, 0], [l1, 0, l0 + l3, l1],
+                                    [l2, l0 + l3, 0, l2], [0, l1, l2, 2 * l3]],
+                                   p, v))
+    e, w, u = (np.array(x) for x in zip(*splits))
+    return cls, inv_c, e.transpose(0, 2, 1), w, u
+
+
+def factor_parts(uu, w, p, v):
+    """(power, sign, odd, coef) with F(uu p^w, s) = [p^w | s] sign p^power
+    g1^odd e(coef (s/p^w)^2 / q), q = p^v at odd p, entrywise for units uu
+    and 0 <= w <= v."""
+    q = p ** v
+    odd = (v - w) % 2
+    sign = np.where(odd == 1, _legendre(uu, p), 1)
+    coef = -_unit_inverses(q, p)[4 * uu % q] * p ** w % q
+    return w + (v - w) // 2, sign, odd, coef
+
+
+def jordan_rows(delta, t, p, v, coeffs):
+    """(rows, scale) with I0 = rows[g](zeta_q) / p^scale for the phase rows
+    t (N, n, 4) at odd p. Per class, s = E^T t_i decides vanishing and Phi
+    sums coef (s/p^w)^2; a character has phase c^-1 Phi and sign (c/p)^(n m)
+    times its class's, binned by (gamma, weight +-p^(P - Pmin) and g1
+    parity, phase) in Python ints."""
+    q, n = p ** v, len(coeffs)
+    cls, inv_c, et, w, u = character_table(delta, p, v)
+    uu = np.array(coeffs, dtype=np.int64)[:, None, None] * u % q
+    power, sign, odd, coef = factor_parts(uu, w, p, v)  # coef (n, C, 4)
+    m = odd.sum(axis=1)
+    half = n * m // 2  # g1^(n m) = (+-p)^half g1^(n m mod 2)
+    power = n * power.sum(axis=1) + half
+    sign = sign.prod(axis=(0, 2)) * (-1) ** (half * (p % 4 == 3))
+    sign = sign[cls] * _legendre(inv_c, p) ** (n * m[cls])
+    lo = int(power.min())
+    wid = (power[cls] - lo) * 4 + n * m[cls] % 2 * 2 + (sign < 0)
+    nw = int(wid.max()) + 1
+    weights = np.array([[(-1) ** k * p ** (k // 4) * (k // 2 % 2 == j)
+                         for j in (0, 1)] for k in range(nw)], object)
+    pw, ok, phi = p ** w, True, 0
+    for i in range(n):
+        s = np.einsum("cjr,gr->gcj", et, t[:, i]) % q
+        ok = ok & (s % pw == 0).all(axis=2)
+        phi = (phi + (coef[i] * ((s // pw) ** 2 % q)).sum(axis=2)) % q
+    key = (np.arange(len(t))[:, None] * nw + wid) * q
+    key += inv_c * phi[:, cls] % q
+    counts = np.bincount(key[ok[:, cls]], minlength=len(t) * nw * q)
+    even, odd = np.tensordot(counts.reshape(len(t), nw, q).astype(object),
+                             weights, axes=(1, 0)).transpose(2, 0, 1)
+    rows = even + sum(np.roll(odd, x * x * q // p, axis=1) for x in range(p))
+    return rows, (4 * n + 2) * v - lo
+
+
+def character_i0(delta, batch, p, coeffs=None):
+    """I0 of each gamma tuple of the batch on the character-table path, as
+    CycloSums, at odd p and v_p(det delta) > 0."""
+    det = det_flat(delta)
+    vd = pval(det, p)
+    q, n = p ** vd, len(batch[0])
+    coeffs = [c % q for c in coeffs or [1] * n]
+    inv_u = pow(punit(det, p, p ** (vd + 1)), -1, q)
+    t = np.array([[_trace_row(g, q, inv_u) for g in gammas]
+                  for gammas in batch], dtype=np.int64).reshape(-1, n, 4)
+    rows, scale = jordan_rows(tuple(delta), t, p, vd, coeffs)
+    return [CycloSum(p, vd, row, scale) for row in rows.tolist()]
+
+
 def draw_gammas(rng, delta, p, n):
     """n seeded gamma matrices mod the level of delta, each entry scaled
     by 1 or the content p^vdel of delta, so that some tuples are
@@ -1367,14 +1478,14 @@ class TestGridOracle:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("p,delta", ORACLE_DELTAS)
     def test_i0_matches_the_grid_path(self, p, delta, n):
-        # mixed unit coefficients, one batch against one grid call a tuple
+        # mixed unit coefficients, three gamma tuples
         rng = random.Random(f"{p}:{delta}:{n}")
         batch = [draw_gammas(rng, delta, p, n) for _ in range(3)]
         coeffs = [rng.choice([c for c in range(1, 2 * p + 2) if c % p])
                   for _ in range(n)]
-        vals = i0_batch(delta, batch, p, coeffs)
-        assert vals == [grid_i0(delta, gammas, p, coeffs) for gammas in batch]
-        assert vals[0] == i0_local(delta, batch[0], p, coeffs)
+        assert ([i0_local(delta, gammas, p, coeffs) for gammas in batch]
+                == [grid_i0(delta, gammas, p, coeffs).to_fraction()
+                    for gammas in batch])
 
     @pytest.mark.parametrize("p,delta", [(3, (3, 0, 0, 1)), (3, (9, 0, 0, 1)),
                                          (5, (5, 0, 0, 1)), (2, (4, 0, 0, 1))])
@@ -1393,14 +1504,14 @@ class TestCharacterSum:
     @given(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]),
            st.data())
     def test_factor_is_the_gauss_sum(self, grid, data):
-        # F(u p^w, s) from `_factor_parts` against q * gauss_sum of the
-        # same parameters: a = u p^w, t = q, xi = s
+        # F(u p^w, s) from the oracle's `factor_parts` against q *
+        # gauss_sum of the same parameters: a = u p^w, t = q, xi = s
         p, v = grid
         q = p ** v
         u = data.draw(unit_mod(p)) % q
         w = data.draw(st.integers(0, v))
         s = data.draw(st.integers(0, q - 1))
-        power, sign, odd, coef = (int(x) for x in expsums._factor_parts(
+        power, sign, odd, coef = (int(x) for x in factor_parts(
             np.array(u), np.array(w), p, v))
         got = CycloSum.from_int(0, p)
         if s % p ** w == 0:
@@ -1423,41 +1534,151 @@ class TestCharacterSum:
                                          (5, (25, 0, 0, 1)), (7, (7, 0, 0, 1)),
                                          (3, (1, 1, -2, 1))])
     def test_jordan_path_matches_the_pair_sum(self, p, delta, n):
-        # at odd p, any slot count, mixed unit coefficients
+        # the class sum at odd p, any slot count, mixed unit coefficients
         rng = random.Random(f"{p}:{delta}:{n}")
         coeffs = [rng.choice([1, 2, p + 1, 2 * p - 1]) for _ in range(n)]
         for _ in range(3):
             gammas = draw_gammas(rng, delta, p, n)
             assert (i0_local(delta, gammas, p, coeffs)
-                    == pair_i0(delta, gammas, p, coeffs))
+                    == pair_i0(delta, gammas, p, coeffs).to_fraction())
 
     @pytest.mark.parametrize("p,delta", [(2, (2, 0, 0, 1)), (2, (1, 1, -1, 1)),
                                          (3, (3, 0, 0, 1)), (3, (1, 1, -2, 1))])
     def test_three_slots_match_the_tuple_count(self, p, delta):
-        # the character sum at p = 2 and p = 3, level 1, against all
-        # q^12 slot tuples
+        # the pair sum at p = 2 and the class sum at p = 3, level 1,
+        # against all q^12 slot tuples
         rng = random.Random(p)
         for _ in range(3):
             gammas = draw_gammas(rng, delta, p, 3)
             coeffs = [rng.choice([1, p - 1]) for _ in range(3)]
             assert (i0_local(delta, gammas, p, coeffs)
-                    == tuple_count_i0(delta, gammas, p, coeffs))
+                    == tuple_count_i0(delta, gammas, p, coeffs).to_fraction())
 
     def test_batch_is_the_tuples_one_by_one(self):
+        # the oracle's batch of rows against the class sum tuple by tuple
         delta, p = (25, 0, 0, 1), 5
         rng = random.Random(4)
         batch = [draw_gammas(rng, delta, p, 2) for _ in range(7)]
-        assert i0_batch(delta, batch, p) == [i0_local(delta, g, p)
-                                             for g in batch]
-        assert i0_batch(delta, [], p) == []
+        assert ([v.to_fraction() for v in character_i0(delta, batch, p)]
+                == [i0_local(delta, g, p) for g in batch])
 
     def test_unit_part_of_the_character_table(self):
-        # l_a = c_a key: every character's splitting is its class's,
-        # with each u_j times c_a
-        p, v, q = 5, 2, 25
-        cls, inv_c, et, w, u = _character_table((25, 0, 0, 1), p, v)
-        assert len(cls) == q * q and len(et) < len(cls)
-        ell = expsums._characters((25, 0, 0, 1), p, v)
-        for a in range(0, q * q, 7):
-            key = line_key(tuple(ell[a].tolist()), p, v)
-            assert tuple(x * int(inv_c[a]) % q for x in ell[a]) == key
+        # the class table holds one entry per unit class of the q^2
+        # characters, a class of order p^o holding phi(p^o) of them, and
+        # each representative's l is its class key up to a unit
+        p, v, q, delta = 5, 2, 25, (25, 0, 0, 1)
+        cls, inv_c, et, w, u = character_table(delta, p, v)
+        size, classes = _class_table(delta, p, v, (1,))
+        assert size == len(cls) == q * q and len(classes) == len(et)
+        rows, radii = _slot_box(delta, p, v)
+        reps = _class_representatives(radii, p)
+        orders = sorted((p - 1) * p ** (o - 1) if o else 1 for _, o in reps)
+        assert orders == sorted(np.bincount(cls).tolist())
+        ell = _characters(delta, p, v)
+        keys = {line_key(tuple(x), p, v) for x in ell.tolist()}
+        assert {line_key([sum(x * (q // r) * row[k] for x, r, row
+                              in zip(a, radii, rows)) % q for k in range(4)],
+                         p, v) for a, _ in reps} == keys
+
+
+# the deltas of the class-sum oracle test: every audit delta at p = 3, 5, 7
+# (levels 1 and 2), three at p = 3 and level 3, and the content deltas
+CLASS_DELTAS = ([(p, delta) for p in (3, 5, 7) for vd in (1, 2)
+                 for delta in expsums._audit_deltas(p, vd)]
+                + [(3, (27, 0, 0, 1)), (3, (9, 3, 0, 3)), (3, (3, 1, 0, 9)),
+                   (3, (3, 0, 0, 3))])
+
+
+@st.composite
+def class_boxes(draw):
+    """(p, radii): p in {3, 5, 7} and one to four radii p^b, b <= 3, with
+    |B| <= 10^5, so that the list of representatives stays small."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    radii, room = [], 10 ** 5
+    for _ in range(draw(st.integers(1, 4))):
+        top = max(b for b in range(4) if p ** b <= room)
+        radii.append(p ** draw(st.integers(0, top)))
+        room //= radii[-1]
+    return p, tuple(radii)
+
+
+def box_elements(radii):
+    return itertools.product(*(range(r) for r in radii))
+
+
+class TestClassSum:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p,delta", CLASS_DELTAS)
+    def test_i0_matches_the_character_sum(self, p, delta, n):
+        # the class sum against the character-table oracle, whose value
+        # must itself be rational, with mixed unit coefficients
+        rng = random.Random(f"class:{p}:{delta}:{n}")
+        batch = [draw_gammas(rng, delta, p, n) for _ in range(4)]
+        coeffs = [rng.choice([c for c in range(1, 3 * p) if c % p])
+                  for _ in range(n)]
+        want = [v.to_fraction() for v in character_i0(delta, batch, p, coeffs)]
+        assert [i0_local(delta, g, p, coeffs) for g in batch] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(class_boxes())
+    def test_representatives_partition_the_box(self, box):
+        # the unit orbits of the representatives are disjoint and cover B
+        # (exhaustively for |B| <= 10^4), and every element moves onto its
+        # representative by the inverse of its pivot's unit part
+        p, radii = box
+        reps = _class_representatives(radii, p)
+        assert len(set(reps)) == len(reps)
+        orbit_sizes = sum((p - 1) * p ** (o - 1) if o else 1 for _, o in reps)
+        assert orbit_sizes == math.prod(radii)
+        if math.prod(radii) > 10 ** 4:
+            return
+        seen = {}
+        for a, o in reps:
+            for c in range(1, p ** o if o else 2):
+                if c % p:
+                    x = tuple(c * ak % r for ak, r in zip(a, radii))
+                    assert x not in seen
+                    seen[x] = a
+        assert len(seen) == math.prod(radii)
+        rep_set = {a for a, _ in reps}
+        for x in box_elements(radii):
+            orders = [r // math.gcd(xk, r) for xk, r in zip(x, radii)]
+            top = max(orders)
+            if top == 1:
+                assert seen[x] == x == (0,) * len(radii)
+                continue
+            i = orders.index(top)
+            unit = x[i] // (radii[i] // top)
+            y = tuple(pow(unit, -1, top) * xk % r for xk, r in zip(x, radii))
+            assert y in rep_set and seen[x] == y
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("o", [1, 2, 3])
+    def test_unit_sums_are_the_direct_sums(self, p, o):
+        # both closed forms against sum over units c of chi(c) e(c x/p^o),
+        # chi trivial or (c/p), the latter times g1, at every x
+        m = p ** o
+        g1 = CycloSum(p, 1, [sum(y * y % p == r for y in range(p))
+                             for r in range(p)])
+        chi = {c: 1 if pow(c, (p - 1) // 2, p) == 1 else -1
+               for c in range(m) if c % p}
+        for x in range(m):
+            plain, twisted = [0] * m, [0] * m
+            for c, sign in chi.items():
+                plain[c * x % m] += 1
+                twisted[c * x % m] += sign
+            assert CycloSum(p, o, plain) == _unit_sum(x, p, o, 0)
+            assert CycloSum(p, o, twisted) * g1 == _unit_sum(x, p, o, 1)
+        assert _unit_sum(5, p, 0, 0) == 1
+
+    def test_orbit_count_certificate_refuses(self):
+        # radii that are no powers of p leave classes that do not add up
+        with pytest.raises(VerificationError, match="unit classes"):
+            _class_representatives((6, 3, 1, 1), 3)
+
+    def test_pair_sum_certificate_refuses(self, monkeypatch):
+        # at p = 2 a value with a root of unity left is refused
+        monkeypatch.setattr(expsums, "_pair_row",
+                            lambda delta, t, p, v, coeffs: [0, 1] + [0] * 6)
+        with pytest.raises(VerificationError, match="not rational"):
+            i0_local((8, 0, 0, 1), [(1, 0, 0, 1)], 2)
