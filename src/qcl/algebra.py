@@ -3,14 +3,13 @@ exact values of prime-power exponential sums.
 
 The flat 4-tuple helpers below (2x2 product, determinant, trace, adjugate
 and the quaternion product) are the one definition of that arithmetic; the
-exponential sums, the geometry checks, HurwitzQuat, the nonsplit densities
+exponential sums, the geometry checks, HurwitzQuat, the box densities
 and the counting boxes all use them. `quat_mul_flat` multiplies in any
 quaternion algebra (a, b): Hamilton's (-1, -1), or at an odd prime p the
 local division order (u, p) on (1, s, P, sP), s^2 = u a non-square unit,
 P^2 = p. Exact on Python ints, and on numpy arrays within their dtype:
-int64 columns, or blocks that broadcast against each other, as the int32
-blocks of `densities.split_square_distribution` do, where one call
-multiplies whole arrays of elements.
+int64 columns, or blocks that broadcast against each other, where one
+call multiplies whole arrays of elements.
 
 A CycloSum, the exact value of a prime-power exponential sum, is one dense
 tuple of p^k Python ints at one prime p: canonical form is one row
@@ -78,15 +77,6 @@ def quat_mul_flat(x, y, a=-1, b=-1):
             x0 * y1 + x1 * y0 - b * (x2 * y3 - x3 * y2),
             x0 * y2 + x2 * y0 + a * (x1 * y3 - x3 * y1),
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
-
-
-def smallest_nonresidue(p):
-    """Smallest positive quadratic non-residue mod an odd prime: the u of
-    the local division order, the algebra (u, p) of `quat_mul_flat`."""
-    for u in range(2, p):
-        if pow(u, (p - 1) // 2, p) == p - 1:
-            return u
-    raise PreconditionError(f"{p} has no non-residue; not an odd prime?")
 
 
 def doubled_mul_flat(x, y):

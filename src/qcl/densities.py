@@ -2,17 +2,33 @@
 P(Y) = sum_i c_i Y_i^2 = 0 over 2x2 matrix rings (split places), over the
 ramified quaternion order (nonsplit places), and over the reals.
 
-Finite-place densities are exact rationals computed by convolving the
-per-slot distribution of Y^2 over the relevant finite quotient group and
-reading off the mass at zero in the zero-count tree `algebra.zero_mass`.
-Every quotient is a mixed-radix box (`QuotientGroup`); at the ramified place
-2 it is diagonal on the order basis (1+j, i+j, j, (1+i+j+k)/2). At nonsplit
-places Y^2 is one int64 column product over the whole box
-(`algebra.quat_mul_flat`), and a box past the cap is refused before it is
-built. One coset-split kernel serves every box: a matmul per head coset in
-the support (`group_convolve`). It and the last pairing count in the dtype
-of `algebra.count_dtype`, and the kernel checks that every result carries
-the product of the two masses in Python ints.
+At an odd split place, q = p^m, the density is one sum over the GL_2(Z/q)
+similarity classes of M_2(Z/q) in Python integers (`split_density`). By
+orthogonality #{Y in M_2(Z/q)^n : sum c_i Y_i^2 = 0} = q^-4 sum_T prod_i
+S(c_i T), S(T) = sum_{Y mod q} e(flat(T) . flat(Y^2) / q) = sum_Y e(tr(T^T
+Y^2) / q), a class function as Y -> g Y g^-1 shows (T^T is similar to T).
+Besides the scalars, classes of size 1, every T is similar to one s I +
+p^k C(t, d), k < m, s mod p^k, t and d mod p^j, j = m - k, C(t, d) = [[0,
+-d], [1, t]] the companion matrix of x^2 - t x + d, as (T - s I) / p^k is
+not scalar mod p, hence cyclic. Its centralizer, p^(4k) lifts of the
+p^(2(j-1)) (p - 1)^2, (p^2 - 1) or p (p - 1) units of Z/p^j[C] as chi =
+((t^2 - 4d) / p) is 1, -1 or 0, leaves p^(2(j-1)) (p^2 + chi p) elements
+in the class, p^(2(j-1)) (p^2 - 1) at chi = 0 (Fulton and Harris,
+Representation Theory, 5.2): 12 classes at q = 3, 2,793 at q = 49, whose
+sizes must add up to q^4. On a Jordan splitting of the form of T over Z_p
+(Cassels, Rational Quadratic Forms, ch. 8), prod_i S(c_i T) = base g1^(n o)
+(`padic.square_form_jordan`). T -> c T, c a unit, permutes the classes and
+multiplies base by (c/p) where n o is odd; as sum_c (c/p) = 0, those terms
+must cancel and the rest be q^4 times the count (else VerificationError).
+
+Split p = 2 and the nonsplit places are box densities (`_box_density`):
+the slots' distributions of c Y^2 over a mixed-radix box (`QuotientGroup`;
+at the ramified place 2 diagonal on the order basis (1+j, i+j, j,
+(1+i+j+k)/2)) meet at zero in the zero-count tree `algebra.zero_mass`, by
+one coset-split kernel, a matmul per head coset in the support
+(`group_convolve`). It and the last pairing count in the dtype of
+`algebra.count_dtype`, and the kernel checks that every result carries the
+product of the two masses in Python ints.
 The archimedean density is a seeded, shard-deterministic Monte Carlo
 estimate.
 """
@@ -29,9 +45,9 @@ import numpy as np
 from . import DEFAULT_SEED
 from .algebra import (basis_from_doubled_coords, count_dtype,
                       doubled_from_basis_coords, doubled_mul_flat, exact_dot,
-                      mat_mul_flat, quat_mul_flat, smallest_nonresidue,
-                      zero_mass)
+                      mat_mul_flat, quat_mul_flat, zero_mass)
 from .errors import BudgetError, PreconditionError, VerificationError
+from .padic import jacobi, smallest_nonresidue, square_form_jordan
 
 # ---------------------------------------------------------------------------
 # Exact convolution over a mixed-radix box
@@ -43,12 +59,10 @@ _OBJECT_COST = 32
 _CONVOLVE_BUDGET = 4 * 10 ** 9
 #: cap on the tuples `split_density_exhaustive` enumerates
 _EXHAUSTIVE_CAP = 10 ** 7
-#: cap on the squared quotient order of the nonsplit densities
-_QUOTIENT_CAP = 10 ** 9
-#: cap on the matrices p^(4m) of one `split_square_distribution`
-_GRID_CAP = 10 ** 7
-#: most matrices in one block of `split_square_distribution`
-_BLOCK_ROWS = 2 ** 16
+#: cap on the order G of a box density: its (G, 4) int64 digits and squares
+_QUOTIENT_CAP = 2 ** 16
+#: cap on q^2, q = p^m, of an odd split density: about q^2 classes
+_CLASS_CAP = 2 * 10 ** 5
 
 
 class QuotientGroup:
@@ -56,7 +70,7 @@ class QuotientGroup:
     sum_i digit_i * weight_i, and addition is digitwise mod the radii. The
     elements with zero `head` digits form a subgroup K of order V = `tail`;
     index = u * V + v over its U = `cosets` cosets u, and the head is the
-    shortest prefix with U >= V.
+    shortest prefix with U >= V. `digits`: the (G, k) box representatives.
     """
 
     def __init__(self, radii):
@@ -69,15 +83,11 @@ class QuotientGroup:
                          if math.prod(self.radii[:i]) ** 2 >= self.order)
         self.cosets = math.prod(self.radii[:self.head])
         self.tail = self.order // self.cosets
+        self.digits = self.digits_of(np.arange(self.order, dtype=np.int64))
 
     def digits_of(self, idx):
         """(len(idx), k) box representatives of the indices idx."""
         return idx[:, None] // self.weights % self.radii
-
-    @functools.cached_property
-    def digits(self):
-        """(G, k) box representatives, built when first read."""
-        return self.digits_of(np.arange(self.order, dtype=np.int64))
 
     def pack(self, rows):
         """Index of each integer row, reduced digitwise into the box."""
@@ -85,18 +95,8 @@ class QuotientGroup:
         return rows % self.radii @ self.weights
 
     def negation(self):
-        """Index of -x for every index x, packed one digit at a time
-        without the (G, k) digits."""
-        idx = np.arange(self.order, dtype=np.int64)
-        out = np.zeros_like(idx)
-        for r, w in zip(self.radii, self.weights):
-            part = idx // w
-            part %= r
-            np.negative(part, out=part)
-            part %= r
-            part *= w
-            out += part
-        return out
+        """Index of -x for every index x."""
+        return self.pack(-self.digits)
 
     @functools.cached_property
     def coset_tables(self):
@@ -194,40 +194,42 @@ def _slot_coeffs(p, m, n, coeffs):
 # ---------------------------------------------------------------------------
 
 
-def split_square_distribution(p, m, coeff=1):
-    """Distribution of coeff * Y^2 over M_2(Z/p^m), packed as in
-    `QuotientGroup([p^m] * 4)`: one bincount of the int32 key of every Y,
-    Horner over c (Y^2)_t mod q, in blocks of at most `_BLOCK_ROWS`
-    matrices, runs of leading pairs (a, b) broadcast against c and d.
-    Refuses p^(4m) > `_GRID_CAP` (BudgetError) first; under it, q <= 56
-    and every step stays below q^4 < 2^31."""
+def _similarity_classes(p, m):
+    """(flat T, class size) for one T per GL_2(Z/q) similarity class of
+    M_2(Z/q), q = p^m, p odd (module docstring), scalars first."""
     q = p ** m
-    if q ** 4 > _GRID_CAP:
-        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
-    e = np.arange(q, dtype=np.int32)
-    keys = np.empty(q ** 4, dtype=np.int32)
-    step = _BLOCK_ROWS // (q * q)  # leading pairs per block
-    for start in range(0, q * q, step):
-        a, b = np.divmod(np.arange(start, min(start + step, q * q),
-                                   dtype=np.int32), q)
-        y = a[:, None, None], b[:, None, None], e[:, None], e
-        key = 0
-        for entry in mat_mul_flat(y, y):
-            key = key * q + coeff % q * entry % q
-        keys[start * q * q:(start + len(a)) * q * q] = key.ravel()
-    return np.bincount(keys, minlength=q ** 4)
+    for s in range(q):
+        yield (s, 0, 0, s), 1
+    for k in range(m):
+        pk, pj = p ** k, p ** (m - k)
+        for s, t, d in itertools.product(range(pk), range(pj), range(pj)):
+            chi = jacobi(t * t - 4 * d, p)
+            size = (p * p + chi * p if chi else p * p - 1) * (pj // p) ** 2
+            yield (s, -pk * d % q, pk, (s + pk * t) % q), size
 
 
 def split_density(p, m, n, coeffs=None):
     """d_m = p^{4m} * #{Y in M_2(Z/p^m)^n : sum c_i Y_i^2 = 0} / p^{4mn},
-    as an exact Fraction."""
+    as an exact Fraction: a box density at p = 2, else the class sum of
+    the module docstring, refused (BudgetError) at q^2 > `_CLASS_CAP`."""
     coeffs = _slot_coeffs(p, m, n, coeffs)
+    if p == 2:
+        return _box_density(2, m, n, coeffs, [2 ** m] * 4,
+                            lambda y: mat_mul_flat(y, y))
     q = p ** m
-    dist = {c: split_square_distribution(p, m, c)
-            for c in {cc % q for cc in coeffs}}
-    count = _count_at_zero([dist[c % q] for c in coeffs],
-                           QuotientGroup([q] * 4))
-    return Fraction(count, q ** (4 * (n - 1)))
+    if q * q > _CLASS_CAP:
+        raise BudgetError(f"{q}^2 similarity classes exceed budget")
+    mass, parts = 0, [0, 0]  # the terms at even and at odd n o
+    for theta, size in _similarity_classes(p, m):
+        _, _, _, odd, base = square_form_jordan(theta, p, m, coeffs)
+        mass += size
+        parts[n * len(odd) % 2] += size * base
+    even, odd = parts
+    if mass != q ** 4:
+        raise VerificationError(f"similarity classes do not cover M_2(Z/{q})")
+    if odd or even % q ** 4:
+        raise VerificationError(f"g1 part {odd}, rest {even % q ** 4} mod q^4")
+    return Fraction(even // q ** 4, q ** (4 * (n - 1)))
 
 
 def split_density_exhaustive(p, m, n, coeffs=None):
@@ -251,23 +253,21 @@ def split_density_exhaustive(p, m, n, coeffs=None):
 
 
 # ---------------------------------------------------------------------------
-# Nonsplit local densities
+# Box densities: split 2 and the nonsplit places
 # ---------------------------------------------------------------------------
 
 
-def _nonsplit_density(p, m, n, coeffs, radii, square):
-    """The tail of both nonsplit densities: d_m = p^{4m} * count / G^n,
-    count the mass at zero of the convolution of the slots' distributions
-    of c_i Y^2 (one per distinct c mod max(radii)) over the box of order
-    G = prod(radii).
-
-    The cap G^2 <= `_QUOTIENT_CAP` is checked before the box and its digits
-    are built. `square` maps the digit columns to those of Y^2 in int64:
-    under the cap every c mod max(radii) is below 2^8 and, as each caller
-    shows, every square below 2^32, so c * Y^2 is below 2^40."""
+def _box_density(p, m, n, coeffs, radii, square):
+    """d_m = p^{4m} * count / G^n, count the mass at zero of the
+    convolution of the slots' distributions of c_i Y^2 (one per distinct c
+    mod max(radii)) over the box of order G = prod(radii), G <=
+    `_QUOTIENT_CAP` (BudgetError before the box is built). `square` maps the
+    digit columns to those of Y^2 in int64: under the cap every c mod
+    max(radii) is below 2^8 and, as each caller shows (at split 2, m <= 4
+    and an entry of Y^2 is below 2^9), every square below 2^34."""
     coeffs = _slot_coeffs(p, m, n, coeffs)
     order = math.prod(radii)
-    if order ** 2 > _QUOTIENT_CAP:
+    if order > _QUOTIENT_CAP:
         raise BudgetError("quotient too large")
     grp = QuotientGroup(radii)
     squares = np.stack(square(tuple(grp.digits.T)), axis=1)
@@ -282,9 +282,10 @@ def _hurwitz_square(digits):
     """Columns of y^2 on the basis F = (1+j, i+j, j, omega) of the order,
     omega = (1+i+j+k)/2, for those of y. F-coordinates (a, b, c, d) are the
     order-basis ones (a, b, a+b+c, d), which `algebra` squares. Under the cap
-    m <= 4, so every digit is below 2^m <= 16, an order coordinate below 46,
-    a doubled coordinate below 2^7, a doubled coordinate of the square below
-    2^15 and an F-coordinate of the square below 2^17 in absolute value."""
+    4^(2m-1) <= 2^16, so m <= 4, every digit is below 2^m <= 16, an order
+    coordinate below 46, a doubled coordinate below 2^7, a doubled
+    coordinate of the square below 2^15 and an F-coordinate of the square
+    below 2^17 in absolute value."""
     a, b, c, d = digits
     y = doubled_from_basis_coords((a, b, a + b + c, d))
     a, b, c, d = basis_from_doubled_coords(doubled_mul_flat(y, y))
@@ -297,7 +298,7 @@ def nonsplit_density_two(m, n, coeffs=None):
     the uniformizer w = 1 + i. The level lattice w^{2m-1} O = 2^{m-1} (1+i) O
     is diag(2^{m-1}, 2^{m-1}, 2^m, 2^m) on the basis F of `_hurwitz_square`,
     so the quotient is that box, of order nrd(w)^{2(2m-1)} = 4^{2m-1}."""
-    return _nonsplit_density(
+    return _box_density(
         2, m, n, coeffs, [2 ** (m - 1)] * 2 + [2 ** m] * 2, _hurwitz_square)
 
 
@@ -305,13 +306,13 @@ def nonsplit_density_odd(p, m, n, coeffs=None):
     """d_m at an odd nonsplit place: quotient coordinates are
     (z1, z2 mod p^m, z3, z4 mod p^{m-1}) on the basis (1, s, P, sP) of the
     local division order, squared in the algebra (u, p). Under the cap the
-    order p^{4m-2} is below 2^15, so m <= 2, every digit is below p^m < 2^8,
-    and a term of the square, at most u p z z' < p^{2m+2} <= p^{2(4m-2)},
-    is below 2^30."""
+    order p^{4m-2} is at most 2^16 (p <= 251, p <= 5 at m = 2, p = 3 at
+    m = 3): every digit is below p^m < 2^8, a term of the square, at most
+    u p z z' < p^{2m+2} <= p^{2(4m-2)}, below 2^32, and an entry below 2^34."""
     if p == 2:
         raise PreconditionError("use nonsplit_density_two at 2")
     u = smallest_nonresidue(p)
-    return _nonsplit_density(
+    return _box_density(
         p, m, n, coeffs, [p ** m] * 2 + [p ** (m - 1)] * 2,
         lambda z: quat_mul_flat(z, z, u, p))
 
@@ -376,8 +377,7 @@ def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=DEFAULT_SEED,
 def singular_series(n, split_primes, m, include_two=True):
     """Partial product of local densities at level m over the given odd
     split primes, times the nonsplit factor at 2. Returns (value_fraction,
-    per_prime dict). A split prime p > 3 runs at level min(m, 2): levels
-    above 2 are clamped there, while callers still report the m asked.
+    per_prime dict), every factor at level m (BudgetError past its cap).
     Refuses 2 as a split prime, whose factor is the nonsplit one, and a
     product of no factor (PreconditionError)."""
     if 2 in split_primes:
@@ -385,14 +385,9 @@ def singular_series(n, split_primes, m, include_two=True):
             "2 is no split prime: its factor is the nonsplit one")
     if not split_primes and not include_two:
         raise PreconditionError("the partial series needs a local factor")
-    per = {}
-    acc = Fraction(1)
-    if include_two:
-        d2 = nonsplit_density_two(m, n)
-        per[2] = d2
-        acc *= d2
+    per = {2: nonsplit_density_two(m, n)} if include_two else {}
+    acc = math.prod(per.values(), start=Fraction(1))
     for p in split_primes:
-        d = split_density(p, min(m, 2) if p > 3 else m, n)
-        per[p] = d
-        acc *= d
+        per[p] = split_density(p, m, n)
+        acc *= per[p]
     return acc, per

@@ -37,8 +37,8 @@ prod_i G(c_i l_a, t_i), with l_a = sum_k a_k (q / r_k) row_k and
 G(l, t) = sum_{Y mod q} e((l . flat(Y^2) + t . flat(Y)) / q).
 
 At odd p, l . flat(Y^2) has the Gram matrix A with A00 = l0, A33 = l3,
-A12 = (l0 + l3)/2, A01 = A13 = l1/2 and A02 = A23 = l2/2. A Jordan
-splitting E^T A E = diag(u_j p^(w_j)) mod q (`padic.jordan_split`) gives
+A12 = (l0 + l3)/2, A01 = A13 = l1/2 and A02 = A23 = l2/2. A Jordan splitting
+E^T A E = diag(u_j p^(w_j)) mod q (`padic.square_form_jordan`) gives
 G = prod_j F(u_j p^(w_j), s_j), s = E^T t, F(u p^w, s) = sum_{x mod q}
 e((u p^w x^2 + s x) / q). x -> x + p^(v-w) y fixes u p^w x^2 and adds
 s y / p^w, so F = 0 unless p^w | s; then completing the square gives
@@ -127,7 +127,8 @@ from .algebra import (FLAT_UNITS, CycloSum, adj_flat, count_dtype, det_flat,
                       mat_mul_flat)
 from .errors import BudgetError, PreconditionError, VerificationError
 from .linalg import row_hnf
-from .padic import jordan_split, line_key, line_multiple, pivot, pval, punit
+from .padic import (jacobi, line_key, line_multiple, pivot, pval, punit,
+                    square_form_jordan)
 
 #: cap on the q^2 characters of one I0 at odd p, kept so that no request
 #: changes its verdict: it no longer bounds memory, as the class sum keeps
@@ -176,12 +177,6 @@ def _class_representatives(radii, p):
     return reps
 
 
-def _legendre_symbol(x, p):
-    """(x/p) of an integer x at an odd prime p, by Euler's criterion."""
-    r = pow(x, (p - 1) // 2, p)
-    return r if r < 2 else -1
-
-
 @functools.lru_cache(maxsize=16)
 def _class_table(delta, p, v, coeffs):
     """(|B|, classes) at odd p, q = p^v, for the slot units coeffs mod q:
@@ -189,20 +184,13 @@ def _class_table(delta, p, v, coeffs):
     per slot the rows (E^T row j, p^(w_j), -(4 c_i u_j)^-1 p^(w_j)) of Phi,
     largest w_j first, base, o, p^(v-o) and n m mod 2 (module docstring),
     by ascending p^(min w_j). Cached per (delta tuple, p, v, coeffs)."""
-    q, h, n = p ** v, (p ** v + 1) // 2, len(coeffs)  # h = 1/2 mod q
-    star = p if p % 4 == 1 else -p
+    q, n = p ** v, len(coeffs)
     rows, radii = _slot_box(delta, p, v)
     classes = []
     for a, o in _class_representatives(radii, p):
-        l0, l1, l2, l3 = (sum(x * (q // r) * row[k] for x, r, row
-                              in zip(a, radii, rows)) * h for k in range(4))
-        e, w, u = jordan_split([[2 * l0, l1, l2, 0], [l1, 0, l0 + l3, l1],
-                                [l2, l0 + l3, 0, l2], [0, l1, l2, 2 * l3]],
-                               p, v)
-        odd = [j for j in range(4) if (v - w[j]) % 2]
-        base = (p ** (n * sum(x + (v - x) // 2 for x in w))
-                * star ** (n * len(odd) // 2) * _legendre_symbol(
-                    math.prod(c * u[j] for c in coeffs for j in odd), p))
+        e, w, u, odd, base = square_form_jordan(
+            [sum(x * (q // r) * row[k] for x, r, row in zip(a, radii, rows))
+             for k in range(4)], p, v, coeffs)
         order = sorted(range(4), key=lambda j: -w[j])
         slots = tuple(tuple((*(e[k][j] for k in range(4)), p ** w[j],
                              -pow(4 * c * u[j], -1, q) * p ** w[j] % q)
@@ -224,7 +212,7 @@ def _unit_sum(x, p, o, odd):
         return 0
     x //= top
     if odd:
-        return (p if p % 4 == 1 else -p) * top * _legendre_symbol(x, p)
+        return (p if p % 4 == 1 else -p) * top * jacobi(x, p)
     return (p - 1) * top if x % p == 0 else -top
 
 

@@ -4,8 +4,10 @@
 * line tests mod p^k on one pivot (first entry of least valuation): the
   key of a unit class (`line_key`) and the multiplier onto a line
   (`line_multiple`)
-* a primality test for the prime a request names (`is_prime`)
+* a primality test (`is_prime`) and the one Legendre symbol (`jacobi`)
 * the Jordan splitting of a quadratic form at an odd prime (`jordan_split`)
+  and on it the Gauss factor of l . flat(Y^2) that I0 and the split
+  densities share (`square_form_jordan`)
 * exact one-variable quadratic exponential sums over Z_p and their laws,
   each law decided exactly on CycloSum values
 
@@ -129,6 +131,22 @@ def jordan_split(a, p, k):
     return e, w, u
 
 
+def square_form_jordan(ell, p, v, coeffs):
+    """(e, w, u, odd, base) of the form l . flat(Y^2) mod p^v, l = ell, Y a
+    2x2 matrix, at an odd prime p: the `jordan_split` of its Gram matrix,
+    the j with v - w_j odd and base, with prod_i S(c_i l) = base g1^(n
+    len(odd)) over the slot units c_i = coeffs (`qcl.expsums`)."""
+    l0, l1, l2, l3 = (x * (p ** v + 1) // 2 for x in ell)  # l / 2 mod p^v
+    e, w, u = jordan_split([[2 * l0, l1, l2, 0], [l1, 0, l0 + l3, l1],
+                            [l2, l0 + l3, 0, l2], [0, l1, l2, 2 * l3]], p, v)
+    odd = [j for j in range(4) if (v - w[j]) % 2]
+    n = len(coeffs)
+    base = (p ** (n * sum(x + (v - x) // 2 for x in w))
+            * (p if p % 4 == 1 else -p) ** (n * len(odd) // 2)
+            * jacobi(math.prod(c * u[j] for c in coeffs for j in odd), p))
+    return e, w, u, odd, base
+
+
 #: the primes below 50, by which `is_prime` divides first
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -160,8 +178,8 @@ def is_prime(n):
     return _strong_lucas(n)
 
 
-def _jacobi(a, n):
-    """Jacobi symbol (a / n) for odd n > 0."""
+def jacobi(a, n):
+    """Jacobi symbol (a / n) for odd n > 0, Legendre's at a prime n."""
     a, out = a % n, 1
     while a:
         while a % 2 == 0:
@@ -175,6 +193,15 @@ def _jacobi(a, n):
     return out if n == 1 else 0
 
 
+def smallest_nonresidue(p):
+    """Smallest positive quadratic non-residue mod an odd prime: the u of
+    the local division order, the algebra (u, p) of `algebra.quat_mul_flat`."""
+    for u in range(2, p):
+        if jacobi(u, p) == -1:
+            return u
+    raise PreconditionError(f"{p} has no non-residue; not an odd prime?")
+
+
 def _strong_lucas(n):
     """Strong Lucas probable-prime test of an odd n > 47 with no factor
     below 50, on Selfridge's parameters: the first D of 5, -7, 9, -11, ...
@@ -182,7 +209,7 @@ def _strong_lucas(n):
     if math.isqrt(n) ** 2 == n:
         return False
     dd = 5
-    while (j := _jacobi(dd, n)) != -1:
+    while (j := jacobi(dd, n)) != -1:
         if j == 0:
             return False  # 1 < gcd(D, n) < n, as |D| stays far below n
         dd = -dd - 2 if dd > 0 else -dd + 2

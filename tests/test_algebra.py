@@ -12,10 +12,10 @@ from qcl.algebra import (
     CycloSum, HurwitzQuat,
     adj_flat, cos_fixed, count_dtype, det_flat, doubled_mul_flat, exact_dot,
     hq_from_basis_coords, hq_to_basis_coords,
-    mat_mul_flat, pi_fixed, quat_mul_flat, trace_flat, smallest_nonresidue,
-    zero_mass,
+    mat_mul_flat, pi_fixed, quat_mul_flat, trace_flat, zero_mass,
 )
 from qcl.errors import PreconditionError, VerificationError
+from qcl.padic import smallest_nonresidue
 
 HQ_K = HurwitzQuat(0, 0, 0, 2)  # k, in doubled coordinates
 

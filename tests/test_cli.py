@@ -3,6 +3,7 @@ import json
 import os
 import re
 import runpy
+import shlex
 import shutil
 import subprocess
 import sys
@@ -758,6 +759,23 @@ class TestStdoutDiff:
         requests = {text for text, _ in verdicts}
         assert {f"--seed {s} audit {suite}" for s in range(9)
                 for suite in SUITES} <= requests
+
+    def test_density_sections_replay(self):
+        # the `# density` and `# singular` lines of the corpus, run by the
+        # script's own runner on this tree: every exit code and digest holds
+        diff = runpy.run_path(str(ROOT / "scripts" / "stdout_diff.py"))
+        recorded, section = [], None
+        for text, rc, digest, is_request in diff["read_verdicts"](
+                ROOT / "scripts" / "verdicts.txt"):
+            if not is_request:
+                section = text if text.startswith("# ") else section
+            elif section in ("# density", "# singular"):
+                recorded.append((text, rc, digest))
+        assert len(recorded) >= 12
+        runs = diff["run_all"]([(sys.executable, str(ROOT / "src"),
+                                 shlex.split(text)) for text, _, _ in recorded])
+        assert [(text, rc, hashlib.sha256(out).hexdigest())
+                for (text, _, _), (rc, out) in zip(recorded, runs)] == recorded
 
     @pytest.mark.parametrize("missing", ["base", "head"])
     def test_tree_without_the_cli_is_refused(self, tmp_path, missing):

@@ -8,16 +8,70 @@ from hypothesis import given, settings, strategies as st
 
 from qcl import densities
 from qcl.algebra import (HurwitzQuat, hq_from_basis_coords, hq_to_basis_coords,
-                         left_mul_coords)
+                         left_mul_coords, mat_mul_flat)
 from qcl.densities import (
-    QuotientGroup, _count_at_zero,
+    QuotientGroup, _count_at_zero, _similarity_classes,
     archimedean_density, density_tail_bracket, group_convolve, local_zeta,
     nonsplit_density_odd, nonsplit_density_two, outside_tail_bracket,
-    singular_series,
-    split_density, split_density_exhaustive, split_square_distribution,
+    singular_series, split_density, split_density_exhaustive,
 )
 from qcl.errors import BudgetError, PreconditionError, VerificationError
+from qcl.expsums import i0_local
 from qcl.linalg import reduce_mod_hnf, row_hnf
+from qcl.padic import smallest_nonresidue
+
+
+# The grid kernel that `split_density` ran before the class sum, kept as its
+# oracle: the distribution of c Y^2 over every Y mod q, convolved over the
+# box M_2(Z/q) = QuotientGroup([q] * 4).
+
+#: cap on the matrices p^(4m) of one `split_square_distribution`
+_GRID_CAP = 10 ** 7
+#: most matrices in one block of `split_square_distribution`
+_BLOCK_ROWS = 2 ** 16
+
+
+def split_square_distribution(p, m, coeff=1):
+    """Distribution of coeff * Y^2 over M_2(Z/p^m), packed as in
+    `QuotientGroup([p^m] * 4)`: one bincount of the int32 key of every Y,
+    Horner over c (Y^2)_t mod q, in blocks of at most `_BLOCK_ROWS`
+    matrices, runs of leading pairs (a, b) broadcast against c and d.
+    Refuses p^(4m) > `_GRID_CAP` (BudgetError) first; under it, q <= 56
+    and every step stays below q^4 < 2^31."""
+    q = p ** m
+    if q ** 4 > _GRID_CAP:
+        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
+    e = np.arange(q, dtype=np.int32)
+    keys = np.empty(q ** 4, dtype=np.int32)
+    step = _BLOCK_ROWS // (q * q)  # leading pairs per block
+    for start in range(0, q * q, step):
+        a, b = np.divmod(np.arange(start, min(start + step, q * q),
+                                   dtype=np.int32), q)
+        y = a[:, None, None], b[:, None, None], e[:, None], e
+        key = 0
+        for entry in mat_mul_flat(y, y):
+            key = key * q + coeff % q * entry % q
+        keys[start * q * q:(start + len(a)) * q * q] = key.ravel()
+    return np.bincount(keys, minlength=q ** 4)
+
+
+def split_density_grid(p, m, n, coeffs=None):
+    """split_density by the grid kernel: the count at zero of the slots'
+    distributions, one per distinct c mod q, over QuotientGroup([q] * 4)."""
+    coeffs = list(coeffs or [1] * n)
+    q = p ** m
+    dist = {c: split_square_distribution(p, m, c)
+            for c in {cc % q for cc in coeffs}}
+    count = _count_at_zero([dist[c % q] for c in coeffs],
+                           QuotientGroup([q] * 4))
+    return Fraction(count, q ** (4 * (n - 1)))
+
+
+def mixed_units(p, n):
+    """n slot units mod p that mix 1, a non-residue and -1 (1 and 3 at
+    p = 2)."""
+    u = smallest_nonresidue(p) if p > 2 else 3
+    return [(1, u, -1)[i % 3] for i in range(n)]
 
 
 def _hurwitz_level_lattice(m):
@@ -201,7 +255,7 @@ class TestCosetKernel:
         with pytest.raises(VerificationError):
             group_convolve(a, a, grp)
         with pytest.raises(VerificationError):
-            split_density(3, 1, 5)
+            split_density(2, 1, 5)
 
     def test_budget_refuses_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -241,13 +295,13 @@ class TestCosetKernel:
             return kernel(a, b, grp, heads)
 
         monkeypatch.setattr(densities, "_convolve_cosets", recorded)
-        fast = split_density(3, 2, 9)
+        fast = split_density_grid(3, 2, 9)
         assert masses[-1] >= 2 ** 63
         assert dtypes and all(dt == np.int64 for dt in dtypes)
         monkeypatch.setattr(
             densities, "_convolve_cosets", lambda a, b, grp, heads: kernel(
                 a.astype(object), b.astype(object), grp, heads))
-        assert split_density(3, 2, 9) == fast
+        assert split_density_grid(3, 2, 9) == fast == split_density(3, 2, 9)
 
     def test_negative_counts_rejected(self):
         grp = QuotientGroup([2])
@@ -354,20 +408,18 @@ class TestSplitDensity:
         assert abs(float(d1) - 1.0) <= bracket
 
     def test_one_slot_builds_no_tables_it_never_reads(self):
-        # q = 25: seven grid blocks and q^4 = 390625 group elements.  One
-        # bincount over the blocks and no (G, 4) digit table keep the peak
-        # near the one int64 histogram (3.1 MB); a histogram per block and
-        # the digit table took about 30 MB.
+        # q = 25: the class sum visits 775 classes one at a time and builds
+        # no table of the q^4 = 390625 matrices; the grid kernel's int64
+        # histogram alone took 3.1 MB
         import tracemalloc
 
-        split_density(5, 2, 1)  # the grid blocks of q = 25 are cached
         tracemalloc.start()
         try:
             assert split_density(5, 2, 1) == 1225
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("p,m,c", [(3, 1, 1), (3, 1, 2), (3, 2, 1),
                                        (3, 2, 5)])
@@ -411,6 +463,144 @@ class TestSplitDensity:
         assert abs(float(expect) - 1) < 1e-9
 
 
+# (p, m, n) of the grid comparison: every odd q = p^m <= 25 at the slot
+# counts the grid oracle answers in about a second (n <= 3 at q = 13; past
+# it only n <= 2 fits the convolution budget)
+GRID_CASES = [(p, m, n) for p, m in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
+                                     (11, 1), (13, 1), (17, 1), (19, 1),
+                                     (23, 1)]
+              for n in [1, 2, 3, 5, 9]
+              if n <= {13: 3}.get(p ** m, 9 if p ** m <= 11 else 2)]
+
+
+def class_key(t, p, m):
+    """(k, s, tr, det) of each flat T mod q = p^m in an (N, 4) array: T = s I
+    + p^k T' with k the largest level at which T is scalar (k = m: scalar),
+    s = T_00 mod p^k, and the trace and determinant of T' mod p^(m-k)."""
+    q = p ** m
+    t = t % q
+    # scalar mod p^l implies scalar mod every lower power
+    k = sum(((t[:, 1] % p ** level == 0) & (t[:, 2] % p ** level == 0)
+             & ((t[:, 0] - t[:, 3]) % p ** level == 0)).astype(np.int64)
+            for level in range(1, m + 1))
+    pk = p ** k
+    s = t[:, 0] % pk
+    prime = (t - np.stack([s, 0 * s, 0 * s, s], axis=1)) // pk[:, None]
+    pj = q // pk
+    tr = (prime[:, 0] + prime[:, 3]) % pj
+    det = (prime[:, 0] * prime[:, 3] - prime[:, 1] * prime[:, 2]) % pj
+    return np.stack([k, s, tr, det], axis=1)
+
+
+class TestSimilarityClassSum:
+    @pytest.mark.parametrize("p,m,n", GRID_CASES)
+    def test_matches_the_grid_oracle(self, p, m, n):
+        assert split_density(p, m, n) == split_density_grid(p, m, n)
+        coeffs = mixed_units(p, n)
+        assert (split_density(p, m, n, coeffs)
+                == split_density_grid(p, m, n, coeffs))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_split_two_box_matches_the_grid_oracle(self, m, n):
+        assert split_density(2, m, n) == split_density_grid(2, m, n)
+        coeffs = mixed_units(2, n)
+        assert (split_density(2, m, n, coeffs)
+                == split_density_grid(2, m, n, coeffs))
+
+    @pytest.mark.parametrize("p,m,n", [(3, 1, 1), (3, 1, 2), (3, 1, 3),
+                                       (3, 2, 2), (3, 2, 3), (5, 1, 2),
+                                       (5, 1, 3), (5, 2, 3), (7, 1, 2),
+                                       (7, 1, 3)])
+    def test_is_i0_at_the_scalar_delta(self, p, m, n):
+        # d_m(n) = p^(4m) I0(p^m I, 0): the condition of I0 at delta = q I
+        # is sum c_i Y_i^2 = 0 mod q, and the phase vanishes at gamma = 0
+        q = p ** m
+        coeffs = mixed_units(p, n)
+        assert split_density(p, m, n, coeffs) == p ** (4 * m) * i0_local(
+            (q, 0, 0, q), [(0, 0, 0, 0)] * n, p, coeffs)
+
+    @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+    def test_class_keys_partition_the_matrices(self, p, m):
+        # over all of M_2(Z/q), q = 3, 5, 7, 9 and 25: the key (k, s mod p^k,
+        # tr, det mod p^(m-k)) is a similarity invariant, the
+        # representatives have distinct keys, and each key holds exactly the
+        # class size of its representative
+        q = p ** m
+        flat = np.indices((q,) * 4).reshape(4, -1).T
+        keys, counts = np.unique(class_key(flat, p, m), axis=0,
+                                 return_counts=True)
+        reps = list(_similarity_classes(p, m))
+        assert len(reps) == sum(p ** i for i in range(m, 2 * m + 1))
+        rep_keys = class_key(np.array([t for t, _ in reps]), p, m)
+        want = {tuple(key): size for key, (_, size) in zip(rep_keys.tolist(),
+                                                            reps)}
+        assert len(want) == len(reps)
+        assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == want
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_class_sizes_are_conjugation_orbits(self, q):
+        # every representative's orbit under GL_2(F_q), by brute force
+        group = [g for g in itertools.product(range(q), repeat=4)
+                 if (g[0] * g[3] - g[1] * g[2]) % q]
+        for t, size in _similarity_classes(q, 1):
+            orbit = set()
+            for a, b, c, d in group:
+                inv = pow(a * d - b * c, -1, q)
+                g_inv = (d * inv, -b * inv, -c * inv, a * inv)
+                orbit.add(tuple(x % q for x in mat_mul_flat(
+                    mat_mul_flat((a, b, c, d), t), g_inv)))
+            assert len(orbit) == size, t
+
+    def test_wrong_class_size_is_a_verification_failure(self, monkeypatch):
+        # every chi read as 1 miscounts the classes of chi = -1 and 0
+        monkeypatch.setattr(densities, "jacobi", lambda a, n: 1)
+        with pytest.raises(VerificationError, match="do not cover"):
+            split_density(3, 1, 2)
+
+    def test_uncancelled_g1_part_is_a_verification_failure(self, monkeypatch):
+        # one flipped Legendre sign in a class with n o odd leaves a g1 part
+        form = densities.square_form_jordan
+        flipped = []
+
+        def flip_one(theta, p, v, coeffs):
+            e, w, u, odd, base = form(theta, p, v, coeffs)
+            if len(coeffs) * len(odd) % 2 and not flipped:
+                flipped.append(theta)
+                base = -base
+            return e, w, u, odd, base
+
+        monkeypatch.setattr(densities, "square_form_jordan", flip_one)
+        with pytest.raises(VerificationError, match="g1 part"):
+            split_density(3, 1, 1)
+        assert flipped
+
+    def test_cap_refuses_before_any_class(self, monkeypatch):
+        def no_class(p, m):
+            raise AssertionError("class built past the cap")
+
+        monkeypatch.setattr(densities, "_similarity_classes", no_class)
+        with pytest.raises(BudgetError):
+            split_density(449, 1, 2)
+        # q^2 = 81 is at a cap of 81, q^2 = 121 past it
+        monkeypatch.undo()
+        monkeypatch.setattr(densities, "_CLASS_CAP", 81)
+        assert split_density(3, 2, 2) == split_density_grid(3, 2, 2)
+        with pytest.raises(BudgetError):
+            split_density(11, 1, 2)
+
+    @pytest.mark.parametrize("p,m,n", [(5, 2, 3), (5, 2, 24), (11, 1, 24),
+                                       (3, 3, 5)])
+    def test_past_the_old_convolution_budget(self, p, m, n):
+        # the grid kernel refused these; the class sum answers with a
+        # positive count over a power of p
+        d = split_density(p, m, n)
+        den = d.denominator
+        while den % p == 0:
+            den //= p
+        assert d > 0 and den == 1
+
+
 class TestNonsplitDensity:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_level_lattice_is_the_box_on_basis_f(self, m):
@@ -449,7 +639,7 @@ class TestNonsplitDensity:
 
     @pytest.mark.parametrize("density,args", [
         (nonsplit_density_two, (12, 5)), (nonsplit_density_two, (40, 5)),
-        (nonsplit_density_odd, (3, 9, 2)), (nonsplit_density_odd, (3, 3, 1))])
+        (nonsplit_density_odd, (3, 9, 2)), (nonsplit_density_odd, (3, 4, 1))])
     def test_cap_refuses_before_the_quotient_is_built(self, density, args,
                                                       monkeypatch):
         def refuse(*a, **k):
@@ -459,9 +649,15 @@ class TestNonsplitDensity:
             density(*args)
 
     def test_cap_admits_the_largest_orders(self):
-        # 4^7 and 5^6 are the largest orders whose square fits the cap
+        # 4^7, 5^6, 3^10, 251^2 and 2^16 are the largest orders of their
+        # family within the cap 2^16; 257^2 is past it
         assert 0 < nonsplit_density_two(4, 1)
         assert 0 < nonsplit_density_odd(5, 2, 1)
+        assert 0 < nonsplit_density_odd(3, 3, 1)
+        assert 0 < nonsplit_density_odd(251, 1, 1)
+        assert 0 < split_density(2, 4, 1)
+        with pytest.raises(BudgetError):
+            nonsplit_density_odd(257, 1, 1)
 
     def test_odd_place_positive(self):
         d = nonsplit_density_odd(3, 2, 5)
@@ -550,3 +746,12 @@ class TestZetaAndSeries:
         assert set(per) == {2, 3}
         assert val == per[2] * per[3]
         assert val > 0
+
+    def test_series_runs_every_split_prime_at_the_level_asked(self):
+        # p = 5 at m = 3 is the level-3 density (a split prime p > 3 once
+        # ran at min(m, 2)); past the class cap the series is refused
+        val, per = singular_series(2, [5], 3)
+        assert per[5] == split_density(5, 3, 2) != split_density(5, 2, 2)
+        assert val == per[2] * per[5]
+        with pytest.raises(BudgetError):
+            singular_series(2, [5], 4)

@@ -15,7 +15,7 @@ from qcl import expsums
 from qcl.algebra import (
     FLAT_UNITS, CycloSum, adj_flat, det_flat, mat_mul_flat, trace_flat,
 )
-from qcl.densities import split_square_distribution
+from qcl.densities import split_density
 from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import (
     _characters, _class_representatives, _class_table, _measure, _pair_row,
@@ -27,6 +27,7 @@ from qcl.expsums import (
 from qcl.geometry import hessian_matrix
 from qcl.padic import (GaussSumParams, gauss_sum, jordan_split, line_key,
                        line_multiple, pval, punit)
+from test_densities import split_square_distribution
 
 
 # The dense whole-grid forms that the blocked kernels replaced, kept as their
@@ -1300,13 +1301,14 @@ class TestGridKernel:
     @pytest.mark.parametrize("call", [
         lambda: i0_local((3163, 0, 0, 1), [(0, 0, 0, 0)], 3163),
         lambda: i0_local((7 ** 9, 0, 0, 1), [(0, 0, 0, 0)] * 2, 7),
-        lambda: split_square_distribution(7, 3),
+        lambda: split_density(449, 1, 2),
         lambda: i0_local((64, 0, 0, 1), [(0, 0, 0, 0)], 2),
         lambda: grid_square_keys(np.eye(4, dtype=np.int64), 57, (57,) * 4),
     ])
     def test_grid_cap_refuses_before_allocating(self, call):
         # 3163^2 and 7^18 characters exceed the 10^7 character cap at odd
-        # p, and q^4 = 7^12, 64^4 and 57^4 the 10^7 grid and pair caps
+        # p, 449^2 the 2 10^5 similarity class cap of the split densities,
+        # and q^4 = 64^4 and 57^4 the 10^7 pair and grid caps
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError):

@@ -8,8 +8,8 @@ from sympy import Matrix, isprime
 from qcl.algebra import CycloSum
 from qcl.errors import PreconditionError
 from qcl.padic import (GaussSumParams, gauss_sum, gauss_sum_law_report,
-                       is_prime, jordan_split, line_key, line_multiple, pivot,
-                       punit, pval)
+                       is_prime, jacobi, jordan_split, line_key, line_multiple,
+                       pivot, punit, pval, smallest_nonresidue)
 
 
 class TestValuation:
@@ -92,6 +92,18 @@ class TestIsPrime:
             assert is_prime(n) == isprime(n), n
         assert not is_prime(1_000_003 ** 2)
         assert is_prime(2 ** 521 - 1) and not is_prime(2 ** 523 - 1)
+
+
+class TestLegendre:
+    @pytest.mark.parametrize("p", [p for p in range(3, 200) if isprime(p)])
+    def test_jacobi_is_eulers_criterion(self, p):
+        # (a / p) = a^((p - 1) / 2) mod p, as -1, 0 or 1, for every residue
+        for a in range(-p, 2 * p):
+            euler = pow(a, (p - 1) // 2, p)
+            assert jacobi(a, p) == (euler if euler < 2 else -1), a
+        u = smallest_nonresidue(p)
+        assert jacobi(u, p) == -1
+        assert all(jacobi(a, p) == 1 for a in range(1, u))
 
 
 class TestLines:
