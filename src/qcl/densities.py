@@ -31,6 +31,12 @@ one coset-split kernel, a matmul per head coset in the support
 product of the two masses in Python ints.
 The archimedean density is a seeded, shard-deterministic Monte Carlo
 estimate.
+
+numpy is imported by the functions that use it, never with the module:
+`QuotientGroup`, `group_convolve` and `_convolve_cosets`, `_box_density`
+(split 2 and both nonsplit places) and `archimedean_density`. The odd
+split densities, `split_density_exhaustive`, the tail brackets and a
+`singular_series` over odd split primes without 2 load no numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from . import DEFAULT_SEED
 from .algebra import (basis_from_doubled_coords, count_dtype,
@@ -74,6 +78,8 @@ class QuotientGroup:
     """
 
     def __init__(self, radii):
+        import numpy as np
+
         self.radii = list(radii)
         k = len(self.radii)
         self.order = math.prod(self.radii)
@@ -91,6 +97,8 @@ class QuotientGroup:
 
     def pack(self, rows):
         """Index of each integer row, reduced digitwise into the box."""
+        import numpy as np
+
         rows = np.array(rows, dtype=np.int64, ndmin=2)
         return rows % self.radii @ self.weights
 
@@ -106,6 +114,8 @@ class QuotientGroup:
         Both are packed one digit at a time, diff = sum_i ((t_i - h_i) mod
         r_i) w_i over the tail digits and target likewise over the head
         digits, so the peak is two tables, not k of them."""
+        import numpy as np
+
         def packed(values, digits, sign):
             out = np.zeros((len(values), len(values)), dtype=np.int64)
             for i in digits:
@@ -129,6 +139,8 @@ def _convolve_cosets(a, b, grp, heads):
     """The kernel: for each head s of `a`, one matmul gives a's coset s
     times every coset of `b`, as A[s][diff] is the V x V matrix of
     translates of a's coset s inside K. Entries stay in a.dtype."""
+    import numpy as np
+
     diff, target = grp.coset_tables
     A = a.reshape(grp.cosets, grp.tail)
     B = b.reshape(grp.cosets, grp.tail)
@@ -149,6 +161,8 @@ def group_convolve(a, b, grp):
     mass a * max b) < 2^63, else Python ints. The work, |heads of
     a| * U * V^2 multiply-adds (times `_OBJECT_COST` for Python ints), must
     fit `_CONVOLVE_BUDGET`, and the result must carry mass(a) * mass(b)."""
+    import numpy as np
+
     if (a < 0).any() or (b < 0).any():
         raise PreconditionError("count arrays must be nonnegative")
     heads = np.nonzero(a.reshape(grp.cosets, grp.tail).any(axis=1))[0]
@@ -265,6 +279,8 @@ def _box_density(p, m, n, coeffs, radii, square):
     digit columns to those of Y^2 in int64: under the cap every c mod
     max(radii) is below 2^8 and, as each caller shows (at split 2, m <= 4
     and an entry of Y^2 is below 2^9), every square below 2^34."""
+    import numpy as np
+
     coeffs = _slot_coeffs(p, m, n, coeffs)
     order = math.prod(radii)
     if order > _QUOTIENT_CAP:
@@ -356,6 +372,8 @@ def archimedean_density(n, eps=0.05, samples=2 ** 20, seed=DEFAULT_SEED,
     of one hit: with no hit it is the resolution 2^{4n} / ((2 eps)^4 N)
     times sqrt(1 - 1/N), not 0. Deterministic under resharding
     (counter-based generator, fixed per-shard batches)."""
+    import numpy as np
+
     if samples % shards:
         raise PreconditionError("samples must split evenly into shards")
     per = samples // shards

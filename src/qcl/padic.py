@@ -17,6 +17,7 @@ at working precision are capped at the precision exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -264,25 +265,39 @@ class GaussSumParams(namedtuple("GaussSumParams",
 
 
 def gauss_sum(params):
-    """Exact value of the normalized quadratic sum as a CycloSum.
+    """Exact value of the normalized quadratic sum as a canonical CycloSum.
 
     Averaging y over Z/p^vt suffices: the phase (a y^2 + xi y)/t only
     depends on y mod p^vt because a, xi are integral.
     """
-    p, va, vt, vxi = params.p, params.va, params.vt, params.vxi
-    M = vt
-    pm = p ** M
+    return _reduced_gauss_sum(*_gauss_key(params))[0]
+
+
+def _gauss_key(params):
+    """(p, vt, a ut^-1 mod p^vt, xi ut^-1 mod p^vt), all that the sum
+    depends on, after refusing more than `_GAUSS_SUM_CAP` summands."""
+    p, vt = params.p, params.vt
+    pm = p ** vt
     if pm > _GAUSS_SUM_CAP:
         raise BudgetError(f"{pm} summands exceed budget {_GAUSS_SUM_CAP}")
-    if M == 0:
-        return CycloSum.from_int(1, p)
     inv_ut = pow(params.ut, -1, pm)
-    a = (params.ua * pow(p, va, pm * p)) % pm if va < M else 0
-    xi = 0 if params.xi_zero else ((params.uxi * p ** vxi) % pm if vxi < M else 0)
+    a = params.ua * pow(p, params.va, pm) * inv_ut % pm
+    xi = (0 if params.xi_zero
+          else params.uxi * pow(p, params.vxi, pm) * inv_ut % pm)
+    return p, vt, a, xi
+
+
+@functools.lru_cache(maxsize=4096)
+def _reduced_gauss_sum(p, vt, a, xi):
+    """p^-vt sum_{y mod p^vt} e((a y^2 + xi y) / p^vt) and its |G|^2, both
+    canonical. Keyed on integers: rational CycloSums of different primes
+    compare and hash equal, so a value is never a key."""
+    pm = p ** vt
     counts = [0] * pm
     for y in range(pm):
-        counts[((a * y * y + xi * y) * inv_ut) % pm] += 1
-    return CycloSum(p, M, counts, scale=M)
+        counts[(a * y * y + xi * y) % pm] += 1
+    g = CycloSum(p, vt, counts, scale=vt).canonical()
+    return g, (g * g.conjugate()).canonical()
 
 
 def gauss_sum_law_report(params):
@@ -293,14 +308,13 @@ def gauss_sum_law_report(params):
     only the inequality form of the magnitude law is asserted).
     """
     p, va, vt, vxi = params.p, params.va, params.vt, params.vxi
-    g = gauss_sum(params).canonical()
+    g, gg = _reduced_gauss_sum(*_gauss_key(params))
     report = {"value": g, "laws": {}}
     xi_small = params.xi_zero or vxi >= min(va, vt)
 
     # magnitude law: |G| <= p^{min(va - vt, 0)/2}, equality when the linear
     # term is dominated (odd p)
     bound_exp = min(va - vt, 0)  # |G|^2 <= p^{bound_exp}
-    gg = (g * g.conjugate()).canonical()
     if p != 2 and xi_small:
         ok = gg.is_rational() and gg.to_fraction() == Fraction(p) ** bound_exp
         report["laws"]["magnitude_equality"] = ok

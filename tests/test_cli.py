@@ -571,7 +571,9 @@ from qcl.cli import main
 main(sys.argv[1:])
 """
 
-# the commands that need neither numpy nor mpmath
+# the commands that need neither numpy nor mpmath: among them the split
+# densities at odd p and a singular series over odd split primes, which
+# `qcl.densities` answers without loading numpy
 EXACT_PATHS = pytest.mark.parametrize("args", [
     ["gauss", "--p", "7", "--va", "1", "--vt", "3", "--xi", "0",
      "--ua", "3", "--ut", "5", "--uxi", "2"],
@@ -579,8 +581,18 @@ EXACT_PATHS = pytest.mark.parametrize("args", [
     ["delta-check", "--q", "16", "--alpha", "3,-1,2,5"],
     ["delta-check", "--q", "8", "--alpha", "0,0,0,0"],
     ["repnum", "--m", "3000"],
+    ["density", "--place", "split", "--p", "5", "--m", "2", "--n", "3"],
+    ["density", "--place", "split", "--p", "3", "--m", "1", "--n", "2",
+     "--engine", "exhaustive"],
+    ["singular", "--n", "3", "--primes", "3,5,7", "--skip-two"],
+    ["expsum", "--p", "3", "--delta", "9,0,0,1", "--gamma", "1,0,0,1"],
+    ["audit", "prime-case"],
+    ["audit", "gauss-laws"],
+    ["audit", "lattices"],
 ], ids=["gauss", "lattice-minima", "delta-check-shift", "delta-check-zero",
-        "repnum"])
+        "repnum", "density-split-odd", "density-split-exhaustive",
+        "singular-skip-two", "expsum-odd-p", "audit-prime-case",
+        "audit-gauss-laws", "audit-lattices"])
 
 
 class TestImportPaths:
@@ -792,9 +804,10 @@ class TestStdoutDiff:
         assert "no qcl/cli.py under" in proc.stderr
         assert proc.stdout == ""
 
-    # gauss, lattice, repnum, a nonzero-shift delta-check, odd-p expsum
-    # and the prime-case audit need neither numpy nor mpmath, so they run
-    # on a bare interpreter
+    # gauss, lattice, repnum, a nonzero-shift delta-check, odd-p expsum,
+    # the prime-case audit, the split densities at odd p and a singular
+    # series without 2 need neither numpy nor mpmath, so they run on a bare
+    # interpreter
     def test_numpy_free_commands_match_on_other_interpreters(self, tmp_path):
         pythons = _other_pythons()
         if not pythons:
@@ -809,7 +822,10 @@ class TestStdoutDiff:
             "expsum --p 5 --delta 25,0,0,1 --gamma 1,2,3,4\n"
             "expsum --p 3 --delta 9,0,0,1 --gamma 1,0,0,1 --gamma 2,1,0,1"
             " --gamma 0,1,1,0\n"
-            "audit prime-case\n")
+            "audit prime-case\n"
+            "density --place split --p 3 --m 1 --n 2 --engine both\n"
+            "density --place split --p 7 --m 2 --n 2\n"
+            "singular --n 3 --primes 3,5 --skip-two\n")
         for python in pythons:
             proc = subprocess.run(
                 [sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
@@ -817,4 +833,4 @@ class TestStdoutDiff:
                  str(ROOT / "src"), str(requests)],
                 capture_output=True, text=True)
             assert proc.returncode == 0, (python, proc.stdout + proc.stderr)
-            assert "8 requests, 0 differ" in proc.stderr, python
+            assert "11 requests, 0 differ" in proc.stderr, python

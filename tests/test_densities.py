@@ -19,40 +19,12 @@ from qcl.errors import BudgetError, PreconditionError, VerificationError
 from qcl.expsums import i0_local
 from qcl.linalg import reduce_mod_hnf, row_hnf
 from qcl.padic import smallest_nonresidue
+from grid_oracle import split_square_distribution
 
 
 # The grid kernel that `split_density` ran before the class sum, kept as its
-# oracle: the distribution of c Y^2 over every Y mod q, convolved over the
-# box M_2(Z/q) = QuotientGroup([q] * 4).
-
-#: cap on the matrices p^(4m) of one `split_square_distribution`
-_GRID_CAP = 10 ** 7
-#: most matrices in one block of `split_square_distribution`
-_BLOCK_ROWS = 2 ** 16
-
-
-def split_square_distribution(p, m, coeff=1):
-    """Distribution of coeff * Y^2 over M_2(Z/p^m), packed as in
-    `QuotientGroup([p^m] * 4)`: one bincount of the int32 key of every Y,
-    Horner over c (Y^2)_t mod q, in blocks of at most `_BLOCK_ROWS`
-    matrices, runs of leading pairs (a, b) broadcast against c and d.
-    Refuses p^(4m) > `_GRID_CAP` (BudgetError) first; under it, q <= 56
-    and every step stays below q^4 < 2^31."""
-    q = p ** m
-    if q ** 4 > _GRID_CAP:
-        raise BudgetError(f"matrix grid {q}^4 exceeds budget")
-    e = np.arange(q, dtype=np.int32)
-    keys = np.empty(q ** 4, dtype=np.int32)
-    step = _BLOCK_ROWS // (q * q)  # leading pairs per block
-    for start in range(0, q * q, step):
-        a, b = np.divmod(np.arange(start, min(start + step, q * q),
-                                   dtype=np.int32), q)
-        y = a[:, None, None], b[:, None, None], e[:, None], e
-        key = 0
-        for entry in mat_mul_flat(y, y):
-            key = key * q + coeff % q * entry % q
-        keys[start * q * q:(start + len(a)) * q * q] = key.ravel()
-    return np.bincount(keys, minlength=q ** 4)
+# oracle: the distribution of c Y^2 over every Y mod q (`grid_oracle`),
+# convolved over the box M_2(Z/q) = QuotientGroup([q] * 4).
 
 
 def split_density_grid(p, m, n, coeffs=None):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, isprime
 
+from qcl import padic
 from qcl.algebra import CycloSum
+from qcl.audits import suite_gauss_laws
 from qcl.errors import PreconditionError
 from qcl.padic import (GaussSumParams, gauss_sum, gauss_sum_law_report,
                        is_prime, jacobi, jordan_split, line_key, line_multiple,
@@ -248,6 +250,49 @@ class TestGaussSum:
             rep = gauss_sum_law_report(params)
             assert "magnitude_bound" in rep["laws"]
             assert all(rep["laws"].values())
+
+    def test_memo_is_keyed_per_prime(self):
+        # rational CycloSums of different primes compare and hash equal, so
+        # a memo keyed on a value would serve a p = 3 sum to p = 5
+        assert CycloSum.from_int(1, 3) == CycloSum.from_int(1, 5)
+        padic._reduced_gauss_sum.cache_clear()
+        for va, vt, vxi in itertools.product(range(3), repeat=3):
+            for p in (3, 5, 7):
+                params = GaussSumParams(p, va, vt, vxi)
+                assert gauss_sum(params).p == p
+                rep = gauss_sum_law_report(params)
+                assert rep["value"].p == p and all(rep["laws"].values())
+
+    def test_memo_matches_the_direct_sum(self):
+        # the sum depends on (p, vt, a / t mod p^vt, xi / t mod p^vt) only:
+        # scaling ua, ut and uxi by one unit keeps the key and the value
+        padic._reduced_gauss_sum.cache_clear()
+        rng = random.Random(11)
+        for _ in range(200):
+            p = rng.choice((3, 5, 7))
+            va, vt, vxi = (rng.randrange(4) for _ in range(3))
+            ua, ut, uxi, c = (rng.choice([u for u in range(1, p ** 3)
+                                          if u % p]) for _ in range(4))
+            pt = p ** vt
+            inv_ut = pow(ut, -1, pt)
+            counts = {}
+            for y in range(pt):
+                r = (ua * p ** va * y * y + uxi * p ** vxi * y) * inv_ut % pt
+                counts[r] = counts.get(r, 0) + 1
+            want = CycloSum(p, vt, counts, scale=vt)
+            assert gauss_sum(GaussSumParams(p, va, vt, vxi, ua, ut, uxi)) \
+                == want
+            assert gauss_sum(GaussSumParams(p, va, vt, vxi, ua * c, ut * c,
+                                            uxi * c)) == want
+        info = padic._reduced_gauss_sum.cache_info()
+        assert info.hits >= 200 and info.hits + info.misses == 400
+
+    def test_gauss_laws_audit_evaluates_each_sum_once(self):
+        # 6,432 evaluations at the default seed share 1,157 integer keys
+        padic._reduced_gauss_sum.cache_clear()
+        assert suite_gauss_laws()["passed"]
+        info = padic._reduced_gauss_sum.cache_info()
+        assert (info.misses, info.hits + info.misses) == (1157, 6432)
 
     def test_unit_part_must_be_unit(self):
         with pytest.raises(PreconditionError):
